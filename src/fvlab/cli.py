@@ -6,7 +6,8 @@ Subcommands
     Check a model config document and print a short summary.
 ``fvlab run <experiment.json> --out <dir> [--threads N] [--seed S]``
     Run an experiment; write ``report.json``, ``summary.csv`` and
-    per-replica outcome files.  Exit code 0 iff no verdict is FAIL.
+    per-replica outcome files.  Exit code 0 iff no verdict is FAIL, 1 if
+    one is.
 ``fvlab committor --n <n> --alpha <a>``
     Print the closed-form two-site committor column (CSV on stdout).
 ``fvlab limit-chain <model.json> [--n N] [--r R] [--conjecture] [--alt-c1-reading]``
@@ -16,6 +17,10 @@ Subcommands
 ``fvlab eta-inf <model.json> --counts k1 k2 ...``
     Print the initial-condensation law as JSON:
     ``{"lambda_set": [...], "eta_infinity": {state: prob}}``.
+
+Every subcommand exits 2 with an ``error:`` message on bad input or a
+failed computation (a solver residual, a cascade without a stable sink,
+an event cap hit outside an experiment point), never 1.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import sys
 from .chains import condensate_rates, conjectured_limit_rates
 from .committor import committor_two_site, gamblers_ruin_committor
 from .condensation import initial_condensation_law
-from .experiments import ConfigError, ExperimentConfig, run_experiment
-from .model import ModelError, load_model
+from .experiments import ExperimentConfig, run_experiment
+from .model import load_model
 
 __all__ = ["main"]
 
@@ -167,10 +172,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ModelError, ConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
+        # bad input (ModelError, ConfigError, malformed JSON are ValueErrors),
+        # unreadable files, and solver or engine failures (EventCapError is a
+        # RuntimeError): exit 2, so that 1 only ever means a verdict FAILed
         print(f"error: {err}", file=sys.stderr)
         return 2
 

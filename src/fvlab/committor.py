@@ -237,6 +237,10 @@ def committor_numeric(
             f"composition space has {space.size} states, above the cap {cap}"
         )
 
+    # Only ratios matter, and the residual check below is absolute: solve
+    # on weights scaled to a maximum of 1 so it holds at any rate scale.
+    top = max(gamma)
+    scaled = [g / top for g in gamma]
     dirac_rank = {space.rank(tuple(n if i == j else 0 for i in range(d))): j for j in range(d)}
     interior = [idx for idx in range(space.size) if idx not in dirac_rank]
     row_of = {idx: row for row, idx in enumerate(interior)}
@@ -258,7 +262,7 @@ def committor_numeric(
                 ky = counts[y]
                 if y == x or ky == 0:
                     continue
-                rate = kx * gamma[x] * ky * inv_nm1
+                rate = kx * scaled[x] * ky * inv_nm1
                 total += rate
                 moved = list(counts)
                 moved[x] -= 1

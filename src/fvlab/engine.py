@@ -22,6 +22,19 @@ the short duel that resolves it.
 Every replica consumes one private RNG stream with a fixed draw pattern
 (waiting time, event category, event target), so trajectories are
 bit-reproducible for a given (model, seed, parameters).
+
+Under fast selection almost every event is a step of a two-site duel:
+a mutant site {a, b} competing with the site it left until one of them
+dies out.  Whenever the support has exactly two sites the loop steps
+the count at a directly, on rates tabulated once per pair and split.
+This path is the generic step specialized, not an approximation: it
+reads the same three uniforms from the same buffer positions, refills
+the buffer at the same points, and evaluates the generic loop's own
+floating-point expressions in the same order, so time, counts, event
+count and recorded events are bit-identical to the generic loop's for
+every input.  A mutation out of a duel is handed back to the generic
+step, which redraws it from the same uniforms.  Supports of one site or
+of three or more always take the generic step.
 """
 
 from __future__ import annotations
@@ -186,6 +199,28 @@ def _kernel_arrays(model: Model, r: float, selection_only: bool):
     return d, lam, mut_exit, mut_targets, mut_rates
 
 
+def _duel_tables(n, inv_nm1, la, lb, ea, eb):
+    """Per-split rates of a pair of sites a < b, indexed by the count at a.
+
+    Each entry is the generic loop's own expression over the support
+    {a, b}, accumulated from 0.0 in the same order, so the tables hold
+    bit-for-bit the floats that loop would compute.  The total rate is
+    0.0 at the Dirac ends (count 0 or n), where the duel is over.
+    """
+    rm_tab = [0.0] * (n + 1)
+    kill_a_tab = [0.0] * (n + 1)
+    total_tab = [0.0] * (n + 1)
+    for ka in range(1, n):
+        kb = n - ka
+        r_mut = 0.0 + ka * ea + kb * eb
+        kill_a = ka * la * kb
+        r_sel = (0.0 + kill_a + kb * lb * ka) * inv_nm1
+        rm_tab[ka] = r_mut
+        kill_a_tab[ka] = kill_a * inv_nm1
+        total_tab[ka] = r_mut + r_sel
+    return rm_tab, kill_a_tab, total_tab
+
+
 def _simulate(
     model: Model,
     r: float,
@@ -211,17 +246,79 @@ def _simulate(
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
     log1p, rnd = math.log1p, rng.random
+    horizon = math.inf if T is None else T
+    stop_at = event_cap if max_events is None else min(event_cap, max_events)
 
     # Uniforms are pre-drawn in blocks that grow geometrically, so short
     # replicas stay cheap and long ones amortize the generator call.
+    # ``tolist`` gives Python floats: the same binary64 values, cheaper
+    # scalar arithmetic.
     size = 64
-    buf = rnd(size)
+    buf = rnd(size).tolist()
     limit = size - 3
     pos = 0
     t = 0.0
     events: list[tuple[float, Event]] = []
     n_events = 0
+    n_sites = d - counts.count(0)
+    duels: dict = {}  # (a, b) -> per-split rate tables of that pair
     while True:
+        if n_sites == 2:
+            # Two-site duel: the generic step below, specialized.  Rates
+            # are tabulated per split with the generic loop's expressions
+            # in its order, so every comparison sees the same floats.
+            a, b = [i for i in range(d) if counts[i]]
+            tables = duels.get((a, b))
+            if tables is None:
+                tables = duels[(a, b)] = _duel_tables(
+                    n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]
+                )
+            rm_tab, kill_a_tab, total_tab = tables
+            if record:
+                a_dies, b_dies = Event("selection", a, b), Event("selection", b, a)
+            ka = counts[a]
+            done = False
+            while True:
+                total = total_tab[ka]
+                if total <= 0.0:
+                    break  # a site died out, or no rate is left
+                if pos > limit:
+                    size = min(size * 2, _BLOCK)
+                    buf = rnd(size).tolist()
+                    limit = size - 3
+                    pos = 0
+                dt = -log1p(-buf[pos]) / total
+                if t + dt > horizon:
+                    t = T
+                    done = True
+                    break
+                x = buf[pos + 1] * total
+                r_mut = rm_tab[ka]
+                if x < r_mut:
+                    break  # mutation: the generic step redraws it from ``pos``
+                pos += 3
+                t += dt
+                if (x - r_mut) - kill_a_tab[ka] < 0.0:
+                    ka -= 1
+                    if record:
+                        events.append((t, a_dies))
+                else:
+                    ka += 1
+                    if record:
+                        events.append((t, b_dies))
+                n_events += 1
+                if n_events >= stop_at:
+                    counts[a], counts[b] = ka, n - ka
+                    if n_events >= event_cap:
+                        raise EventCapError(event_cap, t, counts)
+                    done = True
+                    break
+            counts[a], counts[b] = ka, n - ka
+            if done:
+                break
+            if not 0 < ka < n:
+                n_sites = 1
+
         r_mut = 0.0
         r_sel = 0.0
         for i in range(d):
@@ -236,7 +333,7 @@ def _simulate(
 
         if pos > limit:
             size = min(size * 2, _BLOCK)
-            buf = rnd(size)
+            buf = rnd(size).tolist()
             limit = size - 3
             pos = 0
         u_time = buf[pos]
@@ -245,7 +342,7 @@ def _simulate(
         pos += 3
 
         dt = -log1p(-u_time) / total
-        if T is not None and t + dt > T:
+        if t + dt > horizon:
             t = T
             break
         t += dt
@@ -299,6 +396,10 @@ def _simulate(
 
         counts[src] -= 1
         counts[tgt] += 1
+        if not counts[src]:
+            n_sites -= 1
+        if counts[tgt] == 1:
+            n_sites += 1
         n_events += 1
         if record:
             events.append((t, Event(kind, src, tgt)))

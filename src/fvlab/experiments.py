@@ -195,7 +195,7 @@ class ExperimentConfig:
         if needs_model:
             if self.model is None:
                 raise ConfigError(f"{self.kind} requires a model")
-            self.validated_model()  # raises ModelError on bad input
+            model = self.validated_model()  # raises ModelError on bad input
         if self.kind in _STATISTICAL_KINDS:
             if self.replicas is None or self.replicas < 100:
                 raise ConfigError(f"{self.kind} needs replicas >= 100, got {self.replicas}")
@@ -235,11 +235,13 @@ class ExperimentConfig:
             self._check_increasing(self.r_schedule, "r_schedule")
             if self.init is None:
                 raise ConfigError("absorption_tail needs init counts")
+            self._check_count_list(model.num_states)
         if self.kind == "eta_inf_check":
             if not self.r_schedule or len(self.r_schedule) != 1:
                 raise ConfigError("eta_inf_check needs exactly one intensity in r_schedule")
             if self.init is None:
                 raise ConfigError("eta_inf_check needs init counts")
+            self._check_count_list(model.num_states)
         if self.kind == "committor_check":
             if not self.grid or "n" not in self.grid or "alpha" not in self.grid:
                 raise ConfigError("committor_check needs grid: {'n': [...], 'alpha': [...]}")
@@ -255,6 +257,19 @@ class ExperimentConfig:
                     raise ConfigError(f"conjecture_probe sim block missing {key!r}")
             if int(self.sim["replicas"]) < 100:
                 raise ConfigError("conjecture_probe sim block needs replicas >= 100")
+
+    def _check_count_list(self, num_states: int) -> None:
+        init = self.init
+        if not isinstance(init, (list, tuple)):
+            raise ConfigError(f"{self.kind} needs init as a list of counts, got {init!r}")
+        if len(init) != num_states:
+            raise ConfigError(
+                f"init counts must list one count per model state ({num_states}), got {list(init)}"
+            )
+        if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in init):
+            raise ConfigError(f"init counts must be nonnegative integers, got {list(init)}")
+        if sum(init) < 2:
+            raise ConfigError(f"init counts must hold at least two particles, got {list(init)}")
 
     @staticmethod
     def _check_increasing(values: Sequence[float], what: str) -> None:
@@ -813,7 +828,7 @@ def _exp_theorem3(cfg: ExperimentConfig, threads: int, report: Report, outcomes:
 def _exp_absorption_tail(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
     model = cfg.validated_model()
     M = cfg.replicas
-    counts = tuple(int(c) for c in cfg.init)
+    counts = tuple(cfg.init)
     slopes: list[float] = []
     floors: list[float] = []
     base = 0
@@ -860,7 +875,7 @@ def _exp_eta_inf(cfg: ExperimentConfig, threads: int, report: Report, outcomes: 
     model = cfg.validated_model()
     M = cfg.replicas
     r = cfg.r_schedule[0]
-    counts = tuple(int(c) for c in cfg.init)
+    counts = tuple(cfg.init)
     exact = initial_condensation_law(model, counts)
 
     payload = {

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from fvlab import EventCapError, cli
 from fvlab.cli import main
 
 from conftest import cycle_model_config, two_site_config
@@ -215,3 +216,19 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     exp.write_text(json.dumps({"kind": "no_such_kind"}))
     assert main(["run", str(exp), "--out", str(tmp_path / "out")]) == 2
     assert "unknown experiment kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [EventCapError(5, 0.25, (2, 1)), RuntimeError("urn law sums to 0.99, not 1")],
+)
+def test_run_runtime_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    # a failed computation is not a FAILed verdict: exit 2, never 1
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(run_config_doc()))
+    assert main(["run", str(exp), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"

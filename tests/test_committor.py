@@ -156,6 +156,15 @@ def test_numeric_scale_invariance():
     assert np.allclose(a.psi, b.psi, atol=1e-11)
 
 
+def test_numeric_scale_invariance_at_killing_rate_scale():
+    # raw killing rates at intensity r, as the finite-r chain start passes
+    # them; an absolute residual check on unscaled weights failed at 1e5
+    tables = [committor_numeric([r, 2 * r, 4 * r], 100) for r in (10.0, 1e5, 1e7)]
+    for r, table in zip((10.0, 1e5, 1e7), tables):
+        assert table.weights == (r, 2 * r, 4 * r)
+        assert np.abs(table.psi - tables[0].psi).max() <= 1e-12
+
+
 def test_numeric_rejects_bad_inputs():
     with pytest.raises(ValueError):
         committor_numeric([1.0, -2.0], 4)

@@ -16,8 +16,10 @@ from fvlab import (
     simulate_selection_absorption,
     validate_model,
 )
+from fvlab.engine import _simulate
 
 from conftest import cycle_model_config, two_site_config
+from reference_engine import _simulate as reference_simulate
 
 
 def replay(traj):
@@ -295,3 +297,103 @@ def test_engine_invariants(counts, seed):
         prev_t = t
     assert tuple(running) == traj.final.counts
     assert sum(running) == init.n
+
+
+# ------------------------------------------------- two-site duel fast path
+
+
+def uplus_cycle_model():
+    return validate_model(
+        {
+            "states": ["a", "b", "c"],
+            "mutation": [
+                {"from": "a", "to": "b", "rate": 1.0},
+                {"from": "b", "to": "c", "rate": 1.0},
+                {"from": "c", "to": "a", "rate": 1.0},
+            ],
+            "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0, "c": 2.0}},
+        }
+    )
+
+
+def test_duel_regime_trajectory_pinned():
+    # values from the event loop before the duel fast path existed
+    init = EmpiricalMeasure.dirac(3, 0, 100)
+    traj = simulate_fv(
+        uplus_cycle_model(), 1e5, init, 1.0, np.random.default_rng(20261017)
+    )
+    assert traj.event_count == 3264
+    assert traj.final.counts == (100, 0, 0)
+    t, ev = traj.events[-1]
+    assert t == 0.9870667869774965
+    assert (ev.kind, ev.source, ev.target) == ("selection", 1, 0)
+
+
+def test_duel_regime_absorption_pinned():
+    init = EmpiricalMeasure.from_counts([30, 70, 0])
+    res = simulate_selection_absorption(
+        uplus_cycle_model(), 1e3, init, np.random.default_rng(5)
+    )
+    assert res == (0.030039784066739888, "b", 870)
+
+
+def outcome(simulate, seed, case):
+    """Run one event loop, folding a cap abort into a comparable value."""
+    try:
+        return simulate(rng=np.random.default_rng(seed), **case)
+    except EventCapError as err:
+        return ("cap", err.cap, err.time, err.counts)
+
+
+@st.composite
+def engine_cases(draw):
+    d = draw(st.integers(min_value=2, max_value=4))
+    states = [f"s{i}" for i in range(d)]
+    rate = st.sampled_from([0.1, 1.0 / 3.0, 1.0, 3.7])
+    mutation = [
+        {"from": states[i], "to": states[j], "rate": draw(rate)}
+        for i in range(d)
+        for j in range(d)
+        if i != j and draw(st.booleans())
+    ]
+    if draw(st.booleans()):
+        killing = {
+            "kind": "power",
+            "c": {s: draw(st.sampled_from([0.5, 1.0, 1.3, 2.0])) for s in states},
+            "beta": {s: draw(st.sampled_from(["1/2", "1", "3/2", "2"])) for s in states},
+        }
+    else:
+        killing = {
+            "kind": "uniform_plus",
+            "m": {s: draw(st.sampled_from([0.0, 1.0, 2.5])) for s in states},
+        }
+    model = validate_model({"states": states, "mutation": mutation, "killing": killing})
+    # mostly one or two occupied sites, so duels start from the first event
+    support = draw(
+        st.lists(st.integers(0, d - 1), min_size=1, max_size=3, unique=True)
+    )
+    n = draw(st.integers(min_value=2, max_value=40))
+    picks = draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
+    counts = [picks.count(i) for i in range(d)]
+    selection_only = draw(st.booleans())
+    max_events = draw(st.none() | st.integers(min_value=1, max_value=60))
+    if selection_only or max_events is not None:
+        T = draw(st.none() | st.sampled_from([0.01, 0.3, 1.0]))
+    else:
+        T = draw(st.sampled_from([0.01, 0.3, 1.0]))
+    return dict(
+        model=model,
+        r=draw(st.sampled_from([1.0, 10.0, 1e3, 1e5])),
+        init=EmpiricalMeasure.from_counts(counts),
+        T=T,
+        selection_only=selection_only,
+        record=draw(st.booleans()),
+        max_events=max_events,
+        event_cap=draw(st.sampled_from([3, 200, 10**9])),
+    )
+
+
+@given(case=engine_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_event_loop_bit_identical_to_reference(case, seed):
+    assert outcome(_simulate, seed, case) == outcome(reference_simulate, seed, case)

@@ -112,6 +112,33 @@ def test_config_validation_matrix(overrides, fragment):
         ExperimentConfig.from_dict(theorem1_doc(**overrides))
 
 
+@pytest.mark.parametrize("kind", ["absorption_tail", "eta_inf_check"])
+@pytest.mark.parametrize(
+    "init,fragment",
+    [
+        ({"dirac": "x"}, "list of counts"),
+        ("2,2", "list of counts"),
+        ([4], "one count per model state"),
+        ([1, 1, 2], "one count per model state"),
+        ([5, -1], "nonnegative integers"),
+        ([1.5, 2], "nonnegative integers"),
+        (["2", "2"], "nonnegative integers"),
+        ([True, 2], "nonnegative integers"),
+        ([1, 0], "at least two particles"),
+    ],
+)
+def test_config_rejects_bad_init_counts(kind, init, fragment):
+    doc = {
+        "kind": kind,
+        "model": two_site_config(alpha=1.0),
+        "r_schedule": [10.0, 100.0] if kind == "absorption_tail" else [10.0],
+        "replicas": 100,
+        "init": init,
+    }
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_theorem3_point_checks():
     base = {
         "kind": "theorem3_regime",
@@ -301,6 +328,33 @@ def test_theorem3_regime_smoke():
     assert "mean_pair_correlation" in stats
     assert "cprime_interval_consistency" in stats
     assert "cprime_intervals" in rep.extras
+
+
+def test_theorem3_regime_hash_pinned():
+    # hash from the event loop before the two-site duel fast path existed
+    cfg = ExperimentConfig.from_dict(
+        {
+            "kind": "theorem3_regime",
+            "model": {
+                "states": ["a", "b", "c"],
+                "mutation": [
+                    {"from": "a", "to": "b", "rate": 1.0},
+                    {"from": "b", "to": "c", "rate": 1.0},
+                    {"from": "c", "to": "a", "rate": 1.0},
+                ],
+                "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0, "c": 2.0}},
+            },
+            "seed": 7,
+            "T": 1.0,
+            "time_points": [1.0],
+            "replicas": 100,
+            "init": {"dirac": "a"},
+            "points": [{"n": 10, "r": 1.0e3}, {"n": 32, "r": 1.0e4}],
+        }
+    )
+    assert run_experiment(cfg).result_hash == (
+        "a8261b0deaba3915d76d039756f3afbbcdf95dabffc8a671666f962c3b369fe0"
+    )
 
 
 def test_theorem3_requires_uniform_plus_killing():
