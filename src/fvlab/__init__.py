@@ -38,7 +38,6 @@ from .engine import (
     Event,
     EventCapError,
     Trajectory,
-    next_event,
     simulate_fv,
     simulate_selection_absorption,
 )
@@ -51,13 +50,10 @@ from .experiments import (
     run_experiment,
 )
 from .metrics import (
-    ConcentrationStats,
     LawOnStates,
     StepPath,
-    concentration_stats,
     empirical_law,
     exact_law,
-    l1_tv_path_distance,
     tv_distance,
 )
 from .model import (
@@ -77,7 +73,6 @@ __all__ = [
     "CascadeAnalysis",
     "CommittorTable",
     "CompositionSpace",
-    "ConcentrationStats",
     "ConfigError",
     "EXPERIMENT_KINDS",
     "EmpiricalMeasure",
@@ -98,7 +93,6 @@ __all__ = [
     "UrnLaw",
     "committor_numeric",
     "committor_two_site",
-    "concentration_stats",
     "condensate_rates",
     "conjectured_limit_rates",
     "ctmc_marginal",
@@ -108,11 +102,9 @@ __all__ = [
     "gamblers_ruin_committor",
     "initial_condensation_law",
     "invasion_probability",
-    "l1_tv_path_distance",
     "limit_weight_profile",
     "load_model",
     "minimal_order_set",
-    "next_event",
     "polya_urn_law",
     "run_experiment",
     "simulate_ctmc",

@@ -119,18 +119,15 @@ class CascadeAnalysis:
 
     ``stable_sites`` collects sites with no strictly descending mutation
     edge.  For every unstable site z, ``descent_targets[z]`` lists the
-    admissible next steps, ``absorption_weights[z]`` the law of the
-    stable site eventually reached, ``reachable[z]`` its support, and
-    ``paths[z]`` every descent path with its product weight.  For stable
-    x and y, ``triggers[(x, y)]`` lists the balanced neighbours z of x
-    whose cascade can deposit the condensate at y.
+    admissible next steps and ``absorption_weights[z]`` the law of the
+    stable site eventually reached.  For stable x and y,
+    ``triggers[(x, y)]`` lists the balanced neighbours z of x whose
+    cascade can deposit the condensate at y.
     """
 
     stable_sites: tuple[str, ...]
     descent_targets: Mapping[str, tuple[str, ...]]
     absorption_weights: Mapping[str, Mapping[str, float]]
-    reachable: Mapping[str, tuple[str, ...]]
-    paths: Mapping[str, tuple[tuple[tuple[str, ...], float], ...]]
     triggers: Mapping[tuple[str, str], tuple[str, ...]]
     alt_reading: bool = False
 
@@ -140,11 +137,6 @@ class CascadeAnalysis:
             "descent_targets": {z: list(t) for z, t in self.descent_targets.items()},
             "absorption_weights": {
                 z: dict(w) for z, w in self.absorption_weights.items()
-            },
-            "reachable": {z: list(t) for z, t in self.reachable.items()},
-            "paths": {
-                z: [{"path": list(p), "weight": w} for p, w in plist]
-                for z, plist in self.paths.items()
             },
             "triggers": {f"{x}->{y}": list(t) for (x, y), t in self.triggers.items()},
             "alt_reading": self.alt_reading,
@@ -245,19 +237,6 @@ def conjectured_limit_rates(
         weights[z] = law
         return law
 
-    # Explicit path enumeration (diagnostics and JSON export).
-    def enumerate_paths(z: int) -> list[tuple[tuple[int, ...], float]]:
-        if z in stable_set:
-            return [((z,), 1.0)]
-        out = targets[z]
-        denom = sum(model.mutation_rate(z, y) for y in out)
-        acc = []
-        for y in out:
-            w = model.mutation_rate(z, y) / denom
-            for tail, p in enumerate_paths(y):
-                acc.append(((z,) + tail, w * p))
-        return acc
-
     unstable = [z for z in range(d) if z not in stable_set]
     for z in unstable:
         absorb(z)
@@ -289,13 +268,6 @@ def conjectured_limit_rates(
         descent_targets={labels[z]: tuple(labels[y] for y in targets[z]) for z in unstable},
         absorption_weights={
             labels[z]: {labels[y]: p for y, p in weights[z].items()} for z in unstable
-        },
-        reachable={labels[z]: tuple(sorted(labels[y] for y in weights[z])) for z in unstable},
-        paths={
-            labels[z]: tuple(
-                (tuple(labels[s] for s in path), w) for path, w in enumerate_paths(z)
-            )
-            for z in unstable
         },
         triggers=triggers,
         alt_reading=alt_reading,

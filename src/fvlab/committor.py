@@ -36,9 +36,6 @@ __all__ = [
 # forms are 0/0 there and the limit branch is exact.
 _ALPHA_TIE = 1e-12
 
-# Above this size the assembled system is solved iteratively.
-_DIRECT_SOLVE_LIMIT = 5_000
-
 
 def gamblers_ruin_committor(n: int, alpha: float) -> np.ndarray:
     """Hitting probabilities g(k) = P_k(reach n before 0), k = 0..n.
@@ -198,7 +195,6 @@ def committor_numeric(
     *,
     states: Sequence[str] | None = None,
     cap: int = 200_000,
-    tol: float = 1e-12,
 ) -> CommittorTable:
     """Solve the selection-only Dirichlet problem over all compositions.
 
@@ -209,12 +205,12 @@ def committor_numeric(
     n : particle count, n >= 2.
     states : optional labels for the support (defaults to s0, s1, ...).
     cap : refuse composition spaces larger than this.
-    tol : iterative-solver residual tolerance.
 
     From a composition ``xi`` the move taking one particle from x to y
     occurs at rate ``(n^2/(n-1)) * xi(x) * gamma(x) * xi(y)``; committors
-    are harmonic for these rates with Dirac boundary values.  Systems of
-    at most 5000 unknowns are solved directly, larger ones iteratively.
+    are harmonic for these rates with Dirac boundary values, and the
+    sparse system over the interior compositions is solved by a direct
+    LU factorization.
     """
     gamma = [float(w) for w in weights]
     d = len(gamma)
@@ -279,18 +275,7 @@ def committor_numeric(
         data.append(-total)
 
     A = sp.csr_matrix((data, (rows, cols)), shape=(n_int, n_int))
-    if n_int <= _DIRECT_SOLVE_LIMIT:
-        X = spla.splu(A.tocsc()).solve(B)
-    else:
-        X = np.empty_like(B)
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-8, fill_factor=20)
-        precond = spla.LinearOperator(A.shape, ilu.solve)
-        for j in range(d):
-            x, info = spla.bicgstab(A, B[:, j], rtol=tol, atol=0.0, M=precond)
-            if info != 0:  # fall back to the exact factorization
-                X = spla.splu(A.tocsc()).solve(B)
-                break
-            X[:, j] = x
+    X = spla.splu(A.tocsc()).solve(B)
 
     resid = np.abs(A @ X - B).max() if n_int else 0.0
     if resid > 1e-9:

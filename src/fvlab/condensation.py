@@ -11,11 +11,10 @@ is exactly a Polya urn with one draw per relocated particle (note: per
 
 The urn step follows the Dirichlet-multinomial law
 
-    P(add vector (m_i)) = multinomial(m; m_1..m_k) * prod_i a_i^(m_i) / A^(m)
+    P(add vector (m_i)) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m)
 
-with ``a^(m)`` the rising factorial and ``A = sum a_i``, computed in
-exact rational arithmetic for small draw counts and 50-digit floats
-beyond.
+with ``A = sum a_i``, computed in exact rational arithmetic for every
+draw count.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "initial_condensation_law",
 ]
 
-_EXACT_DRAW_LIMIT = 64
 _OUTCOME_CAP = 10_000
 
 
@@ -83,12 +81,16 @@ def limit_weight_profile(model: Model, subset: Sequence[Union[str, int]]) -> np.
 
 @dataclass(frozen=True)
 class UrnLaw:
-    """Law of a Polya urn's final counts after a fixed number of draws."""
+    """Law of a Polya urn's final counts after a fixed number of draws.
+
+    ``exact`` holds the rational probabilities, ``outcomes`` the same
+    values rounded to floats.
+    """
 
     initial: tuple[int, ...]
     draws: int
     outcomes: Mapping[tuple[int, ...], float]
-    exact: Mapping[tuple[int, ...], Fraction] | None
+    exact: Mapping[tuple[int, ...], Fraction]
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.outcomes)
@@ -114,47 +116,16 @@ def polya_urn_law(
     if n_outcomes > cap:
         raise ValueError(f"{n_outcomes} outcomes exceed the cap {cap}")
 
-    A = sum(a)
-    space = CompositionSpace(k, m)
-    if m <= _EXACT_DRAW_LIMIT:
-        def rising(x: int, j: int) -> int:
-            out = 1
-            for i in range(j):
-                out *= x + i
-            return out
-
-        exact: dict[tuple[int, ...], Fraction] = {}
-        for adds in space:
-            multinom = math.factorial(m)
-            num = 1
-            for ai, mi in zip(a, adds):
-                multinom //= math.factorial(mi)
-                num *= rising(ai, mi)
-            exact[tuple(av + mv for av, mv in zip(a, adds))] = Fraction(
-                multinom * num, rising(A, m)
-            )
-        total = sum(exact.values())
-        if total != 1:
-            raise RuntimeError("urn law does not sum to 1 exactly")
-        outcomes = {key: float(p) for key, p in exact.items()}
-        return UrnLaw(tuple(a), m, outcomes, exact)
-
-    import mpmath
-
-    with mpmath.workdps(50):
-        probs: dict[tuple[int, ...], float] = {}
-        log_m_fact = mpmath.loggamma(m + 1)
-        log_A_rising = mpmath.loggamma(A + m) - mpmath.loggamma(A)
-        for adds in space:
-            logp = log_m_fact - log_A_rising
-            for ai, mi in zip(a, adds):
-                logp += mpmath.loggamma(ai + mi) - mpmath.loggamma(ai)
-                logp -= mpmath.loggamma(mi + 1)
-            probs[tuple(av + mv for av, mv in zip(a, adds))] = float(mpmath.exp(logp))
-    total = math.fsum(probs.values())
-    if abs(total - 1.0) > 1e-12:
-        raise RuntimeError(f"urn law sums to {total}, not 1")
-    return UrnLaw(tuple(a), m, probs, None)
+    # P(adds) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m), A = sum a_i
+    denom = comb(sum(a) + m - 1, m)
+    nums = {}
+    for adds in CompositionSpace(k, m):
+        key = tuple(av + mv for av, mv in zip(a, adds))
+        nums[key] = math.prod(comb(av + mv - 1, mv) for av, mv in zip(a, adds))
+    if sum(nums.values()) != denom:
+        raise RuntimeError("urn law does not sum to 1 exactly")
+    exact = {key: Fraction(num, denom) for key, num in nums.items()}
+    return UrnLaw(tuple(a), m, {key: float(p) for key, p in exact.items()}, exact)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ __all__ = [
     "Trajectory",
     "AbsorptionResult",
     "EventCapError",
-    "next_event",
     "simulate_fv",
     "simulate_selection_absorption",
 ]
@@ -231,12 +230,11 @@ def _simulate(
     selection_only: bool = False,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
-    max_events: int | None = None,
 ):
     """Shared event loop.
 
-    Runs until the horizon ``T`` (if given), absorption in a Dirac mass
-    with zero remaining rate, or ``max_events``.  Returns
+    Runs until the horizon ``T`` (if given) or absorption in a Dirac
+    mass with zero remaining rate.  Returns
     ``(time, counts, events, n_events)``.
     """
     if len(init.counts) != model.num_states:
@@ -247,7 +245,6 @@ def _simulate(
     inv_nm1 = 1.0 / (n - 1)
     log1p, rnd = math.log1p, rng.random
     horizon = math.inf if T is None else T
-    stop_at = event_cap if max_events is None else min(event_cap, max_events)
 
     # Uniforms are pre-drawn in blocks that grow geometrically, so short
     # replicas stay cheap and long ones amortize the generator call.
@@ -307,12 +304,9 @@ def _simulate(
                     if record:
                         events.append((t, b_dies))
                 n_events += 1
-                if n_events >= stop_at:
+                if n_events >= event_cap:
                     counts[a], counts[b] = ka, n - ka
-                    if n_events >= event_cap:
-                        raise EventCapError(event_cap, t, counts)
-                    done = True
-                    break
+                    raise EventCapError(event_cap, t, counts)
             counts[a], counts[b] = ka, n - ka
             if done:
                 break
@@ -405,26 +399,8 @@ def _simulate(
             events.append((t, Event(kind, src, tgt)))
         if n_events >= event_cap:
             raise EventCapError(event_cap, t, counts)
-        if max_events is not None and n_events >= max_events:
-            break
 
     return t, counts, events, n_events
-
-
-def next_event(
-    model: Model, r: float, state: EmpiricalMeasure, rng: np.random.Generator
-) -> tuple[float, Event] | None:
-    """Draw the next transition from ``state``, or None if no rate remains.
-
-    Reference single-step form of the same sampler used by the bulk
-    simulators (identical draw pattern and rate layout).
-    """
-    t, _, events, n_events = _simulate(
-        model, r, state, None, rng, record=True, max_events=1
-    )
-    if n_events == 0:
-        return None
-    return t, events[0][1]
 
 
 def simulate_fv(

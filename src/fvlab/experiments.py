@@ -16,10 +16,10 @@ system into a Monte Carlo test with explicit tolerances:
     condensate-chain paths.
 ``theorem3_regime``
     Particle count and killing floor grow together (uniform-plus-offset
-    killing): the measured pair correlation must stay under its
-    explicit bound, and the total variation between the mean occupation
-    and the mutation-chain marginal must scale like n/lambda_floor with
-    a stable constant.
+    killing): at every (point, time) pair the measured pair correlation
+    must stay under its explicit bound, and the total variation between
+    the mean occupation and the mutation-chain marginal, maximized over
+    the time grid, must scale like n/lambda_floor with a stable constant.
 ``absorption_tail``
     Selection only: exponential tail slopes of the absorption time must
     scale linearly with the killing floor.
@@ -33,12 +33,17 @@ system into a Monte Carlo test with explicit tolerances:
     The many-particle limit chain construction against declared
     expected rates, optionally probed by direct simulation.
 
-Replicas are deterministic: replica i of point p consumes the RNG
-stream derived from (master seed, flat replica index), work is cut into
-fixed 256-replica chunks regardless of thread count, and chunk results
-are reassembled in task order before any statistic is computed, so
-reports hash identically for every parallelism degree.  Wall-clock
-timings live in a separate block excluded from the hash.
+Every kind is a thin declaration over one point runner, :class:`_Run`:
+``point`` runs the replicas of one point through a module-level chunk
+function and records an abort row if a replica hits the event cap, and
+``outcome`` stores a per-replica table with its digest.  Replicas are
+deterministic: replica i of a run consumes the RNG stream derived from
+(master seed, flat replica index), each point takes the next block of
+indices, work is cut into fixed 256-replica chunks regardless of thread
+count, and chunk results are reassembled in task order before any
+statistic is computed, so reports hash identically for every
+parallelism degree.  Wall-clock timings live in a separate block
+excluded from the hash.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,16 +83,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "theorem1_marginal",
-    "theorem2_pathwise",
-    "theorem3_regime",
-    "absorption_tail",
-    "eta_inf_check",
-    "committor_check",
-    "conjecture_probe",
-)
-
 _STATISTICAL_KINDS = frozenset(
     ("theorem1_marginal", "theorem2_pathwise", "theorem3_regime", "absorption_tail", "eta_inf_check")
 )
@@ -109,6 +104,31 @@ def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     if index < 0:
         raise ValueError(f"replica index must be >= 0, got {index}")
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# How from_dict coerces a present, non-null field; fields not listed are
+# kept as given.
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "seed": int,
+    "delta": float,
+    "n": int,
+    "r_schedule": _floats,
+    "points": lambda points: tuple(dict(p) for p in points),
+    "T": float,
+    "time_points": _floats,
+    "replicas": int,
+    "tolerances": lambda tol: {str(k): float(v) for k, v in dict(tol).items()},
+    "event_cap": int,
+    "alt_c1_reading": bool,
+}
+
+
+def _default(f) -> Any:
+    return f.default_factory() if f.default is MISSING else f.default
 
 
 @dataclass(frozen=True)
@@ -141,41 +161,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ExperimentConfig":
-        known = {
-            "kind", "model", "model_path", "name", "seed", "delta", "n", "r_schedule",
-            "points", "T", "time_points", "replicas", "init", "tolerances",
-            "event_cap", "alt_c1_reading", "expect", "sim", "grid", "mc",
-        }
-        unknown = set(doc) - known
+        names = [f.name for f in fields(cls)]
+        unknown = set(doc) - set(names) - {"model_path"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "kind" not in doc:
+        if doc.get("kind") is None:
             raise ConfigError("config must declare an experiment kind")
-        model = doc.get("model")
-        if model is None and "model_path" in doc:
+        values = {k: doc[k] for k in names if doc.get(k) is not None}
+        if "model" not in values and "model_path" in doc:
             with open(doc["model_path"], "r", encoding="utf-8") as fh:
-                model = json.load(fh)
-        cfg = cls(
-            kind=doc["kind"],
-            model=model,
-            name=doc.get("name"),
-            seed=int(doc.get("seed", 0)),
-            delta=float(doc.get("delta", 0.05)),
-            n=None if doc.get("n") is None else int(doc["n"]),
-            r_schedule=None if doc.get("r_schedule") is None else tuple(float(r) for r in doc["r_schedule"]),
-            points=None if doc.get("points") is None else tuple(dict(p) for p in doc["points"]),
-            T=None if doc.get("T") is None else float(doc["T"]),
-            time_points=None if doc.get("time_points") is None else tuple(float(t) for t in doc["time_points"]),
-            replicas=None if doc.get("replicas") is None else int(doc["replicas"]),
-            init=doc.get("init"),
-            tolerances={str(k): float(v) for k, v in dict(doc.get("tolerances", {})).items()},
-            event_cap=int(doc.get("event_cap", DEFAULT_EVENT_CAP)),
-            alt_c1_reading=bool(doc.get("alt_c1_reading", False)),
-            expect=doc.get("expect"),
-            sim=doc.get("sim"),
-            grid=doc.get("grid"),
-            mc=doc.get("mc"),
-        )
+                values["model"] = json.load(fh)
+        cfg = cls(**{k: _COERCE[k](v) if k in _COERCE else v for k, v in values.items()})
         cfg.validate()
         return cfg
 
@@ -213,6 +209,7 @@ class ExperimentConfig:
                 self._check_increasing(self.time_points, "time_points")
                 if self.time_points[0] <= 0 or self.time_points[-1] > self.T:
                     raise ConfigError("time_points must lie in (0, T]")
+            self._check_init_for(model, [self.n])
         if self.kind == "theorem3_regime":
             if not self.points:
                 raise ConfigError("theorem3_regime needs a nonempty points schedule")
@@ -229,6 +226,10 @@ class ExperimentConfig:
                 raise ConfigError("theorem3_regime needs an init block ({'dirac': site})")
             if self.time_points is None or len(self.time_points) == 0:
                 raise ConfigError("theorem3_regime needs time_points")
+            self._check_increasing(self.time_points, "time_points")
+            if self.time_points[0] <= 0:
+                raise ConfigError(f"time_points must be positive, got {self.time_points}")
+            self._check_init_for(model, [int(p["n"]) for p in self.points])
         if self.kind == "absorption_tail":
             if not self.r_schedule or len(self.r_schedule) < 2:
                 raise ConfigError("absorption_tail needs >= 2 intensities in r_schedule")
@@ -271,6 +272,16 @@ class ExperimentConfig:
         if sum(init) < 2:
             raise ConfigError(f"init counts must hold at least two particles, got {list(init)}")
 
+    def _check_init_for(self, model: Model, ns: Sequence[int]) -> None:
+        """``init`` is a Dirac on a model site, or counts holding n particles at every n."""
+        if isinstance(self.init, Mapping) and "dirac" in self.init:
+            model.state_index(self.init["dirac"])  # raises ModelError on an unknown site
+            return
+        self._check_count_list(model.num_states)
+        for n in ns:
+            if sum(self.init) != n:
+                raise ConfigError(f"init counts sum to {sum(self.init)}, expected n = {n}")
+
     @staticmethod
     def _check_increasing(values: Sequence[float], what: str) -> None:
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -304,22 +315,12 @@ class ExperimentConfig:
         return float(self.tolerances.get(key, default))
 
     def canonical_dict(self) -> dict:
+        """The hashed config: kind, seed and delta always, other fields unless default."""
         doc: dict[str, Any] = {"kind": self.kind, "seed": self.seed, "delta": self.delta}
-        for key in (
-            "model", "name", "n", "r_schedule", "points", "T", "time_points",
-            "replicas", "init", "tolerances", "event_cap", "alt_c1_reading",
-            "expect", "sim", "grid", "mc",
-        ):
-            value = getattr(self, key)
-            if value is None or (key == "tolerances" and not value):
-                continue
-            if key == "event_cap" and value == DEFAULT_EVENT_CAP:
-                continue
-            if key == "alt_c1_reading" and not value:
-                continue
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[key] = value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in doc and value != _default(f):
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
         return doc
 
 
@@ -328,6 +329,9 @@ class ExperimentConfig:
 
 def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_HASHED_FIELDS = ("name", "kind", "seed", "config", "rows", "extras", "events_total", "outcome_digests")
 
 
 @dataclass
@@ -352,36 +356,18 @@ class Report:
     timing: dict = field(default_factory=dict)
     result_hash: str = ""
 
+    def _hashed(self) -> dict:
+        return {key: getattr(self, key) for key in _HASHED_FIELDS}
+
     def finalize_hash(self) -> None:
-        body = {
-            "name": self.name,
-            "kind": self.kind,
-            "seed": self.seed,
-            "config": self.config,
-            "rows": self.rows,
-            "extras": self.extras,
-            "events_total": self.events_total,
-            "outcome_digests": self.outcome_digests,
-        }
-        self.result_hash = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
+        self.result_hash = hashlib.sha256(_canonical_json(self._hashed()).encode()).hexdigest()
 
     @property
     def all_pass(self) -> bool:
         return all(row["verdict"] != "FAIL" for row in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "seed": self.seed,
-            "config": self.config,
-            "rows": self.rows,
-            "extras": self.extras,
-            "events_total": self.events_total,
-            "outcome_digests": self.outcome_digests,
-            "result_hash": self.result_hash,
-            "timing": self.timing,
-        }
+        return dict(self._hashed(), result_hash=self.result_hash, timing=self.timing)
 
     def write(self, out_dir, outcome_texts: Mapping[str, str] | None = None) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -419,122 +405,150 @@ def _csv_num(v) -> str:
     return str(v)
 
 
-def _row(experiment, r, t, statistic, value, half_width, verdict) -> dict:
-    return {
-        "experiment": experiment,
-        "r": r,
-        "t": t,
-        "statistic": statistic,
-        "value": value,
-        "half_width": half_width,
-        "verdict": verdict,
-    }
+# ------------------------------------------------------------ chunk workers
+#
+# Each worker runs replicas [start, stop) of one point and is a pure
+# function of its payload.  They live at module level so a process pool
+# pickles them by reference.
 
 
-# ------------------------------------------------------------ task workers
+def _collect(payload: dict, replica, **dtypes) -> dict:
+    """Run ``replica(rng)`` over a chunk; stack each tuple field into an array."""
+    seed, base = payload["seed"], payload["base"]
+    rows = [replica(derive_replica_rng(seed, base + i)) for i in range(payload["start"], payload["stop"])]
+    return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(dtypes.items(), zip(*rows))}
 
 
-def _task_worker(payload: dict) -> dict:
-    """Run one chunk of replicas; pure function of its payload."""
-    op = payload["op"]
-    seed = payload["seed"]
-    base = payload["base"]
-    start, stop = payload["start"], payload["stop"]
-    if op in ("fv_final", "fv_path", "absorption"):
-        model = validate_model(payload["model"])
-        init = EmpiricalMeasure.from_counts(payload["counts"])
-        r = payload["r"]
-        cap = payload["event_cap"]
-    if op == "fv_final":
-        d = model.num_states
-        finals = np.empty((stop - start, d), dtype=np.int64)
-        events = np.empty(stop - start, dtype=np.int64)
-        for i in range(start, stop):
-            rng = derive_replica_rng(seed, base + i)
-            traj = simulate_fv(model, r, init, payload["t"], rng, record=False, event_cap=cap)
-            finals[i - start] = traj.final.counts
-            events[i - start] = traj.event_count
-        return {"finals": finals, "events": events}
-    if op == "fv_path":
-        d = model.num_states
-        T = payload["t"]
-        integrals = np.empty(stop - start)
-        avg_occ = np.empty((stop - start, d))
-        events = np.empty(stop - start, dtype=np.int64)
-        for i in range(start, stop):
-            rng = derive_replica_rng(seed, base + i)
-            traj = simulate_fv(model, r, init, T, rng, record=True, event_cap=cap)
-            integrals[i - start] = traj.max_mass_integral()
-            path = traj.occupancy_path()
-            seg = np.diff(np.append(path.times, T))
-            avg_occ[i - start] = seg @ path.values / T
-            events[i - start] = traj.event_count
-        return {"integrals": integrals, "avg_occ": avg_occ, "events": events}
-    if op == "absorption":
-        taus = np.empty(stop - start)
-        sites = np.empty(stop - start, dtype=np.int64)
-        events = np.empty(stop - start, dtype=np.int64)
-        for i in range(start, stop):
-            rng = derive_replica_rng(seed, base + i)
-            res = simulate_selection_absorption(model, r, init, rng, event_cap=cap)
-            taus[i - start] = res.tau
-            sites[i - start] = model.index[res.site]
-            events[i - start] = res.event_count
-        return {"taus": taus, "sites": sites, "events": events}
-    if op == "ctmc_path":
-        rates = RateMatrix(tuple(payload["states"]), np.asarray(payload["rates"]))
-        T = payload["t"]
-        d = len(rates.states)
-        init_spec = payload["init"]
-        avg_occ = np.empty((stop - start, d))
-        events = np.empty(stop - start, dtype=np.int64)
-        for i in range(start, stop):
-            rng = derive_replica_rng(seed, base + i)
-            if isinstance(init_spec, list):
-                law = exact_law(rates.states, np.asarray(init_spec))
-                path = simulate_ctmc(rates, law, T, rng)
-            else:
-                path = simulate_ctmc(rates, init_spec, T, rng)
-            occ = np.zeros(d)
-            for (t0, s0), t1 in zip(path, [t for t, _ in path[1:]] + [T]):
-                occ[s0] += (t1 - t0) / T
-            avg_occ[i - start] = occ
-            events[i - start] = len(path) - 1
-        return {"avg_occ": avg_occ, "events": events}
-    raise ValueError(f"unknown task op {op!r}")
+def _particle_inputs(payload: dict):
+    model = validate_model(payload["model"])
+    return model, EmpiricalMeasure.from_counts(payload["counts"]), payload["r"], payload["event_cap"]
 
 
-def _run_point(payload_base: dict, M: int, threads: int):
-    """Split a point into fixed chunks, run them, reassemble in order.
+def _fv_final_chunk(payload: dict) -> dict:
+    """Final counts at time ``t`` of the full dynamics."""
+    model, init, r, cap = _particle_inputs(payload)
+    t = payload["t"]
+
+    def replica(rng):
+        traj = simulate_fv(model, r, init, t, rng, record=False, event_cap=cap)
+        return traj.final.counts, traj.event_count
+
+    return _collect(payload, replica, final=np.int64, events=np.int64)
+
+
+def _fv_path_chunk(payload: dict) -> dict:
+    """Dirac-distance integral and time-average occupation over [0, t]."""
+    model, init, r, cap = _particle_inputs(payload)
+    T = payload["t"]
+
+    def replica(rng):
+        traj = simulate_fv(model, r, init, T, rng, record=True, event_cap=cap)
+        integral = traj.max_mass_integral()
+        path = traj.occupancy_path()
+        return integral, np.diff(np.append(path.times, T)) @ path.values / T, traj.event_count
+
+    return _collect(payload, replica, integral=float, avg_occ=float, events=np.int64)
+
+
+def _absorption_chunk(payload: dict) -> dict:
+    """Absorption time and site of the selection-only dynamics."""
+    model, init, r, cap = _particle_inputs(payload)
+
+    def replica(rng):
+        res = simulate_selection_absorption(model, r, init, rng, event_cap=cap)
+        return res.tau, model.index[res.site], res.event_count
+
+    return _collect(payload, replica, tau=float, site=np.int64, events=np.int64)
+
+
+def _ctmc_path_chunk(payload: dict) -> dict:
+    """Time-average occupation over [0, t] of a condensate-chain path."""
+    rates = RateMatrix(tuple(payload["states"]), np.asarray(payload["rates"]))
+    T, init = payload["t"], payload["init"]
+    if isinstance(init, list):
+        init = exact_law(rates.states, np.asarray(init))
+    d = len(rates.states)
+
+    def replica(rng):
+        path = simulate_ctmc(rates, init, T, rng)
+        occ = np.zeros(d)
+        for (t0, s0), t1 in zip(path, [t for t, _ in path[1:]] + [T]):
+            occ[s0] += (t1 - t0) / T
+        return occ, len(path) - 1
+
+    return _collect(payload, replica, avg_occ=float, events=np.int64)
+
+
+def _run_point(worker, payload: dict, M: int, threads: int):
+    """Split a point into fixed chunks, map ``worker`` over them, reassemble in order.
 
     Returns the reassembled per-replica arrays, or the
-    :class:`EventCapError` if any replica hit the hard event cap (the
-    point is aborted; callers record the failure and move on).
+    :class:`EventCapError` if any replica hit the hard event cap.
     """
-    tasks = []
-    for start in range(0, M, _CHUNK):
-        task = dict(payload_base)
-        task["start"], task["stop"] = start, min(start + _CHUNK, M)
-        tasks.append(task)
+    tasks = [dict(payload, start=start, stop=min(start + _CHUNK, M)) for start in range(0, M, _CHUNK)]
     try:
         if threads <= 1 or len(tasks) == 1:
-            parts = [_task_worker(t) for t in tasks]
+            parts = [worker(t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(_task_worker, tasks))
+                parts = list(ex.map(worker, tasks))
     except EventCapError as err:
         return err
-    out: dict[str, np.ndarray] = {}
-    for key in parts[0]:
-        out[key] = np.concatenate([p[key] for p in parts], axis=0)
-    return out
+    return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
 
 
-def _abort_row(name: str, r, t, err: EventCapError) -> dict:
-    return _row(name, r, t, "event_cap_abort", float(err.cap), "", "FAIL")
+@dataclass
+class _Run:
+    """One experiment in progress: the point runner every kind is declared over.
+
+    ``base`` is the first flat replica index of the next point.
+    """
+
+    cfg: ExperimentConfig
+    threads: int
+    report: Report
+    outcomes: dict = field(default_factory=dict)
+    base: int = 0
+
+    def row(self, r, t, statistic, value, half_width, verdict) -> None:
+        self.report.rows.append(
+            {
+                "experiment": self.report.name,
+                "r": r,
+                "t": t,
+                "statistic": statistic,
+                "value": value,
+                "half_width": half_width,
+                "verdict": verdict,
+            }
+        )
+
+    def point(self, worker, M: int, r, t, **payload) -> dict | None:
+        """Run M replicas of ``worker`` on the next index block.
+
+        Returns the per-replica arrays, or None after recording the
+        point's abort row when a replica hit the event cap.
+        """
+        payload.update(r=r, t=t, seed=self.cfg.seed, base=self.base, event_cap=self.cfg.event_cap)
+        res = _run_point(worker, payload, M, self.threads)
+        self.base += M
+        if isinstance(res, EventCapError):
+            self.row(r, t, "event_cap_abort", float(res.cap), "", "FAIL")
+            return None
+        self.report.events_total += int(res["events"].sum())
+        return res
+
+    def outcome(self, fname: str, states, arrays: Mapping[str, np.ndarray]) -> None:
+        text = _occupation_csv(states, arrays)
+        self.outcomes[fname] = text
+        self.report.outcome_digests[fname] = _digest(text)
 
 
 # ----------------------------------------------------- statistic helpers
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def _dkw_half_width(M: int, delta: float) -> float:
@@ -615,33 +629,23 @@ def _chain_start(model: Model, counts: Sequence[int], r: float | None):
 # ------------------------------------------------------- experiment kinds
 
 
-def _exp_theorem1(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_theorem1(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
     n, M = cfg.n, cfg.replicas
-    times = cfg.resolve_times()
     counts = cfg.init_counts(model, n)
     eps = _dkw_half_width(M, cfg.delta)
     limit_rates = condensate_rates(model, n, None)
     limit_start = _chain_start(model, counts, None)
 
-    points = [(r, t) for r in cfg.r_schedule for t in times]
+    points = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
     sup_tv_finite: dict[float, float] = {}
     sup_tv_limit: dict[float, float] = {}
-    base = 0
     for pid, (r, t) in enumerate(points):
-        payload = {
-            "op": "fv_final", "model": model.config_dict(), "counts": counts,
-            "r": r, "t": t, "seed": cfg.seed, "base": base, "event_cap": cfg.event_cap,
-        }
-        res = _run_point(payload, M, threads)
-        base += M
-        if isinstance(res, EventCapError):
-            report.rows.append(_abort_row(report.name, r, t, res))
+        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=counts)
+        if res is None:
             continue
-        report.events_total += int(res["events"].sum())
-        sites = _max_mass_site(res["finals"])
-        emp = empirical_law(sites.tolist(), model.states, cfg.delta)
-
+        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
         finite_rates = condensate_rates(model, n, r)
         finite_start = _chain_start(model, counts, r)
         tv_fin = tv_distance(emp, ctmc_marginal(finite_rates, finite_start, t))
@@ -649,12 +653,9 @@ def _exp_theorem1(cfg: ExperimentConfig, threads: int, report: Report, outcomes:
         sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
         sup_tv_limit[r] = max(sup_tv_limit.get(r, 0.0), tv_lim)
 
-        report.rows.append(_row(report.name, r, t, "tv_vs_finite_chain", tv_fin, eps, "INFO"))
-        report.rows.append(_row(report.name, r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO"))
-        text = _occupation_csv(model.states, {"final": res["finals"], "events": res["events"]})
-        fname = f"point{pid:02d}_r{r:g}_t{t:g}.csv"
-        outcomes[fname] = text
-        report.outcome_digests[fname] = _digest(text)
+        run.row(r, t, "tv_vs_finite_chain", tv_fin, eps, "INFO")
+        run.row(r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO")
+        run.outcome(f"point{pid:02d}_r{r:g}_t{t:g}.csv", model.states, res)
 
     schedule = list(cfg.r_schedule)
     if len(sup_tv_finite) != len(schedule):
@@ -665,95 +666,66 @@ def _exp_theorem1(cfg: ExperimentConfig, threads: int, report: Report, outcomes:
     # demand non-increase only beyond that slack.
     slack = cfg.tolerance("monotone_slack", 2.0 * eps)
     worst_rise = max((b - a for a, b in zip(sups, sups[1:])), default=0.0)
-    monotone = worst_rise <= slack
-    report.rows.append(
-        _row(report.name, "", "", "sup_tv_monotone_in_r", float(worst_rise), slack, "PASS" if monotone else "FAIL")
-    )
+    run.row("", "", "sup_tv_monotone_in_r", float(worst_rise), slack, _verdict(worst_rise <= slack))
     band = cfg.tolerance("limit_band", 3.0 * eps)
     worst = sup_tv_limit[schedule[-1]]
-    report.rows.append(
-        _row(report.name, schedule[-1], "", "sup_tv_vs_limit_at_rmax", worst, band, "PASS" if worst <= band else "FAIL")
-    )
-    report.extras["sup_tv_finite"] = {str(r): sup_tv_finite[r] for r in schedule}
-    report.extras["sup_tv_limit"] = {str(r): sup_tv_limit[r] for r in schedule}
-    report.extras["time_grid_note"] = (
+    run.row(schedule[-1], "", "sup_tv_vs_limit_at_rmax", worst, band, _verdict(worst <= band))
+    run.report.extras["sup_tv_finite"] = {str(r): sup_tv_finite[r] for r in schedule}
+    run.report.extras["sup_tv_limit"] = {str(r): sup_tv_limit[r] for r in schedule}
+    run.report.extras["time_grid_note"] = (
         "supremum over [0,T] approximated by the max over the declared time grid"
     )
 
 
-def _exp_theorem2(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_theorem2(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
     n, M, T = cfg.n, cfg.replicas, cfg.T
     counts = cfg.init_counts(model, n)
     means: list[float] = []
-    base = 0
     for r in cfg.r_schedule:
-        payload = {
-            "op": "fv_path", "model": model.config_dict(), "counts": counts,
-            "r": r, "t": T, "seed": cfg.seed, "base": base, "event_cap": cfg.event_cap,
-        }
-        res = _run_point(payload, M, threads)
-        base += M
-        if isinstance(res, EventCapError):
-            report.rows.append(_abort_row(report.name, r, T, res))
-            base += M  # keep the chain point's index block reserved
+        res = run.point(_fv_path_chunk, M, r, T, model=model.config_dict(), counts=counts)
+        if res is None:
+            run.base += M  # keep the chain point's index block reserved
             continue
-        report.events_total += int(res["events"].sum())
 
-        mean_int = float(res["integrals"].mean())
-        se_int = float(res["integrals"].std(ddof=1) / math.sqrt(M))
+        mean_int = float(res["integral"].mean())
+        se_int = float(res["integral"].std(ddof=1) / math.sqrt(M))
         means.append(mean_int)
-        report.rows.append(
-            _row(report.name, r, T, "mean_dirac_distance_integral", mean_int, 3.0 * se_int, "INFO")
-        )
+        run.row(r, T, "mean_dirac_distance_integral", mean_int, 3.0 * se_int, "INFO")
 
         chain = condensate_rates(model, n, r)
         start = _chain_start(model, counts, r)
         chain_init = start if isinstance(start, str) else list(np.asarray(start.probs, dtype=float))
-        payload_c = {
-            "op": "ctmc_path", "states": list(chain.states), "rates": chain.rates.tolist(),
-            "init": chain_init, "t": T, "seed": cfg.seed, "base": base,
-        }
-        res_c = _run_point(payload_c, M, threads)
-        base += M
-        assert not isinstance(res_c, EventCapError)  # ctmc paths have no cap
-        report.events_total += int(res_c["events"].sum())
+        res_c = run.point(
+            _ctmc_path_chunk, M, r, T, states=list(chain.states), rates=chain.rates.tolist(), init=chain_init
+        )
+        assert res_c is not None  # ctmc paths have no cap
 
         mean_fv = res["avg_occ"].mean(axis=0)
         mean_ch = res_c["avg_occ"].mean(axis=0)
         tv = float(np.abs(mean_fv - mean_ch).sum())
         se = math.sqrt(_tv_standard_error(res["avg_occ"]) ** 2 + _tv_standard_error(res_c["avg_occ"]) ** 2)
         tol = cfg.tolerance("avg_occupation_band", 3.0 * se)
-        report.rows.append(
-            _row(report.name, r, T, "tv_mean_avg_occupation_fv_vs_chain", tv, tol, "PASS" if tv <= tol else "FAIL")
-        )
-
-        text = _occupation_csv(
-            model.states,
-            {"integral": res["integrals"], "avg_occ": res["avg_occ"], "events": res["events"]},
-        )
-        fname = f"paths_r{r:g}.csv"
-        outcomes[fname] = text
-        report.outcome_digests[fname] = _digest(text)
+        run.row(r, T, "tv_mean_avg_occupation_fv_vs_chain", tv, tol, _verdict(tv <= tol))
+        run.outcome(f"paths_r{r:g}.csv", model.states, res)
 
     factor = cfg.tolerance("decay_factor", 5.0)
     if len(means) != len(cfg.r_schedule):
         return
     if means[-1] > 0:
         achieved = means[0] / means[-1]
-        verdict = "PASS" if achieved >= factor else "FAIL"
+        verdict = _verdict(achieved >= factor)
     else:  # fully condensed at the largest intensity: decay is total
         achieved = None
         verdict = "PASS"
-    report.rows.append(
-        _row(report.name, "", "", "dirac_distance_decay_factor_first_to_last", achieved, "", verdict)
-    )
-    report.extras["mean_integrals"] = {str(r): v for r, v in zip(cfg.r_schedule, means)}
+    run.row("", "", "dirac_distance_decay_factor_first_to_last", achieved, "", verdict)
+    run.report.extras["mean_integrals"] = {str(r): v for r, v in zip(cfg.r_schedule, means)}
 
 
-def _exp_theorem3(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_theorem3(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
-    t = cfg.time_points[-1]
     M = cfg.replicas
     mut_rates = np.zeros((model.num_states, model.num_states))
     for i, j, q in model.mutation:
@@ -764,86 +736,63 @@ def _exp_theorem3(cfg: ExperimentConfig, threads: int, report: Report, outcomes:
     if m_sup is None:
         raise ConfigError("theorem3_regime expects the uniform_plus killing family")
 
-    cps: list[tuple[float, float, float]] = []  # (scale, lo, hi)
-    base = 0
-    for pid, point in enumerate(cfg.points):
+    times = cfg.time_points
+    pairs = [(point, t) for point in cfg.points for t in times]
+    cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed pair
+    for pid, (point, t) in enumerate(pairs):
         n, r = int(point["n"]), float(point["r"])
         counts = cfg.init_counts(model, n)
-        lam_floor = model.min_killing_rate(r)
-        scale = n / lam_floor
-        payload = {
-            "op": "fv_final", "model": model.config_dict(), "counts": counts,
-            "r": r, "t": t, "seed": cfg.seed, "base": base, "event_cap": cfg.event_cap,
-        }
-        res = _run_point(payload, M, threads)
-        base += M
-        if isinstance(res, EventCapError):
-            report.rows.append(_abort_row(report.name, r, t, res))
+        scale = n / model.min_killing_rate(r)
+        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=counts)
+        if res is None:
             continue
-        report.events_total += int(res["events"].sum())
-        occ = res["finals"] / n
+        occ = res["final"] / n
 
         pair_corr = 1.0 - (occ**2).sum(axis=1)
         mean_pc = float(pair_corr.mean())
         se_pc = float(pair_corr.std(ddof=1) / math.sqrt(M))
         bound = (model.Q + n / (2.0 * (n - 1.0)) * m_sup) * scale
-        verdict = "PASS" if mean_pc <= bound + 3.0 * se_pc else "FAIL"
-        report.rows.append(_row(report.name, r, t, "mean_pair_correlation", mean_pc, 3.0 * se_pc, verdict))
-        report.rows.append(_row(report.name, r, t, "pair_correlation_bound", bound, "", "INFO"))
+        run.row(r, t, "mean_pair_correlation", mean_pc, 3.0 * se_pc, _verdict(mean_pc <= bound + 3.0 * se_pc))
+        run.row(r, t, "pair_correlation_bound", bound, "", "INFO")
 
         # the mutation chain starts from the initial empirical measure
         init_law = exact_law(model.states, np.asarray(counts, dtype=float) / n)
         exact_marginal = ctmc_marginal(mutation_chain, init_law, t)
-        mean_occ = occ.mean(axis=0)
-        tv = float(np.abs(mean_occ - exact_marginal.probs).sum())
+        tv = float(np.abs(occ.mean(axis=0) - exact_marginal.probs).sum())
         se_tv = _tv_standard_error(occ)
-        report.rows.append(_row(report.name, r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO"))
-        report.rows.append(_row(report.name, r, t, "cprime_point_estimate", tv / scale, "", "INFO"))
-        lo = max(tv - 3.0 * se_tv, 0.0) / scale
-        hi = (tv + 3.0 * se_tv) / scale
-        cps.append((scale, lo, hi))
-
-        text = _occupation_csv(model.states, {"final": res["finals"], "events": res["events"]})
-        fname = f"point{pid:02d}_n{n}_r{r:g}.csv"
-        outcomes[fname] = text
-        report.outcome_digests[fname] = _digest(text)
+        run.row(r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO")
+        run.row(r, t, "cprime_point_estimate", tv / scale, "", "INFO")
+        cps.append((scale, max(tv - 3.0 * se_tv, 0.0) / scale, (tv + 3.0 * se_tv) / scale))
+        run.outcome(f"point{pid:02d}_n{n}_r{r:g}.csv", model.states, res)
 
     factor = cfg.tolerance("cprime_factor", 3.0)
-    if len(cps) != len(cfg.points):
+    if len(cps) != len(pairs):
         return
-    max_lo = max(lo for _, lo, _ in cps)
-    min_hi = min(hi for _, _, hi in cps)
+    # per point, the supremum of TV over the time grid lies between the
+    # largest lower and the largest upper 3-sigma bound
+    per_point = [cps[i : i + len(times)] for i in range(0, len(cps), len(times))]
+    sups = [(grp[0][0], max(lo for _, lo, _ in grp), max(hi for _, _, hi in grp)) for grp in per_point]
+    max_lo = max(lo for _, lo, _ in sups)
+    min_hi = min(hi for _, _, hi in sups)
     # a single constant C' (up to `factor`) must be compatible with every
-    # point's 3-sigma interval for TV / (n / lambda_floor)
-    feasible = max_lo <= factor * min_hi
+    # point's 3-sigma interval for sup TV / (n / lambda_floor)
     spread = float(max_lo / min_hi) if min_hi > 0 else None
-    report.rows.append(
-        _row(report.name, "", "", "cprime_interval_consistency", spread, "", "PASS" if feasible else "FAIL")
-    )
-    report.extras["cprime_intervals"] = [
-        {"scale": s, "lo": lo, "hi": hi} for s, lo, hi in cps
-    ]
+    run.row("", "", "cprime_interval_consistency", spread, "", _verdict(max_lo <= factor * min_hi))
+    run.report.extras["cprime_intervals"] = [{"scale": s, "lo": lo, "hi": hi} for s, lo, hi in sups]
 
 
-def _exp_absorption_tail(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_absorption_tail(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
     M = cfg.replicas
     counts = tuple(cfg.init)
     slopes: list[float] = []
     floors: list[float] = []
-    base = 0
     for r in cfg.r_schedule:
-        payload = {
-            "op": "absorption", "model": model.config_dict(), "counts": counts,
-            "r": r, "seed": cfg.seed, "base": base, "event_cap": cfg.event_cap,
-        }
-        res = _run_point(payload, M, threads)
-        base += M
-        if isinstance(res, EventCapError):
-            report.rows.append(_abort_row(report.name, r, "", res))
+        res = run.point(_absorption_chunk, M, r, "", model=model.config_dict(), counts=counts)
+        if res is None:
             continue
-        report.events_total += int(res["events"].sum())
-        taus = res["taus"]
+        taus = res["tau"]
         # tail slope: exponential fit to exceedances over the 75th percentile
         t0 = float(np.quantile(taus, 0.75))
         excess = taus[taus > t0] - t0
@@ -851,13 +800,9 @@ def _exp_absorption_tail(cfg: ExperimentConfig, threads: int, report: Report, ou
         se = slope / math.sqrt(len(excess))
         slopes.append(slope)
         floors.append(model.min_killing_rate(r))
-        report.rows.append(_row(report.name, r, "", "tail_slope", slope, 3.0 * se, "INFO"))
-        report.rows.append(_row(report.name, r, "", "mean_absorption_time", float(taus.mean()), "", "INFO"))
-
-        text = _occupation_csv(model.states, {"tau": taus, "site": res["sites"], "events": res["events"]})
-        fname = f"tail_r{r:g}.csv"
-        outcomes[fname] = text
-        report.outcome_digests[fname] = _digest(text)
+        run.row(r, "", "tail_slope", slope, 3.0 * se, "INFO")
+        run.row(r, "", "mean_absorption_time", float(taus.mean()), "", "INFO")
+        run.outcome(f"tail_r{r:g}.csv", model.states, res)
 
     if len(slopes) != len(cfg.r_schedule):
         return
@@ -865,43 +810,31 @@ def _exp_absorption_tail(cfg: ExperimentConfig, threads: int, report: Report, ou
     achieved = slopes[-1] / slopes[0]
     tol = cfg.tolerance("slope_ratio_rel_tol", 0.20)
     ok = abs(achieved / expected - 1.0) <= tol
-    report.rows.append(
-        _row(report.name, "", "", "tail_slope_ratio_vs_killing_floor_ratio", achieved, tol * expected, "PASS" if ok else "FAIL")
-    )
-    report.extras["expected_slope_ratio"] = expected
+    run.row("", "", "tail_slope_ratio_vs_killing_floor_ratio", achieved, tol * expected, _verdict(ok))
+    run.report.extras["expected_slope_ratio"] = expected
 
 
-def _exp_eta_inf(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_eta_inf(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
-    M = cfg.replicas
     r = cfg.r_schedule[0]
     counts = tuple(cfg.init)
     exact = initial_condensation_law(model, counts)
 
-    payload = {
-        "op": "absorption", "model": model.config_dict(), "counts": counts,
-        "r": r, "seed": cfg.seed, "base": 0, "event_cap": cfg.event_cap,
-    }
-    res = _run_point(payload, M, threads)
-    if isinstance(res, EventCapError):
-        report.rows.append(_abort_row(report.name, r, "", res))
+    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model.config_dict(), counts=counts)
+    if res is None:
         return
-    report.events_total += int(res["events"].sum())
-    emp = empirical_law(res["sites"].tolist(), model.states, cfg.delta)
+    emp = empirical_law(res["site"].tolist(), model.states, cfg.delta)
     tv = tv_distance(emp, exact.law)
     tol = cfg.tolerance("tv_tol", 0.02)
-    report.rows.append(
-        _row(report.name, r, "", "tv_exact_vs_absorbed_site_law", tv, tol, "PASS" if tv <= tol else "FAIL")
-    )
-    report.extras["lambda_set"] = list(exact.lambda_set)
-    report.extras["eta_infinity"] = exact.law.as_dict()
-
-    text = _occupation_csv(model.states, {"tau": res["taus"], "site": res["sites"], "events": res["events"]})
-    outcomes["absorbed_sites.csv"] = text
-    report.outcome_digests["absorbed_sites.csv"] = _digest(text)
+    run.row(r, "", "tv_exact_vs_absorbed_site_law", tv, tol, _verdict(tv <= tol))
+    run.report.extras["lambda_set"] = list(exact.lambda_set)
+    run.report.extras["eta_infinity"] = exact.law.as_dict()
+    run.outcome("absorbed_sites.csv", model.states, res)
 
 
-def _exp_committor_check(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_committor_check(run: _Run) -> None:
+    cfg = run.cfg
     tol = cfg.tolerance("grid_tol", 1e-9)
     worst = 0.0
     for n in cfg.grid["n"]:
@@ -917,118 +850,84 @@ def _exp_committor_check(cfg: ExperimentConfig, threads: int, report: Report, ou
             err = max(err, abs(table.value((n - 1, 1), 0) - hold))
             err = max(err, abs(table.value((1, n - 1), 0) - invade))
             worst = max(worst, err)
-            report.rows.append(
-                _row(report.name, "", "", f"max_abs_err_n{n}_alpha{alpha:g}", err, tol, "PASS" if err <= tol else "FAIL")
-            )
-    report.extras["grid_worst_error"] = worst
+            run.row("", "", f"max_abs_err_n{n}_alpha{alpha:g}", err, tol, _verdict(err <= tol))
+    run.report.extras["grid_worst_error"] = worst
 
-    if cfg.mc is not None:
-        n = int(cfg.mc["n"])
-        alpha = float(cfg.mc["alpha"])
-        counts = tuple(int(c) for c in cfg.mc["counts"])
-        M = int(cfg.mc["replicas"])
-        r = float(cfg.mc.get("r", 1.0))
-        model = validate_model(
-            {
-                "states": ["x", "y"],
-                "mutation": [],
-                "killing": {"kind": "power", "c": {"x": 1.0, "y": alpha}, "beta": {"x": 1, "y": 1}},
-            }
-        )
-        payload = {
-            "op": "absorption", "model": model.config_dict(), "counts": counts,
-            "r": r, "seed": cfg.seed, "base": 0, "event_cap": cfg.event_cap,
+    if cfg.mc is None:
+        return
+    n = int(cfg.mc["n"])
+    alpha = float(cfg.mc["alpha"])
+    counts = tuple(int(c) for c in cfg.mc["counts"])
+    M = int(cfg.mc["replicas"])
+    r = float(cfg.mc.get("r", 1.0))
+    model = validate_model(
+        {
+            "states": ["x", "y"],
+            "mutation": [],
+            "killing": {"kind": "power", "c": {"x": 1.0, "y": alpha}, "beta": {"x": 1, "y": 1}},
         }
-        res = _run_point(payload, M, threads)
-        if isinstance(res, EventCapError):
-            report.rows.append(_abort_row(report.name, r, "", res))
-            return
-        report.events_total += int(res["events"].sum())
-        freq = float((res["sites"] == 0).mean())
-        exact = float(gamblers_ruin_committor(n, alpha)[counts[0]])
-        band = 3.0 * math.sqrt(exact * (1.0 - exact) / M)
-        dev = abs(freq - exact)
-        report.rows.append(
-            _row(report.name, r, "", "mc_absorption_freq_abs_dev", dev, band, "PASS" if dev <= band else "FAIL")
-        )
-        report.extras["mc_frequency"] = freq
-        report.extras["mc_exact"] = exact
-        text = _occupation_csv(model.states, {"tau": res["taus"], "site": res["sites"], "events": res["events"]})
-        outcomes["mc_absorption.csv"] = text
-        report.outcome_digests["mc_absorption.csv"] = _digest(text)
+    )
+    res = run.point(_absorption_chunk, M, r, "", model=model.config_dict(), counts=counts)
+    if res is None:
+        return
+    freq = float((res["site"] == 0).mean())
+    exact = float(gamblers_ruin_committor(n, alpha)[counts[0]])
+    band = 3.0 * math.sqrt(exact * (1.0 - exact) / M)
+    dev = abs(freq - exact)
+    run.row(r, "", "mc_absorption_freq_abs_dev", dev, band, _verdict(dev <= band))
+    run.report.extras["mc_frequency"] = freq
+    run.report.extras["mc_exact"] = exact
+    run.outcome("mc_absorption.csv", model.states, res)
 
 
-def _exp_conjecture_probe(cfg: ExperimentConfig, threads: int, report: Report, outcomes: dict) -> None:
+def _exp_conjecture_probe(run: _Run) -> None:
+    cfg = run.cfg
     model = cfg.validated_model()
     analysis, chain = conjectured_limit_rates(model, alt_reading=cfg.alt_c1_reading)
-    report.extras["cascade"] = analysis.to_json_dict()
-    report.extras["chain_states"] = list(chain.states)
-    report.extras["chain_rates"] = chain.rates.tolist()
+    run.report.extras["cascade"] = analysis.to_json_dict()
+    run.report.extras["chain_states"] = list(chain.states)
+    run.report.extras["chain_rates"] = chain.rates.tolist()
 
     if cfg.expect:
         if "stable_sites" in cfg.expect:
-            want = tuple(cfg.expect["stable_sites"])
-            got = analysis.stable_sites
-            report.rows.append(
-                _row(
-                    report.name, "", "", "stable_sites_match",
-                    float(got == want), "", "PASS" if got == want else "FAIL",
-                )
-            )
+            same = analysis.stable_sites == tuple(cfg.expect["stable_sites"])
+            run.row("", "", "stable_sites_match", float(same), "", _verdict(same))
         for entry in cfg.expect.get("rates", ()):
             x, y, want = entry["from"], entry["to"], float(entry["rate"])
             present = x in chain.states and y in chain.states
             got = chain.entry(x, y) if present else None
-            ok = present and abs(got - want) <= 1e-12
-            report.rows.append(
-                _row(report.name, "", "", f"rate_{x}_to_{y}", got, 1e-12, "PASS" if ok else "FAIL")
-            )
+            run.row("", "", f"rate_{x}_to_{y}", got, 1e-12, _verdict(present and abs(got - want) <= 1e-12))
 
-    if cfg.sim is not None:
-        n, r = int(cfg.sim["n"]), float(cfg.sim["r"])
-        T = float(cfg.sim["T"])
-        M = int(cfg.sim["replicas"])
-        times = tuple(float(t) for t in cfg.sim.get("time_points", (T,)))
-        init = cfg.sim["init"]
-        if isinstance(init, Mapping) and "dirac" in init:
-            counts = [0] * model.num_states
-            counts[model.state_index(init["dirac"])] = n
-            start_site = str(init["dirac"])
+    if cfg.sim is None:
+        return
+    n, r = int(cfg.sim["n"]), float(cfg.sim["r"])
+    T = float(cfg.sim["T"])
+    M = int(cfg.sim["replicas"])
+    times = tuple(float(t) for t in cfg.sim.get("time_points", (T,)))
+    init = cfg.sim["init"]
+    if not (isinstance(init, Mapping) and "dirac" in init):
+        raise ConfigError("conjecture_probe sim init must be {'dirac': site}")
+    counts = [0] * model.num_states
+    counts[model.state_index(init["dirac"])] = n
+    start_site = str(init["dirac"])
+    if start_site not in chain.states:
+        raise ConfigError(f"sim start site {start_site!r} is not a stable site of the limit chain")
+    eps = _dkw_half_width(M, cfg.delta)
+    gate = "sim_tv_tol" in cfg.tolerances
+    for t in times:
+        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=tuple(counts))
+        if res is None:
+            continue
+        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
+        tv = tv_distance(emp, _lift_law(ctmc_marginal(chain, start_site, t), model.states))
+        if gate:
+            tol = cfg.tolerance("sim_tv_tol", 3.0 * eps)
+            verdict = _verdict(tv <= tol)
         else:
-            raise ConfigError("conjecture_probe sim init must be {'dirac': site}")
-        if start_site not in chain.states:
-            raise ConfigError(
-                f"sim start site {start_site!r} is not a stable site of the limit chain"
-            )
-        eps = _dkw_half_width(M, cfg.delta)
-        gate = "sim_tv_tol" in cfg.tolerances
-        base = 0
-        for t in times:
-            payload = {
-                "op": "fv_final", "model": model.config_dict(), "counts": tuple(counts),
-                "r": r, "t": t, "seed": cfg.seed, "base": base, "event_cap": cfg.event_cap,
-            }
-            res = _run_point(payload, M, threads)
-            base += M
-            if isinstance(res, EventCapError):
-                report.rows.append(_abort_row(report.name, r, t, res))
-                continue
-            report.events_total += int(res["events"].sum())
-            sites = _max_mass_site(res["finals"])
-            emp = empirical_law(sites.tolist(), model.states, cfg.delta)
-            marg = _lift_law(ctmc_marginal(chain, start_site, t), model.states)
-            tv = tv_distance(emp, marg)
-            if gate:
-                tol = cfg.tolerance("sim_tv_tol", 3.0 * eps)
-                verdict = "PASS" if tv <= tol else "FAIL"
-            else:
-                tol = 3.0 * eps
-                verdict = "INFO"
-            report.rows.append(_row(report.name, r, t, "tv_vs_conjectured_chain", tv, tol, verdict))
-            text = _occupation_csv(model.states, {"final": res["finals"], "events": res["events"]})
-            fname = f"probe_t{t:g}.csv"
-            outcomes[fname] = text
-            report.outcome_digests[fname] = _digest(text)
+            tol = 3.0 * eps
+            verdict = "INFO"
+        run.row(r, t, "tv_vs_conjectured_chain", tv, tol, verdict)
+        run.outcome(f"probe_t{t:g}.csv", model.states, res)
 
 
 _KIND_IMPL = {
@@ -1040,6 +939,8 @@ _KIND_IMPL = {
     "committor_check": _exp_committor_check,
     "conjecture_probe": _exp_conjecture_probe,
 }
+
+EXPERIMENT_KINDS = tuple(_KIND_IMPL)
 
 
 def run_experiment(
@@ -1062,10 +963,10 @@ def run_experiment(
         seed=config.seed,
         config=config.canonical_dict(),
     )
-    outcomes: dict[str, str] = {}
-    _KIND_IMPL[config.kind](config, threads, report, outcomes)
+    run = _Run(config, threads, report)
+    _KIND_IMPL[config.kind](run)
     report.finalize_hash()
     report.timing = {"wall_seconds": time.perf_counter() - started, "threads": threads}
     if out_dir is not None:
-        report.write(out_dir, outcomes)
+        report.write(out_dir, run.outcomes)
     return report

@@ -1,31 +1,27 @@
 """Distances and statistics over laws on a finite site set.
 
 Total variation here follows the sum-of-absolute-differences convention,
-``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Path distance
-integrates that quantity in time over the exact merged event grid of two
-piecewise-constant measure-valued paths, so there is no discretization
-error.  Empirical laws carry a distribution-free confidence half-width
-``sqrt(ln(2/delta) / (2M))`` so whole-law comparisons compose into a
-total-variation error bound of ``|D| * half_width``.
+``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Measure-valued
+trajectories are piecewise-constant step paths.  Empirical laws carry a
+distribution-free confidence half-width ``sqrt(ln(2/delta) / (2M))`` so
+whole-law comparisons compose into a total-variation error bound of
+``|D| * half_width``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "LawOnStates",
     "StepPath",
-    "ConcentrationStats",
     "exact_law",
     "empirical_law",
     "tv_distance",
-    "l1_tv_path_distance",
-    "concentration_stats",
 ]
 
 
@@ -131,54 +127,3 @@ class StepPath:
             raise ValueError("one value row per time point required")
         if self.horizon < times[-1]:
             raise ValueError("horizon precedes last jump time")
-
-    @classmethod
-    def constant(cls, value, horizon: float) -> "StepPath":
-        return cls(np.array([0.0]), np.asarray([value], dtype=float), horizon)
-
-
-def l1_tv_path_distance(a: StepPath, b: StepPath, T: float | None = None) -> float:
-    """Integral over [0, T] of the total variation between two step paths.
-
-    The two event grids are merged exactly, so the result carries no
-    time-discretization error.  ``T`` defaults to the common horizon.
-    """
-    if a.values.shape[1] != b.values.shape[1]:
-        raise ValueError("paths must share a state set")
-    if T is None:
-        if a.horizon != b.horizon:
-            raise ValueError("paths have different horizons; pass T explicitly")
-        T = a.horizon
-    grid = np.union1d(a.times, b.times)
-    grid = grid[grid < T]
-    ia = np.searchsorted(a.times, grid, side="right") - 1
-    ib = np.searchsorted(b.times, grid, side="right") - 1
-    seg = np.diff(np.append(grid, T))
-    tv_per_seg = np.abs(a.values[ia] - b.values[ib]).sum(axis=1)
-    return float(np.dot(seg, tv_per_seg))
-
-
-class ConcentrationStats(NamedTuple):
-    pair_corr: float
-    g2: float
-    max_mass: float
-
-
-def concentration_stats(measure) -> ConcentrationStats:
-    """Concentration statistics of a probability vector xi.
-
-    Returns ``pair_corr = sum_{x != y} xi(x) xi(y) = 1 - g2``,
-    ``g2 = sum_x xi(x)^2`` and ``max_mass = max_x xi(x)``.  Accepts a raw
-    vector, a :class:`LawOnStates`, or anything with a ``probs()``
-    method (an empirical measure).
-    """
-    if isinstance(measure, LawOnStates):
-        xi = measure.probs
-    elif hasattr(measure, "probs"):
-        attr = measure.probs
-        xi = attr() if callable(attr) else attr
-    else:
-        xi = np.asarray(measure, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    g2 = float(np.dot(xi, xi))
-    return ConcentrationStats(pair_corr=1.0 - g2, g2=g2, max_mass=float(xi.max()))

@@ -185,7 +185,7 @@ def test_conjectured_chain_multi_step_cascade():
     analysis, chain = conjectured_limit_rates(validate_model(cfg))
     assert analysis.stable_sites == ("s", "y")
     assert chain.entry("s", "y") == pytest.approx(3.0)
-    assert analysis.paths["z1"] == ((("z1", "z2", "y"), 1.0),)
+    assert analysis.absorption_weights["z1"] == {"y": 1.0}
 
 
 def test_conjectured_chain_rate_weighted_branching():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fvlab.condensation as condensation
 from fvlab import (
     initial_condensation_law,
     limit_weight_profile,
@@ -120,14 +119,30 @@ def test_urn_exact_probabilities_sum_to_one():
     assert sum(law.exact.values()) == Fraction(1)
 
 
-def test_urn_high_precision_branch_matches_exact(monkeypatch):
-    exact = polya_urn_law((2, 1), 6)
-    monkeypatch.setattr(condensation, "_EXACT_DRAW_LIMIT", 0)
-    floating = polya_urn_law((2, 1), 6)
-    assert floating.exact is None
-    assert set(floating.outcomes) == set(exact.outcomes)
-    for outcome, p in exact.outcomes.items():
-        assert floating.outcomes[outcome] == pytest.approx(p, abs=1e-13)
+def forward_urn(initial: tuple[int, ...], draws: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact urn law by stepping the draw distribution forward once per draw."""
+    law = {tuple(initial): Fraction(1)}
+    for _ in range(draws):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for counts, p in law.items():
+            total = sum(counts)
+            for i, c in enumerate(counts):
+                out = counts[:i] + (c + 1,) + counts[i + 1 :]
+                nxt[out] = nxt.get(out, Fraction(0)) + p * Fraction(c, total)
+        law = nxt
+    return law
+
+
+@pytest.mark.parametrize("initial,draws", [((2, 1), 80), ((1, 2, 1), 70)])
+def test_urn_beyond_64_draws_matches_forward_recursion(initial, draws):
+    law = polya_urn_law(initial, draws)
+    assert law.exact == forward_urn(initial, draws)
+    assert all(law.outcomes[k] == float(p) for k, p in law.exact.items())
+
+
+def test_urn_exact_sum_at_200_draws():
+    law = polya_urn_law((1, 1), 200)
+    assert sum(law.exact.values()) == 1
 
 
 def test_urn_large_draw_count_normalizes():

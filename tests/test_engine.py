@@ -11,7 +11,6 @@ from fvlab import (
     EmpiricalMeasure,
     EventCapError,
     committor_two_site,
-    next_event,
     simulate_fv,
     simulate_selection_absorption,
     validate_model,
@@ -161,31 +160,6 @@ def test_occupancy_path_csv_round_trip(tmp_path, cycle_model):
     assert lines[0] == "# model_hash=deadbeef seed=2"
     assert lines[1] == "time,event_kind,from,to"
     assert len(lines) == 2 + len(traj.events)
-
-
-# ---------------------------------------------------------------- next_event
-
-
-def test_next_event_matches_first_recorded_event(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
-    t1, ev1 = next_event(cycle_model, 10.0, init, np.random.default_rng(13))
-    traj = simulate_fv(cycle_model, 10.0, init, 100.0, np.random.default_rng(13))
-    t2, ev2 = traj.events[0]
-    assert t1 == t2
-    assert ev1 == ev2
-
-
-def test_next_event_none_when_absorbed():
-    model = validate_model(
-        {
-            "states": ["a", "b"],
-            "mutation": [],
-            "killing": {"kind": "power", "c": {"a": 1.0, "b": 1.0},
-                        "beta": {"a": "1", "b": "1"}},
-        }
-    )
-    init = EmpiricalMeasure.dirac(2, 0, 4)
-    assert next_event(model, 1.0, init, np.random.default_rng(0)) is None
 
 
 # ------------------------------------------------------------------ capping
@@ -376,8 +350,9 @@ def engine_cases(draw):
     picks = draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
     counts = [picks.count(i) for i in range(d)]
     selection_only = draw(st.booleans())
-    max_events = draw(st.none() | st.integers(min_value=1, max_value=60))
-    if selection_only or max_events is not None:
+    event_cap = draw(st.sampled_from([3, 200, 10**9]))
+    # without a horizon the full dynamics may stop only at the cap, so keep it low
+    if selection_only or event_cap < 10**9:
         T = draw(st.none() | st.sampled_from([0.01, 0.3, 1.0]))
     else:
         T = draw(st.sampled_from([0.01, 0.3, 1.0]))
@@ -388,8 +363,7 @@ def engine_cases(draw):
         T=T,
         selection_only=selection_only,
         record=draw(st.booleans()),
-        max_events=max_events,
-        event_cap=draw(st.sampled_from([3, 200, 10**9])),
+        event_cap=event_cap,
     )
 
 

@@ -32,6 +32,18 @@ def azb_config():
     }
 
 
+def _uniform_plus_cycle():
+    return {
+        "states": ["a", "b", "c"],
+        "mutation": [
+            {"from": "a", "to": "b", "rate": 1.0},
+            {"from": "b", "to": "c", "rate": 1.0},
+            {"from": "c", "to": "a", "rate": 1.0},
+        ],
+        "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0, "c": 2.0}},
+    }
+
+
 # --------------------------------------------------------------- rng streams
 
 
@@ -357,6 +369,62 @@ def test_theorem3_regime_hash_pinned():
     )
 
 
+def _theorem3_doc(**overrides):
+    doc = {
+        "kind": "theorem3_regime",
+        "model": _uniform_plus_cycle(),
+        "seed": 5,
+        "T": 1.0,
+        "time_points": [1.0],
+        "replicas": 100,
+        "init": {"dirac": "a"},
+        "points": [{"n": 6, "r": 50.0}, {"n": 8, "r": 200.0}],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def test_theorem3_evaluates_every_time_point(tmp_path):
+    rep = run_experiment(ExperimentConfig.from_dict(_theorem3_doc(time_points=[0.25, 1.0])), out_dir=tmp_path)
+    pc = [(r["r"], r["t"]) for r in rep.rows if r["statistic"] == "mean_pair_correlation"]
+    assert pc == [(50.0, 0.25), (50.0, 1.0), (200.0, 0.25), (200.0, 1.0)]
+    assert sorted(rep.outcome_digests) == [
+        "point00_n6_r50.csv", "point01_n6_r50.csv", "point02_n8_r200.csv", "point03_n8_r200.csv",
+    ]
+    assert len(list((tmp_path / "outcomes").glob("*.csv"))) == 4
+    # one interval per point: the supremum over the time grid
+    assert len(rep.extras["cprime_intervals"]) == 2
+    assert any(r["statistic"] == "cprime_interval_consistency" for r in rep.rows)
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"init": [6, 0, 0]}, "init counts sum to 6, expected n = 8"),
+        ({"init": [6, 0]}, "one count per model state"),
+        ({"time_points": [1.0, 0.5]}, "strictly increasing"),
+        ({"time_points": [0.0, 1.0]}, "time_points must be positive"),
+    ],
+)
+def test_theorem3_config_errors_raised_before_simulation(overrides, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(_theorem3_doc(**overrides))
+
+
+@pytest.mark.parametrize("kind", ["theorem1_marginal", "theorem2_pathwise"])
+@pytest.mark.parametrize(
+    "init,fragment",
+    [
+        ([1, 1, 0], "init counts sum to 2, expected n = 3"),
+        ({"x": 3}, "list of counts"),
+        ({"dirac": "zz"}, "unknown state"),
+    ],
+)
+def test_theorem_init_checked_before_simulation(kind, init, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ExperimentConfig.from_dict(theorem1_doc(kind=kind, init=init))
+
+
 def test_theorem3_requires_uniform_plus_killing():
     cfg = ExperimentConfig.from_dict(
         {
@@ -482,6 +550,96 @@ def test_conjecture_probe_sim_requires_stable_start():
     )
     with pytest.raises(ConfigError, match="stable site"):
         run_experiment(cfg)
+
+
+# ------------------------------------------------------------ pinned hashes
+
+
+def _theorem2_doc(**overrides):
+    doc = {
+        "kind": "theorem2_pathwise",
+        "model": cycle_model_config(),
+        "seed": 3,
+        "n": 3,
+        "r_schedule": [10.0, 200.0],
+        "T": 0.5,
+        "replicas": 150,
+        "init": {"dirac": "a"},
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _pinned_docs():
+    eta_model = {
+        "states": ["a", "b"],
+        "mutation": [],
+        "killing": {"kind": "power", "c": {"a": 1.0, "b": 2.0}, "beta": {"a": "1", "b": "1"}},
+    }
+    committor = {"kind": "committor_check", "grid": {"n": [2, 3, 4], "alpha": [0.5, 1.0, 2.0]}, "seed": 1}
+    probe = {
+        "kind": "conjecture_probe",
+        "model": azb_config(),
+        "seed": 1,
+        "expect": {"stable_sites": ["a", "b"], "rates": [{"from": "a", "to": "b", "rate": 2.0}]},
+    }
+    return {
+        "theorem1": theorem1_doc(),
+        "theorem1_cap_abort": theorem1_doc(event_cap=3),
+        "theorem2": _theorem2_doc(),
+        # the middle point aborts; the last one runs on the block after it
+        "theorem2_cap_abort": _theorem2_doc(r_schedule=[10.0, 200.0, 1000.0], event_cap=20),
+        "theorem3": _theorem3_doc(),
+        "absorption_tail": {
+            "kind": "absorption_tail",
+            "model": two_site_config(alpha=1.0),
+            "seed": 11,
+            "n": 4,
+            "r_schedule": [10.0, 100.0],
+            "replicas": 400,
+            "init": [2, 2],
+        },
+        "eta_inf": {
+            "kind": "eta_inf_check",
+            "model": eta_model,
+            "seed": 2,
+            "n": 2,
+            "r_schedule": [1000.0],
+            "replicas": 500,
+            "init": [1, 1],
+        },
+        "committor": committor,
+        "committor_mc": dict(committor, mc={"n": 4, "alpha": 2.0, "counts": [2, 2], "replicas": 200}),
+        "conjecture_probe": probe,
+        "conjecture_probe_sim": dict(
+            probe,
+            sim={"n": 4, "r": 50.0, "T": 0.5, "replicas": 100, "init": {"dirac": "a"}, "time_points": [0.25, 0.5]},
+        ),
+    }
+
+
+# result_hash of each config above, every one taken from the code before the
+# shared point runner except the conjecture_probe pair: those reports no
+# longer carry the cascade's path enumeration and reachable-site lists
+_PINNED_HASHES = {
+    "absorption_tail": "c1b3edf502093dfc96d8518137253c0bb59b4c7aa661dcff567da01b06696a7c",
+    "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
+    "committor_mc": "a8d3d8c343386cc9622abf9da09aa75815ed77a4546dc1b120b2f09300c8a3a8",
+    "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
+    "conjecture_probe_sim": "b58e63c49bfa0ccd2f5cb2eaaf908e1d721cb6b6db7082cd49980bce562cf171",
+    "eta_inf": "8e6aaf39ac6dc4ce9d66ac8fb7a0a4d570c298c6e543d205f7e7c2ef8bfc52e0",
+    "theorem1": "a16b92afa416f8e0b60ac173b2d06470bb1340062f858bc4fb72198e6f14fc64",
+    "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
+    "theorem2": "e3276eebbbdff7499aa4ff50f7f20bef70498a07bc0615a46512365f9c391f3a",
+    "theorem2_cap_abort": "d41455b1ebe567ab0e5c0924f258a1f70aa30543b62ea1812fc486caa22ac766",
+    "theorem3": "ac0d3c4d2b9b4e6cef93c4248dc3334fed4a17228e670445fc7e1ebb84733797",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_HASHES))
+def test_result_hash_pinned(key):
+    cfg = ExperimentConfig.from_dict(_pinned_docs()[key])
+    assert run_experiment(cfg).result_hash == _PINNED_HASHES[key]
 
 
 # ----------------------------------------------------- condensed chain start

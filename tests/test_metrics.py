@@ -1,4 +1,4 @@
-"""Laws on finite state spaces, TV distances, and path metrics."""
+"""Laws on finite state spaces, TV distances, and step paths."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from fvlab import (
     StepPath,
-    concentration_stats,
     empirical_law,
     exact_law,
-    l1_tv_path_distance,
     tv_distance,
 )
 
@@ -102,58 +100,6 @@ def test_step_path_invariants():
         StepPath(np.array([0.5, 1.0]), np.zeros((2, 2)), 2.0)  # must start at 0
     with pytest.raises(ValueError):
         StepPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), 2.0)  # strictly increasing
-    path = StepPath.constant([0.25, 0.75], 3.0)
+    path = StepPath(np.array([0.0]), np.array([[0.25, 0.75]]), 3.0)
     assert path.horizon == 3.0
     assert path.values.shape == (1, 2)
-
-
-def test_l1_tv_path_distance_hand_value():
-    # a sits at (1,0) forever; b flips to (0,1) at time 1 of horizon 2:
-    # distance 0 on [0,1), 2 on [1,2) -> integral 2
-    a = StepPath.constant([1.0, 0.0], 2.0)
-    b = StepPath(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), 2.0)
-    assert l1_tv_path_distance(a, b) == pytest.approx(2.0)
-    assert l1_tv_path_distance(b, b) == 0.0
-
-
-def test_l1_tv_path_distance_truncation():
-    a = StepPath.constant([1.0, 0.0], 2.0)
-    b = StepPath(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), 2.0)
-    assert l1_tv_path_distance(a, b, T=1.0) == 0.0
-    assert l1_tv_path_distance(a, b, T=1.5) == pytest.approx(1.0)
-
-
-def test_l1_tv_path_distance_matches_riemann_sum():
-    rng = np.random.default_rng(7)
-    ta = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 6))])
-    tb = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 4))])
-    va = rng.dirichlet(np.ones(3), size=7)
-    vb = rng.dirichlet(np.ones(3), size=5)
-    a, b = StepPath(ta, va, 1.0), StepPath(tb, vb, 1.0)
-    exact = l1_tv_path_distance(a, b)
-
-    grid = np.linspace(0.0, 1.0, 200_001)[:-1]  # left endpoints
-    ia = np.searchsorted(ta, grid, side="right") - 1
-    ib = np.searchsorted(tb, grid, side="right") - 1
-    riemann = np.abs(va[ia] - vb[ib]).sum(axis=1).mean() * 1.0
-    assert exact == pytest.approx(riemann, abs=1e-3)
-
-
-# --------------------------------------------------------- concentration
-
-
-def test_concentration_stats_hand_values():
-    stats = concentration_stats([0.5, 0.5, 0.0])
-    assert stats.g2 == pytest.approx(0.5)
-    assert stats.pair_corr == pytest.approx(0.5)
-    assert stats.max_mass == 0.5
-    dirac = concentration_stats(exact_law(STATES, [0.0, 1.0, 0.0]))
-    assert dirac.pair_corr == 0.0
-    assert dirac.max_mass == 1.0
-
-
-@given(v=prob_vectors(size=4))
-def test_concentration_identity(v):
-    stats = concentration_stats(v)
-    assert stats.pair_corr + stats.g2 == pytest.approx(1.0)
-    assert 0.0 <= stats.pair_corr <= 1.0 - 1.0 / 4 + 1e-12
