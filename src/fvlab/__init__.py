@@ -51,13 +51,11 @@ from .experiments import (
 )
 from .metrics import (
     LawOnStates,
-    StepPath,
     empirical_law,
     exact_law,
     tv_distance,
 )
 from .model import (
-    ExtendedRatio,
     Model,
     ModelError,
     PowerLawKilling,
@@ -79,7 +77,6 @@ __all__ = [
     "Event",
     "EventCapError",
     "ExperimentConfig",
-    "ExtendedRatio",
     "InitialCondensationLaw",
     "LawOnStates",
     "Model",
@@ -87,7 +84,6 @@ __all__ = [
     "PowerLawKilling",
     "RateMatrix",
     "Report",
-    "StepPath",
     "Trajectory",
     "UniformPlusBoundedKilling",
     "UrnLaw",

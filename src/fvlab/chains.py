@@ -32,7 +32,7 @@ import numpy as np
 
 from .committor import invasion_probability
 from .metrics import LawOnStates, exact_law
-from .model import ExtendedRatio, Model
+from .model import Model
 
 __all__ = [
     "RateMatrix",
@@ -79,22 +79,14 @@ class RateMatrix:
         G[np.diag_indices_from(G)] = -self.row_sums()
         return G
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("from,to,rate\n")
-            for i, x in enumerate(self.states):
-                for j, y in enumerate(self.states):
-                    if i != j and self.rates[i, j] != 0.0:
-                        fh.write(f"{x},{y},{self.rates[i, j]:.17g}\n")
 
-
-def _takeover_factor(n: int, ratio: ExtendedRatio) -> float:
+def _takeover_factor(n: int, ratio: float) -> float:
     # (alpha - 1)/(alpha**n - 1) extended to the closed ratio classes.
-    if ratio.is_infinite:
+    if math.isinf(ratio):
         return 0.0
-    if ratio.is_zero:
+    if ratio == 0.0:
         return 1.0
-    return invasion_probability(n, ratio.value)
+    return invasion_probability(n, ratio)
 
 
 def condensate_rates(model: Model, n: int, r: float | None = None) -> RateMatrix:
@@ -157,23 +149,15 @@ def _descent_targets(model: Model, z: int, alt_reading: bool) -> list[int]:
     if not neigh:
         return []
     if alt_reading:
-        chosen = []
-        for y in neigh:
-            ay = model.alpha(z, y, None)
-            if not (ay.is_zero or (ay.is_finite and ay.value < 1.0)):
-                continue
-            if all(
-                (model.alpha(y, w, None).is_infinite
-                 or (model.alpha(y, w, None).is_finite and model.alpha(y, w, None).value >= 1.0))
-                for w in neigh
-            ):
-                chosen.append(y)
-        return chosen
-    keys = {y: model.alpha(z, y, None).sort_key() for y in neigh}
-    best = min(keys.values())
-    if best >= (1, 1.0):  # no strictly descending edge: z is stable
+        return [
+            y for y in neigh
+            if model.alpha(z, y, None) < 1.0 and all(model.alpha(y, w, None) >= 1.0 for w in neigh)
+        ]
+    ratios = {y: model.alpha(z, y, None) for y in neigh}
+    best = min(ratios.values())
+    if best >= 1.0:  # no strictly descending edge: z is stable
         return []
-    return [y for y in neigh if keys[y] == best]
+    return [y for y in neigh if ratios[y] == best]
 
 
 def conjectured_limit_rates(
@@ -190,15 +174,7 @@ def conjectured_limit_rates(
     the killing order makes the cascade graph acyclic.
     """
     d = model.num_states
-    stable = [
-        x
-        for x in range(d)
-        if all(
-            model.alpha(x, y, None).is_infinite
-            or (model.alpha(x, y, None).is_finite and model.alpha(x, y, None).value >= 1.0)
-            for y in model.out_targets[x]
-        )
-    ]
+    stable = [x for x in range(d) if all(model.alpha(x, y, None) >= 1.0 for y in model.out_targets[x])]
     stable_set = set(stable)
 
     targets: dict[int, list[int]] = {}
@@ -245,9 +221,7 @@ def conjectured_limit_rates(
     triggers: dict[tuple[str, str], tuple[str, ...]] = {}
     for x in stable:
         for j, q in zip(model.out_targets[x], model.out_rates[x]):
-            a = model.alpha(x, j, None)
-            balanced = a.is_finite and a.value == 1.0
-            if not balanced:
+            if model.alpha(x, j, None) != 1.0:  # not balanced
                 continue
             if j in stable_set:
                 if j != x:

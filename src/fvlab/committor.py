@@ -104,7 +104,7 @@ class CompositionSpace:
 
     Colexicographic order compares the last differing coordinate, so the
     layout is deterministic and ranking is a perfect O(d + n) hash with
-    no table lookups.
+    no table lookups.  Iteration yields the compositions in rank order.
     """
 
     def __init__(self, d: int, n: int):
@@ -125,24 +125,6 @@ class CompositionSpace:
             idx += comb(total + p - 1, p - 1) - comb(total - v + p - 1, p - 1)
             total -= v
         return idx
-
-    def unrank(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise ValueError(f"rank {idx} out of range for size {self.size}")
-        counts = [0] * self.d
-        total = self.n
-        for p in range(self.d, 1, -1):
-            acc = 0
-            for v in range(total + 1):
-                block = comb(total - v + p - 2, p - 2)  # last coordinate == v
-                if acc + block > idx:
-                    counts[p - 1] = v
-                    idx -= acc
-                    total -= v
-                    break
-                acc += block
-        counts[0] = total
-        return tuple(counts)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         def gen(total: int, parts: int):
@@ -177,16 +159,6 @@ class CommittorTable:
 
     def row(self, counts: Sequence[int]) -> np.ndarray:
         return self.psi[self.space.rank(counts)].copy()
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            cols = ",".join(f"k_{s}" for s in self.states)
-            fh.write(f"{cols},target,psi\n")
-            for counts in self.space:
-                row = self.psi[self.space.rank(counts)]
-                prefix = ",".join(str(c) for c in counts)
-                for s, p in zip(self.states, row):
-                    fh.write(f"{prefix},{s},{p:.17g}\n")
 
 
 def committor_numeric(
@@ -238,6 +210,7 @@ def committor_numeric(
     top = max(gamma)
     scaled = [g / top for g in gamma]
     dirac_rank = {space.rank(tuple(n if i == j else 0 for i in range(d))): j for j in range(d)}
+    compositions = list(space)  # iteration order is rank order
     interior = [idx for idx in range(space.size) if idx not in dirac_rank]
     row_of = {idx: row for row, idx in enumerate(interior)}
     n_int = len(interior)
@@ -248,7 +221,7 @@ def committor_numeric(
     data: list[float] = []
     B = np.zeros((n_int, d))
     for row, idx in enumerate(interior):
-        counts = space.unrank(idx)
+        counts = compositions[idx]
         total = 0.0
         for x in range(d):
             kx = counts[x]

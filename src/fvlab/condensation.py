@@ -7,7 +7,9 @@ order are vacated first: each of their particles relocates onto the
 minimal-order set ``Lambda`` proportionally to current occupancy, which
 is exactly a Polya urn with one draw per relocated particle (note: per
 *particle*, not per vacated site).  The resulting occupancy of
-``Lambda`` then resolves by the committors of the limit rate ratios.
+``Lambda`` then resolves by the committors of the limit rate ratios, so
+the condensate's law is the urn-weighted average of the committor rows
+of the urn's outcomes.
 
 The urn step follows the Dirichlet-multinomial law
 
@@ -53,9 +55,7 @@ def minimal_order_set(model: Model, support: Sequence[Union[str, int]]) -> tuple
     idx = [model.state_index(s) for s in support]
     if not idx:
         raise ValueError("support must be nonempty")
-    keep = [
-        x for x in idx if not any(model.alpha(x, y, None).is_zero for y in idx)
-    ]
+    keep = [x for x in idx if not any(model.alpha(x, y, None) == 0.0 for y in idx)]
     return tuple(model.states[x] for x in keep)
 
 
@@ -71,11 +71,11 @@ def limit_weight_profile(model: Model, subset: Sequence[Union[str, int]]) -> np.
     out = np.empty(len(idx))
     for pos, x in enumerate(idx):
         ratios = [model.alpha(x, y, None) for y in idx]
-        if any(a.is_zero for a in ratios):
+        if 0.0 in ratios:
             raise ValueError(
                 f"state {model.states[x]!r} is not of minimal order in the subset"
             )
-        out[pos] = 1.0 / min(a.value for a in ratios if not a.is_infinite)
+        out[pos] = 1.0 / min(ratios)  # ratios holds alpha(x, x) = 1, so the min is finite
     return out
 
 
@@ -91,9 +91,6 @@ class UrnLaw:
     draws: int
     outcomes: Mapping[tuple[int, ...], float]
     exact: Mapping[tuple[int, ...], Fraction]
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.outcomes)
 
 
 def polya_urn_law(
@@ -134,9 +131,8 @@ class InitialCondensationLaw:
 
     ``law`` is supported inside ``lambda_set``.  When particles start
     outside the minimal-order set, ``urn`` records the redistribution
-    law and ``mixture`` maps each urn outcome (counts over
-    ``lambda_set``) to its committor row, so ``law`` is the
-    urn-weighted average of those rows.
+    law, and ``law`` is the urn-weighted average of the committor rows
+    of its outcomes (counts over ``lambda_set``).
     """
 
     law: LawOnStates
@@ -144,7 +140,6 @@ class InitialCondensationLaw:
     lambda_set: tuple[str, ...]
     weights: tuple[float, ...]
     urn: UrnLaw | None
-    mixture: Mapping[tuple[int, ...], np.ndarray] | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,7 +181,6 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
             lambda_set=lam,
             weights=(1.0,),
             urn=None,
-            mixture=None,
         )
     if n < 2:
         raise ValueError("a non-Dirac measure needs n >= 2")
@@ -204,24 +198,18 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
             lambda_set=lam,
             weights=(float(gamma[0]),),
             urn=None,
-            mixture=None,
         )
 
     table = committor_numeric(gamma, n, states=lam)
     full = np.zeros(model.num_states)
     if outside == 0:
-        row = table.row(inside)
-        mixture = {tuple(inside): row}
         urn = None
-        for s, p in zip(lam, row):
+        for s, p in zip(lam, table.row(inside)):
             full[model.state_index(s)] = p
     else:
         urn = polya_urn_law(inside, outside)
-        mixture = {}
         for outcome, p in urn.outcomes.items():
-            row = table.row(outcome)
-            mixture[outcome] = row
-            for s, v in zip(lam, row):
+            for s, v in zip(lam, table.row(outcome)):
                 full[model.state_index(s)] += p * v
 
     law = LawOnStates(model.states, full, kind="exact")
@@ -231,5 +219,4 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
         lambda_set=lam,
         weights=tuple(float(g) for g in gamma),
         urn=urn,
-        mixture=mixture,
     )

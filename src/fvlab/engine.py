@@ -21,7 +21,9 @@ the short duel that resolves it.
 
 Every replica consumes one private RNG stream with a fixed draw pattern
 (waiting time, event category, event target), so trajectories are
-bit-reproducible for a given (model, seed, parameters).
+bit-reproducible for a given (model, seed, parameters).  A recorded
+path of measures is two arrays: ``Trajectory.occupancy_path`` returns
+the event times from 0 and the normalized counts holding from each.
 
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
@@ -45,7 +47,6 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .metrics import StepPath
 from .model import Model
 
 __all__ = [
@@ -63,15 +64,22 @@ _BLOCK = 4096  # uniforms pre-drawn per refill
 
 
 class EventCapError(RuntimeError):
-    """A replica exceeded its hard event cap (diagnostic, not a result)."""
+    """A replica exceeded its hard event cap (diagnostic, not a result).
+
+    ``replica`` is the flat replica index when an experiment run set it.
+    ``args`` are the constructor's, so the error pickles out of a worker.
+    """
 
     def __init__(self, cap: int, time: float, counts: Sequence[int]):
-        super().__init__(
-            f"event cap {cap} exceeded at t={time:.6g} with counts {tuple(counts)}"
-        )
+        super().__init__(cap, time, tuple(counts))
         self.cap = cap
         self.time = time
         self.counts = tuple(counts)
+        self.replica: int | None = None
+
+    def __str__(self) -> str:
+        where = "" if self.replica is None else f" in replica {self.replica}"
+        return f"event cap {self.cap} exceeded{where} at t={self.time:.6g} with counts {self.counts}"
 
 
 @dataclass(frozen=True)
@@ -143,17 +151,21 @@ class Trajectory:
     final: EmpiricalMeasure
     event_count: int = 0
 
-    def occupancy_path(self) -> StepPath:
-        times = [0.0]
-        rows = [self.initial.probs()]
-        counts = list(self.initial.counts)
-        n = self.initial.n
-        for t, ev in self.events:
-            counts[ev.source] -= 1
-            counts[ev.target] += 1
-            times.append(t)
-            rows.append(np.asarray(counts, dtype=float) / n)
-        return StepPath(np.asarray(times), np.asarray(rows), self.horizon)
+    def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, values)``: ``values[i]``, the normalized counts, holds on
+        ``[times[i], times[i+1])`` (``times[0] = 0``), the last row up to the horizon.
+        """
+        m = len(self.events)
+        times = np.zeros(m + 1)
+        steps = np.zeros((m + 1, len(self.initial.counts)), dtype=np.int64)
+        steps[0] = self.initial.counts
+        if m:
+            t, src, tgt = zip(*[(t, ev.source, ev.target) for t, ev in self.events])
+            times[1:] = t
+            rows = np.arange(1, m + 1)
+            steps[rows, src] -= 1
+            steps[rows, tgt] += 1
+        return times, np.cumsum(steps, axis=0) / self.initial.n
 
     def max_mass_integral(self) -> float:
         """Time integral of ``2 * (1 - max_x pi_t(x))`` over [0, horizon].
@@ -162,9 +174,7 @@ class Trajectory:
         path to its nearest Dirac mass at each instant; zero iff the
         path stays a Dirac.
         """
-        path = self.occupancy_path()
-        seg = np.diff(np.append(path.times, self.horizon))
-        return float(np.dot(seg, 2.0 * (1.0 - path.values.max(axis=1))))
+        return _dirac_distance_integral(*self.occupancy_path(), self.horizon)
 
     def to_csv(self, path, model_hash: str = "", seed: Union[int, str] = "") -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -174,6 +184,12 @@ class Trajectory:
                 fh.write(
                     f"{t:.17g},{ev.kind},{self.states[ev.source]},{self.states[ev.target]}\n"
                 )
+
+
+def _dirac_distance_integral(times: np.ndarray, values: np.ndarray, horizon: float) -> float:
+    """``max_mass_integral`` of an occupancy path ``(times, values)``."""
+    seg = np.diff(np.append(times, horizon))
+    return float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
 
 
 class AbsorptionResult(NamedTuple):

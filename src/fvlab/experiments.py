@@ -68,6 +68,7 @@ from .engine import (
     DEFAULT_EVENT_CAP,
     EmpiricalMeasure,
     EventCapError,
+    _dirac_distance_integral,
     simulate_fv,
     simulate_selection_absorption,
 )
@@ -304,12 +305,7 @@ class ExperimentConfig:
             counts = [0] * model.num_states
             counts[model.state_index(init["dirac"])] = n
             return tuple(counts)
-        counts = tuple(int(c) for c in init)
-        if len(counts) != model.num_states:
-            raise ConfigError("init counts must list one count per model state")
-        if sum(counts) != n:
-            raise ConfigError(f"init counts sum to {sum(counts)}, expected n = {n}")
-        return counts
+        return tuple(int(c) for c in init)
 
     def tolerance(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
@@ -413,15 +409,24 @@ def _csv_num(v) -> str:
 
 
 def _collect(payload: dict, replica, **dtypes) -> dict:
-    """Run ``replica(rng)`` over a chunk; stack each tuple field into an array."""
+    """Run ``replica(rng)`` over a chunk; stack each tuple field into an array.
+
+    An :class:`EventCapError` leaves with its flat replica index set.
+    """
     seed, base = payload["seed"], payload["base"]
-    rows = [replica(derive_replica_rng(seed, base + i)) for i in range(payload["start"], payload["stop"])]
+    rows = []
+    for i in range(payload["start"], payload["stop"]):
+        try:
+            rows.append(replica(derive_replica_rng(seed, base + i)))
+        except EventCapError as err:
+            err.replica = base + i
+            raise
     return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(dtypes.items(), zip(*rows))}
 
 
 def _particle_inputs(payload: dict):
-    model = validate_model(payload["model"])
-    return model, EmpiricalMeasure.from_counts(payload["counts"]), payload["r"], payload["event_cap"]
+    init = EmpiricalMeasure.from_counts(payload["counts"])
+    return payload["model"], init, payload["r"], payload["event_cap"]
 
 
 def _fv_final_chunk(payload: dict) -> dict:
@@ -443,9 +448,9 @@ def _fv_path_chunk(payload: dict) -> dict:
 
     def replica(rng):
         traj = simulate_fv(model, r, init, T, rng, record=True, event_cap=cap)
-        integral = traj.max_mass_integral()
-        path = traj.occupancy_path()
-        return integral, np.diff(np.append(path.times, T)) @ path.values / T, traj.event_count
+        times, values = traj.occupancy_path()
+        integral = _dirac_distance_integral(times, values, T)
+        return integral, np.diff(np.append(times, T)) @ values / T, traj.event_count
 
     return _collect(payload, replica, integral=float, avg_occ=float, events=np.int64)
 
@@ -463,10 +468,7 @@ def _absorption_chunk(payload: dict) -> dict:
 
 def _ctmc_path_chunk(payload: dict) -> dict:
     """Time-average occupation over [0, t] of a condensate-chain path."""
-    rates = RateMatrix(tuple(payload["states"]), np.asarray(payload["rates"]))
-    T, init = payload["t"], payload["init"]
-    if isinstance(init, list):
-        init = exact_law(rates.states, np.asarray(init))
+    rates, T, init = payload["rates"], payload["t"], payload["init"]
     d = len(rates.states)
 
     def replica(rng):
@@ -534,6 +536,8 @@ class _Run:
         self.base += M
         if isinstance(res, EventCapError):
             self.row(r, t, "event_cap_abort", float(res.cap), "", "FAIL")
+            aborts = self.report.timing.setdefault("event_cap_aborts", [])
+            aborts.append({"r": r, "t": t, "replica": res.replica})
             return None
         self.report.events_total += int(res["events"].sum())
         return res
@@ -641,10 +645,12 @@ def _exp_theorem1(run: _Run) -> None:
     points = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
     sup_tv_finite: dict[float, float] = {}
     sup_tv_limit: dict[float, float] = {}
+    completed = 0
     for pid, (r, t) in enumerate(points):
-        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=counts)
+        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=counts)
         if res is None:
             continue
+        completed += 1
         emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
         finite_rates = condensate_rates(model, n, r)
         finite_start = _chain_start(model, counts, r)
@@ -657,9 +663,9 @@ def _exp_theorem1(run: _Run) -> None:
         run.row(r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO")
         run.outcome(f"point{pid:02d}_r{r:g}_t{t:g}.csv", model.states, res)
 
+    if completed != len(points):
+        return  # aborted points carry FAIL rows; a sup over the time grid needs them all
     schedule = list(cfg.r_schedule)
-    if len(sup_tv_finite) != len(schedule):
-        return  # aborted points already carry FAIL rows
     sups = [sup_tv_finite[r] for r in schedule]
     # Adjacent sups are independent estimates with half-width eps each,
     # so differences below their combined half-widths are unresolvable;
@@ -684,7 +690,7 @@ def _exp_theorem2(run: _Run) -> None:
     counts = cfg.init_counts(model, n)
     means: list[float] = []
     for r in cfg.r_schedule:
-        res = run.point(_fv_path_chunk, M, r, T, model=model.config_dict(), counts=counts)
+        res = run.point(_fv_path_chunk, M, r, T, model=model, counts=counts)
         if res is None:
             run.base += M  # keep the chain point's index block reserved
             continue
@@ -695,11 +701,7 @@ def _exp_theorem2(run: _Run) -> None:
         run.row(r, T, "mean_dirac_distance_integral", mean_int, 3.0 * se_int, "INFO")
 
         chain = condensate_rates(model, n, r)
-        start = _chain_start(model, counts, r)
-        chain_init = start if isinstance(start, str) else list(np.asarray(start.probs, dtype=float))
-        res_c = run.point(
-            _ctmc_path_chunk, M, r, T, states=list(chain.states), rates=chain.rates.tolist(), init=chain_init
-        )
+        res_c = run.point(_ctmc_path_chunk, M, r, T, rates=chain, init=_chain_start(model, counts, r))
         assert res_c is not None  # ctmc paths have no cap
 
         mean_fv = res["avg_occ"].mean(axis=0)
@@ -743,7 +745,7 @@ def _exp_theorem3(run: _Run) -> None:
         n, r = int(point["n"]), float(point["r"])
         counts = cfg.init_counts(model, n)
         scale = n / model.min_killing_rate(r)
-        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=counts)
+        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=counts)
         if res is None:
             continue
         occ = res["final"] / n
@@ -789,7 +791,7 @@ def _exp_absorption_tail(run: _Run) -> None:
     slopes: list[float] = []
     floors: list[float] = []
     for r in cfg.r_schedule:
-        res = run.point(_absorption_chunk, M, r, "", model=model.config_dict(), counts=counts)
+        res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)
         if res is None:
             continue
         taus = res["tau"]
@@ -821,7 +823,7 @@ def _exp_eta_inf(run: _Run) -> None:
     counts = tuple(cfg.init)
     exact = initial_condensation_law(model, counts)
 
-    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model.config_dict(), counts=counts)
+    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=counts)
     if res is None:
         return
     emp = empirical_law(res["site"].tolist(), model.states, cfg.delta)
@@ -867,7 +869,7 @@ def _exp_committor_check(run: _Run) -> None:
             "killing": {"kind": "power", "c": {"x": 1.0, "y": alpha}, "beta": {"x": 1, "y": 1}},
         }
     )
-    res = run.point(_absorption_chunk, M, r, "", model=model.config_dict(), counts=counts)
+    res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)
     if res is None:
         return
     freq = float((res["site"] == 0).mean())
@@ -915,7 +917,7 @@ def _exp_conjecture_probe(run: _Run) -> None:
     eps = _dkw_half_width(M, cfg.delta)
     gate = "sim_tv_tol" in cfg.tolerances
     for t in times:
-        res = run.point(_fv_final_chunk, M, r, t, model=model.config_dict(), counts=tuple(counts))
+        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=tuple(counts))
         if res is None:
             continue
         emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
@@ -954,7 +956,9 @@ def run_experiment(
     The report's ``result_hash`` is independent of ``threads``; timings
     are recorded outside the hashed content.
     """
-    if not isinstance(config, ExperimentConfig):
+    if isinstance(config, ExperimentConfig):
+        config.validate()
+    else:
         config = ExperimentConfig.from_dict(config)
     started = time.perf_counter()
     report = Report(
@@ -966,7 +970,7 @@ def run_experiment(
     run = _Run(config, threads, report)
     _KIND_IMPL[config.kind](run)
     report.finalize_hash()
-    report.timing = {"wall_seconds": time.perf_counter() - started, "threads": threads}
+    report.timing.update(wall_seconds=time.perf_counter() - started, threads=threads)
     if out_dir is not None:
         report.write(out_dir, run.outcomes)
     return report

@@ -1,11 +1,11 @@
 """Distances and statistics over laws on a finite site set.
 
 Total variation here follows the sum-of-absolute-differences convention,
-``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Measure-valued
-trajectories are piecewise-constant step paths.  Empirical laws carry a
-distribution-free confidence half-width ``sqrt(ln(2/delta) / (2M))`` so
-whole-law comparisons compose into a total-variation error bound of
-``|D| * half_width``.
+``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Empirical
+laws carry a distribution-free confidence half-width
+``sqrt(ln(2/delta) / (2M))`` so whole-law comparisons compose into a
+total-variation error bound of ``|D| * half_width``.  Paths of measures
+have no type here: ``Trajectory.occupancy_path`` returns plain arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "LawOnStates",
-    "StepPath",
     "exact_law",
     "empirical_law",
     "tv_distance",
@@ -97,33 +96,3 @@ def tv_distance(mu: LawOnStates, nu: LawOnStates) -> float:
     if mu.states != nu.states:
         raise ValueError(f"mismatched state sets: {mu.states} vs {nu.states}")
     return _tv(mu.probs, nu.probs)
-
-
-@dataclass(frozen=True)
-class StepPath:
-    """A cadlag piecewise-constant path of probability vectors on [0, T].
-
-    ``values[i]`` holds on ``[times[i], times[i+1])`` and ``values[-1]``
-    up to the horizon.  ``times[0]`` must be 0 and times strictly
-    increase.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    horizon: float
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or len(times) == 0 or times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must strictly increase")
-        if len(values) != len(times):
-            raise ValueError("one value row per time point required")
-        if self.horizon < times[-1]:
-            raise ValueError("horizon precedes last jump time")

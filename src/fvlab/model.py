@@ -12,7 +12,9 @@ intensity parameter ``r >= 1``.  Two parametric families are supported:
   ``m(x) >= 0``; all large-``r`` ratios equal 1.
 
 Exponents are stored as exact rationals so the limit trichotomy is decided
-by exact comparison, never by floating-point noise.
+by exact comparison, never by floating-point noise.  Rate ratios are
+plain floats in [0, inf]: ``0.0``, a positive finite value or
+``math.inf``, which float comparison already orders.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Mapping, Sequence, Union
 
 __all__ = [
     "ModelError",
-    "ExtendedRatio",
     "PowerLawKilling",
     "UniformPlusBoundedKilling",
     "KillingFamily",
@@ -38,59 +39,6 @@ __all__ = [
 
 class ModelError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
-
-
-@dataclass(frozen=True)
-class ExtendedRatio:
-    """A rate ratio in the extended half line [0, inf].
-
-    Values fall into three exact classes: zero, finite positive, and
-    infinite.  ``value`` is ``0.0``, a positive float, or ``math.inf``.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.value) or self.value < 0:
-            raise ValueError(f"ratio must lie in [0, inf], got {self.value}")
-
-    @classmethod
-    def zero(cls) -> "ExtendedRatio":
-        return cls(0.0)
-
-    @classmethod
-    def infinite(cls) -> "ExtendedRatio":
-        return cls(math.inf)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def is_finite(self) -> bool:
-        return not (self.is_zero or self.is_infinite)
-
-    def reciprocal(self) -> "ExtendedRatio":
-        if self.is_zero:
-            return ExtendedRatio.infinite()
-        if self.is_infinite:
-            return ExtendedRatio.zero()
-        return ExtendedRatio(1.0 / self.value)
-
-    def sort_key(self) -> tuple[int, float]:
-        # zero < any finite < infinite; finite values ordered by magnitude.
-        if self.is_zero:
-            return (0, 0.0)
-        if self.is_infinite:
-            return (2, 0.0)
-        return (1, self.value)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _as_fraction(value) -> Fraction:
@@ -121,13 +69,13 @@ class PowerLawKilling:
     def min_rate(self, r: float) -> float:
         return min(self.rate(r, i) for i in range(len(self.c)))
 
-    def limit_ratio(self, i: int, j: int) -> ExtendedRatio:
-        """Large-r limit of rate(r, j) / rate(r, i)."""
+    def limit_ratio(self, i: int, j: int) -> float:
+        """Large-r limit of rate(r, j) / rate(r, i), in [0, inf]."""
         if self.beta[j] > self.beta[i]:
-            return ExtendedRatio.infinite()
+            return math.inf
         if self.beta[j] < self.beta[i]:
-            return ExtendedRatio.zero()
-        return ExtendedRatio(self.c[j] / self.c[i])
+            return 0.0
+        return self.c[j] / self.c[i]
 
     def config_dict(self, states: Sequence[str]) -> dict:
         return {
@@ -151,8 +99,8 @@ class UniformPlusBoundedKilling:
     def min_rate(self, r: float) -> float:
         return r + min(self.m)
 
-    def limit_ratio(self, i: int, j: int) -> ExtendedRatio:
-        return ExtendedRatio(1.0)
+    def limit_ratio(self, i: int, j: int) -> float:
+        return 1.0
 
     @property
     def m_sup(self) -> float:
@@ -225,16 +173,19 @@ class Model:
             raise ModelError(f"intensity r must be >= 1, got {r}")
         return self.killing.min_rate(r)
 
-    def alpha(self, x: Union[str, int], y: Union[str, int], r: float | None = None) -> ExtendedRatio:
-        """Rate ratio lambda_r(y)/lambda_r(x); ``r=None`` gives the large-r limit."""
+    def alpha(self, x: Union[str, int], y: Union[str, int], r: float | None = None) -> float:
+        """Rate ratio lambda_r(y)/lambda_r(x) in [0, inf]; ``r=None`` gives the large-r limit."""
         i, j = self.state_index(x), self.state_index(y)
         if i == j:
-            return ExtendedRatio(1.0)
+            return 1.0
         if r is None:
             return self.killing.limit_ratio(i, j)
         if r < 1:
             raise ModelError(f"intensity r must be >= 1, got {r}")
-        return ExtendedRatio(self.killing.rate(r, j) / self.killing.rate(r, i))
+        ratio = self.killing.rate(r, j) / self.killing.rate(r, i)
+        if math.isnan(ratio):  # both rates overflowed to inf
+            raise ModelError(f"rate ratio {self.states[j]!r}/{self.states[i]!r} undefined at r={r}")
+        return ratio
 
     def config_dict(self) -> dict:
         """Canonical JSON-ready form (mutation entries sorted)."""

@@ -41,13 +41,6 @@ def test_rate_matrix_rejects_diagonal_and_negative():
         RateMatrix(("a", "b"), np.array([[0.0, -2.0], [0.5, 0.0]]))
 
 
-def test_rate_matrix_to_csv(tmp_path):
-    rm = RateMatrix(("a", "b"), np.array([[0.0, 2.0], [0.0, 0.0]]))
-    path = tmp_path / "rates.csv"
-    rm.to_csv(path)
-    assert path.read_text().splitlines() == ["from,to,rate", "a,b,2"]
-
-
 # -------------------------------------------------------- condensate rates
 
 
@@ -73,7 +66,7 @@ def test_condensate_rates_match_invasion_identity(cycle_model):
         chain = condensate_rates(cycle_model, n, r)
         for i, j, q in cycle_model.mutation:
             alpha = cycle_model.alpha(i, j, r)
-            expected = n * q * invasion_probability(n, alpha.value)
+            expected = n * q * invasion_probability(n, alpha)
             assert chain.rates[i, j] == pytest.approx(expected, rel=1e-12)
 
 

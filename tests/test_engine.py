@@ -129,11 +129,62 @@ def test_selection_moves_only_to_occupied_sites(cycle_model):
 def test_max_mass_integral_matches_manual_recompute(cycle_model):
     init = EmpiricalMeasure.from_counts([2, 2, 2])
     traj = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(9))
-    path = traj.occupancy_path()
-    seg = np.diff(np.append(path.times, traj.horizon))
-    manual = float(seg @ (2.0 * (1.0 - path.values.max(axis=1))))
+    times, values = traj.occupancy_path()
+    seg = np.diff(np.append(times, traj.horizon))
+    manual = float(seg @ (2.0 * (1.0 - values.max(axis=1))))
     assert traj.max_mass_integral() == pytest.approx(manual, rel=1e-12)
     assert traj.max_mass_integral() >= 0.0
+
+
+def replay_occupancy_path(traj):
+    """The per-event replay ``occupancy_path`` and ``max_mass_integral``
+    used before the cumulative sum, kept verbatim as the bit reference."""
+    times = [0.0]
+    rows = [traj.initial.probs()]
+    counts = list(traj.initial.counts)
+    n = traj.initial.n
+    for t, ev in traj.events:
+        counts[ev.source] -= 1
+        counts[ev.target] += 1
+        times.append(t)
+        rows.append(np.asarray(counts, dtype=float) / n)
+    times, values = np.asarray(times), np.asarray(rows)
+    seg = np.diff(np.append(times, traj.horizon))
+    return times, values, float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
+
+
+@pytest.mark.parametrize(
+    "counts,r,T,seed",
+    [
+        ([2, 2, 2], 10.0, 1.0, 9),
+        ([3, 2, 1], 5.0, 2.0, 2),
+        ([10, 0, 0], 1e3, 1.0, 11),
+        ([40, 0, 0], 1e4, 0.5, 3),
+        ([1, 6, 0], 1.0, 3.0, 7),
+    ],
+)
+def test_occupancy_path_bit_identical_to_replay(cycle_model, counts, r, T, seed):
+    init = EmpiricalMeasure.from_counts(counts)
+    traj = simulate_fv(cycle_model, r, init, T, np.random.default_rng(seed))
+    assert traj.events
+    times, values = traj.occupancy_path()
+    ref_times, ref_values, ref_integral = replay_occupancy_path(traj)
+    assert times.dtype == ref_times.dtype and values.dtype == ref_values.dtype
+    assert times.tobytes() == ref_times.tobytes()
+    assert values.shape == ref_values.shape and values.tobytes() == ref_values.tobytes()
+    assert traj.max_mass_integral() == ref_integral
+
+
+def test_occupancy_path_of_eventless_dirac_is_one_row():
+    model = uplus_cycle_model()
+    frozen = validate_model(dict(model.config_dict(), mutation=[]))
+    traj = simulate_fv(frozen, 10.0, EmpiricalMeasure.dirac(3, 1, 5), 1.0, np.random.default_rng(4))
+    assert traj.event_count == 0
+    times, values = traj.occupancy_path()
+    ref_times, ref_values, ref_integral = replay_occupancy_path(traj)
+    assert times.tobytes() == ref_times.tobytes() and values.tobytes() == ref_values.tobytes()
+    assert values.shape == (1, 3)
+    assert traj.max_mass_integral() == ref_integral == 0.0
 
 
 def test_max_mass_integral_zero_for_frozen_dirac():

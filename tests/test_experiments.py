@@ -208,8 +208,8 @@ def test_config_init_counts_resolution():
     assert cfg.init_counts(model, 3) == (3, 0, 0)
     listy = ExperimentConfig.from_dict(theorem1_doc(init=[1, 1, 1]))
     assert listy.init_counts(model, 3) == (1, 1, 1)
-    with pytest.raises(ConfigError, match="sum"):
-        listy.init_counts(model, 4)
+    with pytest.raises(ConfigError, match="sum"):  # checked by validate(), not init_counts
+        ExperimentConfig.from_dict(theorem1_doc(init=[1, 1, 1], n=4))
 
 
 def test_config_model_path_loading(tmp_path):
@@ -286,6 +286,64 @@ def test_event_cap_abort_recorded_not_raised():
     assert not rep.all_pass
     # summary verdicts that need complete data are absent, not fabricated
     assert all(r["statistic"] != "sup_tv_monotone_in_r" for r in rep.rows)
+
+
+def _partial_abort_config():
+    # at cap 18 both t = 0.5 points abort and both t = 0.25 points complete
+    return ExperimentConfig.from_dict(theorem1_doc(event_cap=18, replicas=600))
+
+
+def test_theorem1_partial_abort_emits_no_summary():
+    rep = run_experiment(_partial_abort_config())
+    stats = [r["statistic"] for r in rep.rows]
+    assert stats.count("event_cap_abort") == 2 and stats.count("tv_vs_finite_chain") == 2
+    assert "sup_tv_monotone_in_r" not in stats and "sup_tv_vs_limit_at_rmax" not in stats
+    assert not any(key.startswith("sup_tv") for key in rep.extras)
+
+
+def test_event_cap_abort_thread_invariant_and_replayable():
+    from fvlab import EmpiricalMeasure, EventCapError, simulate_fv
+    from fvlab.experiments import _fv_final_chunk, _run_point
+
+    cfg = _partial_abort_config()
+    serial, pooled = run_experiment(cfg), run_experiment(cfg, threads=2)
+    assert pooled.result_hash == serial.result_hash
+    assert {k: v for k, v in pooled.to_json_dict().items() if k != "timing"} == {
+        k: v for k, v in serial.to_json_dict().items() if k != "timing"
+    }
+    aborts = serial.timing["event_cap_aborts"]
+    assert aborts == pooled.timing["event_cap_aborts"]
+    abort_rows = [(row["r"], row["t"]) for row in serial.rows if row["statistic"] == "event_cap_abort"]
+    assert [(a["r"], a["t"]) for a in aborts] == abort_rows
+
+    model, M, init = cfg.validated_model(), cfg.replicas, EmpiricalMeasure.from_counts([3, 0, 0])
+    points = [(r, t) for r in cfg.r_schedule for t in cfg.time_points]
+    for abort in aborts:
+        r, t = abort["r"], abort["t"]
+        base = points.index((r, t)) * M  # each point takes the next M indices
+        payload = dict(model=model, counts=init.counts, r=r, t=t, seed=cfg.seed, base=base, event_cap=18)
+        err = _run_point(_fv_final_chunk, payload, M, threads=2)  # pickled out of a worker
+        assert isinstance(err, EventCapError)
+        assert err.replica == abort["replica"] and base <= err.replica < base + M
+        assert f"in replica {err.replica}" in str(err)
+        with pytest.raises(EventCapError) as replay:
+            rng = derive_replica_rng(cfg.seed, err.replica)
+            simulate_fv(model, r, init, t, rng, record=False, event_cap=18)
+        assert (replay.value.time, replay.value.counts) == (err.time, err.counts)
+
+
+def test_run_experiment_validates_config_instances():
+    cfg = ExperimentConfig(
+        kind="theorem1_marginal",
+        model=cycle_model_config(),
+        n=3,
+        r_schedule=(10.0,),
+        T=0.5,
+        replicas=5,
+        init={"dirac": "a"},
+    )
+    with pytest.raises(ConfigError, match="replicas"):
+        run_experiment(cfg)
 
 
 # ----------------------------------------------------------- per-kind smokes

@@ -1,16 +1,14 @@
-"""Laws on finite state spaces, TV distances, and step paths."""
+"""Laws on finite state spaces and TV distances."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fvlab import (
-    StepPath,
     empirical_law,
     exact_law,
     tv_distance,
@@ -90,16 +88,3 @@ def test_tv_is_a_metric(u, v, w):
     assert 0.0 <= duv <= 2.0
     assert duv == pytest.approx(tv_distance(lv, lu))
     assert duv <= tv_distance(lu, lw) + tv_distance(lw, lv) + 1e-12
-
-
-# ------------------------------------------------------------ step paths
-
-
-def test_step_path_invariants():
-    with pytest.raises(ValueError):
-        StepPath(np.array([0.5, 1.0]), np.zeros((2, 2)), 2.0)  # must start at 0
-    with pytest.raises(ValueError):
-        StepPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), 2.0)  # strictly increasing
-    path = StepPath(np.array([0.0]), np.array([[0.25, 0.75]]), 3.0)
-    assert path.horizon == 3.0
-    assert path.values.shape == (1, 2)
