@@ -62,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjecture", action="store_true", help="many-particle limit chain instead of fixed n")
     p.add_argument(
         "--alt-c1-reading",
+        dest="alt_reading",
         action="store_true",
         help="use the literal sibling-minimal descent-target set in the cascade",
     )
@@ -104,11 +105,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_committor(args) -> int:
     n, alpha = args.n, args.alpha
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    g = gamblers_ruin_committor(n, alpha)
+    g = gamblers_ruin_committor(n, alpha)  # raises ValueError on bad n or alpha
     print("k,psi_first_site")
     for k, v in enumerate(g):
         print(f"{k},{v:.17g}")
@@ -121,7 +118,7 @@ def _cmd_committor(args) -> int:
 def _cmd_limit_chain(args) -> int:
     model = load_model(args.model)
     if args.conjecture:
-        analysis, chain = conjectured_limit_rates(model, alt_reading=args.alt_c1_reading)
+        analysis, chain = conjectured_limit_rates(model, alt_reading=args.alt_reading)
         doc = {
             "states": list(chain.states),
             "rates": _rate_entries(chain),

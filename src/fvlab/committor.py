@@ -35,6 +35,7 @@ __all__ = [
 # Treat ratios within this distance of 1 as exactly balanced; the closed
 # forms are 0/0 there and the limit branch is exact.
 _ALPHA_TIE = 1e-12
+_SPACE_CAP = 200_000  # committor_numeric refuses larger composition spaces
 
 
 def gamblers_ruin_committor(n: int, alpha: float) -> np.ndarray:
@@ -162,11 +163,7 @@ class CommittorTable:
 
 
 def committor_numeric(
-    weights: Sequence[float],
-    n: int,
-    *,
-    states: Sequence[str] | None = None,
-    cap: int = 200_000,
+    weights: Sequence[float], n: int, *, states: Sequence[str] | None = None
 ) -> CommittorTable:
     """Solve the selection-only Dirichlet problem over all compositions.
 
@@ -176,7 +173,6 @@ def committor_numeric(
         Only ratios matter; any positive rescaling yields the same table.
     n : particle count, n >= 2.
     states : optional labels for the support (defaults to s0, s1, ...).
-    cap : refuse composition spaces larger than this.
 
     From a composition ``xi`` the move taking one particle from x to y
     occurs at rate ``(n^2/(n-1)) * xi(x) * gamma(x) * xi(y)``; committors
@@ -200,9 +196,9 @@ def committor_numeric(
             raise ValueError("one label per weight required")
 
     space = CompositionSpace(d, n)
-    if space.size > cap:
+    if space.size > _SPACE_CAP:
         raise ValueError(
-            f"composition space has {space.size} states, above the cap {cap}"
+            f"composition space has {space.size} states, above the cap {_SPACE_CAP}"
         )
 
     # Only ratios matter, and the residual check below is absolute: solve

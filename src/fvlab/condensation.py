@@ -9,14 +9,15 @@ is exactly a Polya urn with one draw per relocated particle (note: per
 *particle*, not per vacated site).  The resulting occupancy of
 ``Lambda`` then resolves by the committors of the limit rate ratios, so
 the condensate's law is the urn-weighted average of the committor rows
-of the urn's outcomes.
+of the urn's outcomes.  When ``Lambda`` is one site, a Dirac start
+included, the law is the point mass there and neither step runs.
 
 The urn step follows the Dirichlet-multinomial law
 
     P(add vector (m_i)) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m)
 
 with ``A = sum a_i``, computed in exact rational arithmetic for every
-draw count.
+draw count, up to 10 000 outcomes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "initial_condensation_law",
 ]
 
-_OUTCOME_CAP = 10_000
+_OUTCOME_CAP = 10_000  # polya_urn_law refuses laws with more outcomes
 
 
 def minimal_order_set(model: Model, support: Sequence[Union[str, int]]) -> tuple[str, ...]:
@@ -87,15 +88,11 @@ class UrnLaw:
     values rounded to floats.
     """
 
-    initial: tuple[int, ...]
-    draws: int
     outcomes: Mapping[tuple[int, ...], float]
     exact: Mapping[tuple[int, ...], Fraction]
 
 
-def polya_urn_law(
-    initial_counts: Sequence[int], draws: int, *, cap: int = _OUTCOME_CAP
-) -> UrnLaw:
+def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
     """Exact Dirichlet-multinomial law of the urn's final counts.
 
     Each draw observes a color proportionally to its current count and
@@ -110,8 +107,8 @@ def polya_urn_law(
         raise ValueError(f"draw count must be >= 0, got {draws}")
     k = len(a)
     n_outcomes = comb(m + k - 1, k - 1)
-    if n_outcomes > cap:
-        raise ValueError(f"{n_outcomes} outcomes exceed the cap {cap}")
+    if n_outcomes > _OUTCOME_CAP:
+        raise ValueError(f"{n_outcomes} outcomes exceed the cap {_OUTCOME_CAP}")
 
     # P(adds) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m), A = sum a_i
     denom = comb(sum(a) + m - 1, m)
@@ -122,7 +119,7 @@ def polya_urn_law(
     if sum(nums.values()) != denom:
         raise RuntimeError("urn law does not sum to 1 exactly")
     exact = {key: Fraction(num, denom) for key, num in nums.items()}
-    return UrnLaw(tuple(a), m, {key: float(p) for key, p in exact.items()}, exact)
+    return UrnLaw({key: float(p) for key, p in exact.items()}, exact)
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,7 @@ class InitialCondensationLaw:
     """
 
     law: LawOnStates
-    support: tuple[str, ...]
     lambda_set: tuple[str, ...]
-    weights: tuple[float, ...]
     urn: UrnLaw | None
 
     def to_json_dict(self) -> dict:
@@ -151,57 +146,28 @@ class InitialCondensationLaw:
 def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCondensationLaw:
     """Limiting site law of the first Dirac mass under fast selection.
 
-    ``counts`` gives the particle counts per model state (total n >= 2,
-    unless the measure is already a Dirac mass, which is returned
-    unchanged); an empirical-measure object with a ``counts`` attribute
-    is accepted too.  Depends on the killing family only through its
-    limit ratios.
+    ``counts`` gives the particle counts per model state, at least one
+    particle in all.  A Dirac measure, or any support whose minimal-order
+    set ``Lambda`` is one site, condenses at that site.  Depends on the
+    killing family only through its limit ratios.
     """
-    if hasattr(counts, "counts"):
-        counts = counts.counts
     counts = [int(c) for c in counts]
     if len(counts) != model.num_states or any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative, one per model state")
     n = sum(counts)
     if n < 1:
         raise ValueError("at least one particle required")
-    support = tuple(model.states[i] for i, c in enumerate(counts) if c > 0)
-
-    def point_mass(site: str) -> LawOnStates:
-        v = np.zeros(model.num_states)
-        v[model.state_index(site)] = 1.0
-        return LawOnStates(model.states, v, kind="exact")
-
-    if len(support) == 1:
-        # already a Dirac: absorbed at time 0
-        lam = support
-        return InitialCondensationLaw(
-            law=point_mass(support[0]),
-            support=support,
-            lambda_set=lam,
-            weights=(1.0,),
-            urn=None,
-        )
-    if n < 2:
-        raise ValueError("a non-Dirac measure needs n >= 2")
-
+    support = [model.states[i] for i, c in enumerate(counts) if c > 0]
     lam = minimal_order_set(model, support)
-    gamma = limit_weight_profile(model, lam)
-    lam_idx = [model.state_index(s) for s in lam]
-    inside = [counts[i] for i in lam_idx]
-    outside = n - sum(inside)
-
-    if len(lam) == 1:
-        return InitialCondensationLaw(
-            law=point_mass(lam[0]),
-            support=support,
-            lambda_set=lam,
-            weights=(float(gamma[0]),),
-            urn=None,
-        )
-
-    table = committor_numeric(gamma, n, states=lam)
     full = np.zeros(model.num_states)
+    if len(lam) == 1:
+        full[model.state_index(lam[0])] = 1.0
+        return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, None)
+
+    gamma = limit_weight_profile(model, lam)
+    inside = [counts[model.state_index(s)] for s in lam]
+    outside = n - sum(inside)
+    table = committor_numeric(gamma, n, states=lam)
     if outside == 0:
         urn = None
         for s, p in zip(lam, table.row(inside)):
@@ -212,11 +178,4 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
             for s, v in zip(lam, table.row(outcome)):
                 full[model.state_index(s)] += p * v
 
-    law = LawOnStates(model.states, full, kind="exact")
-    return InitialCondensationLaw(
-        law=law,
-        support=support,
-        lambda_set=lam,
-        weights=tuple(float(g) for g in gamma),
-        urn=urn,
-    )
+    return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, urn)

@@ -108,17 +108,6 @@ class EmpiricalMeasure:
     def n(self) -> int:
         return sum(self.counts)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.counts) if c > 0)
-
-    @property
-    def is_dirac(self) -> bool:
-        return len(self.support) == 1
-
-    def probs(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n
-
 
 @dataclass(frozen=True)
 class Event:
@@ -462,10 +451,10 @@ def simulate_selection_absorption(
 
     Returns the absorption time, the absorbed site's label, and the
     number of events consumed.  Absorption is almost sure; the event
-    cap converts pathological configurations into diagnostics.
+    cap converts pathological configurations into diagnostics.  A Dirac
+    start returns ``(0.0, site, 0)`` after drawing one block of uniforms
+    from ``rng``, which the event loop fills before it sees zero rate.
     """
-    if init.is_dirac:
-        return AbsorptionResult(0.0, model.states[init.support[0]], 0)
     t, counts, _, n_events = _simulate(
         model, r, init, None, rng, selection_only=True, record=False, event_cap=event_cap
     )

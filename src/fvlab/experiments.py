@@ -62,7 +62,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .chains import RateMatrix, condensate_rates, conjectured_limit_rates, ctmc_marginal, simulate_ctmc
-from .committor import committor_numeric, committor_two_site, gamblers_ruin_committor
+from .committor import committor_numeric, gamblers_ruin_committor
 from .condensation import initial_condensation_law
 from .engine import (
     DEFAULT_EVENT_CAP,
@@ -90,6 +90,17 @@ _STATISTICAL_KINDS = frozenset(
 
 _CHUNK = 256  # replicas per task; fixed so folding is schedule-independent
 
+# The tolerance keys each kind reads; validate() rejects any other.
+_TOLERANCE_KEYS = {
+    "theorem1_marginal": ["monotone_slack", "limit_band"],
+    "theorem2_pathwise": ["avg_occupation_band", "decay_factor"],
+    "theorem3_regime": ["cprime_factor"],
+    "absorption_tail": ["slope_ratio_rel_tol"],
+    "eta_inf_check": ["tv_tol"],
+    "committor_check": ["grid_tol"],
+    "conjecture_probe": [],
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (raised before any simulation)."""
@@ -111,6 +122,16 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _is_int(v, low: int) -> bool:
+    """An integer >= ``low`` (a bool is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _is_ratio(v) -> bool:
+    """A finite positive number (a bool is not one)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 # How from_dict coerces a present, non-null field; fields not listed are
 # kept as given.
 _COERCE: dict[str, Callable[[Any], Any]] = {
@@ -124,7 +145,6 @@ _COERCE: dict[str, Callable[[Any], Any]] = {
     "replicas": int,
     "tolerances": lambda tol: {str(k): float(v) for k, v in dict(tol).items()},
     "event_cap": int,
-    "alt_c1_reading": bool,
 }
 
 
@@ -154,7 +174,6 @@ class ExperimentConfig:
     init: Any = None
     tolerances: Mapping[str, float] = field(default_factory=dict)
     event_cap: int = DEFAULT_EVENT_CAP
-    alt_c1_reading: bool = False
     expect: Mapping[str, Any] | None = None
     sim: Mapping[str, Any] | None = None
     grid: Mapping[str, Any] | None = None
@@ -188,6 +207,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.delta <= 0 or self.delta >= 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
+        allowed = _TOLERANCE_KEYS[self.kind]
+        if set(self.tolerances) - set(allowed):
+            raise ConfigError(f"{self.kind} reads only the tolerances {allowed}, got {list(self.tolerances)}")
+        if self.r_schedule and min(self.r_schedule) < 1:
+            raise ConfigError(f"r_schedule intensities must be >= 1, got {list(self.r_schedule)}")
         needs_model = self.kind != "committor_check"
         if needs_model:
             if self.model is None:
@@ -212,6 +236,8 @@ class ExperimentConfig:
                     raise ConfigError("time_points must lie in (0, T]")
             self._check_init_for(model, [self.n])
         if self.kind == "theorem3_regime":
+            if getattr(model.killing, "m_sup", None) is None:
+                raise ConfigError("theorem3_regime expects the uniform_plus killing family")
             if not self.points:
                 raise ConfigError("theorem3_regime needs a nonempty points schedule")
             prev = None
@@ -237,30 +263,55 @@ class ExperimentConfig:
             self._check_increasing(self.r_schedule, "r_schedule")
             if self.init is None:
                 raise ConfigError("absorption_tail needs init counts")
-            self._check_count_list(model.num_states)
+            self._check_count_list(model.num_states, () if self.n is None else (self.n,))
         if self.kind == "eta_inf_check":
             if not self.r_schedule or len(self.r_schedule) != 1:
                 raise ConfigError("eta_inf_check needs exactly one intensity in r_schedule")
             if self.init is None:
                 raise ConfigError("eta_inf_check needs init counts")
-            self._check_count_list(model.num_states)
+            self._check_count_list(model.num_states, () if self.n is None else (self.n,))
         if self.kind == "committor_check":
-            if not self.grid or "n" not in self.grid or "alpha" not in self.grid:
-                raise ConfigError("committor_check needs grid: {'n': [...], 'alpha': [...]}")
+            grid = self._block("grid", ("n", "alpha"))
+            if not isinstance(grid["n"], (list, tuple)) or not all(_is_int(n, 2) for n in grid["n"]):
+                raise ConfigError(f"grid n must list integers >= 2, got {grid['n']!r}")
+            if not isinstance(grid["alpha"], (list, tuple)) or not all(map(_is_ratio, grid["alpha"])):
+                raise ConfigError(f"grid alpha must list finite ratios > 0, got {grid['alpha']!r}")
             if self.mc is not None:
-                for key in ("n", "alpha", "counts", "replicas"):
-                    if key not in self.mc:
-                        raise ConfigError(f"committor_check mc block missing {key!r}")
-                if int(self.mc["replicas"]) < 100:
-                    raise ConfigError("committor_check mc block needs replicas >= 100")
+                mc = self._block("mc", ("n", "alpha", "counts", "replicas"))
+                n, counts = mc["n"], mc["counts"]
+                if not (_is_int(n, 2) and _is_ratio(mc["alpha"])):
+                    raise ConfigError(f"mc needs an integer n >= 2 and a finite alpha > 0, got {dict(mc)}")
+                if not (isinstance(counts, (list, tuple)) and len(counts) == 2
+                        and all(_is_int(c, 0) for c in counts) and sum(counts) == n):
+                    raise ConfigError(f"mc counts must be two nonnegative integers that sum to n: {counts}")
+        if self.kind == "conjecture_probe" and self.expect is not None:
+            self._block("expect", (), ("stable_sites", "rates"))
         if self.kind == "conjecture_probe" and self.sim is not None:
-            for key in ("n", "r", "T", "replicas", "init"):
-                if key not in self.sim:
-                    raise ConfigError(f"conjecture_probe sim block missing {key!r}")
-            if int(self.sim["replicas"]) < 100:
-                raise ConfigError("conjecture_probe sim block needs replicas >= 100")
+            sim = self._block("sim", ("n", "r", "T", "replicas", "init"), ("time_points",))
+            n, r, T = sim["n"], sim["r"], sim["T"]
+            if not (_is_int(n, 2) and _is_ratio(r) and r >= 1 and _is_ratio(T)):
+                raise ConfigError(f"sim needs integer n >= 2, finite r >= 1, finite T > 0, got {dict(sim)}")
+            times = [float(t) for t in sim.get("time_points", (T,))]
+            self._check_increasing(times, "sim time_points")
+            if not times or times[0] <= 0 or times[-1] > T:
+                raise ConfigError(f"sim time_points must lie in (0, T], got {times}")
+            if not (isinstance(sim["init"], Mapping) and "dirac" in sim["init"]):
+                raise ConfigError("conjecture_probe sim init must be {'dirac': site}")
+            if str(sim["init"]["dirac"]) not in conjectured_limit_rates(model)[1].states:
+                raise ConfigError(f"sim start site {sim['init']['dirac']!r} is not a stable site")
 
-    def _check_count_list(self, num_states: int) -> None:
+    def _block(self, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> Mapping[str, Any]:
+        """The ``what`` block, holding every required key, no other but optional ones, and replicas >= 100."""
+        block, allowed = getattr(self, what), [*required, *optional]
+        if not isinstance(block, Mapping) or any(key not in block for key in required):
+            raise ConfigError(f"{self.kind} needs a {what} block with keys {list(required)}, got {block!r}")
+        if set(block) - set(allowed):
+            raise ConfigError(f"{self.kind} reads only the {what} keys {allowed}, got {sorted(block)}")
+        if "replicas" in block and not _is_int(block["replicas"], 100):
+            raise ConfigError(f"{self.kind} {what} block needs replicas >= 100")
+        return block
+
+    def _check_count_list(self, num_states: int, ns: Sequence[int] = ()) -> None:
         init = self.init
         if not isinstance(init, (list, tuple)):
             raise ConfigError(f"{self.kind} needs init as a list of counts, got {init!r}")
@@ -268,20 +319,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"init counts must list one count per model state ({num_states}), got {list(init)}"
             )
-        if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in init):
+        if not all(_is_int(c, 0) for c in init):
             raise ConfigError(f"init counts must be nonnegative integers, got {list(init)}")
         if sum(init) < 2:
             raise ConfigError(f"init counts must hold at least two particles, got {list(init)}")
+        for n in ns:
+            if sum(init) != n:
+                raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
 
     def _check_init_for(self, model: Model, ns: Sequence[int]) -> None:
         """``init`` is a Dirac on a model site, or counts holding n particles at every n."""
         if isinstance(self.init, Mapping) and "dirac" in self.init:
             model.state_index(self.init["dirac"])  # raises ModelError on an unknown site
             return
-        self._check_count_list(model.num_states)
-        for n in ns:
-            if sum(self.init) != n:
-                raise ConfigError(f"init counts sum to {sum(self.init)}, expected n = {n}")
+        self._check_count_list(model.num_states, ns)
 
     @staticmethod
     def _check_increasing(values: Sequence[float], what: str) -> None:
@@ -651,7 +702,7 @@ def _exp_theorem1(run: _Run) -> None:
         if res is None:
             continue
         completed += 1
-        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
+        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states)
         finite_rates = condensate_rates(model, n, r)
         finite_start = _chain_start(model, counts, r)
         tv_fin = tv_distance(emp, ctmc_marginal(finite_rates, finite_start, t))
@@ -734,10 +785,7 @@ def _exp_theorem3(run: _Run) -> None:
         mut_rates[i, j] = q
     mutation_chain = RateMatrix(model.states, mut_rates)
 
-    m_sup = getattr(model.killing, "m_sup", None)
-    if m_sup is None:
-        raise ConfigError("theorem3_regime expects the uniform_plus killing family")
-
+    m_sup = model.killing.m_sup  # validate() admits only uniform_plus killing
     times = cfg.time_points
     pairs = [(point, t) for point in cfg.points for t in times]
     cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed pair
@@ -826,7 +874,7 @@ def _exp_eta_inf(run: _Run) -> None:
     res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=counts)
     if res is None:
         return
-    emp = empirical_law(res["site"].tolist(), model.states, cfg.delta)
+    emp = empirical_law(res["site"].tolist(), model.states)
     tv = tv_distance(emp, exact.law)
     tol = cfg.tolerance("tv_tol", 0.02)
     run.row(r, "", "tv_exact_vs_absorbed_site_law", tv, tol, _verdict(tv <= tol))
@@ -848,9 +896,6 @@ def _exp_committor_check(run: _Run) -> None:
             err = 0.0
             for k in range(n + 1):
                 err = max(err, abs(table.value((k, n - k), 0) - g[k]))
-            hold, invade = committor_two_site(n, alpha)
-            err = max(err, abs(table.value((n - 1, 1), 0) - hold))
-            err = max(err, abs(table.value((1, n - 1), 0) - invade))
             worst = max(worst, err)
             run.row("", "", f"max_abs_err_n{n}_alpha{alpha:g}", err, tol, _verdict(err <= tol))
     run.report.extras["grid_worst_error"] = worst
@@ -861,7 +906,7 @@ def _exp_committor_check(run: _Run) -> None:
     alpha = float(cfg.mc["alpha"])
     counts = tuple(int(c) for c in cfg.mc["counts"])
     M = int(cfg.mc["replicas"])
-    r = float(cfg.mc.get("r", 1.0))
+    r = 1.0  # the two sites die at rates r and alpha * r; only alpha matters
     model = validate_model(
         {
             "states": ["x", "y"],
@@ -885,7 +930,7 @@ def _exp_committor_check(run: _Run) -> None:
 def _exp_conjecture_probe(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
-    analysis, chain = conjectured_limit_rates(model, alt_reading=cfg.alt_c1_reading)
+    analysis, chain = conjectured_limit_rates(model)
     run.report.extras["cascade"] = analysis.to_json_dict()
     run.report.extras["chain_states"] = list(chain.states)
     run.report.extras["chain_rates"] = chain.rates.tolist()
@@ -906,29 +951,17 @@ def _exp_conjecture_probe(run: _Run) -> None:
     T = float(cfg.sim["T"])
     M = int(cfg.sim["replicas"])
     times = tuple(float(t) for t in cfg.sim.get("time_points", (T,)))
-    init = cfg.sim["init"]
-    if not (isinstance(init, Mapping) and "dirac" in init):
-        raise ConfigError("conjecture_probe sim init must be {'dirac': site}")
+    start_site = str(cfg.sim["init"]["dirac"])  # a stable site, by validate()
     counts = [0] * model.num_states
-    counts[model.state_index(init["dirac"])] = n
-    start_site = str(init["dirac"])
-    if start_site not in chain.states:
-        raise ConfigError(f"sim start site {start_site!r} is not a stable site of the limit chain")
-    eps = _dkw_half_width(M, cfg.delta)
-    gate = "sim_tv_tol" in cfg.tolerances
+    counts[model.state_index(start_site)] = n
+    tol = 3.0 * _dkw_half_width(M, cfg.delta)
     for t in times:
         res = run.point(_fv_final_chunk, M, r, t, model=model, counts=tuple(counts))
         if res is None:
             continue
-        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states, cfg.delta)
+        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states)
         tv = tv_distance(emp, _lift_law(ctmc_marginal(chain, start_site, t), model.states))
-        if gate:
-            tol = cfg.tolerance("sim_tv_tol", 3.0 * eps)
-            verdict = _verdict(tv <= tol)
-        else:
-            tol = 3.0 * eps
-            verdict = "INFO"
-        run.row(r, t, "tv_vs_conjectured_chain", tv, tol, verdict)
+        run.row(r, t, "tv_vs_conjectured_chain", tv, tol, "INFO")
         run.outcome(f"probe_t{t:g}.csv", model.states, res)
 
 

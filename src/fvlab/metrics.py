@@ -2,15 +2,13 @@
 
 Total variation here follows the sum-of-absolute-differences convention,
 ``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Empirical
-laws carry a distribution-free confidence half-width
-``sqrt(ln(2/delta) / (2M))`` so whole-law comparisons compose into a
-total-variation error bound of ``|D| * half_width``.  Paths of measures
+laws are plain frequency vectors with no half-width: a DKW band depends
+on the sample count alone, so callers compute it.  Paths of measures
 have no type here: ``Trajectory.occupancy_path`` returns plain arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -29,15 +27,12 @@ class LawOnStates:
     """A probability vector over a declared, ordered state set.
 
     ``kind`` is "exact" for analytically computed laws (sum within 1e-10
-    of 1) or "empirical" for Monte Carlo frequencies, in which case
-    ``nsamples`` and ``half_width`` are set.
+    of 1) or "empirical" for Monte Carlo frequencies (sum within 1e-12).
     """
 
     states: tuple[str, ...]
     probs: np.ndarray
     kind: str = "exact"
-    nsamples: int | None = None
-    half_width: float | None = None
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -62,16 +57,11 @@ def exact_law(states: Sequence[str], probs) -> LawOnStates:
     return LawOnStates(tuple(states), np.asarray(probs, dtype=float), kind="exact")
 
 
-def empirical_law(
-    samples: Iterable[Union[str, int]],
-    states: Sequence[str],
-    delta: float = 0.05,
-) -> LawOnStates:
-    """Frequency vector of sampled sites with a confidence half-width.
+def empirical_law(samples: Iterable[Union[str, int]], states: Sequence[str]) -> LawOnStates:
+    """Frequency vector of sampled sites.
 
     ``samples`` may contain state labels or integer indices into
-    ``states``.  The attached half-width is the distribution-free bound
-    ``sqrt(ln(2/delta) / (2M))`` at confidence level ``1 - delta``.
+    ``states``.
     """
     states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
@@ -83,8 +73,7 @@ def empirical_law(
         total += 1
     if total < 1:
         raise ValueError("empirical_law requires at least one sample")
-    eps = math.sqrt(math.log(2.0 / delta) / (2.0 * total))
-    return LawOnStates(states, counts / total, kind="empirical", nsamples=total, half_width=eps)
+    return LawOnStates(states, counts / total, kind="empirical")
 
 
 def _tv(u: np.ndarray, v: np.ndarray) -> float:

@@ -127,6 +127,35 @@ def test_limit_chain_conjecture(tmp_path, capsys):
     assert doc["cascade"]["stable_sites"] == ["a", "b"]
 
 
+def test_limit_chain_conjecture_alt_c1_reading(tmp_path, capsys):
+    # z descends to y1 (order 1) and y2 (order 2): the default reading splits
+    # z's mass between them, the literal reading keeps the lowest order only
+    path = tmp_path / "mixed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "states": ["s", "z", "y1", "y2"],
+                "mutation": [
+                    {"from": "s", "to": "z", "rate": 1.0},
+                    {"from": "z", "to": "y1", "rate": 1.0},
+                    {"from": "z", "to": "y2", "rate": 1.0},
+                ],
+                "killing": {
+                    "kind": "power",
+                    "c": {"s": 1.0, "z": 1.0, "y1": 1.0, "y2": 1.0},
+                    "beta": {"s": 3, "z": 3, "y1": 1, "y2": 2},
+                },
+            }
+        )
+    )
+    weights = {}
+    for flags in ([], ["--alt-c1-reading"]):
+        assert main(["limit-chain", str(path), "--conjecture", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        weights[bool(flags)] = doc["cascade"]["absorption_weights"]["z"]
+    assert weights == {False: {"y1": 0.5, "y2": 0.5}, True: {"y1": 1.0}}
+
+
 # ------------------------------------------------------------------- eta-inf
 
 

@@ -174,7 +174,7 @@ def test_numeric_rejects_bad_inputs():
     with pytest.raises(ValueError):
         committor_numeric([1.0, 2.0], 1)
     with pytest.raises(ValueError):
-        committor_numeric([1.0, 2.0, 3.0], 50, cap=100)  # space larger than cap
+        committor_numeric([1, 2, 3], 700)  # 246 051 states, above the 200 000 cap
 
 
 # sha256 of psi.tobytes(), taken from the solver that walked the space by

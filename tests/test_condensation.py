@@ -158,7 +158,7 @@ def test_urn_rejects_bad_inputs():
     with pytest.raises(ValueError):
         polya_urn_law((1, 1), -1)
     with pytest.raises(ValueError):
-        polya_urn_law((1, 1, 1), 300, cap=100)  # outcome count beyond cap
+        polya_urn_law((1, 1, 1), 300)  # 45 451 outcomes, above the 10 000 cap
 
 
 @given(
@@ -188,6 +188,31 @@ def test_eta_inf_single_minimal_site_forces_dirac():
     model = power_model([1, 2], states=["a", "b"])
     law = initial_condensation_law(model, (2, 2))
     assert law.law.prob("a") == 1.0
+
+
+@pytest.mark.parametrize(
+    "counts,site",
+    [
+        ((0, 3, 0), "b"),  # Dirac supports
+        ((0, 0, 1), "c"),
+        ((0, 2, 1), "b"),  # supports whose minimal-order set is one site
+        ((0, 1, 5), "b"),
+        ((1, 0, 3), "a"),
+    ],
+)
+def test_eta_inf_one_site_lambda_pinned(counts, site):
+    # values recorded from the code that returned a Dirac support on its
+    # own branch, before the minimal-order set of one site
+    model = power_model([1, 1, 2], cs=[1.0, 2.0, 1.0], states=["a", "b", "c"])
+    law = initial_condensation_law(model, counts)
+    assert law.law.probs.tolist() == [float(s == site) for s in "abc"]
+    assert law.law.kind == "exact"
+    assert law.lambda_set == (site,)
+    assert law.urn is None
+    assert law.to_json_dict() == {
+        "lambda_set": [site],
+        "eta_infinity": {s: float(s == site) for s in "abc"},
+    }
 
 
 def test_eta_inf_two_site_spec_value():

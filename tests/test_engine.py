@@ -35,16 +35,14 @@ def replay(traj):
 
 def test_measure_accessors():
     m = EmpiricalMeasure.from_counts([2, 0, 3])
+    assert m.counts == (2, 0, 3)
     assert m.n == 5
-    assert m.support == (0, 2)
-    assert not m.is_dirac
-    assert np.allclose(m.probs(), [0.4, 0.0, 0.6])
 
 
 def test_measure_dirac_constructor():
     m = EmpiricalMeasure.dirac(3, 1, 7)
     assert m.counts == (0, 7, 0)
-    assert m.is_dirac
+    assert m.n == 7
 
 
 def test_measure_rejects_invalid():
@@ -140,7 +138,7 @@ def replay_occupancy_path(traj):
     """The per-event replay ``occupancy_path`` and ``max_mass_integral``
     used before the cumulative sum, kept verbatim as the bit reference."""
     times = [0.0]
-    rows = [traj.initial.probs()]
+    rows = [np.asarray(traj.initial.counts, dtype=float) / traj.initial.n]
     counts = list(traj.initial.counts)
     n = traj.initial.n
     for t, ev in traj.events:
@@ -236,6 +234,20 @@ def test_absorption_dirac_short_circuit(two_site):
     init = EmpiricalMeasure.dirac(2, 1, 6)
     res = simulate_selection_absorption(two_site, 1.0, init, np.random.default_rng(0))
     assert res == (0.0, "y", 0)
+
+
+def test_absorption_dirac_start_returns_from_the_event_loop(cycle_model):
+    # no shortcut: the loop finds zero selection rate at once, after it has
+    # drawn its first block of 64 uniforms from the replica's generator
+    for site, label in enumerate(cycle_model.states):
+        rng = np.random.default_rng(3)
+        init = EmpiricalMeasure.dirac(3, site, 5)
+        res = simulate_selection_absorption(cycle_model, 1.0e3, init, rng)
+        assert res == (0.0, label, 0)
+        assert type(res.tau) is float
+        ref = np.random.default_rng(3)
+        ref.random(64)
+        assert rng.random() == ref.random()
 
 
 def test_absorption_reaches_dirac_and_reports_site(two_site):

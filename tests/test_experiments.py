@@ -200,6 +200,133 @@ def test_config_committor_check_grid_required():
         ExperimentConfig.from_dict({"kind": "committor_check"})
 
 
+def _committor_doc(**overrides):
+    doc = {
+        "kind": "committor_check",
+        "seed": 1,
+        "grid": {"n": [2, 4], "alpha": [0.5, 2.0]},
+        "mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200},
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"grid": {"n": [4, 1], "alpha": [2.0]}}, "grid n must list integers >= 2"),
+        ({"grid": {"n": [2.5], "alpha": [2.0]}}, "grid n must list integers >= 2"),
+        ({"grid": {"n": "4", "alpha": [2.0]}}, "grid n must list integers >= 2"),
+        ({"grid": {"n": [4], "alpha": [0.0]}}, "grid alpha must list finite ratios"),
+        ({"grid": {"n": [4], "alpha": [float("inf")]}}, "grid alpha must list finite ratios"),
+        ({"grid": {"n": [4], "alpha": [float("nan")]}}, "grid alpha must list finite ratios"),
+        ({"grid": {"n": [4], "alpha": [2.0], "k": [1]}}, r"reads only the grid keys \['n', 'alpha'\], got \['alpha', 'k', 'n'\]"),
+        # 6 particles simulated against the n = 4 committor: a false FAIL at run time
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 3], "replicas": 200}}, "that sum to n"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [4], "replicas": 200}}, "two nonnegative integers"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [5, -1], "replicas": 200}}, "two nonnegative integers"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3.0, 1], "replicas": 200}}, "two nonnegative integers"),
+        ({"mc": {"n": 1, "alpha": 2.0, "counts": [1, 0], "replicas": 200}}, "integer n >= 2"),
+        ({"mc": {"n": 4, "alpha": -2.0, "counts": [3, 1], "replicas": 200}}, "finite alpha > 0"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 50}}, "replicas >= 100"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1]}}, "mc block with keys"),
+        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200, "r": 1.0}}, "reads only the mc keys"),
+    ],
+)
+def test_config_committor_check_fields(overrides, fragment):
+    ExperimentConfig.from_dict(_committor_doc())  # the base document is valid
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(_committor_doc(**overrides))
+
+
+def _kind_doc(kind):
+    """A valid document of each kind, without tolerances."""
+    counts = {"model": cycle_model_config(), "replicas": 100, "init": [1, 1, 1]}
+    return {
+        "theorem1_marginal": theorem1_doc(),
+        "theorem2_pathwise": theorem1_doc(kind="theorem2_pathwise"),
+        "theorem3_regime": _theorem3_doc(),
+        "absorption_tail": dict(counts, kind="absorption_tail", r_schedule=[10.0, 100.0]),
+        "eta_inf_check": dict(counts, kind="eta_inf_check", r_schedule=[10.0]),
+        "committor_check": _committor_doc(),
+        "conjecture_probe": {"kind": "conjecture_probe", "model": azb_config()},
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["absorption_tail", "eta_inf_check"])
+def test_config_count_list_kinds_check_n_against_init(kind):
+    ExperimentConfig.from_dict(dict(_kind_doc(kind), n=3))  # init [1, 1, 1]
+    with pytest.raises(ConfigError, match="init counts sum to 3, expected n = 99"):
+        ExperimentConfig.from_dict(dict(_kind_doc(kind), n=99))
+
+
+@pytest.mark.parametrize(
+    "kind,r_schedule",
+    [
+        ("theorem1_marginal", [0.5, 10.0]),
+        ("theorem2_pathwise", [0.5, 10.0]),
+        ("absorption_tail", [0.5, 10.0]),
+        ("eta_inf_check", [0.5]),
+    ],
+)
+def test_config_rejects_intensity_below_one(kind, r_schedule):
+    with pytest.raises(ConfigError, match="intensities must be >= 1"):
+        ExperimentConfig.from_dict(dict(_kind_doc(kind), r_schedule=r_schedule))
+
+
+@pytest.mark.parametrize(
+    "kind,keys",
+    [
+        ("theorem1_marginal", ["monotone_slack", "limit_band"]),
+        ("theorem2_pathwise", ["avg_occupation_band", "decay_factor"]),
+        ("theorem3_regime", ["cprime_factor"]),
+        ("absorption_tail", ["slope_ratio_rel_tol"]),
+        ("eta_inf_check", ["tv_tol"]),
+        ("committor_check", ["grid_tol"]),
+        ("conjecture_probe", []),
+    ],
+)
+def test_config_accepts_only_the_kinds_tolerance_keys(kind, keys):
+    ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={k: 0.1 for k in keys}))
+    for other in sorted({"limit_bnad", "sim_tv_tol", "limit_band", "tv_tol", "cprime_factor"} - set(keys)):
+        with pytest.raises(ConfigError, match=rf"{kind} reads only the tolerances .*, got \['{other}'\]"):
+            ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={other: 0.0}))
+
+
+def _probe_sim_doc(**sim):
+    block = {"n": 4, "r": 50.0, "T": 0.5, "replicas": 100, "init": {"dirac": "a"}}
+    block.update(sim)
+    return {"kind": "conjecture_probe", "model": azb_config(), "seed": 1, "sim": block}
+
+
+@pytest.mark.parametrize(
+    "sim,fragment",
+    [
+        ({"init": [4, 0, 0]}, r"sim init must be \{'dirac': site\}"),
+        ({"init": {"dirac": "q"}}, "'q' is not a stable site"),
+        ({"n": 1}, "integer n >= 2"),
+        ({"r": 0.5}, "finite r >= 1"),
+        ({"T": 0.0}, "finite T > 0"),
+        ({"time_points": [0.5, 0.25]}, "strictly increasing"),
+        ({"time_points": [0.0, 0.5]}, r"must lie in \(0, T\]"),
+        ({"time_points": [0.25, 0.75]}, r"must lie in \(0, T\]"),
+        ({"replicas": 99}, "replicas >= 100"),
+        ({"M": 100}, "reads only the sim keys"),
+    ],
+)
+def test_config_conjecture_probe_sim_fields(sim, fragment):
+    ExperimentConfig.from_dict(_probe_sim_doc(time_points=[0.25, 0.5]))
+    with pytest.raises(ValueError, match=fragment):
+        ExperimentConfig.from_dict(_probe_sim_doc(**sim))
+
+
+def test_config_conjecture_probe_expect_keys():
+    doc = {"kind": "conjecture_probe", "model": azb_config(), "expect": {"stable_sites": ["a", "b"]}}
+    ExperimentConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match=r"reads only the expect keys \['stable_sites', 'rates'\], got \['stable_site'\]"):
+        ExperimentConfig.from_dict(dict(doc, expect={"stable_site": ["a", "b"]}))
+
+
 def test_config_init_counts_resolution():
     from fvlab import validate_model
 
@@ -484,20 +611,19 @@ def test_theorem_init_checked_before_simulation(kind, init, fragment):
 
 
 def test_theorem3_requires_uniform_plus_killing():
-    cfg = ExperimentConfig.from_dict(
-        {
-            "kind": "theorem3_regime",
-            "model": cycle_model_config(),  # power-law killing: no m_sup
-            "seed": 5,
-            "T": 1.0,
-            "time_points": [1.0],
-            "replicas": 100,
-            "init": {"dirac": "a"},
-            "points": [{"n": 4, "r": 50.0}],
-        }
-    )
     with pytest.raises(ConfigError, match="uniform_plus"):
-        run_experiment(cfg)
+        ExperimentConfig.from_dict(
+            {
+                "kind": "theorem3_regime",
+                "model": cycle_model_config(),  # power-law killing: no m_sup
+                "seed": 5,
+                "T": 1.0,
+                "time_points": [1.0],
+                "replicas": 100,
+                "init": {"dirac": "a"},
+                "points": [{"n": 4, "r": 50.0}],
+            }
+        )
 
 
 def test_absorption_tail_smoke():
@@ -597,17 +723,16 @@ def test_conjecture_probe_wrong_expectation_fails():
 
 
 def test_conjecture_probe_sim_requires_stable_start():
-    cfg = ExperimentConfig.from_dict(
-        {
-            "kind": "conjecture_probe",
-            "model": azb_config(),
-            "seed": 1,
-            "sim": {"n": 4, "r": 50.0, "T": 0.5, "replicas": 100,
-                    "init": {"dirac": "z"}},
-        }
-    )
     with pytest.raises(ConfigError, match="stable site"):
-        run_experiment(cfg)
+        ExperimentConfig.from_dict(
+            {
+                "kind": "conjecture_probe",
+                "model": azb_config(),
+                "seed": 1,
+                "sim": {"n": 4, "r": 50.0, "T": 0.5, "replicas": 100,
+                        "init": {"dirac": "z"}},
+            }
+        )
 
 
 # ------------------------------------------------------------ pinned hashes
