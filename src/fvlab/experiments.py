@@ -157,7 +157,10 @@ class ExperimentConfig:
     """Validated experiment description (see module docstring for kinds).
 
     ``model`` is an inline model config document.  Kind-specific fields
-    are optional at the type level and enforced by :meth:`validate`.
+    are optional at the type level and enforced by :meth:`validate`,
+    which construction runs, so every instance is valid.  The validated
+    :class:`Model` is kept outside the fields: it is neither compared
+    nor hashed.
     """
 
     kind: str
@@ -191,9 +194,7 @@ class ExperimentConfig:
         if "model" not in values and "model_path" in doc:
             with open(doc["model_path"], "r", encoding="utf-8") as fh:
                 values["model"] = json.load(fh)
-        cfg = cls(**{k: _COERCE[k](v) if k in _COERCE else v for k, v in values.items()})
-        cfg.validate()
-        return cfg
+        return cls(**{k: _COERCE[k](v) if k in _COERCE else v for k, v in values.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -201,6 +202,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     # -- validation -------------------------------------------------
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -212,11 +216,12 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} reads only the tolerances {allowed}, got {list(self.tolerances)}")
         if self.r_schedule and min(self.r_schedule) < 1:
             raise ConfigError(f"r_schedule intensities must be >= 1, got {list(self.r_schedule)}")
-        needs_model = self.kind != "committor_check"
-        if needs_model:
+        model = None
+        if self.kind != "committor_check":
             if self.model is None:
                 raise ConfigError(f"{self.kind} requires a model")
-            model = self.validated_model()  # raises ModelError on bad input
+            model = validate_model(self.model)  # raises ModelError on bad input
+        object.__setattr__(self, "_model", model)
         if self.kind in _STATISTICAL_KINDS:
             if self.replicas is None or self.replicas < 100:
                 raise ConfigError(f"{self.kind} needs replicas >= 100, got {self.replicas}")
@@ -342,7 +347,7 @@ class ExperimentConfig:
     # -- helpers ----------------------------------------------------
 
     def validated_model(self) -> Model:
-        return validate_model(self.model)
+        return self._model
 
     def resolve_times(self) -> tuple[float, ...]:
         if self.time_points is not None:
@@ -692,6 +697,7 @@ def _exp_theorem1(run: _Run) -> None:
     eps = _dkw_half_width(M, cfg.delta)
     limit_rates = condensate_rates(model, n, None)
     limit_start = _chain_start(model, counts, None)
+    finite = {r: (condensate_rates(model, n, r), _chain_start(model, counts, r)) for r in cfg.r_schedule}
 
     points = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
     sup_tv_finite: dict[float, float] = {}
@@ -703,9 +709,7 @@ def _exp_theorem1(run: _Run) -> None:
             continue
         completed += 1
         emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states)
-        finite_rates = condensate_rates(model, n, r)
-        finite_start = _chain_start(model, counts, r)
-        tv_fin = tv_distance(emp, ctmc_marginal(finite_rates, finite_start, t))
+        tv_fin = tv_distance(emp, ctmc_marginal(*finite[r], t))
         tv_lim = tv_distance(emp, ctmc_marginal(limit_rates, limit_start, t))
         sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
         sup_tv_limit[r] = max(sup_tv_limit.get(r, 0.0), tv_lim)
@@ -989,9 +993,7 @@ def run_experiment(
     The report's ``result_hash`` is independent of ``threads``; timings
     are recorded outside the hashed content.
     """
-    if isinstance(config, ExperimentConfig):
-        config.validate()
-    else:
+    if not isinstance(config, ExperimentConfig):  # an instance is valid by construction
         config = ExperimentConfig.from_dict(config)
     started = time.perf_counter()
     report = Report(

@@ -460,17 +460,47 @@ def test_event_cap_abort_thread_invariant_and_replayable():
 
 
 def test_run_experiment_validates_config_instances():
-    cfg = ExperimentConfig(
-        kind="theorem1_marginal",
-        model=cycle_model_config(),
-        n=3,
-        r_schedule=(10.0,),
-        T=0.5,
-        replicas=5,
-        init={"dirac": "a"},
-    )
+    # construction validates, so an invalid instance never reaches run_experiment
     with pytest.raises(ConfigError, match="replicas"):
+        cfg = ExperimentConfig(
+            kind="theorem1_marginal",
+            model=cycle_model_config(),
+            n=3,
+            r_schedule=(10.0,),
+            T=0.5,
+            replicas=5,
+            init={"dirac": "a"},
+        )
         run_experiment(cfg)
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; return the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_config_validated_once_per_run(monkeypatch):
+    import fvlab.experiments as experiments
+
+    calls = _count_calls(monkeypatch, experiments, ["validate_model", "conjectured_limit_rates"])
+    run_experiment(ExperimentConfig.from_dict(_probe_sim_doc()))
+    assert calls["validate_model"] == 1
+    assert calls["conjectured_limit_rates"] <= 2  # validate()'s stable-site check, then the kind
+
+
+def test_theorem1_builds_each_chain_once(monkeypatch):
+    import fvlab.experiments as experiments
+
+    calls = _count_calls(monkeypatch, experiments, ["condensate_rates", "_chain_start"])
+    run_experiment(ExperimentConfig.from_dict(theorem1_doc(time_points=[0.1, 0.2, 0.3, 0.4, 0.5])))
+    assert calls == {"condensate_rates": 3, "_chain_start": 3}  # the limit and each of the two r
 
 
 # ----------------------------------------------------------- per-kind smokes
