@@ -59,7 +59,7 @@ __all__ = [
     "simulate_selection_absorption",
 ]
 
-DEFAULT_EVENT_CAP = 10**9
+DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
 _BLOCK = 4096  # uniforms pre-drawn per refill
 
 

@@ -15,7 +15,7 @@ from fvlab import (
     simulate_selection_absorption,
     validate_model,
 )
-from fvlab.engine import _simulate
+from fvlab.engine import DEFAULT_EVENT_CAP, _simulate
 
 from conftest import cycle_model_config, two_site_config
 from reference_engine import _simulate as reference_simulate
@@ -225,6 +225,22 @@ def test_event_cap_error_fields(cycle_model):
     assert err.time > 0.0
     assert sum(err.counts) == 6
     assert "event cap 5 exceeded" in str(err)
+
+
+def test_default_event_cap_ends_a_runaway_duel():
+    # two sites that mutate into each other never absorb, and the horizon is
+    # out of reach: only the default cap ends the run (about 5 s of duels)
+    model = validate_model(
+        {
+            "states": ["x", "y"],
+            "mutation": [{"from": "x", "to": "y", "rate": 1.0}, {"from": "y", "to": "x", "rate": 1.0}],
+            "killing": {"kind": "power", "c": {"x": 1.0, "y": 1.0}, "beta": {"x": "1", "y": "1"}},
+        }
+    )
+    init = EmpiricalMeasure.from_counts([25, 25])
+    with pytest.raises(EventCapError) as exc:
+        simulate_fv(model, 1e3, init, 1e12, np.random.default_rng(0), record=False)
+    assert exc.value.cap == DEFAULT_EVENT_CAP <= 10**7
 
 
 # --------------------------------------------------------------- absorption
