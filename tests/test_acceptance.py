@@ -362,7 +362,7 @@ def test_criterion_9_marginal_solver_exactness(announce):
     elapsed = time.perf_counter() - start
 
     ok = worst_closed <= 1e-10 and worst_dense <= 1e-10 and elapsed < 1.0
-    announce(9, ok, f"uniformization vs closed form {worst_closed:.2g}, vs "
+    announce(9, ok, f"expm marginal vs closed form {worst_closed:.2g}, vs "
                     f"dense expm {worst_dense:.2g} (tol 1e-10), {elapsed:.2f}s")
     assert worst_closed <= 1e-10
     assert worst_dense <= 1e-10

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,17 @@ def test_ctmc_marginal_matches_dense_expm_on_random_models():
         init = rng.dirichlet(np.ones(5))
         law = ctmc_marginal(rm, exact_law(states, init), t)
         assert np.allclose(law.probs, init @ P, atol=1e-10)
+
+
+def test_ctmc_marginal_stiff_two_state_closed_form_fast():
+    # |G| t = 2e6: a series in powers of G t needs about 1e6 terms here
+    mu = 1e6
+    rm = RateMatrix(("u", "v"), np.array([[0.0, mu], [mu, 0.0]]))
+    start = time.perf_counter()
+    law = ctmc_marginal(rm, "u", 1.0)
+    elapsed = time.perf_counter() - start
+    assert abs(law.prob("u") - (1 + math.exp(-2 * mu)) / 2) <= 1e-12
+    assert elapsed < 0.5
 
 
 def test_ctmc_marginal_t_zero_is_init():

@@ -558,7 +558,8 @@ def test_theorem3_regime_smoke():
 
 
 def test_theorem3_regime_hash_pinned():
-    # hash from the event loop before the two-site duel fast path existed
+    # rows from the event loop before the two-site duel fast path existed; the
+    # hash moved only when marginals came from expm (float noise in TV rows)
     cfg = ExperimentConfig.from_dict(
         {
             "kind": "theorem3_regime",
@@ -580,7 +581,7 @@ def test_theorem3_regime_hash_pinned():
         }
     )
     assert run_experiment(cfg).result_hash == (
-        "a8261b0deaba3915d76d039756f3afbbcdf95dabffc8a671666f962c3b369fe0"
+        "68560118f91c5f79ce401c9634e8d2086cbd276f3a53e2ffe217a63168a62567"
     )
 
 
@@ -832,20 +833,22 @@ def _pinned_docs():
 
 
 # result_hash of each config above, every one taken from the code before the
-# shared point runner except the conjecture_probe pair: those reports no
-# longer carry the cascade's path enumeration and reachable-site lists
+# shared point runner except these: the conjecture_probe pair no longer
+# carries the cascade's path enumeration and reachable-site lists, and
+# theorem1, theorem3 and conjecture_probe_sim hold marginals from expm, whose
+# TV rows differ from uniformization's in float noise only (below 1e-13)
 _PINNED_HASHES = {
     "absorption_tail": "c1b3edf502093dfc96d8518137253c0bb59b4c7aa661dcff567da01b06696a7c",
     "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
     "committor_mc": "a8d3d8c343386cc9622abf9da09aa75815ed77a4546dc1b120b2f09300c8a3a8",
     "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
-    "conjecture_probe_sim": "b58e63c49bfa0ccd2f5cb2eaaf908e1d721cb6b6db7082cd49980bce562cf171",
+    "conjecture_probe_sim": "3c84f800dc29ede5d5a4eb820b1dd32306ab7a6a7b2e3c3efec39791060acc5a",
     "eta_inf": "8e6aaf39ac6dc4ce9d66ac8fb7a0a4d570c298c6e543d205f7e7c2ef8bfc52e0",
-    "theorem1": "a16b92afa416f8e0b60ac173b2d06470bb1340062f858bc4fb72198e6f14fc64",
+    "theorem1": "b5567aa14033e61845b4ab6ad9b8f02d7165c71411fd9c388402be4e25a83aae",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
     "theorem2": "e3276eebbbdff7499aa4ff50f7f20bef70498a07bc0615a46512365f9c391f3a",
     "theorem2_cap_abort": "d41455b1ebe567ab0e5c0924f258a1f70aa30543b62ea1812fc486caa22ac766",
-    "theorem3": "ac0d3c4d2b9b4e6cef93c4248dc3334fed4a17228e670445fc7e1ebb84733797",
+    "theorem3": "477c882089a81680a43ce68fe5347a2023e7a172dd51e6b78bc139be6cb043d7",
 }
 
 
