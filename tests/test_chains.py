@@ -264,10 +264,15 @@ def test_cascade_json_export_is_serializable():
 
 
 def test_ctmc_marginal_two_state_closed_form():
-    rm = RateMatrix(("u", "v"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for t in (0.0, 0.1, 0.5, 1.0, 3.0):
-        law = ctmc_marginal(rm, "u", t)
-        assert law.prob("u") == pytest.approx((1 + math.exp(-2 * t)) / 2, abs=1e-10)
+    # at mu = 1e6, row sum times t reaches 3e6: a Poisson series would need
+    # millions of terms, expm about 20 squarings
+    for mu in (1.0, 1e6):
+        rm = RateMatrix(("u", "v"), np.array([[0.0, mu], [mu, 0.0]]))
+        start = time.perf_counter()
+        for t in (0.0, 0.1, 0.5, 1.0, 3.0):
+            law = ctmc_marginal(rm, "u", t)
+            assert abs(law.prob("u") - (1 + math.exp(-2 * mu * t)) / 2) <= 1e-12
+        assert time.perf_counter() - start < 0.5
 
 
 def test_ctmc_marginal_matches_dense_expm_on_random_models():
@@ -282,17 +287,6 @@ def test_ctmc_marginal_matches_dense_expm_on_random_models():
         init = rng.dirichlet(np.ones(5))
         law = ctmc_marginal(rm, exact_law(states, init), t)
         assert np.allclose(law.probs, init @ P, atol=1e-10)
-
-
-def test_ctmc_marginal_stiff_two_state_closed_form_fast():
-    # |G| t = 2e6: a series in powers of G t needs about 1e6 terms here
-    mu = 1e6
-    rm = RateMatrix(("u", "v"), np.array([[0.0, mu], [mu, 0.0]]))
-    start = time.perf_counter()
-    law = ctmc_marginal(rm, "u", 1.0)
-    elapsed = time.perf_counter() - start
-    assert abs(law.prob("u") - (1 + math.exp(-2 * mu)) / 2) <= 1e-12
-    assert elapsed < 0.5
 
 
 def test_ctmc_marginal_t_zero_is_init():
