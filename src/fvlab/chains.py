@@ -19,8 +19,8 @@ with the full cascade diagnostics.
 
 The marginal at time t of any of these chains is ``v expm(G t)``, one
 dense matrix exponential (scipy's scaling and squaring, Al-Mohy &
-Higham 2009) whose cost does not grow with the rates' size.  Paths are
-sampled by the standard exponential-clock method.
+Higham 2009) whose cost grows only with the logarithm of ``|G| t``.
+Paths are sampled by the standard exponential-clock method.
 """
 
 from __future__ import annotations
