@@ -29,6 +29,9 @@ Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
 dies out.  Whenever the support has exactly two sites the loop steps
 the count at a directly, on rates tabulated once per pair and split.
+The rate layout and these tables depend on (model, r) and the particle
+count only, so they are built once per (model, r) and kept on the
+model, not rebuilt for every replica.
 This path is the generic step specialized, not an approximation: it
 reads the same three uniforms from the same buffer positions, refills
 the buffer at the same points, and evaluates the generic loop's own
@@ -189,18 +192,32 @@ class AbsorptionResult(NamedTuple):
     event_count: int
 
 
-def _kernel_arrays(model: Model, r: float, selection_only: bool):
-    d = model.num_states
-    lam = [model.killing_rate(r, i) for i in range(d)]
-    if selection_only:
-        mut_exit = [0.0] * d
-        mut_targets: tuple = ((),) * d
-        mut_rates: tuple = ((),) * d
-    else:
-        mut_exit = list(model.exit_rate)
-        mut_targets = model.out_targets
-        mut_rates = model.out_rates
-    return d, lam, mut_exit, mut_targets, mut_rates
+def _kernel(model: Model, r: float, selection_only: bool):
+    """The event loop's rate layout at intensity r, built once per (model, r).
+
+    Returns ``(d, lam, mut_exit, mut_targets, mut_rates, duels)``, where
+    ``duels`` maps ``(n, a, b)`` to that pair's :func:`_duel_tables`,
+    filled as duels occur.  The memo is kept on the model outside its
+    dataclass fields; a model is immutable, so an entry never goes
+    stale.  The key holds the type of r because the rates keep it (a
+    numpy scalar r gives numpy scalar rates).
+    """
+    memo = vars(model).setdefault("_kernels", {})
+    key = (type(r), r, selection_only)
+    kernel = memo.get(key)
+    if kernel is None:
+        d = model.num_states
+        lam = [model.killing_rate(r, i) for i in range(d)]
+        if selection_only:
+            mut_exit = [0.0] * d
+            mut_targets: tuple = ((),) * d
+            mut_rates: tuple = ((),) * d
+        else:
+            mut_exit = list(model.exit_rate)
+            mut_targets = model.out_targets
+            mut_rates = model.out_rates
+        kernel = memo[key] = (d, lam, mut_exit, mut_targets, mut_rates, {})
+    return kernel
 
 
 def _duel_tables(n, inv_nm1, la, lb, ea, eb):
@@ -244,7 +261,7 @@ def _simulate(
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
-    d, lam, mut_exit, mut_targets, mut_rates = _kernel_arrays(model, r, selection_only)
+    d, lam, mut_exit, mut_targets, mut_rates, duels = _kernel(model, r, selection_only)
     counts = list(init.counts)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
@@ -263,16 +280,15 @@ def _simulate(
     events: list[tuple[float, Event]] = []
     n_events = 0
     n_sites = d - counts.count(0)
-    duels: dict = {}  # (a, b) -> per-split rate tables of that pair
     while True:
         if n_sites == 2:
             # Two-site duel: the generic step below, specialized.  Rates
             # are tabulated per split with the generic loop's expressions
             # in its order, so every comparison sees the same floats.
             a, b = [i for i in range(d) if counts[i]]
-            tables = duels.get((a, b))
+            tables = duels.get((n, a, b))
             if tables is None:
-                tables = duels[(a, b)] = _duel_tables(
+                tables = duels[(n, a, b)] = _duel_tables(
                     n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]
                 )
             rm_tab, kill_a_tab, total_tab = tables

@@ -42,8 +42,14 @@ deterministic: replica i of a run consumes the RNG stream derived from
 indices, work is cut into fixed 256-replica chunks regardless of thread
 count, and chunk results are reassembled in task order before any
 statistic is computed, so reports hash identically for every
-parallelism degree.  Wall-clock timings live in a separate block
-excluded from the hash.
+parallelism degree.  Wall-clock timings, overall and per point, live in
+a separate block excluded from the hash.
+
+Per-replica set-up is kept off the event loop's path.  A chunk hashes
+the seed sequences of all its replicas in one numpy pass and resets one
+generator per replica, bit for bit the stream
+:func:`derive_replica_rng` gives, and the engine prepares its rate
+layout once per (model, r), not once per replica.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ def _is_ratio(v) -> bool:
 # How from_dict coerces a present, non-null field; fields not listed are
 # kept as given.
 _COERCE: dict[str, Callable[[Any], Any]] = {
-    "seed": int,
+    "seed": lambda seed: seed if isinstance(seed, bool) else int(seed),  # validate() rejects a bool
     "delta": float,
     "n": int,
     "r_schedule": _floats,
@@ -209,6 +215,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not _is_int(self.seed, 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.delta <= 0 or self.delta >= 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         allowed = _TOLERANCE_KEYS[self.kind]
@@ -464,18 +472,115 @@ def _csv_num(v) -> str:
 # pickles them by reference.
 
 
+# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's
+# seeding step, for _pcg64_states
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _uint32_words(value: int) -> int:
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _pcg64_states(seed, first: int, count: int) -> list[tuple[int, int]] | None:
+    """PCG64 ``(state, inc)`` of ``derive_replica_rng(seed, i)`` for i in ``first .. first+count-1``.
+
+    SeedSequence hashes its entropy words (the seed's, zero-padded to the
+    pool size because a spawn key follows, then the index's) with uint32
+    arithmetic whose multipliers do not depend on the data, so the hash
+    runs once over the whole block as numpy columns.  None when the
+    block is outside what this reproduces: a seed that is not an int
+    >= 0, or indices of different uint32 word counts or of more than two.
+    """
+    last = first + count - 1
+    if not (_is_int(seed, 0) and first >= 0):
+        return None
+    n_index = _uint32_words(first)
+    if n_index != _uint32_words(last) or n_index > 2:
+        return None
+    idx = np.uint64(first) + np.arange(count, dtype=np.uint64)
+    seed_words = [(seed >> (32 * k)) & _M32 for k in range(_uint32_words(seed))]
+    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + [0] * (_POOL - len(seed_words))]
+    entropy += [((idx >> np.uint64(32 * k)) & np.uint64(_M32)).astype(np.uint32) for k in range(n_index)]
+
+    def hasher(const: int, mult: int):
+        """SeedSequence's hashmix; its multiplier advances by ``mult`` per call."""
+
+        def hashmix(value):
+            nonlocal const
+            xor, const = const, const * mult & _M32
+            value = (value ^ np.uint32(xor)) * np.uint32(const)
+            return value ^ (value >> np.uint32(16))
+
+        return hashmix
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words cycling over the pool
+    output = hasher(_INIT_B, _MULT_B)
+    words = [output(pool[k % _POOL]).tolist() for k in range(8)]
+    states = []
+    for w in zip(*words):
+        # uint64 words are little-endian pairs; state word 0 is the high half
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _M128
+        states.append((((initstate + inc) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _replica_rngs(seed, first: int, count: int):
+    """Yield the streams of replicas ``first .. first+count-1``, bit for bit
+    those of :func:`derive_replica_rng`.
+
+    One PCG64 is reset per replica from :func:`_pcg64_states`, so a yielded
+    generator is valid only until the next one is drawn.  Blocks that
+    function cannot hash take the reference path.
+    """
+    states = _pcg64_states(seed, first, count)
+    if states is None:
+        for i in range(first, first + count):
+            yield derive_replica_rng(seed, i)
+        return
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for state, inc in states:
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _collect(payload: dict, replica, **dtypes) -> dict:
     """Run ``replica(rng)`` over a chunk; stack each tuple field into an array.
 
     An :class:`EventCapError` leaves with its flat replica index set.
     """
-    seed, base = payload["seed"], payload["base"]
+    start, stop = payload["start"], payload["stop"]
+    first = payload["base"] + start
     rows = []
-    for i in range(payload["start"], payload["stop"]):
+    for i, rng in enumerate(_replica_rngs(payload["seed"], first, stop - start), first):
         try:
-            rows.append(replica(derive_replica_rng(seed, base + i)))
+            rows.append(replica(rng))
         except EventCapError as err:
-            err.replica = base + i
+            err.replica = i
             raise
     return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(dtypes.items(), zip(*rows))}
 
@@ -588,14 +693,26 @@ class _Run:
         point's abort row when a replica hit the event cap.
         """
         payload.update(r=r, t=t, seed=self.cfg.seed, base=self.base, event_cap=self.cfg.event_cap)
+        started = time.perf_counter()
         res = _run_point(worker, payload, M, self.threads)
-        self.base += M
+        stats = {"r": r, "t": t, "replicas": M, "wall_s": time.perf_counter() - started}
+        self.report.timing.setdefault("points", []).append(stats)
+        first, self.base = self.base, self.base + M
         if isinstance(res, EventCapError):
             self.row(r, t, "event_cap_abort", float(res.cap), "", "FAIL")
             aborts = self.report.timing.setdefault("event_cap_aborts", [])
             aborts.append({"r": r, "t": t, "replica": res.replica})
             return None
-        self.report.events_total += int(res["events"].sum())
+        events = res["events"]
+        total = int(events.sum())
+        p50, p99 = (int(v) for v in np.quantile(events, [0.5, 0.99], method="inverted_cdf"))
+        stats.update(
+            events=total,
+            events_per_s=total / stats["wall_s"],
+            events_per_replica={"p50": p50, "p99": p99, "max": int(events.max())},
+            max_events_replica=first + int(events.argmax()),
+        )
+        self.report.events_total += total
         return res
 
     def outcome(self, fname: str, states, arrays: Mapping[str, np.ndarray]) -> None:

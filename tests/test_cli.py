@@ -240,6 +240,17 @@ def test_run_failing_experiment_exits_1(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(run_config_doc()))
+    assert main(["run", str(exp), "--out", str(tmp_path / "out"), "--seed", "-3"]) == 2
+    assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
+
+
 def test_run_invalid_config_exits_2(tmp_path, capsys):
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({"kind": "no_such_kind"}))

@@ -450,3 +450,38 @@ def engine_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_event_loop_bit_identical_to_reference(case, seed):
     assert outcome(_simulate, seed, case) == outcome(reference_simulate, seed, case)
+
+
+def test_prepared_kernel_never_goes_stale():
+    # The rate layout and duel tables are memoized per (model, r) and per
+    # (n, a, b); alternating the cases that share parts of a key must still
+    # reproduce the reference loop bit for bit.
+    def model(m_b):
+        config = {
+            "states": ["a", "b", "c"],
+            "mutation": [
+                {"from": "a", "to": "b", "rate": 1.0},
+                {"from": "b", "to": "c", "rate": 0.5},
+                {"from": "c", "to": "a", "rate": 2.0},
+            ],
+            "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": m_b, "c": 2.0}},
+        }
+        return validate_model(config)
+
+    first, second = model(1.0), model(7.0)  # same sites, different killing
+    duel4, duel9 = EmpiricalMeasure.from_counts([2, 2, 0]), EmpiricalMeasure.from_counts([3, 6, 0])
+    cases = [
+        dict(model=first, r=100.0, init=duel4, T=0.5),
+        dict(model=second, r=100.0, init=duel4, T=0.5),
+        dict(model=first, r=1e4, init=duel4, T=0.5),
+        dict(model=first, r=100.0, init=duel9, T=0.5),
+        dict(model=first, r=100.0, init=duel9, T=None, selection_only=True),
+        dict(model=first, r=1e4, init=duel4, T=None, selection_only=True),
+    ]
+    outcomes = {}
+    for sweep in range(3):
+        for k, case in enumerate(cases):
+            got = outcome(_simulate, 41, case)
+            assert got == outcome(reference_simulate, 41, case), (sweep, k)
+            assert outcomes.setdefault(k, got) == got
+    assert len({repr(outcomes[k]) for k in range(4)}) == 4  # the full-dynamics paths all differ

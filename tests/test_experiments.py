@@ -70,6 +70,53 @@ def test_replica_rng_rejects_negative_index():
         derive_replica_rng(1, -1)
 
 
+def _chunk_streams(seed, base, start, stop):
+    """Each replica's PCG64 state and first three uint32 draws, as a chunk worker sees them."""
+    from fvlab.experiments import _collect
+
+    def replica(rng):
+        state = rng.bit_generator.state
+        # an odd count of uint32 draws leaves half a word buffered (has_uint32 = 1)
+        return state, tuple(rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+
+    payload = {"seed": seed, "base": base, "start": start, "stop": stop}
+    return _collect(payload, replica, state=object, draws=np.int64)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 7, 1281506044, 2**32 - 1, 2**32 + 5, 2**64 + 3, 2**100 + 2**40 + 1, 2**140 + 12345],
+    ids=["zero", "1word", "1word-large", "1word-max", "2words", "3words", "4words", "5words"],
+)
+def test_chunk_seeding_matches_derive_replica_rng(seed):
+    from fvlab.experiments import _pcg64_states
+
+    # (base, start, stop): nonzero bases, and index blocks on both sides of
+    # 2^32, across it (the reference fallback), just below 2^64 and across
+    # it (also the fallback)
+    blocks = [
+        (0, 0, 256),
+        (1000, 256, 512),
+        (2**32 - 300, 44, 300),
+        (2**32, 0, 256),
+        (2**32 + 7, 256, 400),
+        (2**32 - 100, 0, 200),
+        (2**64 - 260, 0, 256),
+        (2**64 - 2, 0, 4),
+    ]
+    assert _pcg64_states(seed, 2**32 - 100, 200) is None
+    assert _pcg64_states(seed, 2**32, 256) is not None
+    pairs = 0
+    for base, start, stop in blocks:
+        out = _chunk_streams(seed, base, start, stop)
+        for k, i in enumerate(range(base + start, base + stop)):
+            ref = derive_replica_rng(seed, i)
+            assert out["state"][k] == ref.bit_generator.state, (seed, i)
+            assert tuple(out["draws"][k]) == tuple(ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+            pairs += 1
+    assert pairs * 8 >= 10_000  # over the eight seeds
+
+
 # ------------------------------------------------------------- configuration
 
 
@@ -116,6 +163,8 @@ def test_config_rejects_unknown_kind():
         ({"init": None}, "init block"),
         ({"time_points": [0.25, 0.9]}, r"time_points must lie in \(0, T\]"),
         ({"delta": 1.5}, "delta must lie"),
+        ({"seed": -5}, "seed must be an integer >= 0"),
+        ({"seed": True}, "seed must be an integer >= 0"),
         ({"model": None}, "requires a model"),
     ],
 )
@@ -367,7 +416,30 @@ def test_report_rows_and_hash(small_theorem1_report):
     assert "sup_tv_monotone_in_r" in stats
     assert rep.result_hash and len(rep.result_hash) == 64
     assert rep.events_total > 0
-    assert set(rep.timing) == {"wall_seconds", "threads"}
+    assert set(rep.timing) == {"wall_seconds", "threads", "points"}
+
+
+def test_report_timing_points(small_theorem1_report):
+    from fvlab import EmpiricalMeasure, simulate_fv
+
+    rep, cfg = small_theorem1_report, ExperimentConfig.from_dict(theorem1_doc())
+    points = rep.timing["points"]
+    grid = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
+    assert [(p["r"], p["t"]) for p in points] == grid
+    assert sum(p["events"] for p in points) == rep.events_total
+    model = cfg.validated_model()
+    init = EmpiricalMeasure.from_counts(cfg.init_counts(model, cfg.n))
+    for pid, p in enumerate(points):
+        spread = p["events_per_replica"]
+        assert p["replicas"] == cfg.replicas and p["wall_s"] > 0
+        assert p["events_per_s"] == p["events"] / p["wall_s"]
+        assert spread["p50"] <= spread["p99"] <= spread["max"]
+        # the slowest replica replays alone to its event count
+        assert pid * cfg.replicas <= p["max_events_replica"] < (pid + 1) * cfg.replicas
+        rng = derive_replica_rng(cfg.seed, p["max_events_replica"])
+        traj = simulate_fv(model, p["r"], init, p["t"], rng, record=False)
+        assert traj.event_count == spread["max"]
+    json.dumps(rep.timing)
 
 
 def test_report_hash_reproducible(small_theorem1_report):
