@@ -163,9 +163,9 @@ def test_config_rejects_unknown_kind():
         ({"init": None}, "init block"),
         ({"time_points": [0.25, 0.9]}, r"time_points must lie in \(0, T\]"),
         ({"delta": 1.5}, "delta must lie"),
+        ({"model": None}, "requires a model"),
         ({"seed": -5}, "seed must be an integer >= 0"),
         ({"seed": True}, "seed must be an integer >= 0"),
-        ({"model": None}, "requires a model"),
     ],
 )
 def test_config_validation_matrix(overrides, fragment):
