@@ -6,7 +6,9 @@ mass at site ``x`` is the committor ``psi_x(xi)``.  With two occupied
 sites this reduces to a gambler's-ruin birth-death chain on the count at
 one site, solved in closed form.  For arbitrary supports the committors
 solve a sparse Dirichlet problem over the full composition space, which
-serves as an independent oracle for the closed forms.
+serves as an independent oracle for the closed forms.  The space is
+held as one integer array of compositions in colex rank order, and the
+generator is assembled from it with one array pass per move.
 
 Only rate *ratios* enter these probabilities, so weight vectors may be
 rescaled freely.
@@ -14,10 +16,11 @@ rescaled freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,8 +107,10 @@ class CompositionSpace:
     """All count vectors of total n over d sites, colexicographically ranked.
 
     Colexicographic order compares the last differing coordinate, so the
-    layout is deterministic and ranking is a perfect O(d + n) hash with
-    no table lookups.  Iteration yields the compositions in rank order.
+    layout is deterministic and a composition's rank follows from a
+    table of binomials with no search.  The space is handled only as
+    arrays: :meth:`array` lists every composition in rank order and
+    :meth:`ranks` maps rows of counts back to their ranks.
     """
 
     def __init__(self, d: int, n: int):
@@ -115,37 +120,47 @@ class CompositionSpace:
         self.n = n
         self.size = comb(n + d - 1, d - 1)
 
-    def rank(self, counts: Sequence[int]) -> int:
-        if len(counts) != self.d or sum(counts) != self.n or min(counts, default=0) < 0:
-            raise ValueError(f"not a composition of {self.n} into {self.d} parts: {counts}")
-        idx = 0
-        total = self.n
+    def array(self) -> np.ndarray:
+        """Every composition as a ``(size, d)`` int64 array, row i of rank i."""
+        d, n, size = self.d, self.n, self.size
+        # stars and bars: bar positions in lexicographic order give the parts
+        # in lexicographic order, so parts read right to left are in colex order
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n + d - 1), d - 1))
+        bars = np.fromiter(combos, dtype=np.int64, count=size * (d - 1)).reshape(size, d - 1)
+        edges = np.hstack([np.full((size, 1), n + d - 1), bars[:, ::-1], np.full((size, 1), -1)])
+        return edges[:, :-1] - edges[:, 1:] - 1
+
+    def ranks(self, counts: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+        """Ranks of the rows of an ``(m, d)`` integer array of compositions."""
+        c = np.asarray(counts)
+        if (c.ndim != 2 or c.shape[1] != self.d or not np.issubdtype(c.dtype, np.integer)
+                or (c < 0).any() or (c.sum(axis=1) != self.n).any()):
+            raise ValueError(f"not compositions of {self.n} into {self.d} parts: {counts!r}")
+        if self.size > np.iinfo(np.int64).max:
+            raise OverflowError(f"{self.size} compositions do not fit int64 ranks")
+        # binom[t, p - 1] = C(t + p - 1, p - 1), the compositions of t <= n
+        # into p parts; the largest entry is size, so none overflows
+        binom = np.ones((self.n + 1, self.d), dtype=np.int64)
+        for p in range(1, self.d):
+            binom[:, p] = binom[:, p - 1].cumsum()
+        idx, total = np.zeros(len(c), dtype=np.int64), self.n
         for p in range(self.d, 1, -1):
-            v = counts[p - 1]
-            # compositions of `total` into p parts whose last coordinate is < v
-            idx += comb(total + p - 1, p - 1) - comb(total - v + p - 1, p - 1)
-            total -= v
+            # compositions of `total` into p parts whose last coordinate is smaller
+            left = total - c[:, p - 1]
+            idx += binom[total, p - 1] - binom[left, p - 1]
+            total = left
         return idx
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        def gen(total: int, parts: int):
-            if parts == 1:
-                yield (total,)
-                return
-            for last in range(total + 1):
-                for head in gen(total - last, parts - 1):
-                    yield head + (last,)
-
-        return gen(self.n, self.d)
 
 
 @dataclass(frozen=True)
 class CommittorTable:
     """Committor values psi_x(xi) for every composition xi and target x.
 
-    ``psi[space.rank(xi), j]`` is the absorption probability at the
-    Dirac mass on ``states[j]`` when starting from ``xi``.  Rows sum to
-    1 and Dirac rows are unit vectors, both up to the solver tolerance.
+    ``psi[space.ranks([xi])[0], j]`` is the absorption probability at
+    the Dirac mass on ``states[j]`` when starting from ``xi``, so
+    ``psi[space.ranks(rows)]`` looks up many starts at once.  Rows sum
+    to 1 and Dirac rows are unit vectors, both up to the solver
+    tolerance.
     """
 
     states: tuple[str, ...]
@@ -156,10 +171,10 @@ class CommittorTable:
 
     def value(self, counts: Sequence[int], target: Union[str, int]) -> float:
         j = self.states.index(target) if isinstance(target, str) else target
-        return float(self.psi[self.space.rank(counts), j])
+        return float(self.psi[self.space.ranks([counts])[0], j])
 
     def row(self, counts: Sequence[int]) -> np.ndarray:
-        return self.psi[self.space.rank(counts)].copy()
+        return self.psi[self.space.ranks([counts])[0]].copy()
 
 
 def committor_numeric(
@@ -176,9 +191,11 @@ def committor_numeric(
 
     From a composition ``xi`` the move taking one particle from x to y
     occurs at rate ``(n^2/(n-1)) * xi(x) * gamma(x) * xi(y)``; committors
-    are harmonic for these rates with Dirac boundary values, and the
-    sparse system over the interior compositions is solved by a direct
-    LU factorization.
+    are harmonic for these rates with Dirac boundary values.  The
+    generator is assembled on the whole space with one array pass per
+    move x -> y, split into its interior block and its Dirac columns,
+    and the sparse interior system is solved by a direct LU
+    factorization.
     """
     gamma = [float(w) for w in weights]
     d = len(gamma)
@@ -197,66 +214,44 @@ def committor_numeric(
 
     space = CompositionSpace(d, n)
     if space.size > _SPACE_CAP:
-        raise ValueError(
-            f"composition space has {space.size} states, above the cap {_SPACE_CAP}"
-        )
+        raise ValueError(f"composition space has {space.size} states, above the cap {_SPACE_CAP}")
 
     # Only ratios matter, and the residual check below is absolute: solve
     # on weights scaled to a maximum of 1 so it holds at any rate scale.
     top = max(gamma)
     scaled = [g / top for g in gamma]
-    dirac_rank = {space.rank(tuple(n if i == j else 0 for i in range(d))): j for j in range(d)}
-    compositions = list(space)  # iteration order is rank order
-    interior = [idx for idx in range(space.size) if idx not in dirac_rank]
-    row_of = {idx: row for row, idx in enumerate(interior)}
-    n_int = len(interior)
-
+    counts, unit, everywhere = space.array(), np.eye(d, dtype=np.int64), np.arange(space.size)
     inv_nm1 = 1.0 / (n - 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    B = np.zeros((n_int, d))
-    for row, idx in enumerate(interior):
-        counts = compositions[idx]
-        total = 0.0
-        for x in range(d):
-            kx = counts[x]
-            if kx == 0:
-                continue
-            for y in range(d):
-                ky = counts[y]
-                if y == x or ky == 0:
-                    continue
-                rate = kx * scaled[x] * ky * inv_nm1
-                total += rate
-                moved = list(counts)
-                moved[x] -= 1
-                moved[y] += 1
-                tgt = space.rank(moved)
-                if tgt in dirac_rank:
-                    B[row, dirac_rank[tgt]] -= rate
-                else:
-                    rows.append(row)
-                    cols.append(row_of[tgt])
-                    data.append(rate)
-        rows.append(row)
-        cols.append(row)
-        data.append(-total)
+    # Exit rates accumulate move by move in (x, y) order; a move out of
+    # or into an empty site adds 0.0, which leaves the sum unchanged.
+    exit_rate = np.zeros(space.size)
+    rows, cols, rates = [everywhere], [everywhere], []
+    for x, y in itertools.permutations(range(d), 2):
+        rate = counts[:, x] * scaled[x] * counts[:, y] * inv_nm1
+        exit_rate += rate
+        live = np.flatnonzero(counts[:, x] * counts[:, y])
+        rows.append(live)
+        cols.append(space.ranks(counts[live] - unit[x] + unit[y]))
+        rates.append(rate[live])
+    data = np.concatenate([-exit_rate, *rates])
+    G = sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(space.size,) * 2)
 
-    A = sp.csr_matrix((data, (rows, cols)), shape=(n_int, n_int))
+    # Dirichlet split: the Dirac masses are the boundary, the rest the
+    # interior.  0.0 - G keeps the entries with no move at +0.0.
+    dirac = space.ranks(n * unit)
+    interior = np.setdiff1d(everywhere, dirac)
+    A = G[interior][:, interior]
+    B = 0.0 - G[interior][:, dirac].toarray()
     X = spla.splu(A.tocsc()).solve(B)
 
-    resid = np.abs(A @ X - B).max() if n_int else 0.0
+    resid = np.abs(A @ X - B).max()
     if resid > 1e-9:
         raise RuntimeError(f"committor solve residual {resid:.3e} above tolerance")
 
     psi = np.zeros((space.size, d))
-    for idx, j in dirac_rank.items():
-        psi[idx, j] = 1.0
+    psi[dirac, np.arange(d)] = 1.0
     psi[interior, :] = X
-
-    row_sums = psi.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-9:
+    if np.abs(psi.sum(axis=1) - 1.0).max() > 1e-9:
         raise RuntimeError("committor rows do not sum to 1 within tolerance")
     if psi.min() < -1e-9 or psi.max() > 1 + 1e-9:
         raise RuntimeError("committor values outside [0, 1] beyond tolerance")

@@ -105,15 +105,14 @@ def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
     m = int(draws)
     if m < 0:
         raise ValueError(f"draw count must be >= 0, got {draws}")
-    k = len(a)
-    n_outcomes = comb(m + k - 1, k - 1)
-    if n_outcomes > _OUTCOME_CAP:
-        raise ValueError(f"{n_outcomes} outcomes exceed the cap {_OUTCOME_CAP}")
+    space = CompositionSpace(len(a), m)
+    if space.size > _OUTCOME_CAP:
+        raise ValueError(f"{space.size} outcomes exceed the cap {_OUTCOME_CAP}")
 
     # P(adds) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m), A = sum a_i
     denom = comb(sum(a) + m - 1, m)
     nums = {}
-    for adds in CompositionSpace(k, m):
+    for adds in space.array().tolist():
         key = tuple(av + mv for av, mv in zip(a, adds))
         nums[key] = math.prod(comb(av + mv - 1, mv) for av, mv in zip(a, adds))
     if sum(nums.values()) != denom:
@@ -168,14 +167,14 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
     inside = [counts[model.state_index(s)] for s in lam]
     outside = n - sum(inside)
     table = committor_numeric(gamma, n, states=lam)
+    at = [model.state_index(s) for s in lam]
     if outside == 0:
         urn = None
-        for s, p in zip(lam, table.row(inside)):
-            full[model.state_index(s)] = p
+        full[at] = table.row(inside)
     else:
         urn = polya_urn_law(inside, outside)
-        for outcome, p in urn.outcomes.items():
-            for s, v in zip(lam, table.row(outcome)):
-                full[model.state_index(s)] += p * v
+        rows = table.psi[table.space.ranks(list(urn.outcomes))]
+        for p, v in zip(urn.outcomes.values(), rows):
+            full[at] += p * v
 
     return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, urn)

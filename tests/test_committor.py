@@ -84,12 +84,11 @@ def test_gamblers_ruin_monotone_in_k(n, alpha):
 def test_composition_space_rank_round_trip(d, n):
     space = CompositionSpace(d, n)
     assert space.size == comb(n + d - 1, d - 1)
-    seen = set()
-    for i, counts in enumerate(space):
-        assert sum(counts) == n
-        assert space.rank(counts) == i
-        seen.add(counts)
-    assert len(seen) == space.size
+    counts = space.array()
+    assert counts.shape == (space.size, d) and counts.dtype == np.int64
+    assert (counts >= 0).all() and (counts.sum(axis=1) == n).all()
+    assert space.ranks(counts).tolist() == list(range(space.size))
+    assert len({tuple(c) for c in counts.tolist()}) == space.size
 
 
 @given(
@@ -97,21 +96,40 @@ def test_composition_space_rank_round_trip(d, n):
     n=st.integers(min_value=1, max_value=12),
 )
 def test_composition_space_rank_property(d, n):
-    # the committor assembly relies on iteration order being rank order,
-    # which is colexicographic order
+    # the committor assembly relies on array() listing the compositions
+    # in rank order, which is colexicographic order
     space = CompositionSpace(d, n)
-    compositions = list(space)
-    assert [space.rank(c) for c in compositions] == list(range(space.size))
-    colex = [tuple(reversed(c)) for c in compositions]
+    counts = space.array()
+    assert space.ranks(counts).tolist() == list(range(space.size))
+    colex = [tuple(reversed(c)) for c in counts.tolist()]
     assert colex == sorted(colex) and len(set(colex)) == space.size
+    # any subset, in any order, ranks row by row
+    order = np.random.default_rng(d * 100 + n).permutation(space.size)
+    assert (space.ranks(counts[order]) == order).all()
 
 
 def test_composition_space_rejects_bad_counts():
     space = CompositionSpace(3, 4)
     with pytest.raises(ValueError):
-        space.rank((1, 1, 1))  # sums to 3, not 4
+        space.ranks([(1, 1, 1)])  # sums to 3, not 4
     with pytest.raises(ValueError):
-        space.rank((5, -1, 0))
+        space.ranks([(5, -1, 0)])
+    with pytest.raises(ValueError):
+        space.ranks([(2, 2, 0), (1, 1, 1)])  # one bad row rejects the batch
+    with pytest.raises(ValueError):
+        space.ranks((2, 2, 0))  # a single composition is a one-row array
+    with pytest.raises(ValueError):
+        space.ranks([(2, 2)])
+    with pytest.raises(ValueError):
+        space.ranks([(2.0, 2.0, 0.0)])
+
+
+def test_composition_space_more_sites_than_particles():
+    # d > n + 1: a binomial table over every a < n + d would overflow
+    # int64 here; the table over totals t <= n peaks at size
+    space = CompositionSpace(100, 2)
+    assert space.size == 5050
+    assert space.ranks(space.array()).tolist() == list(range(5050))
 
 
 # ---------------------------------------------------------- numeric solver
@@ -141,7 +159,7 @@ def test_numeric_matches_dense_oracle(weights, n):
 
 def test_numeric_rows_are_distributions():
     table = committor_numeric([1.0, 2.0, 3.0], 4)
-    for counts in table.space:
+    for counts in table.space.array().tolist():
         row = table.row(counts)
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
         assert (row >= -1e-12).all()
@@ -177,12 +195,17 @@ def test_numeric_rejects_bad_inputs():
         committor_numeric([1, 2, 3], 700)  # 246 051 states, above the 200 000 cap
 
 
-# sha256 of psi.tobytes(), taken from the solver that walked the space by
-# unranking each index; iterating the space must give the same bits
+# sha256 of psi.tobytes().  The first three were taken from the solver
+# that walked the space by unranking each index, the last three from the
+# one that walked it by recursive iteration and ranked each move's target
+# alone; the array assembly must give the same bits.
 _PSI_PINS = [
     ((1.0, 2.0, 4.0), 40, "60ac367cc31cd4adfb3cfd7d58f9146c7086abd326cae21269e8c2a03670443e"),
     ((1.0, 2.0, 4.0, 8.0), 12, "f91f7d6ddc0891e857e1d6ec6bdec86f4c2a1042b8c82818a509299bc07d7a39"),
     ((1e5, 2e5, 4e5), 30, "70960f68b6ef06e85ce28db20382d102ac9c2cb9a83b4792558d84ca3f21f7ce"),
+    ((1.0, 3.0), 50, "7d6b4e2364a109c9865853377424f7027987d12df9d1e25eb14e42d0c067c3a2"),
+    ((1.0,) * 5, 12, "59b344f708d16370b9e7121df9cc71fecce07f7a8f4344cfab05de8621f869bf"),
+    ((2.0, 1.0, 1.0, 3.0), 25, "050011642b42c6c85a9f09843baa6f6c9746f3f4ba39758f87179d883f3cc659"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,15 @@ def test_urn_large_draw_count_normalizes():
     assert len(law.outcomes) == 201
 
 
+def test_urn_with_more_colors_than_draws():
+    # 100 colors and 2 draws: the draws land on one color twice or on two
+    # distinct colors, C(101, 2) = 5050 outcomes in all
+    law = polya_urn_law([1] * 100, 2)
+    assert len(law.exact) == 5050
+    assert sum(law.exact.values()) == 1
+    assert law.exact[(3,) + (1,) * 99] == Fraction(2, 100 * 101)
+
+
 def test_urn_rejects_bad_inputs():
     with pytest.raises(ValueError):
         polya_urn_law((0, 1), 2)  # every color needs a seed particle
@@ -233,6 +243,24 @@ def test_eta_inf_urn_mixture_frozen_value():
     assert law.law.prob("c") == 0.0
     assert law.lambda_set == ("a", "b")
     assert law.urn is not None
+
+
+def test_eta_inf_mixed_order_bits_pinned():
+    # sha256 of law.probs.tobytes(), taken before the urn mixture looked
+    # its committor rows up in one batch: 5151 urn outcomes over three
+    # sites of a 13 041-state committor table must mix to the same bits
+    model = validate_model(
+        {
+            "states": ["a", "b", "h", "c"],
+            "mutation": [],
+            "killing": {"kind": "power", "c": {"a": 1.0, "b": 2.0, "h": 1.0, "c": 3.0},
+                        "beta": {"a": "1", "b": "1", "h": "2", "c": "1"}},
+        }
+    )
+    law = initial_condensation_law(model, (20, 20, 100, 20))
+    assert len(law.urn.outcomes) == 5151
+    digest = hashlib.sha256(np.asarray(law.law.probs).tobytes()).hexdigest()
+    assert digest == "3aa8673654741364e8feca1be5dd936ac0c6135b8151de5974bd67227d789a9b"
 
 
 def test_eta_inf_supported_inside_lambda_and_normalized():

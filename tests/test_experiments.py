@@ -166,6 +166,15 @@ def test_config_rejects_unknown_kind():
         ({"model": None}, "requires a model"),
         ({"seed": -5}, "seed must be an integer >= 0"),
         ({"seed": True}, "seed must be an integer >= 0"),
+        # integer fields are checked, not truncated to int by from_dict
+        ({"seed": 2.5}, "seed must be an integer >= 0"),
+        ({"replicas": 150.9}, "integer replicas >= 100"),
+        ({"n": 3.7}, "integer n >= 2"),
+        # a cap below 1 would abort every point into a FAIL row
+        ({"event_cap": 0}, "event_cap must be an integer >= 1"),
+        ({"event_cap": -4}, "event_cap must be an integer >= 1"),
+        ({"event_cap": 2.5}, "event_cap must be an integer >= 1"),
+        ({"event_cap": True}, "event_cap must be an integer >= 1"),
     ],
 )
 def test_config_validation_matrix(overrides, fragment):
@@ -229,6 +238,18 @@ def test_config_theorem3_point_checks():
     bad = dict(base, points=[{"n": 1, "r": 10.0}])
     with pytest.raises(ConfigError, match="out of range"):
         ExperimentConfig.from_dict(bad)
+
+
+def test_config_theorem3_point_n_must_be_an_integer():
+    base = theorem1_doc(kind="theorem3_regime", n=None, r_schedule=None, T=1.0, time_points=[1.0])
+    base["model"] = {
+        "states": ["a", "b"],
+        "mutation": [{"from": "a", "to": "b", "rate": 1.0}, {"from": "b", "to": "a", "rate": 1.0}],
+        "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0}},
+    }
+    ExperimentConfig.from_dict(dict(base, points=[{"n": 10, "r": 100.0}]))
+    with pytest.raises(ConfigError, match="out of range"):
+        ExperimentConfig.from_dict(dict(base, points=[{"n": 10.7, "r": 100.0}]))
 
 
 def test_config_eta_inf_single_intensity():
