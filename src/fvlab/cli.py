@@ -26,6 +26,7 @@ an event cap hit outside an experiment point), never 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -85,9 +86,7 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.experiment)
     if args.seed is not None:
-        doc = config.canonical_dict()
-        doc["seed"] = args.seed
-        config = ExperimentConfig.from_dict(doc)
+        config = dataclasses.replace(config, seed=args.seed)  # validated again
     report = run_experiment(config, threads=max(1, args.threads), out_dir=args.out)
     for row in report.rows:
         point = " ".join(

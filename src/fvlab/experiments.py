@@ -33,7 +33,12 @@ system into a Monte Carlo test with explicit tolerances:
     The many-particle limit chain construction against declared
     expected rates, optionally probed by direct simulation.
 
-Every kind is a thin declaration over one point runner, :class:`_Run`:
+Each kind is declared once, in ``_KINDS``: its runner, the fields it
+requires and may read, its tolerance keys and its checks across fields.
+A valid value is declared once per entry name, in ``_VALUES``, and holds
+wherever the name appears; :meth:`ExperimentConfig.validate` is one pass
+over both tables and rejects any field the kind does not read.  Every
+runner is a thin function over one point runner, :class:`_Run`:
 ``point`` runs the replicas of one point through a module-level chunk
 function and records an abort row if a replica hits the event cap, and
 ``outcome`` stores a per-replica table with its digest.  Replicas are
@@ -90,22 +95,7 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-_STATISTICAL_KINDS = frozenset(
-    ("theorem1_marginal", "theorem2_pathwise", "theorem3_regime", "absorption_tail", "eta_inf_check")
-)
-
 _CHUNK = 256  # replicas per task; fixed so folding is schedule-independent
-
-# The tolerance keys each kind reads; validate() rejects any other.
-_TOLERANCE_KEYS = {
-    "theorem1_marginal": ["monotone_slack", "limit_band"],
-    "theorem2_pathwise": ["avg_occupation_band", "decay_factor"],
-    "theorem3_regime": ["cprime_factor"],
-    "absorption_tail": ["slope_ratio_rel_tol"],
-    "eta_inf_check": ["tv_tol"],
-    "committor_check": ["grid_tol"],
-    "conjecture_probe": [],
-}
 
 
 class ConfigError(ValueError):
@@ -124,43 +114,147 @@ def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 def _is_int(v, low: int) -> bool:
     """An integer >= ``low`` (a bool is not one)."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
-def _is_ratio(v) -> bool:
-    """A finite positive number (a bool is not one)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+def _is_real(v) -> bool:
+    """A finite number (a bool is not one): the report hash serializes no other."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# How from_dict coerces a present, non-null field; fields not listed, the
-# integer ones among them, are kept as given for validate() to check.
-_COERCE: dict[str, Callable[[Any], Any]] = {
-    "delta": float,
-    "r_schedule": _floats,
-    "points": lambda points: tuple(dict(p) for p in points),
-    "T": float,
-    "time_points": _floats,
-    "tolerances": lambda tol: {str(k): float(v) for k, v in dict(tol).items()},
+def _is_dirac(v) -> bool:
+    return isinstance(v, Mapping) and set(v) == {"dirac"}
+
+
+# ------------------------------------------------------------ config entries
+# An entry is valid by its name wherever the name appears: a top-level field,
+# a theorem3 point, a sim or mc key, a grid list item or an expect entry.
+# ``store`` gives the form a top-level field keeps; blocks keep theirs as given.
+
+
+@dataclass(frozen=True)
+class _Value:
+    desc: str
+    ok: Callable[[Any], bool]
+    store: Callable[[Any], Any] = lambda v: v
+
+
+@dataclass(frozen=True)
+class _List:
+    """A nonempty list of ``item`` entries, strictly increasing if ``increasing``
+    is not None: in the items themselves ("") or in their key of that name."""
+
+    item: Any
+    increasing: str | None = None
+
+    def store(self, value) -> tuple:
+        return tuple(map(self.item.store, value))
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A mapping with every ``required`` key and no other but ``optional`` ones;
+    each key holds its own entry, or with ``lists`` a list of them."""
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    lists: bool = False
+    store = dict
+
+
+def _integer(low: int) -> _Value:
+    return _Value(f"an integer >= {low}", lambda v: _is_int(v, low))
+
+
+_POSITIVE = _Value("a finite number > 0", lambda v: _is_real(v) and v > 0, float)
+_INTENSITY = _Value("a finite number >= 1", lambda v: _is_real(v) and v >= 1, float)
+_LABEL = _Value("a site label (a string)", lambda v: isinstance(v, str))
+
+_VALUES: dict[str, Any] = {
+    "model": _Value("a model config block", lambda v: isinstance(v, Mapping)),  # then validate_model
+    "name": _Value("a string", lambda v: isinstance(v, str)),
+    "seed": _integer(0),
+    "event_cap": _integer(1),
+    "n": _integer(2),
+    "replicas": _integer(100),
+    "delta": _Value("a finite number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1, float),
+    "T": _POSITIVE,
+    "r": _INTENSITY,
+    "alpha": _POSITIVE,
+    "rate": _Value("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "from": _LABEL,
+    "to": _LABEL,
+    "r_schedule": _List(_INTENSITY, increasing=""),
+    "time_points": _List(_POSITIVE, increasing=""),
+    "points": _List(_Block(("n", "r")), increasing="r"),
+    "counts": _List(_integer(0)),
+    "stable_sites": _List(_LABEL),
+    "rates": _List(_Block(("from", "to", "rate"))),
+    "init": _Value(
+        "a list of counts (integers >= 0) holding at least two particles, or a {'dirac': site} block",
+        lambda v: _is_dirac(v)
+        or isinstance(v, (list, tuple)) and all(_is_int(c, 0) for c in v) and sum(v) >= 2,
+    ),
+    "tolerances": _Value(
+        "a mapping of tolerance names to finite numbers",
+        lambda v: isinstance(v, Mapping) and all(isinstance(k, str) and _is_real(x) for k, x in v.items()),
+        lambda v: {k: float(x) for k, x in v.items()},
+    ),
+    "grid": _Block(("n", "alpha"), lists=True),
+    "mc": _Block(("n", "alpha", "counts", "replicas")),
+    "sim": _Block(("n", "r", "T", "replicas", "init"), ("time_points",)),
+    "expect": _Block((), ("stable_sites", "rates")),
 }
+
+# the fields every kind reads
+_COMMON = ("kind", "name", "seed", "event_cap", "tolerances")
+
+
+def _check(path: str, rule, value) -> None:
+    """Raise a :class:`ConfigError` naming ``path`` unless ``value`` satisfies ``rule``."""
+    if isinstance(rule, _Block):
+        keys = set(value) if isinstance(value, Mapping) else {None}
+        if not set(rule.required) <= keys <= {*rule.required, *rule.optional}:
+            extra = f" and optionally {list(rule.optional)}" if rule.optional else ""
+            raise ConfigError(f"{path} must be a block with keys {list(rule.required)}{extra}, got {value!r}")
+        for key, item in value.items():
+            _check(f"{path}.{key}", _List(_VALUES[key]) if rule.lists else _VALUES[key], item)
+        _check_horizon(f"{path}.", value)
+    elif isinstance(rule, _List):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path} must be a nonempty list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(f"{path}[{i}]", rule.item, item)
+        if rule.increasing is not None:
+            keys = [item[rule.increasing] if rule.increasing else item for item in value]
+            if any(b <= a for a, b in zip(keys, keys[1:])):
+                by = f" in {rule.increasing}" if rule.increasing else ""
+                raise ConfigError(f"{path} must be strictly increasing{by}, got {list(value)}")
+    elif not rule.ok(value):
+        raise ConfigError(f"{path} must be {rule.desc}, got {value!r}")
+
+
+def _check_horizon(prefix: str, entries: Mapping[str, Any]) -> None:
+    """Time points given beside a horizon ``T`` end by it."""
+    T, times = entries.get("T"), entries.get("time_points")
+    if T is not None and times is not None and times[-1] > T:
+        raise ConfigError(f"{prefix}time_points must lie in (0, T], got {list(times)} with T = {T}")
 
 
 def _default(f) -> Any:
-    return f.default_factory() if f.default is MISSING else f.default
+    return f.default if f.default_factory is MISSING else f.default_factory()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (see module docstring for kinds).
 
-    ``model`` is an inline model config document.  Kind-specific fields
-    are optional at the type level and enforced by :meth:`validate`,
-    which construction runs, so every instance is valid.  The validated
+    ``model`` is an inline model config document.  Construction runs
+    :meth:`validate`, then stores the numbers of float fields as floats
+    and lists as tuples, so every instance is valid and both entry
+    points build equal configs from one document.  The validated
     :class:`Model` is kept outside the fields: it is neither compared
     nor hashed.
     """
@@ -196,7 +290,7 @@ class ExperimentConfig:
         if "model" not in values and "model_path" in doc:
             with open(doc["model_path"], "r", encoding="utf-8") as fh:
                 values["model"] = json.load(fh)
-        return cls(**{k: _COERCE[k](v) if k in _COERCE else v for k, v in values.items()})
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -207,149 +301,45 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.validate()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and f.name in _VALUES:
+                object.__setattr__(self, f.name, _VALUES[f.name].store(value))
 
     def validate(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not _is_int(self.seed, 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not _is_int(self.event_cap, 1):
-            raise ConfigError(f"event_cap must be an integer >= 1, got {self.event_cap!r}")
-        if self.n is not None and not _is_int(self.n, 2):
-            raise ConfigError(f"{self.kind} needs an integer n >= 2, got {self.n!r}")
-        if self.delta <= 0 or self.delta >= 1:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        allowed = _TOLERANCE_KEYS[self.kind]
+        reads = {*_COMMON, *spec.requires, *spec.optional}
+        entries = {}  # every field but the optional ones left unset
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and value != _default(f):
+                raise ConfigError(f"{self.kind} does not read {f.name}, got {value!r}")
+            if value is not None or f.default is not None:
+                entries[f.name] = value
+        missing = [name for name in spec.requires if name not in entries]
+        if missing:
+            raise ConfigError(f"{self.kind} requires {', '.join(missing)}")
+        for name, value in entries.items():
+            if name in _VALUES:  # all but kind, looked up above
+                _check(name, _VALUES[name], value)
+        allowed = list(spec.tolerances)
         if set(self.tolerances) - set(allowed):
             raise ConfigError(f"{self.kind} reads only the tolerances {allowed}, got {list(self.tolerances)}")
-        if self.r_schedule and min(self.r_schedule) < 1:
-            raise ConfigError(f"r_schedule intensities must be >= 1, got {list(self.r_schedule)}")
-        model = None
-        if self.kind != "committor_check":
-            if self.model is None:
-                raise ConfigError(f"{self.kind} requires a model")
-            model = validate_model(self.model)  # raises ModelError on bad input
+        _check_horizon("", entries)
+        model = None if self.model is None else validate_model(self.model)  # raises ModelError
         object.__setattr__(self, "_model", model)
-        if (self.kind in _STATISTICAL_KINDS or self.replicas is not None) and not _is_int(self.replicas, 100):
-            raise ConfigError(f"{self.kind} needs an integer replicas >= 100, got {self.replicas!r}")
-        if self.kind in ("theorem1_marginal", "theorem2_pathwise"):
-            if not self.r_schedule:
-                raise ConfigError(f"{self.kind} needs a nonempty r schedule")
-            self._check_increasing(self.r_schedule, "r_schedule")
-            if self.n is None:
-                raise ConfigError(f"{self.kind} needs n >= 2")
-            if self.T is None or self.T <= 0:
-                raise ConfigError(f"{self.kind} needs a positive horizon T")
-            if self.init is None:
-                raise ConfigError(f"{self.kind} needs an init block")
-            if self.time_points is not None:
-                self._check_increasing(self.time_points, "time_points")
-                if self.time_points[0] <= 0 or self.time_points[-1] > self.T:
-                    raise ConfigError("time_points must lie in (0, T]")
-            self._check_init_for(model, [self.n])
-        if self.kind == "theorem3_regime":
-            if getattr(model.killing, "m_sup", None) is None:
-                raise ConfigError("theorem3_regime expects the uniform_plus killing family")
-            if not self.points:
-                raise ConfigError("theorem3_regime needs a nonempty points schedule")
-            prev = None
-            for p in self.points:
-                if "n" not in p or "r" not in p:
-                    raise ConfigError(f"each point needs n and r, got {p}")
-                if not _is_int(p["n"], 2) or float(p["r"]) < 1:
-                    raise ConfigError(f"point out of range: {p}")
-                if prev is not None and float(p["r"]) <= prev:
-                    raise ConfigError("points must have increasing r")
-                prev = float(p["r"])
-            if self.init is None:
-                raise ConfigError("theorem3_regime needs an init block ({'dirac': site})")
-            if self.time_points is None or len(self.time_points) == 0:
-                raise ConfigError("theorem3_regime needs time_points")
-            self._check_increasing(self.time_points, "time_points")
-            if self.time_points[0] <= 0:
-                raise ConfigError(f"time_points must be positive, got {self.time_points}")
-            self._check_init_for(model, [int(p["n"]) for p in self.points])
-        if self.kind == "absorption_tail":
-            if not self.r_schedule or len(self.r_schedule) < 2:
-                raise ConfigError("absorption_tail needs >= 2 intensities in r_schedule")
-            self._check_increasing(self.r_schedule, "r_schedule")
-            if self.init is None:
-                raise ConfigError("absorption_tail needs init counts")
-            self._check_count_list(model.num_states, () if self.n is None else (self.n,))
-        if self.kind == "eta_inf_check":
-            if not self.r_schedule or len(self.r_schedule) != 1:
-                raise ConfigError("eta_inf_check needs exactly one intensity in r_schedule")
-            if self.init is None:
-                raise ConfigError("eta_inf_check needs init counts")
-            self._check_count_list(model.num_states, () if self.n is None else (self.n,))
-        if self.kind == "committor_check":
-            grid = self._block("grid", ("n", "alpha"))
-            if not isinstance(grid["n"], (list, tuple)) or not all(_is_int(n, 2) for n in grid["n"]):
-                raise ConfigError(f"grid n must list integers >= 2, got {grid['n']!r}")
-            if not isinstance(grid["alpha"], (list, tuple)) or not all(map(_is_ratio, grid["alpha"])):
-                raise ConfigError(f"grid alpha must list finite ratios > 0, got {grid['alpha']!r}")
-            if self.mc is not None:
-                mc = self._block("mc", ("n", "alpha", "counts", "replicas"))
-                n, counts = mc["n"], mc["counts"]
-                if not (_is_int(n, 2) and _is_ratio(mc["alpha"])):
-                    raise ConfigError(f"mc needs an integer n >= 2 and a finite alpha > 0, got {dict(mc)}")
-                if not (isinstance(counts, (list, tuple)) and len(counts) == 2
-                        and all(_is_int(c, 0) for c in counts) and sum(counts) == n):
-                    raise ConfigError(f"mc counts must be two nonnegative integers that sum to n: {counts}")
-        if self.kind == "conjecture_probe" and self.expect is not None:
-            self._block("expect", (), ("stable_sites", "rates"))
-        if self.kind == "conjecture_probe" and self.sim is not None:
-            sim = self._block("sim", ("n", "r", "T", "replicas", "init"), ("time_points",))
-            n, r, T = sim["n"], sim["r"], sim["T"]
-            if not (_is_int(n, 2) and _is_ratio(r) and r >= 1 and _is_ratio(T)):
-                raise ConfigError(f"sim needs integer n >= 2, finite r >= 1, finite T > 0, got {dict(sim)}")
-            times = [float(t) for t in sim.get("time_points", (T,))]
-            self._check_increasing(times, "sim time_points")
-            if not times or times[0] <= 0 or times[-1] > T:
-                raise ConfigError(f"sim time_points must lie in (0, T], got {times}")
-            if not (isinstance(sim["init"], Mapping) and "dirac" in sim["init"]):
-                raise ConfigError("conjecture_probe sim init must be {'dirac': site}")
-            if str(sim["init"]["dirac"]) not in conjectured_limit_rates(model)[1].states:
-                raise ConfigError(f"sim start site {sim['init']['dirac']!r} is not a stable site")
-
-    def _block(self, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> Mapping[str, Any]:
-        """The ``what`` block, holding every required key, no other but optional ones, and replicas >= 100."""
-        block, allowed = getattr(self, what), [*required, *optional]
-        if not isinstance(block, Mapping) or any(key not in block for key in required):
-            raise ConfigError(f"{self.kind} needs a {what} block with keys {list(required)}, got {block!r}")
-        if set(block) - set(allowed):
-            raise ConfigError(f"{self.kind} reads only the {what} keys {allowed}, got {sorted(block)}")
-        if "replicas" in block and not _is_int(block["replicas"], 100):
-            raise ConfigError(f"{self.kind} {what} block needs replicas >= 100")
-        return block
-
-    def _check_count_list(self, num_states: int, ns: Sequence[int] = ()) -> None:
-        init = self.init
-        if not isinstance(init, (list, tuple)):
-            raise ConfigError(f"{self.kind} needs init as a list of counts, got {init!r}")
-        if len(init) != num_states:
-            raise ConfigError(
-                f"init counts must list one count per model state ({num_states}), got {list(init)}"
-            )
-        if not all(_is_int(c, 0) for c in init):
-            raise ConfigError(f"init counts must be nonnegative integers, got {list(init)}")
-        if sum(init) < 2:
-            raise ConfigError(f"init counts must hold at least two particles, got {list(init)}")
-        for n in ns:
-            if sum(init) != n:
-                raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
-
-    def _check_init_for(self, model: Model, ns: Sequence[int]) -> None:
-        """``init`` is a Dirac on a model site, or counts holding n particles at every n."""
-        if isinstance(self.init, Mapping) and "dirac" in self.init:
-            model.state_index(self.init["dirac"])  # raises ModelError on an unknown site
-            return
-        self._check_count_list(model.num_states, ns)
-
-    @staticmethod
-    def _check_increasing(values: Sequence[float], what: str) -> None:
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(f"{what} must be strictly increasing, got {values}")
+        spec.check(self, model)
+        init = self.init  # fits the model and holds every particle count the config names
+        if _is_dirac(init):
+            model.state_index(init["dirac"])  # raises ModelError on an unknown site
+        elif init is not None:
+            if len(init) != model.num_states:
+                raise ConfigError(f"init counts must list one count per model state, got {list(init)}")
+            for n in [self.n] if self.n else [p["n"] for p in self.points or ()]:
+                if sum(init) != n:
+                    raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
 
     # -- helpers ----------------------------------------------------
 
@@ -364,7 +354,7 @@ class ExperimentConfig:
 
     def init_counts(self, model: Model, n: int) -> tuple[int, ...]:
         init = self.init
-        if isinstance(init, Mapping) and "dirac" in init:
+        if _is_dirac(init):
             counts = [0] * model.num_states
             counts[model.state_index(init["dirac"])] = n
             return tuple(counts)
@@ -391,6 +381,7 @@ def _canonical_json(doc) -> str:
 
 
 _HASHED_FIELDS = ("name", "kind", "seed", "config", "rows", "extras", "events_total", "outcome_digests")
+_SUMMARY_COLUMNS = ("experiment", "r", "t", "statistic", "value", "half_width", "verdict")
 
 
 @dataclass
@@ -435,19 +426,9 @@ class Report:
             fh.write("\n")
         with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["experiment", "r", "t", "statistic", "value", "half_width", "verdict"])
+            writer.writerow(_SUMMARY_COLUMNS)
             for row in self.rows:
-                writer.writerow(
-                    [
-                        row["experiment"],
-                        _csv_num(row["r"]),
-                        _csv_num(row["t"]),
-                        row["statistic"],
-                        _csv_num(row["value"]),
-                        _csv_num(row["half_width"]),
-                        row["verdict"],
-                    ]
-                )
+                writer.writerow([_csv_num(row[key]) for key in _SUMMARY_COLUMNS])
         if outcome_texts:
             odir = os.path.join(out_dir, "outcomes")
             os.makedirs(odir, exist_ok=True)
@@ -673,17 +654,8 @@ class _Run:
     base: int = 0
 
     def row(self, r, t, statistic, value, half_width, verdict) -> None:
-        self.report.rows.append(
-            {
-                "experiment": self.report.name,
-                "r": r,
-                "t": t,
-                "statistic": statistic,
-                "value": value,
-                "half_width": half_width,
-                "verdict": verdict,
-            }
-        )
+        values = (self.report.name, r, t, statistic, value, half_width, verdict)
+        self.report.rows.append(dict(zip(_SUMMARY_COLUMNS, values)))
 
     def point(self, worker, M: int, r, t, **payload) -> dict | None:
         """Run M replicas of ``worker`` on the next index block.
@@ -1012,7 +984,6 @@ def _exp_committor_check(run: _Run) -> None:
     tol = cfg.tolerance("grid_tol", 1e-9)
     worst = 0.0
     for n in cfg.grid["n"]:
-        n = int(n)
         for alpha in cfg.grid["alpha"]:
             alpha = float(alpha)
             table = committor_numeric([1.0, alpha], n)
@@ -1026,10 +997,7 @@ def _exp_committor_check(run: _Run) -> None:
 
     if cfg.mc is None:
         return
-    n = int(cfg.mc["n"])
-    alpha = float(cfg.mc["alpha"])
-    counts = tuple(int(c) for c in cfg.mc["counts"])
-    M = int(cfg.mc["replicas"])
+    n, alpha, counts, M = cfg.mc["n"], float(cfg.mc["alpha"]), tuple(cfg.mc["counts"]), cfg.mc["replicas"]
     r = 1.0  # the two sites die at rates r and alpha * r; only alpha matters
     model = validate_model(
         {
@@ -1071,11 +1039,9 @@ def _exp_conjecture_probe(run: _Run) -> None:
 
     if cfg.sim is None:
         return
-    n, r = int(cfg.sim["n"]), float(cfg.sim["r"])
-    T = float(cfg.sim["T"])
-    M = int(cfg.sim["replicas"])
+    n, r, T, M = cfg.sim["n"], float(cfg.sim["r"]), float(cfg.sim["T"]), cfg.sim["replicas"]
     times = tuple(float(t) for t in cfg.sim.get("time_points", (T,)))
-    start_site = str(cfg.sim["init"]["dirac"])  # a stable site, by validate()
+    start_site = cfg.sim["init"]["dirac"]  # a stable site, by validate()
     counts = [0] * model.num_states
     counts[model.state_index(start_site)] = n
     tol = 3.0 * _dkw_half_width(M, cfg.delta)
@@ -1089,17 +1055,69 @@ def _exp_conjecture_probe(run: _Run) -> None:
         run.outcome(f"probe_t{t:g}.csv", model.states, res)
 
 
-_KIND_IMPL = {
-    "theorem1_marginal": _exp_theorem1,
-    "theorem2_pathwise": _exp_theorem2,
-    "theorem3_regime": _exp_theorem3,
-    "absorption_tail": _exp_absorption_tail,
-    "eta_inf_check": _exp_eta_inf,
-    "committor_check": _exp_committor_check,
-    "conjecture_probe": _exp_conjecture_probe,
+@dataclass(frozen=True)
+class _Kind:
+    """A kind's runner, the fields it requires and may read beside them and
+    the common ones, its tolerance keys, and its checks across fields (run
+    once the values and the model are valid)."""
+
+    run: Callable[[_Run], None]
+    requires: tuple[str, ...]
+    optional: tuple[str, ...]
+    tolerances: tuple[str, ...]
+    check: Callable[[ExperimentConfig, Any], None] = lambda cfg, model: None
+
+
+def _check_uniform_plus(cfg: ExperimentConfig, model: Model) -> None:
+    if getattr(model.killing, "m_sup", None) is None:
+        raise ConfigError("theorem3_regime expects the uniform_plus killing family")
+
+
+def _check_counts(cfg: ExperimentConfig, need: str, fits: bool) -> None:
+    """Init counts, not a Dirac, and an r_schedule of ``need``."""
+    if not fits:
+        raise ConfigError(f"{cfg.kind} needs {need} in r_schedule, got {list(cfg.r_schedule)}")
+    if _is_dirac(cfg.init):
+        raise ConfigError(f"{cfg.kind} needs init as a list of counts, got {cfg.init!r}")
+
+
+def _check_mc(cfg: ExperimentConfig, model: None) -> None:
+    mc = cfg.mc
+    if mc is not None and (len(mc["counts"]) != 2 or sum(mc["counts"]) != mc["n"]):
+        raise ConfigError(f"mc.counts must be two counts that sum to mc.n, got {dict(mc)}")
+
+
+def _check_sim(cfg: ExperimentConfig, model: Model) -> None:
+    if cfg.sim is None:
+        return
+    init = cfg.sim["init"]
+    if not _is_dirac(init):
+        raise ConfigError(f"sim.init must be a {{'dirac': site}} block, got {init!r}")
+    if init["dirac"] not in conjectured_limit_rates(model)[1].states:
+        raise ConfigError(f"sim start site {init['dirac']!r} is not a stable site")
+
+
+_FIXED_N = ("model", "n", "r_schedule", "T", "replicas", "init")
+_COUNTS = ("model", "r_schedule", "replicas", "init")
+_KINDS = {
+    "theorem1_marginal": _Kind(_exp_theorem1, _FIXED_N, ("delta", "time_points"),
+                               ("monotone_slack", "limit_band")),
+    "theorem2_pathwise": _Kind(_exp_theorem2, _FIXED_N, (), ("avg_occupation_band", "decay_factor")),
+    "theorem3_regime": _Kind(_exp_theorem3, ("model", "points", "time_points", "replicas", "init"),
+                             ("T",), ("cprime_factor",), _check_uniform_plus),  # T bounds time_points
+    "absorption_tail": _Kind(
+        _exp_absorption_tail, _COUNTS, ("n",), ("slope_ratio_rel_tol",),
+        lambda cfg, _: _check_counts(cfg, ">= 2 intensities", len(cfg.r_schedule) >= 2),
+    ),
+    "eta_inf_check": _Kind(
+        _exp_eta_inf, _COUNTS, ("n",), ("tv_tol",),
+        lambda cfg, _: _check_counts(cfg, "exactly one intensity", len(cfg.r_schedule) == 1),
+    ),
+    "committor_check": _Kind(_exp_committor_check, ("grid",), ("mc",), ("grid_tol",), _check_mc),
+    "conjecture_probe": _Kind(_exp_conjecture_probe, ("model",), ("delta", "expect", "sim"), (), _check_sim),
 }
 
-EXPERIMENT_KINDS = tuple(_KIND_IMPL)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(
@@ -1123,7 +1141,7 @@ def run_experiment(
         config=config.canonical_dict(),
     )
     run = _Run(config, threads, report)
-    _KIND_IMPL[config.kind](run)
+    _KINDS[config.kind].run(run)
     report.finalize_hash()
     report.timing.update(wall_seconds=time.perf_counter() - started, threads=threads)
     if out_dir is not None:

@@ -251,6 +251,35 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch)
     assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # a nan horizon used to simulate every point, then fail to hash the report
+        (
+            {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3, "r_schedule": [10.0],
+             "T": float("nan"), "replicas": 100, "init": {"dirac": "a"}},
+            "T must be a finite number > 0, got nan",
+        ),
+        # a rate entry without its rate used to end the run in a KeyError (exit 1)
+        (
+            {"kind": "conjecture_probe", "model": two_site_config(alpha=2.0),
+             "expect": {"rates": [{"from": "a", "to": "b"}]}},
+            "expect.rates[0] must be a block with keys ['from', 'to', 'rate']",
+        ),
+    ],
+    ids=["nan-horizon", "rate-missing"],
+)
+def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc))
+    assert main(["run", str(exp), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_invalid_config_exits_2(tmp_path, capsys):
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({"kind": "no_such_kind"}))

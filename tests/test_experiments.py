@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fvlab import (
+    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     derive_replica_rng,
@@ -152,34 +153,92 @@ def test_config_rejects_unknown_kind():
         ExperimentConfig.from_dict(theorem1_doc(kind="theorem9"))
 
 
+# Where a message changed to name the field and its bound, the case keeps its
+# earlier id through pytest.param, so the suite's test names stay stable.
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
-        ({"replicas": 50}, "replicas >= 100"),
-        ({"r_schedule": []}, "nonempty r schedule"),
+        pytest.param({"replicas": 50}, "replicas must be an integer >= 100", id="overrides0-replicas >= 100"),
+        pytest.param({"r_schedule": []}, "r_schedule must be a nonempty list", id="overrides1-nonempty r schedule"),
         ({"r_schedule": [100.0, 10.0]}, "strictly increasing"),
-        ({"n": 1}, "n >= 2"),
-        ({"T": 0.0}, "positive horizon"),
-        ({"init": None}, "init block"),
+        pytest.param({"n": 1}, "n must be an integer >= 2", id="overrides3-n >= 2"),
+        pytest.param({"T": 0.0}, "T must be a finite number > 0", id="overrides4-positive horizon"),
+        pytest.param({"init": None}, "theorem1_marginal requires init", id="overrides5-init block"),
         ({"time_points": [0.25, 0.9]}, r"time_points must lie in \(0, T\]"),
-        ({"delta": 1.5}, "delta must lie"),
-        ({"model": None}, "requires a model"),
+        pytest.param({"delta": 1.5}, r"delta must be a finite number in \(0, 1\)", id="overrides7-delta must lie"),
+        pytest.param({"model": None}, "theorem1_marginal requires model", id="overrides8-requires a model"),
         ({"seed": -5}, "seed must be an integer >= 0"),
         ({"seed": True}, "seed must be an integer >= 0"),
         # integer fields are checked, not truncated to int by from_dict
         ({"seed": 2.5}, "seed must be an integer >= 0"),
-        ({"replicas": 150.9}, "integer replicas >= 100"),
-        ({"n": 3.7}, "integer n >= 2"),
+        pytest.param({"replicas": 150.9}, "replicas must be an integer >= 100", id="overrides12-integer replicas >= 100"),
+        pytest.param({"n": 3.7}, "n must be an integer >= 2", id="overrides13-integer n >= 2"),
         # a cap below 1 would abort every point into a FAIL row
         ({"event_cap": 0}, "event_cap must be an integer >= 1"),
         ({"event_cap": -4}, "event_cap must be an integer >= 1"),
         ({"event_cap": 2.5}, "event_cap must be an integer >= 1"),
         ({"event_cap": True}, "event_cap must be an integer >= 1"),
+        # validate_model used to fail on it with a TypeError, which the CLI reports as a traceback
+        ({"model": 5}, "model must be a model config block, got 5"),
     ],
 )
 def test_config_validation_matrix(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(theorem1_doc(**overrides))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_TOLERANCES_MESSAGE = "tolerances must be a mapping of tolerance names to finite numbers"
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        # T = nan used to simulate to the end, then fail to hash the report
+        (theorem1_doc(T=_NAN, time_points=None), "T must be a finite number > 0, got nan"),
+        (theorem1_doc(T=_INF, time_points=None), "T must be a finite number > 0, got inf"),
+        (theorem1_doc(delta=_NAN), r"delta must be a finite number in \(0, 1\), got nan"),
+        (theorem1_doc(r_schedule=[10.0, _INF]), r"r_schedule\[1\] must be a finite number >= 1, got inf"),
+        (theorem1_doc(r_schedule=[10.0, _NAN]), r"r_schedule\[1\] must be a finite number >= 1, got nan"),
+        (theorem1_doc(time_points=[0.25, _NAN]), r"time_points\[1\] must be a finite number > 0, got nan"),
+        (theorem1_doc(tolerances={"limit_band": _NAN}), _TOLERANCES_MESSAGE),
+        (theorem1_doc(tolerances={"limit_band": _INF}), _TOLERANCES_MESSAGE),
+        (
+            {"kind": "eta_inf_check", "model": cycle_model_config(), "r_schedule": [_INF], "replicas": 100,
+             "init": [1, 1, 1]},
+            r"r_schedule\[0\] must be a finite number >= 1, got inf",
+        ),
+    ],
+    ids=["T-nan", "T-inf", "delta-nan", "r_schedule-inf", "r_schedule-nan", "time_points-nan", "tolerance-nan",
+         "tolerance-inf", "eta_inf-r_schedule-inf"],
+)
+def test_config_rejects_non_finite_numbers(doc, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"T": True}, "T must be a finite number > 0, got True"),
+        ({"T": "0.5"}, "T must be a finite number > 0, got '0.5'"),
+        ({"time_points": [0.25, True]}, r"time_points\[1\] must be a finite number > 0, got True"),
+        ({"r_schedule": [10, "100"]}, r"r_schedule\[1\] must be a finite number >= 1, got '100'"),
+        ({"delta": "0.1"}, r"delta must be a finite number in \(0, 1\), got '0.1'"),
+        ({"tolerances": {"limit_band": True}}, _TOLERANCES_MESSAGE),
+        ({"tolerances": {"limit_band": "0.1"}}, _TOLERANCES_MESSAGE),
+    ],
+    ids=["T-bool", "T-str", "time_points-bool", "r_schedule-str", "delta-str", "tolerance-bool", "tolerance-str"],
+)
+def test_config_float_fields_take_numbers_only(overrides, fragment):
+    # from_dict passes values through as they are, so both entry points reject these
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(theorem1_doc(**overrides))
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig(**theorem1_doc(**overrides))
+
+
+_COUNTS_MESSAGE = r"init must be a list of counts \(integers >= 0\)"
 
 
 @pytest.mark.parametrize("kind", ["absorption_tail", "eta_inf_check"])
@@ -190,10 +249,10 @@ def test_config_validation_matrix(overrides, fragment):
         ("2,2", "list of counts"),
         ([4], "one count per model state"),
         ([1, 1, 2], "one count per model state"),
-        ([5, -1], "nonnegative integers"),
-        ([1.5, 2], "nonnegative integers"),
-        (["2", "2"], "nonnegative integers"),
-        ([True, 2], "nonnegative integers"),
+        pytest.param([5, -1], _COUNTS_MESSAGE, id="init4-nonnegative integers"),
+        pytest.param([1.5, 2], _COUNTS_MESSAGE, id="init5-nonnegative integers"),
+        pytest.param(["2", "2"], _COUNTS_MESSAGE, id="init6-nonnegative integers"),
+        pytest.param([True, 2], _COUNTS_MESSAGE, id="init7-nonnegative integers"),
         ([1, 0], "at least two particles"),
     ],
 )
@@ -230,13 +289,20 @@ def test_config_theorem3_point_checks():
     }
     ExperimentConfig.from_dict(base).validate()
     bad = dict(base, points=[{"n": 4, "r": 100.0}, {"n": 8, "r": 10.0}])
-    with pytest.raises(ConfigError, match="increasing r"):
+    with pytest.raises(ConfigError, match="points must be strictly increasing in r"):
         ExperimentConfig.from_dict(bad)
     bad = dict(base, points=[{"n": 4}])
-    with pytest.raises(ConfigError, match="needs n and r"):
+    with pytest.raises(ConfigError, match=r"points\[0\] must be a block with keys \['n', 'r'\]"):
         ExperimentConfig.from_dict(bad)
     bad = dict(base, points=[{"n": 1, "r": 10.0}])
-    with pytest.raises(ConfigError, match="out of range"):
+    with pytest.raises(ConfigError, match=r"points\[0\]\.n must be an integer >= 2"):
+        ExperimentConfig.from_dict(bad)
+    # a string r used to run and be hashed as "50"
+    bad = dict(base, points=[{"n": 6, "r": "50"}])
+    with pytest.raises(ConfigError, match=r"points\[0\]\.r must be a finite number >= 1, got '50'"):
+        ExperimentConfig.from_dict(bad)
+    bad = dict(base, points=[{"n": 6, "r": 50.0, "m": 1}])
+    with pytest.raises(ConfigError, match=r"points\[0\] must be a block with keys \['n', 'r'\]"):
         ExperimentConfig.from_dict(bad)
 
 
@@ -248,7 +314,7 @@ def test_config_theorem3_point_n_must_be_an_integer():
         "killing": {"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0}},
     }
     ExperimentConfig.from_dict(dict(base, points=[{"n": 10, "r": 100.0}]))
-    with pytest.raises(ConfigError, match="out of range"):
+    with pytest.raises(ConfigError, match=r"points\[0\]\.n must be an integer >= 2"):
         ExperimentConfig.from_dict(dict(base, points=[{"n": 10.7, "r": 100.0}]))
 
 
@@ -284,23 +350,42 @@ def _committor_doc(**overrides):
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
-        ({"grid": {"n": [4, 1], "alpha": [2.0]}}, "grid n must list integers >= 2"),
-        ({"grid": {"n": [2.5], "alpha": [2.0]}}, "grid n must list integers >= 2"),
-        ({"grid": {"n": "4", "alpha": [2.0]}}, "grid n must list integers >= 2"),
-        ({"grid": {"n": [4], "alpha": [0.0]}}, "grid alpha must list finite ratios"),
-        ({"grid": {"n": [4], "alpha": [float("inf")]}}, "grid alpha must list finite ratios"),
-        ({"grid": {"n": [4], "alpha": [float("nan")]}}, "grid alpha must list finite ratios"),
-        ({"grid": {"n": [4], "alpha": [2.0], "k": [1]}}, r"reads only the grid keys \['n', 'alpha'\], got \['alpha', 'k', 'n'\]"),
+        pytest.param({"grid": {"n": [4, 1], "alpha": [2.0]}}, r"grid\.n\[1\] must be an integer >= 2",
+                     id="overrides0-grid n must list integers >= 2"),
+        pytest.param({"grid": {"n": [2.5], "alpha": [2.0]}}, r"grid\.n\[0\] must be an integer >= 2",
+                     id="overrides1-grid n must list integers >= 2"),
+        pytest.param({"grid": {"n": "4", "alpha": [2.0]}}, r"grid\.n must be a nonempty list",
+                     id="overrides2-grid n must list integers >= 2"),
+        pytest.param({"grid": {"n": [4], "alpha": [0.0]}}, r"grid\.alpha\[0\] must be a finite number > 0",
+                     id="overrides3-grid alpha must list finite ratios"),
+        pytest.param({"grid": {"n": [4], "alpha": [float("inf")]}}, r"grid\.alpha\[0\] must be a finite number > 0",
+                     id="overrides4-grid alpha must list finite ratios"),
+        pytest.param({"grid": {"n": [4], "alpha": [float("nan")]}}, r"grid\.alpha\[0\] must be a finite number > 0",
+                     id="overrides5-grid alpha must list finite ratios"),
+        pytest.param({"grid": {"n": [4], "alpha": [2.0], "k": [1]}},
+                     r"grid must be a block with keys \['n', 'alpha'\], got \{'n': \[4\], 'alpha': \[2.0\], 'k': \[1\]\}",
+                     id=r"overrides6-reads only the grid keys \['n', 'alpha'\], got \['alpha', 'k', 'n'\]"),
         # 6 particles simulated against the n = 4 committor: a false FAIL at run time
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 3], "replicas": 200}}, "that sum to n"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [4], "replicas": 200}}, "two nonnegative integers"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [5, -1], "replicas": 200}}, "two nonnegative integers"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3.0, 1], "replicas": 200}}, "two nonnegative integers"),
-        ({"mc": {"n": 1, "alpha": 2.0, "counts": [1, 0], "replicas": 200}}, "integer n >= 2"),
-        ({"mc": {"n": 4, "alpha": -2.0, "counts": [3, 1], "replicas": 200}}, "finite alpha > 0"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 50}}, "replicas >= 100"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1]}}, "mc block with keys"),
-        ({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200, "r": 1.0}}, "reads only the mc keys"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 3], "replicas": 200}},
+                     r"mc\.counts must be two counts that sum to mc\.n", id="overrides7-that sum to n"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [4], "replicas": 200}},
+                     r"mc\.counts must be two counts", id="overrides8-two nonnegative integers"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [5, -1], "replicas": 200}},
+                     r"mc\.counts\[1\] must be an integer >= 0", id="overrides9-two nonnegative integers"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [3.0, 1], "replicas": 200}},
+                     r"mc\.counts\[0\] must be an integer >= 0", id="overrides10-two nonnegative integers"),
+        pytest.param({"mc": {"n": 1, "alpha": 2.0, "counts": [1, 0], "replicas": 200}},
+                     r"mc\.n must be an integer >= 2", id="overrides11-integer n >= 2"),
+        pytest.param({"mc": {"n": 4, "alpha": -2.0, "counts": [3, 1], "replicas": 200}},
+                     r"mc\.alpha must be a finite number > 0", id="overrides12-finite alpha > 0"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 50}},
+                     r"mc\.replicas must be an integer >= 100", id="overrides13-replicas >= 100"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1]}},
+                     r"mc must be a block with keys \['n', 'alpha', 'counts', 'replicas'\]",
+                     id="overrides14-mc block with keys"),
+        pytest.param({"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200, "r": 1.0}},
+                     r"mc must be a block with keys \['n', 'alpha', 'counts', 'replicas'\]",
+                     id="overrides15-reads only the mc keys"),
     ],
 )
 def test_config_committor_check_fields(overrides, fragment):
@@ -314,7 +399,7 @@ def _kind_doc(kind):
     counts = {"model": cycle_model_config(), "replicas": 100, "init": [1, 1, 1]}
     return {
         "theorem1_marginal": theorem1_doc(),
-        "theorem2_pathwise": theorem1_doc(kind="theorem2_pathwise"),
+        "theorem2_pathwise": theorem1_doc(kind="theorem2_pathwise", time_points=None),
         "theorem3_regime": _theorem3_doc(),
         "absorption_tail": dict(counts, kind="absorption_tail", r_schedule=[10.0, 100.0]),
         "eta_inf_check": dict(counts, kind="eta_inf_check", r_schedule=[10.0]),
@@ -340,7 +425,7 @@ def test_config_count_list_kinds_check_n_against_init(kind):
     ],
 )
 def test_config_rejects_intensity_below_one(kind, r_schedule):
-    with pytest.raises(ConfigError, match="intensities must be >= 1"):
+    with pytest.raises(ConfigError, match=r"r_schedule\[0\] must be a finite number >= 1, got 0.5"):
         ExperimentConfig.from_dict(dict(_kind_doc(kind), r_schedule=r_schedule))
 
 
@@ -372,16 +457,19 @@ def _probe_sim_doc(**sim):
 @pytest.mark.parametrize(
     "sim,fragment",
     [
-        ({"init": [4, 0, 0]}, r"sim init must be \{'dirac': site\}"),
+        pytest.param({"init": [4, 0, 0]}, r"sim\.init must be a \{'dirac': site\} block",
+                     id=r"sim0-sim init must be \{'dirac': site\}"),
         ({"init": {"dirac": "q"}}, "'q' is not a stable site"),
-        ({"n": 1}, "integer n >= 2"),
-        ({"r": 0.5}, "finite r >= 1"),
-        ({"T": 0.0}, "finite T > 0"),
+        pytest.param({"n": 1}, r"sim\.n must be an integer >= 2", id="sim2-integer n >= 2"),
+        pytest.param({"r": 0.5}, r"sim\.r must be a finite number >= 1", id="sim3-finite r >= 1"),
+        pytest.param({"T": 0.0}, r"sim\.T must be a finite number > 0", id="sim4-finite T > 0"),
         ({"time_points": [0.5, 0.25]}, "strictly increasing"),
-        ({"time_points": [0.0, 0.5]}, r"must lie in \(0, T\]"),
+        pytest.param({"time_points": [0.0, 0.5]}, r"sim\.time_points\[0\] must be a finite number > 0",
+                     id=r"sim6-must lie in \(0, T\]"),
         ({"time_points": [0.25, 0.75]}, r"must lie in \(0, T\]"),
-        ({"replicas": 99}, "replicas >= 100"),
-        ({"M": 100}, "reads only the sim keys"),
+        pytest.param({"replicas": 99}, r"sim\.replicas must be an integer >= 100", id="sim8-replicas >= 100"),
+        pytest.param({"M": 100}, r"sim must be a block with keys \['n', 'r', 'T', 'replicas', 'init'\]"
+                     r" and optionally \['time_points'\]", id="sim9-reads only the sim keys"),
     ],
 )
 def test_config_conjecture_probe_sim_fields(sim, fragment):
@@ -393,8 +481,33 @@ def test_config_conjecture_probe_sim_fields(sim, fragment):
 def test_config_conjecture_probe_expect_keys():
     doc = {"kind": "conjecture_probe", "model": azb_config(), "expect": {"stable_sites": ["a", "b"]}}
     ExperimentConfig.from_dict(doc)
-    with pytest.raises(ConfigError, match=r"reads only the expect keys \['stable_sites', 'rates'\], got \['stable_site'\]"):
+    with pytest.raises(ConfigError, match=r"expect must be a block with keys \[\] and optionally \['stable_sites', 'rates'\]"):
         ExperimentConfig.from_dict(dict(doc, expect={"stable_site": ["a", "b"]}))
+
+
+_RATE_MESSAGE = r"expect\.rates\[0\]\.rate must be a finite number >= 0"
+
+
+@pytest.mark.parametrize(
+    "expect,fragment",
+    [
+        # a missing rate used to end the run in a KeyError
+        ({"rates": [{"from": "a", "to": "b"}]}, r"expect\.rates\[0\] must be a block with keys \['from', 'to', 'rate'\]"),
+        ({"rates": [{"from": "a", "to": "b", "rate": "x"}]}, _RATE_MESSAGE),
+        ({"rates": [{"from": "a", "to": "b", "rate": -1.0}]}, _RATE_MESSAGE),
+        ({"rates": [{"from": "a", "to": "b", "rate": _NAN}]}, _RATE_MESSAGE),
+        ({"rates": [{"from": 0, "to": "b", "rate": 2.0}]}, r"expect\.rates\[0\]\.from must be a site label"),
+        ({"rates": {"from": "a", "to": "b", "rate": 2.0}}, r"expect\.rates must be a nonempty list"),
+        # a string used to be read as the sites ("a", "b") and PASS
+        ({"stable_sites": "ab"}, r"expect\.stable_sites must be a nonempty list, got 'ab'"),
+        ({"stable_sites": ["a", 2]}, r"expect\.stable_sites\[1\] must be a site label"),
+    ],
+    ids=["rate-missing", "rate-str", "rate-negative", "rate-nan", "from-int", "rates-block", "sites-str",
+         "sites-int"],
+)
+def test_config_conjecture_probe_expect_entries(expect, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict({"kind": "conjecture_probe", "model": azb_config(), "expect": expect})
 
 
 def test_config_init_counts_resolution():
@@ -711,7 +824,8 @@ def test_theorem3_evaluates_every_time_point(tmp_path):
         ({"init": [6, 0, 0]}, "init counts sum to 6, expected n = 8"),
         ({"init": [6, 0]}, "one count per model state"),
         ({"time_points": [1.0, 0.5]}, "strictly increasing"),
-        ({"time_points": [0.0, 1.0]}, "time_points must be positive"),
+        pytest.param({"time_points": [0.0, 1.0]}, r"time_points\[0\] must be a finite number > 0",
+                     id="overrides3-time_points must be positive"),
     ],
 )
 def test_theorem3_config_errors_raised_before_simulation(overrides, fragment):
@@ -729,8 +843,9 @@ def test_theorem3_config_errors_raised_before_simulation(overrides, fragment):
     ],
 )
 def test_theorem_init_checked_before_simulation(kind, init, fragment):
+    time_points = None if kind == "theorem2_pathwise" else [0.25, 0.5]  # theorem2 reads no time points
     with pytest.raises(ValueError, match=fragment):
-        ExperimentConfig.from_dict(theorem1_doc(kind=kind, init=init))
+        ExperimentConfig.from_dict(theorem1_doc(kind=kind, init=init, time_points=time_points))
 
 
 def test_theorem3_requires_uniform_plus_killing():
@@ -948,6 +1063,80 @@ _PINNED_HASHES = {
 def test_result_hash_pinned(key):
     cfg = ExperimentConfig.from_dict(_pinned_docs()[key])
     assert run_experiment(cfg).result_hash == _PINNED_HASHES[key]
+
+
+def test_config_entry_points_agree():
+    docs = [*_pinned_docs().values(), *map(_kind_doc, EXPERIMENT_KINDS)]
+    # integers in float fields are kept as floats, so "T": 1 hashes as 1.0 either way
+    docs.append(theorem1_doc(T=1, r_schedule=[10, 100], time_points=[0.5, 1], tolerances={"limit_band": 1}))
+    for doc in docs:
+        built, direct = ExperimentConfig.from_dict(doc), ExperimentConfig(**doc)
+        assert built == direct
+        assert built.canonical_dict() == direct.canonical_dict()
+    canonical = json.dumps(ExperimentConfig(**docs[-1]).canonical_dict(), sort_keys=True)
+    assert '"T": 1.0' in canonical and '"r_schedule": [10.0, 100.0]' in canonical
+    assert '"time_points": [0.5, 1.0]' in canonical and '"limit_band": 1.0' in canonical
+
+
+# ---------------------------------------------------------- kind read sets
+
+# What each kind reads besides kind, name, seed, event_cap and tolerances:
+# its required fields, and a valid value for each optional one.  Written
+# out here, not taken from the code, so a change to a read set shows.
+_READS = {
+    "theorem1_marginal": (
+        ["model", "n", "r_schedule", "T", "replicas", "init"], {"delta": 0.1, "time_points": [0.25, 0.5]},
+    ),
+    "theorem2_pathwise": (["model", "n", "r_schedule", "T", "replicas", "init"], {}),
+    "theorem3_regime": (["model", "points", "time_points", "replicas", "init"], {"T": 1.0}),
+    "absorption_tail": (["model", "r_schedule", "replicas", "init"], {"n": 3}),
+    "eta_inf_check": (["model", "r_schedule", "replicas", "init"], {"n": 3}),
+    "committor_check": (["grid"], {"mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200}}),
+    "conjecture_probe": (
+        ["model"],
+        {
+            "delta": 0.1,
+            "expect": {"stable_sites": ["a", "b"]},
+            "sim": {"n": 4, "r": 50.0, "T": 0.5, "replicas": 100, "init": {"dirac": "a"}},
+        },
+    ),
+}
+
+# a value other than the default for every field outside the common ones
+_OTHER_VALUES = {
+    "model": cycle_model_config(),
+    "delta": 0.1,
+    "n": 3,
+    "r_schedule": [10.0],
+    "points": [{"n": 4, "r": 10.0}],
+    "T": 1.0,
+    "time_points": [1.0],
+    "replicas": 100,
+    "init": [1, 1, 1],
+    "expect": {"stable_sites": ["a"]},
+    "sim": {"n": 4, "r": 50.0, "T": 0.5, "replicas": 100, "init": {"dirac": "a"}},
+    "grid": {"n": [2], "alpha": [1.0]},
+    "mc": {"n": 4, "alpha": 2.0, "counts": [3, 1], "replicas": 200},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_READS))
+def test_config_kind_reads_only_its_fields(kind):
+    assert sorted(_READS) == sorted(EXPERIMENT_KINDS)
+    required, optional = _READS[kind]
+    base = {k: v for k, v in _kind_doc(kind).items() if k not in optional and v is not None}
+    base.update(name="reads", event_cap=1000)  # common fields: every kind reads them
+    assert set(base) - {"kind", "name", "seed", "event_cap"} == set(required)
+    ExperimentConfig.from_dict(base)
+    for name, value in optional.items():
+        ExperimentConfig.from_dict(dict(base, **{name: value}))
+    for name in required:
+        with pytest.raises(ConfigError, match=f"{kind} requires {name}$"):
+            ExperimentConfig.from_dict({k: v for k, v in base.items() if k != name})
+    unread = sorted(set(_OTHER_VALUES) - set(required) - set(optional))
+    for name in unread:
+        with pytest.raises(ConfigError, match=rf"^{kind} does not read {name}, got "):
+            ExperimentConfig.from_dict(dict(base, **{name: _OTHER_VALUES[name]}))
 
 
 # ----------------------------------------------------- condensed chain start
