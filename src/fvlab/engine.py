@@ -40,12 +40,20 @@ count and recorded events are bit-identical to the generic loop's for
 every input.  A mutation out of a duel is handed back to the generic
 step, which redraws it from the same uniforms.  Supports of one site or
 of three or more always take the generic step.
+
+One run gives the state at several times: ``simulate_fv(...,
+snapshot_times=...)`` records the counts and the events so far at each
+of them.  The loop treats the next snapshot time as its horizon; a
+waiting time that crosses it is, by the memoryless property, still the
+time to the next event, so the snapshot is taken and the same waiting
+time is kept.  No draw is spent and the path to ``T`` is unchanged, and
+the per-event path has no added branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -133,7 +141,9 @@ class Trajectory:
     Each event moves exactly one particle (source count -1, target
     count +1), so the path of measures is reconstructed by replay.
     ``event_count`` counts the generated events even when recording was
-    turned off (``events`` empty).
+    turned off (``events`` empty).  ``snapshots`` holds one ``(counts,
+    events so far)`` pair per requested snapshot time: the state after
+    every event at or before that time.
     """
 
     states: tuple[str, ...]
@@ -142,6 +152,7 @@ class Trajectory:
     horizon: float
     final: EmpiricalMeasure
     event_count: int = 0
+    snapshots: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
     def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
@@ -242,6 +253,15 @@ def _duel_tables(n, inv_nm1, la, lb, ea, eb):
     return rm_tab, kill_a_tab, total_tab
 
 
+def _snapshots_before(t_next, marks, snaps, counts, n_events, horizon):
+    """Record ``(counts, n_events)`` for each pending snapshot time before
+    ``t_next`` (``marks`` holds them latest first); return the next stop."""
+    while marks and marks[-1] < t_next:
+        marks.pop()
+        snaps.append((tuple(counts), n_events))
+    return marks[-1] if marks else horizon
+
+
 def _simulate(
     model: Model,
     r: float,
@@ -252,21 +272,31 @@ def _simulate(
     selection_only: bool = False,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
+    snapshot_times: Sequence[float] = (),
 ):
     """Shared event loop.
 
     Runs until the horizon ``T`` (if given) or absorption in a Dirac
     mass with zero remaining rate.  Returns
-    ``(time, counts, events, n_events)``.
+    ``(time, counts, events, n_events, snapshots)``, with one
+    ``(counts, n_events)`` snapshot per time of ``snapshot_times``
+    (see the module docstring).
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
+    horizon = math.inf if T is None else T
+    marks = []  # pending snapshot times, latest first
+    if snapshot_times:
+        marks = list(reversed(snapshot_times))
+        if not (0 < marks[-1] and all(a > b for a, b in zip(marks, marks[1:])) and marks[0] <= horizon):
+            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {list(snapshot_times)}")
+    snaps: list[tuple[tuple[int, ...], int]] = []
+    stop = marks[-1] if marks else horizon
     d, lam, mut_exit, mut_targets, mut_rates, duels = _kernel(model, r, selection_only)
     counts = list(init.counts)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
     log1p, rnd = math.log1p, rng.random
-    horizon = math.inf if T is None else T
 
     # Uniforms are pre-drawn in blocks that grow geometrically, so short
     # replicas stay cheap and long ones amortize the generator call.
@@ -306,10 +336,13 @@ def _simulate(
                     limit = size - 3
                     pos = 0
                 dt = -log1p(-buf[pos]) / total
-                if t + dt > horizon:
-                    t = T
-                    done = True
-                    break
+                if t + dt > stop:
+                    counts[a], counts[b] = ka, n - ka
+                    stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
+                    if t + dt > stop:
+                        t = T
+                        done = True
+                        break
                 x = buf[pos + 1] * total
                 r_mut = rm_tab[ka]
                 if x < r_mut:
@@ -357,9 +390,11 @@ def _simulate(
         pos += 3
 
         dt = -log1p(-u_time) / total
-        if t + dt > horizon:
-            t = T
-            break
+        if t + dt > stop:
+            stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
+            if t + dt > stop:
+                t = T
+                break
         t += dt
 
         x = u_cat * total
@@ -421,7 +456,9 @@ def _simulate(
         if n_events >= event_cap:
             raise EventCapError(event_cap, t, counts)
 
-    return t, counts, events, n_events
+    if marks:  # absorbed before these times: the final state holds at each
+        snaps += [(tuple(counts), n_events)] * len(marks)
+    return t, counts, events, n_events, snaps
 
 
 def simulate_fv(
@@ -433,17 +470,21 @@ def simulate_fv(
     *,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
+    snapshot_times: Sequence[float] = (),
 ) -> Trajectory:
     """Exact realization of the full mutation + selection dynamics on [0, T].
 
     With ``record=False`` the event list stays empty (the final state
     and the event count are still exact); use this for marginals, where
-    storing paths would dominate the cost.
+    storing paths would dominate the cost.  ``snapshot_times``, strictly
+    increasing in (0, T], fill ``Trajectory.snapshots`` from the same
+    path: one pass gives the marginals at every time, and the final
+    state, event count and draws are those of a run without them.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    t, counts, events, n_events = _simulate(
-        model, r, init, T, rng, record=record, event_cap=event_cap
+    t, counts, events, n_events, snaps = _simulate(
+        model, r, init, T, rng, record=record, event_cap=event_cap, snapshot_times=snapshot_times
     )
     return Trajectory(
         states=model.states,
@@ -452,6 +493,7 @@ def simulate_fv(
         horizon=T,
         final=EmpiricalMeasure.from_counts(counts),
         event_count=n_events,
+        snapshots=snaps,
     )
 
 
@@ -471,7 +513,7 @@ def simulate_selection_absorption(
     start returns ``(0.0, site, 0)`` after drawing one block of uniforms
     from ``rng``, which the event loop fills before it sees zero rate.
     """
-    t, counts, _, n_events = _simulate(
+    t, counts, _, n_events, _ = _simulate(
         model, r, init, None, rng, selection_only=True, record=False, event_cap=event_cap
     )
     n = init.n

@@ -40,7 +40,7 @@ wherever the name appears; :meth:`ExperimentConfig.validate` is one pass
 over both tables and rejects any field the kind does not read.  Every
 runner is a thin function over one point runner, :class:`_Run`:
 ``point`` runs the replicas of one point through a module-level chunk
-function and records an abort row if a replica hits the event cap, and
+function and records abort rows if a replica hits the event cap, and
 ``outcome`` stores a per-replica table with its digest.  Replicas are
 deterministic: replica i of a run consumes the RNG stream derived from
 (master seed, flat replica index), each point takes the next block of
@@ -49,6 +49,14 @@ count, and chunk results are reassembled in task order before any
 statistic is computed, so reports hash identically for every
 parallelism degree.  Wall-clock timings, overall and per point, live in
 a separate block excluded from the hash.
+
+A final-state point is an intensity with its whole time grid: each
+replica runs once to the last time and the engine snapshots its counts
+at every time on the way.  A replica stopped at t and the same replica
+run on past t agree up to t draw for draw, by the memoryless property of
+the waiting times, so theorem1, theorem3 and conjecture_probe simulate
+one pass per intensity (per theorem3 point), not one per (r, t) pair;
+rows and outcome tables stay per (r, t).
 
 Per-replica set-up is kept off the event loop's path.  A chunk hashes
 the seed sequences of all its replicas in one numpy pass and resets one
@@ -130,7 +138,8 @@ def _is_dirac(v) -> bool:
 
 # ------------------------------------------------------------ config entries
 # An entry is valid by its name wherever the name appears: a top-level field,
-# a theorem3 point, a sim or mc key, a grid list item or an expect entry.
+# a theorem3 point, a sim or mc key, a grid list item, an expect entry or a
+# tolerance.
 # ``store`` gives the form a top-level field keeps; blocks keep theirs as given.
 
 
@@ -168,8 +177,9 @@ def _integer(low: int) -> _Value:
     return _Value(f"an integer >= {low}", lambda v: _is_int(v, low))
 
 
+_NONNEGATIVE = _Value("a finite number >= 0", lambda v: _is_real(v) and v >= 0, float)
 _POSITIVE = _Value("a finite number > 0", lambda v: _is_real(v) and v > 0, float)
-_INTENSITY = _Value("a finite number >= 1", lambda v: _is_real(v) and v >= 1, float)
+_AT_LEAST_ONE = _Value("a finite number >= 1", lambda v: _is_real(v) and v >= 1, float)
 _LABEL = _Value("a site label (a string)", lambda v: isinstance(v, str))
 
 _VALUES: dict[str, Any] = {
@@ -181,12 +191,12 @@ _VALUES: dict[str, Any] = {
     "replicas": _integer(100),
     "delta": _Value("a finite number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1, float),
     "T": _POSITIVE,
-    "r": _INTENSITY,
+    "r": _AT_LEAST_ONE,
     "alpha": _POSITIVE,
-    "rate": _Value("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "rate": _NONNEGATIVE,
     "from": _LABEL,
     "to": _LABEL,
-    "r_schedule": _List(_INTENSITY, increasing=""),
+    "r_schedule": _List(_AT_LEAST_ONE, increasing=""),
     "time_points": _List(_POSITIVE, increasing=""),
     "points": _List(_Block(("n", "r")), increasing="r"),
     "counts": _List(_integer(0)),
@@ -206,6 +216,16 @@ _VALUES: dict[str, Any] = {
     "mc": _Block(("n", "alpha", "counts", "replicas")),
     "sim": _Block(("n", "r", "T", "replicas", "init"), ("time_points",)),
     "expect": _Block((), ("stable_sites", "rates")),
+    # tolerance keys: a slack may be zero, a band must leave room, and a
+    # factor below 1 would pass whatever the data
+    "monotone_slack": _NONNEGATIVE,
+    "limit_band": _POSITIVE,
+    "avg_occupation_band": _POSITIVE,
+    "slope_ratio_rel_tol": _POSITIVE,
+    "tv_tol": _POSITIVE,
+    "grid_tol": _POSITIVE,
+    "decay_factor": _AT_LEAST_ONE,
+    "cprime_factor": _AT_LEAST_ONE,
 }
 
 # the fields every kind reads
@@ -327,6 +347,8 @@ class ExperimentConfig:
         allowed = list(spec.tolerances)
         if set(self.tolerances) - set(allowed):
             raise ConfigError(f"{self.kind} reads only the tolerances {allowed}, got {list(self.tolerances)}")
+        for key, value in self.tolerances.items():
+            _check(f"tolerances.{key}", _VALUES[key], value)
         _check_horizon("", entries)
         model = None if self.model is None else validate_model(self.model)  # raises ModelError
         object.__setattr__(self, "_model", model)
@@ -571,13 +593,14 @@ def _particle_inputs(payload: dict):
 
 
 def _fv_final_chunk(payload: dict) -> dict:
-    """Final counts at time ``t`` of the full dynamics."""
+    """Counts and events so far at each time of the tuple ``t`` of the full
+    dynamics, from one pass per replica to the last time."""
     model, init, r, cap = _particle_inputs(payload)
-    t = payload["t"]
+    times = payload["t"]
 
     def replica(rng):
-        traj = simulate_fv(model, r, init, t, rng, record=False, event_cap=cap)
-        return traj.final.counts, traj.event_count
+        traj = simulate_fv(model, r, init, times[-1], rng, record=False, event_cap=cap, snapshot_times=times)
+        return tuple(zip(*traj.snapshots))
 
     return _collect(payload, replica, final=np.int64, events=np.int64)
 
@@ -660,8 +683,10 @@ class _Run:
     def point(self, worker, M: int, r, t, **payload) -> dict | None:
         """Run M replicas of ``worker`` on the next index block.
 
-        Returns the per-replica arrays, or None after recording the
-        point's abort row when a replica hit the event cap.
+        ``t`` is the point's time, or a tuple of times for
+        :func:`_fv_final_chunk`, which takes every one in one pass.
+        Returns the per-replica arrays, or None after recording an abort
+        row at each of the point's times when a replica hit the event cap.
         """
         payload.update(r=r, t=t, seed=self.cfg.seed, base=self.base, event_cap=self.cfg.event_cap)
         started = time.perf_counter()
@@ -670,11 +695,12 @@ class _Run:
         self.report.timing.setdefault("points", []).append(stats)
         first, self.base = self.base, self.base + M
         if isinstance(res, EventCapError):
-            self.row(r, t, "event_cap_abort", float(res.cap), "", "FAIL")
+            for row_t in t if isinstance(t, tuple) else (t,):
+                self.row(r, row_t, "event_cap_abort", float(res.cap), "", "FAIL")
             aborts = self.report.timing.setdefault("event_cap_aborts", [])
             aborts.append({"r": r, "t": t, "replica": res.replica})
             return None
-        events = res["events"]
+        events = res["events"].reshape(M, -1)[:, -1]  # over the whole pass
         total = int(events.sum())
         p50, p99 = (int(v) for v in np.quantile(events, [0.5, 0.99], method="inverted_cdf"))
         stats.update(
@@ -701,6 +727,11 @@ def _verdict(ok: bool) -> str:
 
 def _dkw_half_width(M: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * M))
+
+
+def _at(res: dict, j: int) -> dict:
+    """Per-replica counts and events so far at the ``j``-th time of a pass."""
+    return {key: res[key][:, j] for key in ("final", "events")}
 
 
 def _max_mass_site(finals: np.ndarray) -> np.ndarray:
@@ -791,27 +822,27 @@ def _exp_theorem1(run: _Run) -> None:
     limit_start = _chain_start(model, counts, None)
     finite = {r: (condensate_rates(model, n, r), _chain_start(model, counts, r)) for r in cfg.r_schedule}
 
-    points = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
+    times = cfg.resolve_times()
     sup_tv_finite: dict[float, float] = {}
     sup_tv_limit: dict[float, float] = {}
-    completed = 0
-    for pid, (r, t) in enumerate(points):
-        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=counts)
+    for i, r in enumerate(cfg.r_schedule):
+        res = run.point(_fv_final_chunk, M, r, times, model=model, counts=counts)
         if res is None:
             continue
-        completed += 1
-        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states)
-        tv_fin = tv_distance(emp, ctmc_marginal(*finite[r], t))
-        tv_lim = tv_distance(emp, ctmc_marginal(limit_rates, limit_start, t))
-        sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
-        sup_tv_limit[r] = max(sup_tv_limit.get(r, 0.0), tv_lim)
+        for j, t in enumerate(times):
+            at_t = _at(res, j)
+            emp = empirical_law(_max_mass_site(at_t["final"]).tolist(), model.states)
+            tv_fin = tv_distance(emp, ctmc_marginal(*finite[r], t))
+            tv_lim = tv_distance(emp, ctmc_marginal(limit_rates, limit_start, t))
+            sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
+            sup_tv_limit[r] = max(sup_tv_limit.get(r, 0.0), tv_lim)
 
-        run.row(r, t, "tv_vs_finite_chain", tv_fin, eps, "INFO")
-        run.row(r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO")
-        run.outcome(f"point{pid:02d}_r{r:g}_t{t:g}.csv", model.states, res)
+            run.row(r, t, "tv_vs_finite_chain", tv_fin, eps, "INFO")
+            run.row(r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO")
+            run.outcome(f"point{i * len(times) + j:02d}_r{r:g}_t{t:g}.csv", model.states, at_t)
 
-    if completed != len(points):
-        return  # aborted points carry FAIL rows; a sup over the time grid needs them all
+    if len(sup_tv_finite) != len(cfg.r_schedule):
+        return  # aborted passes carry FAIL rows; a sup over the time grid needs them all
     schedule = list(cfg.r_schedule)
     sups = [sup_tv_finite[r] for r in schedule]
     # Adjacent sups are independent estimates with half-width eps each,
@@ -883,36 +914,37 @@ def _exp_theorem3(run: _Run) -> None:
 
     m_sup = model.killing.m_sup  # validate() admits only uniform_plus killing
     times = cfg.time_points
-    pairs = [(point, t) for point in cfg.points for t in times]
-    cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed pair
-    for pid, (point, t) in enumerate(pairs):
+    cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed (point, time) pair
+    for i, point in enumerate(cfg.points):
         n, r = int(point["n"]), float(point["r"])
         counts = cfg.init_counts(model, n)
         scale = n / model.min_killing_rate(r)
-        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=counts)
+        res = run.point(_fv_final_chunk, M, r, times, model=model, counts=counts)
         if res is None:
             continue
-        occ = res["final"] / n
-
-        pair_corr = 1.0 - (occ**2).sum(axis=1)
-        mean_pc = float(pair_corr.mean())
-        se_pc = float(pair_corr.std(ddof=1) / math.sqrt(M))
         bound = (model.Q + n / (2.0 * (n - 1.0)) * m_sup) * scale
-        run.row(r, t, "mean_pair_correlation", mean_pc, 3.0 * se_pc, _verdict(mean_pc <= bound + 3.0 * se_pc))
-        run.row(r, t, "pair_correlation_bound", bound, "", "INFO")
-
         # the mutation chain starts from the initial empirical measure
         init_law = exact_law(model.states, np.asarray(counts, dtype=float) / n)
-        exact_marginal = ctmc_marginal(mutation_chain, init_law, t)
-        tv = float(np.abs(occ.mean(axis=0) - exact_marginal.probs).sum())
-        se_tv = _tv_standard_error(occ)
-        run.row(r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO")
-        run.row(r, t, "cprime_point_estimate", tv / scale, "", "INFO")
-        cps.append((scale, max(tv - 3.0 * se_tv, 0.0) / scale, (tv + 3.0 * se_tv) / scale))
-        run.outcome(f"point{pid:02d}_n{n}_r{r:g}.csv", model.states, res)
+        for j, t in enumerate(times):
+            at_t = _at(res, j)
+            occ = at_t["final"] / n
+
+            pair_corr = 1.0 - (occ**2).sum(axis=1)
+            mean_pc = float(pair_corr.mean())
+            se_pc = float(pair_corr.std(ddof=1) / math.sqrt(M))
+            run.row(r, t, "mean_pair_correlation", mean_pc, 3.0 * se_pc, _verdict(mean_pc <= bound + 3.0 * se_pc))
+            run.row(r, t, "pair_correlation_bound", bound, "", "INFO")
+
+            exact_marginal = ctmc_marginal(mutation_chain, init_law, t)
+            tv = float(np.abs(occ.mean(axis=0) - exact_marginal.probs).sum())
+            se_tv = _tv_standard_error(occ)
+            run.row(r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO")
+            run.row(r, t, "cprime_point_estimate", tv / scale, "", "INFO")
+            cps.append((scale, max(tv - 3.0 * se_tv, 0.0) / scale, (tv + 3.0 * se_tv) / scale))
+            run.outcome(f"point{i * len(times) + j:02d}_n{n}_r{r:g}.csv", model.states, at_t)
 
     factor = cfg.tolerance("cprime_factor", 3.0)
-    if len(cps) != len(pairs):
+    if len(cps) != len(cfg.points) * len(times):
         return
     # per point, the supremum of TV over the time grid lies between the
     # largest lower and the largest upper 3-sigma bound
@@ -1045,14 +1077,15 @@ def _exp_conjecture_probe(run: _Run) -> None:
     counts = [0] * model.num_states
     counts[model.state_index(start_site)] = n
     tol = 3.0 * _dkw_half_width(M, cfg.delta)
-    for t in times:
-        res = run.point(_fv_final_chunk, M, r, t, model=model, counts=tuple(counts))
-        if res is None:
-            continue
-        emp = empirical_law(_max_mass_site(res["final"]).tolist(), model.states)
+    res = run.point(_fv_final_chunk, M, r, times, model=model, counts=tuple(counts))
+    if res is None:
+        return
+    for j, t in enumerate(times):
+        at_t = _at(res, j)
+        emp = empirical_law(_max_mass_site(at_t["final"]).tolist(), model.states)
         tv = tv_distance(emp, _lift_law(ctmc_marginal(chain, start_site, t), model.states))
         run.row(r, t, "tv_vs_conjectured_chain", tv, tol, "INFO")
-        run.outcome(f"probe_t{t:g}.csv", model.states, res)
+        run.outcome(f"probe_t{t:g}.csv", model.states, at_t)
 
 
 @dataclass(frozen=True)

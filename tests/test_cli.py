@@ -266,8 +266,14 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch)
              "expect": {"rates": [{"from": "a", "to": "b"}]}},
             "expect.rates[0] must be a block with keys ['from', 'to', 'rate']",
         ),
+        # a negative band used to run every point and then exit 1 on its FAIL
+        (
+            {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3, "r_schedule": [10.0],
+             "T": 0.5, "replicas": 100, "init": {"dirac": "a"}, "tolerances": {"limit_band": -1.0}},
+            "tolerances.limit_band must be a finite number > 0, got -1.0",
+        ),
     ],
-    ids=["nan-horizon", "rate-missing"],
+    ids=["nan-horizon", "rate-missing", "negative-band"],
 )
 def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
     def fail(*args, **kwargs):

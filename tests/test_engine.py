@@ -391,9 +391,13 @@ def test_duel_regime_absorption_pinned():
 
 
 def outcome(simulate, seed, case):
-    """Run one event loop, folding a cap abort into a comparable value."""
+    """Run one event loop, folding a cap abort into a comparable value.
+
+    Returns ``(time, counts, events, n_events)``; the live loop's
+    snapshots, which the reference loop does not take, are left out.
+    """
     try:
-        return simulate(rng=np.random.default_rng(seed), **case)
+        return simulate(rng=np.random.default_rng(seed), **case)[:4]
     except EventCapError as err:
         return ("cap", err.cap, err.time, err.counts)
 
@@ -435,6 +439,8 @@ def engine_cases(draw):
         T = draw(st.none() | st.sampled_from([0.01, 0.3, 1.0]))
     else:
         T = draw(st.sampled_from([0.01, 0.3, 1.0]))
+    # snapshot times up to the horizon, or past absorption when there is none
+    grid = [0.001, 0.05, 0.3, 1.0] if T is None else [f * T for f in (0.1, 0.25, 0.5, 0.999, 1.0)]
     return dict(
         model=model,
         r=draw(st.sampled_from([1.0, 10.0, 1e3, 1e5])),
@@ -443,13 +449,56 @@ def engine_cases(draw):
         selection_only=selection_only,
         record=draw(st.booleans()),
         event_cap=event_cap,
+        snapshot_times=sorted(draw(st.sets(st.sampled_from(grid)))),
     )
+
+
+def replay_until(init, events, s):
+    """Counts and events so far at time ``s`` of a recorded path."""
+    counts = list(init.counts)
+    done = [ev for t, ev in events if t <= s]
+    for ev in done:
+        counts[ev.source] -= 1
+        counts[ev.target] += 1
+    return tuple(counts), len(done)
 
 
 @given(case=engine_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_event_loop_bit_identical_to_reference(case, seed):
-    assert outcome(_simulate, seed, case) == outcome(reference_simulate, seed, case)
+    times = case.pop("snapshot_times")
+    want = outcome(reference_simulate, seed, case)
+    assert outcome(_simulate, seed, dict(case, snapshot_times=times)) == want
+    if want[0] == "cap":
+        return
+    # each snapshot is the state of the same seed's recorded path at its time
+    snaps = _simulate(rng=np.random.default_rng(seed), **case, snapshot_times=times)[4]
+    _, _, events, _ = reference_simulate(rng=np.random.default_rng(seed), **dict(case, record=True))
+    assert snaps == [replay_until(case["init"], events, s) for s in times]
+
+
+def test_snapshots_after_absorption_repeat_the_dirac():
+    # no mutation: the duel ends in a Dirac long before t = 0.5, and every
+    # later snapshot holds it with the final event count
+    model = validate_model(two_site_config())
+    init = EmpiricalMeasure.from_counts([3, 3])
+    times = [1e-6, 0.5, 0.75, 1.0]
+    t, counts, _, n_events, snaps = _simulate(model, 1e3, init, 1.0, np.random.default_rng(5), snapshot_times=times)
+    assert sorted(counts) == [0, 6] and t < 0.5
+    assert snaps == [((3, 3), 0)] + [(tuple(counts), n_events)] * 3
+    traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(5), snapshot_times=times)
+    assert traj.snapshots == snaps
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.5, 0.25], [0.25, 0.25], [0.0, 0.5], [-0.1], [0.5, 1.5], [float("nan")]],
+    ids=["decreasing", "repeated", "zero", "negative", "past-horizon", "nan"],
+)
+def test_snapshot_times_must_increase_within_the_horizon(cycle_model, times):
+    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    with pytest.raises(ValueError, match="snapshot times must increase"):
+        simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
 
 
 def test_prepared_kernel_never_goes_stale():

@@ -180,6 +180,9 @@ def test_config_rejects_unknown_kind():
         ({"event_cap": True}, "event_cap must be an integer >= 1"),
         # validate_model used to fail on it with a TypeError, which the CLI reports as a traceback
         ({"model": 5}, "model must be a model config block, got 5"),
+        # a band of at most 0 used to validate and then FAIL its gate whatever the data
+        ({"tolerances": {"limit_band": -1.0}}, r"tolerances\.limit_band must be a finite number > 0, got -1.0"),
+        ({"tolerances": {"monotone_slack": -0.01}}, r"tolerances\.monotone_slack must be a finite number >= 0"),
     ],
 )
 def test_config_validation_matrix(overrides, fragment):
@@ -442,10 +445,31 @@ def test_config_rejects_intensity_below_one(kind, r_schedule):
     ],
 )
 def test_config_accepts_only_the_kinds_tolerance_keys(kind, keys):
-    ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={k: 0.1 for k in keys}))
+    ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={k: 1.0 for k in keys}))
     for other in sorted({"limit_bnad", "sim_tv_tol", "limit_band", "tv_tol", "cprime_factor"} - set(keys)):
         with pytest.raises(ConfigError, match=rf"{kind} reads only the tolerances .*, got \['{other}'\]"):
             ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={other: 0.0}))
+
+
+@pytest.mark.parametrize(
+    "kind,key,bad,edge",
+    [
+        ("theorem1_marginal", "monotone_slack", -1e-9, 0.0),
+        ("theorem1_marginal", "limit_band", 0.0, 1e-9),
+        ("theorem2_pathwise", "avg_occupation_band", -0.1, 1e-9),
+        # a decay factor below 1 used to PASS the decay row whatever the data
+        ("theorem2_pathwise", "decay_factor", -5.0, 1.0),
+        ("theorem2_pathwise", "decay_factor", 0.5, 1.0),
+        ("theorem3_regime", "cprime_factor", 0.99, 1.0),
+        ("absorption_tail", "slope_ratio_rel_tol", 0.0, 1e-9),
+        ("eta_inf_check", "tv_tol", -0.02, 1e-9),
+        ("committor_check", "grid_tol", 0.0, 1e-15),
+    ],
+)
+def test_config_tolerance_ranges(kind, key, bad, edge):
+    ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={key: edge}))
+    with pytest.raises(ConfigError, match=rf"^tolerances\.{key} must be a finite number (>|>=) [01], got {bad}$"):
+        ExperimentConfig.from_dict(dict(_kind_doc(kind), tolerances={key: bad}))
 
 
 def _probe_sim_doc(**sim):
@@ -558,8 +582,9 @@ def test_report_timing_points(small_theorem1_report):
 
     rep, cfg = small_theorem1_report, ExperimentConfig.from_dict(theorem1_doc())
     points = rep.timing["points"]
-    grid = [(r, t) for r in cfg.r_schedule for t in cfg.resolve_times()]
-    assert [(p["r"], p["t"]) for p in points] == grid
+    # one pass per intensity covers the whole time grid
+    times = cfg.resolve_times()
+    assert [(p["r"], p["t"]) for p in points] == [(r, times) for r in cfg.r_schedule]
     assert sum(p["events"] for p in points) == rep.events_total
     model = cfg.validated_model()
     init = EmpiricalMeasure.from_counts(cfg.init_counts(model, cfg.n))
@@ -568,10 +593,10 @@ def test_report_timing_points(small_theorem1_report):
         assert p["replicas"] == cfg.replicas and p["wall_s"] > 0
         assert p["events_per_s"] == p["events"] / p["wall_s"]
         assert spread["p50"] <= spread["p99"] <= spread["max"]
-        # the slowest replica replays alone to its event count
+        # the slowest replica replays alone to its event count over the pass
         assert pid * cfg.replicas <= p["max_events_replica"] < (pid + 1) * cfg.replicas
         rng = derive_replica_rng(cfg.seed, p["max_events_replica"])
-        traj = simulate_fv(model, p["r"], init, p["t"], rng, record=False)
+        traj = simulate_fv(model, p["r"], init, times[-1], rng, record=False)
         assert traj.event_count == spread["max"]
     json.dumps(rep.timing)
 
@@ -622,7 +647,7 @@ def test_event_cap_abort_recorded_not_raised():
 
 
 def _partial_abort_config():
-    # at cap 18 both t = 0.5 points abort and both t = 0.25 points complete
+    # at cap 18 the r = 100 pass aborts and the r = 10 pass completes
     return ExperimentConfig.from_dict(theorem1_doc(event_cap=18, replicas=600))
 
 
@@ -630,6 +655,9 @@ def test_theorem1_partial_abort_emits_no_summary():
     rep = run_experiment(_partial_abort_config())
     stats = [r["statistic"] for r in rep.rows]
     assert stats.count("event_cap_abort") == 2 and stats.count("tv_vs_finite_chain") == 2
+    # an aborted pass fails every time point of its intensity
+    aborted = [(row["r"], row["t"]) for row in rep.rows if row["statistic"] == "event_cap_abort"]
+    assert aborted == [(100.0, 0.25), (100.0, 0.5)]
     assert "sup_tv_monotone_in_r" not in stats and "sup_tv_vs_limit_at_rmax" not in stats
     assert not any(key.startswith("sup_tv") for key in rep.extras)
 
@@ -647,21 +675,21 @@ def test_event_cap_abort_thread_invariant_and_replayable():
     aborts = serial.timing["event_cap_aborts"]
     assert aborts == pooled.timing["event_cap_aborts"]
     abort_rows = [(row["r"], row["t"]) for row in serial.rows if row["statistic"] == "event_cap_abort"]
-    assert [(a["r"], a["t"]) for a in aborts] == abort_rows
+    assert [(a["r"], t) for a in aborts for t in a["t"]] == abort_rows
 
     model, M, init = cfg.validated_model(), cfg.replicas, EmpiricalMeasure.from_counts([3, 0, 0])
-    points = [(r, t) for r in cfg.r_schedule for t in cfg.time_points]
     for abort in aborts:
-        r, t = abort["r"], abort["t"]
-        base = points.index((r, t)) * M  # each point takes the next M indices
-        payload = dict(model=model, counts=init.counts, r=r, t=t, seed=cfg.seed, base=base, event_cap=18)
+        r, times = abort["r"], abort["t"]
+        assert times == cfg.time_points
+        base = cfg.r_schedule.index(r) * M  # each pass takes the next M indices
+        payload = dict(model=model, counts=init.counts, r=r, t=times, seed=cfg.seed, base=base, event_cap=18)
         err = _run_point(_fv_final_chunk, payload, M, threads=2)  # pickled out of a worker
         assert isinstance(err, EventCapError)
         assert err.replica == abort["replica"] and base <= err.replica < base + M
         assert f"in replica {err.replica}" in str(err)
         with pytest.raises(EventCapError) as replay:
             rng = derive_replica_rng(cfg.seed, err.replica)
-            simulate_fv(model, r, init, t, rng, record=False, event_cap=18)
+            simulate_fv(model, r, init, times[-1], rng, record=False, event_cap=18)
         assert (replay.value.time, replay.value.counts) == (err.time, err.counts)
 
 
@@ -1043,15 +1071,17 @@ def _pinned_docs():
 # shared point runner except these: the conjecture_probe pair no longer
 # carries the cascade's path enumeration and reachable-site lists, and
 # theorem1, theorem3 and conjecture_probe_sim hold marginals from expm, whose
-# TV rows differ from uniformization's in float noise only (below 1e-13)
+# TV rows differ from uniformization's in float noise only (below 1e-13);
+# theorem1 and conjecture_probe_sim then moved again when each intensity's
+# time points came to share one pass, and so one index block, of replicas
 _PINNED_HASHES = {
     "absorption_tail": "c1b3edf502093dfc96d8518137253c0bb59b4c7aa661dcff567da01b06696a7c",
     "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
     "committor_mc": "a8d3d8c343386cc9622abf9da09aa75815ed77a4546dc1b120b2f09300c8a3a8",
     "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
-    "conjecture_probe_sim": "3c84f800dc29ede5d5a4eb820b1dd32306ab7a6a7b2e3c3efec39791060acc5a",
+    "conjecture_probe_sim": "ff81ac28c46cdb90f3fa64eaf247e98968bf12617ae56b6d6137fea615b4d579",
     "eta_inf": "8e6aaf39ac6dc4ce9d66ac8fb7a0a4d570c298c6e543d205f7e7c2ef8bfc52e0",
-    "theorem1": "b5567aa14033e61845b4ab6ad9b8f02d7165c71411fd9c388402be4e25a83aae",
+    "theorem1": "ea9e486f97e07fae28c9aae704aaa1cc82432d5aa251dd02ec8d78acdfc91d00",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
     "theorem2": "e3276eebbbdff7499aa4ff50f7f20bef70498a07bc0615a46512365f9c391f3a",
     "theorem2_cap_abort": "d41455b1ebe567ab0e5c0924f258a1f70aa30543b62ea1812fc486caa22ac766",
