@@ -189,13 +189,13 @@ def committor_numeric(
     n : particle count, n >= 2.
     states : optional labels for the support (defaults to s0, s1, ...).
 
-    From a composition ``xi`` the move taking one particle from x to y
-    occurs at rate ``(n^2/(n-1)) * xi(x) * gamma(x) * xi(y)``; committors
-    are harmonic for these rates with Dirac boundary values.  The
-    generator is assembled on the whole space with one array pass per
-    move x -> y, split into its interior block and its Dirac columns,
-    and the sparse interior system is solved by a direct LU
-    factorization.
+    From a count vector ``xi`` the move taking one particle from x to y
+    occurs at rate ``xi(x) * gamma(x) * xi(y) / (n - 1)``, the engine's
+    rate of a death at x replaced from y; committors are harmonic for
+    these rates with Dirac boundary values.  The generator is assembled
+    on the whole space with one array pass per move x -> y, split into
+    its interior block and its Dirac columns, and the sparse interior
+    system is solved by a direct LU factorization.
     """
     gamma = [float(w) for w in weights]
     d = len(gamma)

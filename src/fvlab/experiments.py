@@ -58,11 +58,12 @@ the waiting times, so theorem1, theorem3 and conjecture_probe simulate
 one pass per intensity (per theorem3 point), not one per (r, t) pair;
 rows and outcome tables stay per (r, t).
 
-Per-replica set-up is kept off the event loop's path.  A chunk hashes
-the seed sequences of all its replicas in one numpy pass and resets one
-generator per replica, bit for bit the stream
-:func:`derive_replica_rng` gives, and the engine prepares its rate
-layout once per (model, r), not once per replica.
+Per-replica set-up is kept off the event loop's path.  Replica i's
+stream is a Philox generator keyed by the master seed, started at
+counter ``i << 128`` (:func:`derive_replica_rng`): counter-based, so
+distinct replicas never share a block and each replays alone.  A chunk
+keys one Philox and resets its counter per replica, and the engine
+prepares its rate layout once per (model, r), not once per replica.
 """
 
 from __future__ import annotations
@@ -113,13 +114,14 @@ class ConfigError(ValueError):
 def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible RNG stream for one replica.
 
-    Streams for distinct indices come from distinct spawn keys of the
-    same seed sequence, so they never share state and do not depend on
-    scheduling or thread count.
+    A Philox generator keyed by the master seed, started at counter
+    ``index << 128``: each replica owns 2^128 counter blocks, far more
+    than a replica draws, so streams of distinct indices never overlap
+    and do not depend on scheduling or thread count.
     """
     if index < 0:
         raise ValueError(f"replica index must be >= 0, got {index}")
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    return np.random.Generator(np.random.Philox(master_seed, counter=index << 128))
 
 
 def _is_int(v, low: int) -> bool:
@@ -474,99 +476,20 @@ def _csv_num(v) -> str:
 # pickles them by reference.
 
 
-# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's
-# seeding step, for _pcg64_states
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
-
-
-def _uint32_words(value: int) -> int:
-    return max(1, -(-value.bit_length() // 32))
-
-
-def _pcg64_states(seed, first: int, count: int) -> list[tuple[int, int]] | None:
-    """PCG64 ``(state, inc)`` of ``derive_replica_rng(seed, i)`` for i in ``first .. first+count-1``.
-
-    SeedSequence hashes its entropy words (the seed's, zero-padded to the
-    pool size because a spawn key follows, then the index's) with uint32
-    arithmetic whose multipliers do not depend on the data, so the hash
-    runs once over the whole block as numpy columns.  None when the
-    block is outside what this reproduces: a seed that is not an int
-    >= 0, or indices of different uint32 word counts or of more than two.
-    """
-    last = first + count - 1
-    if not (_is_int(seed, 0) and first >= 0):
-        return None
-    n_index = _uint32_words(first)
-    if n_index != _uint32_words(last) or n_index > 2:
-        return None
-    idx = np.uint64(first) + np.arange(count, dtype=np.uint64)
-    seed_words = [(seed >> (32 * k)) & _M32 for k in range(_uint32_words(seed))]
-    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + [0] * (_POOL - len(seed_words))]
-    entropy += [((idx >> np.uint64(32 * k)) & np.uint64(_M32)).astype(np.uint32) for k in range(n_index)]
-
-    def hasher(const: int, mult: int):
-        """SeedSequence's hashmix; its multiplier advances by ``mult`` per call."""
-
-        def hashmix(value):
-            nonlocal const
-            xor, const = const, const * mult & _M32
-            value = (value ^ np.uint32(xor)) * np.uint32(const)
-            return value ^ (value >> np.uint32(16))
-
-        return hashmix
-
-    def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return out ^ (out >> np.uint32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight words cycling over the pool
-    output = hasher(_INIT_B, _MULT_B)
-    words = [output(pool[k % _POOL]).tolist() for k in range(8)]
-    states = []
-    for w in zip(*words):
-        # uint64 words are little-endian pairs; state word 0 is the high half
-        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _M128
-        states.append((((initstate + inc) * _PCG_MULT + inc) & _M128, inc))
-    return states
-
-
 def _replica_rngs(seed, first: int, count: int):
-    """Yield the streams of replicas ``first .. first+count-1``, bit for bit
-    those of :func:`derive_replica_rng`.
+    """Yield the streams of replicas ``first .. first+count-1``, each equal
+    to :func:`derive_replica_rng`'s.
 
-    One PCG64 is reset per replica from :func:`_pcg64_states`, so a yielded
-    generator is valid only until the next one is drawn.  Blocks that
-    function cannot hash take the reference path.
+    One Philox keyed by ``seed`` serves the chunk: its public state is
+    reset per replica to counter ``i << 128`` with the buffer empty, so a
+    yielded generator is valid only until the next one is drawn.
     """
-    states = _pcg64_states(seed, first, count)
-    if states is None:
-        for i in range(first, first + count):
-            yield derive_replica_rng(seed, i)
-        return
-    bitgen = np.random.PCG64(0)
+    bitgen = np.random.Philox(seed)
     rng = np.random.Generator(bitgen)
-    for state, inc in states:
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    state = dict(bitgen.state, buffer_pos=4, has_uint32=0)  # no buffered words
+    for i in range(first, first + count):
+        state["state"]["counter"] = [0, 0, i % 2**64, i >> 64]  # little-endian words of i << 128
+        bitgen.state = state
         yield rng
 
 
@@ -823,6 +746,7 @@ def _exp_theorem1(run: _Run) -> None:
     finite = {r: (condensate_rates(model, n, r), _chain_start(model, counts, r)) for r in cfg.r_schedule}
 
     times = cfg.resolve_times()
+    limit_marginals = [ctmc_marginal(limit_rates, limit_start, t) for t in times]
     sup_tv_finite: dict[float, float] = {}
     sup_tv_limit: dict[float, float] = {}
     for i, r in enumerate(cfg.r_schedule):
@@ -833,7 +757,7 @@ def _exp_theorem1(run: _Run) -> None:
             at_t = _at(res, j)
             emp = empirical_law(_max_mass_site(at_t["final"]).tolist(), model.states)
             tv_fin = tv_distance(emp, ctmc_marginal(*finite[r], t))
-            tv_lim = tv_distance(emp, ctmc_marginal(limit_rates, limit_start, t))
+            tv_lim = tv_distance(emp, limit_marginals[j])
             sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
             sup_tv_limit[r] = max(sup_tv_limit.get(r, 0.0), tv_lim)
 

@@ -71,17 +71,25 @@ def test_replica_rng_rejects_negative_index():
         derive_replica_rng(1, -1)
 
 
+def test_replica_rng_is_philox_at_the_index_counter():
+    for seed, i in [(0, 0), (7, 5), (1281506044, 2**32 + 1), (2**100 + 1, 2**64 + 3)]:
+        ref = np.random.Generator(np.random.Philox(seed, counter=i << 128))
+        rng = derive_replica_rng(seed, i)
+        assert rng.bit_generator.state["state"]["counter"].tolist() == [0, 0, i % 2**64, i >> 64]
+        assert (rng.random(9) == ref.random(9)).all()
+
+
 def _chunk_streams(seed, base, start, stop):
-    """Each replica's PCG64 state and first three uint32 draws, as a chunk worker sees them."""
+    """Each replica's Philox counter and first three uint32 draws, as a chunk worker sees them."""
     from fvlab.experiments import _collect
 
     def replica(rng):
-        state = rng.bit_generator.state
+        counter = tuple(rng.bit_generator.state["state"]["counter"].tolist())
         # an odd count of uint32 draws leaves half a word buffered (has_uint32 = 1)
-        return state, tuple(rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+        return counter, tuple(rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
 
     payload = {"seed": seed, "base": base, "start": start, "stop": stop}
-    return _collect(payload, replica, state=object, draws=np.int64)
+    return _collect(payload, replica, counter=np.uint64, draws=np.int64)
 
 
 @pytest.mark.parametrize(
@@ -90,11 +98,9 @@ def _chunk_streams(seed, base, start, stop):
     ids=["zero", "1word", "1word-large", "1word-max", "2words", "3words", "4words", "5words"],
 )
 def test_chunk_seeding_matches_derive_replica_rng(seed):
-    from fvlab.experiments import _pcg64_states
-
-    # (base, start, stop): nonzero bases, and index blocks on both sides of
-    # 2^32, across it (the reference fallback), just below 2^64 and across
-    # it (also the fallback)
+    # (base, start, stop): nonzero bases, index blocks on both sides of 2^32
+    # and across it, just below 2^64 and across it, where the index spills
+    # into the next counter word
     blocks = [
         (0, 0, 256),
         (1000, 256, 512),
@@ -103,16 +109,14 @@ def test_chunk_seeding_matches_derive_replica_rng(seed):
         (2**32 + 7, 256, 400),
         (2**32 - 100, 0, 200),
         (2**64 - 260, 0, 256),
-        (2**64 - 2, 0, 4),
+        (2**64 - 100, 0, 200),
     ]
-    assert _pcg64_states(seed, 2**32 - 100, 200) is None
-    assert _pcg64_states(seed, 2**32, 256) is not None
     pairs = 0
     for base, start, stop in blocks:
         out = _chunk_streams(seed, base, start, stop)
         for k, i in enumerate(range(base + start, base + stop)):
             ref = derive_replica_rng(seed, i)
-            assert out["state"][k] == ref.bit_generator.state, (seed, i)
+            assert out["counter"][k].tolist() == ref.bit_generator.state["state"]["counter"].tolist()
             assert tuple(out["draws"][k]) == tuple(ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
             pairs += 1
     assert pairs * 8 >= 10_000  # over the eight seeds
@@ -731,9 +735,10 @@ def test_config_validated_once_per_run(monkeypatch):
 def test_theorem1_builds_each_chain_once(monkeypatch):
     import fvlab.experiments as experiments
 
-    calls = _count_calls(monkeypatch, experiments, ["condensate_rates", "_chain_start"])
+    calls = _count_calls(monkeypatch, experiments, ["condensate_rates", "_chain_start", "ctmc_marginal"])
     run_experiment(ExperimentConfig.from_dict(theorem1_doc(time_points=[0.1, 0.2, 0.3, 0.4, 0.5])))
-    assert calls == {"condensate_rates": 3, "_chain_start": 3}  # the limit and each of the two r
+    # the limit and each of the two r; the limit chain's marginal once per time
+    assert calls == {"condensate_rates": 3, "_chain_start": 3, "ctmc_marginal": 5 + 2 * 5}
 
 
 # ----------------------------------------------------------- per-kind smokes
@@ -791,8 +796,8 @@ def test_theorem3_regime_smoke():
 
 
 def test_theorem3_regime_hash_pinned():
-    # rows from the event loop before the two-site duel fast path existed; the
-    # hash moved only when marginals came from expm (float noise in TV rows)
+    # rows on the Philox replica streams; the duel fast path is checked draw
+    # for draw against the reference event loop in test_engine.py
     cfg = ExperimentConfig.from_dict(
         {
             "kind": "theorem3_regime",
@@ -814,7 +819,7 @@ def test_theorem3_regime_hash_pinned():
         }
     )
     assert run_experiment(cfg).result_hash == (
-        "68560118f91c5f79ce401c9634e8d2086cbd276f3a53e2ffe217a63168a62567"
+        "c4c485a3e61b9ef65ea59c81be5b1bae507bb9b86f910b01f98565f38be4d71c"
     )
 
 
@@ -844,6 +849,23 @@ def test_theorem3_evaluates_every_time_point(tmp_path):
     # one interval per point: the supremum over the time grid
     assert len(rep.extras["cprime_intervals"]) == 2
     assert any(r["statistic"] == "cprime_interval_consistency" for r in rep.rows)
+
+
+def test_theorem3_partial_abort_emits_no_consistency_row():
+    # criterion 5's points: at cap 5000 the n = 100 pass aborts (median about
+    # 8 500 events per replica) while n = 10 and n = 32 complete (at most
+    # about 3 300)
+    points = [{"n": 10, "r": 1.0e3}, {"n": 32, "r": 1.0e4}, {"n": 100, "r": 1.0e5}]
+    doc = _theorem3_doc(points=points, time_points=[0.5, 1.0], event_cap=5000)
+    rep = run_experiment(ExperimentConfig.from_dict(doc))
+    aborts = [row for row in rep.rows if row["statistic"] == "event_cap_abort"]
+    assert [(row["r"], row["t"], row["verdict"]) for row in aborts] == [(1.0e5, 0.5, "FAIL"), (1.0e5, 1.0, "FAIL")]
+    assert 2 * 100 <= rep.timing["event_cap_aborts"][0]["replica"] < 3 * 100
+    pair_rows = [(row["r"], row["t"]) for row in rep.rows if row["statistic"] == "mean_pair_correlation"]
+    assert pair_rows == [(1.0e3, 0.5), (1.0e3, 1.0), (1.0e4, 0.5), (1.0e4, 1.0)]
+    assert len(rep.outcome_digests) == 4
+    assert "cprime_interval_consistency" not in {row["statistic"] for row in rep.rows}
+    assert "cprime_intervals" not in rep.extras
 
 
 @pytest.mark.parametrize(
@@ -1037,7 +1059,7 @@ def _pinned_docs():
         "theorem1_cap_abort": theorem1_doc(event_cap=3),
         "theorem2": _theorem2_doc(),
         # the middle point aborts; the last one runs on the block after it
-        "theorem2_cap_abort": _theorem2_doc(r_schedule=[10.0, 200.0, 1000.0], event_cap=20),
+        "theorem2_cap_abort": _theorem2_doc(r_schedule=[10.0, 200.0, 1000.0], event_cap=20, seed=1),
         "theorem3": _theorem3_doc(),
         "absorption_tail": {
             "kind": "absorption_tail",
@@ -1067,25 +1089,24 @@ def _pinned_docs():
     }
 
 
-# result_hash of each config above, every one taken from the code before the
-# shared point runner except these: the conjecture_probe pair no longer
-# carries the cascade's path enumeration and reachable-site lists, and
-# theorem1, theorem3 and conjecture_probe_sim hold marginals from expm, whose
-# TV rows differ from uniformization's in float noise only (below 1e-13);
-# theorem1 and conjecture_probe_sim then moved again when each intensity's
-# time points came to share one pass, and so one index block, of replicas
+# result_hash of each config above.  Those that draw replicas were taken on
+# the Philox replica streams.  committor, conjecture_probe and
+# theorem1_cap_abort draw none that reach the hash (every theorem1_cap_abort
+# pass aborts) and date from before the shared point runner, except that
+# conjecture_probe no longer carries the cascade's path enumeration and
+# reachable-site lists
 _PINNED_HASHES = {
-    "absorption_tail": "c1b3edf502093dfc96d8518137253c0bb59b4c7aa661dcff567da01b06696a7c",
+    "absorption_tail": "4a6fcfb955c2b441c0f5043c76bd843c71f4fd3c0bcd5bb334ede1dc8683e622",
     "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
-    "committor_mc": "a8d3d8c343386cc9622abf9da09aa75815ed77a4546dc1b120b2f09300c8a3a8",
+    "committor_mc": "cff184f5d6a24e4a9432112e46c881d4c3552383bb3b97573ec3f93382807a19",
     "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
-    "conjecture_probe_sim": "ff81ac28c46cdb90f3fa64eaf247e98968bf12617ae56b6d6137fea615b4d579",
-    "eta_inf": "8e6aaf39ac6dc4ce9d66ac8fb7a0a4d570c298c6e543d205f7e7c2ef8bfc52e0",
-    "theorem1": "ea9e486f97e07fae28c9aae704aaa1cc82432d5aa251dd02ec8d78acdfc91d00",
+    "conjecture_probe_sim": "503e317d7db363a4e03f92f4064581f17679d0a39f0210d38e5a54ae19cbf2d5",
+    "eta_inf": "7a83052fc11e795b6c45668c1a935a3aa8902471e00bf0a4997d9b0d4e5fea7c",
+    "theorem1": "5a99919185304fb63740e34af58dedd2e67f6c0d9287b8075c00797128dee3e9",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
-    "theorem2": "e3276eebbbdff7499aa4ff50f7f20bef70498a07bc0615a46512365f9c391f3a",
-    "theorem2_cap_abort": "d41455b1ebe567ab0e5c0924f258a1f70aa30543b62ea1812fc486caa22ac766",
-    "theorem3": "477c882089a81680a43ce68fe5347a2023e7a172dd51e6b78bc139be6cb043d7",
+    "theorem2": "c51027b508de1bdd0ddbff9f38f20857b378d61196f84d57203fad803ca776dc",
+    "theorem2_cap_abort": "177c72118020a7a75608a2ba26c138d561b6bb7c3c8dab0bc486fe491f014971",
+    "theorem3": "f561f3683f4a7d3ca510d2de73017226b46b7a026daa401bffda6acead0e7767",
 }
 
 
@@ -1093,6 +1114,20 @@ _PINNED_HASHES = {
 def test_result_hash_pinned(key):
     cfg = ExperimentConfig.from_dict(_pinned_docs()[key])
     assert run_experiment(cfg).result_hash == _PINNED_HASHES[key]
+
+
+def test_theorem2_abort_keeps_later_points_on_their_blocks():
+    rep = run_experiment(ExperimentConfig.from_dict(_pinned_docs()["theorem2_cap_abort"]))
+    M = rep.config["replicas"]
+    assert [(a["r"], a["t"]) for a in rep.timing["event_cap_aborts"]] == [(200.0, 0.5)]
+    # the aborted point keeps its chain block reserved: r = 1000 runs on blocks 4 and 5
+    last_fv, last_chain = rep.timing["points"][-2:]
+    assert last_fv["r"] == last_chain["r"] == 1000.0
+    assert 4 * M <= last_fv["max_events_replica"] < 5 * M <= last_chain["max_events_replica"] < 6 * M
+    assert [row["statistic"] for row in rep.rows if row["r"] == 1000.0] == [
+        "mean_dirac_distance_integral",
+        "tv_mean_avg_occupation_fv_vs_chain",
+    ]
 
 
 def test_config_entry_points_agree():
