@@ -590,7 +590,8 @@ def _run_point(worker, payload: dict, M: int, threads: int):
 class _Run:
     """One experiment in progress: the point runner every kind is declared over.
 
-    ``base`` is the first flat replica index of the next point.
+    ``base`` is the first flat replica index of the next point;
+    ``aborted`` is set once any pass hits the event cap.
     """
 
     cfg: ExperimentConfig
@@ -598,6 +599,7 @@ class _Run:
     report: Report
     outcomes: dict = field(default_factory=dict)
     base: int = 0
+    aborted: bool = False
 
     def row(self, r, t, statistic, value, half_width, verdict) -> None:
         values = (self.report.name, r, t, statistic, value, half_width, verdict)
@@ -618,6 +620,7 @@ class _Run:
         self.report.timing.setdefault("points", []).append(stats)
         first, self.base = self.base, self.base + M
         if isinstance(res, EventCapError):
+            self.aborted = True
             for row_t in t if isinstance(t, tuple) else (t,):
                 self.row(r, row_t, "event_cap_abort", float(res.cap), "", "FAIL")
             aborts = self.report.timing.setdefault("event_cap_aborts", [])
@@ -674,27 +677,18 @@ def _tv_standard_error(samples: np.ndarray) -> float:
 
 
 def _occupation_csv(states, arrays: Mapping[str, np.ndarray]) -> str:
+    """Per-replica table: ``replica``, then each array's columns (``<key>_<state>``
+    for a 2-D one).  A column's format follows its dtype: ``%d`` for int,
+    ``%.17g`` (as ``format(v, ".17g")``) for float; the header is quoted by ``csv``."""
+    header, columns = ["replica"], []
+    for key, arr in arrays.items():
+        header.extend([f"{key}_{s}" for s in states] if arr.ndim == 2 else [key])
+        columns.extend(np.atleast_2d(arr.T))
+    # numbers never need quoting; a row ends in "\r\n", as csv.writer ends it
+    line = ",".join(["%d"] + ["%.17g" if c.dtype.kind == "f" else "%d" for c in columns]) + "\r\n"
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    keys = list(arrays)
-    header: list[str] = ["replica"]
-    for key in keys:
-        arr = arrays[key]
-        if arr.ndim == 2:
-            header.extend(f"{key}_{s}" for s in states)
-        else:
-            header.append(key)
-    writer.writerow(header)
-    M = len(arrays[keys[0]])
-    for i in range(M):
-        row: list = [i]
-        for key in keys:
-            arr = arrays[key]
-            if arr.ndim == 2:
-                row.extend(_csv_num(float(v)) if arr.dtype.kind == "f" else int(v) for v in arr[i])
-            else:
-                row.append(_csv_num(float(arr[i])) if arr.dtype.kind == "f" else int(arr[i]))
-        writer.writerow(row)
+    csv.writer(buf).writerow(header)
+    buf.writelines(line % row for row in zip(range(len(columns[0])), *(c.tolist() for c in columns)))
     return buf.getvalue()
 
 
@@ -755,7 +749,7 @@ def _exp_theorem1(run: _Run) -> None:
             continue
         for j, t in enumerate(times):
             at_t = _at(res, j)
-            emp = empirical_law(_max_mass_site(at_t["final"]).tolist(), model.states)
+            emp = empirical_law(_max_mass_site(at_t["final"]), model.states)
             tv_fin = tv_distance(emp, ctmc_marginal(*finite[r], t))
             tv_lim = tv_distance(emp, limit_marginals[j])
             sup_tv_finite[r] = max(sup_tv_finite.get(r, 0.0), tv_fin)
@@ -765,7 +759,7 @@ def _exp_theorem1(run: _Run) -> None:
             run.row(r, t, "tv_vs_limit_chain", tv_lim, eps, "INFO")
             run.outcome(f"point{i * len(times) + j:02d}_r{r:g}_t{t:g}.csv", model.states, at_t)
 
-    if len(sup_tv_finite) != len(cfg.r_schedule):
+    if run.aborted:
         return  # aborted passes carry FAIL rows; a sup over the time grid needs them all
     schedule = list(cfg.r_schedule)
     sups = [sup_tv_finite[r] for r in schedule]
@@ -815,7 +809,7 @@ def _exp_theorem2(run: _Run) -> None:
         run.outcome(f"paths_r{r:g}.csv", model.states, res)
 
     factor = cfg.tolerance("decay_factor", 5.0)
-    if len(means) != len(cfg.r_schedule):
+    if run.aborted:
         return
     if means[-1] > 0:
         achieved = means[0] / means[-1]
@@ -838,6 +832,10 @@ def _exp_theorem3(run: _Run) -> None:
 
     m_sup = model.killing.m_sup  # validate() admits only uniform_plus killing
     times = cfg.time_points
+    # the mutation chain starts from the initial measure, shared by every point (init counts sum to each n)
+    start = cfg.init_counts(model, int(cfg.points[0]["n"]))
+    init_law = exact_law(model.states, np.asarray(start, dtype=float) / sum(start))
+    exact_marginals = [ctmc_marginal(mutation_chain, init_law, t).probs for t in times]
     cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed (point, time) pair
     for i, point in enumerate(cfg.points):
         n, r = int(point["n"]), float(point["r"])
@@ -847,8 +845,6 @@ def _exp_theorem3(run: _Run) -> None:
         if res is None:
             continue
         bound = (model.Q + n / (2.0 * (n - 1.0)) * m_sup) * scale
-        # the mutation chain starts from the initial empirical measure
-        init_law = exact_law(model.states, np.asarray(counts, dtype=float) / n)
         for j, t in enumerate(times):
             at_t = _at(res, j)
             occ = at_t["final"] / n
@@ -859,8 +855,7 @@ def _exp_theorem3(run: _Run) -> None:
             run.row(r, t, "mean_pair_correlation", mean_pc, 3.0 * se_pc, _verdict(mean_pc <= bound + 3.0 * se_pc))
             run.row(r, t, "pair_correlation_bound", bound, "", "INFO")
 
-            exact_marginal = ctmc_marginal(mutation_chain, init_law, t)
-            tv = float(np.abs(occ.mean(axis=0) - exact_marginal.probs).sum())
+            tv = float(np.abs(occ.mean(axis=0) - exact_marginals[j]).sum())
             se_tv = _tv_standard_error(occ)
             run.row(r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO")
             run.row(r, t, "cprime_point_estimate", tv / scale, "", "INFO")
@@ -868,7 +863,7 @@ def _exp_theorem3(run: _Run) -> None:
             run.outcome(f"point{i * len(times) + j:02d}_n{n}_r{r:g}.csv", model.states, at_t)
 
     factor = cfg.tolerance("cprime_factor", 3.0)
-    if len(cps) != len(cfg.points) * len(times):
+    if run.aborted:
         return
     # per point, the supremum of TV over the time grid lies between the
     # largest lower and the largest upper 3-sigma bound
@@ -906,7 +901,7 @@ def _exp_absorption_tail(run: _Run) -> None:
         run.row(r, "", "mean_absorption_time", float(taus.mean()), "", "INFO")
         run.outcome(f"tail_r{r:g}.csv", model.states, res)
 
-    if len(slopes) != len(cfg.r_schedule):
+    if run.aborted:
         return
     expected = floors[-1] / floors[0]
     achieved = slopes[-1] / slopes[0]
@@ -926,7 +921,7 @@ def _exp_eta_inf(run: _Run) -> None:
     res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=counts)
     if res is None:
         return
-    emp = empirical_law(res["site"].tolist(), model.states)
+    emp = empirical_law(res["site"], model.states)
     tv = tv_distance(emp, exact.law)
     tol = cfg.tolerance("tv_tol", 0.02)
     run.row(r, "", "tv_exact_vs_absorbed_site_law", tv, tol, _verdict(tv <= tol))
@@ -1006,7 +1001,7 @@ def _exp_conjecture_probe(run: _Run) -> None:
         return
     for j, t in enumerate(times):
         at_t = _at(res, j)
-        emp = empirical_law(_max_mass_site(at_t["final"]).tolist(), model.states)
+        emp = empirical_law(_max_mass_site(at_t["final"]), model.states)
         tv = tv_distance(emp, _lift_law(ctmc_marginal(chain, start_site, t), model.states))
         run.row(r, t, "tv_vs_conjectured_chain", tv, tol, "INFO")
         run.outcome(f"probe_t{t:g}.csv", model.states, at_t)

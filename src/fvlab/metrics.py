@@ -1,10 +1,11 @@
 """Distances and statistics over laws on a finite site set.
 
 Total variation here follows the sum-of-absolute-differences convention,
-``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Empirical
-laws are plain frequency vectors with no half-width: a DKW band depends
-on the sample count alone, so callers compute it.  Paths of measures
-have no type here: ``Trajectory.occupancy_path`` returns plain arrays.
+``tv(mu, nu) = sum_x |mu(x) - nu(x)|``, with range [0, 2].  Empirical laws
+are plain frequency vectors with no half-width: a DKW band depends on the
+sample count alone, so callers compute it.  ``empirical_law`` counts an
+integer index array directly and rejects an index out of range.  Paths of
+measures have no type here: ``Trajectory.occupancy_path`` returns plain arrays.
 """
 
 from __future__ import annotations
@@ -58,22 +59,23 @@ def exact_law(states: Sequence[str], probs) -> LawOnStates:
 
 
 def empirical_law(samples: Iterable[Union[str, int]], states: Sequence[str]) -> LawOnStates:
-    """Frequency vector of sampled sites.
-
-    ``samples`` may contain state labels or integer indices into
-    ``states``.
+    """Frequency vector of sampled sites: state labels or integer indices
+    into ``states``.  Integer arrays and lists are counted directly with
+    ``np.bincount``; an index outside [0, len(states)) raises ValueError.
     """
     states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
-    counts = np.zeros(len(states), dtype=np.int64)
-    total = 0
-    for s in samples:
-        i = s if isinstance(s, (int, np.integer)) else index[s]
-        counts[i] += 1
-        total += 1
-    if total < 1:
+    samples = samples if isinstance(samples, np.ndarray) else list(samples)
+    idx = np.asarray(samples)
+    if idx.dtype.kind not in "iu":  # labels, possibly mixed with indices
+        index = {s: i for i, s in enumerate(states)}
+        idx = np.array([s if isinstance(s, (int, np.integer)) else index[s] for s in samples], dtype=np.int64)
+    if idx.size < 1:
         raise ValueError("empirical_law requires at least one sample")
-    return LawOnStates(states, counts / total, kind="empirical")
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= len(states):
+        raise ValueError(f"sample index {lo if lo < 0 else hi} outside [0, {len(states)})")
+    counts = np.bincount(idx.astype(np.intp, copy=False), minlength=len(states))
+    return LawOnStates(states, counts / idx.size, kind="empirical")
 
 
 def _tv(u: np.ndarray, v: np.ndarray) -> float:

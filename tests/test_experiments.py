@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -639,6 +641,24 @@ def test_report_write_outputs(tmp_path):
     assert len(digests) == len(rep.outcome_digests)  # distinct points differ
 
 
+def test_outcome_table_formats_each_column_by_dtype():
+    from fvlab.experiments import _occupation_csv
+
+    states = ("a", 'b,"c"', "d")  # a label that csv must quote
+    final = np.array([[3, 0, -1], [2**40, 7, 0], [0, 0, 5], [1, 1, 1]], dtype=np.int64)
+    tau = np.array([0.1, 1.0, 1e-300, 2.5e17])
+    text = _occupation_csv(states, {"final": final, "tau": tau})
+    # reference: one csv row per replica, ints as ints and floats by .17g
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["replica", *(f"final_{s}" for s in states), "tau"])
+    for i in range(len(tau)):
+        writer.writerow([i, *(int(v) for v in final[i]), format(float(tau[i]), ".17g")])
+    assert text == buf.getvalue()
+    assert text.splitlines()[0] == 'replica,final_a,"final_b,""c""",final_d,tau'
+    assert text.splitlines()[4] == "3,1,1,1,2.5e+17"
+
+
 def test_event_cap_abort_recorded_not_raised():
     cfg = ExperimentConfig.from_dict(theorem1_doc(event_cap=3))
     rep = run_experiment(cfg)
@@ -838,8 +858,13 @@ def _theorem3_doc(**overrides):
     return doc
 
 
-def test_theorem3_evaluates_every_time_point(tmp_path):
+def test_theorem3_evaluates_every_time_point(tmp_path, monkeypatch):
+    import fvlab.experiments as experiments
+
+    calls = _count_calls(monkeypatch, experiments, ["ctmc_marginal"])
     rep = run_experiment(ExperimentConfig.from_dict(_theorem3_doc(time_points=[0.25, 1.0])), out_dir=tmp_path)
+    # every point starts from the same measure: one mutation-chain marginal per time
+    assert calls["ctmc_marginal"] == 2
     pc = [(r["r"], r["t"]) for r in rep.rows if r["statistic"] == "mean_pair_correlation"]
     assert pc == [(50.0, 0.25), (50.0, 1.0), (200.0, 0.25), (200.0, 1.0)]
     assert sorted(rep.outcome_digests) == [

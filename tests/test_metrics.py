@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,16 @@ def test_empirical_law_counts_and_half_width():
 def test_empirical_law_accepts_indices():
     law = empirical_law([0, 0, 1, 2], STATES)
     assert law.prob("a") == pytest.approx(0.5)
+    # labels, a list of ints, an int64 array and a generator count alike
+    labels = ["a", "c", "c", "b", "c"]
+    ints = [STATES.index(s) for s in labels]
+    want = empirical_law(labels, STATES).probs
+    for samples in (ints, np.array(ints, dtype=np.int64), (i for i in ints)):
+        assert empirical_law(samples, STATES).probs.tobytes() == want.tobytes()
+    for bad in (-1, len(STATES)):
+        for samples in ([bad, 0], np.array([0, bad])):
+            with pytest.raises(ValueError, match=f"sample index {bad} "):
+                empirical_law(samples, STATES)
 
 
 # ------------------------------------------------------------------- tv
