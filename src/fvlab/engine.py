@@ -19,9 +19,17 @@ keeps the event count bounded as killing rates grow: a count-changing
 death at rate ``lambda`` is always followed, within O(1/lambda) time, by
 the short duel that resolves it.
 
-Every replica consumes one private RNG stream with a fixed draw pattern
-(waiting time, event category, event target), so trajectories are
-bit-reproducible for a given (model, seed, parameters).  A recorded
+Every replica consumes one private RNG stream with a fixed draw
+pattern, so trajectories are bit-reproducible for a given (model, seed,
+parameters).  Each step reads one standard exponential ``e``, its
+waiting time being ``e / total``, and two uniforms, for the event
+category and the event target.  They are drawn a refill at a time: for
+the next S steps, ``rng.standard_exponential(S)`` and then
+``rng.random(2 * S)``, the category uniforms first, with S = 21 at the
+start and doubling at each refill up to 1365.  The exponentials come
+from numpy's ziggurat sampler, computed in the generator's own code, so
+a waiting time is one correctly rounded division wherever it is
+computed: in the scalar loop or in a numpy block.  A recorded
 path of measures is two arrays: ``Trajectory.occupancy_path`` returns
 the event times from 0 and the normalized counts holding from each.
 
@@ -33,13 +41,29 @@ The rate layout and these tables depend on (model, r) and the particle
 count only, so they are built once per (model, r) and kept on the
 model, not rebuilt for every replica.
 This path is the generic step specialized, not an approximation: it
-reads the same three uniforms from the same buffer positions, refills
-the buffer at the same points, and evaluates the generic loop's own
+reads the same draws from the same buffer positions, refills the
+buffer at the same points, and evaluates the generic loop's own
 floating-point expressions in the same order, so time, counts, event
 count and recorded events are bit-identical to the generic loop's for
 every input.  A mutation out of a duel is handed back to the generic
-step, which redraws it from the same uniforms.  Supports of one site or
-of three or more always take the generic step.
+step, which takes it from the same draws.  Supports of one site or of
+three or more always take the generic step.
+
+A duel that outlasts its first 32 scalar steps advances in numpy
+blocks, each one scalar step apart, of 128 steps doubling up to 1024.
+Inside a duel a count-changing death is at a with probability
+``lambda_a / (lambda_a + lambda_b)`` at every split, so a block guesses
+each step's direction from its category uniform alone, builds the count
+path by cumulative sum, and evaluates the scalar step's decision along
+it, with the same tables and float expressions.  It keeps the steps
+before the first one whose decision differs from the guess, or that is
+a mutation or at a split with no rate left, and times them as the
+scalar step's own sequential sum, cut before the first time past the
+next stop.  A block never reads past the refill or reaches the event
+cap (scalar steps take a remainder shorter than the smallest block);
+the scalar step after it takes whatever ended it (the mismatched step,
+the mutation, the snapshot or horizon, the refill, the cap), so the
+block changes the cost of a long duel and nothing else.
 
 One run gives the state at several times: ``simulate_fv(...,
 snapshot_times=...)`` records the counts and the events so far at each
@@ -71,7 +95,9 @@ __all__ = [
 ]
 
 DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
-_BLOCK = 4096  # uniforms pre-drawn per refill
+_BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
+_DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
+_DUEL_BLOCK_MIN, _DUEL_BLOCK_MAX = 128, 1024  # a duel's blocks double in steps between these
 
 
 class EventCapError(RuntimeError):
@@ -140,19 +166,26 @@ class Trajectory:
 
     Each event moves exactly one particle (source count -1, target
     count +1), so the path of measures is reconstructed by replay.
-    ``event_count`` counts the generated events even when recording was
-    turned off (``events`` empty).  ``snapshots`` holds one ``(counts,
-    events so far)`` pair per requested snapshot time: the state after
-    every event at or before that time.
+    ``final_counts`` are the counts at the horizon, and ``final`` is
+    their measure, built when read.  ``event_count`` counts the
+    generated events even when recording was turned off (``events``
+    empty).  ``snapshots`` holds one ``(counts, events so far)`` pair
+    per requested snapshot time: the state after every event at or
+    before that time.
     """
 
     states: tuple[str, ...]
     initial: EmpiricalMeasure
     events: list[tuple[float, Event]]
     horizon: float
-    final: EmpiricalMeasure
+    final_counts: tuple[int, ...]
     event_count: int = 0
     snapshots: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
+
+    @property
+    def final(self) -> EmpiricalMeasure:
+        """The measure at the horizon, built from ``final_counts`` on each read."""
+        return EmpiricalMeasure(self.final_counts)
 
     def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
@@ -238,6 +271,12 @@ def _duel_tables(n, inv_nm1, la, lb, ea, eb):
     {a, b}, accumulated from 0.0 in the same order, so the tables hold
     bit-for-bit the floats that loop would compute.  The total rate is
     0.0 at the Dirac ends (count 0 or n), where the duel is over.
+    Returns the three tables as lists, for the scalar step, and
+    ``(tables, p_a)`` for :func:`_duel_block`: the same tables as the
+    rows of one array, with the mutation rate set to +inf wherever the
+    total is 0 so that such a split reads as a mutation and ends a
+    block, and ``la / (la + lb)``, the probability at every split that a
+    count-changing death is at a.
     """
     rm_tab = [0.0] * (n + 1)
     kill_a_tab = [0.0] * (n + 1)
@@ -250,7 +289,52 @@ def _duel_tables(n, inv_nm1, la, lb, ea, eb):
         rm_tab[ka] = r_mut
         kill_a_tab[ka] = kill_a * inv_nm1
         total_tab[ka] = r_mut + r_sel
-    return rm_tab, kill_a_tab, total_tab
+    tables = np.array([rm_tab, kill_a_tab, total_tab], dtype=float)
+    tables[0, tables[2] <= 0.0] = math.inf
+    return rm_tab, kill_a_tab, total_tab, (tables, la / (la + lb))
+
+
+def _duel_block(arrays, ka, t, stop, e, u, pos, m):
+    """Up to ``m`` duel steps from count ``ka`` at time ``t``, on the draws
+    ``e[pos:pos + m]`` and ``u[pos:pos + m]``.
+
+    Each step's direction is guessed from its uniform alone, the count
+    path follows by cumulative sum, and the scalar step's decision is
+    evaluated along it with the scalar step's own float expressions.
+    The accepted prefix ends before the first step whose decision
+    differs from the guess, or is a mutation, or has zero total rate,
+    and before the first time past ``stop``; times are the scalar
+    step's sequential sums.  Returns ``(steps, ka, times, a_died)``: the
+    accepted count, the count at a after them, and each accepted step's
+    time and direction.
+    """
+    tables, p_a = arrays
+    uc = u[pos:pos + m]
+    a_died = uc < p_a
+    step = np.where(a_died, -1, 1)
+    after = step.cumsum()
+    after += ka  # the count at a after each step
+    rm, kill_a, total = tables.take(after - step, axis=1, mode="clip")
+    x = uc * total
+    bad = ((x - rm) - kill_a < 0.0) != a_died
+    bad |= x < rm
+    j = int(bad.argmax())
+    if not bad[j]:
+        j = m
+    times = e[pos:pos + j] / total[:j]
+    times[:1] += t
+    times.cumsum(out=times)
+    steps = int(times.searchsorted(stop, "right"))
+    return steps, int(after[steps - 1]) if steps else ka, times[:steps], a_died[:steps]
+
+
+def _draws(rng: np.random.Generator, size: int):
+    """One refill for ``size`` steps: ``size`` standard exponentials, then
+    ``2 * size`` uniforms, each as an array and as a memoryview of it,
+    whose items are Python floats, for cheaper scalar arithmetic."""
+    e = rng.standard_exponential(size)
+    u = rng.random(2 * size)
+    return e, u, memoryview(e), memoryview(u)
 
 
 def _snapshots_before(t_next, marks, snaps, counts, n_events, horizon):
@@ -296,15 +380,13 @@ def _simulate(
     counts = list(init.counts)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
-    log1p, rnd = math.log1p, rng.random
 
-    # Uniforms are pre-drawn in blocks that grow geometrically, so short
-    # replicas stay cheap and long ones amortize the generator call.
-    # ``tolist`` gives Python floats: the same binary64 values, cheaper
-    # scalar arithmetic.
-    size = 64
-    buf = rnd(size).tolist()
-    limit = size - 3
+    # Draws for ``size`` steps are made at once, ``size`` growing
+    # geometrically, so short replicas stay cheap and long ones amortize
+    # the generator calls.  Step ``pos`` reads ``ebuf[pos]``,
+    # ``ubuf[pos]`` and ``ubuf[size + pos]``.
+    size = 21
+    e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
     pos = 0
     t = 0.0
     events: list[tuple[float, Event]] = []
@@ -321,46 +403,68 @@ def _simulate(
                 tables = duels[(n, a, b)] = _duel_tables(
                     n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]
                 )
-            rm_tab, kill_a_tab, total_tab = tables
+            rm_tab, kill_a_tab, total_tab, arrays = tables
             if record:
                 a_dies, b_dies = Event("selection", a, b), Event("selection", b, a)
             ka = counts[a]
             done = False
+            run = _DUEL_SCALAR  # scalar steps before the next block
+            block = _DUEL_BLOCK_MIN
             while True:
-                total = total_tab[ka]
-                if total <= 0.0:
-                    break  # a site died out, or no rate is left
-                if pos > limit:
-                    size = min(size * 2, _BLOCK)
-                    buf = rnd(size).tolist()
-                    limit = size - 3
-                    pos = 0
-                dt = -log1p(-buf[pos]) / total
-                if t + dt > stop:
-                    counts[a], counts[b] = ka, n - ka
-                    stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
+                for _ in range(run):
+                    total = total_tab[ka]
+                    if total <= 0.0:
+                        break  # a site died out, or no rate is left
+                    if pos == size:
+                        size = min(size * 2, _BLOCK)
+                        e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
+                        pos = 0
+                    dt = ebuf[pos] / total
                     if t + dt > stop:
-                        t = T
-                        done = True
-                        break
-                x = buf[pos + 1] * total
-                r_mut = rm_tab[ka]
-                if x < r_mut:
-                    break  # mutation: the generic step redraws it from ``pos``
-                pos += 3
-                t += dt
-                if (x - r_mut) - kill_a_tab[ka] < 0.0:
-                    ka -= 1
-                    if record:
-                        events.append((t, a_dies))
+                        counts[a], counts[b] = ka, n - ka
+                        stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
+                        if t + dt > stop:
+                            t = T
+                            done = True
+                            break
+                    x = ubuf[pos] * total
+                    r_mut = rm_tab[ka]
+                    if x < r_mut:
+                        break  # mutation: the generic step takes it from ``pos``
+                    pos += 1
+                    t += dt
+                    if (x - r_mut) - kill_a_tab[ka] < 0.0:
+                        ka -= 1
+                        if record:
+                            events.append((t, a_dies))
+                    else:
+                        ka += 1
+                        if record:
+                            events.append((t, b_dies))
+                    n_events += 1
+                    if n_events >= event_cap:
+                        counts[a], counts[b] = ka, n - ka
+                        raise EventCapError(event_cap, t, counts)
                 else:
-                    ka += 1
-                    if record:
-                        events.append((t, b_dies))
-                n_events += 1
-                if n_events >= event_cap:
-                    counts[a], counts[b] = ka, n - ka
-                    raise EventCapError(event_cap, t, counts)
+                    # A block never reaches the refill or the cap, and the
+                    # scalar step after it takes whatever ended it.  Where
+                    # fewer than the smallest block's steps are left before
+                    # either, scalar steps take them and the one after.
+                    m = min(block, size - pos, event_cap - 1 - n_events)
+                    if m < _DUEL_BLOCK_MIN:
+                        run = m + 1
+                        continue
+                    steps, ka, times, a_died = _duel_block(arrays, ka, t, stop, e_arr, u_arr, pos, m)
+                    if steps:
+                        pos += steps
+                        n_events += steps
+                        t = float(times[-1])
+                        if record:
+                            events += zip(times.tolist(), [a_dies if ad else b_dies for ad in a_died.tolist()])
+                    block = min(block * 2, _DUEL_BLOCK_MAX)
+                    run = 1
+                    continue
+                break
             counts[a], counts[b] = ka, n - ka
             if done:
                 break
@@ -379,17 +483,15 @@ def _simulate(
         if total <= 0.0:
             break
 
-        if pos > limit:
+        if pos == size:
             size = min(size * 2, _BLOCK)
-            buf = rnd(size).tolist()
-            limit = size - 3
+            e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
             pos = 0
-        u_time = buf[pos]
-        u_cat = buf[pos + 1]
-        u_tgt = buf[pos + 2]
-        pos += 3
+        dt = ebuf[pos] / total
+        u_cat = ubuf[pos]
+        u_tgt = ubuf[size + pos]
+        pos += 1
 
-        dt = -log1p(-u_time) / total
         if t + dt > stop:
             stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
             if t + dt > stop:
@@ -491,7 +593,7 @@ def simulate_fv(
         initial=init,
         events=events,
         horizon=T,
-        final=EmpiricalMeasure.from_counts(counts),
+        final_counts=tuple(counts),
         event_count=n_events,
         snapshots=snaps,
     )
@@ -510,8 +612,9 @@ def simulate_selection_absorption(
     Returns the absorption time, the absorbed site's label, and the
     number of events consumed.  Absorption is almost sure; the event
     cap converts pathological configurations into diagnostics.  A Dirac
-    start returns ``(0.0, site, 0)`` after drawing one block of uniforms
-    from ``rng``, which the event loop fills before it sees zero rate.
+    start returns ``(0.0, site, 0)`` after drawing one refill from
+    ``rng`` (21 standard exponentials, then 42 uniforms), which the
+    event loop makes before it sees zero rate.
     """
     t, counts, _, n_events, _ = _simulate(
         model, r, init, None, rng, selection_only=True, record=False, event_cap=event_cap

@@ -1,21 +1,23 @@
-"""The event loop as it was before the two-site duel fast path.
+"""The generic event loop on the current draw layout: no duel step, no block.
 
-A verbatim copy of ``fvlab.engine._simulate`` (and its rate-layout
-helper) from before the duel specialization was added.  Tests compare
-the live engine against it: the two must agree bit for bit on time,
-final counts, recorded events and event count for every input.
+A copy of ``fvlab.engine._simulate`` (and its rate-layout helper) from
+before the duel specialization was added, with only its refill and its
+three reads per step moved to the current layout: per refill ``size``
+standard exponentials, then ``2 * size`` uniforms; step ``pos`` reads
+exponential ``pos``, uniform ``pos`` for the event category and uniform
+``size + pos`` for the target.  Tests compare the live engine against
+it: the two must agree bit for bit on time, final counts, recorded
+events and event count for every input.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from fvlab.engine import DEFAULT_EVENT_CAP, EmpiricalMeasure, Event, EventCapError
 from fvlab.model import Model
 
-_BLOCK = 4096
+_BLOCK = 1365
 
 
 def _kernel_arrays(model: Model, r: float, selection_only: bool):
@@ -56,13 +58,13 @@ def _simulate(
     counts = list(init.counts)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
-    log1p, rnd = math.log1p, rng.random
+    exp, rnd = rng.standard_exponential, rng.random
 
-    # Uniforms are pre-drawn in blocks that grow geometrically, so short
-    # replicas stay cheap and long ones amortize the generator call.
-    size = 64
-    buf = rnd(size)
-    limit = size - 3
+    # Draws for ``size`` steps are made at once, ``size`` growing
+    # geometrically: ``size`` exponentials, then ``2 * size`` uniforms.
+    size = 21
+    ebuf = exp(size)
+    ubuf = rnd(2 * size)
     pos = 0
     t = 0.0
     events: list[tuple[float, Event]] = []
@@ -80,17 +82,17 @@ def _simulate(
         if total <= 0.0:
             break
 
-        if pos > limit:
+        if pos == size:
             size = min(size * 2, _BLOCK)
-            buf = rnd(size)
-            limit = size - 3
+            ebuf = exp(size)
+            ubuf = rnd(2 * size)
             pos = 0
-        u_time = buf[pos]
-        u_cat = buf[pos + 1]
-        u_tgt = buf[pos + 2]
-        pos += 3
+        e = ebuf[pos]
+        u_cat = ubuf[pos]
+        u_tgt = ubuf[size + pos]
+        pos += 1
 
-        dt = -log1p(-u_time) / total
+        dt = e / total
         if T is not None and t + dt > T:
             t = T
             break

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from fvlab import (
     simulate_selection_absorption,
     validate_model,
 )
-from fvlab.engine import DEFAULT_EVENT_CAP, _simulate
+from fvlab import engine
+from fvlab.engine import _DUEL_BLOCK_MIN, _DUEL_SCALAR, DEFAULT_EVENT_CAP, _simulate
 
 from conftest import cycle_model_config, two_site_config
 from reference_engine import _simulate as reference_simulate
@@ -95,9 +98,9 @@ def test_trajectory_frozen_regression(cycle_model):
     # pinned realization so sampler changes are caught deliberately
     init = EmpiricalMeasure.from_counts([4, 0, 0])
     traj = simulate_fv(cycle_model, 100.0, init, 0.5, np.random.default_rng(20260815))
-    assert traj.event_count == 6
-    assert traj.final.counts == (4, 0, 0)
-    assert traj.events[0][0] == pytest.approx(0.1870478789534941, abs=1e-15)
+    assert traj.event_count == 18
+    assert traj.final.counts == (0, 4, 0)
+    assert traj.events[0][0] == pytest.approx(0.1377609075769161, abs=1e-15)
 
 
 def test_trajectory_rejects_bad_inputs(cycle_model):
@@ -254,7 +257,8 @@ def test_absorption_dirac_short_circuit(two_site):
 
 def test_absorption_dirac_start_returns_from_the_event_loop(cycle_model):
     # no shortcut: the loop finds zero selection rate at once, after it has
-    # drawn its first block of 64 uniforms from the replica's generator
+    # drawn its first refill (21 exponentials, then 42 uniforms) from the
+    # replica's generator
     for site, label in enumerate(cycle_model.states):
         rng = np.random.default_rng(3)
         init = EmpiricalMeasure.dirac(3, site, 5)
@@ -262,7 +266,8 @@ def test_absorption_dirac_start_returns_from_the_event_loop(cycle_model):
         assert res == (0.0, label, 0)
         assert type(res.tau) is float
         ref = np.random.default_rng(3)
-        ref.random(64)
+        ref.standard_exponential(21)
+        ref.random(42)
         assert rng.random() == ref.random()
 
 
@@ -370,15 +375,15 @@ def uplus_cycle_model():
 
 
 def test_duel_regime_trajectory_pinned():
-    # values from the event loop before the duel fast path existed
+    # values from the reference event loop, which has no duel step or block
     init = EmpiricalMeasure.dirac(3, 0, 100)
     traj = simulate_fv(
         uplus_cycle_model(), 1e5, init, 1.0, np.random.default_rng(20261017)
     )
-    assert traj.event_count == 3264
+    assert traj.event_count == 2714
     assert traj.final.counts == (100, 0, 0)
     t, ev = traj.events[-1]
-    assert t == 0.9870667869774965
+    assert t == 0.950068307438291
     assert (ev.kind, ev.source, ev.target) == ("selection", 1, 0)
 
 
@@ -387,7 +392,7 @@ def test_duel_regime_absorption_pinned():
     res = simulate_selection_absorption(
         uplus_cycle_model(), 1e3, init, np.random.default_rng(5)
     )
-    assert res == (0.030039784066739888, "b", 870)
+    assert res == (0.14177787030786487, "a", 5980)
 
 
 def outcome(simulate, seed, case):
@@ -475,6 +480,92 @@ def test_event_loop_bit_identical_to_reference(case, seed):
     snaps = _simulate(rng=np.random.default_rng(seed), **case, snapshot_times=times)[4]
     _, _, events, _ = reference_simulate(rng=np.random.default_rng(seed), **dict(case, record=True))
     assert snaps == [replay_until(case["init"], events, s) for s in times]
+
+
+def longest_duel(init, events):
+    """The most consecutive selection steps taken from a two-site support:
+    the longest run the event loop spends in its duel step."""
+    counts = list(init.counts)
+    run = best = 0
+    for _, ev in events:
+        if ev.kind == "selection" and len(counts) - counts.count(0) == 2:
+            run += 1
+            best = max(best, run)
+        else:
+            run = 0
+        counts[ev.source] -= 1
+        counts[ev.target] += 1
+    return best
+
+
+@st.composite
+def long_duel_cases(draw):
+    """Duels from a near-even split at n >= 40, long enough to reach blocks."""
+    n = draw(st.integers(min_value=40, max_value=150))
+    r = draw(st.sampled_from([1e3, 1e4, 1e5]))
+    ka = draw(st.integers(min_value=n // 2 - 2, max_value=n // 2 + 2))
+    if draw(st.booleans()):
+        model, counts = uplus_cycle_model(), [ka, n - ka, 0]
+    else:
+        cb = draw(st.sampled_from([1.0, 1.1]))
+        model = validate_model(
+            {
+                "states": ["x", "y"],
+                "mutation": [{"from": "x", "to": "y", "rate": 1.0}, {"from": "y", "to": "x", "rate": 0.5}],
+                "killing": {"kind": "power", "c": {"x": 1.0, "y": cb}, "beta": {"x": "1", "y": "1"}},
+            }
+        )
+        counts = [ka, n - ka]
+    scale = n / r  # about how long a duel from an even split lasts
+    selection_only = draw(st.booleans())
+    T = None if selection_only else draw(st.sampled_from([scale, 3.0 * scale, 1.0]))
+    grid = [f * scale for f in (0.05, 0.2, 0.4, 0.7, 1.5)]
+    return dict(
+        model=model,
+        r=r,
+        init=EmpiricalMeasure.from_counts(counts),
+        T=T,
+        selection_only=selection_only,
+        record=draw(st.booleans()),
+        # the first refill with room for a block starts at event 147, so a
+        # cap from 300 on can land inside one
+        event_cap=draw(st.just(10**9) | st.integers(min_value=300, max_value=2000)),
+        snapshot_times=sorted(draw(st.sets(st.sampled_from([s for s in grid if T is None or s <= T]), min_size=1))),
+    )
+
+
+@given(case=long_duel_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_duel_blocks_bit_identical_to_reference(case, seed):
+    times = case.pop("snapshot_times")
+    live = dict(case, snapshot_times=times)
+
+    def run(seed):
+        try:
+            return _simulate(rng=np.random.default_rng(seed), **live)
+        except EventCapError as err:
+            return ("cap", err.cap, err.time, err.counts)
+
+    # A duel at n = 40 can end before its first block: that needs 32 scalar
+    # steps and then a refill with room for the smallest block.  Take the
+    # first seed from the drawn one whose reference path, up to the cap,
+    # holds a duel longer than both and under which the loop runs a block.
+    for seed in range(seed, seed + 20):
+        with patch.object(engine, "_duel_block", wraps=engine._duel_block) as block:
+            got = run(seed)
+        path = reference_simulate(
+            rng=np.random.default_rng(seed), **dict(case, record=True, event_cap=10**9), max_events=case["event_cap"]
+        )[2]
+        if block.call_count and longest_duel(case["init"], path) > _DUEL_SCALAR + _DUEL_BLOCK_MIN:
+            break
+    else:
+        pytest.fail("no seed of 20 runs a block")
+    capped = got[0] == "cap"
+    assert (got if capped else got[:4]) == outcome(reference_simulate, seed, case)
+    with patch.object(engine, "_DUEL_SCALAR", 10**18):  # the duel step alone, no block
+        assert run(seed) == got
+    if not capped:
+        assert got[4] == [replay_until(case["init"], path, s) for s in times]
 
 
 def test_snapshots_after_absorption_repeat_the_dirac():

@@ -81,6 +81,27 @@ def test_replica_rng_is_philox_at_the_index_counter():
         assert (rng.random(9) == ref.random(9)).all()
 
 
+def test_engine_first_refill_known_answer():
+    # The event loop's first refill on replica i of seed s is 21 standard
+    # exponentials (numpy's ziggurat), then 42 uniforms, from a fresh
+    # Philox(s, counter=i << 128).  The pinned values make a numpy whose
+    # ziggurat or Philox stream differs fail here by name.
+    from fvlab import EmpiricalMeasure, simulate_selection_absorption, validate_model
+    from fvlab.engine import _draws
+
+    s, i = 1281506044, 3
+    ref = np.random.Generator(np.random.Philox(s, counter=i << 128))
+    e, u = ref.standard_exponential(21), ref.random(42)
+    e_arr, u_arr, _, _ = _draws(derive_replica_rng(s, i), 21)
+    assert e_arr.tobytes() == e.tobytes() and u_arr.tobytes() == u.tobytes()
+    assert (e[0], e[20], u[41]) == (0.9835717562631028, 0.6018707238246727, 0.3183872668303124)
+    # a Dirac start draws that refill, finds no rate and draws nothing more
+    rng = derive_replica_rng(s, i)
+    model = validate_model(two_site_config())
+    assert simulate_selection_absorption(model, 10.0, EmpiricalMeasure.dirac(2, 0, 4), rng) == (0.0, "x", 0)
+    assert rng.random() == ref.random()
+
+
 def _chunk_streams(seed, base, start, stop):
     """Each replica's Philox counter and first three uint32 draws, as a chunk worker sees them."""
     from fvlab.experiments import _collect
@@ -816,8 +837,9 @@ def test_theorem3_regime_smoke():
 
 
 def test_theorem3_regime_hash_pinned():
-    # rows on the Philox replica streams; the duel fast path is checked draw
-    # for draw against the reference event loop in test_engine.py
+    # rows on the Philox replica streams, with exponential waiting times; the
+    # duel step and its blocks are checked draw for draw against the
+    # reference event loop in test_engine.py
     cfg = ExperimentConfig.from_dict(
         {
             "kind": "theorem3_regime",
@@ -839,7 +861,7 @@ def test_theorem3_regime_hash_pinned():
         }
     )
     assert run_experiment(cfg).result_hash == (
-        "c4c485a3e61b9ef65ea59c81be5b1bae507bb9b86f910b01f98565f38be4d71c"
+        "8bdec55565d62a5f5ec03695f8cc889dbf570c2d656271bc6c55618b0c78bfe5"
     )
 
 
@@ -1084,7 +1106,7 @@ def _pinned_docs():
         "theorem1_cap_abort": theorem1_doc(event_cap=3),
         "theorem2": _theorem2_doc(),
         # the middle point aborts; the last one runs on the block after it
-        "theorem2_cap_abort": _theorem2_doc(r_schedule=[10.0, 200.0, 1000.0], event_cap=20, seed=1),
+        "theorem2_cap_abort": _theorem2_doc(r_schedule=[10.0, 200.0, 1000.0], event_cap=20, seed=6),
         "theorem3": _theorem3_doc(),
         "absorption_tail": {
             "kind": "absorption_tail",
@@ -1115,23 +1137,23 @@ def _pinned_docs():
 
 
 # result_hash of each config above.  Those that draw replicas were taken on
-# the Philox replica streams.  committor, conjecture_probe and
+# the Philox replica streams, with exponential waiting times.  committor, conjecture_probe and
 # theorem1_cap_abort draw none that reach the hash (every theorem1_cap_abort
 # pass aborts) and date from before the shared point runner, except that
 # conjecture_probe no longer carries the cascade's path enumeration and
 # reachable-site lists
 _PINNED_HASHES = {
-    "absorption_tail": "4a6fcfb955c2b441c0f5043c76bd843c71f4fd3c0bcd5bb334ede1dc8683e622",
+    "absorption_tail": "9aa755fad90bfe6105d3f31316daa71b9faacfc3ca5af7ccd104017543485b89",
     "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
-    "committor_mc": "cff184f5d6a24e4a9432112e46c881d4c3552383bb3b97573ec3f93382807a19",
+    "committor_mc": "e18a09dadfdc5266e02009a2a72f8f12fd88bc4d2b3d58093011af687a177cc6",
     "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
-    "conjecture_probe_sim": "503e317d7db363a4e03f92f4064581f17679d0a39f0210d38e5a54ae19cbf2d5",
-    "eta_inf": "7a83052fc11e795b6c45668c1a935a3aa8902471e00bf0a4997d9b0d4e5fea7c",
-    "theorem1": "5a99919185304fb63740e34af58dedd2e67f6c0d9287b8075c00797128dee3e9",
+    "conjecture_probe_sim": "2f5b9ac6025c36ec6b39e942d469b015fdcba5d58257c4269c8dc008e8b795e7",
+    "eta_inf": "0fe93ce1603a2c4ad817c6d4e0f97a10fabd9677b85e0af5a99a7f2378d907de",
+    "theorem1": "4bd7e3678917ed0aa6bfafeb9fcdf287cf0bd08f909544d235e1d70d13f01196",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
-    "theorem2": "c51027b508de1bdd0ddbff9f38f20857b378d61196f84d57203fad803ca776dc",
-    "theorem2_cap_abort": "177c72118020a7a75608a2ba26c138d561b6bb7c3c8dab0bc486fe491f014971",
-    "theorem3": "f561f3683f4a7d3ca510d2de73017226b46b7a026daa401bffda6acead0e7767",
+    "theorem2": "827e8cae8678e70258e0e0e4fa133acdd14d6de5382598c022d871fd973b5da8",
+    "theorem2_cap_abort": "9abb927279dbe24c16c1110e871690254911f5a480d23e46c824879863d87fc8",
+    "theorem3": "fc6c6f0ade3713dfb5c699ac40588c1caf4ebb4507c11222985e9bf2b8a88dc6",
 }
 
 
