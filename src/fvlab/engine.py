@@ -45,12 +45,16 @@ reads the same draws from the same buffer positions, refills the
 buffer at the same points, and evaluates the generic loop's own
 floating-point expressions in the same order, so time, counts, event
 count and recorded events are bit-identical to the generic loop's for
-every input.  A mutation out of a duel is handed back to the generic
-step, which takes it from the same draws.  Supports of one site or of
-three or more always take the generic step.
+every input.  Snapshots, the horizon and the event cap are the generic
+step's alone: a duel step that is a mutation, whose waiting time
+crosses the next snapshot or the horizon, or that would reach the cap
+is handed back to the generic step at the same buffer position, which
+takes it from the same draws.  Supports of one site or of three or
+more always take the generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
-blocks, each one scalar step apart, of 128 steps doubling up to 1024.
+blocks, each one scalar step apart and each reaching to the end of the
+refill or to the step before the event cap, whichever comes first.
 Inside a duel a count-changing death is at a with probability
 ``lambda_a / (lambda_a + lambda_b)`` at every split, so a block guesses
 each step's direction from its category uniform alone, builds the count
@@ -59,11 +63,11 @@ it, with the same tables and float expressions.  It keeps the steps
 before the first one whose decision differs from the guess, or that is
 a mutation or at a split with no rate left, and times them as the
 scalar step's own sequential sum, cut before the first time past the
-next stop.  A block never reads past the refill or reaches the event
-cap (scalar steps take a remainder shorter than the smallest block);
-the scalar step after it takes whatever ended it (the mismatched step,
-the mutation, the snapshot or horizon, the refill, the cap), so the
-block changes the cost of a long duel and nothing else.
+next stop.  Where fewer than 128 steps are left before the refill or
+the cap, scalar steps take them instead.  The scalar step after a block
+takes whatever ended it (the mismatched step, the refill) or hands it
+to the generic step (the mutation, the snapshot or horizon, the cap),
+so the block changes the cost of a long duel and nothing else.
 
 One run gives the state at several times: ``simulate_fv(...,
 snapshot_times=...)`` records the counts and the events so far at each
@@ -76,6 +80,7 @@ the per-event path has no added branch.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
@@ -97,7 +102,7 @@ __all__ = [
 DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
 _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
-_DUEL_BLOCK_MIN, _DUEL_BLOCK_MAX = 128, 1024  # a duel's blocks double in steps between these
+_DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
 
 
 class EventCapError(RuntimeError):
@@ -213,13 +218,13 @@ class Trajectory:
         return _dirac_distance_integral(*self.occupancy_path(), self.horizon)
 
     def to_csv(self, path, model_hash: str = "", seed: Union[int, str] = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# model_hash={model_hash} seed={seed}\n")
-            fh.write("time,event_kind,from,to\n")
-            for t, ev in self.events:
-                fh.write(
-                    f"{t:.17g},{ev.kind},{self.states[ev.source]},{self.states[ev.target]}\n"
-                )
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("time", "event_kind", "from", "to"))
+            out.writerows(
+                (f"{t:.17g}", ev.kind, self.states[ev.source], self.states[ev.target]) for t, ev in self.events
+            )
 
 
 def _dirac_distance_integral(times: np.ndarray, values: np.ndarray, horizon: float) -> float:
@@ -267,34 +272,30 @@ def _kernel(model: Model, r: float, selection_only: bool):
 def _duel_tables(n, inv_nm1, la, lb, ea, eb):
     """Per-split rates of a pair of sites a < b, indexed by the count at a.
 
-    Each entry is the generic loop's own expression over the support
-    {a, b}, accumulated from 0.0 in the same order, so the tables hold
-    bit-for-bit the floats that loop would compute.  The total rate is
-    0.0 at the Dirac ends (count 0 or n), where the duel is over.
-    Returns the three tables as lists, for the scalar step, and
-    ``(tables, p_a)`` for :func:`_duel_block`: the same tables as the
-    rows of one array, with the mutation rate set to +inf wherever the
-    total is 0 so that such a split reads as a mutation and ends a
-    block, and ``la / (la + lb)``, the probability at every split that a
-    count-changing death is at a.
+    The rows of one array hold the mutation rate, the rate of a
+    count-changing death at a, and the total rate.  Each entry is the
+    generic loop's own expression over the support {a, b}, accumulated
+    from 0.0 in the same order, so the rows hold bit-for-bit the floats
+    that loop would compute.  The total rate is 0.0 at the Dirac ends
+    (count 0 or n), where the duel is over, and the mutation rate is
+    +inf wherever the total is 0, so that such a split reads as a
+    mutation and ends a block.  Returns ``(rows, tables, p_a)``: the
+    rows as lists, for the scalar step; the array, for
+    :func:`_duel_block`; and ``la / (la + lb)``, the probability at
+    every split that a count-changing death is at a.
     """
-    rm_tab = [0.0] * (n + 1)
-    kill_a_tab = [0.0] * (n + 1)
-    total_tab = [0.0] * (n + 1)
-    for ka in range(1, n):
-        kb = n - ka
-        r_mut = 0.0 + ka * ea + kb * eb
-        kill_a = ka * la * kb
-        r_sel = (0.0 + kill_a + kb * lb * ka) * inv_nm1
-        rm_tab[ka] = r_mut
-        kill_a_tab[ka] = kill_a * inv_nm1
-        total_tab[ka] = r_mut + r_sel
-    tables = np.array([rm_tab, kill_a_tab, total_tab], dtype=float)
+    ka = np.arange(1, n)
+    kb = n - ka
+    r_mut = 0.0 + ka * ea + kb * eb
+    kill_a = ka * la * kb
+    r_sel = (0.0 + kill_a + kb * lb * ka) * inv_nm1
+    tables = np.zeros((3, n + 1))
+    tables[:, 1:n] = r_mut, kill_a * inv_nm1, r_mut + r_sel
     tables[0, tables[2] <= 0.0] = math.inf
-    return rm_tab, kill_a_tab, total_tab, (tables, la / (la + lb))
+    return tables.tolist(), tables, la / (la + lb)
 
 
-def _duel_block(arrays, ka, t, stop, e, u, pos, m):
+def _duel_block(tables, p_a, ka, t, stop, e, u, pos, m):
     """Up to ``m`` duel steps from count ``ka`` at time ``t``, on the draws
     ``e[pos:pos + m]`` and ``u[pos:pos + m]``.
 
@@ -308,7 +309,6 @@ def _duel_block(arrays, ka, t, stop, e, u, pos, m):
     accepted count, the count at a after them, and each accepted step's
     time and direction.
     """
-    tables, p_a = arrays
     uc = u[pos:pos + m]
     a_died = uc < p_a
     step = np.where(a_died, -1, 1)
@@ -335,15 +335,6 @@ def _draws(rng: np.random.Generator, size: int):
     e = rng.standard_exponential(size)
     u = rng.random(2 * size)
     return e, u, memoryview(e), memoryview(u)
-
-
-def _snapshots_before(t_next, marks, snaps, counts, n_events, horizon):
-    """Record ``(counts, n_events)`` for each pending snapshot time before
-    ``t_next`` (``marks`` holds them latest first); return the next stop."""
-    while marks and marks[-1] < t_next:
-        marks.pop()
-        snaps.append((tuple(counts), n_events))
-    return marks[-1] if marks else horizon
 
 
 def _simulate(
@@ -391,6 +382,7 @@ def _simulate(
     t = 0.0
     events: list[tuple[float, Event]] = []
     n_events = 0
+    last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
     n_sites = d - counts.count(0)
     while True:
         if n_sites == 2:
@@ -398,39 +390,28 @@ def _simulate(
             # are tabulated per split with the generic loop's expressions
             # in its order, so every comparison sees the same floats.
             a, b = [i for i in range(d) if counts[i]]
-            tables = duels.get((n, a, b))
-            if tables is None:
-                tables = duels[(n, a, b)] = _duel_tables(
-                    n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]
-                )
-            rm_tab, kill_a_tab, total_tab, arrays = tables
+            duel = duels.get((n, a, b))
+            if duel is None:
+                duel = duels[(n, a, b)] = _duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b])
+            (rm_tab, kill_a_tab, total_tab), tables, p_a = duel
             if record:
                 a_dies, b_dies = Event("selection", a, b), Event("selection", b, a)
             ka = counts[a]
-            done = False
             run = _DUEL_SCALAR  # scalar steps before the next block
-            block = _DUEL_BLOCK_MIN
             while True:
                 for _ in range(run):
                     total = total_tab[ka]
-                    if total <= 0.0:
-                        break  # a site died out, or no rate is left
+                    if total <= 0.0 or n_events >= last:
+                        break  # a site died out or no rate is left, or the cap step
                     if pos == size:
                         size = min(size * 2, _BLOCK)
                         e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
                         pos = 0
                     dt = ebuf[pos] / total
-                    if t + dt > stop:
-                        counts[a], counts[b] = ka, n - ka
-                        stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
-                        if t + dt > stop:
-                            t = T
-                            done = True
-                            break
                     x = ubuf[pos] * total
                     r_mut = rm_tab[ka]
-                    if x < r_mut:
-                        break  # mutation: the generic step takes it from ``pos``
+                    if t + dt > stop or x < r_mut:
+                        break  # a snapshot, the horizon or a mutation: the generic step takes it from ``pos``
                     pos += 1
                     t += dt
                     if (x - r_mut) - kill_a_tab[ka] < 0.0:
@@ -442,32 +423,27 @@ def _simulate(
                         if record:
                             events.append((t, b_dies))
                     n_events += 1
-                    if n_events >= event_cap:
-                        counts[a], counts[b] = ka, n - ka
-                        raise EventCapError(event_cap, t, counts)
                 else:
-                    # A block never reaches the refill or the cap, and the
-                    # scalar step after it takes whatever ended it.  Where
-                    # fewer than the smallest block's steps are left before
-                    # either, scalar steps take them and the one after.
-                    m = min(block, size - pos, event_cap - 1 - n_events)
+                    # A block runs up to the refill or to the step before the
+                    # cap, and the scalar step after it takes or hands on
+                    # whatever ended it.  Where fewer than the smallest
+                    # block's steps are left before either, scalar steps
+                    # take them and the one after.
+                    m = min(size - pos, last - n_events)
                     if m < _DUEL_BLOCK_MIN:
                         run = m + 1
                         continue
-                    steps, ka, times, a_died = _duel_block(arrays, ka, t, stop, e_arr, u_arr, pos, m)
+                    steps, ka, times, a_died = _duel_block(tables, p_a, ka, t, stop, e_arr, u_arr, pos, m)
                     if steps:
                         pos += steps
                         n_events += steps
                         t = float(times[-1])
                         if record:
                             events += zip(times.tolist(), [a_dies if ad else b_dies for ad in a_died.tolist()])
-                    block = min(block * 2, _DUEL_BLOCK_MAX)
                     run = 1
                     continue
                 break
             counts[a], counts[b] = ka, n - ka
-            if done:
-                break
             if not 0 < ka < n:
                 n_sites = 1
 
@@ -493,7 +469,10 @@ def _simulate(
         pos += 1
 
         if t + dt > stop:
-            stop = _snapshots_before(t + dt, marks, snaps, counts, n_events, horizon)
+            while marks and marks[-1] < t + dt:  # snapshots before this event
+                marks.pop()
+                snaps.append((tuple(counts), n_events))
+            stop = marks[-1] if marks else horizon
             if t + dt > stop:
                 t = T
                 break

@@ -669,7 +669,7 @@ def _tv_standard_error(samples: np.ndarray) -> float:
     """Root of the summed per-site variances of the mean vector.
 
     Not a bound on the standard error of a TV: without bias, the TV exceeded
-    3 times it in 5.5 % of resampled means, not 0.3 % (ROADMAP open item 5).
+    3 times it in 5.5 % of resampled means, not 0.3 % (ROADMAP N2).
     """
     M, _ = samples.shape
     var = samples.var(axis=0, ddof=1) / M
@@ -836,7 +836,7 @@ def _exp_theorem3(run: _Run) -> None:
     start = cfg.init_counts(model, int(cfg.points[0]["n"]))
     init_law = exact_law(model.states, np.asarray(start, dtype=float) / sum(start))
     exact_marginals = [ctmc_marginal(mutation_chain, init_law, t).probs for t in times]
-    cps: list[tuple[float, float, float]] = []  # (scale, lo, hi) per completed (point, time) pair
+    sups: list[tuple[float, float, float]] = []  # (scale, max lo, max hi) per completed point
     for i, point in enumerate(cfg.points):
         n, r = int(point["n"]), float(point["r"])
         counts = cfg.init_counts(model, n)
@@ -845,6 +845,7 @@ def _exp_theorem3(run: _Run) -> None:
         if res is None:
             continue
         bound = (model.Q + n / (2.0 * (n - 1.0)) * m_sup) * scale
+        los, his = [], []
         for j, t in enumerate(times):
             at_t = _at(res, j)
             occ = at_t["final"] / n
@@ -859,16 +860,16 @@ def _exp_theorem3(run: _Run) -> None:
             se_tv = _tv_standard_error(occ)
             run.row(r, t, "tv_mean_occupation_vs_mutation_chain", tv, 3.0 * se_tv, "INFO")
             run.row(r, t, "cprime_point_estimate", tv / scale, "", "INFO")
-            cps.append((scale, max(tv - 3.0 * se_tv, 0.0) / scale, (tv + 3.0 * se_tv) / scale))
+            los.append(max(tv - 3.0 * se_tv, 0.0) / scale)
+            his.append((tv + 3.0 * se_tv) / scale)
             run.outcome(f"point{i * len(times) + j:02d}_n{n}_r{r:g}.csv", model.states, at_t)
+        # the supremum of TV over the time grid lies between the largest
+        # lower and the largest upper 3-sigma bound
+        sups.append((scale, max(los), max(his)))
 
     factor = cfg.tolerance("cprime_factor", 3.0)
     if run.aborted:
         return
-    # per point, the supremum of TV over the time grid lies between the
-    # largest lower and the largest upper 3-sigma bound
-    per_point = [cps[i : i + len(times)] for i in range(0, len(cps), len(times))]
-    sups = [(grp[0][0], max(lo for _, lo, _ in grp), max(hi for _, _, hi in grp)) for grp in per_point]
     max_lo = max(lo for _, lo, _ in sups)
     min_hi = min(hi for _, _, hi in sups)
     # a single constant C' (up to `factor`) must be compatible with every

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from unittest.mock import patch
 
 import numpy as np
@@ -212,6 +213,61 @@ def test_occupancy_path_csv_round_trip(tmp_path, cycle_model):
     assert lines[0] == "# model_hash=deadbeef seed=2"
     assert lines[1] == "time,event_kind,from,to"
     assert len(lines) == 2 + len(traj.events)
+
+    # labels with a comma or a quote come back whole through csv.reader
+    states = ["a,1", 'b"2', "c"]
+    model = validate_model(
+        {
+            "states": states,
+            "mutation": [{"from": x, "to": y, "rate": 1.0} for x, y in zip(states, states[1:] + states[:1])],
+            "killing": {"kind": "power", "c": dict(zip(states, (1.0, 2.0, 4.0))), "beta": dict(zip(states, (1, 1, 1)))},
+        }
+    )  # cycle_model with these labels
+    traj = simulate_fv(model, 5.0, init, 1.0, np.random.default_rng(2))
+    traj.to_csv(out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert next(fh) == "# model_hash= seed=\n"
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + len(traj.events) == 26
+    assert all(len(row) == 4 for row in rows)
+    assert rows[0] == ["time", "event_kind", "from", "to"]
+    want = [(t, ev.kind, states[ev.source], states[ev.target]) for t, ev in traj.events]
+    assert [(float(t), kind, src, tgt) for t, kind, src, tgt in rows[1:]] == want
+
+
+def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
+    """The duel tables as a Python loop over the splits, one expression per entry."""
+    rm_tab, kill_a_tab, total_tab = [0.0] * (n + 1), [0.0] * (n + 1), [0.0] * (n + 1)
+    for ka in range(1, n):
+        kb = n - ka
+        r_mut = 0.0 + ka * ea + kb * eb
+        kill_a = ka * la * kb
+        r_sel = (0.0 + kill_a + kb * lb * ka) * inv_nm1
+        rm_tab[ka] = r_mut
+        kill_a_tab[ka] = kill_a * inv_nm1
+        total_tab[ka] = r_mut + r_sel
+    return rm_tab, kill_a_tab, total_tab
+
+
+@pytest.mark.parametrize("exits", [(0.0, 0.0), (0.0, 0.5), (1.0 / 3.0, 3.7)], ids=["no-exit", "b-exit", "both-exit"])
+@pytest.mark.parametrize("rate_type", [float, np.float64], ids=["float", "float64"])
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+def test_duel_tables_equal_the_per_split_expressions(n, rate_type, exits):
+    # rates as the kernel gets them: a uniform_plus and a power-law site
+    la, lb = rate_type(1e4 + 2.5), rate_type(1.3 * 1e4**1.5)
+    ea, eb = exits
+    inv_nm1 = 1.0 / (n - 1)
+    rows, tables, p_a = engine._duel_tables(n, inv_nm1, la, lb, ea, eb)
+    rm_tab, kill_a_tab, total_tab = per_split_duel_rows(n, inv_nm1, la, lb, ea, eb)
+    assert tables.shape == (3, n + 1) and rows == tables.tolist()
+    # a split with no rate reads as a mutation: +inf exactly where the total is 0.0
+    ended = tables[2] == 0.0
+    assert ended.tolist() == [k in (0, n) for k in range(n + 1)]
+    assert (tables[0][ended] == np.inf).all() and np.isfinite(tables[0][~ended]).all()
+    rm_tab = [np.inf if total == 0.0 else rm for rm, total in zip(rm_tab, total_tab)]
+    for got, want in zip(rows, (rm_tab, kill_a_tab, total_tab)):
+        assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want]
+    assert float.hex(float(p_a)) == float.hex(float(la / (la + lb)))
 
 
 # ------------------------------------------------------------------ capping
