@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -142,10 +143,10 @@ def _descent_targets(model: Model, z: int, alt_reading: bool) -> list[int]:
     satisfy ratio(y, w) >= 1 against every mutation neighbour w of z,
     i.e. are minimal within z's whole neighbourhood.  The two differ
     only when the descending neighbourhood mixes several killing orders.
+    Either way z's neighbour of lowest limit killing rate is a target,
+    so the list is never empty.
     """
     neigh = model.out_targets[z]
-    if not neigh:
-        return []
     if alt_reading:
         return [
             y for y in neigh
@@ -153,8 +154,6 @@ def _descent_targets(model: Model, z: int, alt_reading: bool) -> list[int]:
         ]
     ratios = {y: model.alpha(z, y, None) for y in neigh}
     best = min(ratios.values())
-    if best >= 1.0:  # no strictly descending edge: z is stable
-        return []
     return [y for y in neigh if ratios[y] == best]
 
 
@@ -168,73 +167,45 @@ def conjectured_limit_rates(
     through balanced unstable neighbours z whose descending cascade
     reaches y: each such z contributes ``q(x, z)`` times the cascade's
     absorption weight at y.  Cascade steps branch among the descent
-    targets proportionally to their mutation rates; strict descent in
-    the killing order makes the cascade graph acyclic.
+    targets proportionally to their mutation rates.
+
+    Every descent step strictly lowers the limit killing rate, so the
+    laws are built in one pass over the unstable sites, lowest limit
+    rate first: each target's law exists before it is read.  That order
+    compares ``alpha(x, y)`` with 1.0 and is exact, because unequal
+    exponents give exactly 0 or inf and two distinct positive floats
+    never divide to exactly 1.0.
     """
     d = model.num_states
     stable = [x for x in range(d) if all(model.alpha(x, y, None) >= 1.0 for y in model.out_targets[x])]
-    stable_set = set(stable)
+    unstable = [z for z in range(d) if z not in stable]
+    targets = {z: _descent_targets(model, z, alt_reading) for z in unstable}
 
-    targets: dict[int, list[int]] = {}
-    for z in range(d):
-        if z not in stable_set:
-            targets[z] = _descent_targets(model, z, alt_reading)
-            if not targets[z]:
-                raise RuntimeError(
-                    f"no stable sink reachable: site {model.states[z]!r} has no "
-                    "admissible descent step"
-                )
-
-    # Memoized absorption law of the cascade started at z; strict descent
-    # guarantees acyclicity, the in-progress mark is a defensive check.
-    weights: dict[int, dict[int, float]] = {}
-    in_progress: set[int] = set()
-
-    def absorb(z: int) -> dict[int, float]:
-        if z in stable_set:
-            return {z: 1.0}
-        if z in weights:
-            return weights[z]
-        if z in in_progress:
-            raise RuntimeError(
-                f"no stable sink reachable: descent cycles through {model.states[z]!r}"
-            )
-        in_progress.add(z)
+    weights: dict[int, dict[int, float]] = {x: {x: 1.0} for x in stable}
+    lower_first = cmp_to_key(lambda x, y: (model.alpha(x, y, None) < 1.0) - (model.alpha(x, y, None) > 1.0))
+    for z in sorted(unstable, key=lower_first):
         out = targets[z]
         denom = sum(model.mutation_rate(z, y) for y in out)
         law: dict[int, float] = {}
         for y in out:
             w = model.mutation_rate(z, y) / denom
-            for site, p in absorb(y).items():
+            for site, p in weights[y].items():
                 law[site] = law.get(site, 0.0) + w * p
-        in_progress.discard(z)
         weights[z] = law
-        return law
 
-    unstable = [z for z in range(d) if z not in stable_set]
-    for z in unstable:
-        absorb(z)
-
+    labels = model.states
     rates = np.zeros((d, d))
     triggers: dict[tuple[str, str], tuple[str, ...]] = {}
     for x in stable:
         for j, q in zip(model.out_targets[x], model.out_rates[x]):
             if model.alpha(x, j, None) != 1.0:  # not balanced
                 continue
-            if j in stable_set:
-                if j != x:
-                    rates[x, j] += q
-            else:
-                for y, p in weights[j].items():
-                    if y == x or p == 0.0:
-                        continue
-                    rates[x, y] += q * p
-                    key = (model.states[x], model.states[y])
-                    prev = triggers.get(key, ())
-                    if model.states[j] not in prev:
-                        triggers[key] = prev + (model.states[j],)
+            for y, p in weights[j].items():  # a stable j is its own law
+                rates[x, y] += q * p
+                if j in targets:
+                    key = (labels[x], labels[y])
+                    triggers[key] = triggers.get(key, ()) + (labels[j],)
 
-    labels = model.states
     analysis = CascadeAnalysis(
         stable_sites=tuple(labels[x] for x in stable),
         descent_targets={labels[z]: tuple(labels[y] for y in targets[z]) for z in unstable},
@@ -244,11 +215,7 @@ def conjectured_limit_rates(
         triggers=triggers,
         alt_reading=alt_reading,
     )
-    sub = [labels.index(s) for s in analysis.stable_sites]
-    chain = RateMatrix(
-        states=analysis.stable_sites,
-        rates=rates[np.ix_(sub, sub)],
-    )
+    chain = RateMatrix(states=analysis.stable_sites, rates=rates[np.ix_(stable, stable)])
     return analysis, chain
 
 
@@ -276,8 +243,8 @@ def simulate_ctmc(
     between entries.  ``init`` may be a site (label or index) or a law
     to sample the starting site from.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 < T < math.inf:  # also false for NaN
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if isinstance(init, LawOnStates):
         probs = _init_vector(rates, init)
         site = int(rng.choice(len(probs), p=probs))
@@ -315,7 +282,7 @@ def ctmc_marginal(
     1e-17 per unit of ``|G| t`` (1e-11 at 1e6); dividing by the total
     removes that drift.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # also false for NaN
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     p = _init_vector(rates, init) @ expm(rates.generator() * t)
     return exact_law(rates.states, p / p.sum())

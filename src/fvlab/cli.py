@@ -19,8 +19,8 @@ Subcommands
     ``{"lambda_set": [...], "eta_infinity": {state: prob}}``.
 
 Every subcommand exits 2 with an ``error:`` message on bad input or a
-failed computation (a solver residual, a cascade without a stable sink,
-an event cap hit outside an experiment point), never 1.
+failed computation (a solver residual, an event cap hit outside an
+experiment point), never 1.
 """
 
 from __future__ import annotations

@@ -562,8 +562,8 @@ def simulate_fv(
     path: one pass gives the marginals at every time, and the final
     state, event count and draws are those of a run without them.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 < T < math.inf:  # also false for NaN
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     t, counts, events, n_events, snaps = _simulate(
         model, r, init, T, rng, record=record, event_cap=event_cap, snapshot_times=snapshot_times
     )

@@ -93,7 +93,7 @@ from .engine import (
     simulate_selection_absorption,
 )
 from .metrics import LawOnStates, empirical_law, exact_law, tv_distance
-from .model import Model, validate_model
+from .model import Model, _is_int, _is_real, validate_model
 
 __all__ = [
     "ConfigError",
@@ -122,16 +122,6 @@ def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     if index < 0:
         raise ValueError(f"replica index must be >= 0, got {index}")
     return np.random.Generator(np.random.Philox(master_seed, counter=index << 128))
-
-
-def _is_int(v, low: int) -> bool:
-    """An integer >= ``low`` (a bool is not one)."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= low
-
-
-def _is_real(v) -> bool:
-    """A finite number (a bool is not one): the report hash serializes no other."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _is_dirac(v) -> bool:

@@ -41,6 +41,8 @@ class LawOnStates:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (len(self.states),):
             raise ValueError("probability vector length must match state set")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"probabilities must be finite, got {probs}")
         if np.any(probs < -1e-12):
             raise ValueError("negative probability entry")
         tol = 1e-10 if self.kind == "exact" else 1e-12

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -41,17 +42,19 @@ class ModelError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
 
 
+def _check_intensity(r: float) -> None:
+    if not 1 <= r < math.inf:  # also false for NaN
+        raise ModelError(f"intensity r must be finite and >= 1, got {r}")
+
+
 def _as_fraction(value) -> Fraction:
     # Accept ints, exact decimal floats and strings like "3/2" or "0.5".
-    if isinstance(value, bool):
-        raise ModelError(f"exponent must be numeric, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ModelError(f"exponent must be numeric, got {value!r}")
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):  # "abc", "nan", "1/0"
+            pass
+    raise ModelError(f"exponent must be a finite rational, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,15 +165,13 @@ class Model:
         return 0.0
 
     def killing_rate(self, r: float, x: Union[str, int]) -> float:
-        """Evaluate lambda_r(x); requires r >= 1."""
-        if r < 1:
-            raise ModelError(f"intensity r must be >= 1, got {r}")
+        """Evaluate lambda_r(x); requires a finite r >= 1."""
+        _check_intensity(r)
         return self.killing.rate(r, self.state_index(x))
 
     def min_killing_rate(self, r: float) -> float:
         """The uniform floor min_x lambda_r(x)."""
-        if r < 1:
-            raise ModelError(f"intensity r must be >= 1, got {r}")
+        _check_intensity(r)
         return self.killing.min_rate(r)
 
     def alpha(self, x: Union[str, int], y: Union[str, int], r: float | None = None) -> float:
@@ -180,8 +181,7 @@ class Model:
             return 1.0
         if r is None:
             return self.killing.limit_ratio(i, j)
-        if r < 1:
-            raise ModelError(f"intensity r must be >= 1, got {r}")
+        _check_intensity(r)
         ratio = self.killing.rate(r, j) / self.killing.rate(r, i)
         if math.isnan(ratio):  # both rates overflowed to inf
             raise ModelError(f"rate ratio {self.states[j]!r}/{self.states[i]!r} undefined at r={r}")
@@ -205,14 +205,31 @@ class Model:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _positive_rate(value, what: str) -> float:
-    try:
-        rate = float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{what} must be a number, got {value!r}") from None
-    if math.isnan(rate) or math.isinf(rate):
-        raise ModelError(f"{what} must be finite, got {value!r}")
-    return rate
+def _is_int(v, low: int) -> bool:
+    """An integer >= ``low`` (a bool is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _is_real(v) -> bool:
+    """A number that a float holds finitely; a bool is not one, nor is a
+    numeric string.  ``abs(v) <= max`` compares an int exactly, where
+    ``math.isfinite`` would raise OverflowError on a very large one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _number(value, what: str) -> float:
+    if not _is_real(value):
+        raise ModelError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _only(block, keys, what: str) -> None:
+    """Reject a ``block`` that is not a mapping or holds a key outside ``keys``."""
+    if not isinstance(block, Mapping):
+        raise ModelError(f"{what} must be a mapping, got {block!r}")
+    extra = set(block) - set(keys)
+    if extra:
+        raise ModelError(f"unknown {what} keys {sorted(extra, key=str)}; allowed: {list(keys)}")
 
 
 def validate_model(config: Mapping) -> Model:
@@ -228,12 +245,19 @@ def validate_model(config: Mapping) -> Model:
     Raises
     ------
     ModelError
-        On duplicate or missing states, negative or self-loop mutation
-        rates, non-positive power-law parameters, or negative offsets.
+        On a key outside this shape (a killing map may name states
+        only), states that are not distinct strings, a rate, ``c`` or
+        ``m`` that is not a finite number (bools and strings are not),
+        negative or self-loop mutation rates, non-positive power-law
+        parameters, or negative offsets.
     """
+    _only(config, ("states", "mutation", "killing"), "model")
     if "states" not in config:
         raise ModelError("config must list states")
-    states = tuple(str(s) for s in config["states"])
+    states = config["states"]
+    if not isinstance(states, (list, tuple)) or not all(isinstance(s, str) for s in states):
+        raise ModelError(f"states must be a list of strings, got {states!r}")
+    states = tuple(states)
     if len(states) == 0:
         raise ModelError("states must be nonempty")
     if len(set(states)) != len(states):
@@ -243,15 +267,15 @@ def validate_model(config: Mapping) -> Model:
     seen: set[tuple[int, int]] = set()
     entries: list[tuple[int, int, float]] = []
     for entry in config.get("mutation", ()):
+        _only(entry, ("from", "to", "rate"), "mutation entry")
         for key in ("from", "to", "rate"):
             if key not in entry:
                 raise ModelError(f"mutation entry missing {key!r}: {entry!r}")
-        fx, ty = str(entry["from"]), str(entry["to"])
-        if fx not in index:
-            raise ModelError(f"unknown state in mutation entry: {fx!r}")
-        if ty not in index:
-            raise ModelError(f"unknown state in mutation entry: {ty!r}")
-        rate = _positive_rate(entry["rate"], f"rate q({fx},{ty})")
+        fx, ty = entry["from"], entry["to"]
+        for label in (fx, ty):
+            if not isinstance(label, str) or label not in index:
+                raise ModelError(f"unknown state in mutation entry: {label!r}")
+        rate = _number(entry["rate"], f"rate q({fx},{ty})")
         if rate < 0:
             raise ModelError(f"negative rate q({fx},{ty}) = {rate}")
         i, j = index[fx], index[ty]
@@ -268,13 +292,19 @@ def validate_model(config: Mapping) -> Model:
     if not isinstance(killing_cfg, Mapping) or "kind" not in killing_cfg:
         raise ModelError("config must declare a killing family with a 'kind'")
     kind = killing_cfg["kind"]
+    maps = {"power": ("c", "beta"), "uniform_plus": ("m",)}.get(str(kind))
+    if maps is None:
+        raise ModelError(f"unknown killing kind {kind!r}")
+    _only(killing_cfg, ("kind", *maps), f"{kind} killing")
+    for name in maps:
+        _only(killing_cfg.get(name, {}), states, f"{kind} killing {name!r}")
     if kind == "power":
         c_map, beta_map = killing_cfg.get("c", {}), killing_cfg.get("beta", {})
         c, beta = [], []
         for s in states:
             if s not in c_map or s not in beta_map:
                 raise ModelError(f"power-law killing missing parameters for state {s!r}")
-            cv = _positive_rate(c_map[s], f"c({s})")
+            cv = _number(c_map[s], f"c({s})")
             if cv <= 0:
                 raise ModelError(f"c({s}) must be positive, got {cv}")
             bv = _as_fraction(beta_map[s])
@@ -283,19 +313,17 @@ def validate_model(config: Mapping) -> Model:
             c.append(cv)
             beta.append(bv)
         killing: KillingFamily = PowerLawKilling(tuple(c), tuple(beta))
-    elif kind == "uniform_plus":
+    else:
         m_map = killing_cfg.get("m", {})
         m = []
         for s in states:
             if s not in m_map:
                 raise ModelError(f"uniform_plus killing missing offset for state {s!r}")
-            mv = _positive_rate(m_map[s], f"m({s})")
+            mv = _number(m_map[s], f"m({s})")
             if mv < 0:
                 raise ModelError(f"m({s}) must be nonnegative, got {mv}")
             m.append(mv)
         killing = UniformPlusBoundedKilling(tuple(m))
-    else:
-        raise ModelError(f"unknown killing kind {kind!r}")
 
     out_targets: list[tuple[int, ...]] = []
     out_rates: list[tuple[float, ...]] = []

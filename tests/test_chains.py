@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvlab import (
     RateMatrix,
@@ -251,6 +254,92 @@ def test_conjectured_chain_descent_always_terminates():
     assert analysis.absorption_weights["w"] == {"z": 1.0}
 
 
+@st.composite
+def power_law_models(draw):
+    """Random power-law models on up to 7 sites.  Sites take their (beta, c)
+    from a palette of two to four, so that balanced pairs, ties and
+    multi-step cascades are common."""
+    d = draw(st.integers(1, 7))
+    states = [f"s{i}" for i in range(d)]
+    classes = st.tuples(st.sampled_from(["1/2", "1", "2", "3"]), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    palette = draw(st.lists(classes, min_size=2, max_size=4, unique=True))
+    site_class = [draw(st.sampled_from(palette)) for _ in states]
+    rates = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    pairs = [(a, b) for a in range(d) for b in range(d) if a != b and draw(st.booleans())]
+    mutation = {(a, b): draw(rates) for a, b in pairs}
+    return {
+        "states": states,
+        "mutation": [{"from": states[a], "to": states[b], "rate": q} for (a, b), q in mutation.items()],
+        "killing": {
+            "kind": "power",
+            "c": {s: c for s, (_, c) in zip(states, site_class)},
+            "beta": {s: beta for s, (beta, _) in zip(states, site_class)},
+        },
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=power_law_models(), alt_reading=st.booleans())
+def test_conjectured_chain_matches_absorbing_chain_oracle(cfg, alt_reading):
+    # Oracle from the definitions: a site's limit killing rate is ordered
+    # by (beta, c); descent targets are read off that order; the absorption
+    # law solves (I - P_UU) W = P_US for the cascade chain on unstable U.
+    model = validate_model(cfg)
+    states = cfg["states"]
+    order = {s: (Fraction(cfg["killing"]["beta"][s]), cfg["killing"]["c"][s]) for s in states}
+    out = {s: [] for s in states}
+    for e in cfg["mutation"]:
+        out[e["from"]].append((e["to"], e["rate"]))
+    stable = [s for s in states if all(order[y] >= order[s] for y, _ in out[s])]
+    unstable = [s for s in states if s not in stable]
+    targets = {}
+    for z in unstable:
+        neigh = sorted((y for y, _ in out[z]), key=states.index)
+        if alt_reading:  # the lowest killing order in z's neighbourhood
+            low = min(order[y] for y in neigh)
+            targets[z] = [y for y in neigh if order[y] == low]
+        elif any(order[y][0] < order[z][0] for y in neigh):  # a lower exponent: ratio 0 for each
+            targets[z] = [y for y in neigh if order[y][0] < order[z][0]]
+        else:  # the smallest prefactor among the equal exponents; higher ones give inf
+            low = min(order[y] for y in neigh)
+            targets[z] = [y for y in neigh if order[y] == low]
+
+    u, k = {z: i for i, z in enumerate(unstable)}, {x: i for i, x in enumerate(stable)}
+    P = np.zeros((len(unstable), len(unstable) + len(stable)))
+    for z in unstable:
+        q = dict(out[z])
+        total = sum(q[y] for y in targets[z])
+        for y in targets[z]:
+            P[u[z], u[y] if y in u else len(unstable) + k[y]] = q[y] / total
+    W = np.linalg.solve(np.eye(len(unstable)) - P[:, : len(unstable)], P[:, len(unstable) :])
+    reach = {x: {x} for x in stable}
+    for z in sorted(unstable, key=lambda z: order[z]):  # targets lie strictly lower
+        reach[z] = set().union(*(reach[y] for y in targets[z]))
+
+    analysis, chain = conjectured_limit_rates(model, alt_reading=alt_reading)
+    assert analysis.stable_sites == tuple(stable) and chain.states == tuple(stable)
+    assert analysis.descent_targets == {z: tuple(targets[z]) for z in unstable}
+    for z in unstable:
+        law = analysis.absorption_weights[z]
+        assert set(law) == reach[z]
+        assert max(abs(law.get(x, 0.0) - W[u[z], k[x]]) for x in stable) <= 1e-12
+
+    want_rates, want_triggers = np.zeros((len(stable), len(stable))), {}
+    for x in stable:
+        for j, q in sorted(out[x], key=lambda e: states.index(e[0])):
+            if order[j] != order[x]:  # not balanced
+                continue
+            if j in k:
+                want_rates[k[x], k[j]] += q
+                continue
+            for y in stable:
+                want_rates[k[x], k[y]] += q * W[u[j], k[y]]
+                if y in reach[j]:
+                    want_triggers[(x, y)] = want_triggers.get((x, y), ()) + (j,)
+    assert analysis.triggers == want_triggers
+    np.testing.assert_allclose(chain.rates, want_rates, rtol=0, atol=1e-12)
+
+
 def test_cascade_json_export_is_serializable():
     import json
 
@@ -320,6 +409,21 @@ def test_simulate_ctmc_absorbing_state_stays_put():
     rm = RateMatrix(("u", "v"), np.array([[0.0, 0.0], [0.0, 0.0]]))
     path = simulate_ctmc(rm, "v", 4.0, np.random.default_rng(0))
     assert path == [(0.0, 1)]
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
+def test_simulate_ctmc_horizon_must_be_positive_and_finite(T):
+    # an absorbing start: a horizon that slipped through returns at once
+    rm = RateMatrix(("u", "v"), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        simulate_ctmc(rm, "v", T, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_ctmc_marginal_time_must_be_nonnegative_and_finite(t):
+    rm = RateMatrix(("u", "v"), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+        ctmc_marginal(rm, "u", t)
 
 
 def test_simulate_ctmc_law_init_uses_rng():

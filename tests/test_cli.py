@@ -272,8 +272,14 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch)
              "T": 0.5, "replicas": 100, "init": {"dirac": "a"}, "tolerances": {"limit_band": -1.0}},
             "tolerances.limit_band must be a finite number > 0, got -1.0",
         ),
+        # an integer too large for a float used to raise OverflowError (exit 1)
+        (
+            {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3, "r_schedule": [10.0],
+             "T": 10**400, "replicas": 100, "init": {"dirac": "a"}},
+            "T must be a finite number > 0, got 1000",
+        ),
     ],
-    ids=["nan-horizon", "rate-missing", "negative-band"],
+    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer"],
 )
 def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
     def fail(*args, **kwargs):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fvlab import (
     EmpiricalMeasure,
     EventCapError,
+    ModelError,
     committor_two_site,
     simulate_fv,
     simulate_selection_absorption,
@@ -646,6 +647,21 @@ def test_snapshot_times_must_increase_within_the_horizon(cycle_model, times):
     init = EmpiricalMeasure.from_counts([2, 1, 0])
     with pytest.raises(ValueError, match="snapshot times must increase"):
         simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
+def test_horizon_must_be_positive_and_finite(cycle_model, T):
+    # a low cap: a NaN or infinite horizon used to run on until the cap
+    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        simulate_fv(cycle_model, 10.0, init, T, np.random.default_rng(0), event_cap=1000)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_intensity_must_be_finite_before_the_first_event(cycle_model, r):
+    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    with pytest.raises(ModelError, match="intensity r must be finite"):
+        simulate_fv(cycle_model, r, init, 1.0, np.random.default_rng(0), event_cap=1000)
 
 
 def test_prepared_kernel_never_goes_stale():

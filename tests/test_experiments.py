@@ -738,6 +738,46 @@ def test_event_cap_abort_thread_invariant_and_replayable():
         assert (replay.value.time, replay.value.counts) == (err.time, err.counts)
 
 
+def _abort_cases():
+    """Per kind: a config whose event cap aborts exactly one pass, and the
+    row that needs that pass and must therefore be absent."""
+    docs = _pinned_docs()
+    return {
+        "absorption_tail": (dict(docs["absorption_tail"], event_cap=25), "tail_slope_ratio_vs_killing_floor_ratio"),
+        "eta_inf_check": (dict(docs["eta_inf"], n=4, init=[2, 2], event_cap=10), "tv_exact_vs_absorbed_site_law"),
+        "committor_check_mc": (dict(docs["committor_mc"], event_cap=10), "mc_absorption_freq_abs_dev"),
+        "conjecture_probe_sim": (dict(_probe_sim_doc(), event_cap=20), "tv_vs_conjectured_chain"),
+    }
+
+
+@pytest.mark.parametrize("case", ["absorption_tail", "eta_inf_check", "committor_check_mc", "conjecture_probe_sim"])
+def test_event_cap_abort_in_every_simulating_kind(case):
+    from fvlab import EmpiricalMeasure, EventCapError, simulate_fv, simulate_selection_absorption, validate_model
+
+    doc, needs_the_pass = _abort_cases()[case]
+    cfg = ExperimentConfig.from_dict(doc)
+    rep = run_experiment(cfg)
+    aborts = [row for row in rep.rows if row["statistic"] == "event_cap_abort"]
+    assert [row["verdict"] for row in aborts] == ["FAIL"] and not rep.all_pass
+    assert needs_the_pass not in [row["statistic"] for row in rep.rows]
+    (abort,) = rep.timing["event_cap_aborts"]
+    assert abort["r"] == aborts[0]["r"]
+
+    # the recorded replica hits the cap again when replayed alone
+    rng = derive_replica_rng(cfg.seed, abort["replica"])
+    if case == "conjecture_probe_sim":
+        model, sim = cfg.validated_model(), cfg.sim
+        init = EmpiricalMeasure.from_counts([sim["n"] * (s == sim["init"]["dirac"]) for s in model.states])
+        replay = lambda: simulate_fv(model, abort["r"], init, sim["T"], rng, record=False, event_cap=cfg.event_cap)
+    else:
+        mc = case == "committor_check_mc"  # that kind builds its own two-site model
+        model = validate_model(two_site_config(alpha=cfg.mc["alpha"])) if mc else cfg.validated_model()
+        init = EmpiricalMeasure.from_counts(cfg.mc["counts"] if mc else cfg.init)
+        replay = lambda: simulate_selection_absorption(model, abort["r"], init, rng, event_cap=cfg.event_cap)
+    with pytest.raises(EventCapError):
+        replay()
+
+
 def test_run_experiment_validates_config_instances():
     # construction validates, so an invalid instance never reaches run_experiment
     with pytest.raises(ConfigError, match="replicas"):
@@ -1252,6 +1292,27 @@ def test_config_kind_reads_only_its_fields(kind):
 
 
 # ----------------------------------------------------- condensed chain start
+
+
+def test_chain_start_at_finite_r_is_the_two_site_committor():
+    from fvlab.experiments import _chain_start
+    from fvlab import gamblers_ruin_committor, validate_model
+
+    model = validate_model(cycle_model_config(beta=(1, 1, 2)))  # lambda_c / lambda_a = 4 r
+    for r in (3.0, 10.0):
+        law = _chain_start(model, (3, 0, 2), r)  # support {a, c}
+        g = gamblers_ruin_committor(5, model.alpha("a", "c", r))
+        assert law.states == model.states and law.prob("b") == 0.0
+        assert law.prob("a") == pytest.approx(g[3], abs=1e-12)
+        assert law.prob("c") == pytest.approx(1.0 - g[3], abs=1e-12)
+
+
+def test_theorem1_runs_from_init_counts():
+    rep = run_experiment(theorem1_doc(init=[2, 1, 0]))
+    stats = [row["statistic"] for row in rep.rows]
+    assert stats.count("tv_vs_finite_chain") == 4
+    assert {"sup_tv_monotone_in_r", "sup_tv_vs_limit_at_rmax"} <= set(stats)
+    assert rep.all_pass
 
 
 def test_chain_start_equilibrates_shared_orders():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvlab import (
+    LawOnStates,
     empirical_law,
     exact_law,
     tv_distance,
@@ -33,6 +34,14 @@ def test_exact_law_rejects_bad_vectors():
         exact_law(STATES, [0.7, -0.1, 0.4])  # negative entry
     with pytest.raises(ValueError):
         exact_law(STATES, [0.5, 0.5])  # wrong length
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [0.5, 0.5, np.nan]])
+def test_law_probabilities_must_be_finite(probs):
+    # NaN compares false, so a NaN entry passes the sign and sum checks
+    for kind in ("exact", "empirical"):
+        with pytest.raises(ValueError, match="must be finite"):
+            LawOnStates(STATES, np.array(probs), kind=kind)
 
 
 def test_empirical_law_counts_and_half_width():

@@ -53,6 +53,25 @@ def test_validate_q_is_max_exit_rate():
         (lambda c: c["killing"]["beta"].update(a=-1), "positive"),
         (lambda c: c.pop("killing"), "killing"),
         (lambda c: c.pop("states"), "states"),
+        # a model document holds no key outside its shape, like a config does
+        (lambda c: c.update(mutations=c.pop("mutation")), "unknown model keys"),
+        (lambda c: c["mutation"][0].update(note="x"), "unknown mutation entry keys"),
+        (lambda c: c["killing"].update(m={"a": 0.0}), "unknown power killing keys"),
+        (lambda c: c["killing"]["c"].update(d=1.0), "unknown power killing 'c' keys"),
+        (lambda c: c["killing"]["beta"].update(d=1), "unknown power killing 'beta' keys"),
+        # a number is a finite int or float, never a bool or a string
+        (lambda c: c["mutation"][0].update(rate=True), r"rate q\(a,b\) must be a finite number"),
+        (lambda c: c["killing"]["c"].update(a="1"), r"c\(a\) must be a finite number"),
+        (
+            lambda c: c.update(killing={"kind": "uniform_plus", "m": {"a": "1", "b": 0.0, "c": 0.0}}),
+            r"m\(a\) must be a finite number",
+        ),
+        (lambda c: c.update(states="abc"), "states must be a list of strings"),
+        (lambda c: c.update(states=["a", "b", 3]), "list of strings, got"),
+        (lambda c: c["mutation"][0].update(rate=10**400), "must be a finite number, got 1000"),
+        # an exponent that is no rational used to raise ZeroDivisionError or a bare ValueError
+        (lambda c: c["killing"]["beta"].update(a="1/0"), "exponent must be a finite rational, got '1/0'"),
+        (lambda c: c["killing"]["beta"].update(a=float("nan")), "exponent must be a finite rational, got nan"),
     ],
 )
 def test_validate_rejects_bad_configs(breakage, fragment):
@@ -60,6 +79,17 @@ def test_validate_rejects_bad_configs(breakage, fragment):
     breakage(cfg)
     with pytest.raises(ModelError, match=fragment):
         validate_model(cfg)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_intensity_must_be_finite(cycle_model, r):
+    for call in (
+        lambda: cycle_model.killing_rate(r, 0),
+        lambda: cycle_model.min_killing_rate(r),
+        lambda: cycle_model.alpha(0, 1, r),
+    ):
+        with pytest.raises(ModelError, match="finite and >= 1"):
+            call()
 
 
 def test_uniform_plus_rejects_negative_offset():
