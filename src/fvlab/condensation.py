@@ -22,7 +22,6 @@ draw count, up to 10 000 outcomes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -109,16 +108,20 @@ def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
     if space.size > _OUTCOME_CAP:
         raise ValueError(f"{space.size} outcomes exceed the cap {_OUTCOME_CAP}")
 
-    # P(adds) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m), A = sum a_i
+    # P(adds) = prod_i C(a_i + m_i - 1, m_i) / C(A + m - 1, m), A = sum a_i;
+    # the numerators multiply in one colour at a time from per-colour tables
     denom = comb(sum(a) + m - 1, m)
-    nums = {}
-    for adds in space.array().tolist():
-        key = tuple(av + mv for av, mv in zip(a, adds))
-        nums[key] = math.prod(comb(av + mv - 1, mv) for av, mv in zip(a, adds))
-    if sum(nums.values()) != denom:
+    adds = space.array()
+    nums = [1] * space.size
+    for av, col in zip(a, adds.T.tolist()):
+        table = [comb(av + mv - 1, mv) for mv in range(m + 1)]
+        nums = [num * table[mv] for num, mv in zip(nums, col)]
+    if sum(nums) != denom:
         raise RuntimeError("urn law does not sum to 1 exactly")
-    exact = {key: Fraction(num, denom) for key, num in nums.items()}
-    return UrnLaw({key: float(p) for key, p in exact.items()}, exact)
+    keys = list(map(tuple, (adds + a).tolist()))
+    # int / int is correctly rounded, so it is the float of the Fraction
+    return UrnLaw({key: num / denom for key, num in zip(keys, nums)},
+                  {key: Fraction(num, denom) for key, num in zip(keys, nums)})
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,9 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
     else:
         urn = polya_urn_law(inside, outside)
         rows = table.psi[table.space.ranks(list(urn.outcomes))]
-        for p, v in zip(urn.outcomes.values(), rows):
-            full[at] += p * v
+        p = np.fromiter(urn.outcomes.values(), dtype=float, count=len(rows))
+        # cumsum adds outcome by outcome in order, not pairwise like np.sum,
+        # so the mixture keeps the bits of a plain running sum
+        full[at] = np.cumsum(p[:, None] * rows, axis=0)[-1]
 
     return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, urn)
