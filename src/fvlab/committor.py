@@ -182,7 +182,7 @@ class CommittorTable:
 
 def _selection_generator(counts: np.ndarray, space: CompositionSpace,
                          weights: Sequence[float]) -> sp.csr_matrix:
-    """Generator of the selection-only chain on ``space``, rows of ``counts``.
+    """Generator of the selection-only chain; ``counts`` is ``space.array()``.
 
     Assembled with one array pass per move x -> y, in (x, y) order.
     """
@@ -270,8 +270,7 @@ def committor_numeric(
         on = np.flatnonzero(face_size == k)
         rows = G[on]
         rhs = rows @ psi
-        # 0.0 - G keeps the entries with no move at +0.0
-        A = (0.0 - rows[:, on]).tocsc()
+        A = (-rows[:, on]).tocsc()
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
         psi[on] = lu.solve(rhs)

@@ -268,7 +268,7 @@ def test_face_block_is_reversible():
     counts = space.array()
     G = _selection_generator(counts, space, gamma)
     on = np.flatnonzero((counts > 0).all(axis=1))
-    block = G[on][:, on].tocsr()
+    block = G[on][:, on]
     coo = block.tocoo()
     off = coo.row != coo.col
     i, j, rate = coo.row[off], coo.col[off], coo.data[off]
@@ -292,7 +292,7 @@ def test_numeric_d5_time_bound():
 )
 def test_numeric_rows_sum_to_one_at_extreme_ratios(weights, n):
     # raw killing rates of mixed power orders reach such ratios; the
-    # pivoted LU of the whole non-Dirac block lost the row sums here
+    # pivoted LU of the whole non-Dirac block lost the row sums on these
     table = committor_numeric(list(weights), n)
     assert np.abs(table.psi.sum(axis=1) - 1.0).max() <= 1e-12
     assert table.psi.min() >= 0.0
