@@ -14,7 +14,6 @@ import numpy as np
 
 from fvlab import (
     committor_numeric,
-    committor_two_site,
     gamblers_ruin_committor,
     invasion_probability,
 )
@@ -29,8 +28,8 @@ for k, v in enumerate(g):
     print(f"  k={k}: {v:.6f}")
 
 # The two standard corner cases: hold (n-1 particles at x, one invader)
-# and invade (one particle at x against n-1).
-hold, invade = committor_two_site(n, alpha)
+# and invade (one particle at x against n-1), read off the column.
+hold, invade = g[n - 1], g[1]
 print(f"hold = {hold:.6f}, invade = {invade:.6f}")
 
 # Losing the hold game is the same event as the single invader taking

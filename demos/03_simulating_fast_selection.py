@@ -15,8 +15,8 @@ import numpy as np
 
 from fvlab import (
     EmpiricalMeasure,
+    LawOnStates,
     empirical_law,
-    exact_law,
     simulate_fv,
     simulate_selection_absorption,
     tv_distance,
@@ -82,9 +82,9 @@ for i in range(2000):
         model, 10.0, EmpiricalMeasure.from_counts([2, 1, 1]), np.random.default_rng(i)
     )
     hits[res.site] += 1
-freq = exact_law(model.states, [hits[s] / 2000 for s in model.states])
+freq = LawOnStates(model.states, [hits[s] / 2000 for s in model.states])
 print("\nabsorbed-site frequencies from counts (2,1,1):",
       {s: float(p) for s, p in zip(model.states, freq.probs)})
 print("slow-killing site a wins most games, as the committor predicts;")
 print("TV to uniform for scale:",
-      round(tv_distance(freq, exact_law(model.states, [1 / 3] * 3)), 3))
+      round(tv_distance(freq, LawOnStates(model.states, [1 / 3] * 3)), 3))

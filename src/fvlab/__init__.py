@@ -20,7 +20,6 @@ from .committor import (
     CommittorTable,
     CompositionSpace,
     committor_numeric,
-    committor_two_site,
     gamblers_ruin_committor,
     invasion_probability,
 )
@@ -28,7 +27,6 @@ from .condensation import (
     InitialCondensationLaw,
     UrnLaw,
     initial_condensation_law,
-    limit_weight_profile,
     minimal_order_set,
     polya_urn_law,
 )
@@ -52,7 +50,6 @@ from .experiments import (
 from .metrics import (
     LawOnStates,
     empirical_law,
-    exact_law,
     tv_distance,
 )
 from .model import (
@@ -88,17 +85,14 @@ __all__ = [
     "UniformPlusBoundedKilling",
     "UrnLaw",
     "committor_numeric",
-    "committor_two_site",
     "condensate_rates",
     "conjectured_limit_rates",
     "ctmc_marginal",
     "derive_replica_rng",
     "empirical_law",
-    "exact_law",
     "gamblers_ruin_committor",
     "initial_condensation_law",
     "invasion_probability",
-    "limit_weight_profile",
     "load_model",
     "minimal_order_set",
     "polya_urn_law",

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .committor import invasion_probability
-from .metrics import LawOnStates, exact_law
+from .metrics import LawOnStates
 from .model import Model
 
 __all__ = [
@@ -285,4 +285,4 @@ def ctmc_marginal(
     if not 0 <= t < math.inf:  # also false for NaN
         raise ValueError(f"time must be nonnegative and finite, got {t}")
     p = _init_vector(rates, init) @ expm(rates.generator() * t)
-    return exact_law(rates.states, p / p.sum())
+    return LawOnStates(rates.states, p / p.sum())

@@ -31,7 +31,7 @@ import json
 import sys
 
 from .chains import condensate_rates, conjectured_limit_rates
-from .committor import committor_two_site, gamblers_ruin_committor
+from .committor import gamblers_ruin_committor
 from .condensation import initial_condensation_law
 from .experiments import ExperimentConfig, run_experiment
 from .model import load_model
@@ -108,9 +108,8 @@ def _cmd_committor(args) -> int:
     print("k,psi_first_site")
     for k, v in enumerate(g):
         print(f"{k},{v:.17g}")
-    hold, invade = committor_two_site(n, alpha)
-    print(f"# hold (n-1 vs 1): {hold:.17g}")
-    print(f"# invade (1 vs n-1): {invade:.17g}")
+    print(f"# hold (n-1 vs 1): {g[n - 1]:.17g}")
+    print(f"# invade (1 vs n-1): {g[1]:.17g}")
     return 0
 
 

@@ -32,7 +32,6 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "gamblers_ruin_committor",
     "invasion_probability",
-    "committor_two_site",
     "CompositionSpace",
     "CommittorTable",
     "committor_numeric",
@@ -92,18 +91,6 @@ def invasion_probability(n: int, alpha: float) -> float:
         # alpha**n overflows; factor out the dominant power
         return math.exp((1.0 - n) * log_a) * math.expm1(-log_a) / math.expm1(-n * log_a)
     return math.expm1(log_a) / math.expm1(n * log_a)
-
-
-def committor_two_site(n: int, alpha: float) -> tuple[float, float]:
-    """Closed-form committors toward x on a two-site support {x, y}.
-
-    ``alpha`` is the rate ratio ``lambda(y)/lambda(x)``.  Returns the
-    pair ``(psi_x with counts (n-1, 1), psi_x with counts (1, n-1))``,
-    i.e. x holding a majority of n-1 versus x reduced to a single
-    particle.  At ``alpha = 1`` the pair is ``((n-1)/n, 1/n)``.
-    """
-    g = gamblers_ruin_committor(n, alpha)
-    return float(g[n - 1]), float(g[1])
 
 
 class CompositionSpace:
@@ -184,23 +171,26 @@ def _selection_generator(counts: np.ndarray, space: CompositionSpace,
                          weights: Sequence[float]) -> sp.csr_matrix:
     """Generator of the selection-only chain; ``counts`` is ``space.array()``.
 
-    Assembled with one array pass per move x -> y, in (x, y) order.
+    Assembled with one array pass per move x -> y, in (x, y) order, and
+    one ``ranks`` call over the targets of every move: ``ranks`` loops
+    over the d sites in Python, so a call per move would take d**3 steps.
     """
     n, d = space.n, space.d
     unit, everywhere, inv_nm1 = np.eye(d, dtype=np.int64), np.arange(space.size), 1.0 / (n - 1)
     # Exit rates accumulate move by move in (x, y) order; a move out of
     # or into an empty site adds 0.0, which leaves the sum unchanged.
     exit_rate = np.zeros(space.size)
-    rows, cols, rates = [everywhere], [everywhere], []
+    rows, targets, rates = [everywhere], [], []
     for x, y in itertools.permutations(range(d), 2):
         rate = counts[:, x] * weights[x] * counts[:, y] * inv_nm1
         exit_rate += rate
         live = np.flatnonzero(counts[:, x] * counts[:, y])
         rows.append(live)
-        cols.append(space.ranks(counts[live] - unit[x] + unit[y]))
+        targets.append(counts[live] - unit[x] + unit[y])
         rates.append(rate[live])
+    cols = np.concatenate([everywhere, space.ranks(np.concatenate(targets))])
     data = np.concatenate([-exit_rate, *rates])
-    return sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(space.size,) * 2)
+    return sp.csr_matrix((data, (np.concatenate(rows), cols)), shape=(space.size,) * 2)
 
 
 def committor_numeric(

@@ -9,8 +9,9 @@ is exactly a Polya urn with one draw per relocated particle (note: per
 *particle*, not per vacated site).  The resulting occupancy of
 ``Lambda`` then resolves by the committors of the limit rate ratios, so
 the condensate's law is the urn-weighted average of the committor rows
-of the urn's outcomes.  When ``Lambda`` is one site, a Dirac start
-included, the law is the point mass there and neither step runs.
+of the urn's outcomes; with no particle outside ``Lambda`` the urn
+makes no draw.  When ``Lambda`` is one site, a Dirac start included,
+the law is the point mass there and neither step runs.
 
 The urn step follows the Dirichlet-multinomial law
 
@@ -37,7 +38,6 @@ __all__ = [
     "UrnLaw",
     "InitialCondensationLaw",
     "minimal_order_set",
-    "limit_weight_profile",
     "polya_urn_law",
     "initial_condensation_law",
 ]
@@ -57,26 +57,6 @@ def minimal_order_set(model: Model, support: Sequence[Union[str, int]]) -> tuple
         raise ValueError("support must be nonempty")
     keep = [x for x in idx if not any(model.alpha(x, y, None) == 0.0 for y in idx)]
     return tuple(model.states[x] for x in keep)
-
-
-def limit_weight_profile(model: Model, subset: Sequence[Union[str, int]]) -> np.ndarray:
-    """Normalized limit killing weights over a same-order subset.
-
-    For x in the subset, ``weight(x) = 1 / min_y ratio(x, y)`` equals
-    the limit of ``lambda_r(x)`` over the subset's minimal rate, a
-    finite value >= 1.  Requires the subset to be its own minimal-order
-    set (every pairwise limit ratio positive).
-    """
-    idx = [model.state_index(s) for s in subset]
-    out = np.empty(len(idx))
-    for pos, x in enumerate(idx):
-        ratios = [model.alpha(x, y, None) for y in idx]
-        if 0.0 in ratios:
-            raise ValueError(
-                f"state {model.states[x]!r} is not of minimal order in the subset"
-            )
-        out[pos] = 1.0 / min(ratios)  # ratios holds alpha(x, x) = 1, so the min is finite
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,10 +108,12 @@ def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
 class InitialCondensationLaw:
     """Limiting law of the condensate's initial site.
 
-    ``law`` is supported inside ``lambda_set``.  When particles start
-    outside the minimal-order set, ``urn`` records the redistribution
-    law, and ``law`` is the urn-weighted average of the committor rows
-    of its outcomes (counts over ``lambda_set``).
+    ``law`` is supported inside ``lambda_set``.  ``urn`` records the
+    redistribution law of the particles outside the minimal-order set,
+    a point mass at the start when there are none, and ``law`` is the
+    urn-weighted average of the committor rows of its outcomes (counts
+    over ``lambda_set``).  ``urn`` is None only when ``lambda_set`` is
+    one site.
     """
 
     law: LawOnStates
@@ -164,22 +146,18 @@ def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCond
     full = np.zeros(model.num_states)
     if len(lam) == 1:
         full[model.state_index(lam[0])] = 1.0
-        return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, None)
+        return InitialCondensationLaw(LawOnStates(model.states, full), lam, None)
 
-    gamma = limit_weight_profile(model, lam)
-    inside = [counts[model.state_index(s)] for s in lam]
-    outside = n - sum(inside)
-    table = committor_numeric(gamma, n, states=lam)
+    # Lambda is its own minimal-order set, so every ratio below is positive;
+    # the min includes alpha(x, x) = 1, so each weight is finite and >= 1
     at = [model.state_index(s) for s in lam]
-    if outside == 0:
-        urn = None
-        full[at] = table.row(inside)
-    else:
-        urn = polya_urn_law(inside, outside)
-        rows = table.psi[table.space.ranks(list(urn.outcomes))]
-        p = np.fromiter(urn.outcomes.values(), dtype=float, count=len(rows))
-        # cumsum adds outcome by outcome in order, not pairwise like np.sum,
-        # so the mixture keeps the bits of a plain running sum
-        full[at] = np.cumsum(p[:, None] * rows, axis=0)[-1]
-
-    return InitialCondensationLaw(LawOnStates(model.states, full, kind="exact"), lam, urn)
+    gamma = [1.0 / min(model.alpha(x, y, None) for y in at) for x in at]
+    inside = [counts[x] for x in at]
+    table = committor_numeric(gamma, n, states=lam)
+    urn = polya_urn_law(inside, n - sum(inside))
+    rows = table.psi[table.space.ranks(list(urn.outcomes))]
+    p = np.fromiter(urn.outcomes.values(), dtype=float, count=len(rows))
+    # cumsum adds outcome by outcome in order, not pairwise like np.sum,
+    # so the mixture keeps the bits of a plain running sum
+    full[at] = np.cumsum(p[:, None] * rows, axis=0)[-1]
+    return InitialCondensationLaw(LawOnStates(model.states, full), lam, urn)

@@ -92,7 +92,7 @@ from .engine import (
     simulate_fv,
     simulate_selection_absorption,
 )
-from .metrics import LawOnStates, empirical_law, exact_law, tv_distance
+from .metrics import LawOnStates, empirical_law, tv_distance
 from .model import Model, _is_int, _is_real, validate_model
 
 __all__ = [
@@ -693,7 +693,7 @@ def _lift_law(law: LawOnStates, states: tuple[str, ...]) -> LawOnStates:
     v = np.zeros(len(states))
     for s, p in zip(law.states, law.probs):
         v[states.index(s)] += p
-    return exact_law(states, v)
+    return LawOnStates(states, v)
 
 
 def _chain_start(model: Model, counts: Sequence[int], r: float | None):
@@ -712,8 +712,7 @@ def _chain_start(model: Model, counts: Sequence[int], r: float | None):
     weights = [model.killing_rate(r, i) for i in occupied]
     table = committor_numeric(weights, sum(counts), states=[model.states[i] for i in occupied])
     row = table.row([counts[i] for i in occupied])
-    law = exact_law(table.states, row)
-    return _lift_law(law, model.states)
+    return _lift_law(LawOnStates(table.states, row), model.states)
 
 
 # ------------------------------------------------------- experiment kinds
@@ -824,7 +823,7 @@ def _exp_theorem3(run: _Run) -> None:
     times = cfg.time_points
     # the mutation chain starts from the initial measure, shared by every point (init counts sum to each n)
     start = cfg.init_counts(model, int(cfg.points[0]["n"]))
-    init_law = exact_law(model.states, np.asarray(start, dtype=float) / sum(start))
+    init_law = LawOnStates(model.states, np.asarray(start, dtype=float) / sum(start))
     exact_marginals = [ctmc_marginal(mutation_chain, init_law, t).probs for t in times]
     sups: list[tuple[float, float, float]] = []  # (scale, max lo, max hi) per completed point
     for i, point in enumerate(cfg.points):

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "LawOnStates",
-    "exact_law",
     "empirical_law",
     "tv_distance",
 ]
@@ -27,17 +26,18 @@ __all__ = [
 class LawOnStates:
     """A probability vector over a declared, ordered state set.
 
-    ``kind`` is "exact" for analytically computed laws (sum within 1e-10
-    of 1) or "empirical" for Monte Carlo frequencies (sum within 1e-12).
+    ``states`` is stored as a tuple and ``probs`` as a read-only float
+    array, which must be finite, nonnegative and sum to 1 within 1e-10,
+    whether the law is exact or a Monte Carlo frequency vector.
     """
 
     states: tuple[str, ...]
     probs: np.ndarray
-    kind: str = "exact"
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         probs.setflags(write=False)
+        object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probs", probs)
         if probs.shape != (len(self.states),):
             raise ValueError("probability vector length must match state set")
@@ -45,8 +45,7 @@ class LawOnStates:
             raise ValueError(f"probabilities must be finite, got {probs}")
         if np.any(probs < -1e-12):
             raise ValueError("negative probability entry")
-        tol = 1e-10 if self.kind == "exact" else 1e-12
-        if abs(float(probs.sum()) - 1.0) > tol:
+        if abs(float(probs.sum()) - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
 
     def prob(self, state: str) -> float:
@@ -54,10 +53,6 @@ class LawOnStates:
 
     def as_dict(self) -> dict[str, float]:
         return {s: float(p) for s, p in zip(self.states, self.probs)}
-
-
-def exact_law(states: Sequence[str], probs) -> LawOnStates:
-    return LawOnStates(tuple(states), np.asarray(probs, dtype=float), kind="exact")
 
 
 def empirical_law(samples: Iterable[Union[str, int]], states: Sequence[str]) -> LawOnStates:
@@ -77,15 +72,11 @@ def empirical_law(samples: Iterable[Union[str, int]], states: Sequence[str]) -> 
     if lo < 0 or hi >= len(states):
         raise ValueError(f"sample index {lo if lo < 0 else hi} outside [0, {len(states)})")
     counts = np.bincount(idx.astype(np.intp, copy=False), minlength=len(states))
-    return LawOnStates(states, counts / idx.size, kind="empirical")
-
-
-def _tv(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.abs(np.asarray(u, dtype=float) - np.asarray(v, dtype=float)).sum())
+    return LawOnStates(states, counts / idx.size)
 
 
 def tv_distance(mu: LawOnStates, nu: LawOnStates) -> float:
     """Total variation sum_x |mu(x) - nu(x)| in [0, 2]."""
     if mu.states != nu.states:
         raise ValueError(f"mismatched state sets: {mu.states} vs {nu.states}")
-    return _tv(mu.probs, nu.probs)
+    return float(np.abs(mu.probs - nu.probs).sum())

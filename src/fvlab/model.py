@@ -31,7 +31,6 @@ __all__ = [
     "ModelError",
     "PowerLawKilling",
     "UniformPlusBoundedKilling",
-    "KillingFamily",
     "Model",
     "validate_model",
     "load_model",

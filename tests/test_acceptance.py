@@ -17,10 +17,10 @@ import pytest
 
 from fvlab import (
     ExperimentConfig,
+    LawOnStates,
     RateMatrix,
     conjectured_limit_rates,
     ctmc_marginal,
-    exact_law,
     run_experiment,
     validate_model,
 )
@@ -356,7 +356,7 @@ def test_criterion_9_marginal_solver_exactness(announce):
         rm5 = RateMatrix(states, rates)
         t = float(rng.uniform(0.1, 2.0))
         init = rng.dirichlet(np.ones(5))
-        law = ctmc_marginal(rm5, exact_law(states, init), t)
+        law = ctmc_marginal(rm5, LawOnStates(states, init), t)
         reference = init @ dense_expm(rm5.generator(), t)
         worst_dense = max(worst_dense, float(np.abs(law.probs - reference).max()))
     elapsed = time.perf_counter() - start

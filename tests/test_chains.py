@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlab import (
+    LawOnStates,
     RateMatrix,
     condensate_rates,
     conjectured_limit_rates,
     ctmc_marginal,
-    exact_law,
     invasion_probability,
     simulate_ctmc,
     validate_model,
@@ -374,7 +374,7 @@ def test_ctmc_marginal_matches_dense_expm_on_random_models():
         t = float(rng.uniform(0.1, 2.0))
         P = dense_expm(rm.generator(), t)
         init = rng.dirichlet(np.ones(5))
-        law = ctmc_marginal(rm, exact_law(states, init), t)
+        law = ctmc_marginal(rm, LawOnStates(states, init), t)
         assert np.allclose(law.probs, init @ P, atol=1e-10)
 
 
@@ -428,7 +428,7 @@ def test_ctmc_marginal_time_must_be_nonnegative_and_finite(t):
 
 def test_simulate_ctmc_law_init_uses_rng():
     rm = RateMatrix(("u", "v"), np.array([[0.0, 0.0], [0.0, 0.0]]))
-    law = exact_law(("u", "v"), [0.25, 0.75])
+    law = LawOnStates(("u", "v"), [0.25, 0.75])
     starts = [
         simulate_ctmc(rm, law, 1.0, np.random.default_rng(seed))[0][1]
         for seed in range(400)

@@ -65,9 +65,12 @@ def test_committor_table(capsys):
     assert lines[0] == "k,psi_first_site"
     values = [float(line.split(",")[1]) for line in lines[1:6]]
     assert values == pytest.approx([0.0, 8 / 15, 12 / 15, 14 / 15, 1.0], abs=1e-15)
-    assert lines[6].startswith("# hold")
-    assert lines[7].startswith("# invade")
+    assert lines[6].startswith("# hold (n-1 vs 1): ")
+    assert lines[7].startswith("# invade (1 vs n-1): ")
     assert float(lines[6].split(":")[1]) == pytest.approx(14 / 15, abs=1e-15)
+    # hold and invade print rows k = n-1 and k = 1 of the column, digit for digit
+    assert lines[6].split(": ")[1] == lines[4].split(",")[1]
+    assert lines[7].split(": ")[1] == lines[2].split(",")[1]
 
 
 def test_committor_rejects_bad_parameters(capsys):

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlab import (
+    committor_numeric,
+    gamblers_ruin_committor,
     initial_condensation_law,
-    limit_weight_profile,
     minimal_order_set,
     polya_urn_law,
     validate_model,
@@ -65,23 +66,22 @@ def test_minimal_order_set_respects_support():
 
 
 def test_weight_profile_prefactor_ratios():
+    # same-order prefactors 1 and 2 are the committor weights of Lambda
     model = power_model([1, 1], cs=[1.0, 2.0], states=["a", "b"])
-    assert np.allclose(limit_weight_profile(model, ("a", "b")), [1.0, 2.0])
+    for counts in ((1, 1), (3, 2)):
+        law = initial_condensation_law(model, counts).law
+        row = committor_numeric([1.0, 2.0], sum(counts), states=("a", "b")).row(counts)
+        assert law.probs.tobytes() == row.tobytes()
 
 
 def test_weight_profile_includes_self_ratio():
-    # the min over the subset includes the site itself (ratio 1), so the
-    # slowest site gets weight exactly 1 and all weights are >= 1
+    # the min over Lambda includes the site itself (ratio 1), so the
+    # weights are the prefactors over the smallest one, all >= 1
     model = power_model([1, 1, 1], cs=[1.0, 2.0, 4.0])
-    gamma = limit_weight_profile(model, ("s0", "s1", "s2"))
-    assert np.allclose(gamma, [1.0, 2.0, 4.0])
-    assert (gamma >= 1.0).all()
-
-
-def test_weight_profile_rejects_non_minimal_subset():
-    model = power_model([1, 2], states=["a", "b"])
-    with pytest.raises(ValueError):
-        limit_weight_profile(model, ("a", "b"))  # b has infinite-order gap
+    for counts in ((2, 1, 1), (1, 3, 2)):
+        law = initial_condensation_law(model, counts).law
+        row = committor_numeric([1.0, 2.0, 4.0], sum(counts), states=model.states).row(counts)
+        assert law.probs.tobytes() == row.tobytes()
 
 
 # ------------------------------------------------------------------ urn law
@@ -216,7 +216,6 @@ def test_eta_inf_one_site_lambda_pinned(counts, site):
     model = power_model([1, 1, 2], cs=[1.0, 2.0, 1.0], states=["a", "b", "c"])
     law = initial_condensation_law(model, counts)
     assert law.law.probs.tolist() == [float(s == site) for s in "abc"]
-    assert law.law.kind == "exact"
     assert law.lambda_set == (site,)
     assert law.urn is None
     assert law.to_json_dict() == {
@@ -243,6 +242,17 @@ def test_eta_inf_urn_mixture_frozen_value():
     assert law.law.prob("c") == 0.0
     assert law.lambda_set == ("a", "b")
     assert law.urn is not None
+
+
+def test_eta_inf_all_inside_lambda_is_a_zero_draw_urn():
+    # every particle already sits in Lambda = {a, b}: the urn makes no
+    # draw, and its one outcome's committor row is the law, bit for bit
+    model = power_model([1, 1, 2], cs=[1.0, 3.0, 1.0], states=["a", "b", "c"])
+    law = initial_condensation_law(model, (2, 3, 0))
+    assert law.lambda_set == ("a", "b")
+    assert law.urn.outcomes == {(2, 3): 1.0}
+    row = committor_numeric([1.0, 3.0], 5, states=("a", "b")).row((2, 3))
+    assert law.law.probs.tobytes() == np.array([row[0], row[1], 0.0]).tobytes()
 
 
 def test_eta_inf_mixed_order_bits_pinned():
@@ -282,11 +292,10 @@ def test_eta_inf_depends_only_on_limit_ratios():
 
 
 def test_eta_inf_two_site_matches_committor_table():
-    from fvlab import committor_two_site
-
     model = power_model([1, 1], cs=[1.0, 2.0], states=["a", "b"])
     n = 4
-    hold, invade = committor_two_site(n, 2.0)
+    g = gamblers_ruin_committor(n, 2.0)
+    hold, invade = g[n - 1], g[1]
     assert initial_condensation_law(model, (3, 1)).law.prob("a") == pytest.approx(hold)
     assert initial_condensation_law(model, (1, 3)).law.prob("a") == pytest.approx(invade)
 

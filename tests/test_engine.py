@@ -14,7 +14,7 @@ from fvlab import (
     EmpiricalMeasure,
     EventCapError,
     ModelError,
-    committor_two_site,
+    gamblers_ruin_committor,
     simulate_fv,
     simulate_selection_absorption,
     validate_model,
@@ -350,7 +350,7 @@ def test_absorption_ignores_mutation(cycle_model):
 def test_absorption_frequency_matches_committor():
     model = validate_model(two_site_config(alpha=2.0))
     n, alpha = 5, 2.0
-    hold, _ = committor_two_site(n, alpha)
+    hold = gamblers_ruin_committor(n, alpha)[n - 1]
     init = EmpiricalMeasure.from_counts([n - 1, 1])
     rng = np.random.default_rng(20260815)
     M = 4000

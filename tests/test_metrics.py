@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fvlab import (
     LawOnStates,
     empirical_law,
-    exact_law,
     tv_distance,
 )
 
@@ -21,34 +20,35 @@ STATES = ("a", "b", "c")
 
 
 def test_exact_law_basics():
-    law = exact_law(STATES, [0.5, 0.3, 0.2])
+    law = LawOnStates(list(STATES), [0.5, 0.3, 0.2])
+    assert law.states == STATES  # stored as a tuple
     assert law.prob("a") == 0.5
     assert law.as_dict() == {"a": 0.5, "b": 0.3, "c": 0.2}
-    assert law.kind == "exact"
+    assert law.probs.dtype == float and not law.probs.flags.writeable
 
 
 def test_exact_law_rejects_bad_vectors():
     with pytest.raises(ValueError):
-        exact_law(STATES, [0.5, 0.6, 0.2])  # sums to 1.3
+        LawOnStates(STATES, [0.5, 0.6, 0.2])  # sums to 1.3
     with pytest.raises(ValueError):
-        exact_law(STATES, [0.7, -0.1, 0.4])  # negative entry
+        LawOnStates(STATES, [0.7, -0.1, 0.4])  # negative entry
     with pytest.raises(ValueError):
-        exact_law(STATES, [0.5, 0.5])  # wrong length
+        LawOnStates(STATES, [0.5, 0.5])  # wrong length
+    with pytest.raises(ValueError):
+        LawOnStates(STATES, [0.5, 0.3, 0.2 + 2e-10])  # sum off by more than 1e-10
 
 
 @pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [0.5, 0.5, np.nan]])
 def test_law_probabilities_must_be_finite(probs):
     # NaN compares false, so a NaN entry passes the sign and sum checks
-    for kind in ("exact", "empirical"):
-        with pytest.raises(ValueError, match="must be finite"):
-            LawOnStates(STATES, np.array(probs), kind=kind)
+    with pytest.raises(ValueError, match="must be finite"):
+        LawOnStates(STATES, np.array(probs))
 
 
 def test_empirical_law_counts_and_half_width():
     samples = ["a", "a", "b", "c"] * 25  # M = 100
     law = empirical_law(samples, STATES)
     assert law.probs.tolist() == [0.5, 0.25, 0.25]
-    assert law.kind == "empirical"
     # the law is a plain frequency vector: a caller needing the DKW band
     # sqrt(ln(2/delta) / (2M)) computes it from its own sample count
     assert not hasattr(law, "half_width") and not hasattr(law, "nsamples")
@@ -73,17 +73,17 @@ def test_empirical_law_accepts_indices():
 
 
 def test_tv_distance_hand_values():
-    mu = exact_law(STATES, [1.0, 0.0, 0.0])
-    nu = exact_law(STATES, [0.0, 1.0, 0.0])
+    mu = LawOnStates(STATES, [1.0, 0.0, 0.0])
+    nu = LawOnStates(STATES, [0.0, 1.0, 0.0])
     assert tv_distance(mu, nu) == pytest.approx(2.0)  # disjoint Diracs
     assert tv_distance(mu, mu) == 0.0
-    rho = exact_law(STATES, [0.5, 0.5, 0.0])
+    rho = LawOnStates(STATES, [0.5, 0.5, 0.0])
     assert tv_distance(mu, rho) == pytest.approx(1.0)
 
 
 def test_tv_distance_requires_same_states():
-    mu = exact_law(("a", "b"), [0.5, 0.5])
-    nu = exact_law(("a", "c"), [0.5, 0.5])
+    mu = LawOnStates(("a", "b"), [0.5, 0.5])
+    nu = LawOnStates(("a", "c"), [0.5, 0.5])
     with pytest.raises(ValueError):
         tv_distance(mu, nu)
 
@@ -102,7 +102,7 @@ def prob_vectors(draw, size=3):
 
 @given(u=prob_vectors(), v=prob_vectors(), w=prob_vectors())
 def test_tv_is_a_metric(u, v, w):
-    lu, lv, lw = (exact_law(STATES, x) for x in (u, v, w))
+    lu, lv, lw = (LawOnStates(STATES, x) for x in (u, v, w))
     duv = tv_distance(lu, lv)
     assert 0.0 <= duv <= 2.0
     assert duv == pytest.approx(tv_distance(lv, lu))
