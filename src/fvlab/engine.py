@@ -29,9 +29,16 @@ the next S steps, ``rng.standard_exponential(S)`` and then
 start and doubling at each refill up to 1365.  The exponentials come
 from numpy's ziggurat sampler, computed in the generator's own code, so
 a waiting time is one correctly rounded division wherever it is
-computed: in the scalar loop or in a numpy block.  A recorded
-path of measures is two arrays: ``Trajectory.occupancy_path`` returns
-the event times from 0 and the normalized counts holding from each.
+computed: in the scalar loop or in a numpy block.
+
+A recorded path is four flat columns, one entry per event: its time,
+source, target and kind.  The loop appends to them and builds no object
+per event; a duel block extends them from its arrays.
+``Trajectory.events`` turns them into ``(time, Event)`` pairs when read,
+and ``Trajectory.occupancy_path`` into two arrays: the event times from
+0 and the normalized counts holding from each.  :func:`_path_stats`
+reduces the concatenated columns of many replicas to each one's
+Dirac-distance integral and time-average occupation in one numpy pass.
 
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
@@ -171,9 +178,12 @@ class Trajectory:
 
     Each event moves exactly one particle (source count -1, target
     count +1), so the path of measures is reconstructed by replay.
-    ``final_counts`` are the counts at the horizon, and ``final`` is
-    their measure, built when read.  ``event_count`` counts the
-    generated events even when recording was turned off (``events``
+    ``columns`` holds the recorded events as four lists of equal length,
+    ``(times, sources, targets, kinds)``, with sites as indices into
+    ``states``; ``events`` pairs them into ``(time, Event)`` tuples on
+    each read.  ``final_counts`` are the counts at the horizon, and
+    ``final`` is their measure, built when read.  ``event_count`` counts
+    the generated events even when recording was turned off (columns
     empty).  ``snapshots`` holds one ``(counts, events so far)`` pair
     per requested snapshot time: the state after every event at or
     before that time.
@@ -181,7 +191,7 @@ class Trajectory:
 
     states: tuple[str, ...]
     initial: EmpiricalMeasure
-    events: list[tuple[float, Event]]
+    columns: tuple[list[float], list[int], list[int], list[str]]
     horizon: float
     final_counts: tuple[int, ...]
     event_count: int = 0
@@ -192,21 +202,17 @@ class Trajectory:
         """The measure at the horizon, built from ``final_counts`` on each read."""
         return EmpiricalMeasure(self.final_counts)
 
+    @property
+    def events(self) -> list[tuple[float, Event]]:
+        """The recorded events as ``(time, Event)`` pairs, built from ``columns`` on each read."""
+        return [(t, Event(k, s, g)) for t, s, g, k in zip(*self.columns)]
+
     def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
         ``[times[i], times[i+1])`` (``times[0] = 0``), the last row up to the horizon.
         """
-        m = len(self.events)
-        times = np.zeros(m + 1)
-        steps = np.zeros((m + 1, len(self.initial.counts)), dtype=np.int64)
-        steps[0] = self.initial.counts
-        if m:
-            t, src, tgt = zip(*[(t, ev.source, ev.target) for t, ev in self.events])
-            times[1:] = t
-            rows = np.arange(1, m + 1)
-            steps[rows, src] -= 1
-            steps[rows, tgt] += 1
-        return times, np.cumsum(steps, axis=0) / self.initial.n
+        times, counts, _ = _count_paths(*self.columns[:3], [len(self.columns[0])], self.initial.counts)
+        return times, counts / self.initial.n
 
     def max_mass_integral(self) -> float:
         """Time integral of ``2 * (1 - max_x pi_t(x))`` over [0, horizon].
@@ -215,7 +221,7 @@ class Trajectory:
         path to its nearest Dirac mass at each instant; zero iff the
         path stays a Dirac.
         """
-        return _dirac_distance_integral(*self.occupancy_path(), self.horizon)
+        return _path_stats(*self.columns[:3], [len(self.columns[0])], self.initial.counts, self.horizon)[0][0]
 
     def to_csv(self, path, model_hash: str = "", seed: Union[int, str] = "") -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -227,10 +233,53 @@ class Trajectory:
             )
 
 
-def _dirac_distance_integral(times: np.ndarray, values: np.ndarray, horizon: float) -> float:
-    """``max_mass_integral`` of an occupancy path ``(times, values)``."""
-    seg = np.diff(np.append(times, horizon))
-    return float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
+def _count_paths(times, sources, targets, rows, initial):
+    """The count paths of replicas whose event columns are concatenated.
+
+    Replica i holds ``rows[i]`` events and starts from ``initial``.  Its
+    path takes ``rows[i] + 1`` rows of the result: time 0 with the
+    initial counts, then one row per event, at its time with the counts
+    after it.  Returns ``(times, counts, starts)``: the row times, the
+    int64 counts, and each replica's first row.
+    """
+    m = np.asarray(rows, dtype=np.int64)
+    starts = np.zeros(len(m), dtype=np.int64)
+    np.cumsum(m[:-1] + 1, out=starts[1:])
+    n_rows = int(m.sum()) + len(m)
+    ev_rows = np.delete(np.arange(n_rows), starts)
+    path_times = np.zeros(n_rows)
+    path_times[ev_rows] = times
+    counts = np.zeros((n_rows, len(initial)), dtype=np.int64)
+    counts[ev_rows, sources] = -1  # a source is never its event's target
+    counts[ev_rows, targets] = 1
+    counts.cumsum(axis=0, out=counts)
+    # a replica's first row holds the events of the replicas before it
+    counts -= np.repeat(counts[starts] - np.asarray(initial, dtype=np.int64), m + 1, axis=0)
+    return path_times, counts, starts
+
+
+def _path_stats(times, sources, targets, rows, initial, horizon):
+    """Each replica's Dirac-distance integral and time-average occupation
+    over ``[0, horizon]``, from the concatenated event columns of
+    :func:`_count_paths`.
+
+    The paths are built for all replicas at once; each replica's two
+    reductions run on its own slices, so its results are bit for bit
+    those of its path alone, whatever the other replicas are.  Returns
+    ``(integrals, occupation)``: a list of floats and a (replicas, sites)
+    array.
+    """
+    path_times, counts, starts = _count_paths(times, sources, targets, rows, initial)
+    values = counts / sum(initial)
+    ends = starts + np.asarray(rows, dtype=np.int64) + 1
+    seg = np.empty(len(path_times))
+    np.subtract(path_times[1:], path_times[:-1], out=seg[:-1])
+    seg[ends - 1] = horizon - path_times[ends - 1]  # each replica's last row holds to the horizon
+    weights = 2.0 * (1.0 - values.max(axis=1))
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    integrals = [float(np.dot(seg[s:e], weights[s:e])) for s, e in bounds]
+    occupation = np.array([seg[s:e] @ values[s:e] / horizon for s, e in bounds])
+    return integrals, occupation
 
 
 class AbsorptionResult(NamedTuple):
@@ -353,9 +402,10 @@ def _simulate(
 
     Runs until the horizon ``T`` (if given) or absorption in a Dirac
     mass with zero remaining rate.  Returns
-    ``(time, counts, events, n_events, snapshots)``, with one
-    ``(counts, n_events)`` snapshot per time of ``snapshot_times``
-    (see the module docstring).
+    ``(time, counts, columns, n_events, snapshots)``: ``columns`` are
+    the recorded events' ``(times, sources, targets, kinds)`` lists, empty
+    without ``record``, and there is one ``(counts, n_events)`` snapshot
+    per time of ``snapshot_times`` (see the module docstring).
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
@@ -380,7 +430,10 @@ def _simulate(
     e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
     pos = 0
     t = 0.0
-    events: list[tuple[float, Event]] = []
+    ev_t: list[float] = []
+    ev_src: list[int] = []
+    ev_tgt: list[int] = []
+    ev_kind: list[str] = []
     n_events = 0
     last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
     n_sites = d - counts.count(0)
@@ -394,8 +447,6 @@ def _simulate(
             if duel is None:
                 duel = duels[(n, a, b)] = _duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b])
             (rm_tab, kill_a_tab, total_tab), tables, p_a = duel
-            if record:
-                a_dies, b_dies = Event("selection", a, b), Event("selection", b, a)
             ka = counts[a]
             run = _DUEL_SCALAR  # scalar steps before the next block
             while True:
@@ -417,11 +468,17 @@ def _simulate(
                     if (x - r_mut) - kill_a_tab[ka] < 0.0:
                         ka -= 1
                         if record:
-                            events.append((t, a_dies))
+                            ev_t.append(t)
+                            ev_src.append(a)
+                            ev_tgt.append(b)
+                            ev_kind.append("selection")
                     else:
                         ka += 1
                         if record:
-                            events.append((t, b_dies))
+                            ev_t.append(t)
+                            ev_src.append(b)
+                            ev_tgt.append(a)
+                            ev_kind.append("selection")
                     n_events += 1
                 else:
                     # A block runs up to the refill or to the step before the
@@ -439,7 +496,10 @@ def _simulate(
                         n_events += steps
                         t = float(times[-1])
                         if record:
-                            events += zip(times.tolist(), [a_dies if ad else b_dies for ad in a_died.tolist()])
+                            ev_t += times.tolist()
+                            ev_src += np.where(a_died, a, b).tolist()
+                            ev_tgt += np.where(a_died, b, a).tolist()
+                            ev_kind += ["selection"] * steps
                     run = 1
                     continue
                 break
@@ -533,13 +593,16 @@ def _simulate(
             n_sites += 1
         n_events += 1
         if record:
-            events.append((t, Event(kind, src, tgt)))
+            ev_t.append(t)
+            ev_src.append(src)
+            ev_tgt.append(tgt)
+            ev_kind.append(kind)
         if n_events >= event_cap:
             raise EventCapError(event_cap, t, counts)
 
     if marks:  # absorbed before these times: the final state holds at each
         snaps += [(tuple(counts), n_events)] * len(marks)
-    return t, counts, events, n_events, snaps
+    return t, counts, (ev_t, ev_src, ev_tgt, ev_kind), n_events, snaps
 
 
 def simulate_fv(
@@ -555,7 +618,7 @@ def simulate_fv(
 ) -> Trajectory:
     """Exact realization of the full mutation + selection dynamics on [0, T].
 
-    With ``record=False`` the event list stays empty (the final state
+    With ``record=False`` no event is recorded (the final state
     and the event count are still exact); use this for marginals, where
     storing paths would dominate the cost.  ``snapshot_times``, strictly
     increasing in (0, T], fill ``Trajectory.snapshots`` from the same
@@ -564,13 +627,13 @@ def simulate_fv(
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    t, counts, events, n_events, snaps = _simulate(
+    t, counts, columns, n_events, snaps = _simulate(
         model, r, init, T, rng, record=record, event_cap=event_cap, snapshot_times=snapshot_times
     )
     return Trajectory(
         states=model.states,
         initial=init,
-        events=events,
+        columns=columns,
         horizon=T,
         final_counts=tuple(counts),
         event_count=n_events,

@@ -88,7 +88,7 @@ from .engine import (
     DEFAULT_EVENT_CAP,
     EmpiricalMeasure,
     EventCapError,
-    _dirac_distance_integral,
+    _path_stats,
     simulate_fv,
     simulate_selection_absorption,
 )
@@ -105,6 +105,7 @@ __all__ = [
 ]
 
 _CHUNK = 256  # replicas per task; fixed so folding is schedule-independent
+_PATH_ROWS = 2**16  # path rows a path chunk buffers before reducing them
 
 
 class ConfigError(ValueError):
@@ -519,17 +520,42 @@ def _fv_final_chunk(payload: dict) -> dict:
 
 
 def _fv_path_chunk(payload: dict) -> dict:
-    """Dirac-distance integral and time-average occupation over [0, t]."""
+    """Dirac-distance integral and time-average occupation over [0, t].
+
+    Replicas' recorded columns are buffered and reduced together by
+    :func:`_path_stats`, whose per-replica results do not depend on
+    which replicas share a reduction.  The buffer is reduced before it
+    would pass ``_PATH_ROWS`` path rows, so a chunk of long paths never
+    holds all its events at once, and a longer replica is reduced alone.
+    """
     model, init, r, cap = _particle_inputs(payload)
     T = payload["t"]
+    integrals: list[float] = []
+    occupations: list[np.ndarray] = []
+    columns: tuple[list, list, list] = ([], [], [])  # times, sources, targets
+    rows: list[int] = []
+
+    def reduce() -> None:
+        if rows:
+            integral, occupation = _path_stats(*columns, rows, init.counts, T)
+            integrals.extend(integral)
+            occupations.append(occupation)
+            for column in (*columns, rows):
+                column.clear()
 
     def replica(rng):
         traj = simulate_fv(model, r, init, T, rng, record=True, event_cap=cap)
-        times, values = traj.occupancy_path()
-        integral = _dirac_distance_integral(times, values, T)
-        return integral, np.diff(np.append(times, T)) @ values / T, traj.event_count
+        m = traj.event_count
+        if len(columns[0]) + len(rows) + m + 1 > _PATH_ROWS:
+            reduce()
+        for column, recorded in zip(columns, traj.columns):
+            column.extend(recorded)
+        rows.append(m)
+        return (m,)
 
-    return _collect(payload, replica, integral=float, avg_occ=float, events=np.int64)
+    events = _collect(payload, replica, events=np.int64)["events"]
+    reduce()
+    return {"integral": np.array(integrals), "avg_occ": np.concatenate(occupations), "events": events}
 
 
 def _absorption_chunk(payload: dict) -> dict:
@@ -569,7 +595,8 @@ def _run_point(worker, payload: dict, M: int, threads: int):
         if threads <= 1 or len(tasks) == 1:
             parts = [worker(t) for t in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
+            # a fork pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as ex:
                 parts = list(ex.map(worker, tasks))
     except EventCapError as err:
         return err

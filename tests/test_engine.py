@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fvlab import (
     EmpiricalMeasure,
+    Event,
     EventCapError,
     ModelError,
     gamblers_ruin_committor,
@@ -452,6 +453,14 @@ def test_duel_regime_absorption_pinned():
     assert res == (0.14177787030786487, "a", 5980)
 
 
+def live_simulate(**kwargs):
+    """``_simulate`` with its recorded columns paired into the reference
+    loop's ``(time, Event)`` list, so the two return values compare whole."""
+    t, counts, (times, sources, targets, kinds), n_events, snaps = _simulate(**kwargs)
+    events = [(s, Event(k, a, b)) for s, a, b, k in zip(times, sources, targets, kinds)]
+    return t, counts, events, n_events, snaps
+
+
 def outcome(simulate, seed, case):
     """Run one event loop, folding a cap abort into a comparable value.
 
@@ -530,7 +539,7 @@ def replay_until(init, events, s):
 def test_event_loop_bit_identical_to_reference(case, seed):
     times = case.pop("snapshot_times")
     want = outcome(reference_simulate, seed, case)
-    assert outcome(_simulate, seed, dict(case, snapshot_times=times)) == want
+    assert outcome(live_simulate, seed, dict(case, snapshot_times=times)) == want
     if want[0] == "cap":
         return
     # each snapshot is the state of the same seed's recorded path at its time
@@ -599,7 +608,7 @@ def test_duel_blocks_bit_identical_to_reference(case, seed):
 
     def run(seed):
         try:
-            return _simulate(rng=np.random.default_rng(seed), **live)
+            return live_simulate(rng=np.random.default_rng(seed), **live)
         except EventCapError as err:
             return ("cap", err.cap, err.time, err.counts)
 
@@ -693,7 +702,7 @@ def test_prepared_kernel_never_goes_stale():
     outcomes = {}
     for sweep in range(3):
         for k, case in enumerate(cases):
-            got = outcome(_simulate, 41, case)
+            got = outcome(live_simulate, 41, case)
             assert got == outcome(reference_simulate, 41, case), (sweep, k)
             assert outcomes.setdefault(k, got) == got
     assert len({repr(outcomes[k]) for k in range(4)}) == 4  # the full-dynamics paths all differ

@@ -1204,6 +1204,110 @@ def test_result_hash_pinned(key):
     assert run_experiment(cfg).result_hash == _PINNED_HASHES[key]
 
 
+def _path_point(model_config, counts, r, T, M, seed=5, base=7):
+    """Run one theorem2 point of M replicas serially; check each replica's
+    statistics against its own trajectory, rebuilt from its stream."""
+    from fvlab import EmpiricalMeasure, simulate_fv, validate_model
+    from fvlab.experiments import _fv_path_chunk, _run_point
+
+    model = validate_model(model_config)
+    payload = dict(model=model, counts=counts, r=r, t=T, seed=seed, base=base, event_cap=10**7)
+    res = _run_point(_fv_path_chunk, payload, M, 1)
+    assert list(res) == ["integral", "avg_occ", "events"]  # the outcome table's column order
+    init = EmpiricalMeasure.from_counts(counts)
+    for i in range(M):
+        traj = simulate_fv(model, r, init, T, derive_replica_rng(seed, base + i))
+        times, values = traj.occupancy_path()
+        seg = np.diff(np.append(times, T))
+        integral = float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
+        assert float(res["integral"][i]) == traj.max_mass_integral() == integral
+        assert res["avg_occ"][i].tobytes() == (seg @ values / T).tobytes()
+        assert res["events"][i] == traj.event_count
+    return res
+
+
+def test_path_chunk_of_eventless_dirac_replicas():
+    frozen = dict(_uniform_plus_cycle(), mutation=[])
+    res = _path_point(frozen, [0, 5, 0], 10.0, 1.0, 4)
+    assert res["events"].tolist() == [0] * 4 and res["integral"].tolist() == [0.0] * 4
+    assert res["avg_occ"].tolist() == [[0.0, 1.0, 0.0]] * 4
+
+
+def test_path_chunk_with_duel_blocks_matches_each_trajectory(monkeypatch):
+    from unittest.mock import patch
+
+    from fvlab import engine
+    import fvlab.experiments as experiments
+
+    # from an even split at n = 40 the duel runs hundreds of steps
+    with patch.object(engine, "_duel_block", wraps=engine._duel_block) as block:
+        res = _path_point(_uniform_plus_cycle(), [20, 20, 0], 1e4, 0.05, 20)
+    assert block.call_count
+    # reduced in small batches, whose boundaries fall between any two replicas
+    monkeypatch.setattr(experiments, "_PATH_ROWS", 300)
+    again = _path_point(_uniform_plus_cycle(), [20, 20, 0], 1e4, 0.05, 20)
+    assert all(res[key].tobytes() == again[key].tobytes() for key in res)
+
+
+def test_path_chunks_of_a_partial_point_match_each_trajectory():
+    # 600 replicas: chunks of 256, 256 and 88
+    _path_point(cycle_model_config(), [3, 0, 0], 10.0, 0.5, 600)
+
+
+def test_path_chunk_reduces_a_long_replica_alone(monkeypatch):
+    import fvlab.experiments as experiments
+
+    calls = []
+
+    def path_stats(times, sources, targets, rows, initial, horizon):
+        calls.append(list(rows))
+        return stats(times, sources, targets, rows, initial, horizon)
+
+    stats = experiments._path_stats
+    monkeypatch.setattr(experiments, "_path_stats", path_stats)
+    # n = 100 at T = 10: no two replicas' paths fit in one buffer, and one
+    # path alone is longer than it
+    res = _path_point(_uniform_plus_cycle(), [100, 0, 0], 1e3, 10.0, 3)
+    m = sorted(res["events"].tolist())
+    assert m[0] + m[1] + 2 > experiments._PATH_ROWS and m[2] >= experiments._PATH_ROWS
+    assert calls == [[m] for m in res["events"].tolist()]
+
+
+def test_theorem2_hash_thread_invariant():
+    cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
+    assert run_experiment(cfg, threads=2).result_hash == run_experiment(cfg).result_hash
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads,size", [(64, 3), (2, 2)])
+def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
+    import fvlab.experiments as experiments
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
+    rep = run_experiment(cfg, threads=threads)
+    assert _InlinePool.sizes == [size] * 4  # each r: the particle point and the chain point
+    assert rep.result_hash == run_experiment(cfg).result_hash
+
+
 def test_theorem2_abort_keeps_later_points_on_their_blocks():
     rep = run_experiment(ExperimentConfig.from_dict(_pinned_docs()["theorem2_cap_abort"]))
     M = rep.config["replicas"]
