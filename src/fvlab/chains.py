@@ -15,7 +15,14 @@ Letting the particle count grow as well yields a chain on the "stable"
 sites only (no mutation neighbour with strictly lower killing order);
 unstable sites relay mass instantaneously along strictly descending
 cascades.  :func:`conjectured_limit_rates` builds that chain together
-with the full cascade diagnostics.
+with the full cascade diagnostics.  The paper proves this regime only in
+part, so its descent rule (each step goes to the neighbours of smallest
+limit ratio) is a conjecture.  The exact n-particle system agrees with
+it where an unstable site's descending neighbours share one limit
+ratio.  Where their ratios differ it can disagree: the test suite pins
+a model whose cascade the rule sends to y1 alone, while the finite
+system splits 2/3 to y1 and 1/3 to y2, in proportion to
+``q(z, y) * (1 - alpha(z, y))``.
 
 The marginal at time t of any of these chains is ``v expm(G t)``, one
 dense matrix exponential (scipy's scaling and squaring, Al-Mohy &
@@ -120,7 +127,6 @@ class CascadeAnalysis:
     descent_targets: Mapping[str, tuple[str, ...]]
     absorption_weights: Mapping[str, Mapping[str, float]]
     triggers: Mapping[tuple[str, str], tuple[str, ...]]
-    alt_reading: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,44 +136,20 @@ class CascadeAnalysis:
                 z: dict(w) for z, w in self.absorption_weights.items()
             },
             "triggers": {f"{x}->{y}": list(t) for (x, y), t in self.triggers.items()},
-            "alt_reading": self.alt_reading,
         }
 
 
-def _descent_targets(model: Model, z: int, alt_reading: bool) -> list[int]:
-    """Admissible descent steps out of an unstable site z.
-
-    Default reading: the mutation neighbours minimizing the limit ratio
-    (ties kept as a set, compared on exact ratio classes).  Alternate
-    reading: neighbours y that descend (ratio < 1) and additionally
-    satisfy ratio(y, w) >= 1 against every mutation neighbour w of z,
-    i.e. are minimal within z's whole neighbourhood.  The two differ
-    only when the descending neighbourhood mixes several killing orders.
-    Either way z's neighbour of lowest limit killing rate is a target,
-    so the list is never empty.
-    """
-    neigh = model.out_targets[z]
-    if alt_reading:
-        return [
-            y for y in neigh
-            if model.alpha(z, y, None) < 1.0 and all(model.alpha(y, w, None) >= 1.0 for w in neigh)
-        ]
-    ratios = {y: model.alpha(z, y, None) for y in neigh}
-    best = min(ratios.values())
-    return [y for y in neigh if ratios[y] == best]
-
-
-def conjectured_limit_rates(
-    model: Model, *, alt_reading: bool = False
-) -> tuple[CascadeAnalysis, RateMatrix]:
+def conjectured_limit_rates(model: Model) -> tuple[CascadeAnalysis, RateMatrix]:
     """Chain on stable sites in the joint many-particle fast-killing limit.
 
     A stable site keeps rate ``q(x, y)`` toward balanced stable
     neighbours (limit ratio exactly 1), and additionally inherits mass
     through balanced unstable neighbours z whose descending cascade
     reaches y: each such z contributes ``q(x, z)`` times the cascade's
-    absorption weight at y.  Cascade steps branch among the descent
-    targets proportionally to their mutation rates.
+    absorption weight at y.  A cascade step leaves an unstable z for
+    the mutation neighbours of smallest limit ratio ``alpha(z, y)``
+    (ties kept as a set) and branches among them in proportion to their
+    mutation rates.
 
     Every descent step strictly lowers the limit killing rate, so the
     laws are built in one pass over the unstable sites, lowest limit
@@ -179,7 +161,11 @@ def conjectured_limit_rates(
     d = model.num_states
     stable = [x for x in range(d) if all(model.alpha(x, y, None) >= 1.0 for y in model.out_targets[x])]
     unstable = [z for z in range(d) if z not in stable]
-    targets = {z: _descent_targets(model, z, alt_reading) for z in unstable}
+    targets: dict[int, list[int]] = {}
+    for z in unstable:
+        ratios = [model.alpha(z, y, None) for y in model.out_targets[z]]
+        best = min(ratios)
+        targets[z] = [y for y, a in zip(model.out_targets[z], ratios) if a == best]
 
     weights: dict[int, dict[int, float]] = {x: {x: 1.0} for x in stable}
     lower_first = cmp_to_key(lambda x, y: (model.alpha(x, y, None) < 1.0) - (model.alpha(x, y, None) > 1.0))
@@ -213,7 +199,6 @@ def conjectured_limit_rates(
             labels[z]: {labels[y]: p for y, p in weights[z].items()} for z in unstable
         },
         triggers=triggers,
-        alt_reading=alt_reading,
     )
     chain = RateMatrix(states=analysis.stable_sites, rates=rates[np.ix_(stable, stable)])
     return analysis, chain

@@ -10,7 +10,7 @@ Subcommands
     one is.
 ``fvlab committor --n <n> --alpha <a>``
     Print the closed-form two-site committor column (CSV on stdout).
-``fvlab limit-chain <model.json> [--n N] [--r R] [--conjecture] [--alt-c1-reading]``
+``fvlab limit-chain <model.json> [--n N] [--r R] [--conjecture]``
     Print the condensate chain at fixed n (finite r or the large-r
     limit), or with ``--conjecture`` the many-particle limit chain and
     its cascade analysis (JSON on stdout).
@@ -61,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="particle count for the fixed-n chain")
     p.add_argument("--r", type=float, default=None, help="killing intensity (omit for the large-r limit)")
     p.add_argument("--conjecture", action="store_true", help="many-particle limit chain instead of fixed n")
-    p.add_argument(
-        "--alt-c1-reading",
-        dest="alt_reading",
-        action="store_true",
-        help="use the literal sibling-minimal descent-target set in the cascade",
-    )
 
     p = sub.add_parser("eta-inf", help="initial condensation law for given counts")
     p.add_argument("model", help="path to model JSON")
@@ -116,7 +110,7 @@ def _cmd_committor(args) -> int:
 def _cmd_limit_chain(args) -> int:
     model = load_model(args.model)
     if args.conjecture:
-        analysis, chain = conjectured_limit_rates(model, alt_reading=args.alt_reading)
+        analysis, chain = conjectured_limit_rates(model)
         doc = {
             "states": list(chain.states),
             "rates": _rate_entries(chain),

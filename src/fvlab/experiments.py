@@ -293,6 +293,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ExperimentConfig":
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"config must be a mapping of fields, got {doc!r}")
         names = [f.name for f in fields(cls)]
         unknown = set(doc) - set(names) - {"model_path"}
         if unknown:
@@ -345,7 +347,6 @@ class ExperimentConfig:
         _check_horizon("", entries)
         model = None if self.model is None else validate_model(self.model)  # raises ModelError
         object.__setattr__(self, "_model", model)
-        spec.check(self, model)
         init = self.init  # fits the model and holds every particle count the config names
         if _is_dirac(init):
             model.state_index(init["dirac"])  # raises ModelError on an unknown site
@@ -355,6 +356,7 @@ class ExperimentConfig:
             for n in [self.n] if self.n else [p["n"] for p in self.points or ()]:
                 if sum(init) != n:
                     raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
+        spec.check(self, model)
 
     # -- helpers ----------------------------------------------------
 
@@ -1028,7 +1030,7 @@ def _exp_conjecture_probe(run: _Run) -> None:
 class _Kind:
     """A kind's runner, the fields it requires and may read beside them and
     the common ones, its tolerance keys, and its checks across fields (run
-    once the values and the model are valid)."""
+    once the values, the model and the init are valid)."""
 
     run: Callable[[_Run], None]
     requires: tuple[str, ...]
@@ -1048,6 +1050,12 @@ def _check_counts(cfg: ExperimentConfig, need: str, fits: bool) -> None:
         raise ConfigError(f"{cfg.kind} needs {need} in r_schedule, got {list(cfg.r_schedule)}")
     if _is_dirac(cfg.init):
         raise ConfigError(f"{cfg.kind} needs init as a list of counts, got {cfg.init!r}")
+
+
+def _check_tail(cfg: ExperimentConfig, model: Model) -> None:
+    _check_counts(cfg, ">= 2 intensities", len(cfg.r_schedule) >= 2)
+    if sum(c > 0 for c in cfg.init) < 2:  # a Dirac mass is absorbed at t = 0: no tail to fit
+        raise ConfigError(f"absorption_tail needs particles on at least two sites, got init {list(cfg.init)}")
 
 
 def _check_mc(cfg: ExperimentConfig, model: None) -> None:
@@ -1074,10 +1082,7 @@ _KINDS = {
     "theorem2_pathwise": _Kind(_exp_theorem2, _FIXED_N, (), ("avg_occupation_band", "decay_factor")),
     "theorem3_regime": _Kind(_exp_theorem3, ("model", "points", "time_points", "replicas", "init"),
                              ("T",), ("cprime_factor",), _check_uniform_plus),  # T bounds time_points
-    "absorption_tail": _Kind(
-        _exp_absorption_tail, _COUNTS, ("n",), ("slope_ratio_rel_tol",),
-        lambda cfg, _: _check_counts(cfg, ">= 2 intensities", len(cfg.r_schedule) >= 2),
-    ),
+    "absorption_tail": _Kind(_exp_absorption_tail, _COUNTS, ("n",), ("slope_ratio_rel_tol",), _check_tail),
     "eta_inf_check": _Kind(
         _exp_eta_inf, _COUNTS, ("n",), ("tv_tol",),
         lambda cfg, _: _check_counts(cfg, "exactly one intensity", len(cfg.r_schedule) == 1),
@@ -1102,6 +1107,8 @@ def run_experiment(
     """
     if not isinstance(config, ExperimentConfig):  # an instance is valid by construction
         config = ExperimentConfig.from_dict(config)
+    if out_dir is not None:  # fail on an unusable directory before simulating
+        os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     report = Report(
         name=config.name or config.kind,

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 ``dense_expm`` uses plain scaling-and-squaring on the power series,
-``brute_force_urn`` enumerates draw sequences with exact rationals, and
+``brute_force_urn`` enumerates draw sequences with exact rationals,
 ``dense_committor`` assembles and solves the absorption system with a
-dense LU factorization.
+dense LU factorization, and ``fv_absorption_law`` solves the full
+n-particle system, mutation included, for the Dirac mass it ends in
+(it takes only the composition ranking from the library).
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from fvlab import validate_model
+from fvlab import CompositionSpace, validate_model
 
 
 # ------------------------------------------------------------- oracles
@@ -99,6 +103,51 @@ def dense_committor(weights, n: int) -> dict[tuple[int, ...], np.ndarray]:
     for j, dcomp in enumerate(diracs):
         psi[index[dcomp], j] = 1.0
     return {c: psi[i] for c, i in index.items()}
+
+
+def fv_absorption_law(model, n: int, r: float, start: str) -> np.ndarray:
+    """Law of the Dirac mass that the n-particle system started at Dirac
+    ``start`` ends in, one entry per site (oracle).
+
+    The full generator on compositions: mutation x -> y moves one particle
+    at rate k_x q(x, y), and selection (a particle at x dies and copies one
+    at y) at rate k_x lambda_r(x) k_y / (n - 1).  Selection leaves no
+    occupied pair alone, so the absorbing compositions are the Dirac
+    masses at sites without mutation.  The absorption problem is solved
+    for the jump chain (each row divided by its exit rate), which stays
+    well conditioned when killing rates span many orders.
+    """
+    d = model.num_states
+    space = CompositionSpace(d, n)
+    comps = space.array()
+    lam = [model.killing_rate(r, x) for x in range(d)]
+    q = np.zeros((d, d))
+    for i, j, rate in model.mutation:
+        q[i, j] = rate
+    rows, cols, vals = [], [], []
+    for x in range(d):
+        for y in range(d):
+            if x == y:
+                continue
+            rate = comps[:, x] * (q[x, y] + lam[x] * comps[:, y] / (n - 1))
+            live = np.flatnonzero(rate > 0)
+            nxt = comps[live]
+            nxt[:, x] -= 1
+            nxt[:, y] += 1
+            rows.append(live)
+            cols.append(space.ranks(nxt))
+            vals.append(rate[live])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    exit_rate = np.bincount(rows, weights=vals, minlength=space.size)
+    P = sp.csr_matrix((vals / exit_rate[rows], (rows, cols)), shape=(space.size, space.size))
+    transient, absorbing = np.flatnonzero(exit_rate > 0), np.flatnonzero(exit_rate == 0)
+    A = (sp.identity(len(transient)) - P[transient][:, transient]).tocsc()
+    h = spla.splu(A).solve(P[transient][:, absorbing].toarray())
+    dirac = np.zeros((1, d), dtype=np.int64)
+    dirac[0, model.state_index(start)] = n
+    law = np.zeros(d)
+    law[comps[absorbing].argmax(axis=1)] = h[np.searchsorted(transient, space.ranks(dirac)[0])]
+    return law
 
 
 # ------------------------------------------------------------- fixtures

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fvlab import (
@@ -22,7 +22,7 @@ from fvlab import (
     validate_model,
 )
 
-from conftest import cycle_model_config, dense_expm
+from conftest import cycle_model_config, dense_expm, fv_absorption_law
 
 
 # ------------------------------------------------------------ rate matrix
@@ -205,31 +205,44 @@ def test_conjectured_chain_rate_weighted_branching():
     assert chain.entry("s", "y2") == pytest.approx(0.5)  # 2 * 1/4
 
 
-def test_conjectured_chain_alt_reading_differs_on_mixed_orders():
-    # z's descending neighbours have different orders (beta 1 vs 2, both
-    # below z's 3).  The default reading ties them (both ratios are
-    # exactly zero in the limit); the literal reading keeps only the
-    # lowest order, because y2 has an ascending sibling gap.
-    cfg = {
-        "states": ["s", "z", "y1", "y2"],
+def descent_split_config(beta, c) -> dict:
+    """s -> z -> {y1, y2}, all at rate 1: z's cascade ends at y1 or y2."""
+    states = ["s", "z", "y1", "y2"]
+    return {
+        "states": states,
         "mutation": [
             {"from": "s", "to": "z", "rate": 1.0},
             {"from": "z", "to": "y1", "rate": 1.0},
             {"from": "z", "to": "y2", "rate": 1.0},
         ],
-        "killing": {
-            "kind": "power",
-            "c": {"s": 1.0, "z": 1.0, "y1": 1.0, "y2": 1.0},
-            "beta": {"s": 3, "z": 3, "y1": 1, "y2": 2},
-        },
+        "killing": {"kind": "power", "c": dict(zip(states, c)), "beta": dict(zip(states, beta))},
     }
-    model = validate_model(cfg)
-    default_analysis, default_chain = conjectured_limit_rates(model)
-    assert default_analysis.absorption_weights["z"] == {"y1": 0.5, "y2": 0.5}
-    alt_analysis, alt_chain = conjectured_limit_rates(model, alt_reading=True)
-    assert alt_analysis.absorption_weights["z"] == {"y1": 1.0}
-    assert alt_chain.entry("s", "y1") == pytest.approx(1.0)
-    assert default_chain.entry("s", "y2") == pytest.approx(0.5)
+
+
+def test_conjectured_chain_mixed_orders_match_full_system():
+    # z's descending neighbours have different orders (beta 1 vs 2, both
+    # below z's 3), but both limit ratios are exactly zero, so the cascade
+    # splits evenly; the full system started at Dirac s agrees
+    model = validate_model(descent_split_config(beta=(3, 3, 1, 2), c=(1.0, 1.0, 1.0, 1.0)))
+    analysis, chain = conjectured_limit_rates(model)
+    assert analysis.absorption_weights["z"] == {"y1": 0.5, "y2": 0.5}
+    assert chain.entry("s", "y1") == chain.entry("s", "y2") == pytest.approx(0.5)
+    law = fv_absorption_law(model, 16, 256.0, "s")
+    assert law[model.state_index("y1")] == pytest.approx(0.5, abs=0.01)
+
+
+def test_conjectured_chain_misses_unequal_descent_ratios():
+    # A recorded counterexample to the conjectured descent rule, not a
+    # bug: z descends to y1 with limit ratio 0 and to y2 with ratio 1/2.
+    # The rule keeps only the smallest ratio and sends z to y1, but the
+    # full system splits in proportion to q(z, y) (1 - alpha(z, y)),
+    # 2/3 to y1 and 1/3 to y2, ever closer as n and r grow.
+    model = validate_model(descent_split_config(beta=(2, 2, 1, 2), c=(2.0, 2.0, 1.0, 1.0)))
+    analysis, _ = conjectured_limit_rates(model)
+    assert analysis.absorption_weights["z"] == {"y1": 1.0}
+    y1 = model.state_index("y1")
+    for n, r, want in ((8, 64.0, 0.66503), (16, 256.0, 0.66642), (16, 1e4, 0.66665)):
+        assert fv_absorption_law(model, n, r, "s")[y1] == pytest.approx(want, abs=1e-5)
 
 
 def test_conjectured_chain_descent_always_terminates():
@@ -279,8 +292,8 @@ def power_law_models(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfg=power_law_models(), alt_reading=st.booleans())
-def test_conjectured_chain_matches_absorbing_chain_oracle(cfg, alt_reading):
+@given(cfg=power_law_models())
+def test_conjectured_chain_matches_absorbing_chain_oracle(cfg):
     # Oracle from the definitions: a site's limit killing rate is ordered
     # by (beta, c); descent targets are read off that order; the absorption
     # law solves (I - P_UU) W = P_US for the cascade chain on unstable U.
@@ -295,10 +308,7 @@ def test_conjectured_chain_matches_absorbing_chain_oracle(cfg, alt_reading):
     targets = {}
     for z in unstable:
         neigh = sorted((y for y, _ in out[z]), key=states.index)
-        if alt_reading:  # the lowest killing order in z's neighbourhood
-            low = min(order[y] for y in neigh)
-            targets[z] = [y for y in neigh if order[y] == low]
-        elif any(order[y][0] < order[z][0] for y in neigh):  # a lower exponent: ratio 0 for each
+        if any(order[y][0] < order[z][0] for y in neigh):  # a lower exponent: ratio 0 for each
             targets[z] = [y for y in neigh if order[y][0] < order[z][0]]
         else:  # the smallest prefactor among the equal exponents; higher ones give inf
             low = min(order[y] for y in neigh)
@@ -316,7 +326,7 @@ def test_conjectured_chain_matches_absorbing_chain_oracle(cfg, alt_reading):
     for z in sorted(unstable, key=lambda z: order[z]):  # targets lie strictly lower
         reach[z] = set().union(*(reach[y] for y in targets[z]))
 
-    analysis, chain = conjectured_limit_rates(model, alt_reading=alt_reading)
+    analysis, chain = conjectured_limit_rates(model)
     assert analysis.stable_sites == tuple(stable) and chain.states == tuple(stable)
     assert analysis.descent_targets == {z: tuple(targets[z]) for z in unstable}
     for z in unstable:
@@ -338,6 +348,27 @@ def test_conjectured_chain_matches_absorbing_chain_oracle(cfg, alt_reading):
                     want_triggers[(x, y)] = want_triggers.get((x, y), ()) + (j,)
     assert analysis.triggers == want_triggers
     np.testing.assert_allclose(chain.rates, want_rates, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=power_law_models())
+def test_conjectured_chain_is_the_large_n_fixed_n_chain_reduced(cfg):
+    # Where every unstable site's descending neighbours share one limit
+    # ratio, the cascade rule is what the fixed-n chain gives as n grows:
+    # at n = 1e6 an unstable site leaves almost surely by a descent, and
+    # eliminating the unstable sites U leaves R_SS + R_SU (I - P_UU)^-1 P_US
+    # on the stable sites S, with P the unstable rows of R divided by their sums.
+    model = validate_model(cfg)
+    analysis, chain = conjectured_limit_rates(model)
+    stable = [model.state_index(x) for x in analysis.stable_sites]
+    unstable = [z for z in range(model.num_states) if z not in stable]
+    ratios = [[model.alpha(z, y, None) for y in model.out_targets[z]] for z in unstable]
+    assume(all(len({a for a in rs if a < 1.0}) == 1 for rs in ratios))
+    R = condensate_rates(model, 10**6, None).rates
+    P = R[unstable] / R[unstable].sum(axis=1, keepdims=True)
+    cascade = np.linalg.solve(np.eye(len(unstable)) - P[:, unstable], P[:, stable])
+    reduced = R[np.ix_(stable, stable)] + R[np.ix_(stable, unstable)] @ cascade
+    np.testing.assert_allclose(chain.rates, reduced, rtol=0, atol=1e-4)
 
 
 def test_cascade_json_export_is_serializable():

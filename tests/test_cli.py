@@ -130,33 +130,12 @@ def test_limit_chain_conjecture(tmp_path, capsys):
     assert doc["cascade"]["stable_sites"] == ["a", "b"]
 
 
-def test_limit_chain_conjecture_alt_c1_reading(tmp_path, capsys):
-    # z descends to y1 (order 1) and y2 (order 2): the default reading splits
-    # z's mass between them, the literal reading keeps the lowest order only
-    path = tmp_path / "mixed.json"
-    path.write_text(
-        json.dumps(
-            {
-                "states": ["s", "z", "y1", "y2"],
-                "mutation": [
-                    {"from": "s", "to": "z", "rate": 1.0},
-                    {"from": "z", "to": "y1", "rate": 1.0},
-                    {"from": "z", "to": "y2", "rate": 1.0},
-                ],
-                "killing": {
-                    "kind": "power",
-                    "c": {"s": 1.0, "z": 1.0, "y1": 1.0, "y2": 1.0},
-                    "beta": {"s": 3, "z": 3, "y1": 1, "y2": 2},
-                },
-            }
-        )
-    )
-    weights = {}
-    for flags in ([], ["--alt-c1-reading"]):
-        assert main(["limit-chain", str(path), "--conjecture", *flags]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        weights[bool(flags)] = doc["cascade"]["absorption_weights"]["z"]
-    assert weights == {False: {"y1": 0.5, "y2": 0.5}, True: {"y1": 1.0}}
+def test_limit_chain_conjecture_alt_c1_reading(cycle_model_file, capsys):
+    # the cascade has one descent rule; the flag for a second one is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["limit-chain", cycle_model_file, "--conjecture", "--alt-c1-reading"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alt-c1-reading" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- eta-inf
@@ -281,8 +260,19 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch)
              "T": 10**400, "replicas": 100, "init": {"dirac": "a"}},
             "T must be a finite number > 0, got 1000",
         ),
+        # a document that is not a mapping used to raise TypeError (exit 1)
+        (None, "config must be a mapping of fields, got None"),
+        (3, "config must be a mapping of fields, got 3"),
+        ([{}], "config must be a mapping of fields, got [{}]"),
+        # a Dirac start absorbs every replica at t = 0 and used to end in ZeroDivisionError
+        (
+            {"kind": "absorption_tail", "model": cycle_model_config(), "r_schedule": [10.0, 100.0],
+             "replicas": 100, "init": [5, 0, 0]},
+            "absorption_tail needs particles on at least two sites, got init [5, 0, 0]",
+        ),
     ],
-    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer"],
+    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "null-document", "number-document",
+         "list-document", "tail-on-one-site"],
 )
 def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
     def fail(*args, **kwargs):

@@ -445,6 +445,14 @@ def test_config_count_list_kinds_check_n_against_init(kind):
         ExperimentConfig.from_dict(dict(_kind_doc(kind), n=99))
 
 
+def test_absorption_tail_rejects_init_on_one_site():
+    # every replica would absorb at t = 0, leaving no tail to fit; the run
+    # used to end in a ZeroDivisionError instead
+    with pytest.raises(ConfigError, match=r"particles on at least two sites, got init \[5, 0, 0\]"):
+        ExperimentConfig.from_dict(dict(_kind_doc("absorption_tail"), init=[5, 0, 0]))
+    ExperimentConfig.from_dict(dict(_kind_doc("eta_inf_check"), init=[5, 0, 0]))  # a Dirac law is exact
+
+
 @pytest.mark.parametrize(
     "kind,r_schedule",
     [
@@ -792,6 +800,19 @@ def test_run_experiment_validates_config_instances():
         )
 
 
+def test_run_experiment_checks_out_dir_before_simulating(tmp_path, monkeypatch):
+    import fvlab.experiments as ex
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking out_dir")
+
+    monkeypatch.setattr(ex, "_run_point", never)
+    out = tmp_path / "taken"
+    out.write_text("")
+    with pytest.raises(FileExistsError):
+        run_experiment(theorem1_doc(), out_dir=out)
+
+
 def _count_calls(monkeypatch, module, names):
     """Wrap ``module.<name>`` for each name; return the live call counts."""
     calls = dict.fromkeys(names, 0)
@@ -843,6 +864,22 @@ def test_theorem2_pathwise_smoke():
     assert stats.count("mean_dirac_distance_integral") == 2
     decay = [r for r in rep.rows if "decay_factor" in r["statistic"]]
     assert len(decay) == 1
+
+
+def test_theorem2_fully_condensed_decay_is_total():
+    # without mutation a Dirac start never leaves its site: every distance
+    # integral is 0, so the decay factor is undefined and passes
+    rep = run_experiment(_theorem2_doc(model=two_site_config(), init={"dirac": "x"}, replicas=100))
+    assert rep.extras["mean_integrals"] == {"10.0": 0.0, "200.0": 0.0}
+    (decay,) = [r for r in rep.rows if r["statistic"] == "dirac_distance_decay_factor_first_to_last"]
+    assert decay["value"] is None and decay["verdict"] == "PASS"
+
+
+def test_theorem1_default_time_grid_is_quarter_half_and_full_horizon():
+    cfg = ExperimentConfig.from_dict(theorem1_doc(time_points=None, T=0.8, replicas=100))
+    assert cfg.resolve_times() == (0.2, 0.4, 0.8)
+    rep = run_experiment(cfg)
+    assert sorted({row["t"] for row in rep.rows if row["statistic"] == "tv_vs_finite_chain"}) == [0.2, 0.4, 0.8]
 
 
 def test_theorem3_regime_smoke():
@@ -1180,15 +1217,15 @@ def _pinned_docs():
 # the Philox replica streams, with exponential waiting times.  committor, conjecture_probe and
 # theorem1_cap_abort draw none that reach the hash (every theorem1_cap_abort
 # pass aborts) and date from before the shared point runner, except that
-# conjecture_probe no longer carries the cascade's path enumeration and
-# reachable-site lists.  committor and committor_mc were re-taken when the
+# conjecture_probe no longer carries the cascade's path enumeration,
+# reachable-site lists or reading flag.  committor and committor_mc were re-taken when the
 # committor tables moved in their last bits to the face-by-face solve
 _PINNED_HASHES = {
     "absorption_tail": "9aa755fad90bfe6105d3f31316daa71b9faacfc3ca5af7ccd104017543485b89",
     "committor": "fc6429a3dc59a20eb73a92ef4a60e7cb43bb45ef069213b32ed5affe218915c0",
     "committor_mc": "de367a0e178f82dccf5ef3401b5938290aaefa27e147aea4edf4d57ab42fd546",
-    "conjecture_probe": "cdc52c3e5c119efe226497981fbc852d6fd57e32d88c32627a3893dfd5ec9b40",
-    "conjecture_probe_sim": "2f5b9ac6025c36ec6b39e942d469b015fdcba5d58257c4269c8dc008e8b795e7",
+    "conjecture_probe": "3c9fba2dd33e432f85bebe7800841af12f697bcd437a5c2a1cad67251acee2a1",
+    "conjecture_probe_sim": "2949d2cccb27069b1f5200e5738563ba94fa690d2b9fcbb071f953a637f5efa0",
     "eta_inf": "0fe93ce1603a2c4ad817c6d4e0f97a10fabd9677b85e0af5a99a7f2378d907de",
     "theorem1": "4bd7e3678917ed0aa6bfafeb9fcdf287cf0bd08f909544d235e1d70d13f01196",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
