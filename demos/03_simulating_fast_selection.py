@@ -39,16 +39,18 @@ model = validate_model(
     }
 )
 
-# One trajectory, recorded event by event.  Every event moves exactly
-# one particle, so the path of empirical measures replays from the log.
+# One trajectory, recorded event by event in four flat columns: time,
+# source site, target site and kind.  Every event moves exactly one
+# particle, so the path of empirical measures replays from the log.
 rng = np.random.default_rng(7)
 init = EmpiricalMeasure.dirac(num_sites=3, site=0, n=8)
 traj = simulate_fv(model, r=50.0, init=init, T=1.0, rng=rng)
 print(f"events in [0, 1]: {traj.event_count}")
 print("first five:")
-for t, ev in traj.events[:5]:
-    print(f"  t={t:.4f}  {ev.kind:9s} {model.states[ev.source]} -> {model.states[ev.target]}")
-print("final counts:", traj.final.counts)
+times, sources, targets, kinds = traj.columns
+for t, src, tgt, kind in zip(times[:5], sources, targets, kinds):
+    print(f"  t={t:.4f}  {kind:9s} {model.states[src]} -> {model.states[tgt]}")
+print("final counts:", traj.final_counts)
 
 # How far the path strays from the Dirac masses, integrated over time:
 # the basic "is it condensed?" diagnostic.  Larger r pins it down.
@@ -66,7 +68,7 @@ M = 2000
 finals = np.empty(M, dtype=np.int64)
 for i in range(M):
     out = simulate_fv(model, 200.0, init, 0.5, np.random.default_rng(i), record=False)
-    finals[i] = int(np.argmax(out.final.counts))
+    finals[i] = int(np.argmax(out.final_counts))
 law = empirical_law(finals, model.states)
 print("\nsite-of-max-mass law at T=0.5, r=200:",
       {s: round(float(p), 3) for s, p in zip(model.states, law.probs)})
@@ -79,7 +81,7 @@ print("DKW half-width at this sample size:", round(math.sqrt(math.log(2 / 0.05) 
 hits = {s: 0 for s in model.states}
 for i in range(2000):
     res = simulate_selection_absorption(
-        model, 10.0, EmpiricalMeasure.from_counts([2, 1, 1]), np.random.default_rng(i)
+        model, 10.0, EmpiricalMeasure([2, 1, 1]), np.random.default_rng(i)
     )
     hits[res.site] += 1
 freq = LawOnStates(model.states, [hits[s] / 2000 for s in model.states])

@@ -63,7 +63,7 @@ M = 20000
 sites = []
 for i in range(M):
     res = simulate_selection_absorption(
-        model, 1.0e4, EmpiricalMeasure.from_counts(counts), np.random.default_rng(i)
+        model, 1.0e4, EmpiricalMeasure(counts), np.random.default_rng(i)
     )
     sites.append(model.states.index(res.site))
 mc = empirical_law(sites, model.states)

@@ -9,7 +9,6 @@ statistical experiments comparing the two sides.
 """
 
 from .chains import (
-    CascadeAnalysis,
     RateMatrix,
     condensate_rates,
     conjectured_limit_rates,
@@ -17,23 +16,17 @@ from .chains import (
     simulate_ctmc,
 )
 from .committor import (
-    CommittorTable,
-    CompositionSpace,
     committor_numeric,
     gamblers_ruin_committor,
     invasion_probability,
 )
 from .condensation import (
-    InitialCondensationLaw,
-    UrnLaw,
     initial_condensation_law,
     minimal_order_set,
     polya_urn_law,
 )
 from .engine import (
-    AbsorptionResult,
     EmpiricalMeasure,
-    Event,
     EventCapError,
     Trajectory,
     simulate_fv,
@@ -55,8 +48,6 @@ from .metrics import (
 from .model import (
     Model,
     ModelError,
-    PowerLawKilling,
-    UniformPlusBoundedKilling,
     load_model,
     validate_model,
 )
@@ -64,26 +55,17 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorptionResult",
-    "CascadeAnalysis",
-    "CommittorTable",
-    "CompositionSpace",
     "ConfigError",
     "EXPERIMENT_KINDS",
     "EmpiricalMeasure",
-    "Event",
     "EventCapError",
     "ExperimentConfig",
-    "InitialCondensationLaw",
     "LawOnStates",
     "Model",
     "ModelError",
-    "PowerLawKilling",
     "RateMatrix",
     "Report",
     "Trajectory",
-    "UniformPlusBoundedKilling",
-    "UrnLaw",
     "committor_numeric",
     "condensate_rates",
     "conjectured_limit_rates",

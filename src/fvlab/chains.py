@@ -46,7 +46,6 @@ from .model import Model
 
 __all__ = [
     "RateMatrix",
-    "CascadeAnalysis",
     "condensate_rates",
     "conjectured_limit_rates",
     "simulate_ctmc",

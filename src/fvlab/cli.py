@@ -12,8 +12,9 @@ Subcommands
     Print the closed-form two-site committor column (CSV on stdout).
 ``fvlab limit-chain <model.json> [--n N] [--r R] [--conjecture]``
     Print the condensate chain at fixed n (finite r or the large-r
-    limit), or with ``--conjecture`` the many-particle limit chain and
-    its cascade analysis (JSON on stdout).
+    limit), or with ``--conjecture`` (and neither ``--n`` nor ``--r``)
+    the many-particle limit chain and its cascade analysis (JSON on
+    stdout).
 ``fvlab eta-inf <model.json> --counts k1 k2 ...``
     Print the initial-condensation law as JSON:
     ``{"lambda_set": [...], "eta_infinity": {state: prob}}``.
@@ -108,6 +109,8 @@ def _cmd_committor(args) -> int:
 
 
 def _cmd_limit_chain(args) -> int:
+    if args.conjecture and (args.n is not None or args.r is not None):
+        raise ValueError("--n and --r do not apply with --conjecture, whose chain is the n -> infinity limit")
     model = load_model(args.model)
     if args.conjecture:
         analysis, chain = conjectured_limit_rates(model)

@@ -32,8 +32,6 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "gamblers_ruin_committor",
     "invasion_probability",
-    "CompositionSpace",
-    "CommittorTable",
     "committor_numeric",
 ]
 

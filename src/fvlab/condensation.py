@@ -35,8 +35,6 @@ from .metrics import LawOnStates
 from .model import Model
 
 __all__ = [
-    "UrnLaw",
-    "InitialCondensationLaw",
     "minimal_order_set",
     "polya_urn_law",
     "initial_condensation_law",

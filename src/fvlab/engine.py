@@ -34,11 +34,11 @@ computed: in the scalar loop or in a numpy block.
 A recorded path is four flat columns, one entry per event: its time,
 source, target and kind.  The loop appends to them and builds no object
 per event; a duel block extends them from its arrays.
-``Trajectory.events`` turns them into ``(time, Event)`` pairs when read,
-and ``Trajectory.occupancy_path`` into two arrays: the event times from
-0 and the normalized counts holding from each.  :func:`_path_stats`
-reduces the concatenated columns of many replicas to each one's
-Dirac-distance integral and time-average occupation in one numpy pass.
+``Trajectory.occupancy_path`` turns them into two arrays: the event
+times from 0 and the normalized counts holding from each.
+:func:`_path_stats` reduces the concatenated columns of many replicas
+to each one's Dirac-distance integral and time-average occupation in
+one numpy pass.
 
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
@@ -87,10 +87,10 @@ the per-event path has no added branch.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,9 +98,7 @@ from .model import Model
 
 __all__ = [
     "EmpiricalMeasure",
-    "Event",
     "Trajectory",
-    "AbsorptionResult",
     "EventCapError",
     "simulate_fv",
     "simulate_selection_absorption",
@@ -133,19 +131,20 @@ class EventCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Particle counts per site; the normalized vector is the measure."""
+    """Particle counts per site, any sequence of Python or numpy integers
+    (not floats or bools), stored as a tuple of ints; the normalized vector is the measure."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        counts = tuple(self.counts)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
+            raise ValueError(f"counts must be integers, got {counts}")
+        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
         if any(c < 0 for c in self.counts):
             raise ValueError(f"negative count in {self.counts}")
         if self.n < 2:
             raise ValueError("at least two particles required")
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "EmpiricalMeasure":
-        return cls(tuple(int(c) for c in counts))
 
     @classmethod
     def dirac(cls, num_sites: int, site: int, n: int) -> "EmpiricalMeasure":
@@ -158,20 +157,6 @@ class EmpiricalMeasure:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class Event:
-    """One recorded transition: a particle moved from source to target.
-
-    ``kind`` is "mutation" (the particle jumped along the kernel) or
-    "selection" (a particle died at source and a survivor at target was
-    duplicated).  Same-site selections are never recorded.
-    """
-
-    kind: str
-    source: int
-    target: int
-
-
 @dataclass
 class Trajectory:
     """A realized path: initial counts plus time-ordered recorded events.
@@ -179,33 +164,23 @@ class Trajectory:
     Each event moves exactly one particle (source count -1, target
     count +1), so the path of measures is reconstructed by replay.
     ``columns`` holds the recorded events as four lists of equal length,
-    ``(times, sources, targets, kinds)``, with sites as indices into
-    ``states``; ``events`` pairs them into ``(time, Event)`` tuples on
-    each read.  ``final_counts`` are the counts at the horizon, and
-    ``final`` is their measure, built when read.  ``event_count`` counts
-    the generated events even when recording was turned off (columns
-    empty).  ``snapshots`` holds one ``(counts, events so far)`` pair
-    per requested snapshot time: the state after every event at or
-    before that time.
+    ``(times, sources, targets, kinds)``: sites are indices into the
+    model's states, and a kind is "mutation" (the particle jumped along
+    the kernel) or "selection" (a particle died at source and a survivor
+    at target was duplicated; same-site selections are never recorded).
+    ``final_counts`` are the counts at the horizon.  ``event_count``
+    counts the generated events even when recording was turned off
+    (columns empty).  ``snapshots`` holds one ``(counts, events so
+    far)`` pair per requested snapshot time: the state after every event
+    at or before that time.
     """
 
-    states: tuple[str, ...]
     initial: EmpiricalMeasure
     columns: tuple[list[float], list[int], list[int], list[str]]
     horizon: float
     final_counts: tuple[int, ...]
     event_count: int = 0
     snapshots: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-
-    @property
-    def final(self) -> EmpiricalMeasure:
-        """The measure at the horizon, built from ``final_counts`` on each read."""
-        return EmpiricalMeasure(self.final_counts)
-
-    @property
-    def events(self) -> list[tuple[float, Event]]:
-        """The recorded events as ``(time, Event)`` pairs, built from ``columns`` on each read."""
-        return [(t, Event(k, s, g)) for t, s, g, k in zip(*self.columns)]
 
     def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
@@ -222,15 +197,6 @@ class Trajectory:
         path stays a Dirac.
         """
         return _path_stats(*self.columns[:3], [len(self.columns[0])], self.initial.counts, self.horizon)[0][0]
-
-    def to_csv(self, path, model_hash: str = "", seed: Union[int, str] = "") -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# model_hash={model_hash} seed={seed}\n")
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(("time", "event_kind", "from", "to"))
-            out.writerows(
-                (f"{t:.17g}", ev.kind, self.states[ev.source], self.states[ev.target]) for t, ev in self.events
-            )
 
 
 def _count_paths(times, sources, targets, rows, initial):
@@ -411,10 +377,10 @@ def _simulate(
         raise ValueError("initial counts must match the model's state count")
     horizon = math.inf if T is None else T
     marks = []  # pending snapshot times, latest first
-    if snapshot_times:
-        marks = list(reversed(snapshot_times))
+    if len(snapshot_times):  # a numpy array has no truth value
+        marks = [float(s) for s in reversed(snapshot_times)]
         if not (0 < marks[-1] and all(a > b for a, b in zip(marks, marks[1:])) and marks[0] <= horizon):
-            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {list(snapshot_times)}")
+            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {marks[::-1]}")
     snaps: list[tuple[tuple[int, ...], int]] = []
     stop = marks[-1] if marks else horizon
     d, lam, mut_exit, mut_targets, mut_rates, duels = _kernel(model, r, selection_only)
@@ -631,7 +597,6 @@ def simulate_fv(
         model, r, init, T, rng, record=record, event_cap=event_cap, snapshot_times=snapshot_times
     )
     return Trajectory(
-        states=model.states,
         initial=init,
         columns=columns,
         horizon=T,

@@ -504,7 +504,7 @@ def _collect(payload: dict, replica, **dtypes) -> dict:
 
 
 def _particle_inputs(payload: dict):
-    init = EmpiricalMeasure.from_counts(payload["counts"])
+    init = EmpiricalMeasure(payload["counts"])
     return payload["model"], init, payload["r"], payload["event_cap"]
 
 

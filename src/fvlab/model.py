@@ -29,8 +29,6 @@ from typing import Mapping, Sequence, Union
 
 __all__ = [
     "ModelError",
-    "PowerLawKilling",
-    "UniformPlusBoundedKilling",
     "Model",
     "validate_model",
     "load_model",

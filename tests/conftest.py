@@ -19,7 +19,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fvlab import CompositionSpace, validate_model
+from fvlab import validate_model
+from fvlab.committor import CompositionSpace
 
 
 # ------------------------------------------------------------- oracles

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fvlab.engine import DEFAULT_EVENT_CAP, EmpiricalMeasure, Event, EventCapError
+from fvlab.engine import DEFAULT_EVENT_CAP, EmpiricalMeasure, EventCapError
 from fvlab.model import Model
 
 _BLOCK = 1365
@@ -50,7 +50,8 @@ def _simulate(
 
     Runs until the horizon ``T`` (if given), absorption in a Dirac mass
     with zero remaining rate, or ``max_events``.  Returns
-    ``(time, counts, events, n_events)``.
+    ``(time, counts, events, n_events)``, each recorded event a
+    ``(time, kind, source, target)`` tuple.
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
@@ -67,7 +68,7 @@ def _simulate(
     ubuf = rnd(2 * size)
     pos = 0
     t = 0.0
-    events: list[tuple[float, Event]] = []
+    events: list[tuple[float, str, int, int]] = []
     n_events = 0
     while True:
         r_mut = 0.0
@@ -149,7 +150,7 @@ def _simulate(
         counts[tgt] += 1
         n_events += 1
         if record:
-            events.append((t, Event(kind, src, tgt)))
+            events.append((t, kind, src, tgt))
         if n_events >= event_cap:
             raise EventCapError(event_cap, t, counts)
         if max_events is not None and n_events >= max_events:

@@ -130,6 +130,17 @@ def test_limit_chain_conjecture(tmp_path, capsys):
     assert doc["cascade"]["stable_sites"] == ["a", "b"]
 
 
+@pytest.mark.parametrize(
+    "extra", [["--n", "3"], ["--r", "10"], ["--n", "3", "--r", "10"]], ids=["n", "r", "n-and-r"]
+)
+def test_limit_chain_conjecture_rejects_n_and_r(cycle_model_file, capsys, extra):
+    # the conjectured chain is the n -> infinity limit; --n and --r used to be ignored
+    assert main(["limit-chain", cycle_model_file, "--conjecture", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n and --r do not apply with --conjecture,")
+
+
 def test_limit_chain_conjecture_alt_c1_reading(cycle_model_file, capsys):
     # the cascade has one descent rule; the flag for a second one is gone
     with pytest.raises(SystemExit) as exc:

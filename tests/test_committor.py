@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvlab import (
-    CompositionSpace,
     committor_numeric,
     gamblers_ruin_committor,
     invasion_probability,
 )
 
-from fvlab.committor import _selection_generator
+from fvlab.committor import CompositionSpace, _selection_generator
 
 from conftest import dense_committor
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from unittest.mock import patch
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from fvlab import (
     EmpiricalMeasure,
-    Event,
     EventCapError,
     ModelError,
     gamblers_ruin_committor,
@@ -27,12 +25,19 @@ from conftest import cycle_model_config, two_site_config
 from reference_engine import _simulate as reference_simulate
 
 
+def events(traj):
+    """The recorded events as ``(time, kind, source, target)`` tuples, the
+    reference loop's form."""
+    times, sources, targets, kinds = traj.columns
+    return list(zip(times, kinds, sources, targets))
+
+
 def replay(traj):
     """Re-derive the final counts by applying the recorded events."""
     counts = list(traj.initial.counts)
-    for _, ev in traj.events:
-        counts[ev.source] -= 1
-        counts[ev.target] += 1
+    for _, _, src, tgt in events(traj):
+        counts[src] -= 1
+        counts[tgt] += 1
     return tuple(counts)
 
 
@@ -40,9 +45,12 @@ def replay(traj):
 
 
 def test_measure_accessors():
-    m = EmpiricalMeasure.from_counts([2, 0, 3])
-    assert m.counts == (2, 0, 3)
-    assert m.n == 5
+    # any sequence of Python or numpy integers is stored as a tuple of ints
+    for counts in ([2, 0, 3], (2, 0, 3), np.array([2, 0, 3]), [np.int64(2), np.int32(0), 3]):
+        m = EmpiricalMeasure(counts)
+        assert m.counts == (2, 0, 3)
+        assert all(type(c) is int for c in m.counts)
+        assert m.n == 5
 
 
 def test_measure_dirac_constructor():
@@ -52,86 +60,96 @@ def test_measure_dirac_constructor():
 
 
 def test_measure_rejects_invalid():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure.from_counts([2, -1])
-    with pytest.raises(ValueError):
-        EmpiricalMeasure.from_counts([1, 0])  # fewer than two particles
+    cases = [
+        ([2, -1], "negative count"),
+        ([1, 0], "at least two particles"),
+        ([2.7, 1], "must be integers"),  # used to truncate to (2, 1)
+        ((1.5, 2.0), "must be integers"),  # used to run the engine with n = 3.5
+        ([2.0, 1], "must be integers"),
+        (np.array([2.0, 1.0]), "must be integers"),
+        ([True, 2], "must be integers"),
+        ([np.bool_(True), 2], "must be integers"),
+        (["2", 1], "must be integers"),
+    ]
+    for counts, match in cases:
+        with pytest.raises(ValueError, match=match):
+            EmpiricalMeasure(counts)
 
 
 # ------------------------------------------------------------- trajectories
 
 
 def test_trajectory_determinism(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
+    init = EmpiricalMeasure([3, 2, 1])
     a = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(7))
     b = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(7))
-    assert a.final == b.final
+    assert a.final_counts == b.final_counts
     assert a.event_count == b.event_count
-    assert [(t, e) for t, e in a.events] == [(t, e) for t, e in b.events]
+    assert a.columns == b.columns
 
 
 def test_trajectory_event_replay_conserves_particles(cycle_model):
-    init = EmpiricalMeasure.from_counts([4, 1, 1])
+    init = EmpiricalMeasure([4, 1, 1])
     traj = simulate_fv(cycle_model, 5.0, init, 2.0, np.random.default_rng(11))
-    assert traj.event_count == len(traj.events)
-    assert replay(traj) == traj.final.counts
-    assert traj.final.n == init.n
+    assert traj.event_count == len(traj.columns[0])
+    assert replay(traj) == traj.final_counts
+    assert sum(traj.final_counts) == init.n
 
 
 def test_trajectory_times_strictly_increasing(cycle_model):
-    init = EmpiricalMeasure.from_counts([2, 2, 2])
+    init = EmpiricalMeasure([2, 2, 2])
     traj = simulate_fv(cycle_model, 8.0, init, 1.5, np.random.default_rng(3))
-    times = [t for t, _ in traj.events]
+    times = traj.columns[0]
     assert all(a < b for a, b in zip(times, times[1:]))
     assert all(0.0 < t <= traj.horizon for t in times)
 
 
 def test_trajectory_record_off_same_final(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
+    init = EmpiricalMeasure([3, 2, 1])
     on = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(42))
     off = simulate_fv(
         cycle_model, 10.0, init, 1.0, np.random.default_rng(42), record=False
     )
-    assert off.events == []
-    assert off.final == on.final
+    assert off.columns == ([], [], [], [])
+    assert off.final_counts == on.final_counts
     assert off.event_count == on.event_count
 
 
 def test_trajectory_frozen_regression(cycle_model):
     # pinned realization so sampler changes are caught deliberately
-    init = EmpiricalMeasure.from_counts([4, 0, 0])
+    init = EmpiricalMeasure([4, 0, 0])
     traj = simulate_fv(cycle_model, 100.0, init, 0.5, np.random.default_rng(20260815))
     assert traj.event_count == 18
-    assert traj.final.counts == (0, 4, 0)
-    assert traj.events[0][0] == pytest.approx(0.1377609075769161, abs=1e-15)
+    assert traj.final_counts == (0, 4, 0)
+    assert traj.columns[0][0] == pytest.approx(0.1377609075769161, abs=1e-15)
 
 
 def test_trajectory_rejects_bad_inputs(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
+    init = EmpiricalMeasure([3, 2, 1])
     with pytest.raises(ValueError):
         simulate_fv(cycle_model, 1.0, init, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         simulate_fv(
-            cycle_model, 1.0, EmpiricalMeasure.from_counts([2, 2]), 1.0,
+            cycle_model, 1.0, EmpiricalMeasure([2, 2]), 1.0,
             np.random.default_rng(0),
         )
 
 
 def test_selection_moves_only_to_occupied_sites(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 3, 0])
+    init = EmpiricalMeasure([3, 3, 0])
     traj = simulate_fv(cycle_model, 50.0, init, 0.3, np.random.default_rng(5))
     counts = list(init.counts)
-    for _, ev in traj.events:
-        if ev.kind == "selection":
-            assert counts[ev.target] > 0  # duplicated onto a live particle
-            assert ev.source != ev.target
-        counts[ev.source] -= 1
-        counts[ev.target] += 1
+    for _, kind, src, tgt in events(traj):
+        if kind == "selection":
+            assert counts[tgt] > 0  # duplicated onto a live particle
+            assert src != tgt
+        counts[src] -= 1
+        counts[tgt] += 1
         assert min(counts) >= 0
 
 
 def test_max_mass_integral_matches_manual_recompute(cycle_model):
-    init = EmpiricalMeasure.from_counts([2, 2, 2])
+    init = EmpiricalMeasure([2, 2, 2])
     traj = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(9))
     times, values = traj.occupancy_path()
     seg = np.diff(np.append(times, traj.horizon))
@@ -147,9 +165,9 @@ def replay_occupancy_path(traj):
     rows = [np.asarray(traj.initial.counts, dtype=float) / traj.initial.n]
     counts = list(traj.initial.counts)
     n = traj.initial.n
-    for t, ev in traj.events:
-        counts[ev.source] -= 1
-        counts[ev.target] += 1
+    for t, _, src, tgt in events(traj):
+        counts[src] -= 1
+        counts[tgt] += 1
         times.append(t)
         rows.append(np.asarray(counts, dtype=float) / n)
     times, values = np.asarray(times), np.asarray(rows)
@@ -168,9 +186,9 @@ def replay_occupancy_path(traj):
     ],
 )
 def test_occupancy_path_bit_identical_to_replay(cycle_model, counts, r, T, seed):
-    init = EmpiricalMeasure.from_counts(counts)
+    init = EmpiricalMeasure(counts)
     traj = simulate_fv(cycle_model, r, init, T, np.random.default_rng(seed))
-    assert traj.events
+    assert traj.event_count
     times, values = traj.occupancy_path()
     ref_times, ref_values, ref_integral = replay_occupancy_path(traj)
     assert times.dtype == ref_times.dtype and values.dtype == ref_values.dtype
@@ -204,37 +222,6 @@ def test_max_mass_integral_zero_for_frozen_dirac():
     traj = simulate_fv(model, 100.0, init, 2.0, np.random.default_rng(1))
     assert traj.event_count == 0  # Dirac with no mutation exits is absorbing
     assert traj.max_mass_integral() == 0.0
-
-
-def test_occupancy_path_csv_round_trip(tmp_path, cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
-    traj = simulate_fv(cycle_model, 5.0, init, 1.0, np.random.default_rng(2))
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out, model_hash="deadbeef", seed=2)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# model_hash=deadbeef seed=2"
-    assert lines[1] == "time,event_kind,from,to"
-    assert len(lines) == 2 + len(traj.events)
-
-    # labels with a comma or a quote come back whole through csv.reader
-    states = ["a,1", 'b"2', "c"]
-    model = validate_model(
-        {
-            "states": states,
-            "mutation": [{"from": x, "to": y, "rate": 1.0} for x, y in zip(states, states[1:] + states[:1])],
-            "killing": {"kind": "power", "c": dict(zip(states, (1.0, 2.0, 4.0))), "beta": dict(zip(states, (1, 1, 1)))},
-        }
-    )  # cycle_model with these labels
-    traj = simulate_fv(model, 5.0, init, 1.0, np.random.default_rng(2))
-    traj.to_csv(out)
-    with open(out, newline="", encoding="utf-8") as fh:
-        assert next(fh) == "# model_hash= seed=\n"
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + len(traj.events) == 26
-    assert all(len(row) == 4 for row in rows)
-    assert rows[0] == ["time", "event_kind", "from", "to"]
-    want = [(t, ev.kind, states[ev.source], states[ev.target]) for t, ev in traj.events]
-    assert [(float(t), kind, src, tgt) for t, kind, src, tgt in rows[1:]] == want
 
 
 def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
@@ -276,7 +263,7 @@ def test_duel_tables_equal_the_per_split_expressions(n, rate_type, exits):
 
 
 def test_event_cap_error_fields(cycle_model):
-    init = EmpiricalMeasure.from_counts([3, 2, 1])
+    init = EmpiricalMeasure([3, 2, 1])
     with pytest.raises(EventCapError) as exc:
         simulate_fv(
             cycle_model, 10.0, init, 1.0, np.random.default_rng(0), event_cap=5
@@ -298,7 +285,7 @@ def test_default_event_cap_ends_a_runaway_duel():
             "killing": {"kind": "power", "c": {"x": 1.0, "y": 1.0}, "beta": {"x": "1", "y": "1"}},
         }
     )
-    init = EmpiricalMeasure.from_counts([25, 25])
+    init = EmpiricalMeasure([25, 25])
     with pytest.raises(EventCapError) as exc:
         simulate_fv(model, 1e3, init, 1e12, np.random.default_rng(0), record=False)
     assert exc.value.cap == DEFAULT_EVENT_CAP <= 10**7
@@ -330,7 +317,7 @@ def test_absorption_dirac_start_returns_from_the_event_loop(cycle_model):
 
 
 def test_absorption_reaches_dirac_and_reports_site(two_site):
-    init = EmpiricalMeasure.from_counts([3, 3])
+    init = EmpiricalMeasure([3, 3])
     rng = np.random.default_rng(17)
     for _ in range(50):
         res = simulate_selection_absorption(two_site, 1.0, init, rng)
@@ -341,7 +328,7 @@ def test_absorption_reaches_dirac_and_reports_site(two_site):
 
 def test_absorption_ignores_mutation(cycle_model):
     # selection-only dynamics absorb even though the mutation kernel is ergodic
-    init = EmpiricalMeasure.from_counts([2, 2, 2])
+    init = EmpiricalMeasure([2, 2, 2])
     res = simulate_selection_absorption(
         cycle_model, 1.0, init, np.random.default_rng(23)
     )
@@ -352,7 +339,7 @@ def test_absorption_frequency_matches_committor():
     model = validate_model(two_site_config(alpha=2.0))
     n, alpha = 5, 2.0
     hold = gamblers_ruin_committor(n, alpha)[n - 1]
-    init = EmpiricalMeasure.from_counts([n - 1, 1])
+    init = EmpiricalMeasure([n - 1, 1])
     rng = np.random.default_rng(20260815)
     M = 4000
     hits = sum(
@@ -375,7 +362,7 @@ def test_absorption_time_scales_inversely_with_killing_floor():
                         "beta": {"x": "1", "y": "1"}},
         }
     )
-    init = EmpiricalMeasure.from_counts([3, 3])
+    init = EmpiricalMeasure([3, 3])
     M = 2000
     rng = np.random.default_rng(99)
     mean_slow = np.mean(
@@ -399,19 +386,19 @@ def test_absorption_time_scales_inversely_with_killing_floor():
 @settings(max_examples=30, deadline=None)
 def test_engine_invariants(counts, seed):
     model = validate_model(cycle_model_config())
-    init = EmpiricalMeasure.from_counts(counts)
+    init = EmpiricalMeasure(counts)
     traj = simulate_fv(model, 5.0, init, 0.5, np.random.default_rng(seed))
     running = list(init.counts)
     prev_t = 0.0
-    for t, ev in traj.events:
+    for t, kind, src, tgt in events(traj):
         assert prev_t < t <= traj.horizon
-        assert ev.kind in ("mutation", "selection")
-        assert ev.source != ev.target
-        assert running[ev.source] > 0
-        running[ev.source] -= 1
-        running[ev.target] += 1
+        assert kind in ("mutation", "selection")
+        assert src != tgt
+        assert running[src] > 0
+        running[src] -= 1
+        running[tgt] += 1
         prev_t = t
-    assert tuple(running) == traj.final.counts
+    assert tuple(running) == traj.final_counts
     assert sum(running) == init.n
 
 
@@ -439,14 +426,12 @@ def test_duel_regime_trajectory_pinned():
         uplus_cycle_model(), 1e5, init, 1.0, np.random.default_rng(20261017)
     )
     assert traj.event_count == 2714
-    assert traj.final.counts == (100, 0, 0)
-    t, ev = traj.events[-1]
-    assert t == 0.950068307438291
-    assert (ev.kind, ev.source, ev.target) == ("selection", 1, 0)
+    assert traj.final_counts == (100, 0, 0)
+    assert events(traj)[-1] == (0.950068307438291, "selection", 1, 0)
 
 
 def test_duel_regime_absorption_pinned():
-    init = EmpiricalMeasure.from_counts([30, 70, 0])
+    init = EmpiricalMeasure([30, 70, 0])
     res = simulate_selection_absorption(
         uplus_cycle_model(), 1e3, init, np.random.default_rng(5)
     )
@@ -454,11 +439,11 @@ def test_duel_regime_absorption_pinned():
 
 
 def live_simulate(**kwargs):
-    """``_simulate`` with its recorded columns paired into the reference
-    loop's ``(time, Event)`` list, so the two return values compare whole."""
+    """``_simulate`` with its recorded columns zipped into the reference
+    loop's ``(time, kind, source, target)`` list, so the two return values
+    compare whole."""
     t, counts, (times, sources, targets, kinds), n_events, snaps = _simulate(**kwargs)
-    events = [(s, Event(k, a, b)) for s, a, b, k in zip(times, sources, targets, kinds)]
-    return t, counts, events, n_events, snaps
+    return t, counts, list(zip(times, kinds, sources, targets)), n_events, snaps
 
 
 def outcome(simulate, seed, case):
@@ -515,7 +500,7 @@ def engine_cases(draw):
     return dict(
         model=model,
         r=draw(st.sampled_from([1.0, 10.0, 1e3, 1e5])),
-        init=EmpiricalMeasure.from_counts(counts),
+        init=EmpiricalMeasure(counts),
         T=T,
         selection_only=selection_only,
         record=draw(st.booleans()),
@@ -527,10 +512,10 @@ def engine_cases(draw):
 def replay_until(init, events, s):
     """Counts and events so far at time ``s`` of a recorded path."""
     counts = list(init.counts)
-    done = [ev for t, ev in events if t <= s]
-    for ev in done:
-        counts[ev.source] -= 1
-        counts[ev.target] += 1
+    done = [ev for ev in events if ev[0] <= s]
+    for _, _, src, tgt in done:
+        counts[src] -= 1
+        counts[tgt] += 1
     return tuple(counts), len(done)
 
 
@@ -553,14 +538,14 @@ def longest_duel(init, events):
     the longest run the event loop spends in its duel step."""
     counts = list(init.counts)
     run = best = 0
-    for _, ev in events:
-        if ev.kind == "selection" and len(counts) - counts.count(0) == 2:
+    for _, kind, src, tgt in events:
+        if kind == "selection" and len(counts) - counts.count(0) == 2:
             run += 1
             best = max(best, run)
         else:
             run = 0
-        counts[ev.source] -= 1
-        counts[ev.target] += 1
+        counts[src] -= 1
+        counts[tgt] += 1
     return best
 
 
@@ -589,7 +574,7 @@ def long_duel_cases(draw):
     return dict(
         model=model,
         r=r,
-        init=EmpiricalMeasure.from_counts(counts),
+        init=EmpiricalMeasure(counts),
         T=T,
         selection_only=selection_only,
         record=draw(st.booleans()),
@@ -638,7 +623,7 @@ def test_snapshots_after_absorption_repeat_the_dirac():
     # no mutation: the duel ends in a Dirac long before t = 0.5, and every
     # later snapshot holds it with the final event count
     model = validate_model(two_site_config())
-    init = EmpiricalMeasure.from_counts([3, 3])
+    init = EmpiricalMeasure([3, 3])
     times = [1e-6, 0.5, 0.75, 1.0]
     t, counts, _, n_events, snaps = _simulate(model, 1e3, init, 1.0, np.random.default_rng(5), snapshot_times=times)
     assert sorted(counts) == [0, 6] and t < 0.5
@@ -649,26 +634,46 @@ def test_snapshots_after_absorption_repeat_the_dirac():
 
 @pytest.mark.parametrize(
     "times",
-    [[0.5, 0.25], [0.25, 0.25], [0.0, 0.5], [-0.1], [0.5, 1.5], [float("nan")]],
-    ids=["decreasing", "repeated", "zero", "negative", "past-horizon", "nan"],
+    [
+        [0.5, 0.25],
+        [0.25, 0.25],
+        [0.0, 0.5],
+        [-0.1],
+        [0.5, 1.5],
+        [float("nan")],
+        np.array([0.0]),  # used to skip the check and take no snapshot
+        np.array([0.5, 0.25]),  # used to raise numpy's ambiguous truth value error
+    ],
+    ids=["decreasing", "repeated", "zero", "negative", "past-horizon", "nan", "array-zero", "array-decreasing"],
 )
 def test_snapshot_times_must_increase_within_the_horizon(cycle_model, times):
-    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    init = EmpiricalMeasure([2, 1, 0])
     with pytest.raises(ValueError, match="snapshot times must increase"):
         simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
+
+
+@pytest.mark.parametrize("times", [(), (0.5, 1.0), (0.25, 1.0)])
+def test_snapshot_times_may_be_a_numpy_array(cycle_model, times):
+    # an empty or multi-element array used to raise numpy's ambiguous truth value error
+    init = EmpiricalMeasure([2, 1, 0])
+    want = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
+    got = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=np.array(times))
+    assert len(got.snapshots) == len(times)
+    assert got.snapshots == want.snapshots
+    assert got.columns == want.columns
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])
 def test_horizon_must_be_positive_and_finite(cycle_model, T):
     # a low cap: a NaN or infinite horizon used to run on until the cap
-    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    init = EmpiricalMeasure([2, 1, 0])
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         simulate_fv(cycle_model, 10.0, init, T, np.random.default_rng(0), event_cap=1000)
 
 
 @pytest.mark.parametrize("r", [float("nan"), float("inf")])
 def test_intensity_must_be_finite_before_the_first_event(cycle_model, r):
-    init = EmpiricalMeasure.from_counts([2, 1, 0])
+    init = EmpiricalMeasure([2, 1, 0])
     with pytest.raises(ModelError, match="intensity r must be finite"):
         simulate_fv(cycle_model, r, init, 1.0, np.random.default_rng(0), event_cap=1000)
 
@@ -690,7 +695,7 @@ def test_prepared_kernel_never_goes_stale():
         return validate_model(config)
 
     first, second = model(1.0), model(7.0)  # same sites, different killing
-    duel4, duel9 = EmpiricalMeasure.from_counts([2, 2, 0]), EmpiricalMeasure.from_counts([3, 6, 0])
+    duel4, duel9 = EmpiricalMeasure([2, 2, 0]), EmpiricalMeasure([3, 6, 0])
     cases = [
         dict(model=first, r=100.0, init=duel4, T=0.5),
         dict(model=second, r=100.0, init=duel4, T=0.5),

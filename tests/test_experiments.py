@@ -622,7 +622,7 @@ def test_report_timing_points(small_theorem1_report):
     assert [(p["r"], p["t"]) for p in points] == [(r, times) for r in cfg.r_schedule]
     assert sum(p["events"] for p in points) == rep.events_total
     model = cfg.validated_model()
-    init = EmpiricalMeasure.from_counts(cfg.init_counts(model, cfg.n))
+    init = EmpiricalMeasure(cfg.init_counts(model, cfg.n))
     for pid, p in enumerate(points):
         spread = p["events_per_replica"]
         assert p["replicas"] == cfg.replicas and p["wall_s"] > 0
@@ -730,7 +730,7 @@ def test_event_cap_abort_thread_invariant_and_replayable():
     abort_rows = [(row["r"], row["t"]) for row in serial.rows if row["statistic"] == "event_cap_abort"]
     assert [(a["r"], t) for a in aborts for t in a["t"]] == abort_rows
 
-    model, M, init = cfg.validated_model(), cfg.replicas, EmpiricalMeasure.from_counts([3, 0, 0])
+    model, M, init = cfg.validated_model(), cfg.replicas, EmpiricalMeasure([3, 0, 0])
     for abort in aborts:
         r, times = abort["r"], abort["t"]
         assert times == cfg.time_points
@@ -775,12 +775,12 @@ def test_event_cap_abort_in_every_simulating_kind(case):
     rng = derive_replica_rng(cfg.seed, abort["replica"])
     if case == "conjecture_probe_sim":
         model, sim = cfg.validated_model(), cfg.sim
-        init = EmpiricalMeasure.from_counts([sim["n"] * (s == sim["init"]["dirac"]) for s in model.states])
+        init = EmpiricalMeasure([sim["n"] * (s == sim["init"]["dirac"]) for s in model.states])
         replay = lambda: simulate_fv(model, abort["r"], init, sim["T"], rng, record=False, event_cap=cfg.event_cap)
     else:
         mc = case == "committor_check_mc"  # that kind builds its own two-site model
         model = validate_model(two_site_config(alpha=cfg.mc["alpha"])) if mc else cfg.validated_model()
-        init = EmpiricalMeasure.from_counts(cfg.mc["counts"] if mc else cfg.init)
+        init = EmpiricalMeasure(cfg.mc["counts"] if mc else cfg.init)
         replay = lambda: simulate_selection_absorption(model, abort["r"], init, rng, event_cap=cfg.event_cap)
     with pytest.raises(EventCapError):
         replay()
@@ -1251,7 +1251,7 @@ def _path_point(model_config, counts, r, T, M, seed=5, base=7):
     payload = dict(model=model, counts=counts, r=r, t=T, seed=seed, base=base, event_cap=10**7)
     res = _run_point(_fv_path_chunk, payload, M, 1)
     assert list(res) == ["integral", "avg_occ", "events"]  # the outcome table's column order
-    init = EmpiricalMeasure.from_counts(counts)
+    init = EmpiricalMeasure(counts)
     for i in range(M):
         traj = simulate_fv(model, r, init, T, derive_replica_rng(seed, base + i))
         times, values = traj.occupancy_path()
