@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.experiment)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)  # validated again
-    report = run_experiment(config, threads=max(1, args.threads), out_dir=args.out)
+    report = run_experiment(config, threads=args.threads, out_dir=args.out)
     for row in report.rows:
         point = " ".join(
             f"{k}={row[k]:g}" if isinstance(row[k], float) else f"{k}={row[k]}"

@@ -31,6 +31,18 @@ from numpy's ziggurat sampler, computed in the generator's own code, so
 a waiting time is one correctly rounded division wherever it is
 computed: in the scalar loop or in a numpy block.
 
+The one event loop, :func:`_run_replicas`, takes a chunk's streams and
+runs one replica per stream.  What every replica shares is prepared
+once per call: the rate layout, n and 1/(n-1), the checked snapshot
+times, the initial support size and the event cap.  A replica resets
+only its own state (counts, time, draw buffer, event count, pending
+snapshots) and appends its results to flat lists, which the caller
+turns into numpy arrays once per chunk.  A replica reads nothing but
+its stream and that state, so its results are bit for bit those of
+its stream run alone, whichever replicas share its chunk.
+:func:`simulate_fv` and :func:`simulate_selection_absorption` are the
+one-stream case.
+
 A recorded path is four flat columns, one entry per event: its time,
 source, target and kind.  The loop appends to them and builds no object
 per event; a duel block extends them from its arrays.
@@ -90,7 +102,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +117,7 @@ __all__ = [
 ]
 
 DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
+_FIRST = 21  # steps drawn by a replica's first refill
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
 _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
@@ -352,223 +365,271 @@ def _draws(rng: np.random.Generator, size: int):
     return e, u, memoryview(e), memoryview(u)
 
 
-def _simulate(
+@dataclass
+class _Runs:
+    """Flat results of the replicas :func:`_run_replicas` runs, appended in
+    stream order.
+
+    Per replica: ``times``, its final time; ``finals``, its final counts,
+    one entry per site; ``events``, its event count.  Per replica and
+    snapshot time: ``snaps``, the counts, one entry per site, and
+    ``snap_events``, the events so far.  ``columns`` are the recorded
+    events' ``(times, sources, targets, kinds)`` lists: replica i's
+    ``events[i]`` entries follow those of the replicas before it.
+    """
+
+    times: list[float] = field(default_factory=list)
+    finals: list[int] = field(default_factory=list)
+    events: list[int] = field(default_factory=list)
+    snaps: list[int] = field(default_factory=list)
+    snap_events: list[int] = field(default_factory=list)
+    columns: tuple[list[float], list[int], list[int], list[str]] = field(default_factory=lambda: ([], [], [], []))
+
+
+def _run_replicas(
     model: Model,
     r: float,
     init: EmpiricalMeasure,
     T: float | None,
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
+    runs: _Runs,
     *,
     selection_only: bool = False,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
     snapshot_times: Sequence[float] = (),
-):
-    """Shared event loop.
+) -> None:
+    """The event loop: one replica per stream of ``rngs``, its results
+    appended to ``runs``.
 
-    Runs until the horizon ``T`` (if given) or absorption in a Dirac
-    mass with zero remaining rate.  Returns
-    ``(time, counts, columns, n_events, snapshots)``: ``columns`` are
-    the recorded events' ``(times, sources, targets, kinds)`` lists, empty
-    without ``record``, and there is one ``(counts, n_events)`` snapshot
-    per time of ``snapshot_times`` (see the module docstring).
+    Each replica runs from ``init`` until the horizon ``T`` (if given)
+    or absorption in a Dirac mass with zero remaining rate, records its
+    events only with ``record``, and takes one snapshot per time of
+    ``snapshot_times`` (see the module docstring).  A stream is drawn
+    from ``rngs`` when its replica starts, after the previous replica's
+    results are in ``runs``.  An :class:`EventCapError` leaves ``runs``
+    holding the replicas before the capped one.
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
     horizon = math.inf if T is None else T
-    marks = []  # pending snapshot times, latest first
+    first_marks = []  # snapshot times, latest first
     if len(snapshot_times):  # a numpy array has no truth value
-        marks = [float(s) for s in reversed(snapshot_times)]
-        if not (0 < marks[-1] and all(a > b for a, b in zip(marks, marks[1:])) and marks[0] <= horizon):
-            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {marks[::-1]}")
-    snaps: list[tuple[tuple[int, ...], int]] = []
-    stop = marks[-1] if marks else horizon
+        first_marks = [float(s) for s in reversed(snapshot_times)]
+        ordered = all(a > b for a, b in zip(first_marks, first_marks[1:]))
+        if not (ordered and 0 < first_marks[-1] and first_marks[0] <= horizon):
+            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {first_marks[::-1]}")
+    first_stop = first_marks[-1] if first_marks else horizon
     d, lam, mut_exit, mut_targets, mut_rates, duels = _kernel(model, r, selection_only)
-    counts = list(init.counts)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
-
+    first_sites = d - init.counts.count(0)
+    last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
+    ev_t, ev_src, ev_tgt, ev_kind = runs.columns
+    snaps, snap_events = runs.snaps, runs.snap_events
     # Draws for ``size`` steps are made at once, ``size`` growing
     # geometrically, so short replicas stay cheap and long ones amortize
-    # the generator calls.  Step ``pos`` reads ``ebuf[pos]``,
-    # ``ubuf[pos]`` and ``ubuf[size + pos]``.
-    size = 21
-    e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
-    pos = 0
-    t = 0.0
-    ev_t: list[float] = []
-    ev_src: list[int] = []
-    ev_tgt: list[int] = []
-    ev_kind: list[str] = []
-    n_events = 0
-    last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
-    n_sites = d - counts.count(0)
-    while True:
-        if n_sites == 2:
-            # Two-site duel: the generic step below, specialized.  Rates
-            # are tabulated per split with the generic loop's expressions
-            # in its order, so every comparison sees the same floats.
-            a, b = [i for i in range(d) if counts[i]]
-            duel = duels.get((n, a, b))
-            if duel is None:
-                duel = duels[(n, a, b)] = _duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b])
-            (rm_tab, kill_a_tab, total_tab), tables, p_a = duel
-            ka = counts[a]
-            run = _DUEL_SCALAR  # scalar steps before the next block
-            while True:
-                for _ in range(run):
-                    total = total_tab[ka]
-                    if total <= 0.0 or n_events >= last:
-                        break  # a site died out or no rate is left, or the cap step
-                    if pos == size:
-                        size = min(size * 2, _BLOCK)
-                        e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
-                        pos = 0
-                    dt = ebuf[pos] / total
-                    x = ubuf[pos] * total
-                    r_mut = rm_tab[ka]
-                    if t + dt > stop or x < r_mut:
-                        break  # a snapshot, the horizon or a mutation: the generic step takes it from ``pos``
-                    pos += 1
-                    t += dt
-                    if (x - r_mut) - kill_a_tab[ka] < 0.0:
-                        ka -= 1
-                        if record:
-                            ev_t.append(t)
-                            ev_src.append(a)
-                            ev_tgt.append(b)
-                            ev_kind.append("selection")
+    # the generator calls.  Step ``pos`` reads ``ebuf[pos]``, ``ubuf[pos]``
+    # and ``ubuf[size + pos]``.  Every replica's first refill fills the
+    # same two arrays; no draw outlives its replica.
+    first_e, first_u = np.empty(_FIRST), np.empty(2 * _FIRST)
+    first_draws = first_e, first_u, memoryview(first_e), memoryview(first_u)
+
+    for rng in rngs:
+        counts = list(init.counts)
+        marks = first_marks.copy()  # pending snapshot times, latest first
+        stop = first_stop
+        size = _FIRST
+        rng.standard_exponential(out=first_e)
+        rng.random(out=first_u)
+        e_arr, u_arr, ebuf, ubuf = first_draws
+        pos = 0
+        t = 0.0
+        n_events = 0
+        n_sites = first_sites
+        while True:
+            if n_sites == 2:
+                # Two-site duel: the generic step below, specialized.  Rates
+                # are tabulated per split with the generic loop's expressions
+                # in its order, so every comparison sees the same floats.
+                a, b = [i for i in range(d) if counts[i]]
+                duel = duels.get((n, a, b))
+                if duel is None:
+                    duel = duels[(n, a, b)] = _duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b])
+                (rm_tab, kill_a_tab, total_tab), tables, p_a = duel
+                ka = counts[a]
+                run = _DUEL_SCALAR  # scalar steps before the next block
+                while True:
+                    for _ in range(run):
+                        total = total_tab[ka]
+                        if total <= 0.0 or n_events >= last:
+                            break  # a site died out or no rate is left, or the cap step
+                        if pos == size:
+                            size = min(size * 2, _BLOCK)
+                            e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
+                            pos = 0
+                        dt = ebuf[pos] / total
+                        x = ubuf[pos] * total
+                        r_mut = rm_tab[ka]
+                        if t + dt > stop or x < r_mut:
+                            break  # a snapshot, the horizon or a mutation: the generic step takes it from ``pos``
+                        pos += 1
+                        t += dt
+                        if (x - r_mut) - kill_a_tab[ka] < 0.0:
+                            ka -= 1
+                            if record:
+                                ev_t.append(t)
+                                ev_src.append(a)
+                                ev_tgt.append(b)
+                                ev_kind.append("selection")
+                        else:
+                            ka += 1
+                            if record:
+                                ev_t.append(t)
+                                ev_src.append(b)
+                                ev_tgt.append(a)
+                                ev_kind.append("selection")
+                        n_events += 1
                     else:
-                        ka += 1
-                        if record:
-                            ev_t.append(t)
-                            ev_src.append(b)
-                            ev_tgt.append(a)
-                            ev_kind.append("selection")
-                    n_events += 1
-                else:
-                    # A block runs up to the refill or to the step before the
-                    # cap, and the scalar step after it takes or hands on
-                    # whatever ended it.  Where fewer than the smallest
-                    # block's steps are left before either, scalar steps
-                    # take them and the one after.
-                    m = min(size - pos, last - n_events)
-                    if m < _DUEL_BLOCK_MIN:
-                        run = m + 1
+                        # A block runs up to the refill or to the step before the
+                        # cap, and the scalar step after it takes or hands on
+                        # whatever ended it.  Where fewer than the smallest
+                        # block's steps are left before either, scalar steps
+                        # take them and the one after.
+                        m = min(size - pos, last - n_events)
+                        if m < _DUEL_BLOCK_MIN:
+                            run = m + 1
+                            continue
+                        steps, ka, times, a_died = _duel_block(tables, p_a, ka, t, stop, e_arr, u_arr, pos, m)
+                        if steps:
+                            pos += steps
+                            n_events += steps
+                            t = float(times[-1])
+                            if record:
+                                ev_t += times.tolist()
+                                ev_src += np.where(a_died, a, b).tolist()
+                                ev_tgt += np.where(a_died, b, a).tolist()
+                                ev_kind += ["selection"] * steps
+                        run = 1
                         continue
-                    steps, ka, times, a_died = _duel_block(tables, p_a, ka, t, stop, e_arr, u_arr, pos, m)
-                    if steps:
-                        pos += steps
-                        n_events += steps
-                        t = float(times[-1])
-                        if record:
-                            ev_t += times.tolist()
-                            ev_src += np.where(a_died, a, b).tolist()
-                            ev_tgt += np.where(a_died, b, a).tolist()
-                            ev_kind += ["selection"] * steps
-                    run = 1
-                    continue
-                break
-            counts[a], counts[b] = ka, n - ka
-            if not 0 < ka < n:
-                n_sites = 1
-
-        r_mut = 0.0
-        r_sel = 0.0
-        for i in range(d):
-            k = counts[i]
-            if k:
-                r_mut += k * mut_exit[i]
-                r_sel += k * lam[i] * (n - k)
-        r_sel *= inv_nm1
-        total = r_mut + r_sel
-        if total <= 0.0:
-            break
-
-        if pos == size:
-            size = min(size * 2, _BLOCK)
-            e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
-            pos = 0
-        dt = ebuf[pos] / total
-        u_cat = ubuf[pos]
-        u_tgt = ubuf[size + pos]
-        pos += 1
-
-        if t + dt > stop:
-            while marks and marks[-1] < t + dt:  # snapshots before this event
-                marks.pop()
-                snaps.append((tuple(counts), n_events))
-            stop = marks[-1] if marks else horizon
-            if t + dt > stop:
-                t = T
-                break
-        t += dt
-
-        x = u_cat * total
-        if x < r_mut:
-            # mutation: locate the site, then the outgoing edge
-            src = -1
-            for i in range(d):
-                k = counts[i]
-                if k:
-                    x -= k * mut_exit[i]
-                    if x < 0.0:
-                        src = i
-                        break
-            if src < 0:  # guard against roundoff at the block boundary
-                src = max(i for i in range(d) if counts[i] and mut_exit[i] > 0.0)
-            rates = mut_rates[src]
-            y = u_tgt * mut_exit[src]
-            tgt = mut_targets[src][-1]
-            for j, rate in zip(mut_targets[src], rates):
-                y -= rate
-                if y < 0.0:
-                    tgt = j
                     break
-            kind = "mutation"
-        else:
-            # count-changing death: killed site, then survivor's site
-            x -= r_mut
-            src = -1
+                counts[a], counts[b] = ka, n - ka
+                if not 0 < ka < n:
+                    n_sites = 1
+
+            r_mut = 0.0
+            r_sel = 0.0
             for i in range(d):
                 k = counts[i]
                 if k:
-                    x -= k * lam[i] * (n - k) * inv_nm1
-                    if x < 0.0:
-                        src = i
-                        break
-            if src < 0:
-                src = max(i for i in range(d) if 0 < counts[i] < n)
-            y = u_tgt * (n - counts[src])
-            tgt = -1
-            for j in range(d):
-                if j != src and counts[j]:
-                    y -= counts[j]
+                    r_mut += k * mut_exit[i]
+                    r_sel += k * lam[i] * (n - k)
+            r_sel *= inv_nm1
+            total = r_mut + r_sel
+            if total <= 0.0:
+                break
+
+            if pos == size:
+                size = min(size * 2, _BLOCK)
+                e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
+                pos = 0
+            dt = ebuf[pos] / total
+            u_cat = ubuf[pos]
+            u_tgt = ubuf[size + pos]
+            pos += 1
+
+            if t + dt > stop:
+                while marks and marks[-1] < t + dt:  # snapshots before this event
+                    marks.pop()
+                    snaps.extend(counts)
+                    snap_events.append(n_events)
+                stop = marks[-1] if marks else horizon
+                if t + dt > stop:
+                    t = T
+                    break
+            t += dt
+
+            x = u_cat * total
+            if x < r_mut:
+                # mutation: locate the site, then the outgoing edge
+                src = -1
+                for i in range(d):
+                    k = counts[i]
+                    if k:
+                        x -= k * mut_exit[i]
+                        if x < 0.0:
+                            src = i
+                            break
+                if src < 0:  # guard against roundoff at the block boundary
+                    src = max(i for i in range(d) if counts[i] and mut_exit[i] > 0.0)
+                rates = mut_rates[src]
+                y = u_tgt * mut_exit[src]
+                tgt = mut_targets[src][-1]
+                for j, rate in zip(mut_targets[src], rates):
+                    y -= rate
                     if y < 0.0:
                         tgt = j
                         break
-            if tgt < 0:
-                tgt = max(j for j in range(d) if j != src and counts[j])
-            kind = "selection"
+                kind = "mutation"
+            else:
+                # count-changing death: killed site, then survivor's site
+                x -= r_mut
+                src = -1
+                for i in range(d):
+                    k = counts[i]
+                    if k:
+                        x -= k * lam[i] * (n - k) * inv_nm1
+                        if x < 0.0:
+                            src = i
+                            break
+                if src < 0:
+                    src = max(i for i in range(d) if 0 < counts[i] < n)
+                y = u_tgt * (n - counts[src])
+                tgt = -1
+                for j in range(d):
+                    if j != src and counts[j]:
+                        y -= counts[j]
+                        if y < 0.0:
+                            tgt = j
+                            break
+                if tgt < 0:
+                    tgt = max(j for j in range(d) if j != src and counts[j])
+                kind = "selection"
 
-        counts[src] -= 1
-        counts[tgt] += 1
-        if not counts[src]:
-            n_sites -= 1
-        if counts[tgt] == 1:
-            n_sites += 1
-        n_events += 1
-        if record:
-            ev_t.append(t)
-            ev_src.append(src)
-            ev_tgt.append(tgt)
-            ev_kind.append(kind)
-        if n_events >= event_cap:
-            raise EventCapError(event_cap, t, counts)
+            counts[src] -= 1
+            counts[tgt] += 1
+            if not counts[src]:
+                n_sites -= 1
+            if counts[tgt] == 1:
+                n_sites += 1
+            n_events += 1
+            if record:
+                ev_t.append(t)
+                ev_src.append(src)
+                ev_tgt.append(tgt)
+                ev_kind.append(kind)
+            if n_events >= event_cap:
+                raise EventCapError(event_cap, t, counts)
 
-    if marks:  # absorbed before these times: the final state holds at each
-        snaps += [(tuple(counts), n_events)] * len(marks)
-    return t, counts, (ev_t, ev_src, ev_tgt, ev_kind), n_events, snaps
+        if marks:  # absorbed before these times: the final state holds at each
+            snaps.extend(counts * len(marks))
+            snap_events.extend([n_events] * len(marks))
+        runs.times.append(t)
+        runs.finals.extend(counts)
+        runs.events.append(n_events)
+
+
+def _simulate(model: Model, r: float, init: EmpiricalMeasure, T: float | None, rng, **options):
+    """One replica through :func:`_run_replicas`, which takes ``options``.
+
+    Returns ``(time, counts, columns, n_events, snapshots)``, with one
+    ``(counts, n_events)`` pair per snapshot time.
+    """
+    runs = _Runs()
+    _run_replicas(model, r, init, T, (rng,), runs, **options)
+    d = len(runs.finals)
+    snaps = [(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)]
+    return runs.times[0], runs.finals, runs.columns, runs.events[0], snaps
 
 
 def simulate_fv(
@@ -590,6 +651,9 @@ def simulate_fv(
     increasing in (0, T], fill ``Trajectory.snapshots`` from the same
     path: one pass gives the marginals at every time, and the final
     state, event count and draws are those of a run without them.
+    This is the event loop's one-stream case: replica i of an
+    experiment's chunk equals this call on its stream
+    (``derive_replica_rng(seed, i)``), draw for draw.
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
@@ -621,7 +685,9 @@ def simulate_selection_absorption(
     cap converts pathological configurations into diagnostics.  A Dirac
     start returns ``(0.0, site, 0)`` after drawing one refill from
     ``rng`` (21 standard exponentials, then 42 uniforms), which the
-    event loop makes before it sees zero rate.
+    event loop makes before it sees zero rate.  Like :func:`simulate_fv`,
+    this is the event loop's one-stream case, equal draw for draw to
+    the replica of an experiment's chunk that reads the same stream.
     """
     t, counts, _, n_events, _ = _simulate(
         model, r, init, None, rng, selection_only=True, record=False, event_cap=event_cap

@@ -62,8 +62,10 @@ Per-replica set-up is kept off the event loop's path.  Replica i's
 stream is a Philox generator keyed by the master seed, started at
 counter ``i << 128`` (:func:`derive_replica_rng`): counter-based, so
 distinct replicas never share a block and each replays alone.  A chunk
-keys one Philox and resets its counter per replica, and the engine
-prepares its rate layout once per (model, r), not once per replica.
+keys one Philox and resets its counter per replica, and runs all its
+replicas through one call of the engine's event loop, which prepares
+what they share once and hands back flat per-replica lists; the engine
+keeps its rate layout once per (model, r).
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ from .engine import (
     EmpiricalMeasure,
     EventCapError,
     _path_stats,
-    simulate_fv,
-    simulate_selection_absorption,
+    _run_replicas,
+    _Runs,
 )
 from .metrics import LawOnStates, empirical_law, tv_distance
 from .model import Model, _is_int, _is_real, validate_model
@@ -486,39 +488,39 @@ def _replica_rngs(seed, first: int, count: int):
         yield rng
 
 
-def _collect(payload: dict, replica, **dtypes) -> dict:
-    """Run ``replica(rng)`` over a chunk; stack each tuple field into an array.
+def _particle_chunk(payload: dict, T, runs: _Runs, streams=iter, **options) -> _Runs:
+    """Run replicas [start, stop) of a particle point through the engine's
+    event loop, into ``runs``.
 
-    An :class:`EventCapError` leaves with its flat replica index set.
+    ``streams`` wraps the chunk's stream iterator.  The loop draws a
+    replica's stream from it when that replica starts, after the previous
+    replica's results are in ``runs``, so code in the wrapper runs
+    between replicas.  An :class:`EventCapError` leaves with its flat
+    replica index set.
     """
-    start, stop = payload["start"], payload["stop"]
-    first = payload["base"] + start
-    rows = []
-    for i, rng in enumerate(_replica_rngs(payload["seed"], first, stop - start), first):
-        try:
-            rows.append(replica(rng))
-        except EventCapError as err:
-            err.replica = i
-            raise
-    return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(dtypes.items(), zip(*rows))}
-
-
-def _particle_inputs(payload: dict):
+    first = payload["base"] + payload["start"]
+    rngs = _replica_rngs(payload["seed"], first, payload["stop"] - payload["start"])
     init = EmpiricalMeasure(payload["counts"])
-    return payload["model"], init, payload["r"], payload["event_cap"]
+    try:
+        _run_replicas(
+            payload["model"], payload["r"], init, T, streams(rngs), runs, event_cap=payload["event_cap"], **options
+        )
+    except EventCapError as err:
+        err.replica = first + len(runs.events)
+        raise
+    return runs
 
 
 def _fv_final_chunk(payload: dict) -> dict:
     """Counts and events so far at each time of the tuple ``t`` of the full
     dynamics, from one pass per replica to the last time."""
-    model, init, r, cap = _particle_inputs(payload)
     times = payload["t"]
-
-    def replica(rng):
-        traj = simulate_fv(model, r, init, times[-1], rng, record=False, event_cap=cap, snapshot_times=times)
-        return tuple(zip(*traj.snapshots))
-
-    return _collect(payload, replica, final=np.int64, events=np.int64)
+    runs = _particle_chunk(payload, times[-1], _Runs(), record=False, snapshot_times=times)
+    shape = (len(runs.events), len(times))
+    return {
+        "final": np.array(runs.snaps, dtype=np.int64).reshape(*shape, len(payload["counts"])),
+        "events": np.array(runs.snap_events, dtype=np.int64).reshape(shape),
+    }
 
 
 def _fv_path_chunk(payload: dict) -> dict:
@@ -526,64 +528,60 @@ def _fv_path_chunk(payload: dict) -> dict:
 
     Replicas' recorded columns are buffered and reduced together by
     :func:`_path_stats`, whose per-replica results do not depend on
-    which replicas share a reduction.  The buffer is reduced before it
-    would pass ``_PATH_ROWS`` path rows, so a chunk of long paths never
-    holds all its events at once, and a longer replica is reduced alone.
+    which replicas share a reduction.  Once a replica's events would
+    take the buffer past ``_PATH_ROWS`` path rows, the replicas before
+    it are reduced, so a chunk of long paths never holds all its events
+    at once, and a longer replica is reduced alone.
     """
-    model, init, r, cap = _particle_inputs(payload)
     T = payload["t"]
+    runs = _Runs()
     integrals: list[float] = []
     occupations: list[np.ndarray] = []
-    columns: tuple[list, list, list] = ([], [], [])  # times, sources, targets
-    rows: list[int] = []
+    reduced = 0  # replicas whose paths are reduced and cleared from the columns
 
-    def reduce() -> None:
-        if rows:
-            integral, occupation = _path_stats(*columns, rows, init.counts, T)
-            integrals.extend(integral)
-            occupations.append(occupation)
-            for column in (*columns, rows):
-                column.clear()
+    def reduce(stop: int) -> None:
+        nonlocal reduced
+        rows = runs.events[reduced:stop]
+        k = sum(rows)
+        integral, occupation = _path_stats(*(c[:k] for c in runs.columns[:3]), rows, payload["counts"], T)
+        integrals.extend(integral)
+        occupations.append(occupation)
+        for column in runs.columns:
+            del column[:k]
+        reduced = stop
 
-    def replica(rng):
-        traj = simulate_fv(model, r, init, T, rng, record=True, event_cap=cap)
-        m = traj.event_count
-        if len(columns[0]) + len(rows) + m + 1 > _PATH_ROWS:
-            reduce()
-        for column, recorded in zip(columns, traj.columns):
-            column.extend(recorded)
-        rows.append(m)
-        return (m,)
+    def streams(rngs):
+        for rng in rngs:
+            yield rng  # resumed once this replica's events are in the columns
+            latest = len(runs.events) - 1
+            if latest > reduced and len(runs.columns[0]) + latest + 1 - reduced > _PATH_ROWS:
+                reduce(latest)
 
-    events = _collect(payload, replica, events=np.int64)["events"]
-    reduce()
+    _particle_chunk(payload, T, runs, streams, record=True)
+    reduce(len(runs.events))
+    events = np.array(runs.events, dtype=np.int64)
     return {"integral": np.array(integrals), "avg_occ": np.concatenate(occupations), "events": events}
 
 
 def _absorption_chunk(payload: dict) -> dict:
     """Absorption time and site of the selection-only dynamics."""
-    model, init, r, cap = _particle_inputs(payload)
-
-    def replica(rng):
-        res = simulate_selection_absorption(model, r, init, rng, event_cap=cap)
-        return res.tau, model.index[res.site], res.event_count
-
-    return _collect(payload, replica, tau=float, site=np.int64, events=np.int64)
+    runs = _particle_chunk(payload, None, _Runs(), selection_only=True, record=False)
+    finals = np.array(runs.finals, dtype=np.int64).reshape(len(runs.events), -1)
+    site = finals.argmax(axis=1)  # the one site holding every particle
+    return {"tau": np.array(runs.times), "site": site, "events": np.array(runs.events, dtype=np.int64)}
 
 
 def _ctmc_path_chunk(payload: dict) -> dict:
     """Time-average occupation over [0, t] of a condensate-chain path."""
     rates, T, init = payload["rates"], payload["t"], payload["init"]
-    d = len(rates.states)
-
-    def replica(rng):
+    occ = np.zeros((payload["stop"] - payload["start"], len(rates.states)))
+    events = []
+    for row, rng in zip(occ, _replica_rngs(payload["seed"], payload["base"] + payload["start"], len(occ))):
         path = simulate_ctmc(rates, init, T, rng)
-        occ = np.zeros(d)
         for (t0, s0), t1 in zip(path, [t for t, _ in path[1:]] + [T]):
-            occ[s0] += (t1 - t0) / T
-        return occ, len(path) - 1
-
-    return _collect(payload, replica, avg_occ=float, events=np.int64)
+            row[s0] += (t1 - t0) / T
+        events.append(len(path) - 1)
+    return {"avg_occ": occ, "events": np.array(events, dtype=np.int64)}
 
 
 def _run_point(worker, payload: dict, M: int, threads: int):
@@ -1102,9 +1100,11 @@ def run_experiment(
 ) -> Report:
     """Run an experiment and (optionally) write report.json + summary.csv.
 
-    The report's ``result_hash`` is independent of ``threads``; timings
-    are recorded outside the hashed content.
+    The report's ``result_hash`` is independent of ``threads``, an
+    integer >= 1; timings are recorded outside the hashed content.
     """
+    if not _is_int(threads, 1):  # checked before any point runs
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if not isinstance(config, ExperimentConfig):  # an instance is valid by construction
         config = ExperimentConfig.from_dict(config)
     if out_dir is not None:  # fail on an unusable directory before simulating

@@ -244,6 +244,23 @@ def test_run_negative_seed_exits_2_before_running(tmp_path, capsys, monkeypatch)
     assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_threads_below_one_exits_2_before_running(tmp_path, capsys, monkeypatch, threads):
+    # --threads 0 used to be clamped to one worker
+    import fvlab.experiments as experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "_run_point", fail)
+    doc = {"kind": "eta_inf_check", "model": two_site_config(alpha=2.0), "seed": 1, "r_schedule": [500.0],
+           "replicas": 200, "init": [1, 1]}
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc))
+    assert main(["run", str(exp), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+    assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

@@ -104,15 +104,14 @@ def test_engine_first_refill_known_answer():
 
 def _chunk_streams(seed, base, start, stop):
     """Each replica's Philox counter and first three uint32 draws, as a chunk worker sees them."""
-    from fvlab.experiments import _collect
+    from fvlab.experiments import _replica_rngs
 
-    def replica(rng):
-        counter = tuple(rng.bit_generator.state["state"]["counter"].tolist())
+    counters, draws = [], []
+    for rng in _replica_rngs(seed, base + start, stop - start):
+        counters.append(rng.bit_generator.state["state"]["counter"].tolist())
         # an odd count of uint32 draws leaves half a word buffered (has_uint32 = 1)
-        return counter, tuple(rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
-
-    payload = {"seed": seed, "base": base, "start": start, "stop": stop}
-    return _collect(payload, replica, counter=np.uint64, draws=np.int64)
+        draws.append(rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+    return {"counter": np.array(counters, dtype=np.uint64), "draws": np.array(draws, dtype=np.int64)}
 
 
 @pytest.mark.parametrize(
@@ -647,6 +646,21 @@ def test_report_hash_thread_invariant(small_theorem1_report):
     threaded = run_experiment(cfg, threads=2)
     assert threaded.result_hash == small_theorem1_report.result_hash
     assert threaded.timing["threads"] == 2
+
+
+@pytest.mark.parametrize("threads", [0, -2, 2.5, True, False, "2", None])
+def test_threads_must_be_an_integer_of_at_least_one(monkeypatch, tmp_path, threads):
+    # 0 and -2 used to run one worker and write themselves into the timing;
+    # 2.5 used to raise TypeError from inside the pool, partway through a run
+    import fvlab.experiments as experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "_run_point", fail)
+    with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads!r}"):
+        run_experiment(theorem1_doc(), threads=threads, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_hash_tracks_seed():
@@ -1313,6 +1327,95 @@ def test_path_chunk_reduces_a_long_replica_alone(monkeypatch):
 def test_theorem2_hash_thread_invariant():
     cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
     assert run_experiment(cfg, threads=2).result_hash == run_experiment(cfg).result_hash
+
+
+# A chunk runs all its replicas through one event loop.  x mutates to y and
+# y does not mutate, under neutral killing: from an even split at n = 40 a
+# duel runs hundreds of steps, through numpy blocks, and ends at y, where no
+# rate is left and the replica stops before the first snapshot time, or at
+# x, which runs on to the horizon.
+_ABSORBING_DUEL = {
+    "states": ["x", "y"],
+    "mutation": [{"from": "x", "to": "y", "rate": 1.0}],
+    "killing": {"kind": "power", "c": {"x": 1.0, "y": 1.0}, "beta": {"x": "1", "y": "1"}},
+}
+_DUEL_TIMES = (0.004, 0.01, 0.02)
+
+
+def _alone(worker, model, init, rng, event_cap=10**7):
+    """One replica of ``worker``'s point run alone through the public API,
+    as its per-replica output row."""
+    from fvlab import simulate_fv, simulate_selection_absorption
+
+    T = _DUEL_TIMES[-1]
+    if worker == "final":
+        traj = simulate_fv(model, 1e4, init, T, rng, record=False, event_cap=event_cap, snapshot_times=_DUEL_TIMES)
+        assert traj.snapshots[-1] == (traj.final_counts, traj.event_count)
+        return {"final": [c for c, _ in traj.snapshots], "events": [m for _, m in traj.snapshots]}
+    if worker == "path":
+        traj = simulate_fv(model, 1e4, init, T, rng, event_cap=event_cap)
+        times, values = traj.occupancy_path()
+        seg = np.diff(np.append(times, T))
+        return {"integral": traj.max_mass_integral(), "avg_occ": seg @ values / T, "events": traj.event_count}
+    res = simulate_selection_absorption(model, 1e4, init, rng, event_cap=event_cap)
+    return {"tau": res.tau, "site": model.index[res.site], "events": res.event_count}
+
+
+def _duel_point(worker, M, seed=5, base=7, event_cap=10**7):
+    from fvlab import validate_model
+    from fvlab.experiments import _absorption_chunk, _fv_final_chunk, _fv_path_chunk, _run_point
+
+    model = validate_model(_ABSORBING_DUEL)
+    chunk, t = {
+        "final": (_fv_final_chunk, _DUEL_TIMES),
+        "path": (_fv_path_chunk, _DUEL_TIMES[-1]),
+        "absorption": (_absorption_chunk, ""),
+    }[worker]
+    payload = dict(model=model, counts=(20, 20), r=1e4, t=t, seed=seed, base=base, event_cap=event_cap)
+    return model, _run_point(chunk, payload, M, 1)
+
+
+@pytest.mark.parametrize("worker", ["final", "path", "absorption"])
+def test_chunk_replicas_equal_each_replica_run_alone(worker):
+    from unittest.mock import patch
+
+    from fvlab import EmpiricalMeasure, engine
+
+    M, seed, base = 300, 5, 7  # chunks of 256 and 44
+    with patch.object(engine, "_duel_block", wraps=engine._duel_block) as block:
+        model, res = _duel_point(worker, M, seed, base)
+    assert block.call_count
+    init = EmpiricalMeasure([20, 20])
+    for i in range(M):
+        want = _alone(worker, model, init, derive_replica_rng(seed, base + i))
+        for key, col in res.items():
+            assert col[i].tobytes() == np.asarray(want[key], dtype=col.dtype).tobytes(), (i, key)
+    if worker == "final":
+        # the first chunk mixes replicas absorbed at y before the first
+        # snapshot time with replicas that run to the horizon at x
+        first = slice(0, 256)
+        absorbed = (res["final"][first, 0, 1] == 40) & (res["events"][first, 0] == res["events"][first, -1])
+        assert 0 < absorbed.sum() < 256
+        assert (res["final"][first, -1, 0] == 40).any()
+
+
+@pytest.mark.parametrize("worker", ["final", "path", "absorption"])
+def test_chunk_cap_hit_past_its_first_replica_names_that_replica(worker):
+    from fvlab import EmpiricalMeasure, EventCapError
+
+    M, seed, base = 40, 5, 7
+    model, res = _duel_point(worker, M, seed, base)
+    events = res["events"].reshape(M, -1)[:, -1].tolist()
+    # the cap is one past replica 0's events: the first replica to reach it
+    # follows replicas that completed in the same chunk
+    cap = events[0] + 1
+    capped = next(i for i, m in enumerate(events) if m >= cap)
+    assert capped > 0
+    _, err = _duel_point(worker, M, seed, base, event_cap=cap)
+    assert isinstance(err, EventCapError) and err.replica == base + capped
+    with pytest.raises(EventCapError) as alone:
+        _alone(worker, model, EmpiricalMeasure([20, 20]), derive_replica_rng(seed, err.replica), event_cap=cap)
+    assert (alone.value.time, alone.value.counts) == (err.time, err.counts)
 
 
 class _InlinePool:
