@@ -365,7 +365,6 @@ def _draws(rng: np.random.Generator, size: int):
     return e, u, memoryview(e), memoryview(u)
 
 
-@dataclass
 class _Runs:
     """Flat results of the replicas :func:`_run_replicas` runs, appended in
     stream order.
@@ -378,12 +377,11 @@ class _Runs:
     ``events[i]`` entries follow those of the replicas before it.
     """
 
-    times: list[float] = field(default_factory=list)
-    finals: list[int] = field(default_factory=list)
-    events: list[int] = field(default_factory=list)
-    snaps: list[int] = field(default_factory=list)
-    snap_events: list[int] = field(default_factory=list)
-    columns: tuple[list[float], list[int], list[int], list[str]] = field(default_factory=lambda: ([], [], [], []))
+    __slots__ = ("times", "finals", "events", "snaps", "snap_events", "columns")
+
+    def __init__(self) -> None:
+        self.times, self.finals, self.events, self.snaps, self.snap_events = [], [], [], [], []
+        self.columns: tuple[list[float], list[int], list[int], list[str]] = ([], [], [], [])
 
 
 def _run_replicas(
@@ -619,19 +617,6 @@ def _run_replicas(
         runs.events.append(n_events)
 
 
-def _simulate(model: Model, r: float, init: EmpiricalMeasure, T: float | None, rng, **options):
-    """One replica through :func:`_run_replicas`, which takes ``options``.
-
-    Returns ``(time, counts, columns, n_events, snapshots)``, with one
-    ``(counts, n_events)`` pair per snapshot time.
-    """
-    runs = _Runs()
-    _run_replicas(model, r, init, T, (rng,), runs, **options)
-    d = len(runs.finals)
-    snaps = [(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)]
-    return runs.times[0], runs.finals, runs.columns, runs.events[0], snaps
-
-
 def simulate_fv(
     model: Model,
     r: float,
@@ -657,16 +642,18 @@ def simulate_fv(
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    t, counts, columns, n_events, snaps = _simulate(
-        model, r, init, T, rng, record=record, event_cap=event_cap, snapshot_times=snapshot_times
+    runs = _Runs()
+    _run_replicas(
+        model, r, init, T, (rng,), runs, record=record, event_cap=event_cap, snapshot_times=snapshot_times
     )
+    d = len(init.counts)
     return Trajectory(
         initial=init,
-        columns=columns,
+        columns=runs.columns,
         horizon=T,
-        final_counts=tuple(counts),
-        event_count=n_events,
-        snapshots=snaps,
+        final_counts=tuple(runs.finals),
+        event_count=runs.events[0],
+        snapshots=[(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)],
     )
 
 
@@ -689,9 +676,7 @@ def simulate_selection_absorption(
     this is the event loop's one-stream case, equal draw for draw to
     the replica of an experiment's chunk that reads the same stream.
     """
-    t, counts, _, n_events, _ = _simulate(
-        model, r, init, None, rng, selection_only=True, record=False, event_cap=event_cap
-    )
-    n = init.n
-    site = counts.index(n)
-    return AbsorptionResult(t, model.states[site], n_events)
+    runs = _Runs()
+    _run_replicas(model, r, init, None, (rng,), runs, selection_only=True, record=False, event_cap=event_cap)
+    site = runs.finals.index(init.n)
+    return AbsorptionResult(runs.times[0], model.states[site], runs.events[0])

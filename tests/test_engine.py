@@ -19,7 +19,7 @@ from fvlab import (
     validate_model,
 )
 from fvlab import engine
-from fvlab.engine import _DUEL_BLOCK_MIN, _DUEL_SCALAR, DEFAULT_EVENT_CAP, _simulate
+from fvlab.engine import _DUEL_BLOCK_MIN, _DUEL_SCALAR, DEFAULT_EVENT_CAP, _run_replicas, _Runs
 
 from conftest import cycle_model_config, two_site_config
 from reference_engine import _simulate as reference_simulate
@@ -436,6 +436,17 @@ def test_duel_regime_absorption_pinned():
         uplus_cycle_model(), 1e3, init, np.random.default_rng(5)
     )
     assert res == (0.14177787030786487, "a", 5980)
+
+
+def _simulate(model, r, init, T, rng, **options):
+    """One replica through the engine's event loop, returned as
+    ``(time, counts, columns, n_events, snapshots)``, with one
+    ``(counts, n_events)`` pair per snapshot time."""
+    runs = _Runs()
+    _run_replicas(model, r, init, T, (rng,), runs, **options)
+    d = len(init.counts)
+    snaps = [(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)]
+    return runs.times[0], runs.finals, runs.columns, runs.events[0], snaps
 
 
 def live_simulate(**kwargs):
