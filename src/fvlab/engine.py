@@ -558,7 +558,7 @@ def _run_replicas(
                         if x < 0.0:
                             src = i
                             break
-                if src < 0:  # guard against roundoff at the block boundary
+                if src < 0:  # roundoff left x >= 0 past the last occupied mutating site: take that site
                     src = max(i for i in range(d) if counts[i] and mut_exit[i] > 0.0)
                 rates = mut_rates[src]
                 y = u_tgt * mut_exit[src]

@@ -70,6 +70,7 @@ keeps its rate layout once per (model, r).
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
@@ -134,8 +135,10 @@ def _is_dirac(v) -> bool:
 # ------------------------------------------------------------ config entries
 # An entry is valid by its name wherever the name appears: a top-level field,
 # a theorem3 point, a sim or mc key, a grid list item, an expect entry or a
-# tolerance.
-# ``store`` gives the form a top-level field keeps; blocks keep theirs as given.
+# tolerance.  The config keeps each entry in its stored form, at any depth:
+# a value as its ``store`` gives it (a float entry as a float, the model
+# document as a deep copy), a list as a tuple and a block as a new dict, so
+# it holds its own copy of the document.
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,6 @@ class _List:
     item: Any
     increasing: str | None = None
 
-    def store(self, value) -> tuple:
-        return tuple(map(self.item.store, value))
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -165,7 +165,6 @@ class _Block:
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
     lists: bool = False
-    store = dict
 
 
 def _integer(low: int) -> _Value:
@@ -178,7 +177,7 @@ _AT_LEAST_ONE = _Value("a finite number >= 1", lambda v: _is_real(v) and v >= 1,
 _LABEL = _Value("a site label (a string)", lambda v: isinstance(v, str))
 
 _VALUES: dict[str, Any] = {
-    "model": _Value("a model config block", lambda v: isinstance(v, Mapping)),  # then validate_model
+    "model": _Value("a model config block", lambda v: isinstance(v, Mapping), copy.deepcopy),  # then validate_model
     "name": _Value("a string", lambda v: isinstance(v, str)),
     "seed": _integer(0),
     "event_cap": _integer(1),
@@ -201,12 +200,12 @@ _VALUES: dict[str, Any] = {
         "a list of counts (integers >= 0) holding at least two particles, or a {'dirac': site} block",
         lambda v: _is_dirac(v)
         or isinstance(v, (list, tuple)) and all(_is_int(c, 0) for c in v) and sum(v) >= 2,
+        lambda v: dict(v) if _is_dirac(v) else tuple(v),
     ),
     "tolerances": _Value(
         "a mapping of tolerance names to finite numbers",
         lambda v: isinstance(v, Mapping) and all(isinstance(k, str) and _is_real(x) for k, x in v.items()),
-        lambda v: {k: float(x) for k, x in v.items()},
-    ),
+    ),  # then each key by its own entry
     "grid": _Block(("n", "alpha"), lists=True),
     "mc": _Block(("n", "alpha", "counts", "replicas")),
     "sim": _Block(("n", "r", "T", "replicas", "init"), ("time_points",)),
@@ -227,28 +226,33 @@ _VALUES: dict[str, Any] = {
 _COMMON = ("kind", "name", "seed", "event_cap", "tolerances")
 
 
-def _check(path: str, rule, value) -> None:
-    """Raise a :class:`ConfigError` naming ``path`` unless ``value`` satisfies ``rule``."""
+def _checked(path: str, rule, value):
+    """Check ``value`` against ``rule``, raising a :class:`ConfigError` that
+    names ``path``, and return it in its stored form."""
     if isinstance(rule, _Block):
         keys = set(value) if isinstance(value, Mapping) else {None}
         if not set(rule.required) <= keys <= {*rule.required, *rule.optional}:
             extra = f" and optionally {list(rule.optional)}" if rule.optional else ""
             raise ConfigError(f"{path} must be a block with keys {list(rule.required)}{extra}, got {value!r}")
-        for key, item in value.items():
-            _check(f"{path}.{key}", _List(_VALUES[key]) if rule.lists else _VALUES[key], item)
+        stored = {
+            key: _checked(f"{path}.{key}", _List(_VALUES[key]) if rule.lists else _VALUES[key], item)
+            for key, item in value.items()
+        }
         _check_horizon(f"{path}.", value)
-    elif isinstance(rule, _List):
+        return stored
+    if isinstance(rule, _List):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"{path} must be a nonempty list, got {value!r}")
-        for i, item in enumerate(value):
-            _check(f"{path}[{i}]", rule.item, item)
+        stored = tuple(_checked(f"{path}[{i}]", rule.item, item) for i, item in enumerate(value))
         if rule.increasing is not None:
             keys = [item[rule.increasing] if rule.increasing else item for item in value]
             if any(b <= a for a, b in zip(keys, keys[1:])):
                 by = f" in {rule.increasing}" if rule.increasing else ""
                 raise ConfigError(f"{path} must be strictly increasing{by}, got {list(value)}")
-    elif not rule.ok(value):
+        return stored
+    if not rule.ok(value):
         raise ConfigError(f"{path} must be {rule.desc}, got {value!r}")
+    return rule.store(value)
 
 
 def _check_horizon(prefix: str, entries: Mapping[str, Any]) -> None:
@@ -267,11 +271,11 @@ class ExperimentConfig:
     """Validated experiment description (see module docstring for kinds).
 
     ``model`` is an inline model config document.  Construction runs
-    :meth:`validate`, then stores the numbers of float fields as floats
-    and lists as tuples, so every instance is valid and both entry
-    points build equal configs from one document.  The validated
-    :class:`Model` is kept outside the fields: it is neither compared
-    nor hashed.
+    :meth:`validate`, which checks each entry and keeps it in its stored
+    form at any depth, so every instance is valid, holds its own copy of
+    the document, and both entry points build equal configs from one
+    document.  The validated :class:`Model` is kept outside the fields:
+    it is neither compared nor hashed.
     """
 
     kind: str
@@ -318,10 +322,6 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.validate()
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and f.name in _VALUES:
-                object.__setattr__(self, f.name, _VALUES[f.name].store(value))
 
     def validate(self) -> None:
         spec = _KINDS.get(self.kind)
@@ -340,12 +340,12 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} requires {', '.join(missing)}")
         for name, value in entries.items():
             if name in _VALUES:  # all but kind, looked up above
-                _check(name, _VALUES[name], value)
+                object.__setattr__(self, name, _checked(name, _VALUES[name], value))
         allowed = list(spec.tolerances)
         if set(self.tolerances) - set(allowed):
             raise ConfigError(f"{self.kind} reads only the tolerances {allowed}, got {list(self.tolerances)}")
-        for key, value in self.tolerances.items():
-            _check(f"tolerances.{key}", _VALUES[key], value)
+        tolerances = {key: _checked(f"tolerances.{key}", _VALUES[key], x) for key, x in self.tolerances.items()}
+        object.__setattr__(self, "tolerances", tolerances)
         _check_horizon("", entries)
         model = None if self.model is None else validate_model(self.model)  # raises ModelError
         object.__setattr__(self, "_model", model)
@@ -371,25 +371,15 @@ class ExperimentConfig:
         # default marginal grid: quarter, half and full horizon
         return tuple(f * self.T for f in (0.25, 0.5, 1.0))
 
-    def init_counts(self, model: Model, n: int) -> tuple[int, ...]:
-        init = self.init
-        if _is_dirac(init):
-            counts = [0] * model.num_states
-            counts[model.state_index(init["dirac"])] = n
-            return tuple(counts)
-        return tuple(int(c) for c in init)
-
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
-
     def canonical_dict(self) -> dict:
-        """The hashed config: kind, seed and delta always, other fields unless default."""
+        """The hashed config: kind, seed and delta always, other fields unless
+        default; in JSON types at every depth, its own copy."""
         doc: dict[str, Any] = {"kind": self.kind, "seed": self.seed, "delta": self.delta}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in doc and value != _default(f):
-                doc[f.name] = list(value) if isinstance(value, tuple) else value
-        return doc
+                doc[f.name] = value
+        return json.loads(json.dumps(doc))
 
 
 # ----------------------------------------------------------------- report
@@ -723,6 +713,13 @@ def _lift_law(law: LawOnStates, states: tuple[str, ...]) -> LawOnStates:
     return LawOnStates(states, v)
 
 
+def _init_counts(model: Model, init, n: int) -> tuple[int, ...]:
+    """Particle counts per model state of a stored ``init``: its counts, or n on its Dirac site."""
+    if _is_dirac(init):
+        return tuple(n if s == init["dirac"] else 0 for s in model.states)
+    return init
+
+
 def _chain_start(model: Model, counts: Sequence[int], r: float | None):
     """Initial condition for the condensate chain matching FV init counts.
 
@@ -749,7 +746,7 @@ def _exp_theorem1(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
     n, M = cfg.n, cfg.replicas
-    counts = cfg.init_counts(model, n)
+    counts = _init_counts(model, cfg.init, n)
     eps = _dkw_half_width(M, cfg.delta)
     limit_rates = condensate_rates(model, n, None)
     limit_start = _chain_start(model, counts, None)
@@ -782,10 +779,10 @@ def _exp_theorem1(run: _Run) -> None:
     # Adjacent sups are independent estimates with half-width eps each,
     # so differences below their combined half-widths are unresolvable;
     # demand non-increase only beyond that slack.
-    slack = cfg.tolerance("monotone_slack", 2.0 * eps)
+    slack = cfg.tolerances.get("monotone_slack", 2.0 * eps)
     worst_rise = max((b - a for a, b in zip(sups, sups[1:])), default=0.0)
     run.row("", "", "sup_tv_monotone_in_r", float(worst_rise), slack, _verdict(worst_rise <= slack))
-    band = cfg.tolerance("limit_band", 3.0 * eps)
+    band = cfg.tolerances.get("limit_band", 3.0 * eps)
     worst = sup_tv_limit[schedule[-1]]
     run.row(schedule[-1], "", "sup_tv_vs_limit_at_rmax", worst, band, _verdict(worst <= band))
     run.report.extras["sup_tv_finite"] = {str(r): sup_tv_finite[r] for r in schedule}
@@ -799,7 +796,7 @@ def _exp_theorem2(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
     n, M, T = cfg.n, cfg.replicas, cfg.T
-    counts = cfg.init_counts(model, n)
+    counts = _init_counts(model, cfg.init, n)
     means: list[float] = []
     for r in cfg.r_schedule:
         res = run.point(_fv_path_chunk, M, r, T, model=model, counts=counts)
@@ -820,11 +817,11 @@ def _exp_theorem2(run: _Run) -> None:
         mean_ch = res_c["avg_occ"].mean(axis=0)
         tv = float(np.abs(mean_fv - mean_ch).sum())
         se = math.sqrt(_tv_standard_error(res["avg_occ"]) ** 2 + _tv_standard_error(res_c["avg_occ"]) ** 2)
-        tol = cfg.tolerance("avg_occupation_band", 3.0 * se)
+        tol = cfg.tolerances.get("avg_occupation_band", 3.0 * se)
         run.row(r, T, "tv_mean_avg_occupation_fv_vs_chain", tv, tol, _verdict(tv <= tol))
         run.outcome(f"paths_r{r:g}.csv", model.states, res)
 
-    factor = cfg.tolerance("decay_factor", 5.0)
+    factor = cfg.tolerances.get("decay_factor", 5.0)
     if run.aborted:
         return
     if means[-1] > 0:
@@ -849,13 +846,13 @@ def _exp_theorem3(run: _Run) -> None:
     m_sup = model.killing.m_sup  # validate() admits only uniform_plus killing
     times = cfg.time_points
     # the mutation chain starts from the initial measure, shared by every point (init counts sum to each n)
-    start = cfg.init_counts(model, int(cfg.points[0]["n"]))
+    start = _init_counts(model, cfg.init, cfg.points[0]["n"])
     init_law = LawOnStates(model.states, np.asarray(start, dtype=float) / sum(start))
     exact_marginals = [ctmc_marginal(mutation_chain, init_law, t).probs for t in times]
     sups: list[tuple[float, float, float]] = []  # (scale, max lo, max hi) per completed point
     for i, point in enumerate(cfg.points):
-        n, r = int(point["n"]), float(point["r"])
-        counts = cfg.init_counts(model, n)
+        n, r = point["n"], point["r"]
+        counts = _init_counts(model, cfg.init, n)
         scale = n / model.min_killing_rate(r)
         res = run.point(_fv_final_chunk, M, r, times, model=model, counts=counts)
         if res is None:
@@ -883,7 +880,7 @@ def _exp_theorem3(run: _Run) -> None:
         # lower and the largest upper 3-sigma bound
         sups.append((scale, max(los), max(his)))
 
-    factor = cfg.tolerance("cprime_factor", 3.0)
+    factor = cfg.tolerances.get("cprime_factor", 3.0)
     if run.aborted:
         return
     max_lo = max(lo for _, lo, _ in sups)
@@ -899,11 +896,10 @@ def _exp_absorption_tail(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
     M = cfg.replicas
-    counts = tuple(cfg.init)
     slopes: list[float] = []
     floors: list[float] = []
     for r in cfg.r_schedule:
-        res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)
+        res = run.point(_absorption_chunk, M, r, "", model=model, counts=cfg.init)
         if res is None:
             continue
         taus = res["tau"]
@@ -922,7 +918,7 @@ def _exp_absorption_tail(run: _Run) -> None:
         return
     expected = floors[-1] / floors[0]
     achieved = slopes[-1] / slopes[0]
-    tol = cfg.tolerance("slope_ratio_rel_tol", 0.20)
+    tol = cfg.tolerances.get("slope_ratio_rel_tol", 0.20)
     ok = abs(achieved / expected - 1.0) <= tol
     run.row("", "", "tail_slope_ratio_vs_killing_floor_ratio", achieved, tol * expected, _verdict(ok))
     run.report.extras["expected_slope_ratio"] = expected
@@ -932,28 +928,25 @@ def _exp_eta_inf(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
     r = cfg.r_schedule[0]
-    counts = tuple(cfg.init)
-    exact = initial_condensation_law(model, counts)
+    exact = initial_condensation_law(model, cfg.init)
 
-    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=counts)
+    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=cfg.init)
     if res is None:
         return
     emp = empirical_law(res["site"], model.states)
     tv = tv_distance(emp, exact.law)
-    tol = cfg.tolerance("tv_tol", 0.02)
+    tol = cfg.tolerances.get("tv_tol", 0.02)
     run.row(r, "", "tv_exact_vs_absorbed_site_law", tv, tol, _verdict(tv <= tol))
-    run.report.extras["lambda_set"] = list(exact.lambda_set)
-    run.report.extras["eta_infinity"] = exact.law.as_dict()
+    run.report.extras.update(exact.to_json_dict())
     run.outcome("absorbed_sites.csv", model.states, res)
 
 
 def _exp_committor_check(run: _Run) -> None:
     cfg = run.cfg
-    tol = cfg.tolerance("grid_tol", 1e-9)
+    tol = cfg.tolerances.get("grid_tol", 1e-9)
     worst = 0.0
     for n in cfg.grid["n"]:
         for alpha in cfg.grid["alpha"]:
-            alpha = float(alpha)
             table = committor_numeric([1.0, alpha], n)
             g = gamblers_ruin_committor(n, alpha)
             err = 0.0
@@ -965,7 +958,7 @@ def _exp_committor_check(run: _Run) -> None:
 
     if cfg.mc is None:
         return
-    n, alpha, counts, M = cfg.mc["n"], float(cfg.mc["alpha"]), tuple(cfg.mc["counts"]), cfg.mc["replicas"]
+    n, alpha, counts, M = cfg.mc["n"], cfg.mc["alpha"], cfg.mc["counts"], cfg.mc["replicas"]
     r = 1.0  # the two sites die at rates r and alpha * r; only alpha matters
     model = validate_model(
         {
@@ -997,23 +990,21 @@ def _exp_conjecture_probe(run: _Run) -> None:
 
     if cfg.expect:
         if "stable_sites" in cfg.expect:
-            same = analysis.stable_sites == tuple(cfg.expect["stable_sites"])
+            same = analysis.stable_sites == cfg.expect["stable_sites"]
             run.row("", "", "stable_sites_match", float(same), "", _verdict(same))
         for entry in cfg.expect.get("rates", ()):
-            x, y, want = entry["from"], entry["to"], float(entry["rate"])
+            x, y, want = entry["from"], entry["to"], entry["rate"]
             present = x in chain.states and y in chain.states
             got = chain.entry(x, y) if present else None
             run.row("", "", f"rate_{x}_to_{y}", got, 1e-12, _verdict(present and abs(got - want) <= 1e-12))
 
     if cfg.sim is None:
         return
-    n, r, T, M = cfg.sim["n"], float(cfg.sim["r"]), float(cfg.sim["T"]), cfg.sim["replicas"]
-    times = tuple(float(t) for t in cfg.sim.get("time_points", (T,)))
+    n, r, T, M = cfg.sim["n"], cfg.sim["r"], cfg.sim["T"], cfg.sim["replicas"]
+    times = cfg.sim.get("time_points", (T,))
     start_site = cfg.sim["init"]["dirac"]  # a stable site, by validate()
-    counts = [0] * model.num_states
-    counts[model.state_index(start_site)] = n
     tol = 3.0 * _dkw_half_width(M, cfg.delta)
-    res = run.point(_fv_final_chunk, M, r, times, model=model, counts=tuple(counts))
+    res = run.point(_fv_final_chunk, M, r, times, model=model, counts=_init_counts(model, cfg.sim["init"], n))
     if res is None:
         return
     for j, t in enumerate(times):

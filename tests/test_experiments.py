@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -570,13 +571,14 @@ def test_config_conjecture_probe_expect_entries(expect, fragment):
 
 def test_config_init_counts_resolution():
     from fvlab import validate_model
+    from fvlab.experiments import _init_counts
 
     cfg = ExperimentConfig.from_dict(theorem1_doc())
     model = validate_model(cycle_model_config())
-    assert cfg.init_counts(model, 3) == (3, 0, 0)
+    assert _init_counts(model, cfg.init, 3) == (3, 0, 0)
     listy = ExperimentConfig.from_dict(theorem1_doc(init=[1, 1, 1]))
-    assert listy.init_counts(model, 3) == (1, 1, 1)
-    with pytest.raises(ConfigError, match="sum"):  # checked by validate(), not init_counts
+    assert _init_counts(model, listy.init, 3) == (1, 1, 1)
+    with pytest.raises(ConfigError, match="sum"):  # checked by validate(), not _init_counts
         ExperimentConfig.from_dict(theorem1_doc(init=[1, 1, 1], n=4))
 
 
@@ -613,6 +615,7 @@ def test_report_rows_and_hash(small_theorem1_report):
 
 def test_report_timing_points(small_theorem1_report):
     from fvlab import EmpiricalMeasure, simulate_fv
+    from fvlab.experiments import _init_counts
 
     rep, cfg = small_theorem1_report, ExperimentConfig.from_dict(theorem1_doc())
     points = rep.timing["points"]
@@ -621,7 +624,7 @@ def test_report_timing_points(small_theorem1_report):
     assert [(p["r"], p["t"]) for p in points] == [(r, times) for r in cfg.r_schedule]
     assert sum(p["events"] for p in points) == rep.events_total
     model = cfg.validated_model()
-    init = EmpiricalMeasure(cfg.init_counts(model, cfg.n))
+    init = EmpiricalMeasure(_init_counts(model, cfg.init, cfg.n))
     for pid, p in enumerate(points):
         spread = p["events_per_replica"]
         assert p["replicas"] == cfg.replicas and p["wall_s"] > 0
@@ -1464,7 +1467,7 @@ def test_theorem2_abort_keeps_later_points_on_their_blocks():
 
 def test_config_entry_points_agree():
     docs = [*_pinned_docs().values(), *map(_kind_doc, EXPERIMENT_KINDS)]
-    # integers in float fields are kept as floats, so "T": 1 hashes as 1.0 either way
+    # integers in float entries are kept as floats at any depth, so "T": 1 hashes as 1.0 either way
     docs.append(theorem1_doc(T=1, r_schedule=[10, 100], time_points=[0.5, 1], tolerances={"limit_band": 1}))
     for doc in docs:
         built, direct = ExperimentConfig.from_dict(doc), ExperimentConfig(**doc)
@@ -1473,6 +1476,46 @@ def test_config_entry_points_agree():
     canonical = json.dumps(ExperimentConfig(**docs[-1]).canonical_dict(), sort_keys=True)
     assert '"T": 1.0' in canonical and '"r_schedule": [10.0, 100.0]' in canonical
     assert '"time_points": [0.5, 1.0]' in canonical and '"limit_band": 1.0' in canonical
+
+    def nested(num):  # float entries inside blocks and lists, num(2) spelled 2 or 2.0
+        sim = {"n": 4, "r": num(50), "T": num(1), "replicas": 100, "init": {"dirac": "a"}}
+        expect = {"rates": [{"from": "a", "to": "b", "rate": num(2)}]}
+        mc = {"n": 4, "alpha": num(2), "counts": [3, 1], "replicas": 200}
+        return [
+            _theorem3_doc(points=[{"n": 6, "r": num(50)}, {"n": 8, "r": num(200)}]),
+            dict(_pinned_docs()["conjecture_probe"], sim=dict(sim, time_points=[0.5, num(1)]), expect=expect),
+            _committor_doc(grid={"n": [2, 4], "alpha": [0.5, num(2)]}, mc=mc),
+        ]
+
+    for ints, floats in zip(nested(int), nested(float)):
+        assert json.dumps(ints) != json.dumps(floats)  # equal in Python, spelled apart in JSON
+        canonical = [ExperimentConfig.from_dict(doc).canonical_dict() for doc in (ints, floats)]
+        assert json.dumps(canonical[0], sort_keys=True) == json.dumps(canonical[1], sort_keys=True)
+    assert run_experiment(nested(int)[-1]).result_hash == run_experiment(nested(float)[-1]).result_hash
+
+
+def test_config_keeps_its_own_copy_of_the_document():
+    # edits to the document after construction reach neither the config nor what it runs and hashes
+    cases = [
+        (theorem1_doc(init=[2, 1, 0]), lambda doc: doc["init"].__setitem__(0, 7)),
+        (theorem1_doc(), lambda doc: doc["model"]["killing"]["c"].update(a=3.0)),
+        (_committor_doc(), lambda doc: doc["grid"]["alpha"].append(3.0)),
+        (_pinned_docs()["conjecture_probe_sim"], lambda doc: doc["sim"]["time_points"].append(0.75)),
+        (_theorem3_doc(), lambda doc: doc["points"][0].update(r=60.0)),
+    ]
+    for doc, edit in cases:
+        cfg, fresh = ExperimentConfig.from_dict(doc), ExperimentConfig.from_dict(copy.deepcopy(doc))
+        edit(doc)
+        assert cfg == fresh
+        assert cfg.canonical_dict() == fresh.canonical_dict()
+        assert run_experiment(cfg).result_hash == run_experiment(fresh).result_hash
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+def test_canonical_dict_survives_json_round_trip(kind):
+    doc = dict(_kind_doc(kind), **_READS[kind][1])  # every optional field, blocks included
+    canonical = ExperimentConfig.from_dict(doc).canonical_dict()
+    assert json.loads(json.dumps(canonical)) == canonical
 
 
 # ---------------------------------------------------------- kind read sets
