@@ -33,13 +33,13 @@ computed: in the scalar loop or in a numpy block.
 
 The one event loop, :func:`_run_replicas`, takes a chunk's streams and
 runs one replica per stream.  What every replica shares is prepared
-once per call: the rate layout, n and 1/(n-1), the checked snapshot
-times, the initial support size and the event cap.  A replica resets
-only its own state (counts, time, draw buffer, event count, pending
-snapshots) and appends its results to flat lists, which the caller
-turns into numpy arrays once per chunk.  A replica reads nothing but
-its stream and that state, so its results are bit for bit those of
-its stream run alone, whichever replicas share its chunk.
+once per call: n and 1/(n-1), the checked snapshot times and the event
+cap.  A replica resets only its own state (counts, time, draw buffer,
+event count, pending snapshots) and appends its results to flat
+lists, which the caller turns into numpy arrays once per chunk.  A
+replica reads nothing but its stream and that state, so its results
+are bit for bit those of its stream run alone, whichever replicas
+share its chunk.
 :func:`simulate_fv` and :func:`simulate_selection_absorption` are the
 one-stream case.
 
@@ -52,13 +52,24 @@ times from 0 and the normalized counts holding from each.
 to each one's Dirac-distance integral and time-average occupation in
 one numpy pass.
 
+Fast selection pulls the particles into one condensate, so a replica
+spends almost all its events at a few count vectors: Dirac masses and
+two-site splits.  The generic step therefore reads its rates from a
+record per count vector, built the first time the loop meets it: the
+mutation and selection totals, and each occupied site's mutation and
+death terms in site order, the very floats the totals were summed from,
+so subtracting them in turn takes the same decisions as recomputing
+them.  The records depend on (model, r) and the particle count only, so
+they are kept on the model with the rate layout, in one table per
+particle count, emptied when it holds ``_STATES`` records; a record
+lost that way is rebuilt equal, so this bounds memory and changes no
+result.  A model pickles without them.
+
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
-dies out.  Whenever the support has exactly two sites the loop steps
-the count at a directly, on rates tabulated once per pair and split.
-The rate layout and these tables depend on (model, r) and the particle
-count only, so they are built once per (model, r) and kept on the
-model, not rebuilt for every replica.
+dies out.  Whenever the support has exactly two sites (its record names
+the pair) the loop steps the count at a directly, on rates tabulated
+once per pair and split, kept beside the records.
 This path is the generic step specialized, not an approximation: it
 reads the same draws from the same buffer positions, refills the
 buffer at the same points, and evaluates the generic loop's own
@@ -121,6 +132,7 @@ _FIRST = 21  # steps drawn by a replica's first refill
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
 _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
+_STATES = 4096  # most count vectors a kernel keeps per particle count before it forgets them all
 
 
 class EventCapError(RuntimeError):
@@ -272,12 +284,14 @@ class AbsorptionResult(NamedTuple):
 def _kernel(model: Model, r: float, selection_only: bool):
     """The event loop's rate layout at intensity r, built once per (model, r).
 
-    Returns ``(d, lam, mut_exit, mut_targets, mut_rates, duels)``, where
-    ``duels`` maps ``(n, a, b)`` to that pair's :func:`_duel_tables`,
-    filled as duels occur.  The memo is kept on the model outside its
-    dataclass fields; a model is immutable, so an entry never goes
-    stale.  The key holds the type of r because the rates keep it (a
-    numpy scalar r gives numpy scalar rates).
+    Returns ``(lam, mut_exit, mut_targets, mut_rates, by_n)``, where
+    ``by_n`` maps a particle count n to its ``(states, duels, place)``:
+    the :func:`_state` records of the count vectors met so far and the
+    duel of each pair of sites, both filled as the loop meets them, and
+    the place value of each site's count in a count vector's key.  The memo
+    is kept on the model outside its dataclass fields; a model is
+    immutable, so an entry never goes stale.  The key holds the type of r
+    because the rates keep it (a numpy scalar r gives numpy scalar rates).
     """
     memo = vars(model).setdefault("_kernels", {})
     key = (type(r), r, selection_only)
@@ -293,8 +307,56 @@ def _kernel(model: Model, r: float, selection_only: bool):
             mut_exit = list(model.exit_rate)
             mut_targets = model.out_targets
             mut_rates = model.out_rates
-        kernel = memo[key] = (d, lam, mut_exit, mut_targets, mut_rates, {})
+        kernel = memo[key] = (lam, mut_exit, mut_targets, mut_rates, {})
     return kernel
+
+
+def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
+    """The generic step's rates at ``counts``, kept in ``states`` under
+    ``key``; ``states`` is emptied first when it holds ``_STATES``.
+
+    Returns ``(r_mut, total, sites, mut_last, death_last, duel)``.
+    ``r_mut`` and ``total`` are the generic step's sums, accumulated from
+    0.0 over the occupied sites in site order.  ``sites`` holds three
+    entries per occupied site, in that order: the site, its mutation term
+    ``k * exit`` and its death term ``k * lam * (n - k) / (n - 1)``, the
+    floats the sums were made of, so subtracting them in turn finds the
+    site the generic step finds.  ``mut_last`` and ``death_last`` are the
+    sites roundoff falls back to: the last occupied site with a mutation
+    exit, and the last with ``k < n``.  ``duel`` is ``(a, b, rows, tables,
+    p_a)`` with the pair's :func:`_duel_tables` when the support is the
+    two sites a < b, else None.
+
+    A record is two tuples of numbers, and ``key`` an int, so thousands
+    of them add few objects for the cyclic garbage collector to count:
+    a tuple per site would bring on full collections that cost more
+    than the records save.
+    """
+    if len(states) >= _STATES:
+        states.clear()
+    r_mut = 0.0
+    r_sel = 0.0
+    sites = []
+    mut_last = death_last = -1
+    for i, k in enumerate(counts):
+        if k:
+            term = k * mut_exit[i]
+            r_mut += term
+            sel = k * lam[i] * (n - k)
+            r_sel += sel
+            sites += (i, term, sel * inv_nm1)
+            if term > 0.0:
+                mut_last = i
+            if k < n:
+                death_last = i
+    duel = None
+    if len(sites) == 6:
+        a, b = sites[0], sites[3]
+        duel = duels.get((a, b))
+        if duel is None:
+            duel = duels[(a, b)] = (a, b, *_duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]))
+    state = states[key] = (r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last, duel)
+    return state
 
 
 def _duel_tables(n, inv_nm1, la, lb, ea, eb):
@@ -418,10 +480,16 @@ def _run_replicas(
         if not (ordered and 0 < first_marks[-1] and first_marks[0] <= horizon):
             raise ValueError(f"snapshot times must increase within (0, {horizon}], got {first_marks[::-1]}")
     first_stop = first_marks[-1] if first_marks else horizon
-    d, lam, mut_exit, mut_targets, mut_rates, duels = _kernel(model, r, selection_only)
+    lam, mut_exit, mut_targets, mut_rates, by_n = _kernel(model, r, selection_only)
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
-    first_sites = d - init.counts.count(0)
+    prepared = by_n.get(n)
+    if prepared is None:
+        # a count vector's key is the number whose digits in base n + 1 are
+        # its counts: each event adds the target's place and takes the source's
+        prepared = by_n[n] = ({}, {}, [(n + 1) ** i for i in range(len(lam))])
+    states, duels, place = prepared
+    first_key = sum(k * p for k, p in zip(init.counts, place))
     last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
     ev_t, ev_src, ev_tgt, ev_kind = runs.columns
     snaps, snap_events = runs.snaps, runs.snap_events
@@ -435,6 +503,7 @@ def _run_replicas(
 
     for rng in rngs:
         counts = list(init.counts)
+        key = first_key
         marks = first_marks.copy()  # pending snapshot times, latest first
         stop = first_stop
         size = _FIRST
@@ -444,17 +513,13 @@ def _run_replicas(
         pos = 0
         t = 0.0
         n_events = 0
-        n_sites = first_sites
         while True:
-            if n_sites == 2:
+            state = states.get(key) or _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit)
+            if state[5] is not None:
                 # Two-site duel: the generic step below, specialized.  Rates
                 # are tabulated per split with the generic loop's expressions
                 # in its order, so every comparison sees the same floats.
-                a, b = [i for i in range(d) if counts[i]]
-                duel = duels.get((n, a, b))
-                if duel is None:
-                    duel = duels[(n, a, b)] = _duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b])
-                (rm_tab, kill_a_tab, total_tab), tables, p_a = duel
+                a, b, (rm_tab, kill_a_tab, total_tab), tables, p_a = state[5]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
                 while True:
@@ -511,19 +576,12 @@ def _run_replicas(
                         run = 1
                         continue
                     break
-                counts[a], counts[b] = ka, n - ka
-                if not 0 < ka < n:
-                    n_sites = 1
+                if ka != counts[a]:
+                    key += (ka - counts[a]) * (place[a] - place[b])
+                    counts[a], counts[b] = ka, n - ka
+                    state = states.get(key) or _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit)
 
-            r_mut = 0.0
-            r_sel = 0.0
-            for i in range(d):
-                k = counts[i]
-                if k:
-                    r_mut += k * mut_exit[i]
-                    r_sel += k * lam[i] * (n - k)
-            r_sel *= inv_nm1
-            total = r_mut + r_sel
+            r_mut, total, sites, mut_last, death_last, _ = state
             if total <= 0.0:
                 break
 
@@ -550,16 +608,13 @@ def _run_replicas(
             x = u_cat * total
             if x < r_mut:
                 # mutation: locate the site, then the outgoing edge
-                src = -1
-                for i in range(d):
-                    k = counts[i]
-                    if k:
-                        x -= k * mut_exit[i]
-                        if x < 0.0:
-                            src = i
-                            break
-                if src < 0:  # roundoff left x >= 0 past the last occupied mutating site: take that site
-                    src = max(i for i in range(d) if counts[i] and mut_exit[i] > 0.0)
+                for j in range(1, len(sites), 3):
+                    x -= sites[j]
+                    if x < 0.0:
+                        src = sites[j - 1]
+                        break
+                else:  # roundoff left x >= 0 past the last occupied mutating site: take that site
+                    src = mut_last
                 rates = mut_rates[src]
                 y = u_tgt * mut_exit[src]
                 tgt = mut_targets[src][-1]
@@ -572,34 +627,26 @@ def _run_replicas(
             else:
                 # count-changing death: killed site, then survivor's site
                 x -= r_mut
-                src = -1
-                for i in range(d):
-                    k = counts[i]
-                    if k:
-                        x -= k * lam[i] * (n - k) * inv_nm1
-                        if x < 0.0:
-                            src = i
-                            break
-                if src < 0:
-                    src = max(i for i in range(d) if 0 < counts[i] < n)
+                for j in range(2, len(sites), 3):
+                    x -= sites[j]
+                    if x < 0.0:
+                        src = sites[j - 2]
+                        break
+                else:
+                    src = death_last
                 y = u_tgt * (n - counts[src])
-                tgt = -1
-                for j in range(d):
-                    if j != src and counts[j]:
-                        y -= counts[j]
+                for tgt in sites[::3]:
+                    if tgt != src:
+                        y -= counts[tgt]
                         if y < 0.0:
-                            tgt = j
                             break
-                if tgt < 0:
-                    tgt = max(j for j in range(d) if j != src and counts[j])
+                else:
+                    tgt = max(j for j in sites[::3] if j != src)
                 kind = "selection"
 
             counts[src] -= 1
             counts[tgt] += 1
-            if not counts[src]:
-                n_sites -= 1
-            if counts[tgt] == 1:
-                n_sites += 1
+            key += place[tgt] - place[src]
             n_events += 1
             if record:
                 ev_t.append(t)

@@ -358,6 +358,9 @@ class ExperimentConfig:
             for n in [self.n] if self.n else [p["n"] for p in self.points or ()]:
                 if sum(init) != n:
                     raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
+        sim_r = [self.sim["r"]] if self.sim else []
+        for r in [*(self.r_schedule or ()), *(p["r"] for p in self.points or ()), *sim_r]:
+            model.min_killing_rate(r)  # raises ModelError where a killing rate overflows
         spec.check(self, model)
 
     # -- helpers ----------------------------------------------------
@@ -442,7 +445,7 @@ class Report:
             odir = os.path.join(out_dir, "outcomes")
             os.makedirs(odir, exist_ok=True)
             for fname, text in outcome_texts.items():
-                with open(os.path.join(odir, fname), "w", encoding="utf-8") as fh:
+                with open(os.path.join(odir, fname), "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
 
 

@@ -66,9 +66,6 @@ class PowerLawKilling:
     def rate(self, r: float, i: int) -> float:
         return self.c[i] * r ** float(self.beta[i])
 
-    def min_rate(self, r: float) -> float:
-        return min(self.rate(r, i) for i in range(len(self.c)))
-
     def limit_ratio(self, i: int, j: int) -> float:
         """Large-r limit of rate(r, j) / rate(r, i), in [0, inf]."""
         if self.beta[j] > self.beta[i]:
@@ -95,9 +92,6 @@ class UniformPlusBoundedKilling:
 
     def rate(self, r: float, i: int) -> float:
         return r + self.m[i]
-
-    def min_rate(self, r: float) -> float:
-        return r + min(self.m)
 
     def limit_ratio(self, i: int, j: int) -> float:
         return 1.0
@@ -162,14 +156,22 @@ class Model:
         return 0.0
 
     def killing_rate(self, r: float, x: Union[str, int]) -> float:
-        """Evaluate lambda_r(x); requires a finite r >= 1."""
+        """Evaluate lambda_r(x); requires a finite r >= 1 at which the rate
+        is finite, else raises :class:`ModelError`."""
         _check_intensity(r)
-        return self.killing.rate(r, self.state_index(x))
+        i = self.state_index(x)
+        try:
+            rate = self.killing.rate(r, i)
+        except OverflowError:  # a float power out of range raises; a product out of range gives inf
+            rate = math.inf
+        if not rate < math.inf:
+            raise ModelError(f"killing rate at {self.states[i]!r} overflows at r={r}")
+        return rate
 
     def min_killing_rate(self, r: float) -> float:
-        """The uniform floor min_x lambda_r(x)."""
-        _check_intensity(r)
-        return self.killing.min_rate(r)
+        """The uniform floor min_x lambda_r(x); raises :class:`ModelError`
+        where a rate overflows."""
+        return min(self.killing_rate(r, i) for i in range(self.num_states))
 
     def alpha(self, x: Union[str, int], y: Union[str, int], r: float | None = None) -> float:
         """Rate ratio lambda_r(y)/lambda_r(x) in [0, inf]; ``r=None`` gives the large-r limit."""
@@ -178,11 +180,7 @@ class Model:
             return 1.0
         if r is None:
             return self.killing.limit_ratio(i, j)
-        _check_intensity(r)
-        ratio = self.killing.rate(r, j) / self.killing.rate(r, i)
-        if math.isnan(ratio):  # both rates overflowed to inf
-            raise ModelError(f"rate ratio {self.states[j]!r}/{self.states[i]!r} undefined at r={r}")
-        return ratio
+        return self.killing_rate(r, j) / self.killing_rate(r, i)
 
     def config_dict(self) -> dict:
         """Canonical JSON-ready form (mutation entries sorted)."""
@@ -200,6 +198,13 @@ class Model:
     def content_hash(self) -> str:
         blob = json.dumps(self.config_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields alone: the engine's ``_kernels`` memo is rebuilt
+        where it is used, so it is not carried to a worker."""
+        state = dict(vars(self))
+        state.pop("_kernels", None)
+        return state
 
 
 def _is_int(v, low: int) -> bool:

@@ -100,6 +100,16 @@ def test_limit_chain_limit_intensity(cycle_model_file, capsys):
     assert rates[("a", "b")] == pytest.approx(3 / 7)
 
 
+@pytest.mark.parametrize("r", ["1e200", "1e154"], ids=["power-overflow", "prefactor-overflow"])
+def test_limit_chain_overflowing_intensity_exits_2(tmp_path, capsys, r):
+    # r ** 2 out of range used to end in an OverflowError traceback (exit
+    # 1); 4 * r ** 2 out of range used to give an inf killing rate
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(cycle_model_config(beta=(1, 2, 1))))
+    assert main(["limit-chain", str(path), "--n", "5", "--r", r]) == 2
+    assert f"error: killing rate at 'b' overflows at r={float(r)}" in capsys.readouterr().err
+
+
 def test_limit_chain_requires_n_without_conjecture(cycle_model_file, capsys):
     assert main(["limit-chain", cycle_model_file]) == 2
     assert "--n is required" in capsys.readouterr().err
@@ -288,6 +298,12 @@ def test_run_threads_below_one_exits_2_before_running(tmp_path, capsys, monkeypa
              "T": 10**400, "replicas": 100, "init": {"dirac": "a"}},
             "T must be a finite number > 0, got 1000",
         ),
+        # an r at which a killing rate overflows used to end in OverflowError (exit 1)
+        (
+            {"kind": "theorem1_marginal", "model": cycle_model_config(beta=(1, 2, 1)), "n": 3,
+             "r_schedule": [10.0, 1e200], "T": 0.5, "replicas": 100, "init": {"dirac": "a"}},
+            "killing rate at 'b' overflows at r=1e+200",
+        ),
         # a document that is not a mapping used to raise TypeError (exit 1)
         (None, "config must be a mapping of fields, got None"),
         (3, "config must be a mapping of fields, got 3"),
@@ -299,8 +315,8 @@ def test_run_threads_below_one_exits_2_before_running(tmp_path, capsys, monkeypa
             "absorption_tail needs particles on at least two sites, got init [5, 0, 0]",
         ),
     ],
-    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "null-document", "number-document",
-         "list-document", "tail-on-one-site"],
+    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "overflowing-intensity", "null-document",
+         "number-document", "list-document", "tail-on-one-site"],
 )
 def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
     def fail(*args, **kwargs):

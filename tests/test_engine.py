@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -722,3 +723,70 @@ def test_prepared_kernel_never_goes_stale():
             assert got == outcome(reference_simulate, 41, case), (sweep, k)
             assert outcomes.setdefault(k, got) == got
     assert len({repr(outcomes[k]) for k in range(4)}) == 4  # the full-dynamics paths all differ
+
+
+def uplus_cycle8_model():
+    """Eight sites on a one-way mutation cycle, offsets 0 to 7: at n = 100,
+    r = 10 the particles spread over all of them, so most events reach a
+    count vector not met before."""
+    states = [f"s{i}" for i in range(8)]
+    mutation = [{"from": a, "to": b, "rate": 1.0} for a, b in zip(states, states[1:] + states[:1])]
+    killing = {"kind": "uniform_plus", "m": {s: float(i) for i, s in enumerate(states)}}
+    return validate_model({"states": states, "mutation": mutation, "killing": killing})
+
+
+STATE_TABLE_CASES = {
+    "d8-n100-r10": lambda: dict(model=uplus_cycle8_model(), r=10.0, init=EmpiricalMeasure.dirac(8, 0, 100), T=1.0),
+    "n10-r10-recorded": lambda: dict(
+        model=validate_model(cycle_model_config()), r=10.0, init=EmpiricalMeasure.dirac(3, 0, 10), T=1.0
+    ),
+    "numpy-r": lambda: dict(
+        model=validate_model(cycle_model_config()), r=np.float64(100.0), init=EmpiricalMeasure([5, 3, 2]), T=1.0
+    ),
+    "absorption": lambda: dict(
+        model=validate_model(cycle_model_config()), r=100.0, init=EmpiricalMeasure([4, 3, 3]), T=None,
+        selection_only=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["default-cap", "cap-2"])
+@pytest.mark.parametrize("name", list(STATE_TABLE_CASES))
+def test_state_table_is_bounded_and_changes_no_result(name, cap):
+    # Each count vector's rates are kept per (model, r, n) and the table is
+    # emptied when full; at a cap of 2 it empties many times within each
+    # replica, and the loop must still reproduce the reference bit for bit.
+    case = STATE_TABLE_CASES[name]()
+    limit = engine._STATES if cap is None else cap
+    build, sizes = engine._state, []
+
+    def counted(states, *args):
+        state = build(states, *args)
+        sizes.append(len(states))
+        return state
+
+    with patch.object(engine, "_STATES", limit), patch.object(engine, "_state", counted):
+        for seed in (3, 4):
+            assert outcome(live_simulate, seed, case) == outcome(reference_simulate, seed, case), seed
+    assert sizes and max(sizes) <= limit
+    if cap is not None:
+        assert len(sizes) > 3 * cap  # the table was emptied mid-replica
+    if name == "numpy-r":  # a numpy scalar r keeps its own kernel and gives the float r's path
+        float_case = dict(case, r=100.0)
+        assert outcome(live_simulate, 3, float_case) == outcome(live_simulate, 3, case)
+        assert len(vars(case["model"])["_kernels"]) == 2
+
+
+def test_model_pickles_without_its_kernel_memo():
+    # the memo holds every rate table a run built, and a model sent to a
+    # worker process used to carry it along
+    model = uplus_cycle_model()
+    size = len(pickle.dumps(model))
+    init = EmpiricalMeasure([20, 20, 0])
+    traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(2))
+    assert vars(model)["_kernels"]  # the run filled the memo
+    blob = pickle.dumps(model)
+    assert len(blob) == size
+    copy = pickle.loads(blob)
+    assert "_kernels" not in vars(copy) and copy.content_hash() == model.content_hash()
+    assert simulate_fv(copy, 1e3, init, 1.0, np.random.default_rng(2)).columns == traj.columns

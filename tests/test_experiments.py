@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fvlab import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
+    ModelError,
     derive_replica_rng,
     run_experiment,
 )
@@ -537,6 +540,28 @@ def test_config_conjecture_probe_sim_fields(sim, fragment):
         ExperimentConfig.from_dict(_probe_sim_doc(**sim))
 
 
+def _overflowing_uniform_plus_cycle():
+    model = _uniform_plus_cycle()
+    model["killing"]["m"]["c"] = 1e300  # r + m is not finite at the largest float r
+    return model
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        lambda: theorem1_doc(model=azb_config(), r_schedule=[10.0, 1e200]),
+        lambda: _theorem3_doc(model=_overflowing_uniform_plus_cycle(),
+                              points=[{"n": 6, "r": 50.0}, {"n": 8, "r": sys.float_info.max}]),
+        lambda: _probe_sim_doc(r=1e200),
+    ],
+    ids=["r_schedule", "points", "sim"],
+)
+def test_config_rejects_an_intensity_whose_killing_rate_overflows(doc):
+    # each used to pass validation and fail later, in the run
+    with pytest.raises(ModelError, match=r"killing rate at '[a-z]' overflows at r="):
+        ExperimentConfig.from_dict(doc())
+
+
 def test_config_conjecture_probe_expect_keys():
     doc = {"kind": "conjecture_probe", "model": azb_config(), "expect": {"stable_sites": ["a", "b"]}}
     ExperimentConfig.from_dict(doc)
@@ -685,6 +710,26 @@ def test_report_write_outputs(tmp_path):
     assert outcome_files, "per-point outcome tables should be written"
     digests = set(rep.outcome_digests.values())
     assert len(digests) == len(rep.outcome_digests)  # distinct points differ
+
+
+def test_written_outcome_files_re_digest_to_the_report(tmp_path, monkeypatch):
+    # An outcome text holds csv's \r\n line ends.  Written with newline
+    # translation, as text files are on a \r\n platform, they became
+    # \r\r\n on disk and the file no longer matched its digest.
+    import builtins
+
+    import fvlab.experiments as experiments
+
+    def crlf_open(*args, newline="\r\n", **kwargs):
+        return builtins.open(*args, newline=newline, **kwargs)
+
+    monkeypatch.setattr(experiments, "open", crlf_open, raising=False)
+    rep = run_experiment(ExperimentConfig.from_dict(theorem1_doc()), out_dir=tmp_path)
+    files = sorted((tmp_path / "outcomes").glob("*.csv"))
+    assert [f.name for f in files] == sorted(rep.outcome_digests)
+    for f in files:
+        assert b"\r\r" not in f.read_bytes()
+        assert hashlib.sha256(f.read_bytes()).hexdigest()[:16] == rep.outcome_digests[f.name]
 
 
 def test_outcome_table_formats_each_column_by_dtype():

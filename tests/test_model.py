@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -173,8 +174,33 @@ def test_alpha_undefined_when_both_rates_overflow():
         }
     )
     assert model.alpha("x", "y", 10.0) == 1.0
-    with pytest.raises(ModelError, match="undefined"):
+    with pytest.raises(ModelError, match="overflows at r=10000000000.0"):
         model.alpha("x", "y", 1e10)  # inf / inf
+
+
+@pytest.mark.parametrize(
+    "killing,r",
+    [
+        # r ** beta overflows: used to raise a bare OverflowError
+        ({"kind": "power", "c": {"x": 1.0, "y": 2.0}, "beta": {"x": "1", "y": "2"}}, 1e200),
+        # r ** beta is finite and c * r ** beta is not: used to return inf
+        ({"kind": "power", "c": {"x": 1.0, "y": 2.0}, "beta": {"x": "1", "y": "2"}}, 1e154),
+        # r + m is not finite: used to return inf
+        ({"kind": "uniform_plus", "m": {"x": 0.0, "y": 1e300}}, sys.float_info.max),
+    ],
+    ids=["power-overflow", "prefactor-overflow", "offset-overflow"],
+)
+def test_overflowing_killing_rate_raises_model_error(killing, r):
+    model = validate_model({"states": ["x", "y"], "mutation": [], "killing": killing})
+    assert math.isfinite(model.killing_rate(r, "x"))
+    for call in (
+        lambda: model.killing_rate(r, "y"),
+        lambda: model.min_killing_rate(r),
+        lambda: model.alpha("x", "y", r),
+        lambda: model.alpha("y", "x", r),
+    ):
+        with pytest.raises(ModelError, match=r"killing rate at 'y' overflows at r="):
+            call()
 
 
 @given(
