@@ -8,52 +8,18 @@ redistribution) in closed or near-closed form, and runs config-driven
 statistical experiments comparing the two sides.
 """
 
-from .chains import (
-    RateMatrix,
-    condensate_rates,
-    conjectured_limit_rates,
-    ctmc_marginal,
-    simulate_ctmc,
-)
-from .committor import (
-    committor_numeric,
-    gamblers_ruin_committor,
-    invasion_probability,
-)
-from .condensation import (
-    initial_condensation_law,
-    minimal_order_set,
-    polya_urn_law,
-)
-from .engine import (
-    EmpiricalMeasure,
-    EventCapError,
-    Trajectory,
-    simulate_fv,
-    simulate_selection_absorption,
-)
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ConfigError,
-    ExperimentConfig,
-    Report,
-    derive_replica_rng,
-    run_experiment,
-)
-from .metrics import (
-    LawOnStates,
-    empirical_law,
-    tv_distance,
-)
-from .model import (
-    Model,
-    ModelError,
-    load_model,
-    validate_model,
-)
+from .chains import *
+from .committor import *
+from .condensation import *
+from .engine import *
+from .experiments import *
+from .metrics import *
+from .model import *
 
 __version__ = "0.1.0"
 
+# the names the star imports above bring in, spelled out for readers that
+# parse the package without importing it (perfbench counts them with ast)
 __all__ = [
     "ConfigError",
     "EXPERIMENT_KINDS",

@@ -41,7 +41,10 @@ replica reads nothing but its stream and that state, so its results
 are bit for bit those of its stream run alone, whichever replicas
 share its chunk.
 :func:`simulate_fv` and :func:`simulate_selection_absorption` are the
-one-stream case.
+one-stream case.  The loop takes its dynamics from the model alone:
+selection-only runs, whose absorption gives committors and the
+initial-condensation law, run it on ``model.without_mutation``, the
+model with ``q = 0``.
 
 A recorded path is four flat columns, one entry per event: its time,
 source, target and kind.  The loop appends to them and builds no object
@@ -60,10 +63,12 @@ mutation and selection totals, and each occupied site's mutation and
 death terms in site order, the very floats the totals were summed from,
 so subtracting them in turn takes the same decisions as recomputing
 them.  The records depend on (model, r) and the particle count only, so
-they are kept on the model with the rate layout, in one table per
-particle count, emptied when it holds ``_STATES`` records; a record
+the engine keeps them with the killing rates at r, in a weak map from
+each model (immutable, hashed by identity) to its kernels: one table
+per particle count, emptied when it holds ``_STATES`` records; a record
 lost that way is rebuilt equal, so this bounds memory and changes no
-result.  A model pickles without them.
+result.  A kernel lives as long as its model and is never pickled with
+it.
 
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
@@ -112,6 +117,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -133,6 +139,7 @@ _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uni
 _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
 _STATES = 4096  # most count vectors a kernel keeps per particle count before it forgets them all
+_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> {r: _kernel(model, r)}
 
 
 class EventCapError(RuntimeError):
@@ -281,33 +288,23 @@ class AbsorptionResult(NamedTuple):
     event_count: int
 
 
-def _kernel(model: Model, r: float, selection_only: bool):
-    """The event loop's rate layout at intensity r, built once per (model, r).
+def _kernel(model: Model, r: float):
+    """The event loop's killing rates at intensity r, built once per (model, r).
 
-    Returns ``(lam, mut_exit, mut_targets, mut_rates, by_n)``, where
-    ``by_n`` maps a particle count n to its ``(states, duels, place)``:
-    the :func:`_state` records of the count vectors met so far and the
-    duel of each pair of sites, both filled as the loop meets them, and
-    the place value of each site's count in a count vector's key.  The memo
-    is kept on the model outside its dataclass fields; a model is
-    immutable, so an entry never goes stale.  The key holds the type of r
-    because the rates keep it (a numpy scalar r gives numpy scalar rates).
+    Returns ``(lam, by_n)``, where ``by_n`` maps a particle count n to its
+    ``(states, duels, place)``: the :func:`_state` records of the count
+    vectors met so far and the duel of each pair of sites, both filled as
+    the loop meets them, and the place value of each site's count in a
+    count vector's key.  The memo is ``_KERNELS``; a model is immutable,
+    so an entry never goes stale.  The rates are Python floats whatever
+    the type of r, so r alone keys the memo.
     """
-    memo = vars(model).setdefault("_kernels", {})
-    key = (type(r), r, selection_only)
-    kernel = memo.get(key)
+    memo = _KERNELS.get(model)
+    if memo is None:
+        memo = _KERNELS[model] = {}
+    kernel = memo.get(r)
     if kernel is None:
-        d = model.num_states
-        lam = [model.killing_rate(r, i) for i in range(d)]
-        if selection_only:
-            mut_exit = [0.0] * d
-            mut_targets: tuple = ((),) * d
-            mut_rates: tuple = ((),) * d
-        else:
-            mut_exit = list(model.exit_rate)
-            mut_targets = model.out_targets
-            mut_rates = model.out_rates
-        kernel = memo[key] = (lam, mut_exit, mut_targets, mut_rates, {})
+        kernel = memo[r] = ([model.killing_rate(r, i) for i in range(model.num_states)], {})
     return kernel
 
 
@@ -454,7 +451,6 @@ def _run_replicas(
     rngs: Iterable[np.random.Generator],
     runs: _Runs,
     *,
-    selection_only: bool = False,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
     snapshot_times: Sequence[float] = (),
@@ -480,7 +476,8 @@ def _run_replicas(
         if not (ordered and 0 < first_marks[-1] and first_marks[0] <= horizon):
             raise ValueError(f"snapshot times must increase within (0, {horizon}], got {first_marks[::-1]}")
     first_stop = first_marks[-1] if first_marks else horizon
-    lam, mut_exit, mut_targets, mut_rates, by_n = _kernel(model, r, selection_only)
+    lam, by_n = _kernel(model, r)
+    mut_exit, mut_targets, mut_rates = model.exit_rate, model.out_targets, model.out_rates
     n = init.n
     inv_nm1 = 1.0 / (n - 1)
     prepared = by_n.get(n)
@@ -712,7 +709,8 @@ def simulate_selection_absorption(
     *,
     event_cap: int = DEFAULT_EVENT_CAP,
 ) -> AbsorptionResult:
-    """Run the selection-only dynamics until a Dirac mass is reached.
+    """Run the selection-only dynamics, those of ``model.without_mutation``,
+    until a Dirac mass is reached.
 
     Returns the absorption time, the absorbed site's label, and the
     number of events consumed.  Absorption is almost sure; the event
@@ -724,6 +722,6 @@ def simulate_selection_absorption(
     the replica of an experiment's chunk that reads the same stream.
     """
     runs = _Runs()
-    _run_replicas(model, r, init, None, (rng,), runs, selection_only=True, record=False, event_cap=event_cap)
+    _run_replicas(model.without_mutation, r, init, None, (rng,), runs, record=False, event_cap=event_cap)
     site = runs.finals.index(init.n)
     return AbsorptionResult(runs.times[0], model.states[site], runs.events[0])

@@ -123,13 +123,13 @@ def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     than a replica draws, so streams of distinct indices never overlap
     and do not depend on scheduling or thread count.
     """
-    if index < 0:
-        raise ValueError(f"replica index must be >= 0, got {index}")
-    return np.random.Generator(np.random.Philox(master_seed, counter=index << 128))
+    if not 0 <= index < 2**128:  # Philox's counter holds 256 bits
+        raise ValueError(f"replica index must be in [0, 2**128), got {index}")
+    return next(_replica_rngs(master_seed, index, 1))
 
 
 def _is_dirac(v) -> bool:
-    return isinstance(v, Mapping) and set(v) == {"dirac"}
+    return isinstance(v, Mapping) and set(v) == {"dirac"} and isinstance(v["dirac"], str)
 
 
 # ------------------------------------------------------------ config entries
@@ -197,7 +197,7 @@ _VALUES: dict[str, Any] = {
     "stable_sites": _List(_LABEL),
     "rates": _List(_Block(("from", "to", "rate"))),
     "init": _Value(
-        "a list of counts (integers >= 0) holding at least two particles, or a {'dirac': site} block",
+        "a list of counts (integers >= 0) holding at least two particles, or a {'dirac': site label} block",
         lambda v: _is_dirac(v)
         or isinstance(v, (list, tuple)) and all(_is_int(c, 0) for c in v) and sum(v) >= 2,
         lambda v: dict(v) if _is_dirac(v) else tuple(v),
@@ -308,6 +308,8 @@ class ExperimentConfig:
         if doc.get("kind") is None:
             raise ConfigError("config must declare an experiment kind")
         values = {k: doc[k] for k in names if doc.get(k) is not None}
+        if "model_path" in doc and not isinstance(doc["model_path"], str):
+            raise ConfigError(f"model_path must be a path string, got {doc['model_path']!r}")
         if "model" not in values and "model_path" in doc:
             with open(doc["model_path"], "r", encoding="utf-8") as fh:
                 values["model"] = json.load(fh)
@@ -324,7 +326,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        spec = _KINDS.get(self.kind)
+        spec = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if spec is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         reads = {*_COMMON, *spec.requires, *spec.optional}
@@ -465,8 +467,8 @@ def _csv_num(v) -> str:
 
 
 def _replica_rngs(seed, first: int, count: int):
-    """Yield the streams of replicas ``first .. first+count-1``, each equal
-    to :func:`derive_replica_rng`'s.
+    """Yield the streams of replicas ``first .. first+count-1``, laid out
+    as :func:`derive_replica_rng` documents.
 
     One Philox keyed by ``seed`` serves the chunk: its public state is
     reset per replica to counter ``i << 128`` with the buffer empty, so a
@@ -557,8 +559,10 @@ def _fv_path_chunk(payload: dict) -> dict:
 
 
 def _absorption_chunk(payload: dict) -> dict:
-    """Absorption time and site of the selection-only dynamics."""
-    runs = _particle_chunk(payload, None, _Runs(), selection_only=True, record=False)
+    """Absorption time and site of the payload model's dynamics, run with no
+    horizon; the kinds pass ``model.without_mutation``, whose dynamics are
+    selection alone."""
+    runs = _particle_chunk(payload, None, _Runs(), record=False)
     finals = np.array(runs.finals, dtype=np.int64).reshape(len(runs.events), -1)
     site = finals.argmax(axis=1)  # the one site holding every particle
     return {"tau": np.array(runs.times), "site": site, "events": np.array(runs.events, dtype=np.int64)}
@@ -902,7 +906,7 @@ def _exp_absorption_tail(run: _Run) -> None:
     slopes: list[float] = []
     floors: list[float] = []
     for r in cfg.r_schedule:
-        res = run.point(_absorption_chunk, M, r, "", model=model, counts=cfg.init)
+        res = run.point(_absorption_chunk, M, r, "", model=model.without_mutation, counts=cfg.init)
         if res is None:
             continue
         taus = res["tau"]
@@ -933,7 +937,7 @@ def _exp_eta_inf(run: _Run) -> None:
     r = cfg.r_schedule[0]
     exact = initial_condensation_law(model, cfg.init)
 
-    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model, counts=cfg.init)
+    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model.without_mutation, counts=cfg.init)
     if res is None:
         return
     emp = empirical_law(res["site"], model.states)

@@ -19,6 +19,7 @@ plain floats in [0, inf]: ``0.0``, a positive finite value or
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -156,12 +157,12 @@ class Model:
         return 0.0
 
     def killing_rate(self, r: float, x: Union[str, int]) -> float:
-        """Evaluate lambda_r(x); requires a finite r >= 1 at which the rate
-        is finite, else raises :class:`ModelError`."""
+        """Evaluate lambda_r(x) at ``float(r)``; requires a finite r >= 1 at
+        which the rate is finite, else raises :class:`ModelError`."""
         _check_intensity(r)
         i = self.state_index(x)
         try:
-            rate = self.killing.rate(r, i)
+            rate = self.killing.rate(float(r), i)
         except OverflowError:  # a float power out of range raises; a product out of range gives inf
             rate = math.inf
         if not rate < math.inf:
@@ -199,12 +200,13 @@ class Model:
         blob = json.dumps(self.config_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def __getstate__(self) -> dict:
-        """Pickle the fields alone: the engine's ``_kernels`` memo is rebuilt
-        where it is used, so it is not carried to a worker."""
-        state = dict(vars(self))
-        state.pop("_kernels", None)
-        return state
+    @functools.cached_property
+    def without_mutation(self) -> "Model":
+        """The model with the same sites and killing and no mutation (q = 0),
+        whose dynamics are selection alone; ``self`` if it has no mutation."""
+        if not self.mutation:
+            return self
+        return validate_model(dict(self.config_dict(), mutation=[]))
 
 
 def _is_int(v, low: int) -> bool:
@@ -248,10 +250,10 @@ def validate_model(config: Mapping) -> Model:
     ------
     ModelError
         On a key outside this shape (a killing map may name states
-        only), states that are not distinct strings, a rate, ``c`` or
-        ``m`` that is not a finite number (bools and strings are not),
-        negative or self-loop mutation rates, non-positive power-law
-        parameters, or negative offsets.
+        only), states that are not distinct strings, a mutation that is
+        not a list, a rate, ``c`` or ``m`` that is not a finite number
+        (bools and strings are not), negative or self-loop mutation
+        rates, non-positive power-law parameters, or negative offsets.
     """
     _only(config, ("states", "mutation", "killing"), "model")
     if "states" not in config:
@@ -266,9 +268,12 @@ def validate_model(config: Mapping) -> Model:
         raise ModelError("duplicate state identifiers")
     index = {s: i for i, s in enumerate(states)}
 
+    mutation = config.get("mutation", ())
+    if not isinstance(mutation, (list, tuple)):
+        raise ModelError(f"mutation must be a list of entries, got {mutation!r}")
     seen: set[tuple[int, int]] = set()
     entries: list[tuple[int, int, float]] = []
-    for entry in config.get("mutation", ()):
+    for entry in mutation:
         _only(entry, ("from", "to", "rate"), "mutation entry")
         for key in ("from", "to", "rate"):
             if key not in entry:

@@ -271,6 +271,10 @@ def test_run_threads_below_one_exits_2_before_running(tmp_path, capsys, monkeypa
     assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
+_THEOREM1 = {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3, "r_schedule": [10.0], "T": 0.5,
+             "replicas": 100, "init": {"dirac": "a"}}
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -314,9 +318,20 @@ def test_run_threads_below_one_exits_2_before_running(tmp_path, capsys, monkeypa
              "replicas": 100, "init": [5, 0, 0]},
             "absorption_tail needs particles on at least two sites, got init [5, 0, 0]",
         ),
+        # a kind that is no string used to raise TypeError: unhashable type (exit 1)
+        (dict(_THEOREM1, kind=["theorem1_marginal"]), "unknown experiment kind ['theorem1_marginal']"),
+        (dict(_THEOREM1, kind={"a": 1}), "unknown experiment kind {'a': 1}"),
+        # a model_path that is no string used to raise TypeError, or to read fd 0 (stdin)
+        (dict(_THEOREM1, model=None, model_path=None), "model_path must be a path string, got None"),
+        (dict(_THEOREM1, model=None, model_path=0), "model_path must be a path string, got 0"),
+        # a Dirac site given by index used to pass validate() and fail the run
+        (dict(_THEOREM1, init={"dirac": 1}), "or a {'dirac': site label} block, got {'dirac': 1}"),
+        (dict(_THEOREM1, init={"dirac": True}), "or a {'dirac': site label} block, got {'dirac': True}"),
+        (dict(_THEOREM1, init={"dirac": ["a"]}), "or a {'dirac': site label} block, got {'dirac': ['a']}"),
     ],
     ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "overflowing-intensity", "null-document",
-         "number-document", "list-document", "tail-on-one-site"],
+         "number-document", "list-document", "tail-on-one-site", "list-kind", "mapping-kind", "null-model-path",
+         "fd-model-path", "index-dirac", "bool-dirac", "list-dirac"],
 )
 def test_run_invalid_entry_exits_2_before_running(tmp_path, capsys, monkeypatch, doc, message):
     def fail(*args, **kwargs):

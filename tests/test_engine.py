@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fvlab import (
     EmpiricalMeasure,
     EventCapError,
+    Model,
     ModelError,
     gamblers_ruin_committor,
     simulate_fv,
@@ -439,12 +441,15 @@ def test_duel_regime_absorption_pinned():
     assert res == (0.14177787030786487, "a", 5980)
 
 
-def _simulate(model, r, init, T, rng, **options):
+def _simulate(model, r, init, T, rng, selection_only=False, **options):
     """One replica through the engine's event loop, returned as
     ``(time, counts, columns, n_events, snapshots)``, with one
-    ``(counts, n_events)`` pair per snapshot time."""
+    ``(counts, n_events)`` pair per snapshot time.  ``selection_only``
+    runs the loop on ``model.without_mutation``, the engine's one way to
+    the selection-only dynamics; the reference loop keeps its own mode,
+    so comparing the two checks the model against the mode."""
     runs = _Runs()
-    _run_replicas(model, r, init, T, (rng,), runs, **options)
+    _run_replicas(model.without_mutation if selection_only else model, r, init, T, (rng,), runs, **options)
     d = len(init.counts)
     snaps = [(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)]
     return runs.times[0], runs.finals, runs.columns, runs.events[0], snaps
@@ -771,22 +776,30 @@ def test_state_table_is_bounded_and_changes_no_result(name, cap):
     assert sizes and max(sizes) <= limit
     if cap is not None:
         assert len(sizes) > 3 * cap  # the table was emptied mid-replica
-    if name == "numpy-r":  # a numpy scalar r keeps its own kernel and gives the float r's path
-        float_case = dict(case, r=100.0)
-        assert outcome(live_simulate, 3, float_case) == outcome(live_simulate, 3, case)
-        assert len(vars(case["model"])["_kernels"]) == 2
+    if name == "numpy-r":  # int, float and numpy scalar r share one kernel and give one path
+        for r in (100, 100.0):
+            assert outcome(live_simulate, 3, dict(case, r=r)) == outcome(live_simulate, 3, case)
+        ((lam, _),) = engine._KERNELS[case["model"]].values()
+        assert [type(rate) for rate in lam] == [float] * 3
 
 
 def test_model_pickles_without_its_kernel_memo():
     # the memo holds every rate table a run built, and a model sent to a
-    # worker process used to carry it along
+    # worker process used to carry it along; the engine keeps it beside
+    # the model, which pickles its fields and its selection-only model alone
     model = uplus_cycle_model()
     size = len(pickle.dumps(model))
     init = EmpiricalMeasure([20, 20, 0])
     traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(2))
-    assert vars(model)["_kernels"]  # the run filled the memo
+    assert engine._KERNELS[model]  # the run filled the memo
     blob = pickle.dumps(model)
     assert len(blob) == size
     copy = pickle.loads(blob)
-    assert "_kernels" not in vars(copy) and copy.content_hash() == model.content_hash()
+    assert copy not in engine._KERNELS and copy.content_hash() == model.content_hash()
     assert simulate_fv(copy, 1e3, init, 1.0, np.random.default_rng(2)).columns == traj.columns
+    absorbed = simulate_selection_absorption(model, 1e3, init, np.random.default_rng(2))
+    assert engine._KERNELS[model.without_mutation]
+    copy = pickle.loads(pickle.dumps(model))
+    assert set(vars(copy)) == {*(f.name for f in fields(Model)), "without_mutation"}
+    assert copy not in engine._KERNELS and copy.without_mutation not in engine._KERNELS
+    assert simulate_selection_absorption(copy, 1e3, init, np.random.default_rng(2)) == absorbed

@@ -73,8 +73,9 @@ def test_replica_rng_seed_matters():
 
 
 def test_replica_rng_rejects_negative_index():
-    with pytest.raises(ValueError):
-        derive_replica_rng(1, -1)
+    for index in (-1, 2**128):  # the counter index << 128 must fit Philox's 256 bits
+        with pytest.raises(ValueError):
+            derive_replica_rng(1, index)
 
 
 def test_replica_rng_is_philox_at_the_index_counter():
@@ -1419,7 +1420,9 @@ def _duel_point(worker, M, seed=5, base=7, event_cap=10**7):
         "path": (_fv_path_chunk, _DUEL_TIMES[-1]),
         "absorption": (_absorption_chunk, ""),
     }[worker]
-    payload = dict(model=model, counts=(20, 20), r=1e4, t=t, seed=seed, base=base, event_cap=event_cap)
+    # the absorption kinds put the model without mutation in their payloads
+    point_model = model.without_mutation if worker == "absorption" else model
+    payload = dict(model=point_model, counts=(20, 20), r=1e4, t=t, seed=seed, base=base, event_cap=event_cap)
     return model, _run_point(chunk, payload, M, 1)
 
 

@@ -7,6 +7,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +74,10 @@ def test_validate_q_is_max_exit_rate():
         # an exponent that is no rational used to raise ZeroDivisionError or a bare ValueError
         (lambda c: c["killing"]["beta"].update(a="1/0"), "exponent must be a finite rational, got '1/0'"),
         (lambda c: c["killing"]["beta"].update(a=float("nan")), "exponent must be a finite rational, got nan"),
+        # a mutation that is not a list used to raise TypeError, or was iterated by its keys
+        (lambda c: c.update(mutation=None), "mutation must be a list of entries, got None"),
+        (lambda c: c.update(mutation=5), "mutation must be a list of entries, got 5"),
+        (lambda c: c.update(mutation=c["mutation"][0]), "mutation must be a list of entries, got {'from'"),
     ],
 )
 def test_validate_rejects_bad_configs(breakage, fragment):
@@ -191,16 +196,38 @@ def test_alpha_undefined_when_both_rates_overflow():
     ids=["power-overflow", "prefactor-overflow", "offset-overflow"],
 )
 def test_overflowing_killing_rate_raises_model_error(killing, r):
+    # a numpy scalar r used to overflow in numpy arithmetic, whose
+    # RuntimeWarning the suite's warning filter raised in place of the
+    # ModelError; rates are evaluated on float(r), as Python floats
     model = validate_model({"states": ["x", "y"], "mutation": [], "killing": killing})
-    assert math.isfinite(model.killing_rate(r, "x"))
-    for call in (
-        lambda: model.killing_rate(r, "y"),
-        lambda: model.min_killing_rate(r),
-        lambda: model.alpha("x", "y", r),
-        lambda: model.alpha("y", "x", r),
-    ):
-        with pytest.raises(ModelError, match=r"killing rate at 'y' overflows at r="):
-            call()
+    for r in (r, np.float64(r)):
+        assert type(model.killing_rate(r, "x")) is float and math.isfinite(model.killing_rate(r, "x"))
+        for call in (
+            lambda: model.killing_rate(r, "y"),
+            lambda: model.min_killing_rate(r),
+            lambda: model.alpha("x", "y", r),
+            lambda: model.alpha("y", "x", r),
+        ):
+            with pytest.raises(ModelError, match=r"killing rate at 'y' overflows at r="):
+                call()
+
+
+_UPLUS_CYCLE = dict(cycle_model_config(), killing={"kind": "uniform_plus", "m": {"a": 0.0, "b": 0.1, "c": 2.5}})
+
+
+@pytest.mark.parametrize(
+    "config", [cycle_model_config(c=(0.3, 2.0, 4.0), beta=("1/2", "3/2", 2)), _UPLUS_CYCLE], ids=["power", "uplus"]
+)
+def test_without_mutation_keeps_sites_and_killing(config):
+    model = validate_model(config)
+    bare = model.without_mutation
+    assert bare is not model and model.mutation
+    assert (bare.states, bare.index, bare.killing) == (model.states, model.index, model.killing)
+    assert bare.mutation == () and bare.Q == 0.0
+    assert (bare.exit_rate, bare.out_targets, bare.out_rates) == ((0.0,) * 3, ((),) * 3, ((),) * 3)
+    assert [bare.killing_rate(10.0, i) for i in range(3)] == [model.killing_rate(10.0, i) for i in range(3)]
+    assert model.without_mutation is bare  # built once
+    assert bare.without_mutation is bare  # a model without mutation is its own
 
 
 @given(
