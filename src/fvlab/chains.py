@@ -42,7 +42,7 @@ from scipy.linalg import expm
 
 from .committor import invasion_probability
 from .metrics import LawOnStates
-from .model import Model
+from .model import Model, _site_index
 
 __all__ = [
     "RateMatrix",
@@ -72,9 +72,7 @@ class RateMatrix:
             raise ValueError("off-diagonal rates must be finite and nonnegative")
 
     def entry(self, x: Union[str, int], y: Union[str, int]) -> float:
-        i = self.states.index(x) if isinstance(x, str) else x
-        j = self.states.index(y) if isinstance(y, str) else y
-        return float(self.rates[i, j])
+        return float(self.rates[_site(self, x), _site(self, y)])
 
     def row_sums(self) -> np.ndarray:
         return self.rates.sum(axis=1)
@@ -209,9 +207,13 @@ def _init_vector(rates: RateMatrix, init) -> np.ndarray:
             raise ValueError("initial law is over a different state set")
         return np.asarray(init.probs, dtype=float)
     v = np.zeros(len(rates.states))
-    i = rates.states.index(init) if isinstance(init, str) else int(init)
-    v[i] = 1.0
+    v[_site(rates, init)] = 1.0
     return v
+
+
+def _site(rates: RateMatrix, site: Union[str, int]) -> int:
+    """A site of the chain, by label or by index, as its index."""
+    return rates.states.index(site) if isinstance(site, str) else _site_index(site, len(rates.states))
 
 
 def simulate_ctmc(
@@ -233,9 +235,9 @@ def simulate_ctmc(
         probs = _init_vector(rates, init)
         site = int(rng.choice(len(probs), p=probs))
     else:
-        site = rates.states.index(init) if isinstance(init, str) else int(init)
-    R = rates.rates
-    row_sum = rates.row_sums()
+        site = _site(rates, init)
+    R = rates.rates.tolist()  # Python floats: the same sums as numpy's, and float times
+    row_sum = rates.row_sums().tolist()
     t = 0.0
     path = [(0.0, site)]
     while True:
@@ -248,8 +250,8 @@ def simulate_ctmc(
         u = rng.random() * total
         acc = 0.0
         nxt = site
-        for j in range(len(row_sum)):
-            acc += R[site, j]
+        for j, rate in enumerate(R[site]):
+            acc += rate
             if u < acc:
                 nxt = j
                 break

@@ -73,19 +73,27 @@ it.
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
 dies out.  Whenever the support has exactly two sites (its record names
-the pair) the loop steps the count at a directly, on rates tabulated
-once per pair and split, kept beside the records.
+the pair) the loop steps the count at a directly, on tables built once
+per pair and particle count and kept beside the records.  They depend
+on n and the pair's rates alone, so the process also keeps the 64 it
+used last by those numbers: a model unpickled in a pool worker for each
+chunk finds its pairs' tables built.
 This path is the generic step specialized, not an approximation: it
-reads the same draws from the same buffer positions, refills the
-buffer at the same points, and evaluates the generic loop's own
-floating-point expressions in the same order, so time, counts, event
-count and recorded events are bit-identical to the generic loop's for
-every input.  Snapshots, the horizon and the event cap are the generic
-step's alone: a duel step that is a mutation, whose waiting time
-crosses the next snapshot or the horizon, or that would reach the cap
-is handed back to the generic step at the same buffer position, which
-takes it from the same draws.  Supports of one site or of three or
-more always take the generic step.
+reads the same draws from the same buffer positions and refills the
+buffer at the same points.  Where the generic step multiplies its
+category uniform u by the total rate and compares, the duel step
+compares u itself with two thresholds per split: the least doubles at
+which the generic step's own float expressions stop deciding a mutation
+and a death at a.  Rounding is monotone in u, so the comparisons decide
+exactly as the expressions do (the inverse-transform view of a discrete
+draw, Devroye 1986, ch. 2-3), and time, counts, event count and recorded
+events are bit-identical to the generic loop's for every input.
+Snapshots, the horizon and the event cap are the generic step's alone:
+a duel step that is a mutation, whose waiting time crosses the next
+snapshot or the horizon, or that would reach the cap is handed back to
+the generic step at the same buffer position, which takes it from the
+same draws.  Supports of one site or of three or more always take the
+generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
 blocks, each one scalar step apart and each reaching to the end of the
@@ -93,16 +101,16 @@ refill or to the step before the event cap, whichever comes first.
 Inside a duel a count-changing death is at a with probability
 ``lambda_a / (lambda_a + lambda_b)`` at every split, so a block guesses
 each step's direction from its category uniform alone, builds the count
-path by cumulative sum, and evaluates the scalar step's decision along
-it, with the same tables and float expressions.  It keeps the steps
-before the first one whose decision differs from the guess, or that is
-a mutation or at a split with no rate left, and times them as the
-scalar step's own sequential sum, cut before the first time past the
-next stop.  Where fewer than 128 steps are left before the refill or
-the cap, scalar steps take them instead.  The scalar step after a block
-takes whatever ended it (the mismatched step, the refill) or hands it
-to the generic step (the mutation, the snapshot or horizon, the cap),
-so the block changes the cost of a long duel and nothing else.
+path by cumulative sum, gathers the two thresholds along it and reads
+each step's decision from them.  It keeps the steps before the first
+one whose decision differs from the guess, or that is a mutation or at
+a split with no rate left, and times them as the scalar step's own
+sequential sum, cut before the first time past the next stop.  Where
+fewer than 128 steps are left before the refill or the cap, scalar
+steps take them instead.  The scalar step after a block takes whatever
+ended it (the mismatched step, the refill) or hands it to the generic
+step (the mutation, the snapshot or horizon, the cap), so the block
+changes the cost of a long duel and nothing else.
 
 One run gives the state at several times: ``simulate_fv(...,
 snapshot_times=...)`` records the counts and the events so far at each
@@ -115,6 +123,7 @@ the per-event path has no added branch.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -123,7 +132,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Model
+from .model import Model, _site_index
 
 __all__ = [
     "EmpiricalMeasure",
@@ -138,6 +147,8 @@ _FIRST = 21  # steps drawn by a replica's first refill
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
 _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
+_NEAR = np.arange(-4, 5)[:, None, None]  # offsets, in doubles, at which duel thresholds are first sought
+_TWO = np.float64(2.0).view(np.int64)  # the bit pattern of 2.0, above every uniform
 _STATES = 4096  # most count vectors a kernel keeps per particle count before it forgets them all
 _KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> {r: _kernel(model, r)}
 
@@ -181,7 +192,7 @@ class EmpiricalMeasure:
     @classmethod
     def dirac(cls, num_sites: int, site: int, n: int) -> "EmpiricalMeasure":
         counts = [0] * num_sites
-        counts[site] = n
+        counts[_site_index(site, num_sites)] = n
         return cls(tuple(counts))
 
     @property
@@ -320,9 +331,9 @@ def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
     floats the sums were made of, so subtracting them in turn finds the
     site the generic step finds.  ``mut_last`` and ``death_last`` are the
     sites roundoff falls back to: the last occupied site with a mutation
-    exit, and the last with ``k < n``.  ``duel`` is ``(a, b, rows, tables,
-    p_a)`` with the pair's :func:`_duel_tables` when the support is the
-    two sites a < b, else None.
+    exit, and the last with ``k < n``.  ``duel`` is ``(a, b)`` followed
+    by the pair's :func:`_duel` when the support is the two sites a < b,
+    else None.
 
     A record is two tuples of numbers, and ``key`` an int, so thousands
     of them add few objects for the cyclic garbage collector to count:
@@ -351,9 +362,29 @@ def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
         a, b = sites[0], sites[3]
         duel = duels.get((a, b))
         if duel is None:
-            duel = duels[(a, b)] = (a, b, *_duel_tables(n, inv_nm1, lam[a], lam[b], mut_exit[a], mut_exit[b]))
+            duel = duels[(a, b)] = (a, b, *_duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b]))
     state = states[key] = (r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last, duel)
     return state
+
+
+@functools.lru_cache(maxsize=64)
+def _duel(n, la, lb, ea, eb):
+    """The duel of a pair of sites a < b with killing rates ``la``, ``lb``
+    and mutation exits ``ea``, ``eb`` among n particles: ``(total_tab,
+    mu_tab, tau_tab, totals, cuts, p_a)``, the total rate row of
+    :func:`_duel_tables` and the rows of :func:`_duel_thresholds`, as
+    lists for the scalar step and as arrays for :func:`_duel_block`, and
+    ``p_a``.
+
+    They depend on these numbers alone, so a process keeps the 64 it used
+    last, whatever model they came from: a pool worker meets its
+    model anew, unpickled, in every chunk, and would otherwise build each
+    pair's tables once per chunk.  Nothing reads them but the event loop,
+    which never writes to them.
+    """
+    rows, tables, p_a = _duel_tables(n, 1.0 / (n - 1), la, lb, ea, eb)
+    cuts = _duel_thresholds(*tables)
+    return (rows[2], *cuts.tolist(), tables[2], cuts, p_a)
 
 
 def _duel_tables(n, inv_nm1, la, lb, ea, eb):
@@ -366,10 +397,10 @@ def _duel_tables(n, inv_nm1, la, lb, ea, eb):
     that loop would compute.  The total rate is 0.0 at the Dirac ends
     (count 0 or n), where the duel is over, and the mutation rate is
     +inf wherever the total is 0, so that such a split reads as a
-    mutation and ends a block.  Returns ``(rows, tables, p_a)``: the
-    rows as lists, for the scalar step; the array, for
-    :func:`_duel_block`; and ``la / (la + lb)``, the probability at
-    every split that a count-changing death is at a.
+    mutation.  Returns ``(rows, tables, p_a)``: the rows as lists and as
+    one array, from which :func:`_duel_thresholds` and the waiting times
+    read, and ``la / (la + lb)``, the probability at every split that a
+    count-changing death is at a.
     """
     ka = np.arange(1, n)
     kb = n - ka
@@ -382,36 +413,80 @@ def _duel_tables(n, inv_nm1, la, lb, ea, eb):
     return tables.tolist(), tables, la / (la + lb)
 
 
-def _duel_block(tables, p_a, ka, t, stop, e, u, pos, m):
+def _duel_thresholds(rm, kill_a, total):
+    """The duel step's decision at each split as two thresholds on its
+    category uniform u.
+
+    The generic step, with ``x = u * total``, takes a mutation when
+    ``x < rm`` and otherwise a death at a when ``(x - rm) - kill_a <
+    0.0``.  Rounding is monotone, so both hold exactly for u below a
+    fixed double: ``mu``, the least u >= 0 with ``(x - rm) - 0.0 >=
+    0.0`` (that is, ``x >= rm``), and ``tau``, the least u >= 0 with
+    ``(x - rm) - kill_a >= 0.0``.  So ``u < mu`` is a mutation, ``mu <=
+    u < tau`` a death at a and ``tau <= u`` a death at b.  A split with
+    no rate gets 2.0 for both, above every uniform: it reads as a
+    mutation.  Returns the (2, n + 1) array of rows ``mu`` and ``tau``.
+
+    Doubles >= 0 are ordered as their bit patterns, so the thresholds
+    are sought among the patterns.  Each is most often within a double
+    of its guess ``rm / total`` or ``(rm + kill_a) / total``, so the nine
+    doubles around the guess are tried at once; the few not found there
+    (rates near the bottom of the subnormals) are bisected.
+    """
+    kill = np.zeros((2, len(total)))  # mu's test is tau's with no death term
+    kill[1] = kill_a
+
+    def holds(bits):  # u at or above its threshold; the patterns just below 0 are NaNs, and fail
+        return (bits.view(np.float64) * total - rm) - kill >= 0.0
+
+    with np.errstate(invalid="ignore"):  # 0 * inf at a split with no rate
+        near = ((rm + kill) / total).view(np.int64) + _NEAR
+        ok = holds(near)
+        cut = np.where(ok, near, _TWO).min(axis=0)
+        lost = (ok[0] | ~ok[-1]) & (total > 0.0)
+        if lost.any():
+            lo, hi = np.where(lost, -1, cut - 1), np.where(lost, _TWO, cut)
+            while (hi - lo > 1).any():
+                mid = (lo + hi) >> 1
+                ok = holds(mid) & (hi - lo > 1)
+                lo, hi = np.where(ok | (hi - lo <= 1), lo, mid), np.where(ok, mid, hi)
+            cut = hi
+    return cut.view(np.float64)
+
+
+def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m):
     """Up to ``m`` duel steps from count ``ka`` at time ``t``, on the draws
     ``e[pos:pos + m]`` and ``u[pos:pos + m]``.
 
     Each step's direction is guessed from its uniform alone, the count
     path follows by cumulative sum, and the scalar step's decision is
-    evaluated along it with the scalar step's own float expressions.
-    The accepted prefix ends before the first step whose decision
-    differs from the guess, or is a mutation, or has zero total rate,
-    and before the first time past ``stop``; times are the scalar
-    step's sequential sums.  Returns ``(steps, ka, times, a_died)``: the
-    accepted count, the count at a after them, and each accepted step's
-    time and direction.
+    read along it from the thresholds ``cuts`` of
+    :func:`_duel_thresholds`.  The accepted prefix ends before the first
+    step whose decision differs from the guess, or is a mutation, or has
+    zero total rate, and before the first time past ``stop``; times are
+    the scalar step's sequential sums over the total rates ``totals``.
+    Returns ``(steps, ka, times, a_died)``: the accepted count, the
+    count at a after them, and each accepted step's time and direction
+    (None for both when no step is accepted).
     """
     uc = u[pos:pos + m]
     a_died = uc < p_a
     step = np.where(a_died, -1, 1)
     after = step.cumsum()
     after += ka  # the count at a after each step
-    rm, kill_a, total = tables.take(after - step, axis=1, mode="clip")
-    x = uc * total
-    bad = ((x - rm) - kill_a < 0.0) != a_died
-    bad |= x < rm
+    before = after - step
+    mu, tau = cuts.take(before, axis=1, mode="clip")
+    bad = (uc < tau) != a_died
+    bad |= uc < mu
     j = int(bad.argmax())
     if not bad[j]:
         j = m
-    times = e[pos:pos + j] / total[:j]
-    times[:1] += t
+    elif not j:
+        return 0, ka, None, None
+    times = e[pos:pos + j] / totals.take(before[:j])
+    times[0] += t
     times.cumsum(out=times)
-    steps = int(times.searchsorted(stop, "right"))
+    steps = j if times[-1] <= stop else int(times.searchsorted(stop, "right"))
     return steps, int(after[steps - 1]) if steps else ka, times[:steps], a_died[:steps]
 
 
@@ -513,29 +588,31 @@ def _run_replicas(
         while True:
             state = states.get(key) or _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit)
             if state[5] is not None:
-                # Two-site duel: the generic step below, specialized.  Rates
-                # are tabulated per split with the generic loop's expressions
-                # in its order, so every comparison sees the same floats.
-                a, b, (rm_tab, kill_a_tab, total_tab), tables, p_a = state[5]
+                # Two-site duel: the generic step below, specialized.  Its
+                # decisions are thresholds on the category uniform, exact
+                # per split for the generic loop's own float expressions.
+                a, b, total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[5]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
                 while True:
                     for _ in range(run):
-                        total = total_tab[ka]
-                        if total <= 0.0 or n_events >= last:
-                            break  # a site died out or no rate is left, or the cap step
+                        if n_events >= last:
+                            break  # the cap step: the generic step takes it
                         if pos == size:
+                            if total_tab[ka] <= 0.0:
+                                break  # a site died out or no rate is left: no refill
                             size = min(size * 2, _BLOCK)
                             e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
                             pos = 0
-                        dt = ebuf[pos] / total
-                        x = ubuf[pos] * total
-                        r_mut = rm_tab[ka]
-                        if t + dt > stop or x < r_mut:
-                            break  # a snapshot, the horizon or a mutation: the generic step takes it from ``pos``
+                        u = ubuf[pos]
+                        if u < mu_tab[ka]:
+                            break  # a mutation, or the duel is over: likewise
+                        t_next = t + ebuf[pos] / total_tab[ka]
+                        if t_next > stop:
+                            break  # a snapshot or the horizon: likewise
                         pos += 1
-                        t += dt
-                        if (x - r_mut) - kill_a_tab[ka] < 0.0:
+                        t = t_next
+                        if u < tau_tab[ka]:
                             ka -= 1
                             if record:
                                 ev_t.append(t)
@@ -560,7 +637,7 @@ def _run_replicas(
                         if m < _DUEL_BLOCK_MIN:
                             run = m + 1
                             continue
-                        steps, ka, times, a_died = _duel_block(tables, p_a, ka, t, stop, e_arr, u_arr, pos, m)
+                        steps, ka, times, a_died = _duel_block(cuts, totals, p_a, ka, t, stop, e_arr, u_arr, pos, m)
                         if steps:
                             pos += steps
                             n_events += steps

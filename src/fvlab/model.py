@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,6 +39,14 @@ __all__ = [
 
 class ModelError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
+
+
+def _site_index(site, num_sites: int) -> int:
+    """``site`` as an index into ``num_sites`` sites: a Python or numpy
+    integer, not a bool, in [0, num_sites); else :class:`ValueError`."""
+    if isinstance(site, bool) or not isinstance(site, numbers.Integral) or not 0 <= site < num_sites:
+        raise ValueError(f"site index must be an integer in [0, {num_sites}), got {site!r}")
+    return int(site)
 
 
 def _check_intensity(r: float) -> None:

@@ -436,6 +436,43 @@ def test_simulate_ctmc_deterministic_and_increasing():
     assert times[-1] <= 2.0
 
 
+def test_simulate_ctmc_path_holds_python_floats_and_ints():
+    # every time is a float, not a numpy scalar, and equals the sum the
+    # loop would make over numpy's own row sums and entries
+    rates = np.array([[0.0, 1.5, 0.25], [0.7, 0.0, 2.0], [1.0 / 3.0, 0.1, 0.0]])
+    rm = RateMatrix(("u", "v", "w"), rates)
+    path = simulate_ctmc(rm, "u", 20.0, np.random.default_rng(9))
+    assert len(path) > 10
+    assert all(type(t) is float and type(i) is int for t, i in path)
+    rng, t, want = np.random.default_rng(9), 0.0, [(0.0, 0)]
+    while True:
+        site = want[-1][1]
+        t += -math.log1p(-rng.random()) / rates.sum(axis=1)[site]
+        if t >= 20.0:
+            break
+        u, acc = rng.random() * rates.sum(axis=1)[site], 0.0
+        for j in range(3):
+            acc += rates[site, j]
+            if u < acc:
+                break
+        want.append((t, j))
+    assert [(float.hex(float(t)), i) for t, i in want] == [(float.hex(t), i) for t, i in path]
+
+
+@pytest.mark.parametrize("site", [-1, 3, True, 1.0, None], ids=["negative", "past-end", "bool", "float", "none"])
+def test_chain_sites_are_range_checked(site):
+    rm = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="site index must be an integer in"):
+        ctmc_marginal(rm, site, 0.5)
+    with pytest.raises(ValueError, match="site index must be an integer in"):
+        simulate_ctmc(rm, site, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="site index must be an integer in"):
+        rm.entry(site, 0)
+    # numpy integers are sites
+    assert ctmc_marginal(rm, np.int64(2), 0.5).probs.tolist() == ctmc_marginal(rm, 2, 0.5).probs.tolist()
+    assert simulate_ctmc(rm, np.int32(2), 1.0, np.random.default_rng(0))[0] == (0.0, 2)
+
+
 def test_simulate_ctmc_absorbing_state_stays_put():
     rm = RateMatrix(("u", "v"), np.array([[0.0, 0.0], [0.0, 0.0]]))
     path = simulate_ctmc(rm, "v", 4.0, np.random.default_rng(0))

@@ -60,6 +60,14 @@ def test_measure_dirac_constructor():
     m = EmpiricalMeasure.dirac(3, 1, 7)
     assert m.counts == (0, 7, 0)
     assert m.n == 7
+    assert EmpiricalMeasure.dirac(3, np.int64(2), 7).counts == (0, 0, 7)
+
+
+@pytest.mark.parametrize("site", [-1, 3, True, 1.0, None], ids=["negative", "past-end", "bool", "float", "none"])
+def test_measure_dirac_site_is_range_checked(site):
+    # -1 used to put the mass on the last site, True and 1.0 on site 1
+    with pytest.raises(ValueError, match=r"site index must be an integer in \[0, 3\)"):
+        EmpiricalMeasure.dirac(3, site, 5)
 
 
 def test_measure_rejects_invalid():
@@ -260,6 +268,55 @@ def test_duel_tables_equal_the_per_split_expressions(n, rate_type, exits):
     for got, want in zip(rows, (rm_tab, kill_a_tab, total_tab)):
         assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want]
     assert float.hex(float(p_a)) == float.hex(float(la / (la + lb)))
+
+
+def assert_thresholds_decide(cuts, rows):
+    """At each live split's thresholds, and at the double below each, the
+    generic step's float expressions over ``rows`` decide as the
+    thresholds say, so these are the least such doubles; a split with no
+    rate reads 2.0, above every uniform."""
+    for k, (rm, kill_a, total) in enumerate(zip(*rows)):
+        mu, tau = cuts[:, k].tolist()
+        if total == 0.0:
+            assert mu == tau == 2.0
+            continue
+        assert 0.0 <= mu <= tau
+        for u in (mu, np.nextafter(mu, 0.0), tau, np.nextafter(tau, 0.0)):
+            if u < 1.0:  # a uniform never reaches 1
+                x = float(u) * total
+                got = "mutation" if x < rm else "a" if (x - rm) - kill_a < 0.0 else "b"
+                assert got == ("mutation" if u < mu else "a" if u < tau else "b"), (k, u)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    rates=st.tuples(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6)),
+    exits=st.tuples(st.just(0.0) | st.floats(1e-2, 1e6), st.just(0.0) | st.floats(1e-2, 1e6)),
+    rate_type=st.sampled_from([float, np.float64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_duel_thresholds_decide_as_the_float_expressions(n, rates, exits, rate_type):
+    la, lb = map(rate_type, rates)
+    inv_nm1 = 1.0 / (n - 1)
+    cuts = engine._duel_thresholds(*engine._duel_tables(n, inv_nm1, la, lb, *exits)[1])
+    assert cuts.shape == (2, n + 1) and cuts.dtype == np.float64
+    assert cuts[:, [0, n]].tolist() == [[2.0, 2.0], [2.0, 2.0]]  # the duel is over
+    assert_thresholds_decide(cuts, per_split_duel_rows(n, inv_nm1, la, lb, *exits))
+
+
+@pytest.mark.parametrize(
+    "la, lb, ea, eb", [(1e-6, 2e-6, 1e-315, 0.0), (1e-3, 1e-3, 3e-318, 5e-324), (1e-8, 1e-8, 0.0, 2e-316)]
+)
+def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
+    # a subnormal mutation rate under a small total makes x = u * total
+    # subnormal while u is not, so many doubles u round to one x and mu
+    # lies far past the doubles tried first around rm / total
+    n = 50
+    rm, kill_a, total = engine._duel_tables(n, 1.0 / (n - 1), la, lb, ea, eb)[1]
+    cuts = engine._duel_thresholds(rm, kill_a, total)
+    guess = (rm[1:n] / total[1:n]).view(np.int64)
+    assert (np.abs(cuts[0, 1:n].view(np.int64) - guess) > 100).any()
+    assert_thresholds_decide(cuts, (rm, kill_a, total))
 
 
 # ------------------------------------------------------------------ capping
@@ -803,3 +860,18 @@ def test_model_pickles_without_its_kernel_memo():
     assert set(vars(copy)) == {*(f.name for f in fields(Model)), "without_mutation"}
     assert copy not in engine._KERNELS and copy.without_mutation not in engine._KERNELS
     assert simulate_selection_absorption(copy, 1e3, init, np.random.default_rng(2)) == absorbed
+
+
+def test_a_pickled_model_reuses_its_pair_tables():
+    # a pool worker unpickles a new model for every chunk; a pair's duel
+    # tables depend on n and the pair's rates alone, so the copy's kernel
+    # takes them from the process's memo instead of building them again
+    model = uplus_cycle_model()
+    init = EmpiricalMeasure([20, 20, 0])
+    engine._duel.cache_clear()
+    traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(2))
+    built = engine._duel.cache_info().misses
+    copy = pickle.loads(pickle.dumps(model))
+    assert simulate_fv(copy, 1e3, init, 1.0, np.random.default_rng(2)).columns == traj.columns
+    info = engine._duel.cache_info()
+    assert built >= 1 and info.misses == built and info.hits == built
