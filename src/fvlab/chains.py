@@ -72,7 +72,7 @@ class RateMatrix:
             raise ValueError("off-diagonal rates must be finite and nonnegative")
 
     def entry(self, x: Union[str, int], y: Union[str, int]) -> float:
-        return float(self.rates[_site(self, x), _site(self, y)])
+        return float(self.rates[_site_index(x, self.states), _site_index(y, self.states)])
 
     def row_sums(self) -> np.ndarray:
         return self.rates.sum(axis=1)
@@ -207,13 +207,8 @@ def _init_vector(rates: RateMatrix, init) -> np.ndarray:
             raise ValueError("initial law is over a different state set")
         return np.asarray(init.probs, dtype=float)
     v = np.zeros(len(rates.states))
-    v[_site(rates, init)] = 1.0
+    v[_site_index(init, rates.states)] = 1.0
     return v
-
-
-def _site(rates: RateMatrix, site: Union[str, int]) -> int:
-    """A site of the chain, by label or by index, as its index."""
-    return rates.states.index(site) if isinstance(site, str) else _site_index(site, len(rates.states))
 
 
 def simulate_ctmc(
@@ -235,7 +230,7 @@ def simulate_ctmc(
         probs = _init_vector(rates, init)
         site = int(rng.choice(len(probs), p=probs))
     else:
-        site = _site(rates, init)
+        site = _site_index(init, rates.states)
     R = rates.rates.tolist()  # Python floats: the same sums as numpy's, and float times
     row_sum = rates.row_sums().tolist()
     t = 0.0

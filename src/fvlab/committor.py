@@ -29,6 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .model import _site_index
+
 __all__ = [
     "gamblers_ruin_committor",
     "invasion_probability",
@@ -158,8 +160,7 @@ class CommittorTable:
     psi: np.ndarray
 
     def value(self, counts: Sequence[int], target: Union[str, int]) -> float:
-        j = self.states.index(target) if isinstance(target, str) else target
-        return float(self.psi[self.space.ranks([counts])[0], j])
+        return float(self.psi[self.space.ranks([counts])[0], _site_index(target, self.states)])
 
     def row(self, counts: Sequence[int]) -> np.ndarray:
         return self.psi[self.space.ranks([counts])[0]].copy()

@@ -63,21 +63,20 @@ mutation and selection totals, and each occupied site's mutation and
 death terms in site order, the very floats the totals were summed from,
 so subtracting them in turn takes the same decisions as recomputing
 them.  The records depend on (model, r) and the particle count only, so
-the engine keeps them with the killing rates at r, in a weak map from
-each model (immutable, hashed by identity) to its kernels: one table
-per particle count, emptied when it holds ``_STATES`` records; a record
-lost that way is rebuilt equal, so this bounds memory and changes no
-result.  A kernel lives as long as its model and is never pickled with
-it.
+the process keeps them with the killing rates at r in one memo,
+:func:`_kernel`, of the ``_KERNELS`` (model, r, n) used last; a model is
+immutable and hashed by identity, and never pickled with its kernel.  A
+kernel's table is emptied when it holds ``_STATES`` records; a record
+lost either way is rebuilt equal, so this bounds memory and changes no
+result.
 
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
-dies out.  Whenever the support has exactly two sites (its record names
-the pair) the loop steps the count at a directly, on tables built once
-per pair and particle count and kept beside the records.  They depend
-on n and the pair's rates alone, so the process also keeps the 64 it
-used last by those numbers: a model unpickled in a pool worker for each
-chunk finds its pairs' tables built.
+dies out.  Whenever the support has exactly two sites (its record holds
+the pair's tables) the loop steps the count at a directly.  The tables
+depend on n and the pair's rates alone, so the process keeps the 64 it
+used last by those numbers, in :func:`_duel`: a model unpickled in a
+pool worker for each chunk finds its pairs' tables built.
 This path is the generic step specialized, not an approximation: it
 reads the same draws from the same buffer positions and refills the
 buffer at the same points.  Where the generic step multiplies its
@@ -126,7 +125,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -149,8 +147,8 @@ _DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
 _NEAR = np.arange(-4, 5)[:, None, None]  # offsets, in doubles, at which duel thresholds are first sought
 _TWO = np.float64(2.0).view(np.int64)  # the bit pattern of 2.0, above every uniform
-_STATES = 4096  # most count vectors a kernel keeps per particle count before it forgets them all
-_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> {r: _kernel(model, r)}
+_STATES = 4096  # most count vectors a kernel keeps before it forgets them all
+_KERNELS = 8  # most (model, r, n) kernels a process keeps
 
 
 class EventCapError(RuntimeError):
@@ -192,7 +190,7 @@ class EmpiricalMeasure:
     @classmethod
     def dirac(cls, num_sites: int, site: int, n: int) -> "EmpiricalMeasure":
         counts = [0] * num_sites
-        counts[_site_index(site, num_sites)] = n
+        counts[_site_index(site, range(num_sites))] = n
         return cls(tuple(counts))
 
     @property
@@ -299,27 +297,23 @@ class AbsorptionResult(NamedTuple):
     event_count: int
 
 
-def _kernel(model: Model, r: float):
-    """The event loop's killing rates at intensity r, built once per (model, r).
+@functools.lru_cache(maxsize=_KERNELS)
+def _kernel(model: Model, r: float, n: int):
+    """The event loop's kernel for n particles at intensity r: ``(lam,
+    states, place)``, the killing rates as Python floats (whatever the
+    type of r, so an int, float or numpy r of one value share a kernel),
+    the :func:`_state` records met so far, and each site's place value in
+    a record's key, the number whose base-(n + 1) digits are the counts.
 
-    Returns ``(lam, by_n)``, where ``by_n`` maps a particle count n to its
-    ``(states, duels, place)``: the :func:`_state` records of the count
-    vectors met so far and the duel of each pair of sites, both filled as
-    the loop meets them, and the place value of each site's count in a
-    count vector's key.  The memo is ``_KERNELS``; a model is immutable,
-    so an entry never goes stale.  The rates are Python floats whatever
-    the type of r, so r alone keys the memo.
+    A run meets one kernel per point, and a pool worker a new one per
+    chunk, for the model it unpickled; the memo holds them strongly, so it
+    bounds a process to ``_KERNELS`` tables of ``_STATES`` records at most.
     """
-    memo = _KERNELS.get(model)
-    if memo is None:
-        memo = _KERNELS[model] = {}
-    kernel = memo.get(r)
-    if kernel is None:
-        kernel = memo[r] = ([model.killing_rate(r, i) for i in range(model.num_states)], {})
-    return kernel
+    lam = [model.killing_rate(r, i) for i in range(model.num_states)]
+    return lam, {}, [(n + 1) ** i for i in range(len(lam))]
 
 
-def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
+def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
     """The generic step's rates at ``counts``, kept in ``states`` under
     ``key``; ``states`` is emptied first when it holds ``_STATES``.
 
@@ -331,14 +325,13 @@ def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
     floats the sums were made of, so subtracting them in turn finds the
     site the generic step finds.  ``mut_last`` and ``death_last`` are the
     sites roundoff falls back to: the last occupied site with a mutation
-    exit, and the last with ``k < n``.  ``duel`` is ``(a, b)`` followed
-    by the pair's :func:`_duel` when the support is the two sites a < b,
-    else None.
+    exit, and the last with ``k < n``.  ``duel`` is the pair's
+    :func:`_duel` when the support is two sites a < b, else None.
 
-    A record is two tuples of numbers, and ``key`` an int, so thousands
-    of them add few objects for the cyclic garbage collector to count:
-    a tuple per site would bring on full collections that cost more
-    than the records save.
+    A record is two tuples of numbers and its pair's shared duel, and
+    ``key`` an int, so thousands of them add few objects for the cyclic
+    garbage collector to count: a tuple per site would bring on full
+    collections that cost more than the records save.
     """
     if len(states) >= _STATES:
         states.clear()
@@ -360,9 +353,7 @@ def _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit):
     duel = None
     if len(sites) == 6:
         a, b = sites[0], sites[3]
-        duel = duels.get((a, b))
-        if duel is None:
-            duel = duels[(a, b)] = (a, b, *_duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b]))
+        duel = _duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b])
     state = states[key] = (r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last, duel)
     return state
 
@@ -377,10 +368,10 @@ def _duel(n, la, lb, ea, eb):
     ``p_a``.
 
     They depend on these numbers alone, so a process keeps the 64 it used
-    last, whatever model they came from: a pool worker meets its
-    model anew, unpickled, in every chunk, and would otherwise build each
-    pair's tables once per chunk.  Nothing reads them but the event loop,
-    which never writes to them.
+    last, whatever model they came from, and each record of the pair's
+    splits holds them: a pool worker meets its model anew, unpickled, in
+    every chunk, and finds them built.  Nothing reads them but the event
+    loop, which never writes to them.
     """
     rows, tables, p_a = _duel_tables(n, 1.0 / (n - 1), la, lb, ea, eb)
     cuts = _duel_thresholds(*tables)
@@ -551,16 +542,10 @@ def _run_replicas(
         if not (ordered and 0 < first_marks[-1] and first_marks[0] <= horizon):
             raise ValueError(f"snapshot times must increase within (0, {horizon}], got {first_marks[::-1]}")
     first_stop = first_marks[-1] if first_marks else horizon
-    lam, by_n = _kernel(model, r)
-    mut_exit, mut_targets, mut_rates = model.exit_rate, model.out_targets, model.out_rates
     n = init.n
+    lam, states, place = _kernel(model, r, n)
+    mut_exit, mut_targets, mut_rates = model.exit_rate, model.out_targets, model.out_rates
     inv_nm1 = 1.0 / (n - 1)
-    prepared = by_n.get(n)
-    if prepared is None:
-        # a count vector's key is the number whose digits in base n + 1 are
-        # its counts: each event adds the target's place and takes the source's
-        prepared = by_n[n] = ({}, {}, [(n + 1) ** i for i in range(len(lam))])
-    states, duels, place = prepared
     first_key = sum(k * p for k, p in zip(init.counts, place))
     last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
     ev_t, ev_src, ev_tgt, ev_kind = runs.columns
@@ -586,12 +571,13 @@ def _run_replicas(
         t = 0.0
         n_events = 0
         while True:
-            state = states.get(key) or _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit)
+            state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
             if state[5] is not None:
                 # Two-site duel: the generic step below, specialized.  Its
                 # decisions are thresholds on the category uniform, exact
                 # per split for the generic loop's own float expressions.
-                a, b, total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[5]
+                total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[5]
+                a, b = state[2][0], state[2][3]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
                 while True:
@@ -653,7 +639,7 @@ def _run_replicas(
                 if ka != counts[a]:
                     key += (ka - counts[a]) * (place[a] - place[b])
                     counts[a], counts[b] = ka, n - ka
-                    state = states.get(key) or _state(states, duels, key, counts, n, inv_nm1, lam, mut_exit)
+                    state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
 
             r_mut, total, sites, mut_last, death_last, _ = state
             if total <= 0.0:

@@ -712,8 +712,6 @@ def _digest(text: str) -> str:
 
 def _lift_law(law: LawOnStates, states: tuple[str, ...]) -> LawOnStates:
     """Express a law over a subset of sites on the full state tuple."""
-    if law.states == states:
-        return law
     v = np.zeros(len(states))
     for s, p in zip(law.states, law.probs):
         v[states.index(s)] += p

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .model import _site_index
+
 __all__ = [
     "LawOnStates",
     "empirical_law",
@@ -48,8 +50,8 @@ class LawOnStates:
         if abs(float(probs.sum()) - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
 
-    def prob(self, state: str) -> float:
-        return float(self.probs[self.states.index(state)])
+    def prob(self, state: Union[str, int]) -> float:
+        return float(self.probs[_site_index(state, self.states)])
 
     def as_dict(self) -> dict[str, float]:
         return {s: float(p) for s, p in zip(self.states, self.probs)}
@@ -64,8 +66,7 @@ def empirical_law(samples: Iterable[Union[str, int]], states: Sequence[str]) -> 
     samples = samples if isinstance(samples, np.ndarray) else list(samples)
     idx = np.asarray(samples)
     if idx.dtype.kind not in "iu":  # labels, possibly mixed with indices
-        index = {s: i for i, s in enumerate(states)}
-        idx = np.array([s if isinstance(s, (int, np.integer)) else index[s] for s in samples], dtype=np.int64)
+        idx = np.array([_site_index(s, states) for s in samples], dtype=np.int64)
     if idx.size < 1:
         raise ValueError("empirical_law requires at least one sample")
     lo, hi = idx.min(), idx.max()

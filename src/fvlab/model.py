@@ -41,11 +41,15 @@ class ModelError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
 
 
-def _site_index(site, num_sites: int) -> int:
-    """``site`` as an index into ``num_sites`` sites: a Python or numpy
-    integer, not a bool, in [0, num_sites); else :class:`ValueError`."""
-    if isinstance(site, bool) or not isinstance(site, numbers.Integral) or not 0 <= site < num_sites:
-        raise ValueError(f"site index must be an integer in [0, {num_sites}), got {site!r}")
+def _site_index(site, states: Sequence[str]) -> int:
+    """``site``, a label in ``states`` or an index into them (a Python or
+    numpy integer, not a bool), as its index; else :class:`ValueError`."""
+    if isinstance(site, str):
+        if site not in states:
+            raise ValueError(f"unknown state {site!r}, not one of {list(states)}")
+        return states.index(site)
+    if isinstance(site, bool) or not isinstance(site, numbers.Integral) or not 0 <= site < len(states):
+        raise ValueError(f"site index must be an integer in [0, {len(states)}), got {site!r}")
     return int(site)
 
 
@@ -149,14 +153,11 @@ class Model:
         return len(self.states)
 
     def state_index(self, x: Union[str, int]) -> int:
-        if isinstance(x, str):
-            try:
-                return self.index[x]
-            except KeyError:
-                raise ModelError(f"unknown state {x!r}") from None
-        if not 0 <= x < len(self.states):
-            raise ModelError(f"state index {x} out of range")
-        return x
+        """A site, by label or by index, as its index; else :class:`ModelError`."""
+        try:
+            return _site_index(x, self.states)
+        except ValueError as err:
+            raise ModelError(str(err)) from None
 
     def mutation_rate(self, x: Union[str, int], y: Union[str, int]) -> float:
         i, j = self.state_index(x), self.state_index(y)

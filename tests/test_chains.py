@@ -45,6 +45,30 @@ def test_rate_matrix_rejects_diagonal_and_negative():
         RateMatrix(("a", "b"), np.array([[0.0, -2.0], [0.5, 0.0]]))
 
 
+_CYCLE3 = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: RateMatrix(("a", "b"), np.zeros((3, 3))), "rate matrix shape must match state set"),
+        (lambda: condensate_rates(validate_model(cycle_model_config()), 1), "n must be >= 2, got 1"),
+        (
+            lambda: ctmc_marginal(_CYCLE3, LawOnStates(("u", "v", "x"), [0.5, 0.5, 0.0]), 1.0),
+            "initial law is over a different state set",
+        ),
+        # an unknown label used to raise tuple.index's "x not in tuple"
+        (lambda: ctmc_marginal(_CYCLE3, "zz", 1.0), "unknown state 'zz'"),
+        (lambda: simulate_ctmc(_CYCLE3, "zz", 1.0, np.random.default_rng(0)), "unknown state 'zz'"),
+        (lambda: _CYCLE3.entry("u", "zz"), "unknown state 'zz'"),
+    ],
+    ids=["shape", "n-below-2", "law-states", "marginal-unknown-label", "simulate-unknown-label", "entry-unknown-label"],
+)
+def test_chains_raise_value_error_naming_the_input(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 # -------------------------------------------------------- condensate rates
 
 

@@ -197,6 +197,32 @@ def test_numeric_rejects_bad_inputs():
         committor_numeric([1, 2, 3], 700)  # 246 051 states, above the 200 000 cap
 
 
+_TABLE = committor_numeric([1.0, 2.0, 3.0], 4)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: invasion_probability(1, 2.0), "n must be >= 2, got 1"),
+        (lambda: invasion_probability(3, 0.0), "alpha must be a finite positive ratio, got 0.0"),
+        (lambda: invasion_probability(3, math.inf), "alpha must be a finite positive ratio, got inf"),
+        (lambda: CompositionSpace(0, 3), "need d >= 1 sites and n >= 0, got d=0, n=3"),
+        (lambda: CompositionSpace(2, -1), "need d >= 1 sites and n >= 0, got d=2, n=-1"),
+        (lambda: committor_numeric([1.0], 4), "need at least two support sites"),
+        (lambda: committor_numeric([1.0, 2.0], 4, states=["a"]), "one label per weight required"),
+        # -1 used to read the last site, 3 to raise IndexError, and an unknown
+        # label tuple.index's "x not in tuple"
+        (lambda: _TABLE.value((2, 1, 1), -1), "got -1"),
+        (lambda: _TABLE.value((2, 1, 1), 3), "got 3"),
+        (lambda: _TABLE.value((2, 1, 1), "zz"), "unknown state 'zz'"),
+    ],
+    ids=["invasion-n", "invasion-alpha-0", "invasion-alpha-inf", "space-d", "space-n", "numeric-one-site", "numeric-labels", "value-negative", "value-past-end", "value-unknown-label"],
+)
+def test_committor_raises_value_error_naming_the_input(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 # sha256 of psi.tobytes(), taken from the face-by-face solve that factors
 # the faces of each size by symmetric-mode LU without pivoting.  They
 # replace the pins of one partially pivoted LU of the whole non-Dirac

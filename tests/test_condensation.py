@@ -62,6 +62,16 @@ def test_minimal_order_set_respects_support():
     assert minimal_order_set(model, ("c",)) == ("c",)
 
 
+@pytest.mark.parametrize(
+    "support, fragment",
+    [((), "support must be nonempty"), (("a", "zz"), "unknown state 'zz'"), ((0, 3), "got 3")],
+    ids=["empty", "unknown-label", "past-end"],
+)
+def test_minimal_order_set_rejects_bad_supports(support, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        minimal_order_set(power_model([1, 1, 2], states=["a", "b", "c"]), support)
+
+
 # ----------------------------------------------------------- weight profile
 
 

@@ -753,9 +753,9 @@ def test_intensity_must_be_finite_before_the_first_event(cycle_model, r):
 
 
 def test_prepared_kernel_never_goes_stale():
-    # The rate layout and duel tables are memoized per (model, r) and per
-    # (n, a, b); alternating the cases that share parts of a key must still
-    # reproduce the reference loop bit for bit.
+    # The rate records are memoized per (model, r, n) and the duel tables
+    # per (n, rates of the pair); alternating the cases that share parts of
+    # a key must still reproduce the reference loop bit for bit.
     def model(m_b):
         config = {
             "states": ["a", "b", "c"],
@@ -836,8 +836,17 @@ def test_state_table_is_bounded_and_changes_no_result(name, cap):
     if name == "numpy-r":  # int, float and numpy scalar r share one kernel and give one path
         for r in (100, 100.0):
             assert outcome(live_simulate, 3, dict(case, r=r)) == outcome(live_simulate, 3, case)
-        ((lam, _),) = engine._KERNELS[case["model"]].values()
-        assert [type(rate) for rate in lam] == [float] * 3
+        kernel = engine._kernel(case["model"], case["r"], case["init"].n)
+        assert all(engine._kernel(case["model"], r, case["init"].n) is kernel for r in (100, 100.0))
+        assert [type(rate) for rate in kernel[0]] == [float] * 3
+
+
+def kernel_kept(model, r, n):
+    """Whether the engine's memo holds the kernel of (model, r, n): a lookup
+    of it hits.  A lookup that misses builds the kernel."""
+    hits = engine._kernel.cache_info().hits
+    engine._kernel(model, r, n)
+    return engine._kernel.cache_info().hits > hits
 
 
 def test_model_pickles_without_its_kernel_memo():
@@ -848,24 +857,24 @@ def test_model_pickles_without_its_kernel_memo():
     size = len(pickle.dumps(model))
     init = EmpiricalMeasure([20, 20, 0])
     traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(2))
-    assert engine._KERNELS[model]  # the run filled the memo
+    assert kernel_kept(model, 1e3, 40)  # the run filled the memo
     blob = pickle.dumps(model)
     assert len(blob) == size
     copy = pickle.loads(blob)
-    assert copy not in engine._KERNELS and copy.content_hash() == model.content_hash()
+    assert not kernel_kept(copy, 1e3, 40) and copy.content_hash() == model.content_hash()
     assert simulate_fv(copy, 1e3, init, 1.0, np.random.default_rng(2)).columns == traj.columns
     absorbed = simulate_selection_absorption(model, 1e3, init, np.random.default_rng(2))
-    assert engine._KERNELS[model.without_mutation]
+    assert kernel_kept(model.without_mutation, 1e3, 40)
     copy = pickle.loads(pickle.dumps(model))
     assert set(vars(copy)) == {*(f.name for f in fields(Model)), "without_mutation"}
-    assert copy not in engine._KERNELS and copy.without_mutation not in engine._KERNELS
+    assert not kernel_kept(copy.without_mutation, 1e3, 40)
     assert simulate_selection_absorption(copy, 1e3, init, np.random.default_rng(2)) == absorbed
 
 
 def test_a_pickled_model_reuses_its_pair_tables():
     # a pool worker unpickles a new model for every chunk; a pair's duel
-    # tables depend on n and the pair's rates alone, so the copy's kernel
-    # takes them from the process's memo instead of building them again
+    # tables depend on n and the pair's rates alone, so the copy's records
+    # take them from the process's memo instead of building them again
     model = uplus_cycle_model()
     init = EmpiricalMeasure([20, 20, 0])
     engine._duel.cache_clear()
@@ -874,4 +883,21 @@ def test_a_pickled_model_reuses_its_pair_tables():
     copy = pickle.loads(pickle.dumps(model))
     assert simulate_fv(copy, 1e3, init, 1.0, np.random.default_rng(2)).columns == traj.columns
     info = engine._duel.cache_info()
-    assert built >= 1 and info.misses == built and info.hits == built
+    assert built >= 1 and info.misses == built and info.hits >= built
+
+
+def test_kernel_memo_is_bounded_and_rebuilds_equal():
+    # more distinct (model, r, n) than the memo keeps: it holds the bound's
+    # number, and the first kernel, evicted, is rebuilt and reproduces the
+    # reference loop bit for bit
+    model = uplus_cycle_model()
+    bound = engine._kernel.cache_info().maxsize
+    first = dict(model=model, r=1e3, init=EmpiricalMeasure([3, 3, 0]), T=0.5)
+    want = outcome(reference_simulate, 8, first)
+    assert outcome(live_simulate, 8, first) == want
+    for n in range(7, 8 + bound):
+        simulate_fv(model, 1e3, EmpiricalMeasure([n, 0, 0]), 0.01, np.random.default_rng(0), record=False)
+    assert engine._kernel.cache_info().currsize <= bound
+    misses = engine._kernel.cache_info().misses
+    assert outcome(live_simulate, 8, first) == want
+    assert engine._kernel.cache_info().misses == misses + 1  # the kernel was rebuilt

@@ -179,6 +179,15 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict(theorem1_doc(bogus=1))
 
 
+@pytest.mark.parametrize("kind", [None, "absent"])
+def test_config_must_declare_a_kind(kind):
+    doc = theorem1_doc(kind=kind)
+    if kind == "absent":
+        del doc["kind"]
+    with pytest.raises(ConfigError, match="config must declare an experiment kind"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         ExperimentConfig.from_dict(theorem1_doc(kind="theorem9"))
@@ -1371,6 +1380,13 @@ def test_path_chunk_reduces_a_long_replica_alone(monkeypatch):
     m = sorted(res["events"].tolist())
     assert m[0] + m[1] + 2 > experiments._PATH_ROWS and m[2] >= experiments._PATH_ROWS
     assert calls == [[m] for m in res["events"].tolist()]
+
+
+def test_theorem3_hash_thread_invariant():
+    # two chunks of long duels, run in forked workers: their numpy blocks
+    # and the workers' kernel and duel memos change no draw
+    cfg = ExperimentConfig.from_dict(_theorem3_doc(points=[{"n": 32, "r": 1e4}], replicas=512))
+    assert run_experiment(cfg, threads=2).result_hash == run_experiment(cfg).result_hash
 
 
 def test_theorem2_hash_thread_invariant():

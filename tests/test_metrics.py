@@ -69,6 +69,24 @@ def test_empirical_law_accepts_indices():
                 empirical_law(samples, STATES)
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: empirical_law([], STATES), "at least one sample"),
+        (lambda: empirical_law(np.array([], dtype=np.int64), STATES), "at least one sample"),
+        # an unknown label used to raise a bare KeyError, and a bool to count as site 1
+        (lambda: empirical_law(["a", "zz"], STATES), "unknown state 'zz'"),
+        (lambda: empirical_law([True, True], STATES), "got True"),
+        (lambda: LawOnStates(STATES, [0.5, 0.3, 0.2]).prob("zz"), "unknown state 'zz'"),
+        (lambda: LawOnStates(STATES, [0.5, 0.3, 0.2]).prob(3), "got 3"),
+    ],
+    ids=["no-samples", "no-samples-array", "unknown-label", "bool-samples", "prob-unknown-label", "prob-past-end"],
+)
+def test_metrics_raise_value_error_naming_the_input(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 # ------------------------------------------------------------------- tv
 
 

@@ -78,6 +78,11 @@ def test_validate_q_is_max_exit_rate():
         (lambda c: c.update(mutation=None), "mutation must be a list of entries, got None"),
         (lambda c: c.update(mutation=5), "mutation must be a list of entries, got 5"),
         (lambda c: c.update(mutation=c["mutation"][0]), "mutation must be a list of entries, got {'from'"),
+        (lambda c: c["mutation"].append("a"), "mutation entry must be a mapping, got 'a'"),
+        (
+            lambda c: c.update(killing={"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0}}),
+            "uniform_plus killing missing offset for state 'c'",
+        ),
     ],
 )
 def test_validate_rejects_bad_configs(breakage, fragment):
@@ -85,6 +90,31 @@ def test_validate_rejects_bad_configs(breakage, fragment):
     breakage(cfg)
     with pytest.raises(ModelError, match=fragment):
         validate_model(cfg)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda m: m.state_index(3), r"site index must be an integer in \[0, 3\), got 3"),
+        (lambda m: m.state_index(-1), "got -1"),
+        (lambda m: m.state_index("zz"), "unknown state 'zz'"),
+        # a bool or a float used to pass as an index: True as site 1 (a rate
+        # of 11.0, an alpha of 1.1), 1.0 to a bare TypeError, 1.5 to a
+        # mutation rate of 0.0
+        (lambda m: m.killing_rate(10, True), "got True"),
+        (lambda m: m.killing_rate(10, 1.0), "got 1.0"),
+        (lambda m: m.mutation_rate("a", 1.5), "got 1.5"),
+        (lambda m: m.alpha(0, True, 10), "got True"),
+    ],
+    ids=["past-end", "negative", "unknown-label", "bool-rate", "float-rate", "float-mutation", "bool-alpha"],
+)
+def test_sites_are_labels_or_integer_indices(call, fragment):
+    model = validate_model(
+        dict(cycle_model_config(), killing={"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0, "c": 2.0}})
+    )
+    with pytest.raises(ModelError, match=fragment):
+        call(model)
+    assert model.killing_rate(10, np.int64(1)) == model.killing_rate(10, "b") == 11.0  # numpy integers are sites
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])
