@@ -32,7 +32,7 @@ import numpy as np
 
 from .committor import CompositionSpace, committor_numeric
 from .metrics import LawOnStates
-from .model import Model
+from .model import Model, _integers, _integral
 
 __all__ = [
     "minimal_order_set",
@@ -74,14 +74,15 @@ def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
 
     Each draw observes a color proportionally to its current count and
     adds one ball of that color.  ``initial_counts`` must be >= 1
-    (empty colors can never be drawn and would stay empty).
+    (empty colors can never be drawn and would stay empty); they and
+    ``draws`` are Python or numpy integers.
     """
-    a = [int(v) for v in initial_counts]
+    a = _integers(initial_counts, "initial counts")
     if not a or any(v < 1 for v in a):
         raise ValueError(f"initial counts must all be >= 1, got {initial_counts}")
+    if not _integral(draws) or draws < 0:
+        raise ValueError(f"draw count must be an integer >= 0, got {draws!r}")
     m = int(draws)
-    if m < 0:
-        raise ValueError(f"draw count must be >= 0, got {draws}")
     space = CompositionSpace(len(a), m)
     if space.size > _OUTCOME_CAP:
         raise ValueError(f"{space.size} outcomes exceed the cap {_OUTCOME_CAP}")
@@ -128,12 +129,13 @@ class InitialCondensationLaw:
 def initial_condensation_law(model: Model, counts: Sequence[int]) -> InitialCondensationLaw:
     """Limiting site law of the first Dirac mass under fast selection.
 
-    ``counts`` gives the particle counts per model state, at least one
-    particle in all.  A Dirac measure, or any support whose minimal-order
-    set ``Lambda`` is one site, condenses at that site.  Depends on the
-    killing family only through its limit ratios.
+    ``counts`` gives the particle counts per model state, Python or numpy
+    integers, at least one particle in all.  A Dirac measure, or any
+    support whose minimal-order set ``Lambda`` is one site, condenses at
+    that site.  Depends on the killing family only through its limit
+    ratios.
     """
-    counts = [int(c) for c in counts]
+    counts = _integers(counts, "counts")
     if len(counts) != model.num_states or any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative, one per model state")
     n = sum(counts)

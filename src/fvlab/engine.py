@@ -24,7 +24,7 @@ pattern, so trajectories are bit-reproducible for a given (model, seed,
 parameters).  Each step reads one standard exponential ``e``, its
 waiting time being ``e / total``, and two uniforms, for the event
 category and the event target.  They are drawn a refill at a time: for
-the next S steps, ``rng.standard_exponential(S)`` and then
+the next S steps, the draws of ``rng.standard_exponential(S)`` and then
 ``rng.random(2 * S)``, the category uniforms first, with S = 21 at the
 start and doubling at each refill up to 1365.  The exponentials come
 from numpy's ziggurat sampler, computed in the generator's own code, so
@@ -33,13 +33,13 @@ computed: in the scalar loop or in a numpy block.
 
 The one event loop, :func:`_run_replicas`, takes a chunk's streams and
 runs one replica per stream.  What every replica shares is prepared
-once per call: n and 1/(n-1), the checked snapshot times and the event
-cap.  A replica resets only its own state (counts, time, draw buffer,
-event count, pending snapshots) and appends its results to flat
-lists, which the caller turns into numpy arrays once per chunk.  A
-replica reads nothing but its stream and that state, so its results
-are bit for bit those of its stream run alone, whichever replicas
-share its chunk.
+once per call: n and 1/(n-1), the snapshot times, the event cap and the
+draw buffer, which each refill writes into with ``out=``.  A replica
+resets only its own state (counts, time, draws, event count, pending
+snapshots) and appends its results to flat lists, which the caller
+turns into numpy arrays once per chunk.  A replica reads nothing but
+its stream and that state, so its results are bit for bit those of its
+stream run alone, whichever replicas share its chunk.
 :func:`simulate_fv` and :func:`simulate_selection_absorption` are the
 one-stream case.  The loop takes its dynamics from the model alone:
 selection-only runs, whose absorption gives committors and the
@@ -58,12 +58,13 @@ one numpy pass.
 Fast selection pulls the particles into one condensate, so a replica
 spends almost all its events at a few count vectors: Dirac masses and
 two-site splits.  The generic step therefore reads its rates from a
-record per count vector, built the first time the loop meets it: the
-mutation and selection totals, and each occupied site's mutation and
-death terms in site order, the very floats the totals were summed from,
-so subtracting them in turn takes the same decisions as recomputing
-them.  The records depend on (model, r) and the particle count only, so
-the process keeps them with the killing rates at r in one memo,
+record per count vector, built the first time the loop meets it by
+:func:`_rates`, the one place the rates are computed: the mutation and
+selection totals, and each occupied site's mutation and death terms in
+site order, the very floats the totals were summed from, so
+subtracting them in turn takes the same decisions as recomputing them.
+The records depend on (model, r) and the particle count only, so the
+process keeps them with the killing rates at r in one memo,
 :func:`_kernel`, of the ``_KERNELS`` (model, r, n) used last; a model is
 immutable and hashed by identity, and never pickled with its kernel.  A
 kernel's table is emptied when it holds ``_STATES`` records; a record
@@ -73,10 +74,11 @@ result.
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
 dies out.  Whenever the support has exactly two sites (its record holds
-the pair's tables) the loop steps the count at a directly.  The tables
-depend on n and the pair's rates alone, so the process keeps the 64 it
-used last by those numbers, in :func:`_duel`: a model unpickled in a
-pool worker for each chunk finds its pairs' tables built.
+the pair's tables, :func:`_rates` at each split) the loop steps the
+count at a directly.  The tables depend on n and the pair's rates
+alone, so the process keeps the 64 it used last by those numbers, in
+:func:`_duel`: a model unpickled in a pool worker for each chunk finds
+its pairs' tables built.
 This path is the generic step specialized, not an approximation: it
 reads the same draws from the same buffer positions and refills the
 buffer at the same points.  Where the generic step multiplies its
@@ -111,26 +113,26 @@ ended it (the mismatched step, the refill) or hands it to the generic
 step (the mutation, the snapshot or horizon, the cap), so the block
 changes the cost of a long duel and nothing else.
 
-One run gives the state at several times: ``simulate_fv(...,
-snapshot_times=...)`` records the counts and the events so far at each
-of them.  The loop treats the next snapshot time as its horizon; a
-waiting time that crosses it is, by the memoryless property, still the
-time to the next event, so the snapshot is taken and the same waiting
-time is kept.  No draw is spent and the path to ``T`` is unchanged, and
-the per-event path has no added branch.
+One run gives the state at several times: the loop's
+``snapshot_times``, an experiment's time points, record the counts and
+the events so far at each of them.  The loop treats the next snapshot
+time as its horizon; a waiting time that crosses it is, by the
+memoryless property, still the time to the next event, so the
+snapshot is taken and the same waiting time is kept.  No draw is spent
+and the path to ``T`` is unchanged, and the per-event path has no added
+branch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Model, _site_index
+from .model import Model, _integers, _site_index
 
 __all__ = [
     "EmpiricalMeasure",
@@ -178,10 +180,7 @@ class EmpiricalMeasure:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(self.counts)
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
-            raise ValueError(f"counts must be integers, got {counts}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "counts", tuple(_integers(self.counts, "counts")))
         if any(c < 0 for c in self.counts):
             raise ValueError(f"negative count in {self.counts}")
         if self.n < 2:
@@ -211,9 +210,7 @@ class Trajectory:
     at target was duplicated; same-site selections are never recorded).
     ``final_counts`` are the counts at the horizon.  ``event_count``
     counts the generated events even when recording was turned off
-    (columns empty).  ``snapshots`` holds one ``(counts, events so
-    far)`` pair per requested snapshot time: the state after every event
-    at or before that time.
+    (columns empty).
     """
 
     initial: EmpiricalMeasure
@@ -221,7 +218,6 @@ class Trajectory:
     horizon: float
     final_counts: tuple[int, ...]
     event_count: int = 0
-    snapshots: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
     def occupancy_path(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
@@ -313,11 +309,10 @@ def _kernel(model: Model, r: float, n: int):
     return lam, {}, [(n + 1) ** i for i in range(len(lam))]
 
 
-def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
-    """The generic step's rates at ``counts``, kept in ``states`` under
-    ``key``; ``states`` is emptied first when it holds ``_STATES``.
+def _rates(counts, n, inv_nm1, lam, mut_exit):
+    """The generic step's rates at ``counts``: ``(r_mut, total, sites,
+    mut_last, death_last)``.
 
-    Returns ``(r_mut, total, sites, mut_last, death_last, duel)``.
     ``r_mut`` and ``total`` are the generic step's sums, accumulated from
     0.0 over the occupied sites in site order.  ``sites`` holds three
     entries per occupied site, in that order: the site, its mutation term
@@ -325,16 +320,8 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
     floats the sums were made of, so subtracting them in turn finds the
     site the generic step finds.  ``mut_last`` and ``death_last`` are the
     sites roundoff falls back to: the last occupied site with a mutation
-    exit, and the last with ``k < n``.  ``duel`` is the pair's
-    :func:`_duel` when the support is two sites a < b, else None.
-
-    A record is two tuples of numbers and its pair's shared duel, and
-    ``key`` an int, so thousands of them add few objects for the cyclic
-    garbage collector to count: a tuple per site would bring on full
-    collections that cost more than the records save.
+    exit, and the last with ``k < n``.
     """
-    if len(states) >= _STATES:
-        states.clear()
     r_mut = 0.0
     r_sel = 0.0
     sites = []
@@ -350,11 +337,29 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
                 mut_last = i
             if k < n:
                 death_last = i
+    return r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last
+
+
+def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
+    """The :func:`_rates` record of ``counts``, kept in ``states`` under
+    ``key``, with ``duel`` appended: the pair's :func:`_duel` when the
+    support is two sites a < b, else None.  ``states`` is emptied first
+    when it holds ``_STATES``.
+
+    A record is two tuples of numbers and its pair's shared duel, and
+    ``key`` an int, so thousands of them add few objects for the cyclic
+    garbage collector to count: a tuple per site would bring on full
+    collections that cost more than the records save.
+    """
+    if len(states) >= _STATES:
+        states.clear()
+    rates = _rates(counts, n, inv_nm1, lam, mut_exit)
+    sites = rates[2]
     duel = None
     if len(sites) == 6:
         a, b = sites[0], sites[3]
         duel = _duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b])
-    state = states[key] = (r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last, duel)
+    state = states[key] = (*rates, duel)
     return state
 
 
@@ -362,10 +367,18 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
 def _duel(n, la, lb, ea, eb):
     """The duel of a pair of sites a < b with killing rates ``la``, ``lb``
     and mutation exits ``ea``, ``eb`` among n particles: ``(total_tab,
-    mu_tab, tau_tab, totals, cuts, p_a)``, the total rate row of
-    :func:`_duel_tables` and the rows of :func:`_duel_thresholds`, as
+    mu_tab, tau_tab, totals, cuts, p_a)``, the total rate and the rows of
+    :func:`_duel_thresholds` per split, indexed by the count at a, as
     lists for the scalar step and as arrays for :func:`_duel_block`, and
-    ``p_a``.
+    ``p_a = la / (la + lb)``, the probability at every split that a
+    count-changing death is at a.
+
+    Each split's mutation rate, death rate at a and total rate are
+    :func:`_rates`' own over the support {a, b}, so they are bit for bit
+    the floats the generic step computes there.  The total rate is 0.0 at
+    the Dirac ends (count 0 or n), where the duel is over, and the
+    mutation rate is +inf wherever the total is 0.0, so that such a split
+    reads as a mutation.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -373,35 +386,14 @@ def _duel(n, la, lb, ea, eb):
     every chunk, and finds them built.  Nothing reads them but the event
     loop, which never writes to them.
     """
-    rows, tables, p_a = _duel_tables(n, 1.0 / (n - 1), la, lb, ea, eb)
+    inv_nm1 = 1.0 / (n - 1)
+    tables = np.zeros((3, n + 1))  # mutation rate, death rate at a, total rate
+    for ka in range(1, n):
+        r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))[:3]
+        tables[:, ka] = r_mut, sites[2], total
+    tables[0, tables[2] == 0.0] = math.inf
     cuts = _duel_thresholds(*tables)
-    return (rows[2], *cuts.tolist(), tables[2], cuts, p_a)
-
-
-def _duel_tables(n, inv_nm1, la, lb, ea, eb):
-    """Per-split rates of a pair of sites a < b, indexed by the count at a.
-
-    The rows of one array hold the mutation rate, the rate of a
-    count-changing death at a, and the total rate.  Each entry is the
-    generic loop's own expression over the support {a, b}, accumulated
-    from 0.0 in the same order, so the rows hold bit-for-bit the floats
-    that loop would compute.  The total rate is 0.0 at the Dirac ends
-    (count 0 or n), where the duel is over, and the mutation rate is
-    +inf wherever the total is 0, so that such a split reads as a
-    mutation.  Returns ``(rows, tables, p_a)``: the rows as lists and as
-    one array, from which :func:`_duel_thresholds` and the waiting times
-    read, and ``la / (la + lb)``, the probability at every split that a
-    count-changing death is at a.
-    """
-    ka = np.arange(1, n)
-    kb = n - ka
-    r_mut = 0.0 + ka * ea + kb * eb
-    kill_a = ka * la * kb
-    r_sel = (0.0 + kill_a + kb * lb * ka) * inv_nm1
-    tables = np.zeros((3, n + 1))
-    tables[:, 1:n] = r_mut, kill_a * inv_nm1, r_mut + r_sel
-    tables[0, tables[2] <= 0.0] = math.inf
-    return tables.tolist(), tables, la / (la + lb)
+    return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, la / (la + lb))
 
 
 def _duel_thresholds(rm, kill_a, total):
@@ -481,15 +473,6 @@ def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m):
     return steps, int(after[steps - 1]) if steps else ka, times[:steps], a_died[:steps]
 
 
-def _draws(rng: np.random.Generator, size: int):
-    """One refill for ``size`` steps: ``size`` standard exponentials, then
-    ``2 * size`` uniforms, each as an array and as a memoryview of it,
-    whose items are Python floats, for cheaper scalar arithmetic."""
-    e = rng.standard_exponential(size)
-    u = rng.random(2 * size)
-    return e, u, memoryview(e), memoryview(u)
-
-
 class _Runs:
     """Flat results of the replicas :func:`_run_replicas` runs, appended in
     stream order.
@@ -527,20 +510,17 @@ def _run_replicas(
     Each replica runs from ``init`` until the horizon ``T`` (if given)
     or absorption in a Dirac mass with zero remaining rate, records its
     events only with ``record``, and takes one snapshot per time of
-    ``snapshot_times`` (see the module docstring).  A stream is drawn
-    from ``rngs`` when its replica starts, after the previous replica's
+    ``snapshot_times`` (see the module docstring), which the caller
+    gives strictly increasing in (0, T]: an experiment's ``time_points``,
+    checked when its config is validated.  A stream is drawn from
+    ``rngs`` when its replica starts, after the previous replica's
     results are in ``runs``.  An :class:`EventCapError` leaves ``runs``
     holding the replicas before the capped one.
     """
     if len(init.counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
     horizon = math.inf if T is None else T
-    first_marks = []  # snapshot times, latest first
-    if len(snapshot_times):  # a numpy array has no truth value
-        first_marks = [float(s) for s in reversed(snapshot_times)]
-        ordered = all(a > b for a, b in zip(first_marks, first_marks[1:]))
-        if not (ordered and 0 < first_marks[-1] and first_marks[0] <= horizon):
-            raise ValueError(f"snapshot times must increase within (0, {horizon}], got {first_marks[::-1]}")
+    first_marks = list(reversed(snapshot_times))  # latest first
     first_stop = first_marks[-1] if first_marks else horizon
     n = init.n
     lam, states, place = _kernel(model, r, n)
@@ -552,11 +532,14 @@ def _run_replicas(
     snaps, snap_events = runs.snaps, runs.snap_events
     # Draws for ``size`` steps are made at once, ``size`` growing
     # geometrically, so short replicas stay cheap and long ones amortize
-    # the generator calls.  Step ``pos`` reads ``ebuf[pos]``, ``ubuf[pos]``
-    # and ``ubuf[size + pos]``.  Every replica's first refill fills the
-    # same two arrays; no draw outlives its replica.
-    first_e, first_u = np.empty(_FIRST), np.empty(2 * _FIRST)
-    first_draws = first_e, first_u, memoryview(first_e), memoryview(first_u)
+    # the generator calls.  Every refill writes into the leading entries
+    # of one buffer per call, the first through views made here, and
+    # step ``pos`` reads ``ebuf[pos]``, ``ubuf[pos]`` and ``ubuf[size +
+    # pos]``, memoryviews whose items are Python floats, for cheaper
+    # scalar arithmetic; no draw outlives its replica.
+    e_arr, u_arr = np.empty(_BLOCK), np.empty(2 * _BLOCK)
+    first_e, first_u = e_arr[:_FIRST], u_arr[:2 * _FIRST]
+    ebuf, ubuf = memoryview(e_arr), memoryview(u_arr)
 
     for rng in rngs:
         counts = list(init.counts)
@@ -566,7 +549,6 @@ def _run_replicas(
         size = _FIRST
         rng.standard_exponential(out=first_e)
         rng.random(out=first_u)
-        e_arr, u_arr, ebuf, ubuf = first_draws
         pos = 0
         t = 0.0
         n_events = 0
@@ -588,7 +570,8 @@ def _run_replicas(
                             if total_tab[ka] <= 0.0:
                                 break  # a site died out or no rate is left: no refill
                             size = min(size * 2, _BLOCK)
-                            e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
+                            rng.standard_exponential(out=e_arr[:size])
+                            rng.random(out=u_arr[:2 * size])
                             pos = 0
                         u = ubuf[pos]
                         if u < mu_tab[ka]:
@@ -647,7 +630,8 @@ def _run_replicas(
 
             if pos == size:
                 size = min(size * 2, _BLOCK)
-                e_arr, u_arr, ebuf, ubuf = _draws(rng, size)
+                rng.standard_exponential(out=e_arr[:size])
+                rng.random(out=u_arr[:2 * size])
                 pos = 0
             dt = ebuf[pos] / total
             u_cat = ubuf[pos]
@@ -733,34 +717,25 @@ def simulate_fv(
     *,
     record: bool = True,
     event_cap: int = DEFAULT_EVENT_CAP,
-    snapshot_times: Sequence[float] = (),
 ) -> Trajectory:
     """Exact realization of the full mutation + selection dynamics on [0, T].
 
     With ``record=False`` no event is recorded (the final state
     and the event count are still exact); use this for marginals, where
-    storing paths would dominate the cost.  ``snapshot_times``, strictly
-    increasing in (0, T], fill ``Trajectory.snapshots`` from the same
-    path: one pass gives the marginals at every time, and the final
-    state, event count and draws are those of a run without them.
-    This is the event loop's one-stream case: replica i of an
-    experiment's chunk equals this call on its stream
-    (``derive_replica_rng(seed, i)``), draw for draw.
+    storing paths would dominate the cost.  This is the event loop's
+    one-stream case: replica i of an experiment's chunk equals this call
+    on its stream (``derive_replica_rng(seed, i)``), draw for draw.
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
     runs = _Runs()
-    _run_replicas(
-        model, r, init, T, (rng,), runs, record=record, event_cap=event_cap, snapshot_times=snapshot_times
-    )
-    d = len(init.counts)
+    _run_replicas(model, r, init, T, (rng,), runs, record=record, event_cap=event_cap)
     return Trajectory(
         initial=init,
         columns=runs.columns,
         horizon=T,
         final_counts=tuple(runs.finals),
         event_count=runs.events[0],
-        snapshots=[(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)],
     )
 
 

@@ -65,7 +65,8 @@ distinct replicas never share a block and each replays alone.  A chunk
 keys one Philox and resets its counter per replica, and runs all its
 replicas through one call of the engine's event loop, which prepares
 what they share once and hands back flat per-replica lists; the engine
-keeps its rate layout once per (model, r).
+keeps its rate layout once per (model, r, n), and its duel tables once
+per pair of sites' rates and n.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from .engine import (
     _Runs,
 )
 from .metrics import LawOnStates, empirical_law, tv_distance
-from .model import Model, _is_int, _is_real, validate_model
+from .model import Model, _integral, _is_int, _is_real, validate_model
 
 __all__ = [
     "ConfigError",
@@ -121,11 +122,14 @@ def derive_replica_rng(master_seed: int, index: int) -> np.random.Generator:
     A Philox generator keyed by the master seed, started at counter
     ``index << 128``: each replica owns 2^128 counter blocks, far more
     than a replica draws, so streams of distinct indices never overlap
-    and do not depend on scheduling or thread count.
+    and do not depend on scheduling or thread count.  Both arguments are
+    Python or numpy integers; a bool or a float raises.
     """
-    if not 0 <= index < 2**128:  # Philox's counter holds 256 bits
-        raise ValueError(f"replica index must be in [0, 2**128), got {index}")
-    return next(_replica_rngs(master_seed, index, 1))
+    if not _integral(master_seed) or master_seed < 0:
+        raise ValueError(f"master seed must be an integer >= 0, got {master_seed!r}")
+    if not _integral(index) or not 0 <= int(index) < 2**128:  # Philox's counter holds 256 bits
+        raise ValueError(f"replica index must be an integer in [0, 2**128), got {index!r}")
+    return next(_replica_rngs(int(master_seed), int(index), 1))
 
 
 def _is_dirac(v) -> bool:

@@ -41,6 +41,20 @@ class ModelError(ValueError):
     """Raised when a model configuration violates a structural constraint."""
 
 
+def _integral(v) -> bool:
+    """A Python or numpy integer (a bool is not one)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _integers(values: Sequence[int], what: str) -> list[int]:
+    """``values``, Python or numpy integers (not floats, bools or strings),
+    as a list of ints; else :class:`ValueError` naming ``what``."""
+    values = list(values)
+    if not all(map(_integral, values)):
+        raise ValueError(f"{what} must be integers, got {values}")
+    return [int(v) for v in values]
+
+
 def _site_index(site, states: Sequence[str]) -> int:
     """``site``, a label in ``states`` or an index into them (a Python or
     numpy integer, not a bool), as its index; else :class:`ValueError`."""
@@ -48,7 +62,7 @@ def _site_index(site, states: Sequence[str]) -> int:
         if site not in states:
             raise ValueError(f"unknown state {site!r}, not one of {list(states)}")
         return states.index(site)
-    if isinstance(site, bool) or not isinstance(site, numbers.Integral) or not 0 <= site < len(states):
+    if not _integral(site) or not 0 <= site < len(states):
         raise ValueError(f"site index must be an integer in [0, {len(states)}), got {site!r}")
     return int(site)
 
@@ -143,7 +157,6 @@ class Model:
     mutation: tuple[tuple[int, int, float], ...]
     killing: KillingFamily
     Q: float
-    index: Mapping[str, int] = field(repr=False)
     out_targets: tuple[tuple[int, ...], ...] = field(repr=False)
     out_rates: tuple[tuple[float, ...], ...] = field(repr=False)
     exit_rate: tuple[float, ...] = field(repr=False)
@@ -357,7 +370,6 @@ def validate_model(config: Mapping) -> Model:
         mutation=tuple(entries),
         killing=killing,
         Q=Q,
-        index=index,
         out_targets=tuple(out_targets),
         out_rates=tuple(out_rates),
         exit_rate=tuple(exit_rate),

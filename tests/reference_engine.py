@@ -1,11 +1,12 @@
 """The generic event loop on the current draw layout: no duel step, no block.
 
-A copy of ``fvlab.engine._simulate`` (and its rate-layout helper) from
-before the duel specialization was added, with only its refill and its
-three reads per step moved to the current layout: per refill ``size``
-standard exponentials, then ``2 * size`` uniforms; step ``pos`` reads
-exponential ``pos``, uniform ``pos`` for the event category and uniform
-``size + pos`` for the target.  Tests compare the live engine against
+The engine's one-replica event loop (and its rate-layout helper) as it
+stood before the duel specialization was added, kept here frozen while
+the engine's loop became :func:`fvlab.engine._run_replicas`, with only
+its refill and its three reads per step moved to the current layout:
+per refill ``size`` standard exponentials, then ``2 * size`` uniforms;
+step ``pos`` reads exponential ``pos``, uniform ``pos`` for the event
+category and uniform ``size + pos`` for the target.  Tests compare the live engine against
 it: the two must agree bit for bit on time, final counts, recorded
 events and event count for every input.
 """

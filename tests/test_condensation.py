@@ -318,6 +318,34 @@ def test_eta_inf_json_contract():
     assert doc["eta_infinity"]["a"] == pytest.approx(28 / 45)
 
 
+_CRIT7 = dict(betas=[1, 1, 2], cs=[1.0, 2.0, 1.0], states=["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # each used to be truncated with int(): the first three to the law of (1, 2, 1)
+        (lambda: initial_condensation_law(power_model(**_CRIT7), [1.5, 2, 1]), "counts must be integers"),
+        (lambda: initial_condensation_law(power_model(**_CRIT7), [True, 2, 1]), "counts must be integers"),
+        (lambda: initial_condensation_law(power_model(**_CRIT7), ["1", 2, 1]), "counts must be integers"),
+        (lambda: polya_urn_law((1.5, 2), 1), "initial counts must be integers"),
+        (lambda: polya_urn_law((1, 2), 1.7), "draw count must be an integer"),
+        (lambda: polya_urn_law((1, 2), True), "draw count must be an integer"),
+    ],
+    ids=["icl-float", "icl-bool", "icl-str", "urn-float-count", "urn-float-draws", "urn-bool-draws"],
+)
+def test_counts_and_draws_must_be_integers(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_counts_and_draws_may_be_numpy_integers():
+    model = power_model(**_CRIT7)
+    want = initial_condensation_law(model, (1, 2, 1)).law.probs
+    assert initial_condensation_law(model, np.array([1, 2, 1])).law.probs.tobytes() == want.tobytes()
+    assert polya_urn_law(np.array([1, 2]), np.int64(3)).exact == polya_urn_law((1, 2), 3).exact
+
+
 def test_eta_inf_rejects_bad_counts():
     model = power_model([1, 1], states=["a", "b"])
     with pytest.raises(ValueError):

@@ -236,7 +236,9 @@ def test_max_mass_integral_zero_for_frozen_dirac():
 
 
 def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
-    """The duel tables as a Python loop over the splits, one expression per entry."""
+    """The duel's mutation, death-at-a and total rate rows as a Python loop
+    over the splits, one expression per entry; the mutation rate is +inf
+    where the total is 0.0, so that such a split reads as a mutation."""
     rm_tab, kill_a_tab, total_tab = [0.0] * (n + 1), [0.0] * (n + 1), [0.0] * (n + 1)
     for ka in range(1, n):
         kb = n - ka
@@ -246,7 +248,28 @@ def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
         rm_tab[ka] = r_mut
         kill_a_tab[ka] = kill_a * inv_nm1
         total_tab[ka] = r_mut + r_sel
-    return rm_tab, kill_a_tab, total_tab
+    return [np.inf if total == 0.0 else rm for rm, total in zip(rm_tab, total_tab)], kill_a_tab, total_tab
+
+
+def oracle_cuts(n, la, lb, ea, eb):
+    """``(cuts, rows)``: the per-split rows and their thresholds."""
+    rows = per_split_duel_rows(n, 1.0 / (n - 1), la, lb, ea, eb)
+    return engine._duel_thresholds(*np.array(rows)), rows
+
+
+def assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb):
+    # the memo would answer a float64 pair with the tables of an equal float pair
+    total_tab, mu_tab, tau_tab, totals, cuts, p_a = engine._duel.__wrapped__(n, la, lb, ea, eb)
+    want_cuts, (_, _, want_totals) = oracle_cuts(n, la, lb, ea, eb)
+    assert totals.shape == (n + 1,) and cuts.shape == (2, n + 1)
+    assert total_tab == totals.tolist() and [mu_tab, tau_tab] == cuts.tolist()
+    assert [float.hex(v) for v in total_tab] == [float.hex(float(v)) for v in want_totals]
+    assert cuts.tobytes() == want_cuts.tobytes()
+    # a split with no rate reads as a mutation: 2.0, above every uniform, exactly where the total is 0.0
+    ended = totals == 0.0
+    assert ended.tolist() == [k in (0, n) for k in range(n + 1)]
+    assert [float.hex(v) for v in cuts[:, ended].ravel().tolist()] == [float.hex(2.0)] * 4
+    assert float.hex(float(p_a)) == float.hex(float(la / (la + lb)))
 
 
 @pytest.mark.parametrize("exits", [(0.0, 0.0), (0.0, 0.5), (1.0 / 3.0, 3.7)], ids=["no-exit", "b-exit", "both-exit"])
@@ -255,19 +278,7 @@ def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
 def test_duel_tables_equal_the_per_split_expressions(n, rate_type, exits):
     # rates as the kernel gets them: a uniform_plus and a power-law site
     la, lb = rate_type(1e4 + 2.5), rate_type(1.3 * 1e4**1.5)
-    ea, eb = exits
-    inv_nm1 = 1.0 / (n - 1)
-    rows, tables, p_a = engine._duel_tables(n, inv_nm1, la, lb, ea, eb)
-    rm_tab, kill_a_tab, total_tab = per_split_duel_rows(n, inv_nm1, la, lb, ea, eb)
-    assert tables.shape == (3, n + 1) and rows == tables.tolist()
-    # a split with no rate reads as a mutation: +inf exactly where the total is 0.0
-    ended = tables[2] == 0.0
-    assert ended.tolist() == [k in (0, n) for k in range(n + 1)]
-    assert (tables[0][ended] == np.inf).all() and np.isfinite(tables[0][~ended]).all()
-    rm_tab = [np.inf if total == 0.0 else rm for rm, total in zip(rm_tab, total_tab)]
-    for got, want in zip(rows, (rm_tab, kill_a_tab, total_tab)):
-        assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want]
-    assert float.hex(float(p_a)) == float.hex(float(la / (la + lb)))
+    assert_duel_equals_the_per_split_expressions(n, la, lb, *exits)
 
 
 def assert_thresholds_decide(cuts, rows):
@@ -297,11 +308,11 @@ def assert_thresholds_decide(cuts, rows):
 @settings(max_examples=200, deadline=None)
 def test_duel_thresholds_decide_as_the_float_expressions(n, rates, exits, rate_type):
     la, lb = map(rate_type, rates)
-    inv_nm1 = 1.0 / (n - 1)
-    cuts = engine._duel_thresholds(*engine._duel_tables(n, inv_nm1, la, lb, *exits)[1])
+    cuts, rows = oracle_cuts(n, la, lb, *exits)
     assert cuts.shape == (2, n + 1) and cuts.dtype == np.float64
     assert cuts[:, [0, n]].tolist() == [[2.0, 2.0], [2.0, 2.0]]  # the duel is over
-    assert_thresholds_decide(cuts, per_split_duel_rows(n, inv_nm1, la, lb, *exits))
+    assert_thresholds_decide(cuts, rows)
+    assert_duel_equals_the_per_split_expressions(n, la, lb, *exits)
 
 
 @pytest.mark.parametrize(
@@ -312,11 +323,12 @@ def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
     # subnormal while u is not, so many doubles u round to one x and mu
     # lies far past the doubles tried first around rm / total
     n = 50
-    rm, kill_a, total = engine._duel_tables(n, 1.0 / (n - 1), la, lb, ea, eb)[1]
-    cuts = engine._duel_thresholds(rm, kill_a, total)
+    cuts, rows = oracle_cuts(n, la, lb, ea, eb)
+    rm, _, total = np.array(rows)
     guess = (rm[1:n] / total[1:n]).view(np.int64)
     assert (np.abs(cuts[0, 1:n].view(np.int64) - guess) > 100).any()
-    assert_thresholds_decide(cuts, (rm, kill_a, total))
+    assert_thresholds_decide(cuts, rows)
+    assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb)
 
 
 # ------------------------------------------------------------------ capping
@@ -702,39 +714,6 @@ def test_snapshots_after_absorption_repeat_the_dirac():
     t, counts, _, n_events, snaps = _simulate(model, 1e3, init, 1.0, np.random.default_rng(5), snapshot_times=times)
     assert sorted(counts) == [0, 6] and t < 0.5
     assert snaps == [((3, 3), 0)] + [(tuple(counts), n_events)] * 3
-    traj = simulate_fv(model, 1e3, init, 1.0, np.random.default_rng(5), snapshot_times=times)
-    assert traj.snapshots == snaps
-
-
-@pytest.mark.parametrize(
-    "times",
-    [
-        [0.5, 0.25],
-        [0.25, 0.25],
-        [0.0, 0.5],
-        [-0.1],
-        [0.5, 1.5],
-        [float("nan")],
-        np.array([0.0]),  # used to skip the check and take no snapshot
-        np.array([0.5, 0.25]),  # used to raise numpy's ambiguous truth value error
-    ],
-    ids=["decreasing", "repeated", "zero", "negative", "past-horizon", "nan", "array-zero", "array-decreasing"],
-)
-def test_snapshot_times_must_increase_within_the_horizon(cycle_model, times):
-    init = EmpiricalMeasure([2, 1, 0])
-    with pytest.raises(ValueError, match="snapshot times must increase"):
-        simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
-
-
-@pytest.mark.parametrize("times", [(), (0.5, 1.0), (0.25, 1.0)])
-def test_snapshot_times_may_be_a_numpy_array(cycle_model, times):
-    # an empty or multi-element array used to raise numpy's ambiguous truth value error
-    init = EmpiricalMeasure([2, 1, 0])
-    want = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=times)
-    got = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(0), snapshot_times=np.array(times))
-    assert len(got.snapshots) == len(times)
-    assert got.snapshots == want.snapshots
-    assert got.columns == want.columns
 
 
 @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0])

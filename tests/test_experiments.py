@@ -72,6 +72,27 @@ def test_replica_rng_seed_matters():
     assert not (a == b).all()
 
 
+def test_replica_rng_takes_numpy_integers():
+    want = derive_replica_rng(7, 5).random(9)
+    assert (derive_replica_rng(np.int64(7), np.uint64(5)).random(9) == want).all()
+
+
+@pytest.mark.parametrize(
+    "seed, index, match",
+    [
+        (0, True, "replica index"),  # used to return replica 1's stream
+        (True, 0, "master seed"),  # used to return seed 1's stream
+        (0, 1.0, "replica index"),  # used to raise numpy's bare TypeError
+        (1.5, 0, "master seed"),  # likewise
+        (-1, 0, "master seed"),  # used to raise numpy's ValueError, naming no argument
+    ],
+    ids=["bool-index", "bool-seed", "float-index", "float-seed", "negative-seed"],
+)
+def test_replica_rng_takes_integers_only(seed, index, match):
+    with pytest.raises(ValueError, match=match):
+        derive_replica_rng(seed, index)
+
+
 def test_replica_rng_rejects_negative_index():
     for index in (-1, 2**128):  # the counter index << 128 must fit Philox's 256 bits
         with pytest.raises(ValueError):
@@ -91,19 +112,23 @@ def test_engine_first_refill_known_answer():
     # exponentials (numpy's ziggurat), then 42 uniforms, from a fresh
     # Philox(s, counter=i << 128).  The pinned values make a numpy whose
     # ziggurat or Philox stream differs fail here by name.
+    from unittest.mock import Mock
+
     from fvlab import EmpiricalMeasure, simulate_selection_absorption, validate_model
-    from fvlab.engine import _draws
 
     s, i = 1281506044, 3
     ref = np.random.Generator(np.random.Philox(s, counter=i << 128))
     e, u = ref.standard_exponential(21), ref.random(42)
-    e_arr, u_arr, _, _ = _draws(derive_replica_rng(s, i), 21)
-    assert e_arr.tobytes() == e.tobytes() and u_arr.tobytes() == u.tobytes()
     assert (e[0], e[20], u[41]) == (0.9835717562631028, 0.6018707238246727, 0.3183872668303124)
-    # a Dirac start draws that refill, finds no rate and draws nothing more
+    # a Dirac start draws that refill into the loop's buffer, finds no rate
+    # and draws nothing more
     rng = derive_replica_rng(s, i)
+    spy = Mock(wraps=rng)
     model = validate_model(two_site_config())
-    assert simulate_selection_absorption(model, 10.0, EmpiricalMeasure.dirac(2, 0, 4), rng) == (0.0, "x", 0)
+    assert simulate_selection_absorption(model, 10.0, EmpiricalMeasure.dirac(2, 0, 4), spy) == (0.0, "x", 0)
+    (exp_call,), (uniform_call,) = spy.standard_exponential.call_args_list, spy.random.call_args_list
+    assert exp_call.kwargs["out"].tobytes() == e.tobytes()
+    assert uniform_call.kwargs["out"].tobytes() == u.tobytes()
     assert rng.random() == ref.random()
 
 
@@ -1408,22 +1433,27 @@ _DUEL_TIMES = (0.004, 0.01, 0.02)
 
 
 def _alone(worker, model, init, rng, event_cap=10**7):
-    """One replica of ``worker``'s point run alone through the public API,
-    as its per-replica output row."""
+    """One replica of ``worker``'s point run alone, as its per-replica
+    output row: through the event loop's one-stream call for the
+    snapshots, and through the public API otherwise."""
     from fvlab import simulate_fv, simulate_selection_absorption
+    from fvlab.engine import _run_replicas, _Runs
 
     T = _DUEL_TIMES[-1]
     if worker == "final":
-        traj = simulate_fv(model, 1e4, init, T, rng, record=False, event_cap=event_cap, snapshot_times=_DUEL_TIMES)
-        assert traj.snapshots[-1] == (traj.final_counts, traj.event_count)
-        return {"final": [c for c, _ in traj.snapshots], "events": [m for _, m in traj.snapshots]}
+        runs = _Runs()
+        options = dict(record=False, event_cap=event_cap, snapshot_times=_DUEL_TIMES)
+        _run_replicas(model, 1e4, init, T, (rng,), runs, **options)
+        final = np.reshape(runs.snaps, (len(_DUEL_TIMES), -1))
+        assert (final[-1].tolist(), runs.snap_events[-1]) == (runs.finals, runs.events[0])
+        return {"final": final, "events": runs.snap_events}
     if worker == "path":
         traj = simulate_fv(model, 1e4, init, T, rng, event_cap=event_cap)
         times, values = traj.occupancy_path()
         seg = np.diff(np.append(times, T))
         return {"integral": traj.max_mass_integral(), "avg_occ": seg @ values / T, "events": traj.event_count}
     res = simulate_selection_absorption(model, 1e4, init, rng, event_cap=event_cap)
-    return {"tau": res.tau, "site": model.index[res.site], "events": res.event_count}
+    return {"tau": res.tau, "site": model.state_index(res.site), "events": res.event_count}
 
 
 def _duel_point(worker, M, seed=5, base=7, event_cap=10**7):

@@ -252,7 +252,7 @@ def test_without_mutation_keeps_sites_and_killing(config):
     model = validate_model(config)
     bare = model.without_mutation
     assert bare is not model and model.mutation
-    assert (bare.states, bare.index, bare.killing) == (model.states, model.index, model.killing)
+    assert (bare.states, bare.killing) == (model.states, model.killing)
     assert bare.mutation == () and bare.Q == 0.0
     assert (bare.exit_rate, bare.out_targets, bare.out_rates) == ((0.0,) * 3, ((),) * 3, ((),) * 3)
     assert [bare.killing_rate(10.0, i) for i in range(3)] == [model.killing_rate(10.0, i) for i in range(3)]
