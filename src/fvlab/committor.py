@@ -14,11 +14,16 @@ face (a face being the compositions of one support), smallest support
 first, by a sparse LU without pivoting.
 
 Only rate *ratios* enter these probabilities, so weight vectors may be
-rescaled freely.
+rescaled freely.  The solver works on the weights divided by their
+maximum, and the process keeps the psi arrays of the ``_TABLES`` (4)
+(scaled weights, n) pairs it solved last: a run that asks for one
+problem at several rate scales, as the finite-r chain starts of a
+power-law model do, factors it once.  The kept arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,6 +46,7 @@ __all__ = [
 # forms are 0/0 there and the limit branch is exact.
 _ALPHA_TIE = 1e-12
 _SPACE_CAP = 200_000  # committor_numeric refuses larger composition spaces
+_TABLES = 4  # psi arrays kept by _psi, one per (scaled weights, n)
 
 
 def gamblers_ruin_committor(n: int, alpha: float) -> np.ndarray:
@@ -150,7 +156,8 @@ class CommittorTable:
     the Dirac mass on ``states[j]`` when starting from ``xi``, so
     ``psi[space.ranks(rows)]`` looks up many starts at once.  Rows sum
     to 1 and Dirac rows are unit vectors, both up to the solver
-    tolerance.
+    tolerance.  ``psi`` is read-only: tables of the same weight ratios
+    and n share it.
     """
 
     states: tuple[str, ...]
@@ -222,6 +229,13 @@ def committor_numeric(
     the face, so it is similar to a symmetric positive definite matrix
     and symmetric elimination in a fill-reducing order is a Cholesky
     factorization in disguise.
+
+    The solve is memoized on the weights divided by their maximum and on
+    n, so tables of proportional weights share one read-only ``psi``;
+    each table still carries its own call's ``weights`` and ``states``.
+    The memo keeps the last ``_TABLES`` (4) arrays, at most ``_TABLES *
+    200 000 * d * 8`` bytes at the state cap, and never keeps a solve
+    that failed a check.
     """
     gamma = [float(w) for w in weights]
     d = len(gamma)
@@ -242,11 +256,21 @@ def committor_numeric(
     if space.size > _SPACE_CAP:
         raise ValueError(f"composition space has {space.size} states, above the cap {_SPACE_CAP}")
 
-    # Only ratios matter, and the residual check below is absolute: solve
-    # on weights scaled to a maximum of 1 so it holds at any rate scale.
+    # Only ratios matter, and the residual check is absolute: solve on
+    # weights scaled to a maximum of 1 so it holds at any rate scale.
     top = max(gamma)
+    psi = _psi(tuple(g / top for g in gamma), n)
+    return CommittorTable(states=states, n=n, weights=tuple(gamma), space=space, psi=psi)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _psi(scaled: tuple[float, ...], n: int) -> np.ndarray:
+    """The read-only psi of :func:`committor_numeric` for weights
+    ``scaled`` to a maximum of 1 and n particles."""
+    d = len(scaled)
+    space = CompositionSpace(d, n)
     counts = space.array()
-    G = _selection_generator(counts, space, [g / top for g in gamma])
+    G = _selection_generator(counts, space, scaled)
 
     # Dirac rows are unit vectors; the faces of k occupied sites are solved
     # after the smaller ones their moves lead into, with psi still 0 on
@@ -271,5 +295,5 @@ def committor_numeric(
         raise RuntimeError("committor rows do not sum to 1 within tolerance")
     if psi.min() < -1e-9 or psi.max() > 1 + 1e-9:
         raise RuntimeError("committor values outside [0, 1] beyond tolerance")
-
-    return CommittorTable(states=states, n=n, weights=tuple(gamma), space=space, psi=psi)
+    psi.setflags(write=False)
+    return psi

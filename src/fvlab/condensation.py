@@ -23,6 +23,7 @@ draw count, up to 10 000 outcomes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -61,12 +62,21 @@ def minimal_order_set(model: Model, support: Sequence[Union[str, int]]) -> tuple
 class UrnLaw:
     """Law of a Polya urn's final counts after a fixed number of draws.
 
-    ``exact`` holds the rational probabilities, ``outcomes`` the same
-    values rounded to floats.
+    ``outcomes`` maps each final count vector to its probability as a
+    float.  ``exact`` holds the same probabilities as rationals; it is
+    built from the integer numerators and their common denominator the
+    first time it is read, since the condensation law reads only the
+    floats.  Only :func:`polya_urn_law` makes one.
     """
 
     outcomes: Mapping[tuple[int, ...], float]
-    exact: Mapping[tuple[int, ...], Fraction]
+    _numerators: tuple[int, ...]
+    _denominator: int
+
+    @functools.cached_property
+    def exact(self) -> Mapping[tuple[int, ...], Fraction]:
+        return {key: Fraction(num, self._denominator)
+                for key, num in zip(self.outcomes, self._numerators)}
 
 
 def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
@@ -99,8 +109,7 @@ def polya_urn_law(initial_counts: Sequence[int], draws: int) -> UrnLaw:
         raise RuntimeError("urn law does not sum to 1 exactly")
     keys = list(map(tuple, (adds + a).tolist()))
     # int / int is correctly rounded, so it is the float of the Fraction
-    return UrnLaw({key: num / denom for key, num in zip(keys, nums)},
-                  {key: Fraction(num, denom) for key, num in zip(keys, nums)})
+    return UrnLaw({key: num / denom for key, num in zip(keys, nums)}, tuple(nums), denom)
 
 
 @dataclass(frozen=True)

@@ -422,7 +422,7 @@ def _duel_thresholds(rm, kill_a, total):
     def holds(bits):  # u at or above its threshold; the patterns just below 0 are NaNs, and fail
         return (bits.view(np.float64) * total - rm) - kill >= 0.0
 
-    with np.errstate(invalid="ignore"):  # 0 * inf at a split with no rate
+    with np.errstate(divide="ignore", invalid="ignore"):  # rm / 0 and 0 * inf at a split with no rate
         near = ((rm + kill) / total).view(np.int64) + _NEAR
         ok = holds(near)
         cut = np.where(ok, near, _TWO).min(axis=0)

@@ -20,7 +20,8 @@ from fvlab import (
     invasion_probability,
 )
 
-from fvlab.committor import CompositionSpace, _selection_generator
+import fvlab.committor as committor
+from fvlab.committor import CompositionSpace, _psi, _selection_generator
 
 from conftest import dense_committor
 
@@ -118,6 +119,12 @@ def test_composition_space_rejects_bad_counts():
         space.ranks([(2.0, 2.0, 0.0)])
 
 
+def test_composition_space_ranks_overflow_int64():
+    # C(159, 59) compositions: their ranks would not fit int64
+    with pytest.raises(OverflowError, match="do not fit int64 ranks"):
+        CompositionSpace(60, 100).ranks([[100] + [0] * 59])
+
+
 def test_composition_space_more_sites_than_particles():
     # d > n + 1: a binomial table over every a < n + d would overflow
     # int64 here; the table over totals t <= n peaks at size
@@ -173,19 +180,68 @@ def test_numeric_dirac_rows_are_exact():
     assert table.value((0, 6), 1) == 1.0
 
 
+def _solved_afresh(weights, n):
+    """``committor_numeric`` with the memo emptied first, so it solves."""
+    _psi.cache_clear()
+    return committor_numeric(weights, n)
+
+
 def test_numeric_scale_invariance():
-    a = committor_numeric([1.0, 2.0, 4.0], 4)
-    b = committor_numeric([0.25, 0.5, 1.0], 4)
+    a = _solved_afresh([1.0, 2.0, 4.0], 4)
+    b = _solved_afresh([0.25, 0.5, 1.0], 4)
+    assert a.psi is not b.psi
     assert np.allclose(a.psi, b.psi, atol=1e-11)
 
 
 def test_numeric_scale_invariance_at_killing_rate_scale():
     # raw killing rates at intensity r, as the finite-r chain start passes
     # them; an absolute residual check on unscaled weights failed at 1e5
-    tables = [committor_numeric([r, 2 * r, 4 * r], 100) for r in (10.0, 1e5, 1e7)]
+    tables = [_solved_afresh([r, 2 * r, 4 * r], 100) for r in (10.0, 1e5, 1e7)]
     for r, table in zip((10.0, 1e5, 1e7), tables):
         assert table.weights == (r, 2 * r, 4 * r)
         assert np.abs(table.psi - tables[0].psi).max() <= 1e-12
+
+
+def test_numeric_solves_proportional_weights_once():
+    # the raw killing rates of criterion 3's power cycle at three r all
+    # scale to (0.25, 0.5, 1): one solve, two lookups
+    _psi.cache_clear()
+    tables = [committor_numeric([r, 2 * r, 4 * r], 100, states=[f"{r:g}{x}" for x in "abc"])
+              for r in (10.0, 1e3, 1e5)]
+    info = _psi.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for r, table in zip((10.0, 1e3, 1e5), tables):
+        assert table.weights == (r, 2 * r, 4 * r)
+        assert table.states == (f"{r:g}a", f"{r:g}b", f"{r:g}c")
+        assert table.psi is tables[0].psi
+
+
+def test_numeric_psi_is_read_only():
+    table = committor_numeric([1.0, 2.0, 3.0], 4)
+    with pytest.raises(ValueError):
+        table.psi[0, 0] = 0.5
+    row = table.row((2, 1, 1))  # rows are copies the caller may change
+    row[0] = 0.5
+
+
+def test_numeric_failed_solve_is_not_memoized(monkeypatch):
+    splu = committor.spla.splu
+
+    class Off:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) + 1e-6
+
+    _psi.cache_clear()
+    monkeypatch.setattr(committor.spla, "splu", lambda *a, **k: Off(splu(*a, **k)))
+    with pytest.raises(RuntimeError, match="residual"):
+        committor_numeric([1.0, 3.0, 7.0], 9)
+    monkeypatch.undo()
+    table = committor_numeric([1.0, 3.0, 7.0], 9)
+    assert _psi.cache_info().misses == 2 and _psi.cache_info().currsize == 1
+    assert np.abs(table.psi.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_numeric_rejects_bad_inputs():

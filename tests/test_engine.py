@@ -331,6 +331,19 @@ def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
     assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb)
 
 
+def test_duel_thresholds_read_a_zero_total_split_as_a_mutation():
+    # _duel puts +inf in the mutation row where the total is 0.0; a split
+    # with no rate must read 2.0 for both thresholds whatever finite
+    # mutation or death rate its rows hold, next to a live split
+    rm = [0.0, 0.5, 3.0, 0.0, 1e-310, 1.0, np.inf]
+    kill_a = [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0]
+    total = [0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 0.0]
+    cuts = engine._duel_thresholds(*np.array([rm, kill_a, total]))
+    dead = [k for k, t in enumerate(total) if t == 0.0]
+    assert [float.hex(v) for v in cuts[:, dead].ravel().tolist()] == [float.hex(2.0)] * (2 * len(dead))
+    assert cuts[:, 5].tolist() == [0.25, 0.5]
+
+
 # ------------------------------------------------------------------ capping
 
 

@@ -940,6 +940,36 @@ def test_theorem1_builds_each_chain_once(monkeypatch):
     assert calls == {"condensate_rates": 3, "_chain_start": 3, "ctmc_marginal": 5 + 2 * 5}
 
 
+def test_theorem1_solves_the_power_cycle_committor_once(monkeypatch):
+    # the finite-r starts pass raw killing rates r * (1, 2, 4) and the limit
+    # start the weights (1, 2, 4): all scale to (0.25, 0.5, 1), so one solve
+    # serves the four starts, and the report is the one of four solves
+    import fvlab.condensation as condensation
+    import fvlab.experiments as experiments
+    from fvlab.committor import _psi, committor_numeric
+
+    doc = theorem1_doc(n=6, init=[3, 2, 1], r_schedule=[10.0, 100.0, 1000.0], replicas=100)
+    _psi.cache_clear()
+    calls = _count_calls(monkeypatch, experiments, ["_chain_start"])
+    memoized = run_experiment(ExperimentConfig.from_dict(doc))
+    info = _psi.cache_info()
+    assert calls["_chain_start"] == 4
+    assert (info.misses, info.hits) == (1, 3)
+
+    solves = []
+
+    def solved_afresh(*args, **kwargs):
+        _psi.cache_clear()
+        solves.append(committor_numeric(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(experiments, "committor_numeric", solved_afresh)
+    monkeypatch.setattr(condensation, "committor_numeric", solved_afresh)
+    afresh = run_experiment(ExperimentConfig.from_dict(doc))
+    assert len({id(table.psi) for table in solves}) == 4
+    assert afresh.result_hash == memoized.result_hash
+
+
 # ----------------------------------------------------------- per-kind smokes
 
 
