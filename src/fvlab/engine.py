@@ -26,25 +26,26 @@ waiting time being ``e / total``, and two uniforms, for the event
 category and the event target.  They are drawn a refill at a time: for
 the next S steps, the draws of ``rng.standard_exponential(S)`` and then
 ``rng.random(2 * S)``, the category uniforms first, with S = 21 at the
-start and doubling at each refill up to 1365.  The exponentials come
-from numpy's ziggurat sampler, computed in the generator's own code, so
-a waiting time is one correctly rounded division wherever it is
-computed: in the scalar loop or in a numpy block.
+start and doubling at each refill up to 1365.  The first refill too is
+drawn by the step that needs it, so a start with no rate draws nothing.
+The exponentials come from numpy's ziggurat sampler, computed in the
+generator's own code, so a waiting time is one correctly rounded
+division wherever it is computed: in the scalar loop or in a numpy block.
 
 The one event loop, :func:`_run_replicas`, takes a chunk's streams and
 runs one replica per stream.  What every replica shares is prepared
-once per call: n and 1/(n-1), the snapshot times, the event cap and the
-draw buffer, which each refill writes into with ``out=``.  A replica
-resets only its own state (counts, time, draws, event count, pending
-snapshots) and appends its results to flat lists, which the caller
-turns into numpy arrays once per chunk.  A replica reads nothing but
-its stream and that state, so its results are bit for bit those of its
+once per call: n and 1/(n-1), the stops, the event cap and the draw
+buffer, which each refill writes into with ``out=``.  A replica resets
+only its own state (counts, time, draw position, event count, pending
+stops) and appends its results to flat lists, which the caller turns
+into numpy arrays once per chunk.  A replica reads nothing but its
+stream and that state, so its results are bit for bit those of its
 stream run alone, whichever replicas share its chunk.
 :func:`simulate_fv` and :func:`simulate_selection_absorption` are the
-one-stream case.  The loop takes its dynamics from the model alone:
-selection-only runs, whose absorption gives committors and the
-initial-condensation law, run it on ``model.without_mutation``, the
-model with ``q = 0``.
+one-stream case, with the one stop T and ``math.inf``.  The loop takes
+its dynamics from the model alone: selection-only runs, whose
+absorption gives committors and the initial-condensation law, run it on
+``model.without_mutation``, the model with ``q = 0``.
 
 A recorded path is four flat columns, one entry per event: its time,
 source, target and kind.  The loop appends to them and builds no object
@@ -89,12 +90,11 @@ and a death at a.  Rounding is monotone in u, so the comparisons decide
 exactly as the expressions do (the inverse-transform view of a discrete
 draw, Devroye 1986, ch. 2-3), and time, counts, event count and recorded
 events are bit-identical to the generic loop's for every input.
-Snapshots, the horizon and the event cap are the generic step's alone:
-a duel step that is a mutation, whose waiting time crosses the next
-snapshot or the horizon, or that would reach the cap is handed back to
-the generic step at the same buffer position, which takes it from the
-same draws.  Supports of one site or of three or more always take the
-generic step.
+Stops and the event cap are the generic step's alone: a duel step that
+is a mutation, whose waiting time crosses the next stop, or that would
+reach the cap is handed back to the generic step at the same buffer
+position, which takes it from the same draws.  Supports of one site or
+of three or more always take the generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
 blocks, each one scalar step apart and each reaching to the end of the
@@ -110,17 +110,17 @@ sequential sum, cut before the first time past the next stop.  Where
 fewer than 128 steps are left before the refill or the cap, scalar
 steps take them instead.  The scalar step after a block takes whatever
 ended it (the mismatched step, the refill) or hands it to the generic
-step (the mutation, the snapshot or horizon, the cap), so the block
+step (the mutation, the stop, the cap), so the block
 changes the cost of a long duel and nothing else.
 
-One run gives the state at several times: the loop's
-``snapshot_times``, an experiment's time points, record the counts and
-the events so far at each of them.  The loop treats the next snapshot
-time as its horizon; a waiting time that crosses it is, by the
-memoryless property, still the time to the next event, so the
-snapshot is taken and the same waiting time is kept.  No draw is spent
-and the path to ``T`` is unchanged, and the per-event path has no added
-branch.
+One run gives the state at several times: the loop's ``stops``, an
+experiment's time points, record the counts and the events so far at
+each of them.  The last stop is the horizon (``math.inf`` runs to
+absorption), so a replica's last snapshot is its final state.  The loop
+treats the next stop as its horizon; a waiting time that crosses it is,
+by the memoryless property, still the time to the next event, so the
+snapshot is taken and the same waiting time is kept.  No draw is spent,
+and the per-event path has no added branch.
 """
 
 from __future__ import annotations
@@ -375,10 +375,9 @@ def _duel(n, la, lb, ea, eb):
 
     Each split's mutation rate, death rate at a and total rate are
     :func:`_rates`' own over the support {a, b}, so they are bit for bit
-    the floats the generic step computes there.  The total rate is 0.0 at
-    the Dirac ends (count 0 or n), where the duel is over, and the
-    mutation rate is +inf wherever the total is 0.0, so that such a split
-    reads as a mutation.
+    the floats the generic step computes there.  All three are 0.0 at the
+    Dirac ends (count 0 or n), where the duel is over, and
+    :func:`_duel_thresholds` reads such a split as a mutation.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -391,7 +390,6 @@ def _duel(n, la, lb, ea, eb):
     for ka in range(1, n):
         r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))[:3]
         tables[:, ka] = r_mut, sites[2], total
-    tables[0, tables[2] == 0.0] = math.inf
     cuts = _duel_thresholds(*tables)
     return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, la / (la + lb))
 
@@ -477,79 +475,78 @@ class _Runs:
     """Flat results of the replicas :func:`_run_replicas` runs, appended in
     stream order.
 
-    Per replica: ``times``, its final time; ``finals``, its final counts,
-    one entry per site; ``events``, its event count.  Per replica and
-    snapshot time: ``snaps``, the counts, one entry per site, and
-    ``snap_events``, the events so far.  ``columns`` are the recorded
-    events' ``(times, sources, targets, kinds)`` lists: replica i's
-    ``events[i]`` entries follow those of the replicas before it.
+    Per replica: ``times``, its final time.  Per replica and stop:
+    ``snaps``, the counts, one entry per site, and ``snap_events``, the
+    events so far; the last stop's are the final state.  ``columns`` are
+    the recorded events' ``(times, sources, targets, kinds)`` lists: a
+    replica's events follow those of the replicas before it.
     """
 
-    __slots__ = ("times", "finals", "events", "snaps", "snap_events", "columns")
+    __slots__ = ("times", "snaps", "snap_events", "columns")
 
     def __init__(self) -> None:
-        self.times, self.finals, self.events, self.snaps, self.snap_events = [], [], [], [], []
+        self.times, self.snaps, self.snap_events = [], [], []
         self.columns: tuple[list[float], list[int], list[int], list[str]] = ([], [], [], [])
 
 
 def _run_replicas(
     model: Model,
     r: float,
-    init: EmpiricalMeasure,
-    T: float | None,
+    counts: Sequence[int],
+    stops: Sequence[float],
     rngs: Iterable[np.random.Generator],
     runs: _Runs,
     *,
-    record: bool = True,
-    event_cap: int = DEFAULT_EVENT_CAP,
-    snapshot_times: Sequence[float] = (),
+    record: bool,
+    event_cap: int,
 ) -> None:
     """The event loop: one replica per stream of ``rngs``, its results
     appended to ``runs``.
 
-    Each replica runs from ``init`` until the horizon ``T`` (if given)
-    or absorption in a Dirac mass with zero remaining rate, records its
-    events only with ``record``, and takes one snapshot per time of
-    ``snapshot_times`` (see the module docstring), which the caller
-    gives strictly increasing in (0, T]: an experiment's ``time_points``,
-    checked when its config is validated.  A stream is drawn from
+    Each replica starts from the particle ``counts``, records its events
+    only with ``record``, and takes one snapshot at each of the
+    ``stops``, strictly increasing times whose last is the horizon;
+    ``math.inf`` runs to absorption in a Dirac mass with zero remaining
+    rate, and stops after absorption repeat the final state.  A replica
+    that starts with zero rate draws nothing.  A stream is drawn from
     ``rngs`` when its replica starts, after the previous replica's
     results are in ``runs``.  An :class:`EventCapError` leaves ``runs``
     holding the replicas before the capped one.
     """
-    if len(init.counts) != model.num_states:
+    if len(counts) != model.num_states:
         raise ValueError("initial counts must match the model's state count")
-    horizon = math.inf if T is None else T
-    first_marks = list(reversed(snapshot_times))  # latest first
-    first_stop = first_marks[-1] if first_marks else horizon
-    n = init.n
+    first_marks = list(reversed(stops))  # latest first
+    n = sum(counts)
     lam, states, place = _kernel(model, r, n)
     mut_exit, mut_targets, mut_rates = model.exit_rate, model.out_targets, model.out_rates
     inv_nm1 = 1.0 / (n - 1)
-    first_key = sum(k * p for k, p in zip(init.counts, place))
+    first_key = sum(k * p for k, p in zip(counts, place))
     last = event_cap - 1  # the duel hands the step that reaches the cap to the generic step
     ev_t, ev_src, ev_tgt, ev_kind = runs.columns
     snaps, snap_events = runs.snaps, runs.snap_events
     # Draws for ``size`` steps are made at once, ``size`` growing
     # geometrically, so short replicas stay cheap and long ones amortize
     # the generator calls.  Every refill writes into the leading entries
-    # of one buffer per call, the first through views made here, and
-    # step ``pos`` reads ``ebuf[pos]``, ``ubuf[pos]`` and ``ubuf[size +
+    # of one buffer per call, through views made here: ``refills[size]``
+    # is the refill after ``size`` steps, its size and its two views.
+    # Step ``pos`` reads ``ebuf[pos]``, ``ubuf[pos]`` and ``ubuf[size +
     # pos]``, memoryviews whose items are Python floats, for cheaper
     # scalar arithmetic; no draw outlives its replica.
     e_arr, u_arr = np.empty(_BLOCK), np.empty(2 * _BLOCK)
-    first_e, first_u = e_arr[:_FIRST], u_arr[:2 * _FIRST]
     ebuf, ubuf = memoryview(e_arr), memoryview(u_arr)
+    refills, size = {}, 0
+    while size not in refills:
+        grown = min(max(2 * size, _FIRST), _BLOCK)
+        refills[size] = grown, e_arr[:grown], u_arr[:2 * grown]
+        size = grown
+    start = tuple(counts)
 
     for rng in rngs:
-        counts = list(init.counts)
+        counts = list(start)
         key = first_key
-        marks = first_marks.copy()  # pending snapshot times, latest first
-        stop = first_stop
-        size = _FIRST
-        rng.standard_exponential(out=first_e)
-        rng.random(out=first_u)
-        pos = 0
+        marks = first_marks.copy()  # pending stops, latest first
+        stop = marks[-1]
+        size = pos = 0  # the first step draws the first refill
         t = 0.0
         n_events = 0
         while True:
@@ -569,16 +566,16 @@ def _run_replicas(
                         if pos == size:
                             if total_tab[ka] <= 0.0:
                                 break  # a site died out or no rate is left: no refill
-                            size = min(size * 2, _BLOCK)
-                            rng.standard_exponential(out=e_arr[:size])
-                            rng.random(out=u_arr[:2 * size])
+                            size, e_out, u_out = refills[size]
+                            rng.standard_exponential(out=e_out)
+                            rng.random(out=u_out)
                             pos = 0
                         u = ubuf[pos]
                         if u < mu_tab[ka]:
                             break  # a mutation, or the duel is over: likewise
                         t_next = t + ebuf[pos] / total_tab[ka]
                         if t_next > stop:
-                            break  # a snapshot or the horizon: likewise
+                            break  # a stop: likewise
                         pos += 1
                         t = t_next
                         if u < tau_tab[ka]:
@@ -629,9 +626,9 @@ def _run_replicas(
                 break
 
             if pos == size:
-                size = min(size * 2, _BLOCK)
-                rng.standard_exponential(out=e_arr[:size])
-                rng.random(out=u_arr[:2 * size])
+                size, e_out, u_out = refills[size]
+                rng.standard_exponential(out=e_out)
+                rng.random(out=u_out)
                 pos = 0
             dt = ebuf[pos] / total
             u_cat = ubuf[pos]
@@ -640,13 +637,13 @@ def _run_replicas(
 
             if t + dt > stop:
                 while marks and marks[-1] < t + dt:  # snapshots before this event
-                    marks.pop()
+                    stop = marks.pop()
                     snaps.extend(counts)
                     snap_events.append(n_events)
-                stop = marks[-1] if marks else horizon
-                if t + dt > stop:
-                    t = T
+                if not marks:  # past the horizon, the last stop
+                    t = stop
                     break
+                stop = marks[-1]
             t += dt
 
             x = u_cat * total
@@ -700,12 +697,10 @@ def _run_replicas(
             if n_events >= event_cap:
                 raise EventCapError(event_cap, t, counts)
 
-        if marks:  # absorbed before these times: the final state holds at each
+        if marks:  # absorbed before these stops: the final state holds at each
             snaps.extend(counts * len(marks))
             snap_events.extend([n_events] * len(marks))
         runs.times.append(t)
-        runs.finals.extend(counts)
-        runs.events.append(n_events)
 
 
 def simulate_fv(
@@ -729,13 +724,13 @@ def simulate_fv(
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
     runs = _Runs()
-    _run_replicas(model, r, init, T, (rng,), runs, record=record, event_cap=event_cap)
+    _run_replicas(model, r, init.counts, (T,), (rng,), runs, record=record, event_cap=event_cap)
     return Trajectory(
         initial=init,
         columns=runs.columns,
         horizon=T,
-        final_counts=tuple(runs.finals),
-        event_count=runs.events[0],
+        final_counts=tuple(runs.snaps),
+        event_count=runs.snap_events[0],
     )
 
 
@@ -753,13 +748,13 @@ def simulate_selection_absorption(
     Returns the absorption time, the absorbed site's label, and the
     number of events consumed.  Absorption is almost sure; the event
     cap converts pathological configurations into diagnostics.  A Dirac
-    start returns ``(0.0, site, 0)`` after drawing one refill from
-    ``rng`` (21 standard exponentials, then 42 uniforms), which the
-    event loop makes before it sees zero rate.  Like :func:`simulate_fv`,
-    this is the event loop's one-stream case, equal draw for draw to
-    the replica of an experiment's chunk that reads the same stream.
+    start has zero rate, so it returns ``(0.0, site, 0)`` from the event
+    loop without a draw from ``rng``.  Like :func:`simulate_fv`, this is
+    the event loop's one-stream case, run with the one stop
+    ``math.inf``, equal draw for draw to the replica of an experiment's
+    chunk that reads the same stream.
     """
     runs = _Runs()
-    _run_replicas(model.without_mutation, r, init, None, (rng,), runs, record=False, event_cap=event_cap)
-    site = runs.finals.index(init.n)
-    return AbsorptionResult(runs.times[0], model.states[site], runs.events[0])
+    _run_replicas(model.without_mutation, r, init.counts, (math.inf,), (rng,), runs, record=False, event_cap=event_cap)
+    site = runs.snaps.index(init.n)
+    return AbsorptionResult(runs.times[0], model.states[site], runs.snap_events[0])

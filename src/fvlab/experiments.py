@@ -50,13 +50,14 @@ statistic is computed, so reports hash identically for every
 parallelism degree.  Wall-clock timings, overall and per point, live in
 a separate block excluded from the hash.
 
-A final-state point is an intensity with its whole time grid: each
-replica runs once to the last time and the engine snapshots its counts
-at every time on the way.  A replica stopped at t and the same replica
-run on past t agree up to t draw for draw, by the memoryless property of
-the waiting times, so theorem1, theorem3 and conjecture_probe simulate
-one pass per intensity (per theorem3 point), not one per (r, t) pair;
-rows and outcome tables stay per (r, t).
+The event loop reads each replica at its stops, strictly increasing
+times whose last is the horizon: a final-state point's whole time grid,
+a path point's T or an absorption point's ``math.inf``.  A replica
+stopped at t and the same replica run on past t agree up to t draw for
+draw, by the memoryless property of the waiting times, so theorem1,
+theorem3 and conjecture_probe simulate one pass per intensity (per
+theorem3 point), not one per (r, t) pair; rows and outcome tables stay
+per (r, t).
 
 Per-replica set-up is kept off the event loop's path.  Replica i's
 stream is a Philox generator keyed by the master seed, started at
@@ -64,9 +65,10 @@ counter ``i << 128`` (:func:`derive_replica_rng`): counter-based, so
 distinct replicas never share a block and each replays alone.  A chunk
 keys one Philox and resets its counter per replica, and runs all its
 replicas through one call of the engine's event loop, which prepares
-what they share once and hands back flat per-replica lists; the engine
-keeps its rate layout once per (model, r, n), and its duel tables once
-per pair of sites' rates and n.
+what they share once and hands back flat per-replica lists (a replica
+draws from its stream at its first step, so a zero-rate start draws
+none); the engine keeps its rate layout once per (model, r, n), and its
+duel tables once per pair of sites' rates and n.
 """
 
 from __future__ import annotations
@@ -85,12 +87,11 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .chains import RateMatrix, condensate_rates, conjectured_limit_rates, ctmc_marginal, simulate_ctmc
+from .chains import condensate_rates, conjectured_limit_rates, ctmc_marginal, simulate_ctmc
 from .committor import committor_numeric, gamblers_ruin_committor
 from .condensation import initial_condensation_law
 from .engine import (
     DEFAULT_EVENT_CAP,
-    EmpiricalMeasure,
     EventCapError,
     _path_stats,
     _run_replicas,
@@ -487,9 +488,9 @@ def _replica_rngs(seed, first: int, count: int):
         yield rng
 
 
-def _particle_chunk(payload: dict, T, runs: _Runs, streams=iter, **options) -> _Runs:
+def _particle_chunk(payload: dict, stops, runs: _Runs, streams=iter, record: bool = False) -> _Runs:
     """Run replicas [start, stop) of a particle point through the engine's
-    event loop, into ``runs``.
+    event loop, with snapshots at ``stops``, into ``runs``.
 
     ``streams`` wraps the chunk's stream iterator.  The loop draws a
     replica's stream from it when that replica starts, after the previous
@@ -499,13 +500,11 @@ def _particle_chunk(payload: dict, T, runs: _Runs, streams=iter, **options) -> _
     """
     first = payload["base"] + payload["start"]
     rngs = _replica_rngs(payload["seed"], first, payload["stop"] - payload["start"])
-    init = EmpiricalMeasure(payload["counts"])
     try:
-        _run_replicas(
-            payload["model"], payload["r"], init, T, streams(rngs), runs, event_cap=payload["event_cap"], **options
-        )
+        _run_replicas(payload["model"], payload["r"], payload["counts"], stops, streams(rngs), runs,
+                      record=record, event_cap=payload["event_cap"])
     except EventCapError as err:
-        err.replica = first + len(runs.events)
+        err.replica = first + len(runs.times)
         raise
     return runs
 
@@ -514,8 +513,8 @@ def _fv_final_chunk(payload: dict) -> dict:
     """Counts and events so far at each time of the tuple ``t`` of the full
     dynamics, from one pass per replica to the last time."""
     times = payload["t"]
-    runs = _particle_chunk(payload, times[-1], _Runs(), record=False, snapshot_times=times)
-    shape = (len(runs.events), len(times))
+    runs = _particle_chunk(payload, times, _Runs())
+    shape = (len(runs.times), len(times))
     return {
         "final": np.array(runs.snaps, dtype=np.int64).reshape(*shape, len(payload["counts"])),
         "events": np.array(runs.snap_events, dtype=np.int64).reshape(shape),
@@ -540,7 +539,7 @@ def _fv_path_chunk(payload: dict) -> dict:
 
     def reduce(stop: int) -> None:
         nonlocal reduced
-        rows = runs.events[reduced:stop]
+        rows = runs.snap_events[reduced:stop]
         k = sum(rows)
         integral, occupation = _path_stats(*(c[:k] for c in runs.columns[:3]), rows, payload["counts"], T)
         integrals.extend(integral)
@@ -552,13 +551,13 @@ def _fv_path_chunk(payload: dict) -> dict:
     def streams(rngs):
         for rng in rngs:
             yield rng  # resumed once this replica's events are in the columns
-            latest = len(runs.events) - 1
+            latest = len(runs.times) - 1
             if latest > reduced and len(runs.columns[0]) + latest + 1 - reduced > _PATH_ROWS:
                 reduce(latest)
 
-    _particle_chunk(payload, T, runs, streams, record=True)
-    reduce(len(runs.events))
-    events = np.array(runs.events, dtype=np.int64)
+    _particle_chunk(payload, (T,), runs, streams, record=True)
+    reduce(len(runs.times))
+    events = np.array(runs.snap_events, dtype=np.int64)
     return {"integral": np.array(integrals), "avg_occ": np.concatenate(occupations), "events": events}
 
 
@@ -566,10 +565,10 @@ def _absorption_chunk(payload: dict) -> dict:
     """Absorption time and site of the payload model's dynamics, run with no
     horizon; the kinds pass ``model.without_mutation``, whose dynamics are
     selection alone."""
-    runs = _particle_chunk(payload, None, _Runs(), record=False)
-    finals = np.array(runs.finals, dtype=np.int64).reshape(len(runs.events), -1)
+    runs = _particle_chunk(payload, (math.inf,), _Runs())
+    finals = np.array(runs.snaps, dtype=np.int64).reshape(len(runs.times), -1)
     site = finals.argmax(axis=1)  # the one site holding every particle
-    return {"tau": np.array(runs.times), "site": site, "events": np.array(runs.events, dtype=np.int64)}
+    return {"tau": np.array(runs.times), "site": site, "events": np.array(runs.snap_events, dtype=np.int64)}
 
 
 def _ctmc_path_chunk(payload: dict) -> dict:
@@ -806,6 +805,7 @@ def _exp_theorem2(run: _Run) -> None:
     model = cfg.validated_model()
     n, M, T = cfg.n, cfg.replicas, cfg.T
     counts = _init_counts(model, cfg.init, n)
+    chains = {r: (condensate_rates(model, n, r), _chain_start(model, counts, r)) for r in cfg.r_schedule}
     means: list[float] = []
     for r in cfg.r_schedule:
         res = run.point(_fv_path_chunk, M, r, T, model=model, counts=counts)
@@ -818,8 +818,8 @@ def _exp_theorem2(run: _Run) -> None:
         means.append(mean_int)
         run.row(r, T, "mean_dirac_distance_integral", mean_int, 3.0 * se_int, "INFO")
 
-        chain = condensate_rates(model, n, r)
-        res_c = run.point(_ctmc_path_chunk, M, r, T, rates=chain, init=_chain_start(model, counts, r))
+        chain, start = chains[r]
+        res_c = run.point(_ctmc_path_chunk, M, r, T, rates=chain, init=start)
         assert res_c is not None  # ctmc paths have no cap
 
         mean_fv = res["avg_occ"].mean(axis=0)
@@ -847,10 +847,7 @@ def _exp_theorem3(run: _Run) -> None:
     cfg = run.cfg
     model = cfg.validated_model()
     M = cfg.replicas
-    mut_rates = np.zeros((model.num_states, model.num_states))
-    for i, j, q in model.mutation:
-        mut_rates[i, j] = q
-    mutation_chain = RateMatrix(model.states, mut_rates)
+    mutation_chain = conjectured_limit_rates(model)[1]  # every site is stable under uniform_plus: the chain is q
 
     m_sup = model.killing.m_sup  # validate() admits only uniform_plus killing
     times = cfg.time_points

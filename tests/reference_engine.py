@@ -9,6 +9,15 @@ step ``pos`` reads exponential ``pos``, uniform ``pos`` for the event
 category and uniform ``size + pos`` for the target.  Tests compare the live engine against
 it: the two must agree bit for bit on time, final counts, recorded
 events and event count for every input.
+
+The live loop takes stops, strictly increasing snapshot times whose
+last is the horizon, where this loop takes the one horizon ``T`` (None
+for absorption); the tests give the live loop ``T`` as its last stop,
+``math.inf`` for None.  This loop draws its first refill of 21 steps
+before it reads a rate, where the live loop draws it at its first step:
+every step reads the same draws, and only a start with zero rate
+differs, drawing a refill here and nothing there, which no compared
+result reads.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +243,33 @@ def test_numeric_failed_solve_is_not_memoized(monkeypatch):
     table = committor_numeric([1.0, 3.0, 7.0], 9)
     assert _psi.cache_info().misses == 2 and _psi.cache_info().currsize == 1
     assert np.abs(table.psi.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.fixture
+def fresh_psi():
+    """The psi memo emptied before and after the test."""
+    _psi.cache_clear()
+    yield
+    _psi.cache_clear()
+
+
+def test_numeric_rows_off_one_raise(monkeypatch, fresh_psi):
+    # a diagonal 1.1 times the exit rate is solved exactly, so the residual
+    # check passes, but every interior row of psi then sums to below 1
+    def damped(*args):
+        G = _selection_generator(*args)
+        return G + sp.diags(0.1 * G.diagonal(), format="csr")
+
+    monkeypatch.setattr(committor, "_selection_generator", damped)
+    with pytest.raises(RuntimeError, match="rows do not sum to 1"):
+        _psi((0.25, 0.5, 1.0), 6)
+
+
+def test_numeric_values_off_the_unit_interval_raise(fresh_psi):
+    # a negative weight (committor_numeric's own check rejects one) still
+    # gives harmonic rows that sum to 1, but values outside [0, 1]
+    with pytest.raises(RuntimeError, match=r"outside \[0, 1\]"):
+        _psi((1.0, -0.5, 0.5), 5)
 
 
 def test_numeric_rejects_bad_inputs():

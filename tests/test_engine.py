@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import fields
 from unittest.mock import patch
@@ -332,8 +333,8 @@ def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
 
 
 def test_duel_thresholds_read_a_zero_total_split_as_a_mutation():
-    # _duel puts +inf in the mutation row where the total is 0.0; a split
-    # with no rate must read 2.0 for both thresholds whatever finite
+    # _duel's rows hold 0.0 mutation and death rates where the total is
+    # 0.0; a split with no rate must read 2.0 for both thresholds whatever
     # mutation or death rate its rows hold, next to a live split
     rm = [0.0, 0.5, 3.0, 0.0, 1e-310, 1.0, np.inf]
     kill_a = [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0]
@@ -386,19 +387,16 @@ def test_absorption_dirac_short_circuit(two_site):
 
 
 def test_absorption_dirac_start_returns_from_the_event_loop(cycle_model):
-    # no shortcut: the loop finds zero selection rate at once, after it has
-    # drawn its first refill (21 exponentials, then 42 uniforms) from the
-    # replica's generator
+    # no shortcut: the loop finds zero selection rate at its first step,
+    # before that step draws the first refill, so the replica's generator
+    # is left untouched
     for site, label in enumerate(cycle_model.states):
         rng = np.random.default_rng(3)
         init = EmpiricalMeasure.dirac(3, site, 5)
         res = simulate_selection_absorption(cycle_model, 1.0e3, init, rng)
         assert res == (0.0, label, 0)
         assert type(res.tau) is float
-        ref = np.random.default_rng(3)
-        ref.standard_exponential(21)
-        ref.random(42)
-        assert rng.random() == ref.random()
+        assert rng.random() == np.random.default_rng(3).random()
 
 
 def test_absorption_reaches_dirac_and_reports_site(two_site):
@@ -523,18 +521,27 @@ def test_duel_regime_absorption_pinned():
     assert res == (0.14177787030786487, "a", 5980)
 
 
-def _simulate(model, r, init, T, rng, selection_only=False, **options):
+def _simulate(
+    model, r, init, T, rng, selection_only=False, snapshot_times=(), record=True, event_cap=DEFAULT_EVENT_CAP
+):
     """One replica through the engine's event loop, returned as
     ``(time, counts, columns, n_events, snapshots)``, with one
-    ``(counts, n_events)`` pair per snapshot time.  ``selection_only``
-    runs the loop on ``model.without_mutation``, the engine's one way to
-    the selection-only dynamics; the reference loop keeps its own mode,
-    so comparing the two checks the model against the mode."""
+    ``(counts, n_events)`` pair per snapshot time.  The loop's stops are
+    the snapshot times, then the horizon ``T`` (``math.inf`` for None)
+    unless it is the last of them; its last snapshot is the final state.
+    ``selection_only`` runs the loop on ``model.without_mutation``, the
+    engine's one way to the selection-only dynamics; the reference loop
+    keeps its own mode, so comparing the two checks the model against
+    the mode."""
+    horizon = math.inf if T is None else T
+    stops = [*snapshot_times] if snapshot_times and snapshot_times[-1] == horizon else [*snapshot_times, horizon]
     runs = _Runs()
-    _run_replicas(model.without_mutation if selection_only else model, r, init, T, (rng,), runs, **options)
+    model = model.without_mutation if selection_only else model
+    _run_replicas(model, r, init.counts, stops, (rng,), runs, record=record, event_cap=event_cap)
     d = len(init.counts)
     snaps = [(tuple(runs.snaps[j * d:(j + 1) * d]), m) for j, m in enumerate(runs.snap_events)]
-    return runs.times[0], runs.finals, runs.columns, runs.events[0], snaps
+    final, n_events = snaps[-1]
+    return runs.times[0], list(final), runs.columns, n_events, snaps[:len(snapshot_times)]
 
 
 def live_simulate(**kwargs):

@@ -120,12 +120,13 @@ def test_engine_first_refill_known_answer():
     ref = np.random.Generator(np.random.Philox(s, counter=i << 128))
     e, u = ref.standard_exponential(21), ref.random(42)
     assert (e[0], e[20], u[41]) == (0.9835717562631028, 0.6018707238246727, 0.3183872668303124)
-    # a Dirac start draws that refill into the loop's buffer, finds no rate
-    # and draws nothing more
+    # a start with rate draws that refill into the loop's buffer at its
+    # first step, absorbs within it and draws nothing more
     rng = derive_replica_rng(s, i)
     spy = Mock(wraps=rng)
     model = validate_model(two_site_config())
-    assert simulate_selection_absorption(model, 10.0, EmpiricalMeasure.dirac(2, 0, 4), spy) == (0.0, "x", 0)
+    res = simulate_selection_absorption(model, 10.0, EmpiricalMeasure([2, 2]), spy)
+    assert res == (0.02719726097046469, "x", 2)
     (exp_call,), (uniform_call,) = spy.standard_exponential.call_args_list, spy.random.call_args_list
     assert exp_call.kwargs["out"].tobytes() == e.tobytes()
     assert uniform_call.kwargs["out"].tobytes() == u.tobytes()
@@ -910,6 +911,29 @@ def test_run_experiment_checks_out_dir_before_simulating(tmp_path, monkeypatch):
         run_experiment(theorem1_doc(), out_dir=out)
 
 
+def test_theorem2_chain_start_raises_before_any_point(monkeypatch):
+    # four sites at n = 120 make a committor space of 302 621 states, over
+    # the cap; the config is valid, and the chain starts used to be built
+    # only after each intensity's particle pass
+    import fvlab.experiments as ex
+
+    calls = _count_calls(monkeypatch, ex, ["_run_point"])
+    sites = ["a", "b", "c", "d"]
+    model = {
+        "states": sites,
+        "mutation": [{"from": x, "to": y, "rate": 1.0} for x, y in zip(sites, sites[1:] + sites[:1])],
+        "killing": {"kind": "power", "c": dict(zip(sites, [1.0, 2.0, 3.0, 4.0])), "beta": dict.fromkeys(sites, "1")},
+    }
+    doc = theorem1_doc(
+        kind="theorem2_pathwise", model=model, n=120, init=[30, 30, 30, 30],
+        r_schedule=[10.0, 20.0], T=1.0, replicas=300, time_points=None,
+    )
+    ExperimentConfig.from_dict(doc).validate()
+    with pytest.raises(ValueError, match="composition space has 302621 states"):
+        run_experiment(doc)
+    assert calls["_run_point"] == 0
+
+
 def _count_calls(monkeypatch, module, names):
     """Wrap ``module.<name>`` for each name; return the live call counts."""
     calls = dict.fromkeys(names, 0)
@@ -1472,11 +1496,8 @@ def _alone(worker, model, init, rng, event_cap=10**7):
     T = _DUEL_TIMES[-1]
     if worker == "final":
         runs = _Runs()
-        options = dict(record=False, event_cap=event_cap, snapshot_times=_DUEL_TIMES)
-        _run_replicas(model, 1e4, init, T, (rng,), runs, **options)
-        final = np.reshape(runs.snaps, (len(_DUEL_TIMES), -1))
-        assert (final[-1].tolist(), runs.snap_events[-1]) == (runs.finals, runs.events[0])
-        return {"final": final, "events": runs.snap_events}
+        _run_replicas(model, 1e4, init.counts, _DUEL_TIMES, (rng,), runs, record=False, event_cap=event_cap)
+        return {"final": np.reshape(runs.snaps, (len(_DUEL_TIMES), -1)), "events": runs.snap_events}
     if worker == "path":
         traj = simulate_fv(model, 1e4, init, T, rng, event_cap=event_cap)
         times, values = traj.occupancy_path()
