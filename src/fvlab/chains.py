@@ -211,6 +211,16 @@ def _init_vector(rates: RateMatrix, init) -> np.ndarray:
     return v
 
 
+def _first_site(rates: RateMatrix, init):
+    """The chain's first site as a function of the stream: ``init``'s index,
+    or a draw from its law."""
+    if isinstance(init, LawOnStates):
+        probs = _init_vector(rates, init)
+        return lambda rng: int(rng.choice(len(probs), p=probs))
+    site = _site_index(init, rates.states)
+    return lambda rng: site
+
+
 def simulate_ctmc(
     rates: RateMatrix,
     init: Union[str, int, LawOnStates],
@@ -226,13 +236,15 @@ def simulate_ctmc(
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    if isinstance(init, LawOnStates):
-        probs = _init_vector(rates, init)
-        site = int(rng.choice(len(probs), p=probs))
-    else:
-        site = _site_index(init, rates.states)
-    R = rates.rates.tolist()  # Python floats: the same sums as numpy's, and float times
-    row_sum = rates.row_sums().tolist()
+    site = _first_site(rates, init)(rng)
+    # Python floats: the same sums as numpy's, and float times
+    return _ctmc_path(rates.rates.tolist(), rates.row_sums().tolist(), site, T, rng)
+
+
+def _ctmc_path(R: list, row_sum: list, site: int, T: float, rng: np.random.Generator) -> list[tuple[float, int]]:
+    """:func:`simulate_ctmc`'s path from ``site``, on the rate rows ``R`` and
+    their sums ``row_sum`` as lists, which a caller running many paths
+    builds once."""
     t = 0.0
     path = [(0.0, site)]
     while True:

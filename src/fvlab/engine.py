@@ -91,10 +91,17 @@ exactly as the expressions do (the inverse-transform view of a discrete
 draw, Devroye 1986, ch. 2-3), and time, counts, event count and recorded
 events are bit-identical to the generic loop's for every input.
 Stops and the event cap are the generic step's alone: a duel step that
-is a mutation, whose waiting time crosses the next stop, or that would
-reach the cap is handed back to the generic step at the same buffer
-position, which takes it from the same draws.  Supports of one site or
-of three or more always take the generic step.
+is a mutation at a split, whose waiting time crosses the next stop, or
+that would reach the cap is handed back to the generic step at the same
+buffer position, which takes it from the same draws.  A duel that ends
+in a Dirac mass goes on to the condensate's next event, its own
+mutation, and when that mutation goes back into the pair it is a duel
+step too: it takes the generic step's expressions (the waiting time
+over the Dirac record's total ``n * exit``, the same target search) and
+starts the new duel.  A mutation to a third site, a Dirac site with no
+mutation exit, a crossed stop and the cap step go to the generic step
+as above.  Other supports of one site, and those of three or more, take
+the generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
 blocks, each one scalar step apart and each reaching to the end of the
@@ -109,8 +116,8 @@ a split with no rate left, and times them as the scalar step's own
 sequential sum, cut before the first time past the next stop.  Where
 fewer than 128 steps are left before the refill or the cap, scalar
 steps take them instead.  The scalar step after a block takes whatever
-ended it (the mismatched step, the refill) or hands it to the generic
-step (the mutation, the stop, the cap), so the block
+ended it (the mismatched step, the refill) or hands it on (the
+mutation, the stop, the cap), so the block
 changes the cost of a long duel and nothing else.
 
 One run gives the state at several times: the loop's ``stops``, an
@@ -145,7 +152,7 @@ __all__ = [
 DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
 _FIRST = 21  # steps drawn by a replica's first refill
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
-_DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
+_DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block, and after each condensate step
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
 _NEAR = np.arange(-4, 5)[:, None, None]  # offsets, in doubles, at which duel thresholds are first sought
 _TWO = np.float64(2.0).view(np.int64)  # the bit pattern of 2.0, above every uniform
@@ -615,7 +622,45 @@ def _run_replicas(
                                 ev_kind += ["selection"] * steps
                         run = 1
                         continue
-                    break
+                    # A Dirac end: the condensate's own mutation back into the
+                    # pair is a duel step too, taken by the generic step's
+                    # expressions; any other step is handed to the generic step.
+                    # At a Dirac mass that step always takes a mutation at its
+                    # site (u * total < total for every uniform below 1), so
+                    # the category uniform is not read.
+                    if 0 < ka < n or n_events >= last:
+                        break
+                    src, other = (a, b) if ka else (b, a)
+                    total = n * mut_exit[src]  # the Dirac record's total
+                    if total <= 0.0:
+                        break
+                    if pos == size:
+                        size, e_out, u_out = refills[size]
+                        rng.standard_exponential(out=e_out)
+                        rng.random(out=u_out)
+                        pos = 0
+                    t_next = t + ebuf[pos] / total
+                    if t_next > stop:
+                        break
+                    y = ubuf[size + pos] * mut_exit[src]
+                    tgt = mut_targets[src][-1]
+                    for j, rate in zip(mut_targets[src], mut_rates[src]):
+                        y -= rate
+                        if y < 0.0:
+                            tgt = j
+                            break
+                    if tgt != other:
+                        break
+                    pos += 1
+                    t = t_next
+                    ka = n - 1 if ka else 1
+                    n_events += 1
+                    if record:
+                        ev_t.append(t)
+                        ev_src.append(src)
+                        ev_tgt.append(tgt)
+                        ev_kind.append("mutation")
+                    run = _DUEL_SCALAR
                 if ka != counts[a]:
                     key += (ka - counts[a]) * (place[a] - place[b])
                     counts[a], counts[b] = ka, n - ka

@@ -87,7 +87,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .chains import condensate_rates, conjectured_limit_rates, ctmc_marginal, simulate_ctmc
+from .chains import _ctmc_path, _first_site, condensate_rates, conjectured_limit_rates, ctmc_marginal
 from .committor import committor_numeric, gamblers_ruin_committor
 from .condensation import initial_condensation_law
 from .engine import (
@@ -573,15 +573,18 @@ def _absorption_chunk(payload: dict) -> dict:
 
 def _ctmc_path_chunk(payload: dict) -> dict:
     """Time-average occupation over [0, t] of a condensate-chain path."""
-    rates, T, init = payload["rates"], payload["t"], payload["init"]
-    occ = np.zeros((payload["stop"] - payload["start"], len(rates.states)))
-    events = []
-    for row, rng in zip(occ, _replica_rngs(payload["seed"], payload["base"] + payload["start"], len(occ))):
-        path = simulate_ctmc(rates, init, T, rng)
+    rates, T = payload["rates"], payload["t"]
+    R, row_sum = rates.rates.tolist(), rates.row_sums().tolist()
+    first_site = _first_site(rates, payload["init"])
+    occ, events = [], []
+    for rng in _replica_rngs(payload["seed"], payload["base"] + payload["start"], payload["stop"] - payload["start"]):
+        path = _ctmc_path(R, row_sum, first_site(rng), T, rng)
+        row = [0.0] * len(row_sum)
         for (t0, s0), t1 in zip(path, [t for t, _ in path[1:]] + [T]):
             row[s0] += (t1 - t0) / T
+        occ.append(row)
         events.append(len(path) - 1)
-    return {"avg_occ": occ, "events": np.array(events, dtype=np.int64)}
+    return {"avg_occ": np.array(occ), "events": np.array(events, dtype=np.int64)}
 
 
 def _run_point(worker, payload: dict, M: int, threads: int):

@@ -625,18 +625,121 @@ def replay_until(init, events, s):
     return tuple(counts), len(done)
 
 
-@given(case=engine_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_event_loop_bit_identical_to_reference(case, seed):
+def assert_bit_identical_to_reference(case, seed):
+    """The live loop's outcome is the reference loop's, and each snapshot
+    is the state of the same seed's recorded path at its time."""
     times = case.pop("snapshot_times")
     want = outcome(reference_simulate, seed, case)
     assert outcome(live_simulate, seed, dict(case, snapshot_times=times)) == want
     if want[0] == "cap":
         return
-    # each snapshot is the state of the same seed's recorded path at its time
     snaps = _simulate(rng=np.random.default_rng(seed), **case, snapshot_times=times)[4]
     _, _, events, _ = reference_simulate(rng=np.random.default_rng(seed), **dict(case, record=True))
     assert snaps == [replay_until(case["init"], events, s) for s in times]
+
+
+@given(case=engine_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_event_loop_bit_identical_to_reference(case, seed):
+    assert_bit_identical_to_reference(case, seed)
+
+
+@st.composite
+def dirac_end_cases(draw):
+    """Short duels among three sites that each mutate to both others, at
+    mutation rates within about 10x of the killing rates: a duel often
+    ends in a Dirac mass whose next mutation goes back into the pair (a
+    duel step) or to the third site (the generic step's)."""
+    states = ["a", "b", "c"]
+    rate = st.sampled_from([0.5, 1.0, 2.0])
+    mutation = [{"from": x, "to": y, "rate": draw(rate)} for x in states for y in states if x != y]
+    killing = {
+        "kind": "power",
+        "c": {s: draw(st.sampled_from([0.5, 1.0, 2.0])) for s in states},
+        "beta": {s: "1" for s in states},
+    }
+    n = draw(st.integers(min_value=2, max_value=6))
+    ka = draw(st.integers(min_value=0, max_value=n))
+    T = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    return dict(
+        model=validate_model({"states": states, "mutation": mutation, "killing": killing}),
+        r=draw(st.sampled_from([1.0, 3.0, 10.0])),
+        init=EmpiricalMeasure([ka, n - ka, 0]),
+        T=T,
+        record=draw(st.booleans()),
+        event_cap=draw(st.just(10**9) | st.integers(min_value=2, max_value=60)),
+        snapshot_times=sorted(draw(st.sets(st.sampled_from([f * T for f in (0.1, 0.25, 0.5, 0.999)])))),
+    )
+
+
+@given(case=dirac_end_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_dirac_end_mutations_bit_identical_to_reference(case, seed):
+    assert_bit_identical_to_reference(case, seed)
+
+
+def dirac_end_mutations(init, events):
+    """``(i, back)`` for each event i that is a mutation out of a Dirac mass
+    which a selection from a two-site support has just reached: ``back``
+    when its target is the site that died out, the pair's other site."""
+    counts, n = list(init.counts), init.n
+    found, duel = [], False
+    for i, (_, kind, src, tgt) in enumerate(events):
+        if kind == "mutation" and i and events[i - 1][1] == "selection" and duel and counts[src] == n:
+            found.append((i, tgt == events[i - 1][2]))
+        duel = len(counts) - counts.count(0) == 2
+        counts[src] -= 1
+        counts[tgt] += 1
+    return found
+
+
+def dirac_end_model():
+    """a and b mutate to each other and to c; c has no mutation exit."""
+    return validate_model(
+        {
+            "states": ["a", "b", "c"],
+            "mutation": [
+                {"from": "a", "to": "b", "rate": 1.0},
+                {"from": "a", "to": "c", "rate": 0.5},
+                {"from": "b", "to": "a", "rate": 2.0},
+                {"from": "b", "to": "c", "rate": 0.5},
+            ],
+            "killing": {"kind": "power", "c": {"a": 1.0, "b": 2.0, "c": 0.5}, "beta": {"a": "1", "b": "1", "c": "1"}},
+        }
+    )
+
+
+# hand-off: the seed whose reference path at n = 4, r = 3, T = 2 reaches it
+DIRAC_END_SEEDS = {"stop": 0, "cap": 5, "refill": 234, "third-site": 0, "zero-exit": 1}
+
+
+@pytest.mark.parametrize("hand_off", list(DIRAC_END_SEEDS))
+def test_dirac_end_hand_offs_match_the_reference(hand_off):
+    # Each case reaches one way out of the duel's step at a Dirac end: a
+    # stop crossed by the condensate's waiting time, the cap landing on
+    # its mutation back into the pair, that mutation drawing a refill
+    # (event 21 reads the second refill), a mutation to the third site,
+    # and a Dirac site with no mutation exit.
+    seed = DIRAC_END_SEEDS[hand_off]
+    init = EmpiricalMeasure([4, 0, 0])
+    case = dict(model=dirac_end_model(), r=3.0, init=init, T=2.0)
+    _, final, path, _ = reference_simulate(rng=np.random.default_rng(seed), **case)
+    times = []
+    ends = dirac_end_mutations(init, path)
+    back = [i for i, b in ends if b]
+    if hand_off == "stop":
+        i = back[0]
+        times = [(path[i - 1][0] + path[i][0]) / 2]
+    elif hand_off == "cap":
+        case["event_cap"] = back[0] + 1
+    elif hand_off == "refill":
+        assert 21 in back
+    elif hand_off == "third-site":
+        assert any(not b for _, b in ends)
+    else:
+        assert final == [0, 0, 4] and path[-1][1] == "selection"
+    for record in (True, False):
+        assert_bit_identical_to_reference(dict(case, record=record, snapshot_times=times), seed)
 
 
 def longest_duel(init, events):
