@@ -26,8 +26,9 @@ system splits 2/3 to y1 and 1/3 to y2, in proportion to
 
 The marginal at time t of any of these chains is ``v expm(G t)``, one
 dense matrix exponential (scipy's scaling and squaring, Al-Mohy &
-Higham 2009) whose cost grows only with the logarithm of ``|G| t``.
-Paths are sampled by the standard exponential-clock method.
+Higham 2009) whose cost grows only with the logarithm of ``|G| t``; on
+``[[G, I], [0, 0]]`` it gives the mean time-average occupation over
+[0, T] too.  Paths are sampled by the standard exponential-clock method.
 """
 
 from __future__ import annotations
@@ -211,16 +212,6 @@ def _init_vector(rates: RateMatrix, init) -> np.ndarray:
     return v
 
 
-def _first_site(rates: RateMatrix, init):
-    """The chain's first site as a function of the stream: ``init``'s index,
-    or a draw from its law."""
-    if isinstance(init, LawOnStates):
-        probs = _init_vector(rates, init)
-        return lambda rng: int(rng.choice(len(probs), p=probs))
-    site = _site_index(init, rates.states)
-    return lambda rng: site
-
-
 def simulate_ctmc(
     rates: RateMatrix,
     init: Union[str, int, LawOnStates],
@@ -236,15 +227,13 @@ def simulate_ctmc(
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    site = _first_site(rates, init)(rng)
-    # Python floats: the same sums as numpy's, and float times
-    return _ctmc_path(rates.rates.tolist(), rates.row_sums().tolist(), site, T, rng)
-
-
-def _ctmc_path(R: list, row_sum: list, site: int, T: float, rng: np.random.Generator) -> list[tuple[float, int]]:
-    """:func:`simulate_ctmc`'s path from ``site``, on the rate rows ``R`` and
-    their sums ``row_sum`` as lists, which a caller running many paths
-    builds once."""
+    if isinstance(init, LawOnStates):
+        probs = _init_vector(rates, init)
+        site = int(rng.choice(len(probs), p=probs))
+    else:
+        site = _site_index(init, rates.states)
+    R = rates.rates.tolist()  # Python floats: the same sums as numpy's, and float times
+    row_sum = rates.row_sums().tolist()
     t = 0.0
     path = [(0.0, site)]
     while True:
@@ -279,3 +268,20 @@ def ctmc_marginal(
         raise ValueError(f"time must be nonnegative and finite, got {t}")
     p = _init_vector(rates, init) @ expm(rates.generator() * t)
     return LawOnStates(rates.states, p / p.sum())
+
+
+def _mean_occupation(rates: RateMatrix, init: Union[str, int, LawOnStates], T: float) -> np.ndarray:
+    """Mean time-average occupation ``(1/T) v int_0^T expm(G s) ds`` over [0, T].
+
+    ``(1/T) int_0^T expm(G s) ds = int_0^1 expm(G T u) du`` is the top-right
+    block of ``expm([[G T, I], [0, 0]])`` (Van Loan 1978); dividing by the
+    total removes the squarings' drift, as in :func:`ctmc_marginal`.
+    """
+    if not 0 < T < math.inf:  # also false for NaN
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    d = len(rates.states)
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = rates.generator() * T
+    block[:d, d:] = np.eye(d)
+    p = _init_vector(rates, init) @ expm(block)[:d, d:]
+    return p / p.sum()

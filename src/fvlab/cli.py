@@ -19,9 +19,9 @@ Subcommands
     Print the initial-condensation law as JSON:
     ``{"lambda_set": [...], "eta_infinity": {state: prob}}``.
 
-Every subcommand exits 2 with an ``error:`` message on bad input or a
+Every subcommand exits 2 with an ``error:`` message on bad input, a
 failed computation (a solver residual, an event cap hit outside an
-experiment point), never 1.
+experiment point) or a size too large for memory, never 1.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("experiment", help="path to experiment JSON")
     p.add_argument("--out", required=True, help="output directory for report files")
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes, at most one per usable CPU (default 1)")
     p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
 
     p = sub.add_parser("committor", help="closed-form two-site committor table")
@@ -164,11 +164,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, RuntimeError) as err:
+    except (ValueError, OSError, RuntimeError, MemoryError) as err:
         # bad input (ModelError, ConfigError, malformed JSON are ValueErrors),
-        # unreadable files, and solver or engine failures (EventCapError is a
-        # RuntimeError): exit 2, so that 1 only ever means a verdict FAILed
-        print(f"error: {err}", file=sys.stderr)
+        # unreadable files, solver or engine failures (EventCapError is a
+        # RuntimeError) and sizes past memory (a committor column at n = 1e11):
+        # exit 2, so that 1 only ever means a verdict FAILed
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

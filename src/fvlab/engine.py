@@ -54,7 +54,7 @@ per event; a duel block extends them from its arrays.
 times from 0 and the normalized counts holding from each.
 :func:`_path_stats` reduces the concatenated columns of many replicas
 to each one's Dirac-distance integral and time-average occupation in
-one numpy pass.
+one numpy pass, one ``np.add.reduceat`` per statistic.
 
 Fast selection pulls the particles into one condensate, so a replica
 spends almost all its events at a few count vectors: Dirac masses and
@@ -258,10 +258,10 @@ def _count_paths(times, sources, targets, rows, initial):
     n_rows = int(m.sum()) + len(m)
     ev_rows = np.delete(np.arange(n_rows), starts)
     path_times = np.zeros(n_rows)
-    path_times[ev_rows] = times
+    path_times[ev_rows] = np.asarray(times, dtype=np.float64)
     counts = np.zeros((n_rows, len(initial)), dtype=np.int64)
-    counts[ev_rows, sources] = -1  # a source is never its event's target
-    counts[ev_rows, targets] = 1
+    counts[ev_rows, np.asarray(sources, dtype=np.intp)] = -1  # a source is never its event's target
+    counts[ev_rows, np.asarray(targets, dtype=np.intp)] = 1
     counts.cumsum(axis=0, out=counts)
     # a replica's first row holds the events of the replicas before it
     counts -= np.repeat(counts[starts] - np.asarray(initial, dtype=np.int64), m + 1, axis=0)
@@ -273,22 +273,23 @@ def _path_stats(times, sources, targets, rows, initial, horizon):
     over ``[0, horizon]``, from the concatenated event columns of
     :func:`_count_paths`.
 
-    The paths are built for all replicas at once; each replica's two
-    reductions run on its own slices, so its results are bit for bit
-    those of its path alone, whatever the other replicas are.  Returns
+    The paths are built for all replicas at once, and each statistic is
+    one ``np.add.reduceat`` at the replicas' first rows, which sums each
+    replica's rows apart (its first row, then a pairwise sum of the
+    rest): a replica's results are bit for bit those of its path alone,
+    whatever the other replicas and the BLAS kernel.  Returns
     ``(integrals, occupation)``: a list of floats and a (replicas, sites)
     array.
     """
     path_times, counts, starts = _count_paths(times, sources, targets, rows, initial)
     values = counts / sum(initial)
-    ends = starts + np.asarray(rows, dtype=np.int64) + 1
     seg = np.empty(len(path_times))
     np.subtract(path_times[1:], path_times[:-1], out=seg[:-1])
-    seg[ends - 1] = horizon - path_times[ends - 1]  # each replica's last row holds to the horizon
+    last = np.append(starts[1:], len(seg)) - 1
+    seg[last] = horizon - path_times[last]  # each replica's last row holds to the horizon
     weights = 2.0 * (1.0 - values.max(axis=1))
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    integrals = [float(np.dot(seg[s:e], weights[s:e])) for s, e in bounds]
-    occupation = np.array([seg[s:e] @ values[s:e] / horizon for s, e in bounds])
+    integrals = np.add.reduceat(seg * weights, starts).tolist()
+    occupation = np.add.reduceat(seg[:, None] * values, starts, axis=0) / horizon
     return integrals, occupation
 
 

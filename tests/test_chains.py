@@ -22,6 +22,8 @@ from fvlab import (
     validate_model,
 )
 
+from fvlab.chains import _mean_occupation
+
 from conftest import cycle_model_config, dense_expm, fv_absorption_law
 
 
@@ -445,6 +447,55 @@ def test_ctmc_marginal_absorbing_chain_long_time():
     assert law.prob("v") == pytest.approx(1.0, abs=1e-12)
 
 
+# ------------------------------------------------------- mean occupation
+
+
+@pytest.mark.parametrize("a,b,T", [(1.0, 2.0, 0.5), (0.3, 5.0, 3.0), (10.0, 0.1, 1e-3), (2.0, 2.0, 100.0),
+                                   (1e-3, 1e-3, 1.0), (50.0, 80.0, 7.0)])
+def test_mean_occupation_two_state_closed_form(a, b, T):
+    # from u, the mean time-average occupation of u over [0, T] is
+    # b/(a+b) + a (1 - e^{-(a+b)T}) / ((a+b)^2 T)
+    rm = RateMatrix(("u", "v"), np.array([[0.0, a], [b, 0.0]]))
+    s = a + b
+    at_u = b / s + a * -math.expm1(-s * T) / (s * s * T)
+    got = _mean_occupation(rm, "u", T)
+    assert abs(got[0] - at_u) <= 1e-13 and abs(got[1] - (1.0 - at_u)) <= 1e-13
+
+
+@pytest.mark.parametrize("init", ["a", LawOnStates(("a", "b", "c"), [0.2, 0.5, 0.3])], ids=["site", "law"])
+def test_mean_occupation_is_the_time_average_of_the_marginal(init):
+    # the power cycle's limit chain at n = 3 (rates 0.43, 0.43 and 2.3),
+    # against 64-node Gauss-Legendre quadrature of ctmc_marginal, whose
+    # error on this entire integrand is far below the bound
+    chain = condensate_rates(validate_model(cycle_model_config()), 3, None)
+    T = 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    marginals = np.array([ctmc_marginal(chain, init, T * (x + 1.0) / 2.0).probs for x in nodes])
+    quadrature = weights @ marginals / 2.0
+    assert np.abs(_mean_occupation(chain, init, T) - quadrature).max() <= 1e-13
+
+
+def test_simulate_ctmc_time_average_occupation_matches_the_exact_mean():
+    # 4 000 paths from a law, on a chain where every site has two targets:
+    # each site's mean time-average occupation, as a z-score against the
+    # exact mean with the sample standard deviation.  A correct sampler
+    # fails |z| < 4 at some site with probability below 3 P(|Z| > 4) = 2e-4
+    # (normal approximation, union over the three sites).  At this seed
+    # z is (-1.3, -0.9, 1.6); swapping one site's two target rates gives
+    # |z| above 20, and scaling every rate by 1.2 gives 4.2.
+    rm = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.5, 0.25], [0.7, 0.0, 2.0], [1.0 / 3.0, 0.1, 0.0]]))
+    init, T, K = LawOnStates(rm.states, [0.2, 0.5, 0.3]), 2.0, 4000
+    rng = np.random.default_rng(2026)
+    occupation = np.zeros((K, 3))
+    for k in range(K):
+        path = simulate_ctmc(rm, init, T, rng)
+        for (t0, site), t1 in zip(path, [t for t, _ in path[1:]] + [T]):
+            occupation[k, site] += (t1 - t0) / T
+    se = occupation.std(axis=0, ddof=1) / math.sqrt(K)
+    z = (occupation.mean(axis=0) - _mean_occupation(rm, init, T)) / se
+    assert np.abs(z).max() < 4.0
+
+
 # -------------------------------------------------------------- simulation
 
 
@@ -509,6 +560,8 @@ def test_simulate_ctmc_horizon_must_be_positive_and_finite(T):
     rm = RateMatrix(("u", "v"), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         simulate_ctmc(rm, "v", T, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        _mean_occupation(rm, "v", T)  # the exact mean over the same horizon
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])

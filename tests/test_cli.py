@@ -365,3 +365,23 @@ def test_run_runtime_error_exits_2(tmp_path, capsys, monkeypatch, error):
     exp.write_text(json.dumps(run_config_doc()))
     assert main(["run", str(exp), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "error,message",
+    [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)"),
+         "Unable to allocate 745. GiB for an array with shape (100000000001,)"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_committor_out_of_memory_exits_2(capsys, monkeypatch, error, message):
+    # a size past the machine's memory is bad input, not a FAILed verdict;
+    # the real call is never made, since with overcommit it can exhaust the host
+    def fail(n, alpha):
+        raise error
+
+    monkeypatch.setattr(cli, "gamblers_ruin_committor", fail)
+    assert main(["committor", "--n", "100000000000", "--alpha", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 from dataclasses import fields
@@ -172,7 +173,9 @@ def test_max_mass_integral_matches_manual_recompute(cycle_model):
 
 def replay_occupancy_path(traj):
     """The per-event replay ``occupancy_path`` and ``max_mass_integral``
-    used before the cumulative sum, kept verbatim as the bit reference."""
+    used before the cumulative sum, kept as the bit reference; the
+    integral sums the one path with ``_path_stats``' reduction, a
+    ``np.add.reduceat`` from its first row."""
     times = [0.0]
     rows = [np.asarray(traj.initial.counts, dtype=float) / traj.initial.n]
     counts = list(traj.initial.counts)
@@ -184,7 +187,7 @@ def replay_occupancy_path(traj):
         rows.append(np.asarray(counts, dtype=float) / n)
     times, values = np.asarray(times), np.asarray(rows)
     seg = np.diff(np.append(times, traj.horizon))
-    return times, values, float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
+    return times, values, float(np.add.reduceat(seg * (2.0 * (1.0 - values.max(axis=1))), [0])[0])
 
 
 @pytest.mark.parametrize(
@@ -207,6 +210,30 @@ def test_occupancy_path_bit_identical_to_replay(cycle_model, counts, r, T, seed)
     assert times.tobytes() == ref_times.tobytes()
     assert values.shape == ref_values.shape and values.tobytes() == ref_values.tobytes()
     assert traj.max_mass_integral() == ref_integral
+
+
+def _pinned_paths():
+    """The concatenated recorded columns of five replicas from [40, 0, 0]
+    to T = 1, with 0 to 216 events: slow mutation (q = 0.05) at r = 10,
+    then the power cycle's own (q = 1) at r = 1000."""
+    columns, rows = ([], [], []), []
+    for q, r, seed in [(0.05, 10.0, 4), (0.05, 10.0, 1), (0.05, 10.0, 3), (1.0, 1e3, 7), (1.0, 1e3, 1)]:
+        model = validate_model(cycle_model_config(q=q))
+        traj = simulate_fv(model, r, EmpiricalMeasure([40, 0, 0]), 1.0, np.random.default_rng(seed))
+        for column, recorded in zip(columns, traj.columns):
+            column.extend(recorded)
+        rows.append(traj.event_count)
+    return columns, rows
+
+
+def test_path_stats_bits_pinned():
+    # _path_stats sums with np.add.reduceat and calls no BLAS, so these bits
+    # hold under every OpenBLAS kernel
+    columns, rows = _pinned_paths()
+    assert rows == [0, 2, 22, 216, 176]  # the pairwise sum recurses past 128 rows
+    integrals, occupation = engine._path_stats(*columns, rows, (40, 0, 0), 1.0)
+    digest = hashlib.sha256(np.array(integrals).tobytes() + occupation.tobytes()).hexdigest()
+    assert digest == "5a98a759066c36a5d54b8d30555a394bd57b574d501e9e749da6e951c5119606"
 
 
 def test_occupancy_path_of_eventless_dirac_is_one_row():

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -1380,8 +1381,8 @@ _PINNED_HASHES = {
     "eta_inf": "0fe93ce1603a2c4ad817c6d4e0f97a10fabd9677b85e0af5a99a7f2378d907de",
     "theorem1": "4bd7e3678917ed0aa6bfafeb9fcdf287cf0bd08f909544d235e1d70d13f01196",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
-    "theorem2": "827e8cae8678e70258e0e0e4fa133acdd14d6de5382598c022d871fd973b5da8",
-    "theorem2_cap_abort": "9abb927279dbe24c16c1110e871690254911f5a480d23e46c824879863d87fc8",
+    "theorem2": "d6932966fbc6fde9e2c41dba0b03564a980a5c28024e0f63eb63881094d05a25",
+    "theorem2_cap_abort": "710f9fb310540a6719675097685392958f5e5dffc8696bc21eb378083c2c43d4",
     "theorem3": "fc6c6f0ade3713dfb5c699ac40588c1caf4ebb4507c11222985e9bf2b8a88dc6",
 }
 
@@ -1405,13 +1406,21 @@ def _path_point(model_config, counts, r, T, M, seed=5, base=7):
     init = EmpiricalMeasure(counts)
     for i in range(M):
         traj = simulate_fv(model, r, init, T, derive_replica_rng(seed, base + i))
-        times, values = traj.occupancy_path()
-        seg = np.diff(np.append(times, T))
-        integral = float(np.dot(seg, 2.0 * (1.0 - values.max(axis=1))))
+        integral, occupation = _path_alone(traj, T)
         assert float(res["integral"][i]) == traj.max_mass_integral() == integral
-        assert res["avg_occ"][i].tobytes() == (seg @ values / T).tobytes()
+        assert res["avg_occ"][i].tobytes() == occupation.tobytes()
         assert res["events"][i] == traj.event_count
     return res
+
+
+def _path_alone(traj, T):
+    """A trajectory's Dirac-distance integral and time-average occupation,
+    each reduced as ``_path_stats`` reduces one replica's rows: one
+    ``np.add.reduceat`` from its first row."""
+    times, values = traj.occupancy_path()
+    seg = np.diff(np.append(times, T))
+    integral = float(np.add.reduceat(seg * (2.0 * (1.0 - values.max(axis=1))), [0])[0])
+    return integral, np.add.reduceat(seg[:, None] * values, [0], axis=0)[0] / T
 
 
 def test_path_chunk_of_eventless_dirac_replicas():
@@ -1500,9 +1509,8 @@ def _alone(worker, model, init, rng, event_cap=10**7):
         return {"final": np.reshape(runs.snaps, (len(_DUEL_TIMES), -1)), "events": runs.snap_events}
     if worker == "path":
         traj = simulate_fv(model, 1e4, init, T, rng, event_cap=event_cap)
-        times, values = traj.occupancy_path()
-        seg = np.diff(np.append(times, T))
-        return {"integral": traj.max_mass_integral(), "avg_occ": seg @ values / T, "events": traj.event_count}
+        _, occupation = _path_alone(traj, T)
+        return {"integral": traj.max_mass_integral(), "avg_occ": occupation, "events": traj.event_count}
     res = simulate_selection_absorption(model, 1e4, init, rng, event_cap=event_cap)
     return {"tau": res.tau, "site": model.state_index(res.site), "events": res.event_count}
 
@@ -1590,20 +1598,50 @@ def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 8)  # more CPUs than chunks
     cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
     rep = run_experiment(cfg, threads=threads)
-    assert _InlinePool.sizes == [size] * 4  # each r: the particle point and the chain point
+    assert _InlinePool.sizes == [size] * 2  # one particle point per r
     assert rep.result_hash == run_experiment(cfg).result_hash
+
+
+@pytest.mark.parametrize("cpus,sizes", [(2, [2]), (1, [])], ids=["two-cpus", "one-cpu"])
+def test_point_pool_has_no_more_workers_than_cpus(monkeypatch, cpus, sizes):
+    import fvlab.experiments as experiments
+    from fvlab import validate_model
+    from fvlab.experiments import _fv_final_chunk, _run_point
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+    # 300 chunks of frozen Dirac replicas, which draw nothing
+    model = validate_model(dict(cycle_model_config(), mutation=[]))
+    payload = dict(model=model, counts=(3, 0, 0), r=10.0, t=(0.5,), seed=1, base=0, event_cap=10)
+    res = _run_point(_fv_final_chunk, payload, 300 * 256, 5000)
+    assert _InlinePool.sizes == sizes  # one CPU: the serial path, no pool
+    assert res["final"].shape == (300 * 256, 1, 3) and not res["events"].any()
+
+
+def test_cpu_count_is_the_usable_cpus(monkeypatch):
+    import fvlab.experiments as experiments
+
+    if hasattr(os, "sched_getaffinity"):
+        assert experiments._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert experiments._cpu_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert experiments._cpu_count() == 6
 
 
 def test_theorem2_abort_keeps_later_points_on_their_blocks():
     rep = run_experiment(ExperimentConfig.from_dict(_pinned_docs()["theorem2_cap_abort"]))
     M = rep.config["replicas"]
     assert [(a["r"], a["t"]) for a in rep.timing["event_cap_aborts"]] == [(200.0, 0.5)]
-    # the aborted point keeps its chain block reserved: r = 1000 runs on blocks 4 and 5
-    last_fv, last_chain = rep.timing["points"][-2:]
-    assert last_fv["r"] == last_chain["r"] == 1000.0
-    assert 4 * M <= last_fv["max_events_replica"] < 5 * M <= last_chain["max_events_replica"] < 6 * M
+    assert [a["replica"] // M for a in rep.timing["event_cap_aborts"]] == [2]
+    # the i-th r runs on block 2i, the aborted one included: r = 1000 runs on block 4
+    assert [p["r"] for p in rep.timing["points"]] == [10.0, 200.0, 1000.0]
+    assert 4 * M <= rep.timing["points"][-1]["max_events_replica"] < 5 * M
     assert [row["statistic"] for row in rep.rows if row["r"] == 1000.0] == [
         "mean_dirac_distance_integral",
         "tv_mean_avg_occupation_fv_vs_chain",
