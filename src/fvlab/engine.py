@@ -75,11 +75,11 @@ result.
 Under fast selection almost every event is a step of a two-site duel:
 a mutant site {a, b} competing with the site it left until one of them
 dies out.  Whenever the support has exactly two sites (its record holds
-the pair's tables, :func:`_rates` at each split) the loop steps the
-count at a directly.  The tables depend on n and the pair's rates
-alone, so the process keeps the 64 it used last by those numbers, in
-:func:`_duel`: a model unpickled in a pool worker for each chunk finds
-its pairs' tables built.
+the pair's tables, :func:`_rates` at each split from one Dirac end to
+the other) the loop steps the count at a directly.  The tables depend
+on n and the pair's rates alone, so the process keeps the 64 it used
+last by those numbers, in :func:`_duel`: a model unpickled in a pool
+worker for each chunk finds its pairs' tables built.
 This path is the generic step specialized, not an approximation: it
 reads the same draws from the same buffer positions and refills the
 buffer at the same points.  Where the generic step multiplies its
@@ -96,12 +96,11 @@ that would reach the cap is handed back to the generic step at the same
 buffer position, which takes it from the same draws.  A duel that ends
 in a Dirac mass goes on to the condensate's next event, its own
 mutation, and when that mutation goes back into the pair it is a duel
-step too: it takes the generic step's expressions (the waiting time
-over the Dirac record's total ``n * exit``, the same target search) and
-starts the new duel.  A mutation to a third site, a Dirac site with no
-mutation exit, a crossed stop and the cap step go to the generic step
-as above.  Other supports of one site, and those of three or more, take
-the generic step.
+step too: it reads the end's total from the table, as any split's,
+takes the generic step's target search and starts the new duel.  A
+mutation to a third site, a Dirac site with no mutation exit, a crossed
+stop and the cap step go to the generic step as above.  Other supports
+of one site, and those of three or more, take the generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
 blocks, each one scalar step apart and each reaching to the end of the
@@ -217,7 +216,7 @@ class Trajectory:
     at target was duplicated; same-site selections are never recorded).
     ``final_counts`` are the counts at the horizon.  ``event_count``
     counts the generated events even when recording was turned off
-    (columns empty).
+    (columns empty): the path methods then raise ``ValueError`` if it is not 0.
     """
 
     initial: EmpiricalMeasure
@@ -230,7 +229,7 @@ class Trajectory:
         """``(times, values)``: ``values[i]``, the normalized counts, holds on
         ``[times[i], times[i+1])`` (``times[0] = 0``), the last row up to the horizon.
         """
-        times, counts, _ = _count_paths(*self.columns[:3], [len(self.columns[0])], self.initial.counts)
+        times, counts, _ = _count_paths(*self.columns[:3], [self.event_count], self.initial.counts)
         return times, counts / self.initial.n
 
     def max_mass_integral(self) -> float:
@@ -240,7 +239,7 @@ class Trajectory:
         path to its nearest Dirac mass at each instant; zero iff the
         path stays a Dirac.
         """
-        return _path_stats(*self.columns[:3], [len(self.columns[0])], self.initial.counts, self.horizon)[0][0]
+        return _path_stats(*self.columns[:3], [self.event_count], self.initial.counts, self.horizon)[0][0]
 
 
 def _count_paths(times, sources, targets, rows, initial):
@@ -253,6 +252,8 @@ def _count_paths(times, sources, targets, rows, initial):
     int64 counts, and each replica's first row.
     """
     m = np.asarray(rows, dtype=np.int64)
+    if len(times) != m.sum():  # unrecorded events would read as a path that never moved
+        raise ValueError(f"{m.sum()} events, {len(times)} recorded: a path simulated with record=False")
     starts = np.zeros(len(m), dtype=np.int64)
     np.cumsum(m[:-1] + 1, out=starts[1:])
     n_rows = int(m.sum()) + len(m)
@@ -318,22 +319,18 @@ def _kernel(model: Model, r: float, n: int):
 
 
 def _rates(counts, n, inv_nm1, lam, mut_exit):
-    """The generic step's rates at ``counts``: ``(r_mut, total, sites,
-    mut_last, death_last)``.
+    """The generic step's rates at ``counts``: ``(r_mut, total, sites)``.
 
     ``r_mut`` and ``total`` are the generic step's sums, accumulated from
     0.0 over the occupied sites in site order.  ``sites`` holds three
     entries per occupied site, in that order: the site, its mutation term
     ``k * exit`` and its death term ``k * lam * (n - k) / (n - 1)``, the
     floats the sums were made of, so subtracting them in turn finds the
-    site the generic step finds.  ``mut_last`` and ``death_last`` are the
-    sites roundoff falls back to: the last occupied site with a mutation
-    exit, and the last with ``k < n``.
+    site the generic step finds.
     """
     r_mut = 0.0
     r_sel = 0.0
     sites = []
-    mut_last = death_last = -1
     for i, k in enumerate(counts):
         if k:
             term = k * mut_exit[i]
@@ -341,18 +338,14 @@ def _rates(counts, n, inv_nm1, lam, mut_exit):
             sel = k * lam[i] * (n - k)
             r_sel += sel
             sites += (i, term, sel * inv_nm1)
-            if term > 0.0:
-                mut_last = i
-            if k < n:
-                death_last = i
-    return r_mut, r_mut + r_sel * inv_nm1, tuple(sites), mut_last, death_last
+    return r_mut, r_mut + r_sel * inv_nm1, tuple(sites)
 
 
 def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
-    """The :func:`_rates` record of ``counts``, kept in ``states`` under
-    ``key``, with ``duel`` appended: the pair's :func:`_duel` when the
-    support is two sites a < b, else None.  ``states`` is emptied first
-    when it holds ``_STATES``.
+    """The :func:`_rates` record of ``counts``, ``(r_mut, total, sites,
+    duel)``, kept in ``states`` under ``key``: ``duel`` is the pair's
+    :func:`_duel` when the support is two sites a < b, else None.
+    ``states`` is emptied first when it holds ``_STATES``.
 
     A record is two tuples of numbers and its pair's shared duel, and
     ``key`` an int, so thousands of them add few objects for the cyclic
@@ -361,13 +354,12 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
     """
     if len(states) >= _STATES:
         states.clear()
-    rates = _rates(counts, n, inv_nm1, lam, mut_exit)
-    sites = rates[2]
+    r_mut, total, sites = _rates(counts, n, inv_nm1, lam, mut_exit)
     duel = None
     if len(sites) == 6:
         a, b = sites[0], sites[3]
         duel = _duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b])
-    state = states[key] = (*rates, duel)
+    state = states[key] = (r_mut, total, sites, duel)
     return state
 
 
@@ -383,9 +375,12 @@ def _duel(n, la, lb, ea, eb):
 
     Each split's mutation rate, death rate at a and total rate are
     :func:`_rates`' own over the support {a, b}, so they are bit for bit
-    the floats the generic step computes there.  All three are 0.0 at the
-    Dirac ends (count 0 or n), where the duel is over, and
-    :func:`_duel_thresholds` reads such a split as a mutation.
+    the floats the generic step computes there, the Dirac ends (count 0
+    or n) included: an end's death rate is 0.0 and its total is the
+    Dirac record's, ``n * exit`` of the occupied site.  An end reads a
+    mutation at every uniform, so the duel never steps past it: its
+    thresholds are 1.0 (raised to it where a subnormal total rounds ``u *
+    total`` up to the total), or 2.0 where its site has no mutation exit.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -394,11 +389,12 @@ def _duel(n, la, lb, ea, eb):
     loop, which never writes to them.
     """
     inv_nm1 = 1.0 / (n - 1)
-    tables = np.zeros((3, n + 1))  # mutation rate, death rate at a, total rate
-    for ka in range(1, n):
-        r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))[:3]
-        tables[:, ka] = r_mut, sites[2], total
+    tables = np.empty((3, n + 1))  # mutation rate, death rate at a, total rate
+    for ka in range(n + 1):
+        r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))
+        tables[:, ka] = r_mut, sites[2], total  # at ka = 0, b's death term: 0.0
     cuts = _duel_thresholds(*tables)
+    cuts[:, [0, n]] = np.maximum(cuts[:, [0, n]], 1.0)
     return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, la / (la + lb))
 
 
@@ -413,8 +409,9 @@ def _duel_thresholds(rm, kill_a, total):
     0.0`` (that is, ``x >= rm``), and ``tau``, the least u >= 0 with
     ``(x - rm) - kill_a >= 0.0``.  So ``u < mu`` is a mutation, ``mu <=
     u < tau`` a death at a and ``tau <= u`` a death at b.  A split with
-    no rate gets 2.0 for both, above every uniform: it reads as a
-    mutation.  Returns the (2, n + 1) array of rows ``mu`` and ``tau``.
+    no rate gets 2.0 for both, and one whose rate is all mutation, a
+    Dirac end's, 1.0 where its total is normal: each reads as a mutation.
+    Returns the (2, n + 1) array of rows ``mu`` and ``tau``.
 
     Doubles >= 0 are ordered as their bit patterns, so the thresholds
     are sought among the patterns.  Each is most often within a double
@@ -559,11 +556,11 @@ def _run_replicas(
         n_events = 0
         while True:
             state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
-            if state[5] is not None:
+            if state[3] is not None:
                 # Two-site duel: the generic step below, specialized.  Its
                 # decisions are thresholds on the category uniform, exact
                 # per split for the generic loop's own float expressions.
-                total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[5]
+                total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[3]
                 a, b = state[2][0], state[2][3]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
@@ -573,7 +570,7 @@ def _run_replicas(
                             break  # the cap step: the generic step takes it
                         if pos == size:
                             if total_tab[ka] <= 0.0:
-                                break  # a site died out or no rate is left: no refill
+                                break  # no rate is left, as at a Dirac with no mutation exit: no refill
                             size, e_out, u_out = refills[size]
                             rng.standard_exponential(out=e_out)
                             rng.random(out=u_out)
@@ -623,23 +620,14 @@ def _run_replicas(
                                 ev_kind += ["selection"] * steps
                         run = 1
                         continue
-                    # A Dirac end: the condensate's own mutation back into the
-                    # pair is a duel step too, taken by the generic step's
-                    # expressions; any other step is handed to the generic step.
-                    # At a Dirac mass that step always takes a mutation at its
-                    # site (u * total < total for every uniform below 1), so
-                    # the category uniform is not read.
-                    if 0 < ka < n or n_events >= last:
+                    # A Dirac end with rate, its step's draws in the buffer: the
+                    # condensate's own mutation back into the pair is a duel
+                    # step too, with the generic step's target search; any
+                    # other step is handed to the generic step.
+                    total = total_tab[ka]
+                    if 0 < ka < n or n_events >= last or total <= 0.0:
                         break
                     src, other = (a, b) if ka else (b, a)
-                    total = n * mut_exit[src]  # the Dirac record's total
-                    if total <= 0.0:
-                        break
-                    if pos == size:
-                        size, e_out, u_out = refills[size]
-                        rng.standard_exponential(out=e_out)
-                        rng.random(out=u_out)
-                        pos = 0
                     t_next = t + ebuf[pos] / total
                     if t_next > stop:
                         break
@@ -667,7 +655,7 @@ def _run_replicas(
                     counts[a], counts[b] = ka, n - ka
                     state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
 
-            r_mut, total, sites, mut_last, death_last, _ = state
+            r_mut, total, sites, _ = state
             if total <= 0.0:
                 break
 
@@ -700,8 +688,8 @@ def _run_replicas(
                     if x < 0.0:
                         src = sites[j - 1]
                         break
-                else:  # roundoff left x >= 0 past the last occupied mutating site: take that site
-                    src = mut_last
+                else:  # roundoff left x >= 0 past the last occupied site: take the last with an exit
+                    src = next(sites[j - 1] for j in range(len(sites) - 2, 0, -3) if sites[j] > 0.0)
                 rates = mut_rates[src]
                 y = u_tgt * mut_exit[src]
                 tgt = mut_targets[src][-1]
@@ -719,16 +707,17 @@ def _run_replicas(
                     if x < 0.0:
                         src = sites[j - 2]
                         break
-                else:
-                    src = death_last
+                else:  # likewise: the last occupied site, k < n there as a Dirac of normal total takes a mutation
+                    src = sites[-3]
+                # y = fl(u * (n - k)) < n - k, and subtracting integer counts
+                # from a y below 2**53 is exact until y first goes below 0: the
+                # search always stops, by the last site other than src
                 y = u_tgt * (n - counts[src])
                 for tgt in sites[::3]:
                     if tgt != src:
                         y -= counts[tgt]
                         if y < 0.0:
                             break
-                else:
-                    tgt = max(j for j in sites[::3] if j != src)
                 kind = "selection"
 
             counts[src] -= 1

@@ -263,12 +263,33 @@ def test_max_mass_integral_zero_for_frozen_dirac():
     assert traj.max_mass_integral() == 0.0
 
 
+def test_unrecorded_path_raises_instead_of_reading_as_unmoved(cycle_model):
+    # 38 events end at (9, 1, 0); run with record=False, the path methods
+    # used to replay none of them: an integral of 0.0 (0.3159 recorded)
+    # and a last row of [1, 0, 0]
+    init = EmpiricalMeasure.dirac(3, 0, 10)
+    traj = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(5), record=False)
+    assert (traj.event_count, traj.final_counts) == (38, (9, 1, 0))
+    for path in (traj.occupancy_path, traj.max_mass_integral):
+        with pytest.raises(ValueError, match="38 events, 0 recorded: a path simulated with record=False"):
+            path()
+    recorded = simulate_fv(cycle_model, 10.0, init, 1.0, np.random.default_rng(5))
+    assert recorded.max_mass_integral() == pytest.approx(0.3159, abs=1e-4)
+    assert recorded.occupancy_path()[1][-1].tolist() == [0.9, 0.1, 0.0]
+    # an eventless path needs no record
+    frozen = validate_model(dict(cycle_model.config_dict(), mutation=[]))
+    still = simulate_fv(frozen, 10.0, init, 1.0, np.random.default_rng(5), record=False)
+    assert still.event_count == 0 and still.max_mass_integral() == 0.0
+    assert still.occupancy_path()[1].tolist() == [[1.0, 0.0, 0.0]]
+
+
 def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
     """The duel's mutation, death-at-a and total rate rows as a Python loop
-    over the splits, one expression per entry; the mutation rate is +inf
-    where the total is 0.0, so that such a split reads as a mutation."""
+    over the splits 0 to n, the Dirac ends included, one expression per
+    entry; the mutation rate is +inf where the total is 0.0, so that such
+    a split reads as a mutation."""
     rm_tab, kill_a_tab, total_tab = [0.0] * (n + 1), [0.0] * (n + 1), [0.0] * (n + 1)
-    for ka in range(1, n):
+    for ka in range(n + 1):
         kb = n - ka
         r_mut = 0.0 + ka * ea + kb * eb
         kill_a = ka * la * kb
@@ -280,7 +301,8 @@ def per_split_duel_rows(n, inv_nm1, la, lb, ea, eb):
 
 
 def oracle_cuts(n, la, lb, ea, eb):
-    """``(cuts, rows)``: the per-split rows and their thresholds."""
+    """``(cuts, rows)``: the per-split rows and their thresholds, as the
+    float expressions decide at every split, the Dirac ends included."""
     rows = per_split_duel_rows(n, 1.0 / (n - 1), la, lb, ea, eb)
     return engine._duel_thresholds(*np.array(rows)), rows
 
@@ -292,11 +314,16 @@ def assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb):
     assert totals.shape == (n + 1,) and cuts.shape == (2, n + 1)
     assert total_tab == totals.tolist() and [mu_tab, tau_tab] == cuts.tolist()
     assert [float.hex(v) for v in total_tab] == [float.hex(float(v)) for v in want_totals]
-    assert cuts.tobytes() == want_cuts.tobytes()
-    # a split with no rate reads as a mutation: 2.0, above every uniform, exactly where the total is 0.0
-    ended = totals == 0.0
-    assert ended.tolist() == [k in (0, n) for k in range(n + 1)]
-    assert [float.hex(v) for v in cuts[:, ended].ravel().tolist()] == [float.hex(2.0)] * 4
+    assert cuts[:, 1:n].tobytes() == want_cuts[:, 1:n].tobytes()
+    # each Dirac end's total is the Dirac record's, bit for bit
+    for ka in (0, n):
+        dirac = engine._rates((ka, n - ka), n, 1.0 / (n - 1), (la, lb), (ea, eb))
+        assert float.hex(total_tab[ka]) == float.hex(dirac[1]) == float.hex(dirac[0])
+    # a Dirac end reads a mutation at every uniform: 1.0 where its site has
+    # a mutation exit, and 2.0, above every uniform, where it has no rate
+    ends = [1.0 if exit > 0.0 else 2.0 for exit in (eb, ea)]
+    assert [float.hex(v) for v in cuts[:, [0, n]].ravel().tolist()] == [float.hex(v) for v in ends * 2]
+    assert ((totals == 0.0) == (cuts[0] == 2.0)).all() and totals[1:n].all()
     assert float.hex(float(p_a)) == float.hex(float(la / (la + lb)))
 
 
@@ -338,7 +365,9 @@ def test_duel_thresholds_decide_as_the_float_expressions(n, rates, exits, rate_t
     la, lb = map(rate_type, rates)
     cuts, rows = oracle_cuts(n, la, lb, *exits)
     assert cuts.shape == (2, n + 1) and cuts.dtype == np.float64
-    assert cuts[:, [0, n]].tolist() == [[2.0, 2.0], [2.0, 2.0]]  # the duel is over
+    # at a Dirac end with an exit, u * total < total for every uniform: 1.0
+    ends = [1.0 if exit > 0.0 else 2.0 for exit in exits[::-1]]
+    assert cuts[:, [0, n]].tolist() == [ends, ends]
     assert_thresholds_decide(cuts, rows)
     assert_duel_equals_the_per_split_expressions(n, la, lb, *exits)
 
@@ -355,6 +384,10 @@ def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
     rm, _, total = np.array(rows)
     guess = (rm[1:n] / total[1:n]).view(np.int64)
     assert (np.abs(cuts[0, 1:n].view(np.int64) - guess) > 100).any()
+    # an end's total is subnormal too, so u * total rounds up to it for
+    # some u below 1.0, where the float expressions read a death that a
+    # Dirac has not; the duel's own end reads 1.0 (checked below)
+    assert [cuts[0, k] < 1.0 for k in (0, n)] == [eb > 0.0, ea > 0.0]
     assert_thresholds_decide(cuts, rows)
     assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb)
 
@@ -767,6 +800,77 @@ def test_dirac_end_hand_offs_match_the_reference(hand_off):
         assert final == [0, 0, 4] and path[-1][1] == "selection"
     for record in (True, False):
         assert_bit_identical_to_reference(dict(case, record=record, snapshot_times=times), seed)
+
+
+class ChosenDraws:
+    """A stream of chosen doubles, laid out as both event loops read it:
+    each refill's exponentials are 1.0 and then 1e300, so that one step
+    alone comes before a horizon of 1, and its uniforms are 0.5 but for
+    that step's category and target uniforms.  Like a numpy generator it
+    returns ``size`` draws or fills ``out``."""
+
+    def __init__(self, category, target):
+        self.category, self.target = category, target
+
+    def standard_exponential(self, size=None, out=None):
+        draws = np.full(size or len(out), 1e300)
+        draws[0] = 1.0
+        return self._give(draws, out)
+
+    def random(self, size=None, out=None):
+        draws = np.full(size or len(out), 0.5)
+        draws[0], draws[len(draws) // 2] = self.category, self.target
+        return self._give(draws, out)
+
+    @staticmethod
+    def _give(draws, out):
+        if out is None:
+            return draws
+        out[:] = draws
+        return out
+
+
+# counts, killing rates, mutation exits and a category uniform at which
+# roundoff leaves x >= 0 past the last occupied site in the generic
+# step's search for the mutating site, or for the killed one (found by a
+# search over _rates; 1 - 2**-52 is a double numpy's random() returns)
+ROUNDOFF_FALLBACKS = {
+    "mutation": ((11, 2, 4, 12), (2.3, 9.4, 8.9, 0.4), (0.3, 5.4, 9.3, 3.8), float.fromhex("0x1.2ae2993020f5bp-1")),
+    "death": ((7, 5, 32, 10), (5.2, 8.5, 8.1, 6.2), (7.4, 0.4, 1.4, 0.2), 1.0 - 2.0**-52),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROUNDOFF_FALLBACKS))
+def test_roundoff_fallback_sites_match_the_reference(kind):
+    # power-law killing at r = 1 (c = lambda, beta = 1) and one mutation
+    # entry per site, on to the next site of a cycle
+    counts, lam, exits, u = ROUNDOFF_FALLBACKS[kind]
+    states = [f"s{i}" for i in range(4)]
+    model = validate_model(
+        {
+            "states": states,
+            "mutation": [{"from": x, "to": y, "rate": q} for x, y, q in zip(states, states[1:] + states[:1], exits)],
+            "killing": {"kind": "power", "c": dict(zip(states, lam)), "beta": dict.fromkeys(states, "1")},
+        }
+    )
+    n = sum(counts)
+    assert engine._kernel(model, 1.0, n)[0] == list(lam) and model.exit_rate == exits
+    r_mut, total, sites = engine._rates(counts, n, 1.0 / (n - 1), lam, exits)
+    x = u * total
+    assert (x < r_mut) == (kind == "mutation")
+    if kind == "death":
+        x -= r_mut
+    for term in sites[1 if kind == "mutation" else 2::3]:
+        x -= term
+    assert x >= 0.0  # the search runs past every occupied site
+    case = dict(model=model, r=1.0, init=EmpiricalMeasure(counts), T=1.0)
+    got = live_simulate(rng=ChosenDraws(u, 0.5), **case)
+    assert got[:4] == reference_simulate(rng=ChosenDraws(u, 0.5), **case)
+    # the last occupied site with a mutation exit, or the last occupied
+    # site, which is not a Dirac's: site 3 either way
+    (_, *event), = got[2]
+    assert event == (["mutation", 3, 0] if kind == "mutation" else ["selection", 3, 2])
+    assert got[1] == [c - (i == 3) + (i == event[2]) for i, c in enumerate(counts)]
 
 
 def longest_duel(init, events):
