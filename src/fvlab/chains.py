@@ -202,36 +202,38 @@ def conjectured_limit_rates(model: Model) -> tuple[CascadeAnalysis, RateMatrix]:
     return analysis, chain
 
 
-def _init_vector(rates: RateMatrix, init) -> np.ndarray:
+def _expm_law(rates: RateMatrix, init: Union[str, int, LawOnStates], A: np.ndarray) -> np.ndarray:
+    """``v expm(A)``, v the start ``init`` (a site or a law) of the chain
+    ``rates`` over d sites: its top-right d x d block (all of it where A
+    is d x d), divided by its total.  The chain side's one exponential."""
+    d = len(rates.states)
     if isinstance(init, LawOnStates):
         if init.states != rates.states:
             raise ValueError("initial law is over a different state set")
-        return np.asarray(init.probs, dtype=float)
-    v = np.zeros(len(rates.states))
-    v[_site_index(init, rates.states)] = 1.0
-    return v
+        v = np.asarray(init.probs, dtype=float)
+    else:
+        v = np.zeros(d)
+        v[_site_index(init, rates.states)] = 1.0
+    p = v @ expm(A)[:d, -d:]
+    return p / p.sum()
 
 
 def simulate_ctmc(
     rates: RateMatrix,
-    init: Union[str, int, LawOnStates],
+    init: Union[str, int],
     T: float,
     rng: np.random.Generator,
 ) -> list[tuple[float, int]]:
-    """Exponential-clock realization of the chain on [0, T].
+    """Exponential-clock realization of the chain on [0, T] from the site
+    ``init`` (label or index).
 
     Returns the jump skeleton ``[(0.0, i0), (t1, i1), ...]`` with times
     strictly increasing; the path is right-continuous and constant
-    between entries.  ``init`` may be a site (label or index) or a law
-    to sample the starting site from.
+    between entries.
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    if isinstance(init, LawOnStates):
-        probs = _init_vector(rates, init)
-        site = int(rng.choice(len(probs), p=probs))
-    else:
-        site = _site_index(init, rates.states)
+    site = _site_index(init, rates.states)
     R = rates.rates.tolist()  # Python floats: the same sums as numpy's, and float times
     row_sum = rates.row_sums().tolist()
     t = 0.0
@@ -266,8 +268,7 @@ def ctmc_marginal(
     """
     if not 0 <= t < math.inf:  # also false for NaN
         raise ValueError(f"time must be nonnegative and finite, got {t}")
-    p = _init_vector(rates, init) @ expm(rates.generator() * t)
-    return LawOnStates(rates.states, p / p.sum())
+    return LawOnStates(rates.states, _expm_law(rates, init, rates.generator() * t))
 
 
 def _mean_occupation(rates: RateMatrix, init: Union[str, int, LawOnStates], T: float) -> np.ndarray:
@@ -283,5 +284,4 @@ def _mean_occupation(rates: RateMatrix, init: Union[str, int, LawOnStates], T: f
     block = np.zeros((2 * d, 2 * d))
     block[:d, :d] = rates.generator() * T
     block[:d, d:] = np.eye(d)
-    p = _init_vector(rates, init) @ expm(block)[:d, d:]
-    return p / p.sum()
+    return _expm_law(rates, init, block)

@@ -89,7 +89,9 @@ which the generic step's own float expressions stop deciding a mutation
 and a death at a.  Rounding is monotone in u, so the comparisons decide
 exactly as the expressions do (the inverse-transform view of a discrete
 draw, Devroye 1986, ch. 2-3), and time, counts, event count and recorded
-events are bit-identical to the generic loop's for every input.
+events are bit-identical to the generic loop's for every input.  Every
+rate is a normal double (``validate_model``'s floor), which puts each
+threshold among the nine doubles around its quotient guess.
 Stops and the event cap are the generic step's alone: a duel step that
 is a mutation at a split, whose waiting time crosses the next stop, or
 that would reach the cap is handed back to the generic step at the same
@@ -138,7 +140,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Model, _integers, _site_index
+from .model import Model, _integers, _killing_rates, _site_index
 
 __all__ = [
     "EmpiricalMeasure",
@@ -309,12 +311,14 @@ def _kernel(model: Model, r: float, n: int):
     type of r, so an int, float or numpy r of one value share a kernel),
     the :func:`_state` records met so far, and each site's place value in
     a record's key, the number whose base-(n + 1) digits are the counts.
+    A model and r at which a total the loop forms could overflow raise
+    :class:`~fvlab.model.ModelError` here, before any draw.
 
     A run meets one kernel per point, and a pool worker a new one per
     chunk, for the model it unpickled; the memo holds them strongly, so it
     bounds a process to ``_KERNELS`` tables of ``_STATES`` records at most.
     """
-    lam = [model.killing_rate(r, i) for i in range(model.num_states)]
+    lam = _killing_rates(model, r, n)
     return lam, {}, [(n + 1) ** i for i in range(len(lam))]
 
 
@@ -377,10 +381,9 @@ def _duel(n, la, lb, ea, eb):
     :func:`_rates`' own over the support {a, b}, so they are bit for bit
     the floats the generic step computes there, the Dirac ends (count 0
     or n) included: an end's death rate is 0.0 and its total is the
-    Dirac record's, ``n * exit`` of the occupied site.  An end reads a
-    mutation at every uniform, so the duel never steps past it: its
-    thresholds are 1.0 (raised to it where a subnormal total rounds ``u *
-    total`` up to the total), or 2.0 where its site has no mutation exit.
+    Dirac record's, ``n * exit`` of the occupied site, a normal double:
+    ``u * total < total`` for every uniform, so an end's thresholds are
+    1.0, or 2.0 where its site has no exit, and the duel never steps past it.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -394,7 +397,6 @@ def _duel(n, la, lb, ea, eb):
         r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))
         tables[:, ka] = r_mut, sites[2], total  # at ka = 0, b's death term: 0.0
     cuts = _duel_thresholds(*tables)
-    cuts[:, [0, n]] = np.maximum(cuts[:, [0, n]], 1.0)
     return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, la / (la + lb))
 
 
@@ -410,34 +412,25 @@ def _duel_thresholds(rm, kill_a, total):
     ``(x - rm) - kill_a >= 0.0``.  So ``u < mu`` is a mutation, ``mu <=
     u < tau`` a death at a and ``tau <= u`` a death at b.  A split with
     no rate gets 2.0 for both, and one whose rate is all mutation, a
-    Dirac end's, 1.0 where its total is normal: each reads as a mutation.
-    Returns the (2, n + 1) array of rows ``mu`` and ``tau``.
+    Dirac end's, 1.0: each reads as a mutation.  Returns the (2, n + 1)
+    array of rows ``mu`` and ``tau``.
 
     Doubles >= 0 are ordered as their bit patterns, so the thresholds
-    are sought among the patterns.  Each is most often within a double
-    of its guess ``rm / total`` or ``(rm + kill_a) / total``, so the nine
-    doubles around the guess are tried at once; the few not found there
-    (rates near the bottom of the subnormals) are bisected.
+    are sought among the patterns: the nine doubles around the guess
+    ``rm / total`` or ``(rm + kill_a) / total`` are tried at once, and
+    the least that holds is the threshold.
     """
     kill = np.zeros((2, len(total)))  # mu's test is tau's with no death term
     kill[1] = kill_a
-
-    def holds(bits):  # u at or above its threshold; the patterns just below 0 are NaNs, and fail
-        return (bits.view(np.float64) * total - rm) - kill >= 0.0
-
     with np.errstate(divide="ignore", invalid="ignore"):  # rm / 0 and 0 * inf at a split with no rate
         near = ((rm + kill) / total).view(np.int64) + _NEAR
-        ok = holds(near)
-        cut = np.where(ok, near, _TWO).min(axis=0)
-        lost = (ok[0] | ~ok[-1]) & (total > 0.0)
-        if lost.any():
-            lo, hi = np.where(lost, -1, cut - 1), np.where(lost, _TWO, cut)
-            while (hi - lo > 1).any():
-                mid = (lo + hi) >> 1
-                ok = holds(mid) & (hi - lo > 1)
-                lo, hi = np.where(ok | (hi - lo <= 1), lo, mid), np.where(ok, mid, hi)
-            cut = hi
-    return cut.view(np.float64)
+        # u at or above its threshold; the patterns just below 0 are NaNs, and fail
+        ok = (near.view(np.float64) * total - rm) - kill >= 0.0
+    # validate_model's floor makes every live split's rates and total normal,
+    # which puts each threshold within four doubles of its guess: a tripwire
+    if ((ok[0] | ~ok[-1]) & (total > 0.0)).any():
+        raise RuntimeError("a duel threshold lies outside the doubles around its guess")
+    return np.where(ok, near, _TWO).min(axis=0).view(np.float64)
 
 
 def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m):

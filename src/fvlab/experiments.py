@@ -98,7 +98,7 @@ from .engine import (
     _Runs,
 )
 from .metrics import LawOnStates, empirical_law, tv_distance
-from .model import Model, _integral, _is_int, _is_real, validate_model
+from .model import Model, _integral, _is_int, _is_real, _killing_rates, validate_model
 
 __all__ = [
     "ConfigError",
@@ -365,10 +365,13 @@ class ExperimentConfig:
             for n in [self.n] if self.n else [p["n"] for p in self.points or ()]:
                 if sum(init) != n:
                     raise ConfigError(f"init counts sum to {sum(init)}, expected n = {n}")
-        sim_r = [self.sim["r"]] if self.sim else []
-        for r in [*(self.r_schedule or ()), *(p["r"] for p in self.points or ()), *sim_r]:
-            model.min_killing_rate(r)  # raises ModelError where a killing rate overflows
-        spec.check(self, model)
+        spec.check(self, model)  # then the r_schedule kinds' n or init counts are set
+        # every (n, r) the kind simulates; the full model's Q bounds the selection-only runs too
+        runs = [(self.n or sum(self.init), r) for r in self.r_schedule or ()]
+        runs += [(p["n"], p["r"]) for p in self.points or ()]
+        runs += [(self.sim["n"], self.sim["r"])] if self.sim else []
+        for n, r in runs:
+            _killing_rates(model, r, n)  # raises ModelError where a rate or an event total overflows
 
     # -- helpers ----------------------------------------------------
 
@@ -938,6 +941,13 @@ def _exp_eta_inf(run: _Run) -> None:
     run.outcome("absorbed_sites.csv", model.states, res)
 
 
+def _mc_model(alpha: float) -> Model:
+    """committor_check's mc model: sites x and y killed at rates r and
+    ``alpha * r``, no mutation; :class:`ModelError` below the ``c`` floor."""
+    killing = {"kind": "power", "c": {"x": 1.0, "y": alpha}, "beta": {"x": 1, "y": 1}}
+    return validate_model({"states": ["x", "y"], "mutation": [], "killing": killing})
+
+
 def _exp_committor_check(run: _Run) -> None:
     cfg = run.cfg
     tol = cfg.tolerances.get("grid_tol", 1e-9)
@@ -957,13 +967,7 @@ def _exp_committor_check(run: _Run) -> None:
         return
     n, alpha, counts, M = cfg.mc["n"], cfg.mc["alpha"], cfg.mc["counts"], cfg.mc["replicas"]
     r = 1.0  # the two sites die at rates r and alpha * r; only alpha matters
-    model = validate_model(
-        {
-            "states": ["x", "y"],
-            "mutation": [],
-            "killing": {"kind": "power", "c": {"x": 1.0, "y": alpha}, "beta": {"x": 1, "y": 1}},
-        }
-    )
+    model = _mc_model(alpha)
     res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)
     if res is None:
         return
@@ -1046,8 +1050,11 @@ def _check_tail(cfg: ExperimentConfig, model: Model) -> None:
 
 def _check_mc(cfg: ExperimentConfig, model: None) -> None:
     mc = cfg.mc
-    if mc is not None and (len(mc["counts"]) != 2 or sum(mc["counts"]) != mc["n"]):
+    if mc is None:
+        return
+    if len(mc["counts"]) != 2 or sum(mc["counts"]) != mc["n"]:
         raise ConfigError(f"mc.counts must be two counts that sum to mc.n, got {dict(mc)}")
+    _killing_rates(_mc_model(mc["alpha"]), 1.0, mc["n"])  # the run's model and r = 1; raises ModelError
 
 
 def _check_sim(cfg: ExperimentConfig, model: Model) -> None:

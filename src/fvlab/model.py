@@ -67,6 +67,10 @@ def _site_index(site, states: Sequence[str]) -> int:
     return int(site)
 
 
+_TINY = sys.float_info.min  # the smallest normal double: the floor of a positive rate or c
+_TOTAL_MAX = sys.float_info.max / 2  # the event loop's totals stay below it, with room for rounding
+
+
 def _check_intensity(r: float) -> None:
     if not 1 <= r < math.inf:  # also false for NaN
         raise ModelError(f"intensity r must be finite and >= 1, got {r}")
@@ -232,6 +236,19 @@ class Model:
         return validate_model(dict(self.config_dict(), mutation=[]))
 
 
+def _killing_rates(model: Model, r: float, n: int) -> list[float]:
+    """The killing rates at r, one per site, for the event loop on n
+    particles; :class:`ModelError` where a rate overflows, or where ``n *
+    Q + n * n * max(rate)``, which bounds every total the loop forms,
+    exceeds half the largest double (room for the sums' rounding)."""
+    lam = [model.killing_rate(r, i) for i in range(model.num_states)]
+    if n > _TOTAL_MAX or not n * (model.Q + n * max(lam)) <= _TOTAL_MAX:
+        raise ModelError(
+            f"event rates overflow: n * Q + n * n * max killing rate exceeds {_TOTAL_MAX:.6g} at n={n}, r={r}"
+        )
+    return lam
+
+
 def _is_int(v, low: int) -> bool:
     """An integer >= ``low`` (a bool is not one)."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= low
@@ -276,7 +293,9 @@ def validate_model(config: Mapping) -> Model:
         only), states that are not distinct strings, a mutation that is
         not a list, a rate, ``c`` or ``m`` that is not a finite number
         (bools and strings are not), negative or self-loop mutation
-        rates, non-positive power-law parameters, or negative offsets.
+        rates, non-positive power-law parameters, negative offsets, a
+        positive rate or ``c`` below the smallest normal double (so every
+        rate the event loop forms is normal), or an exit rate that overflows.
     """
     _only(config, ("states", "mutation", "killing"), "model")
     if "states" not in config:
@@ -308,6 +327,8 @@ def validate_model(config: Mapping) -> Model:
         rate = _number(entry["rate"], f"rate q({fx},{ty})")
         if rate < 0:
             raise ModelError(f"negative rate q({fx},{ty}) = {rate}")
+        if 0 < rate < _TINY:
+            raise ModelError(f"rate q({fx},{ty}) = {rate} is below the smallest normal double {_TINY}")
         i, j = index[fx], index[ty]
         if i == j:
             raise ModelError(f"self-loop mutation entry at {fx!r}")
@@ -337,6 +358,8 @@ def validate_model(config: Mapping) -> Model:
             cv = _number(c_map[s], f"c({s})")
             if cv <= 0:
                 raise ModelError(f"c({s}) must be positive, got {cv}")
+            if cv < _TINY:
+                raise ModelError(f"c({s}) = {cv} is below the smallest normal double {_TINY}")
             bv = _as_fraction(beta_map[s])
             if bv <= 0:
                 raise ModelError(f"beta({s}) must be positive, got {beta_map[s]!r}")
@@ -362,7 +385,10 @@ def validate_model(config: Mapping) -> Model:
         row = [(j, rate) for (src, j, rate) in entries if src == i]
         out_targets.append(tuple(j for j, _ in row))
         out_rates.append(tuple(rate for _, rate in row))
-        exit_rate.append(math.fsum(rate for _, rate in row))
+        try:
+            exit_rate.append(math.fsum(rate for _, rate in row))
+        except OverflowError:
+            raise ModelError(f"mutation exit rate at {states[i]!r} overflows") from None
     Q = max(exit_rate) if exit_rate else 0.0
 
     return Model(

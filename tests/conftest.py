@@ -6,7 +6,9 @@ The oracles here deliberately avoid the library's own algorithms:
 ``dense_committor`` assembles and solves the absorption system with a
 dense LU factorization, and ``fv_absorption_law`` solves the full
 n-particle system, mutation included, for the Dirac mass it ends in
-(it takes only the composition ranking from the library).
+(it takes only the composition ranking from the library), and
+``duel_absorption`` solves the two-site birth-death chain for the
+moments of its absorption time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from fvlab import validate_model
 from fvlab.committor import CompositionSpace
@@ -106,6 +109,34 @@ def dense_committor(weights, n: int) -> dict[tuple[int, ...], np.ndarray]:
     return {c: psi[i] for c, i in index.items()}
 
 
+def duel_absorption(n: int, alpha: float, start: int, s: float) -> float:
+    """``E exp(-s tau)`` for s > 0, or ``E tau`` for s = 0, where tau is the
+    absorption time of n particles on two sites killed at rates 1 and
+    ``alpha``, with no mutation, from ``start`` particles at the first
+    site (oracle).
+
+    The count k at the first site is a birth-death chain absorbed at 0
+    and n: up at rate ``alpha k (n - k) / (n - 1)`` (a death at the second
+    site that copies the first) and down at rate ``k (n - k) / (n - 1)``.
+    First-step analysis gives one tridiagonal system over k = 1 .. n - 1,
+    ``(up + down + s) x_k - up x_{k+1} - down x_{k-1} = b``, with b = 0
+    and ``x_0 = x_n = 1`` for the transform, b = 1 and ``x_0 = x_n = 0``
+    for the mean.
+    """
+    k = np.arange(1, n, dtype=float)
+    down = k * (n - k) / (n - 1)
+    up = alpha * down
+    bands = np.zeros((3, n - 1))
+    bands[0, 1:] = -up[:-1]  # above the diagonal
+    bands[1] = up + down + s
+    bands[2, :-1] = -down[1:]  # below it
+    b = np.zeros(n - 1) if s > 0 else np.ones(n - 1)
+    if s > 0:
+        b[0] += down[0]
+        b[-1] += up[-1]
+    return float(solve_banded((1, 1), bands, b)[start - 1])
+
+
 def fv_absorption_law(model, n: int, r: float, start: str) -> np.ndarray:
     """Law of the Dirac mass that the n-particle system started at Dirac
     ``start`` ends in, one entry per site (oracle).
@@ -180,6 +211,17 @@ def two_site_config(alpha: float = 2.0, beta=(1, 1)) -> dict:
             "c": {"x": 1.0, "y": alpha},
             "beta": {"x": beta[0], "y": beta[1]},
         },
+    }
+
+
+def overflowing_totals_config() -> dict:
+    """Two sites mutating both ways at rate 1 with power-law killing c =
+    1e307 and beta = 1: at r = 10 each killing rate is 1e308, finite, but
+    the selection total ``k * lam * (n - k)`` at n = 3 is not."""
+    return {
+        "states": ["x", "y"],
+        "mutation": [{"from": "x", "to": "y", "rate": 1.0}, {"from": "y", "to": "x", "rate": 1.0}],
+        "killing": {"kind": "power", "c": {"x": 1e307, "y": 1e307}, "beta": {"x": 1, "y": 1}},
     }
 
 

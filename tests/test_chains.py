@@ -62,9 +62,15 @@ _CYCLE3 = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
         # an unknown label used to raise tuple.index's "x not in tuple"
         (lambda: ctmc_marginal(_CYCLE3, "zz", 1.0), "unknown state 'zz'"),
         (lambda: simulate_ctmc(_CYCLE3, "zz", 1.0, np.random.default_rng(0)), "unknown state 'zz'"),
+        # the sampler starts at a site; a law is not one
+        (
+            lambda: simulate_ctmc(_CYCLE3, LawOnStates(_CYCLE3.states, [0.5, 0.5, 0.0]), 1.0, np.random.default_rng(0)),
+            "site index must be an integer in",
+        ),
         (lambda: _CYCLE3.entry("u", "zz"), "unknown state 'zz'"),
     ],
-    ids=["shape", "n-below-2", "law-states", "marginal-unknown-label", "simulate-unknown-label", "entry-unknown-label"],
+    ids=["shape", "n-below-2", "law-states", "marginal-unknown-label", "simulate-unknown-label", "simulate-law",
+         "entry-unknown-label"],
 )
 def test_chains_raise_value_error_naming_the_input(call, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -476,15 +482,15 @@ def test_mean_occupation_is_the_time_average_of_the_marginal(init):
 
 
 def test_simulate_ctmc_time_average_occupation_matches_the_exact_mean():
-    # 4 000 paths from a law, on a chain where every site has two targets:
-    # each site's mean time-average occupation, as a z-score against the
-    # exact mean with the sample standard deviation.  A correct sampler
-    # fails |z| < 4 at some site with probability below 3 P(|Z| > 4) = 2e-4
-    # (normal approximation, union over the three sites).  At this seed
-    # z is (-1.3, -0.9, 1.6); swapping one site's two target rates gives
-    # |z| above 20, and scaling every rate by 1.2 gives 4.2.
+    # 4 000 paths from the site v, on a chain where every site has two
+    # targets: each site's mean time-average occupation, as a z-score
+    # against the exact mean with the sample standard deviation.  A correct
+    # sampler fails |z| < 4 at some site with probability below
+    # 3 P(|Z| > 4) = 2e-4 (normal approximation, union over the three
+    # sites).  At this seed z is (0.7, 0.7, -1.0); swapping u's two target
+    # rates gives |z| above 15, and scaling every rate by 1.2 gives 8.0.
     rm = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.5, 0.25], [0.7, 0.0, 2.0], [1.0 / 3.0, 0.1, 0.0]]))
-    init, T, K = LawOnStates(rm.states, [0.2, 0.5, 0.3]), 2.0, 4000
+    init, T, K = "v", 2.0, 4000
     rng = np.random.default_rng(2026)
     occupation = np.zeros((K, 3))
     for k in range(K):
@@ -569,17 +575,6 @@ def test_ctmc_marginal_time_must_be_nonnegative_and_finite(t):
     rm = RateMatrix(("u", "v"), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="time must be nonnegative and finite"):
         ctmc_marginal(rm, "u", t)
-
-
-def test_simulate_ctmc_law_init_uses_rng():
-    rm = RateMatrix(("u", "v"), np.array([[0.0, 0.0], [0.0, 0.0]]))
-    law = LawOnStates(("u", "v"), [0.25, 0.75])
-    starts = [
-        simulate_ctmc(rm, law, 1.0, np.random.default_rng(seed))[0][1]
-        for seed in range(400)
-    ]
-    frac_v = sum(starts) / len(starts)
-    assert abs(frac_v - 0.75) < 3 * math.sqrt(0.25 * 0.75 / 400)
 
 
 def test_simulate_ctmc_holding_time_mean():

@@ -9,7 +9,7 @@ import pytest
 from fvlab import EventCapError, cli
 from fvlab.cli import main
 
-from conftest import cycle_model_config, two_site_config
+from conftest import cycle_model_config, overflowing_totals_config, two_site_config
 
 
 @pytest.fixture()
@@ -42,6 +42,25 @@ def test_validate_bad_model_exits_2(tmp_path, capsys):
                                "killing": {"kind": "power", "c": {}, "beta": {}}}))
     assert main(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        # a subnormal rate used to validate, and its Dirac could take a death
+        ([{"from": "x", "to": "y", "rate": 1e-320}], "rate q(x,y) = 1e-320 is below the smallest normal double"),
+        # an exit rate past the largest double used to end in fsum's OverflowError (exit 1)
+        ([{"from": "x", "to": "y", "rate": 1e308}, {"from": "x", "to": "z", "rate": 1e308}],
+         "mutation exit rate at 'x' overflows"),
+    ],
+    ids=["subnormal-rate", "overflowing-exit"],
+)
+def test_validate_rates_the_event_loop_cannot_hold_exit_2(tmp_path, capsys, mutation, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": ["x", "y", "z"], "mutation": mutation,
+                                "killing": {"kind": "uniform_plus", "m": {"x": 0.0, "y": 1.0, "z": 2.0}}}))
+    assert main(["validate", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_validate_missing_file_exits_2(tmp_path, capsys):
@@ -308,6 +327,13 @@ _THEOREM1 = {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3,
              "r_schedule": [10.0, 1e200], "T": 0.5, "replicas": 100, "init": {"dirac": "a"}},
             "killing rate at 'b' overflows at r=1e+200",
         ),
+        # killing rates of 1e308 are finite but the event totals at n = 3 are
+        # not: the run used to take 10^7 events at t = 0 and exit 1 on the cap
+        (
+            {"kind": "theorem1_marginal", "model": overflowing_totals_config(), "n": 3, "r_schedule": [10.0],
+             "T": 0.5, "time_points": [0.5], "replicas": 100, "seed": 3, "init": {"dirac": "x"}},
+            "event rates overflow: n * Q + n * n * max killing rate exceeds 8.98847e+307 at n=3, r=10.0",
+        ),
         # a document that is not a mapping used to raise TypeError (exit 1)
         (None, "config must be a mapping of fields, got None"),
         (3, "config must be a mapping of fields, got 3"),
@@ -329,7 +355,8 @@ _THEOREM1 = {"kind": "theorem1_marginal", "model": cycle_model_config(), "n": 3,
         (dict(_THEOREM1, init={"dirac": True}), "or a {'dirac': site label} block, got {'dirac': True}"),
         (dict(_THEOREM1, init={"dirac": ["a"]}), "or a {'dirac': site label} block, got {'dirac': ['a']}"),
     ],
-    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "overflowing-intensity", "null-document",
+    ids=["nan-horizon", "rate-missing", "negative-band", "huge-integer", "overflowing-intensity",
+         "overflowing-event-total", "null-document",
          "number-document", "list-document", "tail-on-one-site", "list-kind", "mapping-kind", "null-model-path",
          "fd-model-path", "index-dirac", "bool-dirac", "list-dirac"],
 )

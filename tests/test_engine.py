@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import sys
 from dataclasses import fields
 from unittest.mock import patch
 
@@ -25,8 +26,9 @@ from fvlab import (
 )
 from fvlab import engine
 from fvlab.engine import _DUEL_BLOCK_MIN, _DUEL_SCALAR, DEFAULT_EVENT_CAP, _run_replicas, _Runs
+from fvlab.experiments import _replica_rngs
 
-from conftest import cycle_model_config, two_site_config
+from conftest import cycle_model_config, duel_absorption, overflowing_totals_config, two_site_config
 from reference_engine import _simulate as reference_simulate
 
 
@@ -354,10 +356,15 @@ def assert_thresholds_decide(cuts, rows):
                 assert got == ("mutation" if u < mu else "a" if u < tau else "b"), (k, u)
 
 
+# every rate validate_model admits and no total overflows: at n <= 200 a
+# total is at most n * 1e300 of mutation and n * n * 1e300 of selection
+_NORMAL_RATES = st.floats(sys.float_info.min, 1e300)
+
+
 @given(
     n=st.integers(min_value=2, max_value=200),
-    rates=st.tuples(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6)),
-    exits=st.tuples(st.just(0.0) | st.floats(1e-2, 1e6), st.just(0.0) | st.floats(1e-2, 1e6)),
+    rates=st.tuples(_NORMAL_RATES, _NORMAL_RATES),
+    exits=st.tuples(st.just(0.0) | _NORMAL_RATES, st.just(0.0) | _NORMAL_RATES),
     rate_type=st.sampled_from([float, np.float64]),
 )
 @settings(max_examples=200, deadline=None)
@@ -378,18 +385,21 @@ def test_duel_thresholds_decide_as_the_float_expressions(n, rates, exits, rate_t
 def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
     # a subnormal mutation rate under a small total makes x = u * total
     # subnormal while u is not, so many doubles u round to one x and mu
-    # lies far past the doubles tried first around rm / total
+    # lies far past the doubles tried around rm / total.  validate_model
+    # rejects such a rate, so the window is the one search, and tables
+    # built from one anyway trip it
     n = 50
-    cuts, rows = oracle_cuts(n, la, lb, ea, eb)
-    rm, _, total = np.array(rows)
-    guess = (rm[1:n] / total[1:n]).view(np.int64)
-    assert (np.abs(cuts[0, 1:n].view(np.int64) - guess) > 100).any()
-    # an end's total is subnormal too, so u * total rounds up to it for
-    # some u below 1.0, where the float expressions read a death that a
-    # Dirac has not; the duel's own end reads 1.0 (checked below)
-    assert [cuts[0, k] < 1.0 for k in (0, n)] == [eb > 0.0, ea > 0.0]
-    assert_thresholds_decide(cuts, rows)
-    assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb)
+    with pytest.raises(RuntimeError, match="a duel threshold lies outside the doubles around its guess"):
+        oracle_cuts(n, la, lb, ea, eb)
+    with pytest.raises(RuntimeError, match="a duel threshold lies outside the doubles around its guess"):
+        engine._duel.__wrapped__(n, la, lb, ea, eb)
+    config = {
+        "states": ["a", "b"],
+        "mutation": [{"from": "a", "to": "b", "rate": ea}, {"from": "b", "to": "a", "rate": eb}],
+        "killing": {"kind": "power", "c": {"a": la, "b": lb}, "beta": {"a": 1, "b": 1}},
+    }
+    with pytest.raises(ModelError, match=r"rate q\([ab],[ab]\) = .* is below the smallest normal double"):
+        validate_model(config)
 
 
 def test_duel_thresholds_read_a_zero_total_split_as_a_mutation():
@@ -403,6 +413,22 @@ def test_duel_thresholds_read_a_zero_total_split_as_a_mutation():
     dead = [k for k, t in enumerate(total) if t == 0.0]
     assert [float.hex(v) for v in cuts[:, dead].ravel().tolist()] == [float.hex(2.0)] * (2 * len(dead))
     assert cuts[:, 5].tolist() == [0.25, 0.5]
+
+
+def test_event_totals_that_overflow_raise_before_any_draw():
+    # every waiting time was e / inf = 0, and the loop ran to its event cap at t = 0
+    model = validate_model(overflowing_totals_config())
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    for run in (
+        lambda: simulate_fv(model, 10.0, EmpiricalMeasure((3, 0)), 0.5, rng, event_cap=1000),
+        lambda: simulate_selection_absorption(model, 10.0, EmpiricalMeasure((2, 1)), rng, event_cap=1000),
+    ):
+        with pytest.raises(ModelError, match="event rates overflow: .* at n=3, r=10.0"):
+            run()
+    assert rng.bit_generator.state == before
+    # two particles at r = 1 keep every total finite: the same model runs
+    assert simulate_fv(model, 1.0, EmpiricalMeasure((2, 0)), 0.5, rng).event_count > 0
 
 
 # ------------------------------------------------------------------ capping
@@ -491,6 +517,33 @@ def test_absorption_frequency_matches_committor():
     )
     se = np.sqrt(hold * (1 - hold) / M)
     assert abs(hits / M - hold) <= 3 * se
+
+
+@pytest.mark.parametrize("alpha, M, first", [(1.5, 2000, 0), (1.2, 1500, 2000)])
+def test_duel_at_n_1000_matches_the_exact_absorption_law(monkeypatch, alpha, M, first):
+    # 1000 particles from (500, 500) on two sites killed at rates 1 and
+    # alpha, run to absorption on the streams of seed 17: thousands of duel
+    # steps per replica, most of them in numpy blocks.  The mean absorption
+    # time m and E exp(-c tau / m) at c = 0.5, 1 and 2, each as a z-score
+    # against the birth-death chain's exact value with the sample standard
+    # deviation.  A correct engine fails |z| < 4 at one of the 8 statistics
+    # of both cases with probability below 8 P(|Z| > 4) = 5.1e-4 (normal
+    # approximation, union bound).  Here |z| is at most 1.0; scaling the
+    # duel's tau row by 0.99 off its ends gives |z| of 8 to 15
+    n, start = 1000, 500
+    model = validate_model(two_site_config(alpha=alpha))
+    blocks = []
+    block = engine._duel_block
+    monkeypatch.setattr(engine, "_duel_block", lambda *args: blocks.append(1) or block(*args))
+    runs = _Runs()
+    _run_replicas(model, 1.0, (start, n - start), (math.inf,), _replica_rngs(17, first, M), runs,
+                  record=False, event_cap=DEFAULT_EVENT_CAP)
+    assert len(blocks) > M and sorted(set(runs.snaps)) == [0, n]
+    tau = np.array(runs.times)
+    m = duel_absorption(n, alpha, start, 0.0)
+    stats = [(tau, m)] + [(np.exp(-c * tau / m), duel_absorption(n, alpha, start, c / m)) for c in (0.5, 1.0, 2.0)]
+    z = [(x.mean() - exact) / (x.std(ddof=1) / math.sqrt(M)) for x, exact in stats]
+    assert max(map(abs, z)) < 4.0, z
 
 
 def test_absorption_time_scales_inversely_with_killing_floor():

@@ -22,7 +22,7 @@ from fvlab import (
     run_experiment,
 )
 
-from conftest import cycle_model_config, two_site_config
+from conftest import cycle_model_config, overflowing_totals_config, two_site_config
 
 
 def azb_config():
@@ -596,6 +596,33 @@ def _overflowing_uniform_plus_cycle():
 def test_config_rejects_an_intensity_whose_killing_rate_overflows(doc):
     # each used to pass validation and fail later, in the run
     with pytest.raises(ModelError, match=r"killing rate at '[a-z]' overflows at r="):
+        ExperimentConfig.from_dict(doc())
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        (lambda: theorem1_doc(model=overflowing_totals_config(), seed=3, r_schedule=[10.0], time_points=[0.5],
+                              replicas=100, init={"dirac": "x"}), "event rates overflow: .* at n=3, r=10.0"),
+        # at r = 1e306 every killing rate is finite and the totals at n = 40 are not
+        (lambda: _theorem3_doc(init=[20, 20, 0], points=[{"n": 40, "r": 50.0}, {"n": 40, "r": 1e306}]),
+         "event rates overflow: .* at n=40, r=1e[+]306"),
+        (lambda: _probe_sim_doc(n=40, r=1e153), "event rates overflow: .* at n=40, r=1e[+]153"),
+        # the selection-only kinds' n is their init counts' sum
+        (lambda: dict(_kind_doc("absorption_tail"), model=_uniform_plus_cycle(), init=[20, 20, 0],
+                      r_schedule=[10.0, 1e306]), "event rates overflow: .* at n=40, r=1e[+]306"),
+        (lambda: _committor_doc(mc={"n": 40, "alpha": 1e306, "counts": [20, 20], "replicas": 200}),
+         "event rates overflow: .* at n=40, r=1.0"),
+        # the mc model meets validate_model's floor too
+        (lambda: _committor_doc(mc={"n": 4, "alpha": 1e-320, "counts": [3, 1], "replicas": 200}),
+         r"c\(y\) = 1e-320 is below the smallest normal double"),
+    ],
+    ids=["r_schedule", "points", "sim", "absorption", "mc", "mc-subnormal-alpha"],
+)
+def test_config_rejects_event_totals_that_overflow(doc, fragment):
+    # each used to pass validation; the reproduction then ran 10^7 events
+    # at t = 0 (every waiting time e / inf) and ended in an event-cap FAIL
+    with pytest.raises(ModelError, match=fragment):
         ExperimentConfig.from_dict(doc())
 
 

@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvlab import ModelError, load_model, validate_model
-from fvlab.model import PowerLawKilling, UniformPlusBoundedKilling
+from fvlab.model import PowerLawKilling, UniformPlusBoundedKilling, _killing_rates
 
-from conftest import cycle_model_config, two_site_config
+from conftest import cycle_model_config, overflowing_totals_config, two_site_config
 
 
 # ----------------------------------------------------------- validation
@@ -83,6 +83,18 @@ def test_validate_q_is_max_exit_rate():
             lambda c: c.update(killing={"kind": "uniform_plus", "m": {"a": 0.0, "b": 1.0}}),
             "uniform_plus killing missing offset for state 'c'",
         ),
+        # a positive rate or c below the smallest normal double used to validate
+        (lambda c: c["mutation"][0].update(rate=1e-320), r"rate q\(a,b\) = 1e-320 is below the smallest normal double"),
+        (
+            lambda c: c["mutation"][0].update(rate=float(np.nextafter(sys.float_info.min, 0.0))),
+            r"rate q\(a,b\) = 2.225073858507201e-308 is below the smallest normal double 2.2250738585072014e-308",
+        ),
+        (lambda c: c["killing"]["c"].update(a=5e-324), r"c\(a\) = 5e-324 is below the smallest normal double"),
+        # an exit rate past the largest double used to raise fsum's OverflowError
+        (
+            lambda c: c.update(mutation=[{"from": "a", "to": y, "rate": 1e308} for y in ("b", "c")]),
+            "mutation exit rate at 'a' overflows",
+        ),
     ],
 )
 def test_validate_rejects_bad_configs(breakage, fragment):
@@ -90,6 +102,31 @@ def test_validate_rejects_bad_configs(breakage, fragment):
     breakage(cfg)
     with pytest.raises(ModelError, match=fragment):
         validate_model(cfg)
+
+
+def test_smallest_normal_rate_and_c_are_admitted():
+    # the floor below which validate_model rejects a positive rate or c
+    # (test_validate_rejects_bad_configs) is the smallest normal double,
+    # so every rate the event loop forms is normal: a killing rate is at
+    # least c (r >= 1, beta > 0) or at least 1 (uniform_plus), and an exit
+    # rate at least its largest mutation rate
+    cfg = cycle_model_config()
+    cfg["mutation"][0]["rate"] = sys.float_info.min
+    cfg["killing"]["c"]["a"] = sys.float_info.min
+    model = validate_model(cfg)
+    assert model.mutation_rate("a", "b") == model.killing_rate(1.0, "a") == sys.float_info.min
+
+
+def test_killing_rates_bound_every_event_total():
+    # n * Q + n * n * max rate must stay below half the largest double
+    model = validate_model(overflowing_totals_config())
+    assert _killing_rates(model, 1.0, 2) == [1e307, 1e307]
+    for n, r in ((3, 10.0), (2, 10.0), (10**400, 1.0)):  # an n past every double is compared as an int
+        with pytest.raises(ModelError, match=f"event rates overflow: .* at n={n}, r={r}"):
+            _killing_rates(model, r, n)
+    # a rate that overflows is named as before
+    with pytest.raises(ModelError, match="killing rate at 'x' overflows at r=1e\\+300"):
+        _killing_rates(model, 1e300, 2)
 
 
 @pytest.mark.parametrize(
