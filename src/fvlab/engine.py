@@ -111,15 +111,19 @@ Inside a duel a count-changing death is at a with probability
 ``lambda_a / (lambda_a + lambda_b)`` at every split, so a block guesses
 each step's direction from its category uniform alone, builds the count
 path by cumulative sum, gathers the two thresholds along it and reads
-each step's decision from them.  It keeps the steps before the first
-one whose decision differs from the guess, or that is a mutation or at
-a split with no rate left, and times them as the scalar step's own
-sequential sum, cut before the first time past the next stop.  Where
-fewer than 128 steps are left before the refill or the cap, scalar
-steps take them instead.  The scalar step after a block takes whatever
-ended it (the mismatched step, the refill) or hands it on (the
-mutation, the stop, the cap), so the block
-changes the cost of a long duel and nothing else.
+each step's decision from them.  It runs through the Dirac end nearer
+its start if that end's site mutates back into the pair: a step there
+is that mutation whatever the uniform, so the path is the guessed walk
+Y reflected at the end (Skorokhod 1961), ``X_k = Y_k - 2 ceil(max(0,
+max_{j <= k} Y_j - n) / 2)`` at n, mirrored at 0, once Y reaches it.
+It keeps the steps before the first that differs from the guess, is a
+mutation (at the end, one leaving the pair) or has no rate left, timed
+as the scalar step's own sequential sum and cut before the first time
+past the next stop.  Where fewer than 128 steps are left before the
+refill or the cap, scalar steps take them instead.  The scalar step
+after a block takes whatever ended it (the mismatched step, the refill)
+or hands it on (the mutation, the stop, the cap), so the block changes
+the cost of a long duel and nothing else.
 
 One run gives the state at several times: the loop's ``stops``, an
 experiment's time points, record the counts and the events so far at
@@ -371,11 +375,12 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
 def _duel(n, la, lb, ea, eb):
     """The duel of a pair of sites a < b with killing rates ``la``, ``lb``
     and mutation exits ``ea``, ``eb`` among n particles: ``(total_tab,
-    mu_tab, tau_tab, totals, cuts, p_a)``, the total rate and the rows of
-    :func:`_duel_thresholds` per split, indexed by the count at a, as
-    lists for the scalar step and as arrays for :func:`_duel_block`, and
-    ``p_a = la / (la + lb)``, the probability at every split that a
-    count-changing death is at a.
+    mu_tab, tau_tab, totals, cuts, p_a, through)``, the total rate and
+    the rows of :func:`_duel_thresholds` per split, indexed by the count
+    at a, as lists for the scalar step and as arrays for
+    :func:`_duel_block`, ``p_a = la / (la + lb)``, the probability at
+    every split that a count-changing death is at a, and ``through``,
+    ``cuts`` with the end 0's or n's column read as no mismatch.
 
     Each split's mutation rate, death rate at a and total rate are
     :func:`_rates`' own over the support {a, b}, so they are bit for bit
@@ -383,7 +388,7 @@ def _duel(n, la, lb, ea, eb):
     or n) included: an end's death rate is 0.0 and its total is the
     Dirac record's, ``n * exit`` of the occupied site, a normal double:
     ``u * total < total`` for every uniform, so an end's thresholds are
-    1.0, or 2.0 where its site has no exit, and the duel never steps past it.
+    1.0, or 2.0 where its site has no exit: the scalar step never steps past it.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -397,56 +402,77 @@ def _duel(n, la, lb, ea, eb):
         r_mut, total, sites = _rates((ka, n - ka), n, inv_nm1, (la, lb), (ea, eb))
         tables[:, ka] = r_mut, sites[2], total  # at ka = 0, b's death term: 0.0
     cuts = _duel_thresholds(*tables)
-    return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, la / (la + lb))
+    p_a = la / (la + lb)
+    through = cuts.copy(), cuts.copy()  # a block's cuts through the end 0 or n: no mismatch there
+    through[0][:, 0] = through[1][:, n] = 0.0, p_a
+    return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, p_a, through)
 
 
 def _duel_thresholds(rm, kill_a, total):
     """The duel step's decision at each split as two thresholds on its
-    category uniform u.
+    category uniform u: the (2, n + 1) rows ``mu`` and ``tau``.
 
-    The generic step, with ``x = u * total``, takes a mutation when
-    ``x < rm`` and otherwise a death at a when ``(x - rm) - kill_a <
-    0.0``.  Rounding is monotone, so both hold exactly for u below a
-    fixed double: ``mu``, the least u >= 0 with ``(x - rm) - 0.0 >=
-    0.0`` (that is, ``x >= rm``), and ``tau``, the least u >= 0 with
-    ``(x - rm) - kill_a >= 0.0``.  So ``u < mu`` is a mutation, ``mu <=
-    u < tau`` a death at a and ``tau <= u`` a death at b.  A split with
-    no rate gets 2.0 for both, and one whose rate is all mutation, a
-    Dirac end's, 1.0: each reads as a mutation.  Returns the (2, n + 1)
-    array of rows ``mu`` and ``tau``.
-
-    Doubles >= 0 are ordered as their bit patterns, so the thresholds
-    are sought among the patterns: the nine doubles around the guess
-    ``rm / total`` or ``(rm + kill_a) / total`` are tried at once, and
-    the least that holds is the threshold.
+    The generic step, with ``x = u * total``, takes a mutation when ``x
+    < rm``, else a death at a when ``(x - rm) - kill_a < 0.0``; ``mu``
+    and ``tau`` are the least u (:func:`_least_doubles`) at which ``(x -
+    rm) - 0.0`` and ``(x - rm) - kill_a`` are >= 0.0.  So ``u < mu`` is a
+    mutation, ``mu <= u < tau`` a death at a and ``tau <= u`` a death at
+    b.  A split with no rate gets 2.0 for both, and one whose rate is all
+    mutation, a Dirac end's, 1.0: each reads as a mutation.
     """
     kill = np.zeros((2, len(total)))  # mu's test is tau's with no death term
     kill[1] = kill_a
-    with np.errstate(divide="ignore", invalid="ignore"):  # rm / 0 and 0 * inf at a split with no rate
-        near = ((rm + kill) / total).view(np.int64) + _NEAR
-        # u at or above its threshold; the patterns just below 0 are NaNs, and fail
-        ok = (near.view(np.float64) * total - rm) - kill >= 0.0
+    cuts, found = _least_doubles(total, (rm, kill))
     # validate_model's floor makes every live split's rates and total normal,
     # which puts each threshold within four doubles of its guess: a tripwire
-    if ((ok[0] | ~ok[-1]) & (total > 0.0)).any():
+    if (~found & (total > 0.0)).any():
         raise RuntimeError("a duel threshold lies outside the doubles around its guess")
-    return np.where(ok, near, _TWO).min(axis=0).view(np.float64)
+    return cuts
 
 
-def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m):
+def _least_doubles(scale, terms):
+    """Entry by entry, the least double u >= 0 (else 2.0) at which ``u *
+    scale`` minus each of ``terms`` in turn is >= 0.0 (monotone in u), and
+    whether the nine doubles around ``sum(terms) / scale`` bracket it."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 * inf where scale is 0
+        near = (sum(terms) / scale).view(np.int64) + _NEAR
+        # the patterns just below 0 are NaNs, and fail
+        ok = functools.reduce(np.subtract, terms, near.view(np.float64) * scale) >= 0.0
+    return np.where(ok, near, _TWO).min(axis=0).view(np.float64), ok[-1] & ~ok[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _span(targets, rates, exit, dst):
+    """``(lo, hi)``, the target uniforms at which the generic step's target
+    search, subtracting a site's ``rates`` in turn from ``u * exit`` until
+    one goes below 0.0, picks ``dst``: from the least u that passes the
+    rates before it up to the least that passes its own; None where none
+    does or a bound is not found.  Keyed by the site's target row itself.
+    """
+    if dst not in targets:
+        return None
+    cuts, found = _least_doubles(exit, np.triu(np.tile(np.array(rates)[:, None], len(rates))))
+    edges, ok = [0.0, *cuts[0, :-1].tolist(), 2.0], [True, *found[0, :-1].tolist(), True]
+    i = targets.index(dst)
+    return (edges[i], edges[i + 1]) if ok[i] and ok[i + 1] else None
+
+
+def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m, end, span, size):
     """Up to ``m`` duel steps from count ``ka`` at time ``t``, on the draws
-    ``e[pos:pos + m]`` and ``u[pos:pos + m]``.
+    ``e[pos:pos + m]`` and ``u[pos:pos + m]``: ``(steps, path, times)``,
+    the accepted count and each accepted step's count at a and time
+    (None for both when no step is accepted).
 
     Each step's direction is guessed from its uniform alone, the count
-    path follows by cumulative sum, and the scalar step's decision is
-    read along it from the thresholds ``cuts`` of
-    :func:`_duel_thresholds`.  The accepted prefix ends before the first
-    step whose decision differs from the guess, or is a mutation, or has
-    zero total rate, and before the first time past ``stop``; times are
-    the scalar step's sequential sums over the total rates ``totals``.
-    Returns ``(steps, ka, times, a_died)``: the accepted count, the
-    count at a after them, and each accepted step's time and direction
-    (None for both when no step is accepted).
+    path follows by cumulative sum, reflected at the Dirac end ``end`` (0
+    or n) given its :func:`_span`, and the scalar step's decision is read
+    along it from the thresholds ``cuts`` of :func:`_duel_thresholds`,
+    whose column at that end then reads no mismatch.  The accepted prefix
+    ends before the first step whose decision differs from the guess, or
+    is a mutation, or has zero total rate, or is an end step whose target
+    uniform ``u[size + pos + i]`` lies outside the span, and before the
+    first time past ``stop``; times are the scalar step's sequential sums
+    over the total rates ``totals``.
     """
     uc = u[pos:pos + m]
     a_died = uc < p_a
@@ -454,19 +480,29 @@ def _duel_block(cuts, totals, p_a, ka, t, stop, e, u, pos, m):
     after = step.cumsum()
     after += ka  # the count at a after each step
     before = after - step
+    crossed = span and (before.max() >= end if end else before.min() <= 0)
+    if crossed:  # reflect the walk at the end, as the module docstring writes it
+        over = np.maximum.accumulate(after) - (end - 1) if end else 1 - np.minimum.accumulate(after)
+        np.maximum(over, 1, out=over)
+        over &= -2
+        after -= over if end else -over
+        before[1:] = after[:-1]
     mu, tau = cuts.take(before, axis=1, mode="clip")
     bad = (uc < tau) != a_died
     bad |= uc < mu
+    if crossed and span != (0.0, 2.0):  # the end's other targets stop the block
+        ut = u[size + pos:size + pos + m]
+        bad |= (before == end) & ((ut < span[0]) | (ut >= span[1]))
     j = int(bad.argmax())
     if not bad[j]:
         j = m
     elif not j:
-        return 0, ka, None, None
+        return 0, None, None
     times = e[pos:pos + j] / totals.take(before[:j])
     times[0] += t
     times.cumsum(out=times)
     steps = j if times[-1] <= stop else int(times.searchsorted(stop, "right"))
-    return steps, int(after[steps - 1]) if steps else ka, times[:steps], a_died[:steps]
+    return steps, after[:steps], times[:steps]
 
 
 class _Runs:
@@ -553,7 +589,7 @@ def _run_replicas(
                 # Two-site duel: the generic step below, specialized.  Its
                 # decisions are thresholds on the category uniform, exact
                 # per split for the generic loop's own float expressions.
-                total_tab, mu_tab, tau_tab, totals, cuts, p_a = state[3]
+                total_tab, mu_tab, tau_tab, totals, cuts, p_a, through = state[3]
                 a, b = state[2][0], state[2][3]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
@@ -601,16 +637,24 @@ def _run_replicas(
                         if m < _DUEL_BLOCK_MIN:
                             run = m + 1
                             continue
-                        steps, ka, times, a_died = _duel_block(cuts, totals, p_a, ka, t, stop, e_arr, u_arr, pos, m)
+                        end = n if 2 * ka > n else 0  # the Dirac end nearer ka
+                        src, dst = (a, b) if end else (b, a)
+                        span = _span(mut_targets[src], mut_rates[src], mut_exit[src], dst)
+                        steps, path, times = _duel_block(through[end > 0] if span else cuts, totals, p_a, ka, t,
+                                                         stop, e_arr, u_arr, pos, m, end, span, size)
                         if steps:
                             pos += steps
                             n_events += steps
                             t = float(times[-1])
                             if record:
+                                before = np.append(ka, path[:-1])
                                 ev_t += times.tolist()
-                                ev_src += np.where(a_died, a, b).tolist()
-                                ev_tgt += np.where(a_died, b, a).tolist()
+                                ev_src += np.where(path < before, a, b).tolist()
+                                ev_tgt += np.where(path < before, b, a).tolist()
                                 ev_kind += ["selection"] * steps
+                                for i in np.flatnonzero(before == end).tolist():  # the end's own mutation
+                                    ev_kind[i - steps] = "mutation"
+                            ka = int(path[-1])
                         run = 1
                         continue
                     # A Dirac end with rate, its step's draws in the buffer: the

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from fvlab import (
     EmpiricalMeasure,
@@ -311,7 +312,7 @@ def oracle_cuts(n, la, lb, ea, eb):
 
 def assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb):
     # the memo would answer a float64 pair with the tables of an equal float pair
-    total_tab, mu_tab, tau_tab, totals, cuts, p_a = engine._duel.__wrapped__(n, la, lb, ea, eb)
+    total_tab, mu_tab, tau_tab, totals, cuts, p_a, through = engine._duel.__wrapped__(n, la, lb, ea, eb)
     want_cuts, (_, _, want_totals) = oracle_cuts(n, la, lb, ea, eb)
     assert totals.shape == (n + 1,) and cuts.shape == (2, n + 1)
     assert total_tab == totals.tolist() and [mu_tab, tau_tab] == cuts.tolist()
@@ -413,6 +414,76 @@ def test_duel_thresholds_read_a_zero_total_split_as_a_mutation():
     dead = [k for k, t in enumerate(total) if t == 0.0]
     assert [float.hex(v) for v in cuts[:, dead].ravel().tolist()] == [float.hex(2.0)] * (2 * len(dead))
     assert cuts[:, 5].tolist() == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("at_n", [True, False], ids=["end-n", "end-0"])
+def test_duel_block_reflects_its_walk_at_the_end(at_n):
+    # The count path of a block through a Dirac end against the scalar
+    # recursion it stands for: each step goes the way its uniform guesses,
+    # but the end always steps to its neighbour, and the path stops before
+    # the far end, whose column reads a mutation.  Every other split reads
+    # no mismatch and every waiting time is 1.0, so step i ends at time i.
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 20):
+        end, far = (n, 0) if at_n else (0, n)
+        cuts = np.array([[0.0] * (n + 1), [0.5] * (n + 1)])
+        cuts[:, far] = 1.0
+        for ka in {end, abs(end - 1), n // 2, *rng.integers(0, n + 1, 4).tolist()}:
+            for m in (1, 2, 9, 64):
+                u = rng.random(2 * m)
+                want, x = [], ka
+                for v in u[:m]:
+                    if x == far:
+                        break
+                    x = abs(end - 1) if x == end else x - 1 if v < 0.5 else x + 1
+                    want.append(x)
+                steps, path, times = engine._duel_block(
+                    cuts, np.ones(n + 1), 0.5, ka, 0.0, math.inf, np.ones(m), u, 0, m, end, (0.0, 2.0), m
+                )
+                assert steps == len(want), (n, ka, m)
+                if steps:
+                    assert path.tolist() == want and times.tolist() == list(range(1, steps + 1))
+
+
+def target_of(u, targets, rates, exit):
+    """The generic step's target search at target uniform ``u``."""
+    y = u * exit
+    for j, rate in zip(targets, rates):
+        y -= rate
+        if y < 0.0:
+            return j
+    return targets[-1]
+
+
+def test_span_is_where_the_target_search_picks_the_site():
+    # Rows of one to five targets, at rates from 1e-3 to 1e3: each span
+    # holds exactly the uniforms at which the search picks its site, so
+    # at its bounds and at the double below each the search decides as
+    # the span says, and at random uniforms too; a site that is no
+    # target has none
+    rng = np.random.default_rng(7)
+    states = [f"s{i}" for i in range(6)]
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        to = rng.choice(np.arange(1, 6), k, replace=False).tolist()
+        rates = (10.0 ** rng.uniform(-3, 3, k)).tolist()
+        model = validate_model(
+            {
+                "states": states,
+                "mutation": [{"from": "s0", "to": states[j], "rate": q} for j, q in zip(to, rates)],
+                "killing": {"kind": "uniform_plus", "m": dict.fromkeys(states, 0.0)},
+            }
+        )
+        args = model.out_targets[0], model.out_rates[0], model.exit_rate[0]
+        for dst in range(1, 6):
+            span = engine._span.__wrapped__(*args, dst)
+            if dst not in to:
+                assert span is None
+                continue
+            lo, hi = span
+            for u in [lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, 0.0), *rng.random(20)]:
+                if 0.0 <= u < 1.0:
+                    assert (target_of(float(u), *args) == dst) == (lo <= u < hi), (args, dst, u)
 
 
 def test_event_totals_that_overflow_raise_before_any_draw():
@@ -544,6 +615,62 @@ def test_duel_at_n_1000_matches_the_exact_absorption_law(monkeypatch, alpha, M, 
     stats = [(tau, m)] + [(np.exp(-c * tau / m), duel_absorption(n, alpha, start, c / m)) for c in (0.5, 1.0, 2.0)]
     z = [(x.mean() - exact) / (x.std(ddof=1) / math.sqrt(M)) for x, exact in stats]
     assert max(map(abs, z)) < 4.0, z
+
+
+def test_mutation_both_ways_keeps_the_product_form_law(monkeypatch):
+    # ROADMAP N17, mutation both ways: 100 particles on two sites that
+    # mutate into each other (x -> y at 1, y -> x at 1.5) under equal
+    # killing at r = 1000.  The count k at x is a birth-death chain, so its
+    # stationary law is pi(k) ~ prod_{j < k} up(j) / down(j + 1), with up
+    # and down each a mutation term plus a selection term; most of its
+    # mass sits at or near the two Dirac ends, so the duel's blocks run
+    # through both.  Each replica starts from k drawn from pi on a stream
+    # of its own and runs to T = 0.2 on the streams of seed 17; k at T has
+    # law pi again.  Checked: a chi-square over 10 bins of k (each expecting
+    # 30 or more) below its 1e-4 upper quantile, and the mean pair
+    # correlation 2k(n - k)/n^2 within 4 standard errors of its exact value
+    # (normal approximation): a correct engine fails with probability below
+    # 1e-4 + P(|Z| > 4) = 1.7e-4.  Here the chi-square's p-value is 0.63
+    # and z is -1.8; reading a block's end steps' waiting time from the split
+    # next to the end gives a p-value of 3e-9 (and z = 4.8), and reflecting
+    # with a floor in place of the ceiling at the end 0 a count of -1.
+    n, r, T, M = 100, 1e3, 0.2, 1000
+    model = both_ways_model(1.0, 1.0, 1.0, 1.5)
+    k = np.arange(n + 1.0)
+    up = (n - k) * 1.5 + r * k * (n - k) / (n - 1)
+    down = k * 1.0 + r * k * (n - k) / (n - 1)
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:-1] / down[1:]))))
+    pi = np.exp(log_pi - log_pi.max())
+    pi /= pi.sum()
+    starts = np.random.default_rng(2024).choice(n + 1, size=M, p=pi)
+    ends = set()
+    block = engine._duel_block
+
+    def spy(*args):
+        got = block(*args)
+        if got[0] and args[11] and args[10] in np.append(args[3], got[1][:-1]):
+            ends.add(args[10])
+        return got
+
+    monkeypatch.setattr(engine, "_duel_block", spy)
+    final = np.empty(M, dtype=np.int64)
+    for i, start in enumerate(starts.tolist()):
+        runs = _Runs()
+        _run_replicas(model, r, (start, n - start), (T,), _replica_rngs(17, i, 1), runs,
+                      record=False, event_cap=DEFAULT_EVENT_CAP)
+        final[i] = runs.snaps[0]
+    assert ends == {0, n}  # reflecting blocks ran at both ends
+    edges = [0, 1, 3, 10, 30, 70, 90, 97, 99, 100, 101]
+    expected = M * np.add.reduceat(pi, edges[:-1])
+    counts = np.bincount(final, minlength=n + 1)  # raises on a count below 0
+    assert len(counts) == n + 1
+    observed = np.add.reduceat(counts, edges[:-1])
+    assert expected.min() >= 30
+    chi_square = float(((observed - expected) ** 2 / expected).sum())
+    assert chdtrc(len(edges) - 2, chi_square) > 1e-4, (observed, expected.round(1))
+    corr, exact = 2 * final * (n - final) / n**2, 2 * k * (n - k) / n**2
+    mean, var = pi @ exact, pi @ exact**2 - (pi @ exact) ** 2
+    assert abs(corr.mean() - mean) < 4.0 * math.sqrt(var / M)
 
 
 def test_absorption_time_scales_inversely_with_killing_floor():
@@ -1010,6 +1137,125 @@ def test_duel_blocks_bit_identical_to_reference(case, seed):
         assert run(seed) == got
     if not capped:
         assert got[4] == [replay_until(case["init"], path, s) for s in times]
+
+
+def block_crossings(case, seed):
+    """Run the live loop on ``case`` at ``seed`` and return ``(crossed,
+    stopped, outcome)``: ``(start, time)`` for each Dirac end's mutation
+    that its duel blocks took, the time of the block's first step and of
+    the mutation, and the number of blocks that stopped before an end's
+    step whose target uniform picked a site outside the pair."""
+    crossed, stopped = [], []
+    block = engine._duel_block
+
+    def spy(*args):
+        got = steps, path, times = block(*args)
+        ka, u, pos, m, end, span, size = args[3], args[7], args[8], args[9], args[10], args[11], args[12]
+        if span:
+            before = np.append(ka, path[:-1]) if steps else np.array([ka])
+            crossed.extend((times[0], x) for x in times[before == end].tolist()) if steps else None
+            if (path[-1] if steps else ka) == end and steps < m and not span[0] <= u[size + pos + steps] < span[1]:
+                stopped.append(True)
+        return got
+
+    with patch.object(engine, "_duel_block", spy):
+        got = outcome(live_simulate, seed, case)
+    return crossed, len(stopped), got
+
+
+def both_ways_model(cx, cy, qxy, qyx):
+    """Two sites that mutate into each other, power-law killing with beta = 1."""
+    return validate_model(
+        {
+            "states": ["x", "y"],
+            "mutation": [{"from": "x", "to": "y", "rate": qxy}, {"from": "y", "to": "x", "rate": qyx}],
+            "killing": {"kind": "power", "c": {"x": cx, "y": cy}, "beta": {"x": "1", "y": "1"}},
+        }
+    )
+
+
+# (case, seed): a duel whose blocks run through a Dirac end
+CROSSING_CASES = {
+    # a's one target is b: every step at the end n goes back into the pair
+    "one-target": (dict(model=uplus_cycle_model(), r=1e5, init=EmpiricalMeasure([59, 1, 0]), T=0.5), 2),
+    # a mutates to b or c, so a block stops before an end step that picks c
+    "two-targets": (dict(model=dirac_end_model(), r=1e4, init=EmpiricalMeasure([75, 75, 0]), T=0.05), 4),
+    # y, the fitter site, holds the condensate: the end is the count 0 at x
+    "lower-end": (dict(model=both_ways_model(1.1, 1.0, 1.0, 0.5), r=1e3, init=EmpiricalMeasure([1, 59]), T=0.3), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSSING_CASES))
+def test_blocks_through_a_dirac_end_match_the_reference(name):
+    case, seed = CROSSING_CASES[name]
+    crossed, stopped, _ = block_crossings(dict(case, record=False), seed)
+    assert crossed and (stopped if name == "two-targets" else True)
+    for record in (True, False):
+        assert_bit_identical_to_reference(dict(case, record=record, snapshot_times=[]), seed)
+
+
+@pytest.mark.parametrize("hand_off", ["stop", "horizon", "cap"])
+def test_a_stop_or_the_cap_after_a_block_crosses_matches_the_reference(hand_off):
+    # a snapshot time, the horizon or the cap step two events after an end
+    # step that a block took, one that comes late enough in its block for
+    # the block to run when the cap is that close
+    case, seed = CROSSING_CASES["one-target"]
+    crossed, _, (_, _, path, _) = block_crossings(dict(case, record=True), seed)
+    times = [ev[0] for ev in path]
+    i = next(times.index(x) for start, x in crossed if times.index(x) - times.index(start) >= _DUEL_BLOCK_MIN)
+    mid = (times[i + 2] + times[i + 3]) / 2
+    case = dict(case, snapshot_times=[mid] if hand_off == "stop" else [])
+    if hand_off == "horizon":
+        case["T"] = mid
+    if hand_off == "cap":
+        case["event_cap"] = i + 3
+    got, _, _ = block_crossings(dict(case, record=False), seed)
+    assert times[i] in [x for _, x in got]
+    for record in (True, False):
+        assert_bit_identical_to_reference(dict(case, record=record), seed)
+
+
+@st.composite
+def crossing_duel_cases(draw):
+    """Long duels among sites that mutate back into the pair from one
+    Dirac end or both, through one target or one of two: from next to
+    the end on the uniform-plus cycle, from an even split on
+    ``dirac_end_model`` and from either on two sites."""
+    kind = draw(st.sampled_from(["uplus-cycle", "dirac-end", "both-ways"]))
+    if kind == "uplus-cycle":
+        n = draw(st.integers(min_value=60, max_value=120))
+        model, counts, T = uplus_cycle_model(), [n - 1, 1, 0], draw(st.sampled_from([0.5, 1.0]))
+    elif kind == "dirac-end":
+        n = draw(st.integers(min_value=100, max_value=150))
+        model, counts, T = dirac_end_model(), [n // 2, n - n // 2, 0], draw(st.sampled_from([0.05, 0.2]))
+    else:
+        n = draw(st.integers(min_value=40, max_value=120))
+        rate = st.sampled_from([0.5, 1.0, 2.0])
+        model = both_ways_model(draw(st.sampled_from([1.0, 1.1])), 1.0, draw(rate), draw(rate))
+        ka = draw(st.sampled_from([1, n // 2, n - 1]))
+        counts, T = [ka, n - ka], draw(st.sampled_from([0.2, 0.5]))
+    return dict(
+        model=model,
+        r=draw(st.sampled_from([1e4, 1e5])),
+        init=EmpiricalMeasure(counts),
+        T=T,
+        record=draw(st.booleans()),
+        event_cap=draw(st.just(10**9) | st.integers(min_value=2000, max_value=6000)),
+        snapshot_times=sorted(draw(st.sets(st.sampled_from([f * T for f in (0.1, 0.3, 0.6, 0.999)])))),
+    )
+
+
+@given(case=crossing_duel_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blocks_through_dirac_ends_bit_identical_to_reference(case, seed):
+    # the first seed from the drawn one, of 20, at which a block runs
+    # through a Dirac end before the horizon and the cap
+    for seed in range(seed, seed + 20):
+        if block_crossings(dict(case, snapshot_times=[]), seed)[0]:
+            break
+    else:
+        pytest.fail("no seed of 20 runs a block through a Dirac end")
+    assert_bit_identical_to_reference(case, seed)
 
 
 def test_snapshots_after_absorption_repeat_the_dirac():
