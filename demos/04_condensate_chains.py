@@ -51,8 +51,10 @@ limit = condensate_rates(model, n=3, r=None)
 print("limit chain equals finite-r chain here:",
       np.allclose(limit.rates, chain.rates))
 
-# Marginals come from one dense matrix exponential, v expm(G t), and
-# the chain can also be sampled pathwise, one jump skeleton at a time.
+# Marginals come from one matrix exponential, v expm(G t): a shifted
+# Taylor series, scaled and squared, that calls no BLAS, so it gives the
+# same bits on every CPU.  The chain can also be sampled pathwise, one jump
+# skeleton at a time.
 law = ctmc_marginal(limit, "a", t=1.0)
 print("\ncondensate law at t=1 from site a:",
       {s: round(float(p), 4) for s, p in zip(law.states, law.probs)})

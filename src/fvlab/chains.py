@@ -24,11 +24,15 @@ a model whose cascade the rule sends to y1 alone, while the finite
 system splits 2/3 to y1 and 1/3 to y2, in proportion to
 ``q(z, y) * (1 - alpha(z, y))``.
 
-The marginal at time t of any of these chains is ``v expm(G t)``, one
-dense matrix exponential (scipy's scaling and squaring, Al-Mohy &
-Higham 2009) whose cost grows only with the logarithm of ``|G| t``; on
-``[[G, I], [0, 0]]`` it gives the mean time-average occupation over
-[0, T] too.  Paths are sampled by the standard exponential-clock method.
+The marginal at time t of any of these chains is ``v expm(G t)``, by
+scaling and squaring (Moler & Van Loan 2003) with no BLAS call: shifted by
+its largest exit rate, ``2^-k G t`` has a Taylor series of nonnegative
+terms, and k squarings bring it back to t, its rows divided by their sums
+after each one.  Every product sums in index order, so the bits depend on
+IEEE arithmetic alone, not on the CPU's BLAS kernel; the cost grows only
+with the logarithm of ``|G| t``.  On ``[[G, I], [0, 0]]`` (Van Loan 1978)
+the same series gives the mean time-average occupation over [0, T] too.
+Paths are sampled by the standard exponential-clock method.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from functools import cmp_to_key
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .committor import invasion_probability
 from .metrics import LawOnStates
@@ -202,10 +205,35 @@ def conjectured_limit_rates(model: Model) -> tuple[CascadeAnalysis, RateMatrix]:
     return analysis, chain
 
 
-def _expm_law(rates: RateMatrix, init: Union[str, int, LawOnStates], A: np.ndarray) -> np.ndarray:
-    """``v expm(A)``, v the start ``init`` (a site or a law) of the chain
-    ``rates`` over d sites: its top-right d x d block (all of it where A
-    is d x d), divided by its total.  The chain side's one exponential."""
+def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X @ Y`` summed over the inner index in index order, by elementwise
+    products and sums: its bits depend on IEEE arithmetic alone, not on a
+    BLAS kernel, numpy's SIMD dispatch or numpy's version."""
+    terms = X.T[:, :, None] * Y[:, None, :]  # terms[j] = outer(X[:, j], Y[j])
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def _stochastic(X: np.ndarray) -> np.ndarray:
+    """X with each row divided by its sum."""
+    return X / _product(X, np.ones((X.shape[1], 1)))
+
+
+def _expm_law(rates: RateMatrix, init: Union[str, int, LawOnStates], t: float, average: bool) -> np.ndarray:
+    """``v expm(G t)``, or with ``average`` ``v int_0^1 expm(G t u) du``, for
+    v the start ``init`` (a site or a law) of the chain ``rates``.
+
+    With s the largest exit rate times t and ``2^k > s + 1``, ``B = 2^-k (G t
+    + s I)`` (with ``average``, ``2^-k ([[G t, I], [0, 0]] + s I)``; Van Loan
+    1978) is nonnegative with rows summing to at most 1, so 18 Taylor terms,
+    all nonnegative, miss less than 1e-17 of each row.  Divided by their row
+    sums, the blocks of ``expm(B)`` are the marginal P and the average Q over
+    ``2^-k t``.  Each squaring doubles the step, Q to ``(Q + P Q) / 2`` and P
+    to ``P P`` divided by its row sums, so the mass cannot drift by
+    ``(1 + eps)^(2^k)``.
+    """
     d = len(rates.states)
     if isinstance(init, LawOnStates):
         if init.states != rates.states:
@@ -214,8 +242,27 @@ def _expm_law(rates: RateMatrix, init: Union[str, int, LawOnStates], A: np.ndarr
     else:
         v = np.zeros(d)
         v[_site_index(init, rates.states)] = 1.0
-    p = v @ expm(A)[:d, -d:]
-    return p / p.sum()
+    exit_rate = float(rates.row_sums().max())
+    s = exit_rate * t
+    if not math.isfinite(s):
+        raise ValueError(f"G t overflows: the largest exit rate {exit_rate} times {t} is not finite")
+    k = math.frexp(s + 1.0)[1]
+    h = math.ldexp(1.0, -k)
+    B = rates.generator() * t * h
+    if average:
+        B = np.block([[B, h * np.eye(d)], [np.zeros((d, 2 * d))]])
+    B[np.diag_indices_from(B)] += s * h
+    term = E = np.eye(len(B))
+    for j in range(1, 19):
+        term = _product(term, B) / j
+        E = E + term
+    P = _stochastic(E[:d, :d])
+    Q = _stochastic(E[:d, d:]) if average else None
+    for _ in range(k):
+        if average:
+            Q = (Q + _product(P, Q)) / 2.0
+        P = _stochastic(_product(P, P))
+    return _stochastic(_product(v[None], Q if average else P))[0]
 
 
 def simulate_ctmc(
@@ -262,26 +309,24 @@ def ctmc_marginal(
 ) -> LawOnStates:
     """Marginal law ``v expm(G t)`` at time t of the chain started from ``init``.
 
-    Rounding in the squarings lets the total mass drift from 1 by about
-    1e-17 per unit of ``|G| t`` (1e-11 at 1e6); dividing by the total
-    removes that drift.
+    Every finite ``G t`` gives a law, and a ``G t`` that is not finite
+    raises ValueError.  Rounding leaves the total mass within about 5e-16
+    of 1 at any ``|G| t`` (measured on random chains of 2 to 8 sites, at
+    ``|G| t`` from 1e-6 to 1e300); dividing by the total removes it.
     """
     if not 0 <= t < math.inf:  # also false for NaN
         raise ValueError(f"time must be nonnegative and finite, got {t}")
-    return LawOnStates(rates.states, _expm_law(rates, init, rates.generator() * t))
+    return LawOnStates(rates.states, _expm_law(rates, init, t, average=False))
 
 
 def _mean_occupation(rates: RateMatrix, init: Union[str, int, LawOnStates], T: float) -> np.ndarray:
     """Mean time-average occupation ``(1/T) v int_0^T expm(G s) ds`` over [0, T].
 
     ``(1/T) int_0^T expm(G s) ds = int_0^1 expm(G T u) du`` is the top-right
-    block of ``expm([[G T, I], [0, 0]])`` (Van Loan 1978); dividing by the
-    total removes the squarings' drift, as in :func:`ctmc_marginal`.
+    block of ``expm([[G T, I], [0, 0]])`` (Van Loan 1978).  Its squarings
+    leave the total within about 3e-15 of 1 (measured as in
+    :func:`ctmc_marginal`), and dividing by the total removes that.
     """
     if not 0 < T < math.inf:  # also false for NaN
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    d = len(rates.states)
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = rates.generator() * T
-    block[:d, d:] = np.eye(d)
-    return _expm_law(rates, init, block)
+    return _expm_law(rates, init, T, average=True)

@@ -48,6 +48,7 @@ def test_rate_matrix_rejects_diagonal_and_negative():
 
 
 _CYCLE3 = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+_TWO_SITES = RateMatrix(("a", "b"), np.array([[0.0, 10.0], [5.0, 0.0]]))
 
 
 @pytest.mark.parametrize(
@@ -68,9 +69,12 @@ _CYCLE3 = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
             "site index must be an integer in",
         ),
         (lambda: _CYCLE3.entry("u", "zz"), "unknown state 'zz'"),
+        # 10 * 1e308 is not a double: the error comes before numpy could warn
+        (lambda: ctmc_marginal(_TWO_SITES, "a", 1e308), "G t overflows: the largest exit rate 10.0 times 1e"),
+        (lambda: _mean_occupation(_TWO_SITES, "a", 1e308), "G t overflows: the largest exit rate 10.0 times 1e"),
     ],
     ids=["shape", "n-below-2", "law-states", "marginal-unknown-label", "simulate-unknown-label", "simulate-law",
-         "entry-unknown-label"],
+         "entry-unknown-label", "marginal-overflow", "occupation-overflow"],
 )
 def test_chains_raise_value_error_naming_the_input(call, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -416,29 +420,42 @@ def test_cascade_json_export_is_serializable():
 
 
 def test_ctmc_marginal_two_state_closed_form():
-    # at mu = 1e6, row sum times t reaches 3e6: a Poisson series would need
-    # millions of terms, expm about 20 squarings
-    for mu in (1.0, 1e6):
-        rm = RateMatrix(("u", "v"), np.array([[0.0, mu], [mu, 0.0]]))
+    # from u, P(u at t) = b/(a+b) + a e^{-(a+b)t}/(a+b).  At a = b = 1e6,
+    # (a+b)t reaches 6e6: a Poisson series would need millions of terms, the
+    # squarings 22.  At (10, 5) up to 10 t = 1.7e308, near the largest
+    # double, 1 000 squarings must not let the mass overflow: every finite
+    # G t gives the stationary law (1/3, 2/3)
+    for a, b, times in ((1.0, 1.0, (0.0, 0.1, 0.5, 1.0, 3.0)), (1e6, 1e6, (0.0, 0.1, 0.5, 1.0, 3.0)),
+                        (10.0, 5.0, (1e20, 1e306, 1.7e307))):
+        rm = RateMatrix(("u", "v"), np.array([[0.0, a], [b, 0.0]]))
         start = time.perf_counter()
-        for t in (0.0, 0.1, 0.5, 1.0, 3.0):
+        for t in times:
             law = ctmc_marginal(rm, "u", t)
-            assert abs(law.prob("u") - (1 + math.exp(-2 * mu * t)) / 2) <= 1e-12
+            assert abs(law.prob("u") - (b + a * math.exp(-(a + b) * t)) / (a + b)) <= 1e-12
         assert time.perf_counter() - start < 0.5
 
 
 def test_ctmc_marginal_matches_dense_expm_on_random_models():
+    # |G| t from 1e-6 to 1e6 (|G| the largest absolute row sum, which
+    # dense_expm scales by), d = 2 to 8.  The oracle's own squarings let its
+    # total drift from 1 (2.4e-10 at 1e6), so its row is divided by its total
+    # as ctmc_marginal divides.  Measured: within 8.3e-16 at every |G| t, and
+    # within 7.8e-16 of the stationary law from |G| t = 1e3 on; the bound is
+    # 1e-14.
     rng = np.random.default_rng(20260815)
-    states = tuple("s%d" % i for i in range(5))
-    for _ in range(5):
-        rates = rng.uniform(0.0, 2.0, size=(5, 5))
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        states = tuple("s%d" % i for i in range(d))
+        rates = rng.uniform(0.0, 2.0, size=(d, d))
         np.fill_diagonal(rates, 0.0)
         rm = RateMatrix(states, rates)
-        t = float(rng.uniform(0.1, 2.0))
-        P = dense_expm(rm.generator(), t)
-        init = rng.dirichlet(np.ones(5))
-        law = ctmc_marginal(rm, LawOnStates(states, init), t)
-        assert np.allclose(law.probs, init @ P, atol=1e-10)
+        init = rng.dirichlet(np.ones(d))
+        norm = np.abs(rm.generator()).sum(axis=1).max()
+        for e in range(-6, 7):
+            t = 10.0**e / norm
+            oracle = init @ dense_expm(rm.generator(), t)
+            law = ctmc_marginal(rm, LawOnStates(states, init), t)
+            assert np.abs(law.probs - oracle / oracle.sum()).max() <= 1e-14, (d, e)
 
 
 def test_ctmc_marginal_t_zero_is_init():
@@ -457,13 +474,14 @@ def test_ctmc_marginal_absorbing_chain_long_time():
 
 
 @pytest.mark.parametrize("a,b,T", [(1.0, 2.0, 0.5), (0.3, 5.0, 3.0), (10.0, 0.1, 1e-3), (2.0, 2.0, 100.0),
-                                   (1e-3, 1e-3, 1.0), (50.0, 80.0, 7.0)])
+                                   (1e-3, 1e-3, 1.0), (50.0, 80.0, 7.0), (10.0, 5.0, 1e306), (10.0, 5.0, 1.7e307)])
 def test_mean_occupation_two_state_closed_form(a, b, T):
     # from u, the mean time-average occupation of u over [0, T] is
-    # b/(a+b) + a (1 - e^{-(a+b)T}) / ((a+b)^2 T)
+    # b/(a+b) + a (1 - e^{-(a+b)T}) / ((a+b)^2 T); at (10, 5) and 10 T up to
+    # 1.7e308 it is the stationary law, as for every finite G T
     rm = RateMatrix(("u", "v"), np.array([[0.0, a], [b, 0.0]]))
     s = a + b
-    at_u = b / s + a * -math.expm1(-s * T) / (s * s * T)
+    at_u = b / s + a * -math.expm1(-s * T) / s / s / T
     got = _mean_occupation(rm, "u", T)
     assert abs(got[0] - at_u) <= 1e-13 and abs(got[1] - (1.0 - at_u)) <= 1e-13
 

@@ -1117,7 +1117,7 @@ def test_theorem3_regime_hash_pinned():
         }
     )
     assert run_experiment(cfg).result_hash == (
-        "8bdec55565d62a5f5ec03695f8cc889dbf570c2d656271bc6c55618b0c78bfe5"
+        "89fd8e8cb07b99cfac47506803e8f08852386470dfbf26b89120a02829639828"
     )
 
 
@@ -1406,11 +1406,11 @@ _PINNED_HASHES = {
     "conjecture_probe": "3c9fba2dd33e432f85bebe7800841af12f697bcd437a5c2a1cad67251acee2a1",
     "conjecture_probe_sim": "2949d2cccb27069b1f5200e5738563ba94fa690d2b9fcbb071f953a637f5efa0",
     "eta_inf": "0fe93ce1603a2c4ad817c6d4e0f97a10fabd9677b85e0af5a99a7f2378d907de",
-    "theorem1": "4bd7e3678917ed0aa6bfafeb9fcdf287cf0bd08f909544d235e1d70d13f01196",
+    "theorem1": "151056912193084a58dedae484cf819afa91d0bbeecc25e82908e555fe503387",
     "theorem1_cap_abort": "efc02a3f5452096475d91ed2050ead0b016133fc9e93bb24bc8419bd77674218",
-    "theorem2": "d6932966fbc6fde9e2c41dba0b03564a980a5c28024e0f63eb63881094d05a25",
-    "theorem2_cap_abort": "710f9fb310540a6719675097685392958f5e5dffc8696bc21eb378083c2c43d4",
-    "theorem3": "fc6c6f0ade3713dfb5c699ac40588c1caf4ebb4507c11222985e9bf2b8a88dc6",
+    "theorem2": "dab699722206350337a9fb21f072b22da2eccb8f6d7408e66c77a29be6a8c5bb",
+    "theorem2_cap_abort": "d158078535c82a1d75c274f938875569d31e6d4a98ce62a71749ad6aa55214f8",
+    "theorem3": "6d2adeef10ac07d5a3cda26a9679fbdca42fed2e11c896782f278cf67d311196",
 }
 
 
