@@ -60,8 +60,8 @@ print("\nfiles written:", sorted(p.name for p in out_dir.iterdir()))
 print("outcome tables:", sorted(p.name for p in (out_dir / "outcomes").iterdir()))
 
 # Reproducibility contract: the hash covers config, seed, rows, and the
-# outcome digests -- and replicas are chunked identically regardless of
-# parallelism, so a thread pool cannot change any result.
+# outcome digests -- and a replica's row does not depend on which replicas
+# share its worker, so a process pool cannot change any result.
 again = run_experiment(config, threads=4)
 print("\nresult hash, sequential:", report.result_hash[:32], "...")
 print("result hash, 4 workers:  ", again.result_hash[:32], "...")

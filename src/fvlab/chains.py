@@ -74,6 +74,11 @@ class RateMatrix:
             raise ValueError("diagonal must be zero (it is implicit)")
         if np.any(rates < 0) or not np.all(np.isfinite(rates)):
             raise ValueError("off-diagonal rates must be finite and nonnegative")
+        with np.errstate(over="ignore"):  # reported below, not as numpy's warning
+            exits = rates.sum(axis=1)
+        for state, total in zip(self.states, exits):
+            if math.isinf(total):
+                raise ValueError(f"the exit rate of row {state!r} overflows: its rates sum past the largest double")
 
     def entry(self, x: Union[str, int], y: Union[str, int]) -> float:
         return float(self.rates[_site_index(x, self.states), _site_index(y, self.states)])
@@ -209,10 +214,9 @@ def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``X @ Y`` summed over the inner index in index order, by elementwise
     products and sums: its bits depend on IEEE arithmetic alone, not on a
     BLAS kernel, numpy's SIMD dispatch or numpy's version."""
-    terms = X.T[:, :, None] * Y[:, None, :]  # terms[j] = outer(X[:, j], Y[j])
-    out = terms[0].copy()
-    for term in terms[1:]:
-        out += term
+    out = np.multiply.outer(X[:, 0], Y[0])
+    for j in range(1, X.shape[1]):
+        out += np.multiply.outer(X[:, j], Y[j])
     return out
 
 

@@ -79,7 +79,7 @@ the pair's tables, :func:`_rates` at each split from one Dirac end to
 the other) the loop steps the count at a directly.  The tables depend
 on n and the pair's rates alone, so the process keeps the 64 it used
 last by those numbers, in :func:`_duel`: a model unpickled in a pool
-worker for each chunk finds its pairs' tables built.
+worker for each point's slice finds its pairs' tables built.
 This path is the generic step specialized, not an approximation: it
 reads the same draws from the same buffer positions and refills the
 buffer at the same points.  Where the generic step multiplies its
@@ -319,8 +319,9 @@ def _kernel(model: Model, r: float, n: int):
     :class:`~fvlab.model.ModelError` here, before any draw.
 
     A run meets one kernel per point, and a pool worker a new one per
-    chunk, for the model it unpickled; the memo holds them strongly, so it
-    bounds a process to ``_KERNELS`` tables of ``_STATES`` records at most.
+    slice of a point, for the model it unpickled; the memo holds them
+    strongly, so it bounds a process to ``_KERNELS`` tables of ``_STATES``
+    records at most.
     """
     lam = _killing_rates(model, r, n)
     return lam, {}, [(n + 1) ** i for i in range(len(lam))]
@@ -393,8 +394,8 @@ def _duel(n, la, lb, ea, eb):
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
     splits holds them: a pool worker meets its model anew, unpickled, in
-    every chunk, and finds them built.  Nothing reads them but the event
-    loop, which never writes to them.
+    its slice of every point, and finds them built.  Nothing reads them
+    but the event loop, which never writes to them.
     """
     inv_nm1 = 1.0 / (n - 1)
     tables = np.empty((3, n + 1))  # mutation rate, death rate at a, total rate

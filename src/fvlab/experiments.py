@@ -44,11 +44,14 @@ function and records abort rows if a replica hits the event cap, and
 ``outcome`` stores a per-replica table with its digest.  Replicas are
 deterministic: replica i of a run consumes the RNG stream derived from
 (master seed, flat replica index), each point takes the next block of
-indices, work is cut into fixed 256-replica chunks regardless of thread
-count, and chunk results are reassembled in task order before any
-statistic is computed, so reports hash identically for every
-parallelism degree.  Wall-clock timings, overall and per point, live in
-a separate block excluded from the hash.
+indices, and a replica's results do not depend on which replicas share
+its chunk call.  A run keeps at most one process pool, of at most one
+worker per usable CPU, for all its points; a pooled point gives each
+worker one contiguous slice of its replicas, at most one per 256, and
+reassembles the slices in replica order before any statistic is
+computed, so reports hash identically for every parallelism degree.
+Wall-clock timings, overall and per point, live in a separate block
+excluded from the hash.
 
 The event loop reads each replica at its stops, strictly increasing
 times whose last is the horizon: a final-state point's whole time grid,
@@ -62,8 +65,9 @@ per (r, t).
 Per-replica set-up is kept off the event loop's path.  Replica i's
 stream is a Philox generator keyed by the master seed, started at
 counter ``i << 128`` (:func:`derive_replica_rng`): counter-based, so
-distinct replicas never share a block and each replays alone.  A chunk
-keys one Philox and resets its counter per replica, and runs all its
+distinct replicas never share a block and each replays alone.  A chunk,
+a whole point run in process or one worker's slice of it, keys one
+Philox and resets its counter per replica, and runs all its
 replicas through one call of the engine's event loop, which prepares
 what they share once and hands back flat per-replica lists (a replica
 draws from its stream at its first step, so a zero-rate start draws
@@ -109,8 +113,8 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-_CHUNK = 256  # replicas per task; fixed so folding is schedule-independent
-_PATH_ROWS = 2**16  # path rows a path chunk buffers before reducing them
+_CHUNK = 256  # a point takes at most one pool worker per _CHUNK replicas: one of at most _CHUNK runs in process
+_PATH_ROWS = 2**13  # path rows a path chunk buffers before reducing them
 
 
 class ConfigError(ValueError):
@@ -531,8 +535,9 @@ def _fv_path_chunk(payload: dict) -> dict:
     :func:`_path_stats`, whose per-replica results do not depend on
     which replicas share a reduction.  Once a replica's events would
     take the buffer past ``_PATH_ROWS`` path rows, the replicas before
-    it are reduced, so a chunk of long paths never holds all its events
-    at once, and a longer replica is reduced alone.
+    it are reduced, so a chunk buffers at most ``_PATH_ROWS`` rows and
+    one replica's path, however many replicas it holds, and a longer
+    replica is reduced alone.
     """
     T = payload["t"]
     runs = _Runs()
@@ -579,22 +584,43 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_point(worker, payload: dict, M: int, threads: int):
-    """Split a point into fixed chunks, map ``worker`` over them, reassemble in order.
-
-    A pool runs at most ``threads`` workers, one per chunk and per usable
-    CPU.  Returns the reassembled per-replica arrays, or the
-    :class:`EventCapError` if any replica hit the hard event cap.
+class _Pool:
+    """A run's process pool: ``size`` workers, ``threads`` but at most one
+    per usable CPU, started by the first :meth:`map` and shut down by
+    :meth:`close`, so a run whose points all run in process forks nothing.
     """
-    tasks = [dict(payload, start=start, stop=min(start + _CHUNK, M)) for start in range(0, M, _CHUNK)]
-    workers = min(threads, len(tasks), _cpu_count())
+
+    def __init__(self, threads: int):
+        self.size = min(threads, _cpu_count())
+        self._executor: ProcessPoolExecutor | None = None
+
+    def map(self, worker, tasks: list) -> list:
+        if self._executor is None:
+            # a fork pool forks all its workers at its first submit, before
+            # it starts a thread: no fork ever meets a thread of its own
+            self._executor = ProcessPoolExecutor(max_workers=self.size)
+        return list(self._executor.map(worker, tasks))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()  # map cancels what a failed slice leaves queued
+
+
+def _run_point(worker, payload: dict, M: int, pool: _Pool | None = None):
+    """Run a point's M replicas through ``worker``, reassembled in replica order.
+
+    Each process makes one ``worker`` call for its whole share.  With a
+    pool of more than one worker and more than ``_CHUNK`` replicas, each
+    worker takes one contiguous slice, at most one per ``_CHUNK``
+    replicas; otherwise the point runs in process.  Returns the
+    per-replica arrays, or the :class:`EventCapError` of the first replica
+    that hit the hard event cap.
+    """
+    slices = 1 if pool is None else min(pool.size, -(-M // _CHUNK))
+    cuts = [M * k // slices for k in range(slices + 1)]
+    tasks = [dict(payload, start=start, stop=stop) for start, stop in zip(cuts, cuts[1:])]
     try:
-        if workers <= 1:
-            parts = [worker(t) for t in tasks]
-        else:
-            # a fork pool starts all its workers at the first submit
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                parts = list(ex.map(worker, tasks))
+        parts = pool.map(worker, tasks) if slices > 1 else [worker(tasks[0])]
     except EventCapError as err:
         return err
     return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
@@ -604,12 +630,13 @@ def _run_point(worker, payload: dict, M: int, threads: int):
 class _Run:
     """One experiment in progress: the point runner every kind is declared over.
 
-    ``base`` is the first flat replica index of the next point;
-    ``aborted`` is set once any pass hits the event cap.
+    ``pool`` is the run's process pool, shared by its points; ``base``
+    is the first flat replica index of the next point; ``aborted`` is set
+    once any pass hits the event cap.
     """
 
     cfg: ExperimentConfig
-    threads: int
+    pool: _Pool
     report: Report
     outcomes: dict = field(default_factory=dict)
     base: int = 0
@@ -629,7 +656,7 @@ class _Run:
         """
         payload.update(r=r, t=t, seed=self.cfg.seed, base=self.base, event_cap=self.cfg.event_cap)
         started = time.perf_counter()
-        res = _run_point(worker, payload, M, self.threads)
+        res = _run_point(worker, payload, M, self.pool)
         stats = {"r": r, "t": t, "replicas": M, "wall_s": time.perf_counter() - started}
         self.report.timing.setdefault("points", []).append(stats)
         first, self.base = self.base, self.base + M
@@ -1111,8 +1138,11 @@ def run_experiment(
         seed=config.seed,
         config=config.canonical_dict(),
     )
-    run = _Run(config, threads, report)
-    _KINDS[config.kind].run(run)
+    run = _Run(config, _Pool(threads), report)
+    try:
+        _KINDS[config.kind].run(run)
+    finally:
+        run.pool.close()
     report.finalize_hash()
     report.timing.update(wall_seconds=time.perf_counter() - started, threads=threads)
     if out_dir is not None:

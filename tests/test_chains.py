@@ -22,7 +22,7 @@ from fvlab import (
     validate_model,
 )
 
-from fvlab.chains import _mean_occupation
+from fvlab.chains import _mean_occupation, _product
 
 from conftest import cycle_model_config, dense_expm, fv_absorption_law
 
@@ -47,6 +47,12 @@ def test_rate_matrix_rejects_diagonal_and_negative():
         RateMatrix(("a", "b"), np.array([[0.0, -2.0], [0.5, 0.0]]))
 
 
+def _overflowing_exit_model():
+    mutation = [{"from": "a", "to": "b", "rate": 0.75e308}, {"from": "a", "to": "c", "rate": 0.75e308}]
+    killing = {"kind": "power", "c": {"a": 1.0, "b": 1.0, "c": 1.0}, "beta": {"a": "2", "b": "1", "c": "1"}}
+    return validate_model({"states": ["a", "b", "c"], "mutation": mutation, "killing": killing})
+
+
 _CYCLE3 = RateMatrix(("u", "v", "w"), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
 _TWO_SITES = RateMatrix(("a", "b"), np.array([[0.0, 10.0], [5.0, 0.0]]))
 
@@ -69,12 +75,23 @@ _TWO_SITES = RateMatrix(("a", "b"), np.array([[0.0, 10.0], [5.0, 0.0]]))
             "site index must be an integer in",
         ),
         (lambda: _CYCLE3.entry("u", "zz"), "unknown state 'zz'"),
+        # the entries are finite but a's exit rate is not: ctmc_marginal used
+        # to end in numpy's overflow warning from the row sums
+        (
+            lambda: RateMatrix(("a", "b", "c"), [[0, 1e308, 1e308], [1, 0, 0], [1, 0, 0]]),
+            "the exit rate of row 'a' overflows",
+        ),
+        # a validated model builds such a row at a count n its event totals
+        # would not admit: a's two mutations share an exit rate of 1.5e308,
+        # and each limit takeover factor is 1
+        (lambda: condensate_rates(_overflowing_exit_model(), 2), "the exit rate of row 'a' overflows"),
         # 10 * 1e308 is not a double: the error comes before numpy could warn
         (lambda: ctmc_marginal(_TWO_SITES, "a", 1e308), "G t overflows: the largest exit rate 10.0 times 1e"),
         (lambda: _mean_occupation(_TWO_SITES, "a", 1e308), "G t overflows: the largest exit rate 10.0 times 1e"),
     ],
     ids=["shape", "n-below-2", "law-states", "marginal-unknown-label", "simulate-unknown-label", "simulate-law",
-         "entry-unknown-label", "marginal-overflow", "occupation-overflow"],
+         "entry-unknown-label", "row-sum-overflow", "condensate-row-sum-overflow", "marginal-overflow",
+         "occupation-overflow"],
 )
 def test_chains_raise_value_error_naming_the_input(call, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -456,6 +473,24 @@ def test_ctmc_marginal_matches_dense_expm_on_random_models():
             oracle = init @ dense_expm(rm.generator(), t)
             law = ctmc_marginal(rm, LawOnStates(states, init), t)
             assert np.abs(law.probs - oracle / oracle.sum()).max() <= 1e-14, (d, e)
+
+
+@pytest.mark.parametrize("d", [6, 20])
+def test_product_sums_in_index_order(d):
+    # the exponential's products: each entry is the inner sum taken from
+    # j = 0 up, one rounding per product and per addition, as Python floats
+    # sum it; a row-sum product (one column) too
+    rng = np.random.default_rng(d)
+    X, Y = rng.uniform(0.0, 1.0, size=(d, d)) ** 3, rng.uniform(0.0, 1.0, size=(d, d)) ** 3
+    for right in (Y, np.ones((d, 1))):
+        want = np.empty((d, right.shape[1]))
+        for i in range(d):
+            for k in range(right.shape[1]):
+                total = float(X[i, 0]) * float(right[0, k])
+                for j in range(1, d):
+                    total += float(X[i, j]) * float(right[j, k])
+                want[i, k] = total
+        assert _product(X, right).tobytes() == want.tobytes()
 
 
 def test_ctmc_marginal_t_zero_is_init():

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import sys
 
@@ -22,6 +23,7 @@ from fvlab import (
     run_experiment,
 )
 
+from fvlab import experiments
 from conftest import cycle_model_config, overflowing_totals_config, two_site_config
 
 
@@ -843,7 +845,7 @@ def test_theorem1_partial_abort_emits_no_summary():
 
 def test_event_cap_abort_thread_invariant_and_replayable():
     from fvlab import EmpiricalMeasure, EventCapError, simulate_fv
-    from fvlab.experiments import _fv_final_chunk, _run_point
+    from fvlab.experiments import _fv_final_chunk, _Pool, _run_point
 
     cfg = _partial_abort_config()
     serial, pooled = run_experiment(cfg), run_experiment(cfg, threads=2)
@@ -857,19 +859,23 @@ def test_event_cap_abort_thread_invariant_and_replayable():
     assert [(a["r"], t) for a in aborts for t in a["t"]] == abort_rows
 
     model, M, init = cfg.validated_model(), cfg.replicas, EmpiricalMeasure([3, 0, 0])
-    for abort in aborts:
-        r, times = abort["r"], abort["t"]
-        assert times == cfg.time_points
-        base = cfg.r_schedule.index(r) * M  # each pass takes the next M indices
-        payload = dict(model=model, counts=init.counts, r=r, t=times, seed=cfg.seed, base=base, event_cap=18)
-        err = _run_point(_fv_final_chunk, payload, M, threads=2)  # pickled out of a worker
-        assert isinstance(err, EventCapError)
-        assert err.replica == abort["replica"] and base <= err.replica < base + M
-        assert f"in replica {err.replica}" in str(err)
-        with pytest.raises(EventCapError) as replay:
-            rng = derive_replica_rng(cfg.seed, err.replica)
-            simulate_fv(model, r, init, times[-1], rng, record=False, event_cap=18)
-        assert (replay.value.time, replay.value.counts) == (err.time, err.counts)
+    pool = _Pool(2)
+    try:
+        for abort in aborts:
+            r, times = abort["r"], abort["t"]
+            assert times == cfg.time_points
+            base = cfg.r_schedule.index(r) * M  # each pass takes the next M indices
+            payload = dict(model=model, counts=init.counts, r=r, t=times, seed=cfg.seed, base=base, event_cap=18)
+            err = _run_point(_fv_final_chunk, payload, M, pool)  # pickled out of a worker
+            assert isinstance(err, EventCapError)
+            assert err.replica == abort["replica"] and base <= err.replica < base + M
+            assert f"in replica {err.replica}" in str(err)
+            with pytest.raises(EventCapError) as replay:
+                rng = derive_replica_rng(cfg.seed, err.replica)
+                simulate_fv(model, r, init, times[-1], rng, record=False, event_cap=18)
+            assert (replay.value.time, replay.value.counts) == (err.time, err.counts)
+    finally:
+        pool.close()
 
 
 def _abort_cases():
@@ -1420,15 +1426,16 @@ def test_result_hash_pinned(key):
     assert run_experiment(cfg).result_hash == _PINNED_HASHES[key]
 
 
-def _path_point(model_config, counts, r, T, M, seed=5, base=7):
-    """Run one theorem2 point of M replicas serially; check each replica's
-    statistics against its own trajectory, rebuilt from its stream."""
+def _path_point(model_config, counts, r, T, M, seed=5, base=7, pool=None):
+    """Run one theorem2 point of M replicas, in process or through
+    ``pool``; check each replica's statistics against its own trajectory,
+    rebuilt from its stream."""
     from fvlab import EmpiricalMeasure, simulate_fv, validate_model
     from fvlab.experiments import _fv_path_chunk, _run_point
 
     model = validate_model(model_config)
     payload = dict(model=model, counts=counts, r=r, t=T, seed=seed, base=base, event_cap=10**7)
-    res = _run_point(_fv_path_chunk, payload, M, 1)
+    res = _run_point(_fv_path_chunk, payload, M, pool)
     assert list(res) == ["integral", "avg_occ", "events"]  # the outcome table's column order
     init = EmpiricalMeasure(counts)
     for i in range(M):
@@ -1474,8 +1481,16 @@ def test_path_chunk_with_duel_blocks_matches_each_trajectory(monkeypatch):
 
 
 def test_path_chunks_of_a_partial_point_match_each_trajectory():
-    # 600 replicas: chunks of 256, 256 and 88
+    from fvlab.experiments import _Pool
+
+    # 600 replicas: one chunk call in process, then, with two CPUs, two
+    # worker slices of 300, each reduced in batches of _PATH_ROWS rows
     _path_point(cycle_model_config(), [3, 0, 0], 10.0, 0.5, 600)
+    pool = _Pool(2)
+    try:
+        _path_point(cycle_model_config(), [3, 0, 0], 10.0, 0.5, 600, pool=pool)
+    finally:
+        pool.close()
 
 
 def test_path_chunk_reduces_a_long_replica_alone(monkeypatch):
@@ -1555,7 +1570,7 @@ def _duel_point(worker, M, seed=5, base=7, event_cap=10**7):
     # the absorption kinds put the model without mutation in their payloads
     point_model = model.without_mutation if worker == "absorption" else model
     payload = dict(model=point_model, counts=(20, 20), r=1e4, t=t, seed=seed, base=base, event_cap=event_cap)
-    return model, _run_point(chunk, payload, M, 1)
+    return model, _run_point(chunk, payload, M)
 
 
 @pytest.mark.parametrize("worker", ["final", "path", "absorption"])
@@ -1564,7 +1579,7 @@ def test_chunk_replicas_equal_each_replica_run_alone(worker):
 
     from fvlab import EmpiricalMeasure, engine
 
-    M, seed, base = 300, 5, 7  # chunks of 256 and 44
+    M, seed, base = 300, 5, 7  # one chunk call
     with patch.object(engine, "_duel_block", wraps=engine._duel_block) as block:
         model, res = _duel_point(worker, M, seed, base)
     assert block.call_count
@@ -1574,12 +1589,11 @@ def test_chunk_replicas_equal_each_replica_run_alone(worker):
         for key, col in res.items():
             assert col[i].tobytes() == np.asarray(want[key], dtype=col.dtype).tobytes(), (i, key)
     if worker == "final":
-        # the first chunk mixes replicas absorbed at y before the first
-        # snapshot time with replicas that run to the horizon at x
-        first = slice(0, 256)
-        absorbed = (res["final"][first, 0, 1] == 40) & (res["events"][first, 0] == res["events"][first, -1])
-        assert 0 < absorbed.sum() < 256
-        assert (res["final"][first, -1, 0] == 40).any()
+        # the chunk mixes replicas absorbed at y before the first snapshot
+        # time with replicas that run to the horizon at x
+        absorbed = (res["final"][:, 0, 1] == 40) & (res["events"][:, 0] == res["events"][:, -1])
+        assert 0 < absorbed.sum() < M
+        assert (res["final"][:, -1, 0] == 40).any()
 
 
 @pytest.mark.parametrize("worker", ["final", "path", "absorption"])
@@ -1602,51 +1616,109 @@ def test_chunk_cap_hit_past_its_first_replica_names_that_replica(worker):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the tasks of
+    each map, runs them in process."""
 
     sizes: list[int] = []
+    maps: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, tasks):
+        self.maps.append(len(tasks))
         return map(fn, tasks)
 
+    def shutdown(self, cancel_futures=False):
+        pass
 
-@pytest.mark.parametrize("threads,size", [(64, 3), (2, 2)])
-def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
+
+def _inline_pool(monkeypatch, cpus):
     import fvlab.experiments as experiments
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(experiments, "_cpu_count", lambda: 8)  # more CPUs than chunks
+    monkeypatch.setattr(_InlinePool, "maps", [])
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("threads,size", [(64, 3), (2, 2)])
+def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
+    # a point gives at most one slice per chunk of replicas to the run's one
+    # pool, whose size is the CPUs'
+    _inline_pool(monkeypatch, 8)  # more CPUs than chunks
     cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
     rep = run_experiment(cfg, threads=threads)
-    assert _InlinePool.sizes == [size] * 2  # one particle point per r
+    assert _InlinePool.sizes == [min(threads, 8)]  # one pool for the run
+    assert _InlinePool.maps == [size] * 2  # one particle point per r
     assert rep.result_hash == run_experiment(cfg).result_hash
 
 
 @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (1, [])], ids=["two-cpus", "one-cpu"])
 def test_point_pool_has_no_more_workers_than_cpus(monkeypatch, cpus, sizes):
-    import fvlab.experiments as experiments
-    from fvlab import validate_model
-    from fvlab.experiments import _fv_final_chunk, _run_point
+    _inline_pool(monkeypatch, cpus)
+    frozen = dict(cycle_model_config(), mutation=[])  # Dirac replicas, which draw nothing
+    cfg = ExperimentConfig.from_dict(theorem1_doc(model=frozen, replicas=3 * 256))  # three chunks per point
+    rep = run_experiment(cfg, threads=5000)
+    assert _InlinePool.sizes == sizes  # one CPU: the points run in process, no pool
+    assert _InlinePool.maps == [2] * 2 * len(sizes)
+    assert rep.result_hash == run_experiment(cfg).result_hash
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
-    # 300 chunks of frozen Dirac replicas, which draw nothing
-    model = validate_model(dict(cycle_model_config(), mutation=[]))
-    payload = dict(model=model, counts=(3, 0, 0), r=10.0, t=(0.5,), seed=1, base=0, event_cap=10)
-    res = _run_point(_fv_final_chunk, payload, 300 * 256, 5000)
-    assert _InlinePool.sizes == sizes  # one CPU: the serial path, no pool
-    assert res["final"].shape == (300 * 256, 1, 3) and not res["events"].any()
+
+def test_run_forks_nothing_when_every_point_fits_one_chunk(monkeypatch):
+    import fvlab.experiments as experiments
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 8)
+    cfg = ExperimentConfig.from_dict(theorem1_doc(replicas=256))
+    assert run_experiment(cfg, threads=8).result_hash == run_experiment(cfg).result_hash
+
+
+def _fail_past_r10(payload, chunk=experiments._fv_final_chunk):
+    """Stands in for the final-state chunk function ``chunk``: fails, in
+    whichever process runs it, at every intensity past 10."""
+    if payload["r"] > 10:
+        raise RuntimeError(f"worker failed at r = {payload['r']:g}")
+    return chunk(payload)
+
+
+def test_one_pool_serves_every_point_and_is_gone_after_the_run(monkeypatch):
+    import fvlab.experiments as experiments
+
+    made = []
+    pool = experiments.ProcessPoolExecutor
+
+    def counted(**kwargs):
+        made.append(kwargs)
+        return pool(**kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", counted)
+    # three points of two worker slices each, with two CPUs
+    cfg = ExperimentConfig.from_dict(theorem1_doc(r_schedule=[10.0, 100.0, 1000.0], replicas=300))
+    pooled = run_experiment(cfg, threads=2)
+    assert multiprocessing.active_children() == []
+    assert made == ([{"max_workers": 2}] if experiments._cpu_count() >= 2 else [])
+    serial = run_experiment(cfg)
+    assert pooled.result_hash == serial.result_hash and pooled.rows == serial.rows
+
+
+def test_pool_is_gone_after_a_run_that_aborts_on_the_event_cap():
+    rep = run_experiment(_partial_abort_config(), threads=2)
+    assert rep.timing["event_cap_aborts"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_is_gone_after_a_run_that_raises_in_a_later_point(monkeypatch):
+    import fvlab.experiments as experiments
+
+    # the r = 10 point completes in the pool; the r = 100 point's workers raise
+    monkeypatch.setattr(experiments, "_fv_final_chunk", _fail_past_r10)
+    with pytest.raises(RuntimeError, match="worker failed at r = 100"):
+        run_experiment(theorem1_doc(replicas=300), threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_cpu_count_is_the_usable_cpus(monkeypatch):
