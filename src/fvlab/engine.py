@@ -98,11 +98,14 @@ that would reach the cap is handed back to the generic step at the same
 buffer position, which takes it from the same draws.  A duel that ends
 in a Dirac mass goes on to the condensate's next event, its own
 mutation, and when that mutation goes back into the pair it is a duel
-step too: it reads the end's total from the table, as any split's,
-takes the generic step's target search and starts the new duel.  A
-mutation to a third site, a Dirac site with no mutation exit, a crossed
-stop and the cap step go to the generic step as above.  Other supports
-of one site, and those of three or more, take the generic step.
+step too.  An end's thresholds read a mutation at every uniform, and the
+pair's record keeps each end's :func:`_span`, the target uniforms at
+which the generic step's target search picks the pair's other site, by
+the same monotone rounding: an end step whose target uniform lies in it
+leaves the end, timed by the end's total as any split's step.  A
+mutation to a third site and a Dirac site with no mutation exit go to
+the generic step as above.  Other supports of one site, and those of
+three or more, take the generic step.
 
 A duel that outlasts its first 32 scalar steps advances in numpy
 blocks, each one scalar step apart and each reaching to the end of the
@@ -157,7 +160,7 @@ __all__ = [
 DEFAULT_EVENT_CAP = 10**7  # over 200x the most events any acceptance or benchmark replica takes
 _FIRST = 21  # steps drawn by a replica's first refill
 _BLOCK = 1365  # most steps drawn per refill: their exponentials, then their uniforms
-_DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block, and after each condensate step
+_DUEL_SCALAR = 32  # scalar steps of a duel before its first numpy block
 _DUEL_BLOCK_MIN = 128  # fewest steps left before the refill or the cap for a duel to run a block
 _NEAR = np.arange(-4, 5)[:, None, None]  # offsets, in doubles, at which duel thresholds are first sought
 _TWO = np.float64(2.0).view(np.int64)  # the bit pattern of 2.0, above every uniform
@@ -350,11 +353,13 @@ def _rates(counts, n, inv_nm1, lam, mut_exit):
     return r_mut, r_mut + r_sel * inv_nm1, tuple(sites)
 
 
-def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
+def _state(states, key, counts, n, inv_nm1, lam, model):
     """The :func:`_rates` record of ``counts``, ``(r_mut, total, sites,
     duel)``, kept in ``states`` under ``key``: ``duel`` is the pair's
-    :func:`_duel` when the support is two sites a < b, else None.
-    ``states`` is emptied first when it holds ``_STATES``.
+    :func:`_duel` when the support is two sites a < b, else None, with
+    its Dirac ends' :func:`_span` of ``model``'s rows, b's at a for the
+    end 0 and a's at b for the end n.  ``states`` is emptied first when
+    it holds ``_STATES``.
 
     A record is two tuples of numbers and its pair's shared duel, and
     ``key`` an int, so thousands of them add few objects for the cyclic
@@ -363,25 +368,31 @@ def _state(states, key, counts, n, inv_nm1, lam, mut_exit):
     """
     if len(states) >= _STATES:
         states.clear()
-    r_mut, total, sites = _rates(counts, n, inv_nm1, lam, mut_exit)
+    exits = model.exit_rate
+    r_mut, total, sites = _rates(counts, n, inv_nm1, lam, exits)
     duel = None
     if len(sites) == 6:
         a, b = sites[0], sites[3]
-        duel = _duel(n, lam[a], lam[b], mut_exit[a], mut_exit[b])
+        to, out = model.out_targets, model.out_rates
+        ends = _span(to[b], out[b], exits[b], a), _span(to[a], out[a], exits[a], b)
+        duel = _duel(n, lam[a], lam[b], exits[a], exits[b], ends)
     state = states[key] = (r_mut, total, sites, duel)
     return state
 
 
 @functools.lru_cache(maxsize=64)
-def _duel(n, la, lb, ea, eb):
+def _duel(n, la, lb, ea, eb, ends):
     """The duel of a pair of sites a < b with killing rates ``la``, ``lb``
     and mutation exits ``ea``, ``eb`` among n particles: ``(total_tab,
-    mu_tab, tau_tab, totals, cuts, p_a, through)``, the total rate and
-    the rows of :func:`_duel_thresholds` per split, indexed by the count
-    at a, as lists for the scalar step and as arrays for
+    mu_tab, tau_tab, totals, cuts, p_a, through, ends)``, the total rate
+    and the rows of :func:`_duel_thresholds` per split, indexed by the
+    count at a, as lists for the scalar step and as arrays for
     :func:`_duel_block`, ``p_a = la / (la + lb)``, the probability at
-    every split that a count-changing death is at a, and ``through``,
-    ``cuts`` with the end 0's or n's column read as no mismatch.
+    every split that a count-changing death is at a, ``through``,
+    ``cuts`` with the end 0's or n's column read as no mismatch, and
+    ``ends``, the target uniforms at which the end 0's and n's mutation
+    goes back into the pair (:func:`_span`).  The list ``tau_tab`` reads
+    0.0 at the end 0, so the scalar step that leaves it goes up.
 
     Each split's mutation rate, death rate at a and total rate are
     :func:`_rates`' own over the support {a, b}, so they are bit for bit
@@ -389,7 +400,7 @@ def _duel(n, la, lb, ea, eb):
     or n) included: an end's death rate is 0.0 and its total is the
     Dirac record's, ``n * exit`` of the occupied site, a normal double:
     ``u * total < total`` for every uniform, so an end's thresholds are
-    1.0, or 2.0 where its site has no exit: the scalar step never steps past it.
+    1.0, or 2.0 where its site has no exit: every uniform reads a mutation.
 
     They depend on these numbers alone, so a process keeps the 64 it used
     last, whatever model they came from, and each record of the pair's
@@ -406,7 +417,9 @@ def _duel(n, la, lb, ea, eb):
     p_a = la / (la + lb)
     through = cuts.copy(), cuts.copy()  # a block's cuts through the end 0 or n: no mismatch there
     through[0][:, 0] = through[1][:, n] = 0.0, p_a
-    return (tables[2].tolist(), *cuts.tolist(), tables[2], cuts, p_a, through)
+    mu_tab, tau_tab = cuts.tolist()
+    tau_tab[0] = 0.0
+    return tables[2].tolist(), mu_tab, tau_tab, tables[2], cuts, p_a, through, ends
 
 
 def _duel_thresholds(rm, kill_a, total):
@@ -448,7 +461,8 @@ def _span(targets, rates, exit, dst):
     search, subtracting a site's ``rates`` in turn from ``u * exit`` until
     one goes below 0.0, picks ``dst``: from the least u that passes the
     rates before it up to the least that passes its own; None where none
-    does or a bound is not found.  Keyed by the site's target row itself.
+    does or a bound is not found.  Keyed by the site's target row itself;
+    :func:`_state` keeps a pair's two in its :func:`_duel`.
     """
     if dst not in targets:
         return None
@@ -585,12 +599,12 @@ def _run_replicas(
         t = 0.0
         n_events = 0
         while True:
-            state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
+            state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, model)
             if state[3] is not None:
                 # Two-site duel: the generic step below, specialized.  Its
                 # decisions are thresholds on the category uniform, exact
                 # per split for the generic loop's own float expressions.
-                total_tab, mu_tab, tau_tab, totals, cuts, p_a, through = state[3]
+                total_tab, mu_tab, tau_tab, totals, cuts, p_a, through, ends = state[3]
                 a, b = state[2][0], state[2][3]
                 ka = counts[a]
                 run = _DUEL_SCALAR  # scalar steps before the next block
@@ -607,7 +621,11 @@ def _run_replicas(
                             pos = 0
                         u = ubuf[pos]
                         if u < mu_tab[ka]:
-                            break  # a mutation, or the duel is over: likewise
+                            # a mutation, or the duel is over: likewise, but for a
+                            # Dirac end's mutation whose target is the pair's other site
+                            span = ends[ka > 0]
+                            if 0 < ka < n or span is None or not span[0] <= ubuf[size + pos] < span[1]:
+                                break
                         t_next = t + ebuf[pos] / total_tab[ka]
                         if t_next > stop:
                             break  # a stop: likewise
@@ -619,14 +637,14 @@ def _run_replicas(
                                 ev_t.append(t)
                                 ev_src.append(a)
                                 ev_tgt.append(b)
-                                ev_kind.append("selection")
+                                ev_kind.append("mutation" if ka == n - 1 else "selection")
                         else:
                             ka += 1
                             if record:
                                 ev_t.append(t)
                                 ev_src.append(b)
                                 ev_tgt.append(a)
-                                ev_kind.append("selection")
+                                ev_kind.append("mutation" if ka == 1 else "selection")
                         n_events += 1
                     else:
                         # A block runs up to the refill or to the step before the
@@ -639,8 +657,7 @@ def _run_replicas(
                             run = m + 1
                             continue
                         end = n if 2 * ka > n else 0  # the Dirac end nearer ka
-                        src, dst = (a, b) if end else (b, a)
-                        span = _span(mut_targets[src], mut_rates[src], mut_exit[src], dst)
+                        span = ends[end > 0]
                         steps, path, times = _duel_block(through[end > 0] if span else cuts, totals, p_a, ka, t,
                                                          stop, e_arr, u_arr, pos, m, end, span, size)
                         if steps:
@@ -658,40 +675,11 @@ def _run_replicas(
                             ka = int(path[-1])
                         run = 1
                         continue
-                    # A Dirac end with rate, its step's draws in the buffer: the
-                    # condensate's own mutation back into the pair is a duel
-                    # step too, with the generic step's target search; any
-                    # other step is handed to the generic step.
-                    total = total_tab[ka]
-                    if 0 < ka < n or n_events >= last or total <= 0.0:
-                        break
-                    src, other = (a, b) if ka else (b, a)
-                    t_next = t + ebuf[pos] / total
-                    if t_next > stop:
-                        break
-                    y = ubuf[size + pos] * mut_exit[src]
-                    tgt = mut_targets[src][-1]
-                    for j, rate in zip(mut_targets[src], mut_rates[src]):
-                        y -= rate
-                        if y < 0.0:
-                            tgt = j
-                            break
-                    if tgt != other:
-                        break
-                    pos += 1
-                    t = t_next
-                    ka = n - 1 if ka else 1
-                    n_events += 1
-                    if record:
-                        ev_t.append(t)
-                        ev_src.append(src)
-                        ev_tgt.append(tgt)
-                        ev_kind.append("mutation")
-                    run = _DUEL_SCALAR
+                    break
                 if ka != counts[a]:
                     key += (ka - counts[a]) * (place[a] - place[b])
                     counts[a], counts[b] = ka, n - ka
-                    state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, mut_exit)
+                    state = states.get(key) or _state(states, key, counts, n, inv_nm1, lam, model)
 
             r_mut, total, sites, _ = state
             if total <= 0.0:

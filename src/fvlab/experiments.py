@@ -585,9 +585,11 @@ def _cpu_count() -> int:
 
 
 class _Pool:
-    """A run's process pool: ``size`` workers, ``threads`` but at most one
-    per usable CPU, started by the first :meth:`map` and shut down by
-    :meth:`close`, so a run whose points all run in process forks nothing.
+    """A run's process pool of at most ``size`` workers, ``threads`` but at
+    most one per usable CPU, started by the first :meth:`map` with one
+    worker per task and shut down by :meth:`close`, so a run whose points
+    all run in process forks nothing.  Every point of a run has the same
+    replica count, so its first map has as many slices as any later one.
     """
 
     def __init__(self, threads: int):
@@ -598,7 +600,7 @@ class _Pool:
         if self._executor is None:
             # a fork pool forks all its workers at its first submit, before
             # it starts a thread: no fork ever meets a thread of its own
-            self._executor = ProcessPoolExecutor(max_workers=self.size)
+            self._executor = ProcessPoolExecutor(max_workers=len(tasks))
         return list(self._executor.map(worker, tasks))
 
     def close(self) -> None:

@@ -311,11 +311,22 @@ def oracle_cuts(n, la, lb, ea, eb):
 
 
 def assert_duel_equals_the_per_split_expressions(n, la, lb, ea, eb):
-    # the memo would answer a float64 pair with the tables of an equal float pair
-    total_tab, mu_tab, tau_tab, totals, cuts, p_a, through = engine._duel.__wrapped__(n, la, lb, ea, eb)
+    # the pair as a model of two sites that mutate into each other at the
+    # exits ea and eb, its record built as the event loop builds it; the
+    # memo would answer a float64 pair with the tables of an equal float pair
+    mutation = [{"from": x, "to": y, "rate": q} for x, y, q in (("x", "y", ea), ("y", "x", eb)) if q]
+    model = validate_model(dict(two_site_config(), mutation=mutation))
+    with patch.object(engine, "_duel", engine._duel.__wrapped__):
+        *_, duel = engine._state({}, 0, (1, n - 1), n, 1.0 / (n - 1), (la, lb), model)
+    total_tab, mu_tab, tau_tab, totals, cuts, p_a, through, ends = duel
     want_cuts, (_, _, want_totals) = oracle_cuts(n, la, lb, ea, eb)
     assert totals.shape == (n + 1,) and cuts.shape == (2, n + 1)
-    assert total_tab == totals.tolist() and [mu_tab, tau_tab] == cuts.tolist()
+    assert total_tab == totals.tolist() and mu_tab == cuts[0].tolist()
+    # tau reads 0.0 at the end 0, so the scalar step that leaves it goes up
+    assert tau_tab == [0.0, *cuts[1, 1:].tolist()]
+    # each Dirac end's span: where its site's target search picks the pair's other site
+    rows = model.out_targets, model.out_rates, model.exit_rate
+    assert ends == tuple(engine._span(*(row[src] for row in rows), dst) for src, dst in ((1, 0), (0, 1)))
     assert [float.hex(v) for v in total_tab] == [float.hex(float(v)) for v in want_totals]
     assert cuts[:, 1:n].tobytes() == want_cuts[:, 1:n].tobytes()
     # each Dirac end's total is the Dirac record's, bit for bit
@@ -393,7 +404,7 @@ def test_duel_thresholds_far_from_their_first_guess(la, lb, ea, eb):
     with pytest.raises(RuntimeError, match="a duel threshold lies outside the doubles around its guess"):
         oracle_cuts(n, la, lb, ea, eb)
     with pytest.raises(RuntimeError, match="a duel threshold lies outside the doubles around its guess"):
-        engine._duel.__wrapped__(n, la, lb, ea, eb)
+        engine._duel.__wrapped__(n, la, lb, ea, eb, (None, None))
     config = {
         "states": ["a", "b"],
         "mutation": [{"from": "a", "to": "b", "rate": ea}, {"from": "b", "to": "a", "rate": eb}],
@@ -984,22 +995,25 @@ def test_dirac_end_hand_offs_match_the_reference(hand_off):
 
 class ChosenDraws:
     """A stream of chosen doubles, laid out as both event loops read it:
-    each refill's exponentials are 1.0 and then 1e300, so that one step
-    alone comes before a horizon of 1, and its uniforms are 0.5 but for
-    that step's category and target uniforms.  Like a numpy generator it
-    returns ``size`` draws or fills ``out``."""
+    the category and target uniforms of the first steps, one or a
+    sequence of each.  Each refill's exponentials are 1.0 for those steps
+    and then 1e300, so that they alone come before a horizon of 1 at
+    rates whose waiting times sum below it, and its other uniforms are
+    0.5.  Like a numpy generator it returns ``size`` draws or fills ``out``."""
 
     def __init__(self, category, target):
-        self.category, self.target = category, target
+        self.category, self.target = np.atleast_1d(category), np.atleast_1d(target)
 
     def standard_exponential(self, size=None, out=None):
         draws = np.full(size or len(out), 1e300)
-        draws[0] = 1.0
+        draws[:len(self.category)] = 1.0
         return self._give(draws, out)
 
     def random(self, size=None, out=None):
         draws = np.full(size or len(out), 0.5)
-        draws[0], draws[len(draws) // 2] = self.category, self.target
+        half = len(draws) // 2
+        draws[:len(self.category)] = self.category
+        draws[half:half + len(self.target)] = self.target
         return self._give(draws, out)
 
     @staticmethod
@@ -1008,6 +1022,45 @@ class ChosenDraws:
             return draws
         out[:] = draws
         return out
+
+
+def pair_in_the_middle_model():
+    """s1 and s2 mutate to each other and to s0 and s3, so that each one's
+    target row holds the other in its middle; equal power-law killing."""
+    states = ["s0", "s1", "s2", "s3"]
+    rows = [(x, y, q) for x, other in (("s1", "s2"), ("s2", "s1")) for y, q in (("s0", 1.0), (other, 2.0), ("s3", 0.5))]
+    return validate_model(
+        {
+            "states": states,
+            "mutation": [{"from": x, "to": y, "rate": q} for x, y, q in rows],
+            "killing": {"kind": "power", "c": dict.fromkeys(states, 1.0), "beta": dict.fromkeys(states, "1")},
+        }
+    )
+
+
+@pytest.mark.parametrize("bound", ["lo", "below-lo", "hi", "below-hi"])
+@pytest.mark.parametrize("end", ["n", "0"])
+def test_dirac_end_step_takes_its_span_exactly(end, bound):
+    # A duel of s1 and s2 at n = 4 reaches a Dirac end by a death at its
+    # lone particle's site (category uniform 0.9 at the split 3 | 1, 0.3 at
+    # 1 | 3), and the condensate's mutation then reads its target uniform
+    # at a bound of the end's span or at the double below it.  The scalar
+    # duel step takes that step exactly when the uniform lies in the span,
+    # without ever building the Dirac's record; the generic step takes the
+    # others, to the pair's other site or to s0 or s3, the reference's way.
+    model, n, r = pair_in_the_middle_model(), 4, 100.0
+    src, dst = (1, 2) if end == "n" else (2, 1)
+    counts = [0, n - 1, 1, 0] if end == "n" else [0, 1, n - 1, 0]
+    row = model.out_targets[src], model.out_rates[src], model.exit_rate[src]
+    lo, hi = engine._span.__wrapped__(*row, dst)
+    v = {"lo": lo, "below-lo": np.nextafter(lo, 0.0), "hi": hi, "below-hi": np.nextafter(hi, 0.0)}[bound]
+    case = dict(model=model, r=r, init=EmpiricalMeasure(counts), T=1.0, record=True)
+    draws = ((0.9 if end == "n" else 0.3, 0.5), (0.5, float(v)))
+    want = reference_simulate(rng=ChosenDraws(*draws), **case)
+    assert [ev[1:] for ev in want[2]] == [("selection", dst, src), ("mutation", src, target_of(float(v), *row))]
+    assert live_simulate(rng=ChosenDraws(*draws), **case)[:4] == want
+    _, states, place = engine._kernel(model, r, n)
+    assert (n * place[src] in states) == (bound in ("below-lo", "hi"))
 
 
 # counts, killing rates, mutation exits and a category uniform at which

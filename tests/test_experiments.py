@@ -1645,11 +1645,11 @@ def _inline_pool(monkeypatch, cpus):
 @pytest.mark.parametrize("threads,size", [(64, 3), (2, 2)])
 def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
     # a point gives at most one slice per chunk of replicas to the run's one
-    # pool, whose size is the CPUs'
+    # pool, which starts one worker per slice of its first point
     _inline_pool(monkeypatch, 8)  # more CPUs than chunks
     cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
     rep = run_experiment(cfg, threads=threads)
-    assert _InlinePool.sizes == [min(threads, 8)]  # one pool for the run
+    assert _InlinePool.sizes == [size]  # one pool for the run, no idle worker
     assert _InlinePool.maps == [size] * 2  # one particle point per r
     assert rep.result_hash == run_experiment(cfg).result_hash
 
