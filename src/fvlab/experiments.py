@@ -39,19 +39,24 @@ A valid value is declared once per entry name, in ``_VALUES``, and holds
 wherever the name appears; :meth:`ExperimentConfig.validate` is one pass
 over both tables and rejects any field the kind does not read.  Every
 runner is a thin function over one point runner, :class:`_Run`:
-``point`` runs the replicas of one point through a module-level chunk
-function and records abort rows if a replica hits the event cap, and
-``outcome`` stores a per-replica table with its digest.  Replicas are
-deterministic: replica i of a run consumes the RNG stream derived from
-(master seed, flat replica index), each point takes the next block of
-indices, and a replica's results do not depend on which replicas share
-its chunk call.  A run keeps at most one process pool, of at most one
-worker per usable CPU, for all its points; a pooled point gives each
-worker one contiguous slice of its replicas, at most one per 256, and
-reassembles the slices in replica order before any statistic is
-computed, so reports hash identically for every parallelism degree.
+``point`` takes the next block of replica indices for one point and
+returns its handle, and reading the handle gives the replicas' results
+from a module-level chunk function, or records abort rows if a replica
+hit the event cap; ``outcome`` stores a per-replica table with its
+digest.  The kinds of several points make every handle first, then read
+them in order.  Replicas are deterministic: replica i of a run consumes
+the RNG stream derived from (master seed, flat replica index), and a
+replica's results do not depend on which replicas share its chunk call.
+A run keeps at most one process pool, of at most one worker per usable
+CPU, for all its points; a pooled point gives each worker one
+contiguous slice of its replicas, at most one per 256, and reassembles
+the slices in replica order before any statistic is computed, so reports
+hash identically for every parallelism degree.  Reading a pooled point
+queues the next one, so the pool simulates it while the parent reduces
+the current one, and at most two points' results are held at once.
 Wall-clock timings, overall and per point, live in a separate block
-excluded from the hash.
+excluded from the hash; a pooled point's time runs from its submission,
+so the points' times overlap.
 
 The event loop reads each replica at its stops, strictly increasing
 times whose last is the horizon: a final-state point's whole time grid,
@@ -586,46 +591,62 @@ def _cpu_count() -> int:
 
 class _Pool:
     """A run's process pool of at most ``size`` workers, ``threads`` but at
-    most one per usable CPU, started by the first :meth:`map` with one
+    most one per usable CPU, started by the first :meth:`submit` with one
     worker per task and shut down by :meth:`close`, so a run whose points
     all run in process forks nothing.  Every point of a run has the same
-    replica count, so its first map has as many slices as any later one.
+    replica count, so its first submit has as many slices as any later one.
+    A run queues its next pooled point while the parent reduces the
+    current one, so the pool holds the slices of at most two points.
     """
 
     def __init__(self, threads: int):
         self.size = min(threads, _cpu_count())
         self._executor: ProcessPoolExecutor | None = None
 
-    def map(self, worker, tasks: list) -> list:
+    def submit(self, worker, tasks: list) -> list:
         if self._executor is None:
             # a fork pool forks all its workers at its first submit, before
             # it starts a thread: no fork ever meets a thread of its own
             self._executor = ProcessPoolExecutor(max_workers=len(tasks))
-        return list(self._executor.map(worker, tasks))
+        return [self._executor.submit(worker, task) for task in tasks]
 
-    def close(self) -> None:
+    def close(self, cancel: bool = False) -> None:
+        """Shut the pool down; ``cancel`` drops the slices still queued,
+        those of a point that a run leaving by an exception never reads."""
         if self._executor is not None:
-            self._executor.shutdown()  # map cancels what a failed slice leaves queued
+            self._executor.shutdown(cancel_futures=cancel)
 
 
 def _run_point(worker, payload: dict, M: int, pool: _Pool | None = None):
-    """Run a point's M replicas through ``worker``, reassembled in replica order.
+    """Queue a point's M replicas through ``worker`` and return its reader.
 
     Each process makes one ``worker`` call for its whole share.  With a
     pool of more than one worker and more than ``_CHUNK`` replicas, each
     worker takes one contiguous slice, at most one per ``_CHUNK``
-    replicas; otherwise the point runs in process.  Returns the
-    per-replica arrays, or the :class:`EventCapError` of the first replica
-    that hit the hard event cap.
+    replicas, submitted now; otherwise the point runs in process when it
+    is read.  The reader returns the per-replica arrays, reassembled in
+    replica order, or the :class:`EventCapError` of the first replica that
+    hit the hard event cap; and the point's wall time, from submission to
+    its last slice's result in a pool, its run in process.
     """
     slices = 1 if pool is None else min(pool.size, -(-M // _CHUNK))
     cuts = [M * k // slices for k in range(slices + 1)]
     tasks = [dict(payload, start=start, stop=stop) for start, stop in zip(cuts, cuts[1:])]
-    try:
-        parts = pool.map(worker, tasks) if slices > 1 else [worker(tasks[0])]
-    except EventCapError as err:
-        return err
-    return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
+    started = time.perf_counter()
+    futures = pool.submit(worker, tasks) if slices > 1 else None
+
+    def read() -> tuple[dict | EventCapError, float]:
+        begun = started if futures else time.perf_counter()
+        try:
+            parts = [f.result() for f in futures] if futures else [worker(tasks[0])]
+        except EventCapError as err:
+            for f in futures or ():
+                f.cancel()  # the point's slices still queued
+            return err, time.perf_counter() - begun
+        res = {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}
+        return res, time.perf_counter() - begun
+
+    return read
 
 
 @dataclass
@@ -633,8 +654,9 @@ class _Run:
     """One experiment in progress: the point runner every kind is declared over.
 
     ``pool`` is the run's process pool, shared by its points; ``base``
-    is the first flat replica index of the next point; ``aborted`` is set
-    once any pass hits the event cap.
+    is the first flat replica index of the next point; ``unread`` holds
+    the submit calls of the points whose handles are not read yet, in
+    order; ``aborted`` is set once any pass hits the event cap.
     """
 
     cfg: ExperimentConfig
@@ -642,44 +664,64 @@ class _Run:
     report: Report
     outcomes: dict = field(default_factory=dict)
     base: int = 0
+    unread: list = field(default_factory=list)
     aborted: bool = False
 
     def row(self, r, t, statistic, value, half_width, verdict) -> None:
         values = (self.report.name, r, t, statistic, value, half_width, verdict)
         self.report.rows.append(dict(zip(_SUMMARY_COLUMNS, values)))
 
-    def point(self, worker, M: int, r, t, **payload) -> dict | None:
-        """Run M replicas of ``worker`` on the next index block.
+    def point(self, worker, M: int, r, t, **payload) -> Callable[[], dict | None]:
+        """Take the next index block for M replicas of ``worker`` and return
+        the point's handle; handles are read in the order they were made.
 
         ``t`` is the point's time, or a tuple of times for
         :func:`_fv_final_chunk`, which takes every one in one pass.
-        Returns the per-replica arrays, or None after recording an abort
-        row at each of the point's times when a replica hit the event cap.
+        Reading a handle queues its point, if not yet queued, and the next
+        point, then waits for its point: a pooled run simulates the next
+        point while the parent reduces this one, and holds the results of
+        at most two points.  An in-process point runs when it is read.
+        The handle returns the per-replica arrays, or None after recording
+        an abort row at each of the point's times when a replica hit the
+        event cap; rows and ``timing`` entries follow the order of reads.
         """
         payload.update(r=r, t=t, seed=self.cfg.seed, base=self.base, event_cap=self.cfg.event_cap)
-        started = time.perf_counter()
-        res = _run_point(worker, payload, M, self.pool)
-        stats = {"r": r, "t": t, "replicas": M, "wall_s": time.perf_counter() - started}
-        self.report.timing.setdefault("points", []).append(stats)
         first, self.base = self.base, self.base + M
-        if isinstance(res, EventCapError):
-            self.aborted = True
-            for row_t in t if isinstance(t, tuple) else (t,):
-                self.row(r, row_t, "event_cap_abort", float(res.cap), "", "FAIL")
-            aborts = self.report.timing.setdefault("event_cap_aborts", [])
-            aborts.append({"r": r, "t": t, "replica": res.replica})
-            return None
-        events = res["events"].reshape(M, -1)[:, -1]  # over the whole pass
-        total = int(events.sum())
-        p50, p99 = (int(v) for v in np.quantile(events, [0.5, 0.99], method="inverted_cdf"))
-        stats.update(
-            events=total,
-            events_per_s=total / stats["wall_s"],
-            events_per_replica={"p50": p50, "p99": p99, "max": int(events.max())},
-            max_events_replica=first + int(events.argmax()),
-        )
-        self.report.events_total += total
-        return res
+        reader = []  # the point's reader, once it is submitted
+
+        def submit() -> None:
+            if not reader:
+                reader.append(_run_point(worker, payload, M, self.pool))
+
+        def read() -> dict | None:
+            self.unread.remove(submit)
+            submit()
+            if self.unread:
+                self.unread[0]()  # the pool runs the next point while this one is reduced
+            res, wall_s = reader[0]()
+            stats = {"r": r, "t": t, "replicas": M, "wall_s": wall_s}
+            self.report.timing.setdefault("points", []).append(stats)
+            if isinstance(res, EventCapError):
+                self.aborted = True
+                for row_t in t if isinstance(t, tuple) else (t,):
+                    self.row(r, row_t, "event_cap_abort", float(res.cap), "", "FAIL")
+                aborts = self.report.timing.setdefault("event_cap_aborts", [])
+                aborts.append({"r": r, "t": t, "replica": res.replica})
+                return None
+            events = res["events"].reshape(M, -1)[:, -1]  # over the whole pass
+            total = int(events.sum())
+            p50, p99 = (int(v) for v in np.quantile(events, [0.5, 0.99], method="inverted_cdf"))
+            stats.update(
+                events=total,
+                events_per_s=total / wall_s,
+                events_per_replica={"p50": p50, "p99": p99, "max": int(events.max())},
+                max_events_replica=first + int(events.argmax()),
+            )
+            self.report.events_total += total
+            return res
+
+        self.unread.append(submit)
+        return read
 
     def outcome(self, fname: str, states, arrays: Mapping[str, np.ndarray]) -> None:
         text = _occupation_csv(states, arrays)
@@ -722,7 +764,8 @@ def _tv_standard_error(samples: np.ndarray) -> float:
 def _occupation_csv(states, arrays: Mapping[str, np.ndarray]) -> str:
     """Per-replica table: ``replica``, then each array's columns (``<key>_<state>``
     for a 2-D one).  A column's format follows its dtype: ``%d`` for int,
-    ``%.17g`` (as ``format(v, ".17g")``) for float; the header is quoted by ``csv``."""
+    ``%.17g`` (as ``format(v, ".17g")``) for float; the header is quoted by ``csv``.
+    A table of int columns only is formatted by one ``%`` over all its rows."""
     header, columns = ["replica"], []
     for key, arr in arrays.items():
         header.extend([f"{key}_{s}" for s in states] if arr.ndim == 2 else [key])
@@ -731,7 +774,11 @@ def _occupation_csv(states, arrays: Mapping[str, np.ndarray]) -> str:
     line = ",".join(["%d"] + ["%.17g" if c.dtype.kind == "f" else "%d" for c in columns]) + "\r\n"
     buf = io.StringIO()
     csv.writer(buf).writerow(header)
-    buf.writelines(line % row for row in zip(range(len(columns[0])), *(c.tolist() for c in columns)))
+    rows = len(columns[0])
+    if all(c.dtype.kind == "i" for c in columns):  # stacked as int64, no value changes
+        buf.write(line * rows % tuple(np.column_stack([np.arange(rows), *columns]).ravel().tolist()))
+    else:
+        buf.writelines(line % row for row in zip(range(rows), *(c.tolist() for c in columns)))
     return buf.getvalue()
 
 
@@ -790,8 +837,9 @@ def _exp_theorem1(run: _Run) -> None:
     limit_marginals = [ctmc_marginal(limit_rates, limit_start, t) for t in times]
     sup_tv_finite: dict[float, float] = {}
     sup_tv_limit: dict[float, float] = {}
-    for i, r in enumerate(cfg.r_schedule):
-        res = run.point(_fv_final_chunk, M, r, times, model=model, counts=counts)
+    handles = [run.point(_fv_final_chunk, M, r, times, model=model, counts=counts) for r in cfg.r_schedule]
+    for i, (r, read) in enumerate(zip(cfg.r_schedule, handles)):
+        res = read()
         if res is None:
             continue
         for j, t in enumerate(times):
@@ -834,9 +882,12 @@ def _exp_theorem2(run: _Run) -> None:
     chain_means = {r: _mean_occupation(condensate_rates(model, n, r), _chain_start(model, counts, r), T)
                    for r in cfg.r_schedule}
     means: list[float] = []
+    handles = []
     for r in cfg.r_schedule:
-        res = run.point(_fv_path_chunk, M, r, T, model=model, counts=counts)
+        handles.append(run.point(_fv_path_chunk, M, r, T, model=model, counts=counts))
         run.base += M  # the block chain paths once took stays unused, so each r keeps its streams
+    for r, read in zip(cfg.r_schedule, handles):
+        res = read()
         if res is None:
             continue
 
@@ -879,11 +930,12 @@ def _exp_theorem3(run: _Run) -> None:
     init_law = LawOnStates(model.states, np.asarray(start, dtype=float) / sum(start))
     exact_marginals = [ctmc_marginal(mutation_chain, init_law, t).probs for t in times]
     sups: list[tuple[float, float, float]] = []  # (scale, max lo, max hi) per completed point
-    for i, point in enumerate(cfg.points):
+    handles = [run.point(_fv_final_chunk, M, p["r"], times, model=model, counts=_init_counts(model, cfg.init, p["n"]))
+               for p in cfg.points]
+    for i, (point, read) in enumerate(zip(cfg.points, handles)):
         n, r = point["n"], point["r"]
-        counts = _init_counts(model, cfg.init, n)
         scale = n / model.min_killing_rate(r)
-        res = run.point(_fv_final_chunk, M, r, times, model=model, counts=counts)
+        res = read()
         if res is None:
             continue
         bound = (model.Q + n / (2.0 * (n - 1.0)) * m_sup) * scale
@@ -927,8 +979,10 @@ def _exp_absorption_tail(run: _Run) -> None:
     M = cfg.replicas
     slopes: list[float] = []
     floors: list[float] = []
-    for r in cfg.r_schedule:
-        res = run.point(_absorption_chunk, M, r, "", model=model.without_mutation, counts=cfg.init)
+    handles = [run.point(_absorption_chunk, M, r, "", model=model.without_mutation, counts=cfg.init)
+               for r in cfg.r_schedule]
+    for r, read in zip(cfg.r_schedule, handles):
+        res = read()
         if res is None:
             continue
         taus = res["tau"]
@@ -959,7 +1013,7 @@ def _exp_eta_inf(run: _Run) -> None:
     r = cfg.r_schedule[0]
     exact = initial_condensation_law(model, cfg.init)
 
-    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model.without_mutation, counts=cfg.init)
+    res = run.point(_absorption_chunk, cfg.replicas, r, "", model=model.without_mutation, counts=cfg.init)()
     if res is None:
         return
     emp = empirical_law(res["site"], model.states)
@@ -997,7 +1051,7 @@ def _exp_committor_check(run: _Run) -> None:
     n, alpha, counts, M = cfg.mc["n"], cfg.mc["alpha"], cfg.mc["counts"], cfg.mc["replicas"]
     r = 1.0  # the two sites die at rates r and alpha * r; only alpha matters
     model = _mc_model(alpha)
-    res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)
+    res = run.point(_absorption_chunk, M, r, "", model=model, counts=counts)()
     if res is None:
         return
     freq = float((res["site"] == 0).mean())
@@ -1034,7 +1088,7 @@ def _exp_conjecture_probe(run: _Run) -> None:
     times = cfg.sim.get("time_points", (T,))
     start_site = cfg.sim["init"]["dirac"]  # a stable site, by validate()
     tol = 3.0 * _dkw_half_width(M, cfg.delta)
-    res = run.point(_fv_final_chunk, M, r, times, model=model, counts=_init_counts(model, cfg.sim["init"], n))
+    res = run.point(_fv_final_chunk, M, r, times, model=model, counts=_init_counts(model, cfg.sim["init"], n))()
     if res is None:
         return
     for j, t in enumerate(times):
@@ -1143,8 +1197,10 @@ def run_experiment(
     run = _Run(config, _Pool(threads), report)
     try:
         _KINDS[config.kind].run(run)
-    finally:
-        run.pool.close()
+    except BaseException:
+        run.pool.close(cancel=True)  # the next point may be queued already
+        raise
+    run.pool.close()
     report.finalize_hash()
     report.timing.update(wall_seconds=time.perf_counter() - started, threads=threads)
     if out_dir is not None:

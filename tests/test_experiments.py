@@ -816,6 +816,41 @@ def test_outcome_table_formats_each_column_by_dtype():
     assert text.splitlines()[4] == "3,1,1,1,2.5e+17"
 
 
+def _reference_csv(states, arrays):
+    """An outcome table built row by row by ``csv.writer``: ints by ``str``,
+    floats by ``format(v, ".17g")``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    header = ["replica"]
+    for key, arr in arrays.items():
+        header.extend([f"{key}_{s}" for s in states] if arr.ndim == 2 else [key])
+    writer.writerow(header)
+    for i in range(len(next(iter(arrays.values())))):
+        cells = [str(i)]
+        for arr in arrays.values():
+            for v in np.atleast_1d(arr[i]).tolist():
+                cells.append(format(v, ".17g") if isinstance(v, float) else str(v))
+        writer.writerow(cells)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [1, 257])
+@pytest.mark.parametrize("mixed", [False, True], ids=["int-only", "mixed"])
+def test_outcome_table_bytes_equal_a_csv_writer_table(rows, mixed):
+    from fvlab.experiments import _occupation_csv
+
+    states = ("a", "b", "c")
+    # 2**53 + 1 has no float64: a table stacked as floats would print it wrong
+    big = np.array([0, 1, -1, 10**12, -(10**12), 7, 2**53 + 1], dtype=np.int64)
+    final = np.resize(big, (rows, len(states)))
+    events = np.resize(big[::-1], rows)
+    arrays = {"final": final, "events": events}
+    if mixed:
+        floats = np.array([0.1, 1e-300, np.nextafter(1.0, 0.0), 2.5e17, 0.0, 1.0 / 3.0])
+        arrays = {"avg_occ": np.resize(floats, (rows, len(states))), "tau": np.resize(floats[::-1], rows), **arrays}
+    assert _occupation_csv(states, arrays).encode() == _reference_csv(states, arrays).encode()
+
+
 def test_event_cap_abort_recorded_not_raised():
     cfg = ExperimentConfig.from_dict(theorem1_doc(event_cap=3))
     rep = run_experiment(cfg)
@@ -830,6 +865,25 @@ def test_event_cap_abort_recorded_not_raised():
 def _partial_abort_config():
     # at cap 18 the r = 100 pass aborts and the r = 10 pass completes
     return ExperimentConfig.from_dict(theorem1_doc(event_cap=18, replicas=600))
+
+
+def _middle_abort_config():
+    # at cap 23 the r = 100 pass aborts and the r = 10 and r = 1000 passes complete
+    return ExperimentConfig.from_dict(theorem1_doc(event_cap=23, replicas=600, r_schedule=[10.0, 100.0, 1000.0]))
+
+
+def test_middle_abort_with_the_next_point_queued_is_thread_invariant():
+    # two slices per point: reading r = 100 queues r = 1000 before the abort
+    # is known, and r = 1000 keeps its own block of streams
+    cfg = _middle_abort_config()
+    serial, pooled = run_experiment(cfg), run_experiment(cfg, threads=2)
+    assert [row["r"] for row in serial.rows if row["statistic"] == "event_cap_abort"] == [100.0, 100.0]
+    assert [row["r"] for row in serial.rows if row["statistic"] == "tv_vs_finite_chain"] == [10.0] * 2 + [1000.0] * 2
+    assert pooled.rows == serial.rows and pooled.outcome_digests == serial.outcome_digests
+    assert pooled.result_hash == serial.result_hash
+    (abort,) = serial.timing["event_cap_aborts"]
+    assert pooled.timing["event_cap_aborts"] == [abort] and 600 <= abort["replica"] < 1200
+    assert [p["r"] for p in pooled.timing["points"]] == [10.0, 100.0, 1000.0]
 
 
 def test_theorem1_partial_abort_emits_no_summary():
@@ -866,7 +920,7 @@ def test_event_cap_abort_thread_invariant_and_replayable():
             assert times == cfg.time_points
             base = cfg.r_schedule.index(r) * M  # each pass takes the next M indices
             payload = dict(model=model, counts=init.counts, r=r, t=times, seed=cfg.seed, base=base, event_cap=18)
-            err = _run_point(_fv_final_chunk, payload, M, pool)  # pickled out of a worker
+            err, _ = _run_point(_fv_final_chunk, payload, M, pool)()  # pickled out of a worker
             assert isinstance(err, EventCapError)
             assert err.replica == abort["replica"] and base <= err.replica < base + M
             assert f"in replica {err.replica}" in str(err)
@@ -1435,7 +1489,7 @@ def _path_point(model_config, counts, r, T, M, seed=5, base=7, pool=None):
 
     model = validate_model(model_config)
     payload = dict(model=model, counts=counts, r=r, t=T, seed=seed, base=base, event_cap=10**7)
-    res = _run_point(_fv_path_chunk, payload, M, pool)
+    res, _ = _run_point(_fv_path_chunk, payload, M, pool)()
     assert list(res) == ["integral", "avg_occ", "events"]  # the outcome table's column order
     init = EmpiricalMeasure(counts)
     for i in range(M):
@@ -1520,8 +1574,13 @@ def test_theorem3_hash_thread_invariant():
 
 
 def test_theorem2_hash_thread_invariant():
-    cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
-    assert run_experiment(cfg, threads=2).result_hash == run_experiment(cfg).result_hash
+    M = 600  # three chunks per point, two slices in a pool of two
+    cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=M, r_schedule=[10.0, 200.0, 1000.0]))
+    serial, pooled = run_experiment(cfg), run_experiment(cfg, threads=2)
+    assert pooled.result_hash == serial.result_hash
+    # every point is made before any is read: the i-th r still runs on block 2i
+    for rep in (serial, pooled):
+        assert [p["max_events_replica"] // M for p in rep.timing["points"]] == [0, 2, 4]
 
 
 # A chunk runs all its replicas through one event loop.  x mutates to y and
@@ -1570,7 +1629,7 @@ def _duel_point(worker, M, seed=5, base=7, event_cap=10**7):
     # the absorption kinds put the model without mutation in their payloads
     point_model = model.without_mutation if worker == "absorption" else model
     payload = dict(model=point_model, counts=(20, 20), r=1e4, t=t, seed=seed, base=base, event_cap=event_cap)
-    return model, _run_point(chunk, payload, M)
+    return model, _run_point(chunk, payload, M)()[0]
 
 
 @pytest.mark.parametrize("worker", ["final", "path", "absorption"])
@@ -1615,30 +1674,54 @@ def test_chunk_cap_hit_past_its_first_replica_names_that_replica(worker):
     assert (alone.value.time, alone.value.counts) == (err.time, err.counts)
 
 
+class _Slice:
+    """Stands in for a pool future: runs its slice in process when its
+    result is asked for, or never once cancelled."""
+
+    def __init__(self, fn, task):
+        self.fn, self.task, self.cancelled = fn, task, False
+
+    def result(self):
+        assert not self.cancelled
+        _InlinePool.ran.append(self.task["r"])
+        return self.fn(self.task)
+
+    def cancel(self):
+        self.cancelled = True
+        return True
+
+
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size and the tasks of
-    each map, runs them in process."""
+    """Stands in for ProcessPoolExecutor: records its size, the intensity
+    of each slice submitted and run, and each shutdown's ``cancel_futures``;
+    runs a slice in process when its result is read."""
 
     sizes: list[int] = []
-    maps: list[int] = []
+    submitted: list[float] = []
+    ran: list[float] = []
+    shutdowns: list[bool] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.slices = []
 
-    def map(self, fn, tasks):
-        self.maps.append(len(tasks))
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        self.submitted.append(task["r"])
+        self.slices.append(_Slice(fn, task))
+        return self.slices[-1]
 
     def shutdown(self, cancel_futures=False):
-        pass
+        self.shutdowns.append(cancel_futures)
+        for piece in self.slices if cancel_futures else ():
+            piece.cancel()
 
 
 def _inline_pool(monkeypatch, cpus):
     import fvlab.experiments as experiments
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "maps", [])
+    for name in ("sizes", "submitted", "ran", "shutdowns"):
+        monkeypatch.setattr(_InlinePool, name, [])
     monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
 
 
@@ -1650,7 +1733,8 @@ def test_point_pool_has_no_more_workers_than_chunks(monkeypatch, threads, size):
     cfg = ExperimentConfig.from_dict(_theorem2_doc(replicas=600))  # three chunks per point
     rep = run_experiment(cfg, threads=threads)
     assert _InlinePool.sizes == [size]  # one pool for the run, no idle worker
-    assert _InlinePool.maps == [size] * 2  # one particle point per r
+    assert _InlinePool.submitted == [10.0] * size + [200.0] * size  # one particle point per r
+    assert _InlinePool.ran == _InlinePool.submitted and _InlinePool.shutdowns == [False]
     assert rep.result_hash == run_experiment(cfg).result_hash
 
 
@@ -1661,7 +1745,7 @@ def test_point_pool_has_no_more_workers_than_cpus(monkeypatch, cpus, sizes):
     cfg = ExperimentConfig.from_dict(theorem1_doc(model=frozen, replicas=3 * 256))  # three chunks per point
     rep = run_experiment(cfg, threads=5000)
     assert _InlinePool.sizes == sizes  # one CPU: the points run in process, no pool
-    assert _InlinePool.maps == [2] * 2 * len(sizes)
+    assert _InlinePool.submitted == [10.0, 10.0, 100.0, 100.0] * len(sizes)
     assert rep.result_hash == run_experiment(cfg).result_hash
 
 
@@ -1714,11 +1798,25 @@ def test_pool_is_gone_after_a_run_that_aborts_on_the_event_cap():
 def test_pool_is_gone_after_a_run_that_raises_in_a_later_point(monkeypatch):
     import fvlab.experiments as experiments
 
-    # the r = 10 point completes in the pool; the r = 100 point's workers raise
+    # the r = 10 point completes in the pool; the r = 100 point's workers
+    # raise while the r = 1000 point is queued
     monkeypatch.setattr(experiments, "_fv_final_chunk", _fail_past_r10)
     with pytest.raises(RuntimeError, match="worker failed at r = 100"):
-        run_experiment(theorem1_doc(replicas=300), threads=2)
+        run_experiment(theorem1_doc(replicas=300, r_schedule=[10.0, 100.0, 1000.0]), threads=2)
     assert multiprocessing.active_children() == []
+
+
+def test_run_that_raises_cancels_the_queued_point(monkeypatch):
+    import fvlab.experiments as experiments
+
+    _inline_pool(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_fv_final_chunk", _fail_past_r10)
+    with pytest.raises(RuntimeError, match="worker failed at r = 100"):
+        run_experiment(theorem1_doc(replicas=300, r_schedule=[10.0, 100.0, 1000.0]), threads=2)
+    # reading r = 100 queued r = 1000, whose slices the shutdown dropped
+    assert _InlinePool.submitted == [10.0, 10.0, 100.0, 100.0, 1000.0, 1000.0]
+    assert _InlinePool.ran == [10.0, 10.0, 100.0]
+    assert _InlinePool.shutdowns == [True]
 
 
 def test_cpu_count_is_the_usable_cpus(monkeypatch):
