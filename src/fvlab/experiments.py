@@ -53,7 +53,8 @@ contiguous slice of its replicas, at most one per 256, and reassembles
 the slices in replica order before any statistic is computed, so reports
 hash identically for every parallelism degree.  Reading a pooled point
 queues the next one, so the pool simulates it while the parent reduces
-the current one, and at most two points' results are held at once.
+the current one; a point's slice results are dropped once it is read,
+so at most two points' are held at once.
 Wall-clock timings, overall and per point, live in a separate block
 excluded from the hash; a pooled point's time runs from its submission,
 so the points' times overlap.
@@ -92,6 +93,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -679,8 +681,9 @@ class _Run:
         :func:`_fv_final_chunk`, which takes every one in one pass.
         Reading a handle queues its point, if not yet queued, and the next
         point, then waits for its point: a pooled run simulates the next
-        point while the parent reduces this one, and holds the results of
-        at most two points.  An in-process point runs when it is read.
+        point while the parent reduces this one, and holds the slice
+        results of at most two points, since a read handle drops its
+        point's.  An in-process point runs when it is read.
         The handle returns the per-replica arrays, or None after recording
         an abort row at each of the point's times when a replica hit the
         event cap; rows and ``timing`` entries follow the order of reads.
@@ -694,11 +697,11 @@ class _Run:
                 reader.append(_run_point(worker, payload, M, self.pool))
 
         def read() -> dict | None:
-            self.unread.remove(submit)
+            self.unread.remove(submit)  # no later read submits this point again
             submit()
             if self.unread:
                 self.unread[0]()  # the pool runs the next point while this one is reduced
-            res, wall_s = reader[0]()
+            res, wall_s = reader.pop()()  # the reader goes, and its slices' results with it
             stats = {"r": r, "t": t, "replicas": M, "wall_s": wall_s}
             self.report.timing.setdefault("points", []).append(stats)
             if isinstance(res, EventCapError):
@@ -764,8 +767,8 @@ def _tv_standard_error(samples: np.ndarray) -> float:
 def _occupation_csv(states, arrays: Mapping[str, np.ndarray]) -> str:
     """Per-replica table: ``replica``, then each array's columns (``<key>_<state>``
     for a 2-D one).  A column's format follows its dtype: ``%d`` for int,
-    ``%.17g`` (as ``format(v, ".17g")``) for float; the header is quoted by ``csv``.
-    A table of int columns only is formatted by one ``%`` over all its rows."""
+    ``%.17g`` (as ``format(v, ".17g")``) for float; the header is quoted by ``csv``,
+    and the body is one ``%`` over all its rows."""
     header, columns = ["replica"], []
     for key, arr in arrays.items():
         header.extend([f"{key}_{s}" for s in states] if arr.ndim == 2 else [key])
@@ -775,10 +778,7 @@ def _occupation_csv(states, arrays: Mapping[str, np.ndarray]) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow(header)
     rows = len(columns[0])
-    if all(c.dtype.kind == "i" for c in columns):  # stacked as int64, no value changes
-        buf.write(line * rows % tuple(np.column_stack([np.arange(rows), *columns]).ravel().tolist()))
-    else:
-        buf.writelines(line % row for row in zip(range(rows), *(c.tolist() for c in columns)))
+    buf.write(line * rows % tuple(chain.from_iterable(zip(range(rows), *(c.tolist() for c in columns)))))
     return buf.getvalue()
 
 

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -1676,15 +1677,19 @@ def test_chunk_cap_hit_past_its_first_replica_names_that_replica(worker):
 
 class _Slice:
     """Stands in for a pool future: runs its slice in process when its
-    result is asked for, or never once cancelled."""
+    result is first asked for and keeps that result, as a future does;
+    never runs once cancelled."""
 
-    def __init__(self, fn, task):
-        self.fn, self.task, self.cancelled = fn, task, False
+    def __init__(self, pool, fn, task):
+        self.pool, self.fn, self.task, self.cancelled = pool, fn, task, False
 
     def result(self):
         assert not self.cancelled
-        _InlinePool.ran.append(self.task["r"])
-        return self.fn(self.task)
+        if self in self.pool.pending:
+            self.pool.pending.remove(self)  # done: the pool lets go of it, as an executor does
+            _InlinePool.ran.append(self.task["r"])
+            self.value = self.fn(self.task)
+        return self.value
 
     def cancel(self):
         self.cancelled = True
@@ -1703,16 +1708,16 @@ class _InlinePool:
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        self.slices = []
+        self.pending = []  # the slices not run yet
 
     def submit(self, fn, task):
         self.submitted.append(task["r"])
-        self.slices.append(_Slice(fn, task))
-        return self.slices[-1]
+        self.pending.append(_Slice(self, fn, task))
+        return self.pending[-1]
 
     def shutdown(self, cancel_futures=False):
         self.shutdowns.append(cancel_futures)
-        for piece in self.slices if cancel_futures else ():
+        for piece in self.pending if cancel_futures else ():
             piece.cancel()
 
 
@@ -1817,6 +1822,27 @@ def test_run_that_raises_cancels_the_queued_point(monkeypatch):
     assert _InlinePool.submitted == [10.0, 10.0, 100.0, 100.0, 1000.0, 1000.0]
     assert _InlinePool.ran == [10.0, 10.0, 100.0]
     assert _InlinePool.shutdowns == [True]
+
+
+def test_a_read_point_lets_go_of_its_slice_results(monkeypatch):
+    import fvlab.experiments as experiments
+
+    _inline_pool(monkeypatch, 2)
+    chunk, results = experiments._fv_final_chunk, []  # (r, weak reference) per array a slice returned
+    alive = []  # at each slice's start, the intensities whose earlier slices' arrays still live
+
+    def tracked(payload):
+        alive.append(sorted({r for r, ref in results if ref() is not None}))
+        res = chunk(payload)
+        results.extend((payload["r"], weakref.ref(a)) for a in res.values())
+        return res
+
+    monkeypatch.setattr(experiments, "_fv_final_chunk", tracked)
+    run_experiment(theorem1_doc(replicas=300, r_schedule=[10.0, 100.0, 1000.0]), threads=2)
+    # a point's two slices run when it is read; by the next point's first
+    # slice the read point's slice results are gone, so a run's memory does
+    # not grow with its number of points
+    assert alive == [[], [10.0], [], [100.0], [], [1000.0]]
 
 
 def test_cpu_count_is_the_usable_cpus(monkeypatch):
